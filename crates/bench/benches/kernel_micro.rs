@@ -7,10 +7,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pic_bench::{bench_dt, build_ensemble, dipole_wave};
-use pic_boris::{AnalyticalSource, BatchBorisKernel, BorisPusher, PrecalculatedSource, PushKernel};
+use pic_boris::{AnalyticalSource, BorisPusher, PrecalculatedSource, PushKernel, SoaBorisKernel};
 use pic_fields::PrecalculatedFields;
 use pic_math::Real;
-use pic_particles::{AosEnsemble, ParticleAccess, SoaEnsemble, SpeciesTable};
+use pic_particles::{AosEnsemble, ParticleAccess, ParticleKernel, SoaEnsemble, SpeciesTable};
 
 const N: usize = 10_000;
 
@@ -82,11 +82,11 @@ fn bench_layouts(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch(c: &mut Criterion) {
+fn bench_blocked(c: &mut Criterion) {
     let table = SpeciesTable::<f64>::with_standard_species();
     let wave = dipole_wave::<f64>();
     let source = AnalyticalSource::new(&wave);
-    let mut group = c.benchmark_group("scalar_vs_batch");
+    let mut group = c.benchmark_group("scalar_vs_blocked");
     group.throughput(Throughput::Elements(N as u64));
 
     let mut scalar: SoaEnsemble<f64> = build_ensemble(N, 2);
@@ -95,10 +95,10 @@ fn bench_batch(c: &mut Criterion) {
     });
 
     let mut blocked: SoaEnsemble<f64> = build_ensemble(N, 2);
-    group.bench_function("batch8", |b| {
+    group.bench_function("blocked8", |b| {
         b.iter(|| {
-            let k = BatchBorisKernel::new(&source, &table, bench_dt(), 0.0);
-            k.sweep(&mut blocked)
+            let mut k = SoaBorisKernel::new(&source, &table, bench_dt(), 0.0);
+            k.apply_chunk(&mut blocked)
         })
     });
     group.finish();
@@ -107,6 +107,6 @@ fn bench_batch(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_layouts, bench_batch
+    targets = bench_layouts, bench_blocked
 );
 criterion_main!(benches);

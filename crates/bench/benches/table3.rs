@@ -4,15 +4,14 @@
 //! The GPU cells come from the GPU roofline/coalescing model (no Intel
 //! GPU exists in this environment — DESIGN.md §2); the CPU column is the
 //! DPC++ NUMA cell of the CPU model, exactly as the paper compares. A
-//! second section demonstrates the `pic-device` queue path: the same
-//! kernel is *functionally executed* through `Queue::submit_sweep` on
+//! second section demonstrates the `pic-device` executor path: the same
+//! kernel is *functionally executed* through `measure_device_nsps` on
 //! each simulated device and the modeled event times are reported.
 
-use pic_bench::{bench_dt, build_ensemble, dipole_wave, print_banner, Table};
-use pic_boris::{AnalyticalSource, BorisPusher, SharedPushKernel};
-use pic_device::{Device, Queue, SweepProfile};
-use pic_particles::{Layout, ParticleAccess, SoaEnsemble, SpeciesTable};
+use pic_bench::{measure_device_nsps, print_banner, BenchConfig, Table};
+use pic_particles::Layout;
 use pic_perfmodel::{CpuModel, GpuModel, Parallelization, Precision, Scenario};
+use pic_runtime::ExecTarget;
 
 /// Paper Table 3 values (single source of truth in `pic-perfmodel`).
 const PAPER: [(Scenario, Layout, [f64; 3]); 4] = pic_perfmodel::report::PAPER_TABLE3;
@@ -49,45 +48,31 @@ fn modeled_section() {
     }
 }
 
-fn queue_section() {
+fn executor_section() {
     print_banner(
-        "Table 3 (companion) — same kernel through the pic-device queues",
+        "Table 3 (companion) — same kernel through the pic-device executor",
         "Functional execution of the real Boris kernel on each simulated device;\n\
          events report the modeled device time (steady state, after JIT warm-up).",
     );
-    let n = 20_000;
-    let table = SpeciesTable::<f32>::with_standard_species();
-    let wave = dipole_wave::<f32>();
-    let source = AnalyticalSource::new(&wave);
-    let dt = bench_dt() as f32;
-
+    // One warm-up launch (JIT), then a steady-state one.
+    let cfg = BenchConfig {
+        particles: 20_000,
+        steps_per_iteration: 1,
+        iterations: 2,
+    };
     let mut t = Table::new(["Device", "modeled NSPS (Analytical, SoA)", "launches"]);
-    for device in [Device::p630(), Device::iris_xe_max()] {
-        let mut queue = Queue::new(device);
-        let mut ens: SoaEnsemble<f32> = build_ensemble(n, 11);
-        let profile = SweepProfile::new(Scenario::Analytical, Layout::Soa, Precision::F32);
-        // Warm-up launch (JIT), then a steady-state one.
-        let shared = SharedPushKernel {
-            source: &source,
-            pusher: BorisPusher,
-            table: &table,
-            dt,
-            time: 0.0,
-        };
-        queue.submit_sweep(&mut ens, profile, |_| shared.to_kernel());
-        let event = queue.submit_sweep(&mut ens, profile, |_| shared.to_kernel());
+    for target in [ExecTarget::P630, ExecTarget::IrisXeMax] {
+        let run = measure_device_nsps::<f32>(Layout::Soa, Scenario::Analytical, &cfg, target);
         t.row([
-            event.device.clone(),
-            format!("{:.2}", event.ns_per_particle()),
-            queue.launches().to_string(),
+            run.events[1].device.clone(),
+            format!("{:.2}", run.steady_nsps()),
+            run.events.len().to_string(),
         ]);
-        // The kernel really ran: particles moved.
-        assert!(ens.get(0).momentum.norm() > 0.0);
     }
     println!("{t}");
 }
 
 fn main() {
     modeled_section();
-    queue_section();
+    executor_section();
 }

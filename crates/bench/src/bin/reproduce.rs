@@ -124,8 +124,8 @@ fn warmup() {
 }
 
 /// Measures every layout × scenario cell at single precision under the
-/// paper schedules (plus the auto-tuned one) with the SoA fast path,
-/// adds scalar and gather/scatter baseline runs on the SoA cells so the
+/// paper schedules (plus the auto-tuned one) with the blocked kernel,
+/// adds scalar-oracle baseline runs on the SoA cells so the
 /// `kernel_variant` field distinguishes implementations, and writes
 /// `BENCH_<label>.json`.
 fn emit_metrics(label: &str, device: ExecTarget) -> std::io::Result<std::path::PathBuf> {
@@ -184,12 +184,15 @@ fn emit_metrics(label: &str, device: ExecTarget) -> std::io::Result<std::path::P
             }
         }
     }
-    // Baselines for the fast-path comparison: same SoA cells, dynamic
-    // schedule, driven by the scalar and gather/scatter kernels.
+    // Baseline for the blocked-kernel comparison: same SoA cells, dynamic
+    // schedule, driven by the scalar oracle.
     for scenario in Scenario::all() {
-        for variant in [KernelVariant::Scalar, KernelVariant::Batch] {
-            measure_one(Layout::Soa, scenario, Schedule::dynamic(), variant);
-        }
+        measure_one(
+            Layout::Soa,
+            scenario,
+            Schedule::dynamic(),
+            KernelVariant::Scalar,
+        );
     }
     // Device-backend lane: the Table 3 cells for the selected device
     // (both layouts × both scenarios, single precision), each from a

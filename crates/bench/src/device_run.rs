@@ -457,6 +457,19 @@ mod tests {
         let model =
             GpuModel::iris_xe_max().nsps(Scenario::Precalculated, Layout::Soa, Precision::F32);
         assert!((run.steady_nsps() - model).abs() < 1e-9 * model);
+        // And the devices order like Table 3: the P630 is the slower GPU.
+        let p630 = measure_device_nsps::<f32>(
+            Layout::Soa,
+            Scenario::Precalculated,
+            &cfg,
+            ExecTarget::P630,
+        );
+        assert!(
+            p630.steady_nsps() > run.steady_nsps(),
+            "P630 ({}) should be slower than Iris ({})",
+            p630.steady_nsps(),
+            run.steady_nsps()
+        );
     }
 
     #[test]
@@ -505,7 +518,7 @@ mod tests {
     fn pinned_shard_runs_overlap_transfer_with_compute_in_the_model() {
         use crate::scenario::build_ensemble_range;
         // Execute each shard of a 4-way plan through the device lane for
-        // real (own queue/executor per shard), then model the pinned
+        // real (own executor per shard), then model the pinned
         // K-queue schedule from the reported kernel times.
         let total = 400usize;
         let ranges = [(0usize, 100usize), (100, 100), (200, 100), (300, 100)];

@@ -106,7 +106,7 @@ pub fn measure_nsps<R: Real>(
 }
 
 /// [`measure_nsps`] with an explicit kernel variant — the entry point for
-/// fast-path vs gather/scatter comparisons.
+/// blocked-kernel vs scalar-oracle comparisons.
 pub fn measure_nsps_variant<R: Real>(
     layout: Layout,
     scenario: Scenario,
@@ -148,7 +148,7 @@ fn measure_store<R: Real, A: ParticleStore<R>>(
     // memory order *is* access order: Morton-sort once up front (before
     // the fields are sampled — re-sorting later would desynchronize the
     // per-index field array) to turn the random sphere fill into
-    // streaming reads. The gathered baseline is left unsorted on purpose:
+    // streaming reads. The scalar baseline is left unsorted on purpose:
     // it measures the current layout as-is.
     if variant == KernelVariant::SoaFast && scenario == Scenario::Precalculated {
         PeriodicSorter::with_order(grid, cfg.steps_per_iteration.max(1), SortOrder::Morton)
@@ -231,22 +231,22 @@ mod tests {
             Schedule::StaticChunks,
             KernelVariant::SoaFast,
         );
-        let batch = measure_nsps_variant::<f32>(
+        let scalar = measure_nsps_variant::<f32>(
             Layout::Soa,
             Scenario::Precalculated,
             &cfg,
             &topo,
             Schedule::StaticChunks,
-            KernelVariant::Batch,
+            KernelVariant::Scalar,
         );
-        for run in [&fast, &batch] {
+        for run in [&fast, &scalar] {
             assert!((0.0..=1.0).contains(&run.order_fraction), "{run:?}");
         }
         // The fast-path run starts from a Morton-sorted ensemble; the
-        // gathered baseline keeps the random sphere fill. Morton order is
+        // scalar baseline keeps the random sphere fill. Morton order is
         // not monotone in the *linear* cell index, so the sorted fraction
         // lands well above random (~0.5) but below a full cell sort.
-        assert!(fast.order_fraction > batch.order_fraction + 0.1);
+        assert!(fast.order_fraction > scalar.order_fraction + 0.1);
         assert!(fast.order_fraction > 0.6, "{}", fast.order_fraction);
     }
 

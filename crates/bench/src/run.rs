@@ -14,8 +14,8 @@
 
 use crate::scenario::{bench_dt, dipole_wave};
 use pic_boris::{
-    AnalyticalSource, BatchBorisKernel, BorisPusher, FieldSource, PrecalculatedSource,
-    SharedPushKernel, SoaBorisKernel,
+    AnalyticalSource, BorisPusher, FieldSource, PrecalculatedSource, SharedPushKernel,
+    SoaBorisKernel,
 };
 use pic_fields::{DipoleStandingWave, PrecalculatedFields};
 use pic_math::Real;
@@ -30,12 +30,11 @@ use pic_telemetry::ThreadStat;
 /// Which pusher kernel implementation drives the sweep.
 #[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
 pub enum KernelVariant {
-    /// The per-particle reference kernel (one proxy view per particle).
+    /// The per-particle reference kernel (one proxy view per particle) —
+    /// the oracle the production kernel is checked against.
     Scalar,
-    /// The blocked gather → compute → scatter kernel of [`pic_boris::batch`].
-    Batch,
-    /// The zero-gather direct-slice fast path of [`pic_boris::soa_boris`]
-    /// (falls back to the scalar arithmetic on AoS stores).
+    /// The blocked production kernel of [`pic_boris::soa_boris`]: direct
+    /// column slices on SoA stores, view-gathered lanes on AoS stores.
     #[default]
     SoaFast,
 }
@@ -45,18 +44,13 @@ impl KernelVariant {
     pub fn name(&self) -> &'static str {
         match self {
             KernelVariant::Scalar => "scalar",
-            KernelVariant::Batch => "batch",
             KernelVariant::SoaFast => "soa-fast",
         }
     }
 
     /// Every variant, in comparison order.
-    pub fn all() -> [KernelVariant; 3] {
-        [
-            KernelVariant::Scalar,
-            KernelVariant::Batch,
-            KernelVariant::SoaFast,
-        ]
+    pub fn all() -> [KernelVariant; 2] {
+        [KernelVariant::Scalar, KernelVariant::SoaFast]
     }
 }
 
@@ -121,9 +115,9 @@ pub struct MdipoleRun {
 /// `on_step` runs after each completed step and returns `false` to stop
 /// early — the serving layer uses it for per-job deadline checks.
 ///
-/// `variant` selects the pusher implementation (scalar reference, blocked
-/// gather/scatter, or the zero-gather SoA fast path); all variants
-/// integrate the same trajectories. Under [`Schedule::AutoTuned`] the
+/// `variant` selects the pusher implementation (scalar reference or the
+/// blocked production kernel); both integrate bitwise-identical
+/// trajectories. Under [`Schedule::AutoTuned`] the
 /// first few steps probe grain sizes via [`GrainTuner`] and the rest run
 /// at the measured best.
 #[allow(clippy::too_many_arguments)]
@@ -243,12 +237,6 @@ fn drive<R: Real, A: ParticleAccess<R>, F: FieldSource<R>>(
                 };
                 sweep_once(store, topology, effective, cancel, |_| shared.to_kernel())
             }
-            KernelVariant::Batch => {
-                let (tbl, t) = (&table, *time);
-                sweep_once(store, topology, effective, cancel, move |_| {
-                    BatchBorisKernel::new(source, tbl, dt, t)
-                })
-            }
             KernelVariant::SoaFast => {
                 let (tbl, t) = (&table, *time);
                 sweep_once(store, topology, effective, cancel, move |_| {
@@ -340,15 +328,8 @@ mod tests {
         };
         let scalar = run_with(KernelVariant::Scalar);
         let fast = run_with(KernelVariant::SoaFast);
-        let batch = run_with(KernelVariant::Batch);
         for i in 0..100 {
-            // The fast path is bitwise-identical to scalar; the gathered
-            // path agrees within its documented scatter rounding.
             assert_eq!(scalar.get(i), fast.get(i), "particle {i}");
-            let a = scalar.get(i);
-            let b = batch.get(i);
-            let scale = a.momentum.norm().max(1e-30);
-            assert!((a.momentum - b.momentum).norm() / scale <= 1e-12, "{i}");
         }
     }
 

@@ -146,17 +146,15 @@ fn instant_stays_in_the_measuring_layers() {
     }
 
     // The device layer follows the same discipline: one clock module
-    // (the executor and queue time launches through `Stopwatch`), and
-    // the rest of pic-device stays off the raw wall clock so modeled
-    // GPU timings can't be quietly mixed with ad-hoc host timers.
+    // (the executor times launches through `Stopwatch`), and the rest
+    // of pic-device stays off the raw wall clock so modeled GPU timings
+    // can't be quietly mixed with ad-hoc host timers.
     assert!(rules("crates/device/src/clock.rs", bad).is_empty());
-    for module in ["crates/device/src/queue.rs", "crates/device/src/exec.rs"] {
-        assert_eq!(
-            rules(module, bad),
-            vec!["instant-outside-telemetry"],
-            "{module} must route wall-time reads through clock.rs"
-        );
-    }
+    assert_eq!(
+        rules("crates/device/src/exec.rs", bad),
+        vec!["instant-outside-telemetry"],
+        "the executor must route wall-time reads through clock.rs"
+    );
 
     let justified =
         "// lint: allow(instant-outside-telemetry): cold-path setup timing\nfn f() { let t = Instant::now(); }\n";

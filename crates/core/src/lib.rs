@@ -16,10 +16,11 @@
 //!   parallel runtime.
 //! * [`kernel::FieldSource`] — per-particle field lookup: analytical
 //!   sampling (scenario 2) or precalculated arrays (scenario 1).
-//! * [`batch`] — an explicitly blocked (8-wide) Boris kernel mirroring the
-//!   AVX-512 vectorization of the paper's C++ loop.
-//! * [`soa_boris`] — the zero-gather fast path: the same blocked arithmetic
-//!   run directly over SoA component slices, no gather/scatter round-trip.
+//! * [`soa_boris`] — the production kernel: an explicitly blocked (8-wide)
+//!   Boris update mirroring the AVX-512 vectorization of the paper's C++
+//!   loop, run directly over SoA component slices or, on AoS stores, over
+//!   lanes loaded through the per-particle views. [`PushKernel`] with
+//!   [`BorisPusher`] stays as the scalar oracle it is tested against.
 //! * [`diag`] — ensemble diagnostics (kinetic energy, mean γ, …).
 //!
 //! # Example: one gyration step
@@ -42,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod boris;
 pub mod diag;
 pub mod higuera;
@@ -53,7 +53,6 @@ pub mod soa_boris;
 pub mod trajectory;
 pub mod vay;
 
-pub use batch::BatchBorisKernel;
 pub use boris::BorisPusher;
 pub use higuera::HigueraCaryPusher;
 pub use kernel::{

@@ -1,21 +1,26 @@
-//! Zero-gather SoA Boris kernel — the direct-slice fast path.
+//! The production Boris kernel: one blocked update, two ways to reach
+//! the lanes.
 //!
-//! [`crate::BatchBorisKernel`] pays a gather/scatter round-trip into
-//! lane-local arrays even when the store is already a
-//! [`pic_particles::SoaEnsemble`]: every particle is copied out through
-//! `get`, updated, and copied back through `set`. This module removes
-//! that round-trip. [`SoaBorisKernel`] runs the Boris update as
-//! straight-line per-lane loops *directly over the SoA component
-//! columns* obtained from [`ParticleAccess::soa_lanes_mut`]: unit-stride
-//! loads, unit-stride stores, no gather, no scatter, and fields sampled
-//! a lane-block at a time through [`FieldSource::field_block`].
+//! The paper's C++ loop is auto-vectorized with AVX-512; [`SoaBorisKernel`]
+//! mirrors that structure explicitly. Particles are processed a block of
+//! [`LANES`] at a time by one straight-line per-lane body
+//! (`lane_block`, driven by [`SoaBorisKernel::run_lanes`]); the store's
+//! layout only decides which columns that body runs over:
 //!
-//! The arithmetic order per lane is exactly that of [`BorisPusher`]
-//! (the hoisted species constants and time factors are loop-invariant
-//! pure computations), so fast-path and scalar runs produce
-//! bitwise-identical trajectories — property-tested below. On non-SoA
-//! collections the kernel degrades gracefully to the scalar per-view
-//! path.
+//! * **SoA** ([`ParticleAccess::soa_lanes_mut`] is `Some`) — the store's
+//!   own component columns: unit-stride loads and stores, no gather, no
+//!   scatter.
+//! * **AoS** (no columns) — block-local columns: each block's lanes are
+//!   loaded through the per-particle views into `[R; LANES]` arrays,
+//!   `run_lanes` advances them, and they are stored back through the view
+//!   setters.
+//!
+//! Fields are sampled a block at a time through
+//! [`FieldSource::field_block`] on both arms. The arithmetic order per
+//! lane is exactly that of [`BorisPusher`] (the hoisted species constants
+//! and time factors are loop-invariant pure computations), so both arms
+//! produce trajectories bitwise-identical to the scalar reference —
+//! property-tested below for both layouts and precisions.
 
 use crate::boris::BorisPusher;
 use crate::kernel::FieldSource;
@@ -27,7 +32,8 @@ use pic_particles::{
     ParticleAccess, ParticleKernel, ParticleView, SoaLanesMut, SpeciesId, SpeciesTable,
 };
 
-pub use crate::batch::LANES;
+/// Vector width of the blocked kernel (AVX-512 double lanes).
+pub const LANES: usize = 8;
 
 /// Fixed-width array views of one block of [`LANES`] lanes.
 ///
@@ -82,13 +88,13 @@ impl<'b, R: Real> Block<'b, R> {
     }
 }
 
-/// The zero-gather SoA Boris kernel.
+/// The blocked Boris kernel.
 ///
 /// Being a [`ParticleKernel`], it drops into every place the scalar
 /// [`crate::PushKernel`] fits — including the parallel runtime, which
 /// invokes kernels through [`ParticleKernel::apply_chunk`] so this
-/// kernel's whole-chunk override takes the direct-slice path on SoA
-/// chunks automatically.
+/// kernel's whole-chunk override picks the direct-slice or the gathered
+/// arm from the chunk's layout automatically.
 #[derive(Clone, Copy, Debug)]
 pub struct SoaBorisKernel<'a, R, F> {
     source: &'a F,
@@ -140,6 +146,64 @@ impl<'a, R: Real, F: FieldSource<R>> SoaBorisKernel<'a, R, F> {
             lanes.x[i] = pos.x + v.x * self.dt;
             lanes.y[i] = pos.y + v.y * self.dt;
             lanes.z[i] = pos.z + v.z * self.dt;
+        }
+    }
+
+    /// Advances every particle of a store that has no component columns
+    /// (AoS): each full block of [`LANES`] particles is loaded through
+    /// the per-particle views into block-local columns, advanced by
+    /// [`run_lanes`](Self::run_lanes) — the SoA arm itself, over one
+    /// block — and stored back through the view setters; the
+    /// `len % LANES` remainder runs the reference scalar path.
+    fn run_gathered<A: ParticleAccess<R>>(&self, chunk: &mut A) {
+        // bounds: every `[l]` below has `l in 0..LANES` into `[_; LANES]`
+        // block-local arrays — in range by construction; particle indices
+        // `start + l` and the tail's `i` stay strictly below `chunk.len()`.
+        let n = chunk.len();
+        let base = chunk.base_index();
+        let blocks = n / LANES;
+        for b in 0..blocks {
+            let start = b * LANES;
+            let mut x = [R::ZERO; LANES];
+            let mut y = [R::ZERO; LANES];
+            let mut z = [R::ZERO; LANES];
+            let mut px = [R::ZERO; LANES];
+            let mut py = [R::ZERO; LANES];
+            let mut pz = [R::ZERO; LANES];
+            let mut gamma = [R::ZERO; LANES];
+            let mut species = [SpeciesId(0); LANES];
+            for l in 0..LANES {
+                let view = chunk.view_mut(start + l);
+                let (pos, mom) = (view.position(), view.momentum());
+                x[l] = pos.x;
+                y[l] = pos.y;
+                z[l] = pos.z;
+                px[l] = mom.x;
+                py[l] = mom.y;
+                pz[l] = mom.z;
+                species[l] = view.species();
+            }
+            self.run_lanes(&mut SoaLanesMut {
+                base: base + start,
+                x: &mut x,
+                y: &mut y,
+                z: &mut z,
+                px: &mut px,
+                py: &mut py,
+                pz: &mut pz,
+                gamma: &mut gamma,
+                species: &species,
+            });
+            for l in 0..LANES {
+                let mut view = chunk.view_mut(start + l);
+                view.set_momentum(Vec3::new(px[l], py[l], pz[l]));
+                view.set_gamma(gamma[l]);
+                view.set_position(Vec3::new(x[l], y[l], z[l]));
+            }
+        }
+        for i in (blocks * LANES)..n {
+            let mut view = chunk.view_mut(i);
+            self.push_view(base + i, &mut view);
         }
     }
 
@@ -289,7 +353,7 @@ impl<R: Real, F: FieldSource<R>> ParticleKernel<R> for SoaBorisKernel<'_, R, F> 
     fn apply_chunk<A: ParticleAccess<R>>(&mut self, chunk: &mut A) {
         match chunk.soa_lanes_mut() {
             Some(mut lanes) => self.run_lanes(&mut lanes),
-            None => chunk.for_each_mut(self),
+            None => self.run_gathered(chunk),
         }
     }
 }
@@ -300,14 +364,16 @@ mod tests {
     use crate::kernel::{AnalyticalSource, PrecalculatedSource, PushKernel};
     use pic_fields::{DipoleStandingWave, PrecalculatedFields};
     use pic_math::constants::{BENCH_OMEGA, BENCH_POWER, BENCH_WAVELENGTH};
-    use pic_particles::{Particle, SoaEnsemble, SpeciesId};
+    use pic_particles::{AosEnsemble, Particle, ParticleStore, SoaEnsemble, SpeciesId};
     use proptest::prelude::*;
 
     const DIPOLE_SPECIES: [SpeciesId; 2] =
         [SpeciesTable::<f64>::ELECTRON, SpeciesTable::<f64>::POSITRON];
 
+    type Raw = (f64, f64, f64, f64, f64, f64, u8);
+
     /// Builds one particle from raw proptest scalars at precision `R`.
-    fn particle<R: Real>(raw: &(f64, f64, f64, f64, f64, f64, u8)) -> Particle<R> {
+    fn particle<R: Real>(raw: &Raw) -> Particle<R> {
         let (x, y, z, ux, uy, uz, sp) = *raw;
         let species = DIPOLE_SPECIES[(sp % 2) as usize];
         let table = SpeciesTable::<R>::with_standard_species();
@@ -328,16 +394,34 @@ mod tests {
         p
     }
 
-    /// Runs `steps` of scalar vs fast path at precision `R` and asserts
-    /// bitwise-equal trajectories.
-    fn assert_parity<R: Real>(raw: &[(f64, f64, f64, f64, f64, f64, u8)], steps: usize) {
+    /// A deterministic ramp of `n` raw states (both species, distinct
+    /// positions and momenta).
+    fn ramp(n: usize, step: f64) -> Vec<Raw> {
+        (0..n)
+            .map(|i| {
+                let s = step * (i as f64 + 1.0);
+                (s - 0.4, 0.4 - s, 0.25 * s, s, -0.5 * s, s, (i % 2) as u8)
+            })
+            .collect()
+    }
+
+    fn assert_same<R: Real, S: ParticleStore<R>>(expect: &S, got: &S) {
+        assert_eq!(expect.len(), got.len());
+        for i in 0..expect.len() {
+            assert_eq!(expect.get(i), got.get(i), "particle {i} diverged");
+        }
+    }
+
+    /// Runs `steps` of the scalar oracle vs the blocked kernel on store
+    /// type `S` at precision `R` and asserts bitwise-equal trajectories.
+    fn assert_parity<R: Real, S: ParticleStore<R>>(raw: &[Raw], steps: usize) {
         let table = SpeciesTable::<R>::with_standard_species();
         let wave = DipoleStandingWave::<R>::new(BENCH_POWER, BENCH_OMEGA);
         let source = AnalyticalSource::new(&wave);
         let dt = R::from_f64(0.005 * 2.0 * std::f64::consts::PI / BENCH_OMEGA);
 
-        let mut scalar: SoaEnsemble<R> = raw.iter().map(particle::<R>).collect();
-        let mut fast: SoaEnsemble<R> = raw.iter().map(particle::<R>).collect();
+        let mut scalar = S::from_particles(raw.iter().map(particle::<R>));
+        let mut fast = S::from_particles(raw.iter().map(particle::<R>));
 
         let mut k = PushKernel::new(AnalyticalSource::new(&wave), BorisPusher, &table, dt);
         let mut time = R::ZERO;
@@ -349,9 +433,13 @@ mod tests {
             fk.apply_chunk(&mut fast);
             time += dt;
         }
-        for i in 0..scalar.len() {
-            assert_eq!(scalar.get(i), fast.get(i), "particle {i} diverged");
-        }
+        assert_same(&scalar, &fast);
+    }
+
+    /// Both arms of the kernel: direct slices (SoA) and gathered (AoS).
+    fn assert_parity_both_layouts<R: Real>(raw: &[Raw], steps: usize) {
+        assert_parity::<R, SoaEnsemble<R>>(raw, steps);
+        assert_parity::<R, AosEnsemble<R>>(raw, steps);
     }
 
     proptest! {
@@ -366,7 +454,7 @@ mod tests {
                  -5.0f64..5.0, -5.0f64..5.0, -5.0f64..5.0, 0u8..2),
                 1..40),
         ) {
-            assert_parity::<f64>(&raw, 4);
+            assert_parity_both_layouts::<f64>(&raw, 4);
         }
 
         /// Same, single precision.
@@ -377,39 +465,29 @@ mod tests {
                  -5.0f64..5.0, -5.0f64..5.0, -5.0f64..5.0, 0u8..2),
                 1..40),
         ) {
-            assert_parity::<f32>(&raw, 4);
+            assert_parity_both_layouts::<f32>(&raw, 4);
         }
     }
 
     #[test]
     fn remainder_tail_lengths_are_exact() {
-        // Deterministic spot-check of every tail length around one block.
-        for n in [1, 7, 8, 9, 15, 16, 17] {
-            let raw: Vec<(f64, f64, f64, f64, f64, f64, u8)> = (0..n)
-                .map(|i| {
-                    let s = 0.05 * (i as f64 + 1.0);
-                    (0.3 - s, s - 0.2, 0.1 + s, s, -s, 0.5 * s, (i % 2) as u8)
-                })
-                .collect();
-            assert_parity::<f64>(&raw, 3);
-            assert_parity::<f32>(&raw, 3);
+        // Deterministic spot-check of the empty store, tail-only stores
+        // and every tail length around one block.
+        for n in [0, 1, 3, 7, 8, 9, 15, 16, 17] {
+            let raw = ramp(n, 0.05);
+            assert_parity_both_layouts::<f64>(&raw, 3);
+            assert_parity_both_layouts::<f32>(&raw, 3);
         }
     }
 
-    #[test]
-    fn precalculated_fast_path_matches_scalar() {
-        // The contiguous-slice field_block override must agree with the
-        // per-index path bit for bit.
+    /// One Precalculated step of the scalar oracle over the whole store
+    /// vs the blocked kernel over `chunk_size`-particle chunks.
+    fn assert_precalculated_parity<S: ParticleStore<f64>>(chunk_size: usize) {
         let table = SpeciesTable::<f64>::with_standard_species();
         let wave = DipoleStandingWave::<f64>::new(BENCH_POWER, BENCH_OMEGA);
-        let raw: Vec<(f64, f64, f64, f64, f64, f64, u8)> = (0..21)
-            .map(|i| {
-                let s = 0.04 * (i as f64 + 1.0);
-                (s - 0.4, 0.4 - s, 0.2 * s, -s, s, 2.0 * s, (i % 2) as u8)
-            })
-            .collect();
-        let mut scalar: SoaEnsemble<f64> = raw.iter().map(particle::<f64>).collect();
-        let mut fast: SoaEnsemble<f64> = raw.iter().map(particle::<f64>).collect();
+        let raw = ramp(21, 0.04);
+        let mut scalar = S::from_particles(raw.iter().map(particle::<f64>));
+        let mut fast = S::from_particles(raw.iter().map(particle::<f64>));
         let positions: Vec<Vec3<f64>> = (0..scalar.len()).map(|i| scalar.get(i).position).collect();
         let pre = PrecalculatedFields::from_sampler(&wave, positions, 0.0);
         let dt = 1e-16;
@@ -417,29 +495,33 @@ mod tests {
         let src = PrecalculatedSource::new(&pre);
         let mut k = PushKernel::new(src, BorisPusher, &table, dt);
         scalar.for_each_mut(&mut k);
-        let mut fk = SoaBorisKernel::new(&src, &table, dt, 0.0);
-        fk.apply_chunk(&mut fast);
-        for i in 0..scalar.len() {
-            assert_eq!(scalar.get(i), fast.get(i), "particle {i}");
+        for chunk in &mut fast.split_mut(chunk_size) {
+            let mut fk = SoaBorisKernel::new(&src, &table, dt, 0.0);
+            fk.apply_chunk(chunk);
         }
+        assert_same(&scalar, &fast);
     }
 
     #[test]
-    fn chunked_sweep_matches_whole_ensemble() {
-        // Splitting into runtime-style chunks (with nonzero base offsets)
-        // must not change the result.
+    fn precalculated_fast_path_matches_scalar() {
+        // The contiguous-slice field_block override must agree with the
+        // per-index path bit for bit — over the whole store, and over
+        // chunks whose non-zero `base_index` must keep the per-particle
+        // field table aligned (11 = one block + a tail per chunk).
+        for chunk_size in [21, 11] {
+            assert_precalculated_parity::<SoaEnsemble<f64>>(chunk_size);
+            assert_precalculated_parity::<AosEnsemble<f64>>(chunk_size);
+        }
+    }
+
+    fn assert_chunked_matches_whole<S: ParticleStore<f64>>() {
         let table = SpeciesTable::<f64>::with_standard_species();
         let wave = DipoleStandingWave::<f64>::new(BENCH_POWER, BENCH_OMEGA);
         let source = AnalyticalSource::new(&wave);
         let dt = 0.005 * 2.0 * std::f64::consts::PI / BENCH_OMEGA;
-        let raw: Vec<(f64, f64, f64, f64, f64, f64, u8)> = (0..53)
-            .map(|i| {
-                let s = 0.015 * (i as f64 + 1.0);
-                (s - 0.4, 0.4 - s, 0.25 * s, s, -0.5 * s, s, (i % 2) as u8)
-            })
-            .collect();
-        let mut whole: SoaEnsemble<f64> = raw.iter().map(particle::<f64>).collect();
-        let mut chunked: SoaEnsemble<f64> = raw.iter().map(particle::<f64>).collect();
+        let raw = ramp(53, 0.015);
+        let mut whole = S::from_particles(raw.iter().map(particle::<f64>));
+        let mut chunked = S::from_particles(raw.iter().map(particle::<f64>));
 
         let mut k = SoaBorisKernel::new(&source, &table, dt, 0.0);
         k.apply_chunk(&mut whole);
@@ -447,34 +529,42 @@ mod tests {
             let mut kc = SoaBorisKernel::new(&source, &table, dt, 0.0);
             kc.apply_chunk(chunk);
         }
-        for i in 0..whole.len() {
-            assert_eq!(whole.get(i), chunked.get(i), "particle {i}");
+        assert_same(&whole, &chunked);
+    }
+
+    #[test]
+    fn chunked_sweep_matches_whole_ensemble() {
+        // Splitting into runtime-style chunks (with nonzero base offsets)
+        // must not change the result, on either arm.
+        assert_chunked_matches_whole::<SoaEnsemble<f64>>();
+        assert_chunked_matches_whole::<AosEnsemble<f64>>();
+    }
+
+    fn assert_pure_b_preserves_momentum_norm<S: ParticleStore<f64>>() {
+        let table = SpeciesTable::<f64>::with_standard_species();
+        let field = pic_fields::UniformFields::<f64>::magnetic(Vec3::new(0.0, 0.0, 1e4));
+        let source = AnalyticalSource::new(field);
+        let mass = pic_particles::Species::<f64>::electron().mass;
+        let mut ens = S::from_particles((0..19).map(|i| {
+            let mut p = Particle::at_rest(Vec3::zero(), 1.0, SpeciesTable::<f64>::ELECTRON);
+            p.momentum = Vec3::new(1e-18 * (i + 1) as f64, 0.0, 2e-19);
+            p.refresh_gamma(mass);
+            p
+        }));
+        let norms: Vec<f64> = (0..ens.len()).map(|i| ens.get(i).momentum.norm()).collect();
+        let mut k = SoaBorisKernel::new(&source, &table, 1e-12, 0.0);
+        for _ in 0..25 {
+            k.apply_chunk(&mut ens);
+        }
+        for (i, before) in norms.iter().enumerate() {
+            let n = ens.get(i).momentum.norm();
+            assert!((n - before).abs() / before < 1e-12, "particle {i}");
         }
     }
 
     #[test]
-    fn aos_fallback_matches_scalar() {
-        // On AoS stores the kernel has no lanes and must take the
-        // per-view path — still bitwise-equal to the scalar reference.
-        use pic_particles::AosEnsemble;
-        let table = SpeciesTable::<f64>::with_standard_species();
-        let wave = DipoleStandingWave::<f64>::new(BENCH_POWER, BENCH_OMEGA);
-        let source = AnalyticalSource::new(&wave);
-        let dt = 0.005 * 2.0 * std::f64::consts::PI / BENCH_OMEGA;
-        let raw: Vec<(f64, f64, f64, f64, f64, f64, u8)> = (0..13)
-            .map(|i| {
-                let s = 0.06 * (i as f64 + 1.0);
-                (s - 0.4, 0.4 - s, 0.3 * s, -s, s, 0.25 * s, (i % 2) as u8)
-            })
-            .collect();
-        let mut scalar: AosEnsemble<f64> = raw.iter().map(particle::<f64>).collect();
-        let mut fast: AosEnsemble<f64> = raw.iter().map(particle::<f64>).collect();
-        let mut k = PushKernel::new(AnalyticalSource::new(&wave), BorisPusher, &table, dt);
-        scalar.for_each_mut(&mut k);
-        let mut fk = SoaBorisKernel::new(&source, &table, dt, 0.0);
-        fk.apply_chunk(&mut fast);
-        for i in 0..scalar.len() {
-            assert_eq!(scalar.get(i), fast.get(i), "particle {i}");
-        }
+    fn momentum_magnitude_preserved_in_pure_b() {
+        assert_pure_b_preserves_momentum_norm::<SoaEnsemble<f64>>();
+        assert_pure_b_preserves_momentum_norm::<AosEnsemble<f64>>();
     }
 }

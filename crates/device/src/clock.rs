@@ -6,7 +6,7 @@
 //! allowed to name `std::time::Instant` (pic-lint's `INSTANT_ALLOW`
 //! carries exactly this file), mirroring the job service's `clock.rs`
 //! discipline: one audited clock, no ad-hoc timers scattered through the
-//! queue or executor.
+//! executor.
 
 use std::time::{Duration, Instant};
 

@@ -1,18 +1,13 @@
 //! Execution targets.
 
 use pic_perfmodel::GpuModel;
-use pic_runtime::{ExecTarget, Schedule, Topology};
+use pic_runtime::ExecTarget;
 
 /// How a device executes kernels.
 #[derive(Clone, Debug)]
 pub enum Backend {
-    /// Real execution on host threads through `pic-runtime`.
-    HostCpu {
-        /// Thread/NUMA layout of the host.
-        topology: Topology,
-        /// Scheduling policy (the DPC++ CPU runtime uses dynamic/TBB).
-        schedule: Schedule,
-    },
+    /// Real execution on the host, timed by wall clock.
+    HostCpu,
     /// Functional execution on the host, with elapsed time reported from
     /// the GPU performance model (hardware-substitution per DESIGN.md).
     SimulatedGpu {
@@ -21,8 +16,8 @@ pub enum Backend {
     },
 }
 
-/// An execution target a [`crate::Queue`] can be bound to — the analogue
-/// of a SYCL `device`.
+/// An execution target a [`crate::DeviceExecutor`] can be bound to — the
+/// analogue of a SYCL `device`.
 ///
 /// # Example
 ///
@@ -43,22 +38,12 @@ pub struct Device {
 }
 
 impl Device {
-    /// A host CPU device with an explicit topology and schedule.
-    pub fn host(topology: Topology, schedule: Schedule) -> Device {
-        Device {
-            name: format!(
-                "Host CPU ({} threads, {})",
-                topology.total_threads(),
-                schedule.paper_name()
-            ),
-            backend: Backend::HostCpu { topology, schedule },
-        }
-    }
-
-    /// The host CPU with auto-detected thread count and dynamic
-    /// scheduling — what a default SYCL CPU selector would give.
+    /// The host CPU — what a default SYCL CPU selector would give.
     pub fn host_default() -> Device {
-        Device::host(Topology::default(), Schedule::dynamic())
+        Device {
+            name: "Host CPU".to_string(),
+            backend: Backend::HostCpu,
+        }
     }
 
     /// The simulated Intel UHD P630.
@@ -94,31 +79,6 @@ impl Device {
         &self.backend
     }
 
-    /// Enumerates the devices of the paper's evaluation: the host plus the
-    /// two Intel GPUs — the analogue of `sycl::device::get_devices()`.
-    pub fn enumerate() -> Vec<Device> {
-        vec![
-            Device::host_default(),
-            Device::p630(),
-            Device::iris_xe_max(),
-        ]
-    }
-
-    /// Selects a device by name: `"host"`, `"p630"` or `"iris"` /
-    /// `"iris-xe-max"` (case-insensitive, same vocabulary as
-    /// [`pic_runtime::ExecTarget::parse`]). The analogue of SYCL's
-    /// selector mechanism.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized name as `Err` so callers can report it.
-    pub fn select(name: &str) -> Result<Device, String> {
-        match ExecTarget::parse(name) {
-            Some(t) => Ok(Device::from_target(t)),
-            None => Err(name.to_ascii_lowercase()),
-        }
-    }
-
     /// The device for a [`pic_runtime::ExecTarget`] — the bridge from
     /// the runtime-level target vocabulary (which the bench harness and
     /// the job service speak) to an executable device.
@@ -128,15 +88,6 @@ impl Device {
             ExecTarget::P630 => Device::p630(),
             ExecTarget::IrisXeMax => Device::iris_xe_max(),
         }
-    }
-
-    /// Selects the device named by the `PIC_DEVICE` environment variable
-    /// (the analogue of `ONEAPI_DEVICE_SELECTOR`), defaulting to the host.
-    pub fn from_env() -> Device {
-        std::env::var("PIC_DEVICE")
-            .ok()
-            .and_then(|name| Device::select(&name).ok())
-            .unwrap_or_else(Device::host_default)
     }
 }
 
@@ -151,32 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn host_names_include_configuration() {
-        let d = Device::host(Topology::uniform(2, 24), Schedule::numa());
-        assert!(d.name().contains("48"));
-        assert!(d.name().contains("NUMA"));
-        assert!(!d.is_gpu());
-    }
-
-    #[test]
-    fn enumerate_lists_host_first() {
-        let devices = Device::enumerate();
-        assert_eq!(devices.len(), 3);
-        assert!(!devices[0].is_gpu());
-        assert!(devices[1].is_gpu());
-        assert!(devices[2].is_gpu());
-    }
-
-    #[test]
-    fn select_by_name() {
-        assert_eq!(Device::select("P630").unwrap().name(), "P630");
-        assert_eq!(Device::select("iris").unwrap().name(), "Iris Xe Max");
-        assert_eq!(Device::select("iris-xe-max").unwrap().name(), "Iris Xe Max");
-        assert!(!Device::select("host").unwrap().is_gpu());
-        assert_eq!(Device::select("fpga").unwrap_err(), "fpga");
-    }
-
-    #[test]
     fn from_target_covers_every_exec_target() {
         assert!(!Device::from_target(ExecTarget::Host).is_gpu());
         assert_eq!(Device::from_target(ExecTarget::P630).name(), "P630");
@@ -184,15 +109,6 @@ mod tests {
             Device::from_target(ExecTarget::IrisXeMax).name(),
             "Iris Xe Max"
         );
-    }
-
-    #[test]
-    fn env_selector_defaults_to_host() {
-        std::env::remove_var("PIC_DEVICE");
-        assert!(!Device::from_env().is_gpu());
-        std::env::set_var("PIC_DEVICE", "iris");
-        assert_eq!(Device::from_env().name(), "Iris Xe Max");
-        std::env::remove_var("PIC_DEVICE");
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub struct Event {
     pub modeled_ns: Option<f64>,
     /// Particles processed by this submission.
     pub particles: usize,
-    /// `true` when this was the queue's first launch (JIT compilation of
+    /// `true` when this was the executor's first launch (JIT compilation of
     /// the intermediate representation — paper §5.3).
     pub first_launch: bool,
 }

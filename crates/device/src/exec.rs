@@ -29,14 +29,37 @@ use crate::clock::Stopwatch;
 use crate::device::{Backend, Device};
 use crate::event::Event;
 use crate::graph::{LaunchGraph, NodeId, Ordering, TaskTimeline};
-use crate::queue::SweepProfile;
 use crate::usm::{AllocKind, UsmBuffer};
 use pic_boris::{FieldSource, SoaBorisKernel};
 use pic_fields::PrecalculatedFields;
 use pic_math::{Real, Vec3};
-use pic_particles::{Particle, ParticleAccess, ParticleKernel, SoaChunkMut, SpeciesId};
+use pic_particles::{Layout, Particle, ParticleAccess, ParticleKernel, SoaChunkMut, SpeciesId};
+use pic_perfmodel::{Precision, Scenario};
 use std::cell::Cell;
 use std::rc::Rc;
+
+/// What a launched sweep does, for the performance model: which
+/// benchmark scenario, which data layout, which precision.
+#[derive(Clone, Copy, Debug, Eq, Hash, PartialEq)]
+pub struct SweepProfile {
+    /// Field scenario (Precalculated / Analytical).
+    pub scenario: Scenario,
+    /// Particle data layout.
+    pub layout: Layout,
+    /// Floating-point precision.
+    pub precision: Precision,
+}
+
+impl SweepProfile {
+    /// Creates a profile.
+    pub fn new(scenario: Scenario, layout: Layout, precision: Precision) -> SweepProfile {
+        SweepProfile {
+            scenario,
+            layout,
+            precision,
+        }
+    }
+}
 
 /// USM allocation/free accounting for one executor: every staged buffer
 /// records its allocation here and its release on drop, so tests can
@@ -427,7 +450,7 @@ impl DeviceExecutor {
             self.execute_chunk(&mut kernel, &mut chunk);
         }
         let modeled_ns = match self.device.backend() {
-            Backend::HostCpu { .. } => None,
+            Backend::HostCpu => None,
             Backend::SimulatedGpu { model } => {
                 let steady = model.nsps(profile.scenario, profile.layout, profile.precision);
                 let factor = if first_launch {
@@ -469,8 +492,7 @@ mod tests {
     use super::*;
     use pic_boris::AnalyticalSource;
     use pic_fields::UniformFields;
-    use pic_particles::{AosEnsemble, Layout, Particle, ParticleStore, SoaEnsemble, SpeciesTable};
-    use pic_perfmodel::{Precision, Scenario};
+    use pic_particles::{AosEnsemble, ParticleStore, SoaEnsemble, SpeciesTable};
 
     fn ensemble<S: ParticleStore<f32> + Default>(n: usize) -> S {
         let mut s = S::default();

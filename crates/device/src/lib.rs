@@ -5,23 +5,19 @@
 //! queue bound to a device, and (3) letting the runtime JIT the kernel for
 //! that device at first launch. This crate mirrors those concepts:
 //!
-//! * [`Device`] — an execution target: the host CPU (backed by the real
-//!   `pic-runtime` thread pool) or a *simulated* Intel GPU (the kernel
-//!   executes functionally on the host; elapsed time is modeled by
-//!   `pic-perfmodel`, since no Intel GPU exists in this environment — see
-//!   DESIGN.md §2).
+//! * [`Device`] — an execution target: the host CPU (timed by wall
+//!   clock) or a *simulated* Intel GPU (the kernel executes functionally
+//!   on the host; elapsed time is modeled by `pic-perfmodel`, since no
+//!   Intel GPU exists in this environment — see DESIGN.md §2).
 //! * [`UsmBuffer`] — a unified-shared-memory allocation with explicit
 //!   host/device/shared semantics and migration accounting (the model the
 //!   paper chose).
-//! * [`Buffer`]/[`Accessor`] — the buffer/accessor model the paper
-//!   describes as the alternative, with transfer accounting.
-//! * [`Queue`] — kernel submission with profiling [`Event`]s, including
-//!   the first-launch JIT penalty the paper measures (§5.3).
-//! * [`DeviceExecutor`] — the execution backend that stages particle
+//! * [`DeviceExecutor`] — the one execution path: stages particle
 //!   columns and field blocks through USM, records launches into a
-//!   validated [`LaunchGraph`], and runs the real SoA Boris fast path
-//!   functionally while timing it with the GPU roofline (ROADMAP
-//!   item 2; Table 3 reproduction).
+//!   validated [`LaunchGraph`], and runs the real blocked Boris kernel
+//!   functionally, returning profiling [`Event`]s timed with the GPU
+//!   roofline — including the first-launch JIT penalty the paper
+//!   measures (§5.3; Table 3 reproduction).
 //! * [`ShardPipeline`] — the pinned K-queue shard schedule: per-shard
 //!   staging overlapped with the single compute engine's kernel chain,
 //!   modeled on a two-slot timeline and cross-checked against the
@@ -30,22 +26,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod clock;
 pub mod device;
 pub mod event;
 pub mod exec;
 pub mod graph;
 pub mod pipeline;
-pub mod queue;
 pub mod usm;
 
-pub use buffer::{AccessMode, Accessor, Buffer, Target};
 pub use clock::Stopwatch;
 pub use device::{Backend, Device};
 pub use event::Event;
-pub use exec::{DeviceExecutor, StagedEnsemble, StagedFields, UsmLedger};
+pub use exec::{DeviceExecutor, StagedEnsemble, StagedFields, SweepProfile, UsmLedger};
 pub use graph::{CycleError, LaunchGraph, NodeId, Ordering, TaskId, TaskTimeline};
 pub use pipeline::{ShardPipeline, ShardSchedule};
-pub use queue::{Queue, SweepProfile};
 pub use usm::{AllocKind, UsmBuffer};

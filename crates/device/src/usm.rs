@@ -129,7 +129,7 @@ impl<T> UsmBuffer<T> {
         &mut self.data
     }
 
-    /// Records a device-side access (called by the queue at kernel
+    /// Records a device-side access (called by the executor at kernel
     /// launch).
     pub fn device_touch(&self) {
         self.touch(Residence::Device);

@@ -190,6 +190,12 @@ impl<R: Real> BatchSampler<R> for DipoleStandingWave<R> {
     /// (`2A₀`, `sin ωt`, `cos ωt`) are loop-invariant pure computations,
     /// so hoisting them keeps every per-element arithmetic sequence
     /// bitwise-identical to [`FieldSampler::sample`].
+    ///
+    /// `#[inline]` so every codegen unit that calls this gets its own
+    /// copy: the blocked kernel's `LANES`-long call then inlines (constant
+    /// trip count, `sin_cos` hoisted out of the block loop) whichever unit
+    /// the partitioner puts the kernel in.
+    #[inline]
     fn sample_into(&self, xs: &[R], ys: &[R], zs: &[R], time: R, out: &mut EbSlices<'_, R>) {
         let two_a0 = R::TWO * self.amplitude;
         let (sin_t, cos_t) = (self.omega * time).sin_cos();

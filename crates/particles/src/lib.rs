@@ -48,7 +48,6 @@ pub mod particle;
 pub mod soa;
 pub mod sort;
 pub mod species;
-pub mod thinning;
 pub mod view;
 
 pub use aos::{AosChunkMut, AosEnsemble};

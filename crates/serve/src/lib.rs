@@ -27,9 +27,9 @@
 //! * [`shard`] — domain decomposition: an over-threshold job is split
 //!   along a deterministic [`ShardPlan`](shard::ShardPlan) into shard
 //!   sub-jobs flowing through the ordinary lanes, and a scatter-gather
-//!   barrier splices the shards' typed column segments (text dumps are
-//!   the legacy fallback) and merges diagnostics into one completed
-//!   response that is bitwise shard-count-invariant. With
+//!   barrier splices the shards' typed column segments and merges
+//!   diagnostics into one completed response that is bitwise
+//!   shard-count-invariant. With
 //!   [`ServeConfig::pinned`](scheduler::ServeConfig) each shard is
 //!   bound to a dedicated worker slot — its own queue, per-shard grain
 //!   tuning and an independent Morton pre-sort of its sub-range.
@@ -63,4 +63,4 @@ pub use cache::{CacheKey, CacheStats, CachedResult, ResultCache, CACHE_SCHEMA};
 pub use checkpoint::{CheckpointStore, KillPlan, Snapshot};
 pub use job::{JobReport, JobSpec, Outcome, Priority, RejectReason};
 pub use scheduler::{CancelResult, JobTicket, ServeConfig, ServeStats, Server, ShutdownReport};
-pub use shard::{merge_dumps, merge_segments, shard_kill_key, ShardPlan};
+pub use shard::{merge_segments, shard_kill_key, ShardPlan};

@@ -43,7 +43,7 @@ use crate::checkpoint::{CheckpointStore, KillPlan};
 use crate::clock::Clock;
 use crate::exec;
 use crate::job::{JobReport, JobSpec, Outcome, RejectReason};
-use crate::shard::{merge_dumps, merge_segments, Gather, ShardCtx, ShardPlan};
+use crate::shard::{merge_segments, Gather, ShardCtx, ShardPlan};
 use pic_particles::ColumnSegment;
 use pic_runtime::sync::WorkQueue;
 use pic_runtime::{AffinityMap, ExecTarget, Schedule, SweepReport, Topology};
@@ -632,30 +632,19 @@ impl Shared {
         // Columnar gather: shards return typed column segments, spliced
         // here by plan order and rendered to the io text format exactly
         // once — and only when something downstream (the requester or
-        // the result cache) will read the text at all. Shards that
-        // somehow completed with a legacy text dump instead fall back to
-        // the concatenation path; a shard with neither leaves the parent
-        // completed but without a merged state or cache entry.
+        // the result cache) will read the text at all. A completed shard
+        // without columns leaves the parent completed but without a
+        // merged state or cache entry.
         let gather_start = self.clock.now_ns();
         let need_text = parent.spec.return_particles || self.cfg.cache_capacity > 0;
         let segments: Vec<&ColumnSegment> = reports
             .iter()
             .filter_map(|r| r.columns.as_deref())
             .collect();
-        let merged = if !need_text {
-            None
-        } else if segments.len() == reports.len() {
+        let merged = if need_text && segments.len() == reports.len() {
             merge_segments(&segments)
         } else {
-            let dumps: Vec<&str> = reports
-                .iter()
-                .filter_map(|r| r.particles.as_deref())
-                .collect();
-            if dumps.len() == reports.len() {
-                merge_dumps(&dumps)
-            } else {
-                None
-            }
+            None
         };
         let gather_ns = self.clock.now_ns().saturating_sub(gather_start);
         let mut run_ns = reports.iter().map(|r| r.run_ns).max().unwrap_or(0);

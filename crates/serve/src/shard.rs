@@ -94,38 +94,12 @@ pub fn shard_kill_key(seed: u64, shard_id: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Concatenates per-shard particle dumps (in shard order) into the dump
-/// the monolithic run would have produced: the shared header line once,
-/// then every shard's body lines. Returns `None` when the dumps are
-/// inconsistent (empty set, or differing header lines) — never a torn
-/// merge.
-pub fn merge_dumps(dumps: &[&str]) -> Option<String> {
-    let first = dumps.first()?;
-    let header_end = first.find('\n')?;
-    let header = &first[..header_end + 1];
-    // Exact pre-size: the shared header once, plus each dump's body
-    // (its length minus the header line it repeats). Summing whole
-    // dump lengths would over-allocate by (K-1) header lines.
-    let bodies: usize = dumps
-        .iter()
-        .map(|d| d.len().saturating_sub(header.len()))
-        .sum();
-    let mut out = String::with_capacity(header.len() + bodies);
-    out.push_str(header);
-    for dump in dumps {
-        let body = dump.strip_prefix(header)?;
-        out.push_str(body);
-    }
-    Some(out)
-}
-
 /// Renders spliced shard [`ColumnSegment`]s into the text dump the
 /// monolithic run would have produced: the `pic_particles::io` header
 /// once, then every segment's rows in shard order — typed columns
 /// straight to text, with no per-shard re-parsing or intermediate
-/// per-shard dump strings (the streaming replacement for
-/// [`merge_dumps`], which survives as the legacy-text fallback).
-/// Returns `None` for an empty segment set or a formatting failure.
+/// per-shard dump strings. Returns `None` for an empty segment set or a
+/// formatting failure.
 pub fn merge_segments(segments: &[&ColumnSegment]) -> Option<String> {
     if segments.is_empty() {
         return None;
@@ -258,30 +232,6 @@ mod tests {
             shard_kill_key(seed, 2),
             "deterministic"
         );
-    }
-
-    #[test]
-    fn dump_merge_is_header_plus_concatenated_bodies() {
-        let a = "# h\n1 2\n3 4\n";
-        let b = "# h\n5 6\n";
-        assert_eq!(
-            merge_dumps(&[a, b]).as_deref(),
-            Some("# h\n1 2\n3 4\n5 6\n")
-        );
-        assert_eq!(merge_dumps(&[a]).as_deref(), Some(a), "K=1 is identity");
-        assert_eq!(merge_dumps(&[]), None);
-        assert_eq!(merge_dumps(&[a, "# other\n5 6\n"]), None, "header mismatch");
-    }
-
-    #[test]
-    fn dump_merge_pre_sizes_exactly() {
-        // The merged buffer must be allocated once, at exactly its
-        // final length — no (K-1)-headers over-allocation, no growth
-        // reallocations while splicing.
-        let dumps = ["# h\n1 2\n3 4\n", "# h\n5 6\n", "# h\n7 8\n9 0\n"];
-        let merged = merge_dumps(&dumps).unwrap();
-        assert_eq!(merged.capacity(), merged.len(), "exact pre-size");
-        assert_eq!(merged, "# h\n1 2\n3 4\n5 6\n7 8\n9 0\n");
     }
 
     #[test]

@@ -92,9 +92,11 @@ pub struct BenchRecord {
     /// `"rejected"`, `"cancelled"` or `"timed-out"` (bench-harness
     /// records always complete).
     pub outcome: String,
-    /// Pusher kernel variant that produced the record: `"scalar"`,
-    /// `"batch"` (gather/scatter) or `"soa-fast"` (direct-slice fast
-    /// path). Empty for records written before variants existed.
+    /// Pusher kernel variant that produced the record: `"scalar"` (the
+    /// oracle) or `"soa-fast"` (the blocked production kernel). A free
+    /// string, so files written while a `"batch"` (gather/scatter)
+    /// variant existed still key. Empty for records written before
+    /// variants existed.
     pub kernel_variant: String,
     /// Fraction of adjacent particle pairs in nondecreasing cell order
     /// when the measured run started: 1.0 = fully sorted, ~0.5 = random.

@@ -10,7 +10,7 @@
 //! * [`pic_boris`] — the Boris/Vay/Higuera–Cary pushers and kernels.
 //! * [`pic_runtime`] — static/dynamic/NUMA-domain parallel sweeps.
 //! * [`pic_perfmodel`] — performance models of the paper's platforms.
-//! * [`pic_device`] — the SYCL-like device/queue/USM layer.
+//! * [`pic_device`] — the SYCL-like device/executor/USM layer.
 //! * [`pic_sim`] — the full PIC substrate.
 //! * [`pic_bench`] — the NSPS benchmark harness.
 
