@@ -42,5 +42,7 @@ pub use device_run::{
 pub use emit::{bench_record, parallelization_of};
 pub use measure::{bench_grid, measure_nsps, measure_nsps_variant, MeasuredRun};
 pub use run::{merge_thread_stats, run_mdipole_steps, KernelVariant, MdipoleRun, MdipoleScenario};
-pub use scenario::{bench_dt, build_ensemble, build_ensemble_range, dipole_wave, BenchConfig};
+pub use scenario::{
+    append_ensemble_range, bench_dt, build_ensemble, build_ensemble_range, dipole_wave, BenchConfig,
+};
 pub use table::{fmt_cell, print_banner, Table};

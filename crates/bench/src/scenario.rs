@@ -122,8 +122,22 @@ pub fn build_ensemble_range<R: Real, S: ParticleStore<R>>(
     len: usize,
 ) -> S {
     let mut store = S::default();
+    append_ensemble_range(&mut store, n_total, seed, offset, len);
+    store
+}
+
+/// Appends the particles [`build_ensemble_range`] would build to
+/// `store`, so a batch of jobs is seeded straight into the one store
+/// that runs them (`offset = 0, len = n_total` is [`build_ensemble`]).
+pub fn append_ensemble_range<R: Real, S: ParticleStore<R>>(
+    store: &mut S,
+    n_total: usize,
+    seed: u64,
+    offset: usize,
+    len: usize,
+) {
     fill_sphere_at_rest_range(
-        &mut store,
+        store,
         n_total,
         offset,
         offset.saturating_add(len),
@@ -135,7 +149,6 @@ pub fn build_ensemble_range<R: Real, S: ParticleStore<R>>(
         SpeciesTable::<R>::ELECTRON,
         &mut StdRng::seed_from_u64(seed),
     );
-    store
 }
 
 #[cfg(test)]

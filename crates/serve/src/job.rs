@@ -14,6 +14,7 @@ use pic_particles::{ColumnSegment, Layout};
 use pic_perfmodel::{Precision, Scenario};
 use pic_runtime::ExecTarget;
 use pic_telemetry::json::Value;
+use std::sync::Arc;
 
 /// Priority lane of a job. Higher lanes are dispatched first.
 #[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
@@ -362,11 +363,11 @@ pub struct JobReport {
     /// is bitwise-identical to the monolithic run's.
     pub shards: usize,
     /// Final particle state of a shard sub-job as a typed column
-    /// segment, spliced by the gather without text re-parsing. `None`
+    /// segment, rendered by the gather without text re-parsing. `None`
     /// for monolithic jobs and for merged parents (which report text
-    /// through `particles` instead). Boxed so the common monolithic
-    /// report doesn't carry the nine column vectors inline.
-    pub columns: Option<Box<ColumnSegment>>,
+    /// through `particles` instead). Shared, so the outcome's trip
+    /// through the finish path and the gather copies no columns.
+    pub columns: Option<Arc<ColumnSegment>>,
     /// Time the scatter-gather merge spent splicing and rendering the
     /// shard results, ns. Non-zero only on the merged parent of a
     /// sharded completion.

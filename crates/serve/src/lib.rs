@@ -20,10 +20,10 @@
 //!   (seeded runs are pure functions of their spec), so repeat
 //!   submissions cost a lookup (`queue_wait_ns = 0`) instead of a
 //!   sweep, and concurrent duplicates coalesce onto one run.
-//! * [`checkpoint`] — in-memory particle-store checkpoints written at
-//!   step-segment boundaries, plus the deterministic [`KillPlan`] fault
-//!   hook; a job whose worker dies resumes from its last snapshot with
-//!   a bitwise-identical trajectory.
+//! * [`checkpoint`] — in-memory checkpoints (typed column segments)
+//!   captured at step-segment boundaries, plus the deterministic
+//!   [`KillPlan`] fault hook; a job whose worker dies resumes from its
+//!   last snapshot with a bitwise-identical trajectory.
 //! * [`shard`] — domain decomposition: an over-threshold job is split
 //!   along a deterministic [`ShardPlan`](shard::ShardPlan) into shard
 //!   sub-jobs flowing through the ordinary lanes, and a scatter-gather

@@ -182,6 +182,32 @@ pub(crate) struct JobState {
 }
 
 impl JobState {
+    /// A job in `phase` with no outcome yet and all counters at zero.
+    pub fn new(
+        id: u64,
+        spec: JobSpec,
+        submitted_ns: u64,
+        phase: u8,
+        shard: Option<ShardCtx>,
+        notifier: Option<Notifier>,
+    ) -> JobState {
+        JobState {
+            id,
+            spec,
+            submitted_ns,
+            phase: AtomicU8::new(phase),
+            cancel_requested: AtomicBool::new(false),
+            executions: AtomicU32::new(0),
+            resumes: AtomicU32::new(0),
+            resume_step: AtomicU64::new(0),
+            shard,
+            children: Mutex::new(Vec::new()),
+            outcome: Mutex::new(None),
+            done: Condvar::new(),
+            notifier: Mutex::new(notifier),
+        }
+    }
+
     /// Claims the job for execution: `QUEUED → RUNNING`, exactly once.
     pub fn claim(&self) -> bool {
         // ordering: SeqCst — the claim must be totally ordered against
@@ -315,6 +341,27 @@ impl Shared {
                 Err(now) => cur = now,
             }
         }
+        self.publish(job, outcome);
+        true
+    }
+
+    /// Finishes the job only if it is still in `expected` phase.
+    pub fn finish_if(&self, job: &Arc<JobState>, expected: u8, outcome: Outcome) -> bool {
+        // ordering: SeqCst — same uniqueness argument as `finish`.
+        let won = job
+            .phase
+            .compare_exchange(expected, DONE, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        if won {
+            self.publish(job, outcome);
+        }
+        won
+    }
+
+    /// What the one winner of the `DONE` transition does: publishes the
+    /// outcome, emits the record, releases the depth slot, resolves the
+    /// cache/resume bookkeeping and fires the notifier.
+    fn publish(&self, job: &Arc<JobState>, outcome: Outcome) {
         // ordering: Relaxed — diagnostic; phase is already DONE. Each
         // resume legitimately re-claims the job once, so the invariant
         // is `executions <= 1 + resumes`.
@@ -342,38 +389,6 @@ impl Shared {
         if let Some(notify) = notifier {
             notify(job.id, &outcome);
         }
-        true
-    }
-
-    /// Finishes the job only if it is still in `expected` phase.
-    pub fn finish_if(&self, job: &Arc<JobState>, expected: u8, outcome: Outcome) -> bool {
-        // ordering: SeqCst — same uniqueness argument as `finish`.
-        if job
-            .phase
-            .compare_exchange(expected, DONE, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            *lock(&job.outcome) = Some(outcome.clone());
-            job.done.notify_all();
-            lock(&self.index).remove(&job.id);
-            self.emit_record(
-                job.id,
-                &job.spec,
-                &outcome,
-                job.submitted_ns,
-                job.shard_meta(),
-            );
-            self.bump(&outcome);
-            let notifier = lock(&job.notifier).take();
-            // ordering: SeqCst — see `finish`.
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            self.after_finish(job, &outcome);
-            if let Some(notify) = notifier {
-                notify(job.id, &outcome);
-            }
-            return true;
-        }
-        false
     }
 
     /// Post-terminality bookkeeping for the cache/resume protocol:
@@ -629,23 +644,17 @@ impl Shared {
                 _ => None,
             })
             .collect();
-        // Columnar gather: shards return typed column segments, spliced
-        // here by plan order and rendered to the io text format exactly
-        // once — and only when something downstream (the requester or
-        // the result cache) will read the text at all. A completed shard
-        // without columns leaves the parent completed but without a
-        // merged state or cache entry.
+        // Columnar gather: shards return typed column segments, rendered
+        // here in plan order to the io text format exactly once.
         let gather_start = self.clock.now_ns();
-        let need_text = parent.spec.return_particles || self.cfg.cache_capacity > 0;
         let segments: Vec<&ColumnSegment> = reports
             .iter()
             .filter_map(|r| r.columns.as_deref())
             .collect();
-        let merged = if need_text && segments.len() == reports.len() {
-            merge_segments(&segments)
-        } else {
-            None
-        };
+        let dump = self
+            .dump_wanted(&parent.spec)
+            .then(|| merge_segments(&segments))
+            .flatten();
         let gather_ns = self.clock.now_ns().saturating_sub(gather_start);
         let mut run_ns = reports.iter().map(|r| r.run_ns).max().unwrap_or(0);
         // Pinned device sharding: one queue per shard lets shard k+1's
@@ -690,25 +699,6 @@ impl Shared {
         } else {
             0.0
         };
-        // Fill the cache before finishing: `after_finish` serves the
-        // parent's coalesced followers straight from this entry.
-        if self.cfg.cache_capacity > 0 {
-            if let Some(dump) = &merged {
-                lock(&self.cache).insert(
-                    CacheKey::of(&parent.spec),
-                    CachedResult {
-                        nsps,
-                        run_ns,
-                        batch_size: 1,
-                        steps_done,
-                        imbalance,
-                        time_imbalance,
-                        particles: Some(dump.clone()),
-                        shards: reports.len(),
-                    },
-                );
-            }
-        }
         let report = JobReport {
             nsps,
             queue_wait_ns,
@@ -717,12 +707,6 @@ impl Shared {
             steps_done,
             imbalance,
             time_imbalance,
-            particles: if parent.spec.return_particles {
-                merged
-            } else {
-                None
-            },
-            cache_hit: false,
             resumes: reports.iter().map(|r| r.resumes).sum(),
             resumed_from_step: reports
                 .iter()
@@ -730,11 +714,50 @@ impl Shared {
                 .max()
                 .unwrap_or(0),
             shards: reports.len(),
-            columns: None,
             gather_ns,
+            ..JobReport::default()
         };
-        self.finish(parent, Outcome::Completed(report));
+        self.complete(parent, report, dump);
         lock(&parent.children).clear();
+    }
+
+    /// True when the requester or the result cache will read the text
+    /// dump of a job with `spec`; nobody else does, so it is rendered
+    /// only then.
+    pub(crate) fn dump_wanted(&self, spec: &JobSpec) -> bool {
+        spec.return_particles || self.cfg.cache_capacity > 0
+    }
+
+    /// The one exit of a completed run, monolithic or merged: memoizes
+    /// the result, hands the dump to a requester that asked for it, and
+    /// finishes the job.
+    pub(crate) fn complete(
+        &self,
+        job: &Arc<JobState>,
+        mut report: JobReport,
+        dump: Option<String>,
+    ) {
+        // Fill the cache before finishing: `after_finish` serves the
+        // job's coalesced followers straight from this entry.
+        if self.cfg.cache_capacity > 0 {
+            if let Some(text) = &dump {
+                lock(&self.cache).insert(
+                    CacheKey::of(&job.spec),
+                    CachedResult {
+                        nsps: report.nsps,
+                        run_ns: report.run_ns,
+                        batch_size: report.batch_size,
+                        steps_done: report.steps_done,
+                        imbalance: report.imbalance,
+                        time_imbalance: report.time_imbalance,
+                        particles: Some(text.clone()),
+                        shards: report.shards,
+                    },
+                );
+            }
+        }
+        report.particles = dump.filter(|_| job.spec.return_particles);
+        self.finish(job, Outcome::Completed(report));
     }
 }
 
@@ -762,26 +785,20 @@ fn fan_out(shared: &Arc<Shared>, parent: &Arc<JobState>, shards: usize) {
                 report_into.finish_sharded(&g, all);
             }
         });
-        let child = Arc::new(JobState {
+        let ctx = ShardCtx {
+            shard_id,
+            shards: plan.shards(),
+            offset,
+            parent_particles: parent.spec.particles,
+        };
+        let child = Arc::new(JobState::new(
             id,
             spec,
-            submitted_ns: parent.submitted_ns,
-            phase: AtomicU8::new(QUEUED),
-            cancel_requested: AtomicBool::new(false),
-            executions: AtomicU32::new(0),
-            resumes: AtomicU32::new(0),
-            resume_step: AtomicU64::new(0),
-            shard: Some(ShardCtx {
-                shard_id,
-                shards: plan.shards(),
-                offset,
-                parent_particles: parent.spec.particles,
-            }),
-            children: Mutex::new(Vec::new()),
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
-            notifier: Mutex::new(Some(notifier)),
-        });
+            parent.submitted_ns,
+            QUEUED,
+            Some(ctx),
+            Some(notifier),
+        ));
         // Internal derived work claims its depth slot unconditionally —
         // the parent already passed admission control, and the drain
         // protocol must see every child.
@@ -1008,21 +1025,14 @@ impl Server {
             return Err(self.shed(id, spec, RejectReason::QueueFull, submitted_ns));
         }
         let lane = spec.priority.lane();
-        let job = Arc::new(JobState {
+        let job = Arc::new(JobState::new(
             id,
             spec,
             submitted_ns,
-            phase: AtomicU8::new(QUEUED),
-            cancel_requested: AtomicBool::new(false),
-            executions: AtomicU32::new(0),
-            resumes: AtomicU32::new(0),
-            resume_step: AtomicU64::new(0),
-            shard: None,
-            children: Mutex::new(Vec::new()),
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
-            notifier: Mutex::new(notifier),
-        });
+            QUEUED,
+            None,
+            notifier,
+        ));
         // Coalesce duplicates: if this key is already in flight, the
         // job becomes a follower — admitted (depth slot, cancellable via
         // the index) but kept out of the lanes; the primary's completion
@@ -1071,21 +1081,8 @@ impl Server {
     ) -> JobTicket {
         let shared = &self.shared;
         let outcome = Outcome::Completed(result.to_report(&spec));
-        let job = Arc::new(JobState {
-            id,
-            spec,
-            submitted_ns,
-            phase: AtomicU8::new(DONE),
-            cancel_requested: AtomicBool::new(false),
-            executions: AtomicU32::new(0),
-            resumes: AtomicU32::new(0),
-            resume_step: AtomicU64::new(0),
-            shard: None,
-            children: Mutex::new(Vec::new()),
-            outcome: Mutex::new(Some(outcome.clone())),
-            done: Condvar::new(),
-            notifier: Mutex::new(None),
-        });
+        let job = Arc::new(JobState::new(id, spec, submitted_ns, DONE, None, None));
+        *lock(&job.outcome) = Some(outcome.clone());
         shared.emit_record(id, &job.spec, &outcome, submitted_ns, None);
         shared.bump(&outcome);
         // ordering: Relaxed — monotonic stats counter.
@@ -1356,21 +1353,7 @@ fn worker_loop(shared: Arc<Shared>, slot: usize) {
 
 #[cfg(test)]
 pub(crate) fn test_job(id: u64, spec: JobSpec) -> Arc<JobState> {
-    Arc::new(JobState {
-        id,
-        spec,
-        submitted_ns: 0,
-        phase: AtomicU8::new(QUEUED),
-        cancel_requested: AtomicBool::new(false),
-        executions: AtomicU32::new(0),
-        resumes: AtomicU32::new(0),
-        resume_step: AtomicU64::new(0),
-        shard: None,
-        children: Mutex::new(Vec::new()),
-        outcome: Mutex::new(None),
-        done: Condvar::new(),
-        notifier: Mutex::new(None),
-    })
+    Arc::new(JobState::new(id, spec, 0, QUEUED, None, None))
 }
 
 #[cfg(test)]

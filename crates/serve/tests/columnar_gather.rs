@@ -14,10 +14,12 @@
 
 use pic_bench::{build_ensemble, build_ensemble_range};
 use pic_math::Real;
-use pic_particles::io::write_ensemble;
-use pic_particles::{AosEnsemble, ColumnSegment, ParticleStore, SoaEnsemble};
-use pic_serve::{merge_segments, ShardPlan};
-use std::io::ErrorKind;
+use pic_particles::io::{read_ensemble, write_ensemble};
+use pic_particles::{AosEnsemble, ColumnSegment, ParticleAccess, ParticleStore, SoaEnsemble};
+use pic_serve::frontend::serve_lines;
+use pic_serve::{merge_segments, ServeConfig, Server, ShardPlan};
+use pic_telemetry::json::{parse, Value};
+use std::io::{Cursor, ErrorKind};
 
 const PARTICLES: usize = 41;
 const SEED: u64 = 77;
@@ -74,6 +76,24 @@ fn spliced_segments_match_the_monolithic_dump_bitwise() {
     check_layout::<f64, SoaEnsemble<f64>>("SoA/f64");
     check_layout::<f32, AosEnsemble<f32>>("AoS/f32");
     check_layout::<f64, AosEnsemble<f64>>("AoS/f64");
+}
+
+/// The monolithic exit renders through the same segments: the dump a
+/// served job returns on the wire parses back through the io reader.
+#[test]
+fn return_particles_round_trips_through_particle_io() {
+    let input = r#"{"op":"submit","spec":{"particles":8,"steps":1,"layout":"aos","return_particles":true}}"#;
+    let server = Server::start(ServeConfig::default(), "dump-io");
+    let out = serve_lines(server, Cursor::new(input), Vec::<u8>::new()).expect("serve_lines");
+    let text = String::from_utf8(out.output).expect("utf8");
+    let completed = text
+        .lines()
+        .find(|l| l.contains("\"completed\""))
+        .expect("completed line");
+    let v = parse(completed).expect("json");
+    let dump = v.get("particles").and_then(Value::as_str).expect("dump");
+    let store: AosEnsemble<f32> = read_ensemble(dump.as_bytes()).expect("parses back");
+    assert_eq!(store.len(), 8);
 }
 
 #[test]

@@ -14,6 +14,8 @@
 //! kills every shard at several steps, plus a two-shard double kill,
 //! and CI runs it in a dedicated `-- --ignored` step.
 
+use pic_particles::Layout;
+use pic_perfmodel::{Precision, Scenario};
 use pic_serve::{shard_kill_key, JobSpec, KillPlan, Outcome, ServeConfig, Server, ShutdownReport};
 
 const PARTICLES: usize = 60;
@@ -32,25 +34,32 @@ fn spec() -> JobSpec {
     }
 }
 
-/// The uninterrupted, *unsharded* reference dump: no kill plan, no
-/// checkpointing, no sharding — one monolithic sweep.
-fn reference_dump() -> String {
+/// The uninterrupted, *unsharded* reference dump of `spec`: no kill
+/// plan, no checkpointing, no sharding, no pinning — one monolithic
+/// sweep.
+fn reference_dump(spec: &JobSpec) -> String {
     let cfg = ServeConfig {
         workers: 2,
         cache_capacity: 0,
         ..ServeConfig::default()
     };
     let server = Server::start(cfg, "shard-fault-ref");
-    let outcome = server.submit(spec(), None).expect("admitted").wait();
+    let outcome = server.submit(spec.clone(), None).expect("admitted").wait();
     let Outcome::Completed(report) = outcome else {
         panic!("reference did not complete: {outcome:?}");
     };
     report.particles.expect("reference dump")
 }
 
-/// Runs the sharded job under `plan`, asserting completion, and returns
-/// the merged dump, the parent's resume count and the drained report.
-fn run_with_plan(plan: KillPlan, label: &str) -> (String, u64, ShutdownReport) {
+/// Runs `spec` sharded (and Morton-sorted per shard when `pinned`)
+/// under `plan`, asserting completion, and returns the merged dump, the
+/// parent's resume count and the drained report.
+fn run_with_plan(
+    spec: &JobSpec,
+    pinned: bool,
+    plan: KillPlan,
+    label: &str,
+) -> (String, u64, ShutdownReport) {
     let cfg = ServeConfig {
         workers: 2,
         cache_capacity: 0,
@@ -59,10 +68,11 @@ fn run_with_plan(plan: KillPlan, label: &str) -> (String, u64, ShutdownReport) {
         kill_plan: Some(plan),
         shard_threshold: 10,
         shards: SHARDS,
+        pinned,
         ..ServeConfig::default()
     };
     let server = Server::start(cfg, label);
-    let outcome = server.submit(spec(), None).expect("admitted").wait();
+    let outcome = server.submit(spec.clone(), None).expect("admitted").wait();
     let Outcome::Completed(report) = outcome else {
         panic!("{label}: sharded job did not complete: {outcome:?}");
     };
@@ -78,7 +88,7 @@ fn run_with_plan(plan: KillPlan, label: &str) -> (String, u64, ShutdownReport) {
 /// siblings run untouched, and the merge is bitwise-exact.
 #[test]
 fn killed_shard_resumes_while_siblings_run_untouched() {
-    let reference = reference_dump();
+    let reference = reference_dump(&spec());
     let plan = KillPlan::new();
     plan.arm_shard(SEED, 1, 5);
     assert_eq!(plan.armed(), 1);
@@ -87,7 +97,7 @@ fn killed_shard_resumes_while_siblings_run_untouched() {
     assert!(!plan.fire(shard_kill_key(SEED, 0), 5), "sibling untouched");
     assert_eq!(plan.armed(), 1, "probes consumed nothing");
 
-    let (dump, resumes, out) = run_with_plan(plan.clone(), "shard-fault-quick");
+    let (dump, resumes, out) = run_with_plan(&spec(), false, plan.clone(), "shard-fault-quick");
     assert_eq!(plan.armed(), 0, "the kill-point fired");
     assert_eq!(
         dump, reference,
@@ -113,18 +123,42 @@ fn killed_shard_resumes_while_siblings_run_untouched() {
     assert_eq!(shard_resumes[2], 0, "shard 2 never resumed");
 }
 
+/// The same kill on a pinned shard of a Precalculated job: the shard runs
+/// Morton-sorted, its checkpoint is parked in original order, and the
+/// resume splices it back through the permutation over a store whose
+/// fields were prepared from the sorted t=0 positions.
+#[test]
+fn killed_pinned_shard_resumes_on_precalculated_fields() {
+    for (layout, precision) in [(Layout::Aos, Precision::F64), (Layout::Soa, Precision::F32)] {
+        let spec = JobSpec {
+            scenario: Scenario::Precalculated,
+            layout,
+            precision,
+            ..spec()
+        };
+        let label = format!("shard-fault-pinned-{}-{}", layout.name(), precision.name());
+        let plan = KillPlan::new();
+        plan.arm_shard(SEED, 1, 5);
+        let (dump, resumes, out) = run_with_plan(&spec, true, plan.clone(), &label);
+        assert_eq!(plan.armed(), 0, "{label}: the kill-point fired");
+        assert_eq!(dump, reference_dump(&spec), "{label}: bitwise merge");
+        assert!(resumes >= 1, "{label}: resume recorded");
+        assert_eq!(out.stats.exec_overruns, 0, "{label}");
+    }
+}
+
 /// Every shard, several kill steps, plus a two-shard double kill — the
 /// merged dump survives them all bitwise.
 #[test]
 #[ignore = "per-shard kill sweep; run via cargo test -p pic-serve -- --ignored"]
 fn every_shard_survives_kills_at_every_interval() {
-    let reference = reference_dump();
+    let reference = reference_dump(&spec());
     for shard in 0..SHARDS {
         for step in [2usize, 5, 8, 11] {
             let plan = KillPlan::new();
             plan.arm_shard(SEED, shard, step);
             let label = format!("shard-fault-s{shard}-t{step}");
-            let (dump, resumes, out) = run_with_plan(plan.clone(), &label);
+            let (dump, resumes, out) = run_with_plan(&spec(), false, plan.clone(), &label);
             assert_eq!(plan.armed(), 0, "{label}: kill fired");
             assert_eq!(dump, reference, "{label}: bitwise merge");
             assert!(resumes >= 1, "{label}: resume recorded");
@@ -135,7 +169,7 @@ fn every_shard_survives_kills_at_every_interval() {
     let plan = KillPlan::new();
     plan.arm_shard(SEED, 0, 4);
     plan.arm_shard(SEED, 2, 9);
-    let (dump, resumes, _) = run_with_plan(plan.clone(), "shard-fault-double");
+    let (dump, resumes, _) = run_with_plan(&spec(), false, plan.clone(), "shard-fault-double");
     assert_eq!(plan.armed(), 0, "both kills fired");
     assert_eq!(dump, reference, "double kill: bitwise merge");
     assert!(resumes >= 2, "both shards resumed");

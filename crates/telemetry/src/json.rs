@@ -168,6 +168,7 @@ fn write_escaped(s: &str, out: &mut String) {
 /// Parses one JSON document from `input` (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -181,6 +182,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src.as_bytes()`: structural characters are all ASCII.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -326,15 +329,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let Some(c) = s.chars().next() else {
-                        return Err(self.error("truncated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash. `pos` follows ASCII and both stoppers
+                    // are ASCII, so the run is on char boundaries of
+                    // the source `&str` and needs no re-validation.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or_else(|| self.error("unterminated string"))?;
+                    let text = self
+                        .src
+                        .get(self.pos..self.pos + run)
+                        .ok_or_else(|| self.error("invalid UTF-8 in string"))?;
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -435,6 +443,17 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("12 34").unwrap_err().message.contains("trailing"));
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_linear_time() {
+        // A `completed` line carries a whole particle dump in one string
+        // member; per-character re-validation made this quadratic.
+        let unit = "1.5e-3 é\t\"λ\\ 粒子\n";
+        let big = unit.repeat(4 * 1024 * 1024 / unit.len() + 1);
+        assert!(big.len() >= 4 * 1024 * 1024);
+        let v = Value::obj([("particles", Value::Str(big)), ("id", Value::Num(7.0))]);
+        assert_eq!(parse(&v.to_json()).unwrap(), v);
     }
 
     #[test]
