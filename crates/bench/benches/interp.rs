@@ -105,11 +105,6 @@ fn main() {
         let source = pic_boris::AnalyticalSource::new(&wave);
         measure_source(&source, &cfg)
     };
-    let tabulated = dipole_wave::<f64>().tabulated(6.0 * BENCH_WAVELENGTH, 16384);
-    let tabulated_nsps = {
-        let source = pic_boris::AnalyticalSource::new(&tabulated);
-        measure_source(&source, &cfg)
-    };
     let cic_nsps = measure_source(&GridSource { grid: &cic_grid }, &cfg);
     let tsc_nsps = measure_source(&GridSource { grid: &tsc_grid }, &cfg);
 
@@ -124,12 +119,6 @@ fn main() {
         format!("{analytical_nsps:.2}"),
         "1.00x".to_string(),
         "exact".to_string(),
-    ]);
-    t.row([
-        "tabulated radial functions".to_string(),
-        format!("{tabulated_nsps:.2}"),
-        format!("{:.2}x", tabulated_nsps / analytical_nsps),
-        format!("{:.2e}", tabulated.table_error(5000)),
     ]);
     t.row([
         "grid gather, CIC (8 nodes)".to_string(),

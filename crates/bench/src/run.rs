@@ -13,6 +13,7 @@
 //! for particle motion".
 
 use crate::scenario::{bench_dt, dipole_wave};
+use pic_boris::soa_boris::LANES;
 use pic_boris::{
     AnalyticalSource, BorisPusher, FieldSource, PrecalculatedSource, SharedPushKernel,
     SoaBorisKernel,
@@ -81,12 +82,27 @@ impl<R: Real> MdipoleScenario<R> {
         match scenario {
             Scenario::Analytical => MdipoleScenario::Analytical(AnalyticalSource::new(wave)),
             Scenario::Precalculated => {
-                let positions: Vec<_> = (0..store.len()).map(|i| store.get(i).position).collect();
-                MdipoleScenario::Precalculated(PrecalculatedFields::from_sampler(
-                    &wave,
-                    positions,
-                    R::ZERO,
-                ))
+                let n = store.len();
+                let mut pre = PrecalculatedFields::zeros(n);
+                match store.position_columns() {
+                    Some((xs, ys, zs)) => pre.fill_from(&wave, 0, xs, ys, zs, R::ZERO),
+                    // No columns (AoS): gather a block of positions at a
+                    // time, as the kernel's gathered arm does.
+                    None => {
+                        let mut xs = [R::ZERO; LANES];
+                        let (mut ys, mut zs) = (xs, xs);
+                        for start in (0..n).step_by(LANES) {
+                            let len = LANES.min(n - start);
+                            for l in 0..len {
+                                let pos = store.get(start + l).position;
+                                (xs[l], ys[l], zs[l]) = (pos.x, pos.y, pos.z);
+                            }
+                            let (xs, ys, zs) = (&xs[..len], &ys[..len], &zs[..len]);
+                            pre.fill_from(&wave, start, xs, ys, zs, R::ZERO);
+                        }
+                    }
+                }
+                MdipoleScenario::Precalculated(pre)
             }
         }
     }
@@ -305,6 +321,36 @@ mod tests {
                 assert!((time - 4.0 * bench_dt() as f32).abs() < 1e-3 * bench_dt() as f32);
             }
         }
+    }
+
+    /// Block-wise `prepare` equals per-particle `sample(pos, 0)` bit for
+    /// bit, on a store with columns and one without, with a ragged tail.
+    #[test]
+    fn prepared_fields_equal_per_particle_sampling() {
+        use pic_fields::FieldSampler;
+        fn check<R: Real, S: ParticleAccess<R>>(store: S) {
+            assert!(store.len() % LANES != 0, "the tail must be covered");
+            let MdipoleScenario::Precalculated(pre) =
+                MdipoleScenario::prepare(Scenario::Precalculated, &store)
+            else {
+                panic!("prepare(Precalculated) built another scenario");
+            };
+            assert_eq!(pre.len(), store.len());
+            let wave = dipole_wave::<R>();
+            let bits = |v: R| v.to_f64().to_bits();
+            for i in 0..store.len() {
+                let (got, want) = (pre.get(i), wave.sample(store.get(i).position, R::ZERO));
+                assert_eq!(
+                    [got.e.x, got.e.y, got.e.z, got.b.x, got.b.y, got.b.z].map(bits),
+                    [want.e.x, want.e.y, want.e.z, want.b.x, want.b.y, want.b.z].map(bits),
+                    "particle {i}"
+                );
+            }
+        }
+        check(build_ensemble::<f32, SoaEnsemble<f32>>(1003, 5));
+        check(build_ensemble::<f64, SoaEnsemble<f64>>(1003, 5));
+        check(build_ensemble::<f32, AosEnsemble<f32>>(1003, 5));
+        check(build_ensemble::<f64, AosEnsemble<f64>>(29, 5));
     }
 
     #[test]

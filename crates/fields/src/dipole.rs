@@ -22,14 +22,16 @@
 //! exact vacuum Maxwell solution (the unit tests verify ∇·B = 0,
 //! ∇×E = −(1/c)∂B/∂t and ∇×B = (1/c)∂E/∂t numerically).
 //!
-//! Near the focus the implementation evaluates `f₁(kR)/R` and `f₂(kR)/R²`
-//! through their series forms (`f1_over_x`, `f2_over_x2`), so the field is
-//! finite and smooth at `R = 0` where the closed forms are 0/0.
+//! The three radial factors the components need — `f₁(kR)/kR`,
+//! `f₂(kR)/(kR)²`, `f₃(kR)`, all finite at `R = 0` where the closed forms
+//! are 0/0 — come from one evaluator, [`pic_math::special::radial`]:
+//! straight-line code (polynomial sin/cos, series near the focus, a
+//! select), so the per-point sampler and the blocked one are the same
+//! operations per lane and the blocked one is vertical SIMD.
 
 use crate::sampler::{BatchSampler, EbSlices, FieldSampler, EB};
 use pic_math::constants::LIGHT_VELOCITY;
-use pic_math::special::{f1_over_x, f2_over_x2, f3};
-use pic_math::tabulated::RadialTable;
+use pic_math::special::{radial, radial_lanes};
 use pic_math::{Real, Vec3};
 
 /// The standing m-dipole wave of paper Eq. (14), dipole axis along z.
@@ -103,116 +105,107 @@ impl<R: Real> DipoleStandingWave<R> {
     }
 }
 
+/// Lanes `sample_into` evaluates together: one `f64` AVX-512 register,
+/// and the block length the Boris kernel hands it.
+const LANES: usize = 8;
+
 impl<R: Real> DipoleStandingWave<R> {
-    /// Builds a tabulated variant of this wave: the radial functions are
-    /// precomputed on `nodes` points out to radius `r_max` (cm) and
-    /// linearly interpolated — trading the sin/cos evaluations of the
-    /// Analytical scenario for two loads and an FMA per function (the
-    /// classic optimization between the paper's two scenarios).
-    pub fn tabulated(&self, r_max: f64, nodes: usize) -> TabulatedDipoleWave<R> {
-        let x_max = self.k.to_f64() * r_max;
-        TabulatedDipoleWave {
-            wave: *self,
-            table: RadialTable::new(x_max, nodes),
+    /// The factors that depend on time only: `(2A₀·cos ω₀t, 2A₀·sin ω₀t)`.
+    /// The one libm call of a sample — once per call on the batch path.
+    #[inline(always)]
+    fn phase(&self, time: R) -> (R, R) {
+        let two_a0 = R::TWO * self.amplitude;
+        let (sin_t, cos_t) = (self.omega * time).sin_cos();
+        (two_a0 * cos_t, two_a0 * sin_t)
+    }
+
+    /// `kR` at a point.
+    #[inline(always)]
+    fn k_r(&self, x: R, y: R, z: R) -> R {
+        self.k * Vec3::new(x, y, z).norm2().sqrt()
+    }
+
+    /// (**E**, **B**) at one point, given the time factors.
+    #[inline(always)]
+    fn at(&self, phase: (R, R), x: R, y: R, z: R) -> EB<R> {
+        self.assemble(phase, x, y, z, radial(self.k_r(x, y, z)))
+    }
+
+    /// Assembles (**E**, **B**) at a point from the time factors and the
+    /// radial triple `(f₁(u)/u, f₂(u)/u², f₃(u))`, `u = kR` — the one body
+    /// behind both samplers.
+    #[inline(always)]
+    fn assemble(&self, (e_t, b_t): (R, R), x: R, y: R, z: R, radial: (R, R, R)) -> EB<R> {
+        let (f1_over_u, f2_over_u2, f3) = radial;
+        // E = 2A₀·cos(ωt)·(f1(kR)/R)·(−y, x, 0), and f1(kR)/R = k·f1(u)/u.
+        let e_coef = e_t * self.k * f1_over_u;
+        // B = −2A₀·sin(ωt)·(f2(kR)/R²)·(xz, yz, z²) with the f3 term added
+        // to Bz, and f2(kR)/R² = k²·f2(u)/u².
+        let b_coef = -b_t * self.k * self.k * f2_over_u2;
+        EB {
+            e: Vec3::new(-y * e_coef, x * e_coef, R::ZERO),
+            b: Vec3::new(b_coef * x * z, b_coef * y * z, b_coef * z * z - b_t * f3),
         }
-    }
-}
-
-/// [`DipoleStandingWave`] with table-interpolated radial functions.
-///
-/// Sampling beyond the tabulated radius clamps to the table edge; size
-/// `r_max` generously (the benchmark uses a few wavelengths).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TabulatedDipoleWave<R> {
-    wave: DipoleStandingWave<R>,
-    table: RadialTable<R>,
-}
-
-impl<R: Real> TabulatedDipoleWave<R> {
-    /// The underlying analytical wave.
-    pub fn wave(&self) -> &DipoleStandingWave<R> {
-        &self.wave
-    }
-
-    /// Worst tabulation error of the radial functions (absolute, probed
-    /// at interval midpoints).
-    pub fn table_error(&self, probes: usize) -> f64 {
-        self.table.max_error(probes)
-    }
-}
-
-impl<R: Real> FieldSampler<R> for TabulatedDipoleWave<R> {
-    #[inline]
-    fn sample(&self, pos: Vec3<R>, time: R) -> EB<R> {
-        let w = &self.wave;
-        let two_a0 = R::TWO * w.amplitude;
-        let (sin_t, cos_t) = (w.omega * time).sin_cos();
-        let u = w.k * pos.norm2().sqrt();
-        let e_coef = two_a0 * cos_t * w.k * self.table.f1_over_x(u);
-        let e = Vec3::new(-pos.y * e_coef, pos.x * e_coef, R::ZERO);
-        let b_coef = -two_a0 * sin_t * w.k * w.k * self.table.f2_over_x2(u);
-        let b = Vec3::new(
-            b_coef * pos.x * pos.z,
-            b_coef * pos.y * pos.z,
-            b_coef * pos.z * pos.z - two_a0 * sin_t * self.table.f3(u),
-        );
-        EB { e, b }
     }
 }
 
 impl<R: Real> FieldSampler<R> for DipoleStandingWave<R> {
     #[inline]
     fn sample(&self, pos: Vec3<R>, time: R) -> EB<R> {
-        let two_a0 = R::TWO * self.amplitude;
-        let (sin_t, cos_t) = (self.omega * time).sin_cos();
-        let r2 = pos.norm2();
-        let u = self.k * r2.sqrt(); // kR
-
-        // E = 2A₀·cos(ωt)·k·(f1(u)/u)·(−y, x, 0); f1(u)/u = f1(kR)/(kR),
-        // so f1(kR)/R = k·f1_over_x(u) — finite at the focus.
-        let e_coef = two_a0 * cos_t * self.k * f1_over_x(u);
-        let e = Vec3::new(-pos.y * e_coef, pos.x * e_coef, R::ZERO);
-
-        // B transverse: −2A₀·sin(ωt)·k²·(f2(u)/u²)·(xz, yz, z²) with the
-        // f3 term added to Bz. f2(kR)/R² = k²·f2_over_x2(u).
-        let b_coef = -two_a0 * sin_t * self.k * self.k * f2_over_x2(u);
-        let b = Vec3::new(
-            b_coef * pos.x * pos.z,
-            b_coef * pos.y * pos.z,
-            b_coef * pos.z * pos.z - two_a0 * sin_t * f3(u),
-        );
-        EB { e, b }
+        self.at(self.phase(time), pos.x, pos.y, pos.z)
     }
 }
 
 impl<R: Real> BatchSampler<R> for DipoleStandingWave<R> {
-    /// Straight-line per-lane evaluation. The time-dependent factors
-    /// (`2A₀`, `sin ωt`, `cos ωt`) are loop-invariant pure computations,
-    /// so hoisting them keeps every per-element arithmetic sequence
-    /// bitwise-identical to [`FieldSampler::sample`].
+    /// [`FieldSampler::sample`] a block of [`LANES`] at a time: the same
+    /// `k_r` → radial triple → `assemble` per lane, so every element is
+    /// bitwise what `sample` returns, with the time factors hoisted and
+    /// the triple taken through [`radial_lanes`], whose per-lane body has
+    /// no call and no branch — each of the three loops below compiles to
+    /// vertical SIMD. The `len % LANES` tail goes lane by lane.
     ///
     /// `#[inline]` so every codegen unit that calls this gets its own
-    /// copy: the blocked kernel's `LANES`-long call then inlines (constant
-    /// trip count, `sin_cos` hoisted out of the block loop) whichever unit
-    /// the partitioner puts the kernel in.
+    /// copy: the blocked kernel's `LANES`-long call then inlines (one
+    /// block, no tail, `sin_cos` hoisted out of the block loop) whichever
+    /// unit the partitioner puts the kernel in.
     #[inline]
     fn sample_into(&self, xs: &[R], ys: &[R], zs: &[R], time: R, out: &mut EbSlices<'_, R>) {
-        let two_a0 = R::TWO * self.amplitude;
-        let (sin_t, cos_t) = (self.omega * time).sin_cos();
+        let phase = self.phase(time);
+        let n = xs.len();
+        let full = n - n % LANES;
         // bounds: the runtime slices xs/ys/zs and every EbSlices lane to the
-        // same chunk length, so `i < xs.len()` indexes all of them in range.
-        for i in 0..xs.len() {
-            let (x, y, z) = (xs[i], ys[i], zs[i]);
-            let r2 = Vec3::new(x, y, z).norm2();
-            let u = self.k * r2.sqrt();
-            let e_coef = two_a0 * cos_t * self.k * f1_over_x(u);
-            out.ex[i] = -y * e_coef;
-            out.ey[i] = x * e_coef;
-            out.ez[i] = R::ZERO;
-            let b_coef = -two_a0 * sin_t * self.k * self.k * f2_over_x2(u);
-            out.bx[i] = b_coef * x * z;
-            out.by[i] = b_coef * y * z;
-            out.bz[i] = b_coef * z * z - two_a0 * sin_t * f3(u);
+        // same length `n`; blocks start at multiples of LANES below `full`,
+        // so `start + LANES <= n`, and `[l]` has `l < LANES` into
+        // LANES-long slices and arrays.
+        for start in (0..full).step_by(LANES) {
+            let block = start..start + LANES;
+            let (x, y, z) = (&xs[block.clone()], &ys[block.clone()], &zs[block.clone()]);
+            let mut u = [R::ZERO; LANES];
+            for l in 0..LANES {
+                u[l] = self.k_r(x[l], y[l], z[l]);
+            }
+            let (f1_over_u, f2_over_u2, f3) = radial_lanes(&u);
+            // Into block-local arrays first: unlike the six output slices,
+            // they provably alias nothing, so this loop vectorises too.
+            let mut e = [[R::ZERO; LANES]; 3];
+            let mut b = [[R::ZERO; LANES]; 3];
+            for l in 0..LANES {
+                let radial = (f1_over_u[l], f2_over_u2[l], f3[l]);
+                let f = self.assemble(phase, x[l], y[l], z[l], radial);
+                (e[0][l], e[1][l], e[2][l]) = (f.e.x, f.e.y, f.e.z);
+                (b[0][l], b[1][l], b[2][l]) = (f.b.x, f.b.y, f.b.z);
+            }
+            out.ex[block.clone()].copy_from_slice(&e[0]);
+            out.ey[block.clone()].copy_from_slice(&e[1]);
+            out.ez[block.clone()].copy_from_slice(&e[2]);
+            out.bx[block.clone()].copy_from_slice(&b[0]);
+            out.by[block.clone()].copy_from_slice(&b[1]);
+            out.bz[block].copy_from_slice(&b[2]);
+        }
+        for i in full..n {
+            let f = self.at(phase, xs[i], ys[i], zs[i]);
+            (out.ex[i], out.ey[i], out.ez[i]) = (f.e.x, f.e.y, f.e.z);
+            (out.bx[i], out.by[i], out.bz[i]) = (f.b.x, f.b.y, f.b.z);
         }
     }
 }
@@ -221,6 +214,7 @@ impl<R: Real> BatchSampler<R> for DipoleStandingWave<R> {
 mod tests {
     use super::*;
     use pic_math::constants::{BENCH_OMEGA, BENCH_POWER, BENCH_WAVELENGTH};
+    use proptest::prelude::*;
 
     fn wave() -> DipoleStandingWave<f64> {
         DipoleStandingWave::new(BENCH_POWER, BENCH_OMEGA)
@@ -403,47 +397,23 @@ mod tests {
     }
 
     #[test]
-    fn tabulated_wave_matches_analytical() {
-        let w = wave();
-        let tab = w.tabulated(4.0 * BENCH_WAVELENGTH, 16384);
-        assert!(tab.table_error(5000) < 1e-7);
-        let t = 0.37 / BENCH_OMEGA;
-        for pos in test_points() {
-            let exact = w.sample(pos, t);
-            let approx = tab.sample(pos, t);
-            let scale = exact.e.norm().max(exact.b.norm()).max(1e-30);
-            assert!(
-                (exact.e - approx.e).norm() / scale < 1e-6,
-                "E mismatch at {pos}"
-            );
-            assert!(
-                (exact.b - approx.b).norm() / scale < 1e-6,
-                "B mismatch at {pos}"
-            );
-        }
-        assert_eq!(tab.wave(), &w);
-    }
-
-    #[test]
     #[should_panic(expected = "negative power")]
     fn negative_power_panics() {
         let _ = DipoleStandingWave::<f64>::new(-1.0, BENCH_OMEGA);
     }
 
-    fn assert_batch_matches_scalar<R: Real>(time_scale: f64) {
+    /// `sample_into` over `points` (positions in units of 1/k, so their
+    /// norm is kR) against `sample` point by point, compared as bits.
+    fn assert_batch_matches_scalar<R: Real>(points: &[(f64, f64, f64)], time_scale: f64) {
         let w = DipoleStandingWave::<R>::new(BENCH_POWER, BENCH_OMEGA);
-        let pts = test_points();
         let t = R::from_f64(time_scale / BENCH_OMEGA);
-        let n = pts.len();
-        let xs: Vec<R> = pts.iter().map(|p| R::from_f64(p.x)).collect();
-        let ys: Vec<R> = pts.iter().map(|p| R::from_f64(p.y)).collect();
-        let zs: Vec<R> = pts.iter().map(|p| R::from_f64(p.z)).collect();
-        let mut comp = vec![R::ZERO; 6 * n];
-        let (e_part, b_part) = comp.split_at_mut(3 * n);
-        let (ex, eyz) = e_part.split_at_mut(n);
-        let (ey, ez) = eyz.split_at_mut(n);
-        let (bx, byz) = b_part.split_at_mut(n);
-        let (by, bz) = byz.split_at_mut(n);
+        let n = points.len();
+        let inv_k = 1.0 / w.wave_number().to_f64();
+        let xs: Vec<R> = points.iter().map(|p| R::from_f64(p.0 * inv_k)).collect();
+        let ys: Vec<R> = points.iter().map(|p| R::from_f64(p.1 * inv_k)).collect();
+        let zs: Vec<R> = points.iter().map(|p| R::from_f64(p.2 * inv_k)).collect();
+        let mut lanes: [Vec<R>; 6] = std::array::from_fn(|_| vec![R::ZERO; n]);
+        let [ex, ey, ez, bx, by, bz] = &mut lanes;
         let mut out = EbSlices {
             ex,
             ey,
@@ -453,21 +423,67 @@ mod tests {
             bz,
         };
         w.sample_into(&xs, &ys, &zs, t, &mut out);
+        let bits = |v: R| v.to_f64().to_bits();
         for i in 0..n {
             let f = w.sample(Vec3::new(xs[i], ys[i], zs[i]), t);
-            assert_eq!(out.ex[i], f.e.x, "ex lane {i}");
-            assert_eq!(out.ey[i], f.e.y, "ey lane {i}");
-            assert_eq!(out.ez[i], f.e.z, "ez lane {i}");
-            assert_eq!(out.bx[i], f.b.x, "bx lane {i}");
-            assert_eq!(out.by[i], f.b.y, "by lane {i}");
-            assert_eq!(out.bz[i], f.b.z, "bz lane {i}");
+            let want = [f.e.x, f.e.y, f.e.z, f.b.x, f.b.y, f.b.z].map(bits);
+            let got = lanes.each_ref().map(|lane| bits(lane[i]));
+            assert_eq!(got, want, "lane {i} of {n} at kR = {:?}", points[i]);
+        }
+    }
+
+    /// Scales a direction to the norm `k_r`.
+    fn at_radius(dir: (f64, f64, f64), k_r: f64) -> (f64, f64, f64) {
+        let norm = (dir.0 * dir.0 + dir.1 * dir.1 + dir.2 * dir.2)
+            .sqrt()
+            .max(1e-300);
+        (dir.0 / norm * k_r, dir.1 / norm * k_r, dir.2 / norm * k_r)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `sample_into` == `sample` bit for bit: kR on the series side, at
+        /// the hand-over, on the closed-form side and — one lane — beyond
+        /// the polynomial sin/cos range, in blocks of `LANES` (one full
+        /// block), `LANES + 3` (block and tail) and 1 (tail only).
+        #[test]
+        fn batched_dipole_sampling_is_bitwise_identical(
+            dirs in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), LANES + 3),
+            near in prop::collection::vec(0.0f64..1.0, LANES + 3),
+            edge in prop::collection::vec(-1e-6f64..1e-6, LANES + 3),
+            far in prop::collection::vec(1.0f64..50.0, LANES + 3),
+            beyond_lane in 0usize..LANES + 3,
+            time_scale in 0.0f64..7.0,
+        ) {
+            let mut points = Vec::new();
+            for (i, &dir) in dirs.iter().enumerate() {
+                let k_r = match i % 3 {
+                    0 => near[i],
+                    1 => 1.0 + edge[i],
+                    _ => far[i],
+                };
+                points.push(at_radius(dir, k_r));
+            }
+            for with_beyond in [false, true] {
+                if with_beyond {
+                    // Past both precisions' range: the whole block must take
+                    // the lane-by-lane arm and still agree.
+                    points[beyond_lane] = at_radius(dirs[beyond_lane], 3.0e6);
+                }
+                for len in [LANES, LANES + 3, 1] {
+                    let block = &points[..len];
+                    assert_batch_matches_scalar::<f64>(block, time_scale);
+                    assert_batch_matches_scalar::<f32>(block, time_scale);
+                }
+            }
         }
     }
 
     #[test]
-    fn batched_dipole_sampling_is_bitwise_identical() {
-        assert_batch_matches_scalar::<f64>(0.37);
-        assert_batch_matches_scalar::<f32>(0.37);
-        assert_batch_matches_scalar::<f64>(0.0);
+    fn batched_dipole_sampling_handles_the_focus_and_time_zero() {
+        let points = [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1), (2.0, 1.0, -4.0)];
+        assert_batch_matches_scalar::<f64>(&points, 0.0);
+        assert_batch_matches_scalar::<f32>(&points, 0.37);
     }
 }

@@ -26,7 +26,7 @@ pub mod precalc;
 pub mod sampler;
 pub mod uniform;
 
-pub use dipole::{DipoleStandingWave, TabulatedDipoleWave};
+pub use dipole::DipoleStandingWave;
 pub use dipole_pulse::DipolePulse;
 pub use envelope::{ConstantEnvelope, Envelope, Enveloped, GaussianEnvelope, Sin2Ramp};
 pub use gaussian_beam::GaussianBeam;

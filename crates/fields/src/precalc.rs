@@ -7,7 +7,7 @@
 //! an extra data array "comparable in size to the ensemble of particles"
 //! that must be streamed from RAM on every step.
 
-use crate::sampler::{FieldSampler, EB};
+use crate::sampler::{BatchSampler, EbSlices, FieldSampler, EB};
 use pic_math::{Real, Vec3};
 
 /// Precomputed (**E**, **B**) values, one entry per particle.
@@ -92,6 +92,40 @@ impl<R: Real> PrecalculatedFields<R> {
             out.push(sampler.sample(pos, time));
         }
         out
+    }
+
+    /// Overwrites the values of particles `start..start + xs.len()` with
+    /// `sampler`'s field at `(xs[i], ys[i], zs[i], time)`, through
+    /// [`BatchSampler::sample_into`] — element for element what
+    /// [`FieldSampler::sample`] returns, evaluated a block at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past [`len`](Self::len) or the position
+    /// slices differ in length.
+    pub fn fill_from<S: BatchSampler<R>>(
+        &mut self,
+        sampler: &S,
+        start: usize,
+        xs: &[R],
+        ys: &[R],
+        zs: &[R],
+        time: R,
+    ) {
+        assert!(
+            ys.len() == xs.len() && zs.len() == xs.len(),
+            "fill_from: position slices must have equal length"
+        );
+        let range = start..start + xs.len();
+        let mut out = EbSlices {
+            ex: &mut self.ex[range.clone()],
+            ey: &mut self.ey[range.clone()],
+            ez: &mut self.ez[range.clone()],
+            bx: &mut self.bx[range.clone()],
+            by: &mut self.by[range.clone()],
+            bz: &mut self.bz[range],
+        };
+        sampler.sample_into(xs, ys, zs, time, &mut out);
     }
 
     /// Appends one field value.

@@ -106,7 +106,6 @@ impl<R: Real, S: BatchSampler<R> + ?Sized> BatchSampler<R> for &S {
 // Samplers without a profitable straight-line form keep the per-point
 // default; listing them here keeps the `BatchSampler` universe closed
 // over every in-crate `FieldSampler`.
-impl<R: Real> BatchSampler<R> for crate::dipole::TabulatedDipoleWave<R> {}
 impl<R: Real> BatchSampler<R> for crate::dipole_pulse::DipolePulse<R> {}
 impl<R: Real> BatchSampler<R> for crate::gaussian_beam::GaussianBeam<R> {}
 impl<R: Real> BatchSampler<R> for crate::grid::EmGrid<R> {}

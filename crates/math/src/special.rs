@@ -8,34 +8,149 @@
 //! f3(x) = (1/x − 1/x³)·sin(x) + cos(x)/x²                       (= j₀(x) − j₁(x)/x)
 //! ```
 //!
-//! with `x = kR`. Near the focus (`x → 0`) the closed forms suffer
-//! catastrophic cancellation — e.g. `f2` subtracts two `O(1/x³)` terms to
-//! produce an `O(x²)` result — so for small `x` we evaluate the power
-//! series instead, iterating the term recurrence to machine precision.
+//! with `x = kR`. The field needs them as `f₁/x`, `f₂/x²` and `f₃`, all
+//! finite at the focus, and [`radial`] is the one body that computes that
+//! triple; every other function here is an expression over it.
+//!
+//! The body is straight-line code — one [`Real::sin_cos_poly`] pair, one
+//! reciprocal, three fixed-length Horner sums, a select — so that a loop
+//! over lanes ([`radial_lanes`]) compiles to vertical SIMD and the scalar
+//! and the blocked field samplers run the same operations per lane:
+//!
+//! * away from the focus, with `j₀ = sin x / x`, the spherical Bessel
+//!   recurrences give `f₁/x = (j₀ − cos x)/x²`, `f₂/x² = (3·f₁/x − j₀)/x²`
+//!   and `f₃ = j₀ − f₁/x`;
+//! * near the focus (`x < 1`) those forms cancel catastrophically — `f₂`
+//!   subtracts `O(1/x³)` terms to produce an `O(x²)` result — so the power
+//!   series `jₗ(x)/xˡ = Σₙ (−x²/2)ⁿ / (n!·(2l+2n+1)!!)` are summed instead,
+//!   to a fixed number of terms that reaches machine precision at `x = 1`.
+//!
+//! Both sides are evaluated for every argument and one is selected, so no
+//! lane ever branches.
 
 use crate::real::Real;
 
 /// Below this argument the series expansions are used instead of the
-/// closed forms. At `x = 1` both branches agree to ~10⁻¹⁴ relative in
+/// closed forms. At `x = 1` both sides agree to ~10⁻¹⁴ relative in
 /// double precision, so the hand-over is seamless.
 pub const SERIES_THRESHOLD: f64 = 1.0;
 
-#[inline]
-fn series<R: Real>(x: R, first: R, ratio: impl Fn(usize) -> f64) -> R {
-    // Sums first · Σ tₙ with t₀ = 1, tₙ₊₁ = −tₙ·x²/ratio(n), until the terms
-    // stop contributing.
-    let x2 = x * x;
-    let mut term = R::ONE;
-    let mut sum = R::ONE;
-    for n in 0..32 {
-        term = -term * x2 / R::from_f64(ratio(n));
-        let next = sum + term;
-        if next == sum {
-            break;
-        }
-        sum = next;
+/// Series terms kept in double precision: at `x = 1` the first dropped
+/// term of the slowest series (j₀) is 1/21! ≈ 2·10⁻²⁰.
+const SERIES_TERMS: usize = 10;
+/// Series terms kept in single precision (first dropped: 1/13! ≈ 2·10⁻¹⁰).
+const SERIES_TERMS_F32: usize = 6;
+
+/// Coefficients of `jₗ(x)/xˡ` in powers of `x²`, lowest first:
+/// `c₀ = 1/(2l+1)!!`, `cₙ₊₁ = −cₙ / ((2n+2)(2n+2l+3))`.
+const fn taylor_coefficients(l: usize) -> [f64; SERIES_TERMS] {
+    let mut c = [0.0; SERIES_TERMS];
+    let mut first = 1.0;
+    let mut odd = 1;
+    while odd <= 2 * l + 1 {
+        first /= odd as f64;
+        odd += 2;
     }
-    first * sum
+    c[0] = first;
+    let mut n = 0;
+    while n + 1 < SERIES_TERMS {
+        c[n + 1] = -c[n] / ((2 * n + 2) * (2 * n + 2 * l + 3)) as f64;
+        n += 1;
+    }
+    c
+}
+
+const J0: [f64; SERIES_TERMS] = taylor_coefficients(0);
+const J1_OVER_X: [f64; SERIES_TERMS] = taylor_coefficients(1);
+const J2_OVER_X2: [f64; SERIES_TERMS] = taylor_coefficients(2);
+
+/// `Σ cₙ zⁿ` over the terms this precision keeps, by Horner's rule.
+#[inline(always)]
+fn horner_sum<R: Real>(z: R, coefficients: &[f64; SERIES_TERMS]) -> R {
+    let terms = if R::BYTES == 4 {
+        SERIES_TERMS_F32
+    } else {
+        SERIES_TERMS
+    };
+    let mut kept = coefficients.iter().take(terms).rev();
+    match kept.next() {
+        Some(&top) => kept.fold(R::from_f64(top), |sum, &c| sum.mul_add(z, R::from_f64(c))),
+        None => R::ZERO,
+    }
+}
+
+/// The radial triple from `x` and its sine and cosine.
+#[inline(always)]
+fn radial_from<R: Real>(x: R, (sin, cos): (R, R)) -> (R, R, R) {
+    let inv = x.recip();
+    let inv2 = inv * inv;
+    let j0 = sin * inv;
+    let far1 = (j0 - cos) * inv2;
+    let far2 = (R::from_f64(3.0) * far1 - j0) * inv2;
+    let z = x * x;
+    let near0 = horner_sum(z, &J0);
+    let near1 = horner_sum(z, &J1_OVER_X);
+    let near2 = horner_sum(z, &J2_OVER_X2);
+    if x.abs() < R::from_f64(SERIES_THRESHOLD) {
+        (near1, near2, near0 - near1)
+    } else {
+        (far1, far2, j0 - far1)
+    }
+}
+
+#[inline(always)]
+fn in_poly_range<R: Real>(x: R) -> bool {
+    x.abs() <= R::SIN_COS_POLY_MAX
+}
+
+/// `(f₁(x)/x, f₂(x)/x², f₃(x))`, continuous at the focus (limits 1/3,
+/// 1/15, 2/3) — the three factors the dipole field components are built
+/// from (paper Eq. 14 divides f₁ by `R` and f₂ by `R²`).
+///
+/// Total: arguments beyond [`Real::SIN_COS_POLY_MAX`], NaN and ±∞ take
+/// their sine and cosine from libm.
+///
+/// # Example
+///
+/// ```
+/// use pic_math::special::radial;
+/// let (f1_over_x, f2_over_x2, f3) = radial(0.0_f64);
+/// assert!((f1_over_x - 1.0 / 3.0).abs() < 1e-15);
+/// assert!((f2_over_x2 - 1.0 / 15.0).abs() < 1e-15);
+/// assert!((f3 - 2.0 / 3.0).abs() < 1e-15);
+/// ```
+#[inline]
+pub fn radial<R: Real>(x: R) -> (R, R, R) {
+    let sin_cos = if in_poly_range(x) {
+        x.sin_cos_poly()
+    } else {
+        x.sin_cos()
+    };
+    radial_from(x, sin_cos)
+}
+
+/// [`radial`] of every lane, as three arrays — each lane bit for bit what
+/// [`radial`] returns for it.
+///
+/// The range guard is taken once for the block: with every lane inside
+/// [`Real::SIN_COS_POLY_MAX`] (any physical `kR`) the loop body has no
+/// call and no branch, which is what lets it vectorise; one lane outside
+/// sends the block through [`radial`] lane by lane.
+#[inline]
+pub fn radial_lanes<R: Real, const N: usize>(x: &[R; N]) -> ([R; N], [R; N], [R; N]) {
+    let mut out = ([R::ZERO; N], [R::ZERO; N], [R::ZERO; N]);
+    // `&`, not `&&`: no early exit, so the guard is a vector compare too.
+    let all_in_range = x.iter().fold(true, |ok, &x| ok & in_poly_range(x));
+    // bounds: `l < N` indexes `[R; N]` arrays only.
+    for (l, &x) in x.iter().enumerate() {
+        let lane = if all_in_range {
+            radial_from(x, x.sin_cos_poly())
+        } else {
+            radial(x)
+        };
+        (out.0[l], out.1[l], out.2[l]) = lane;
+    }
+    out
 }
 
 /// Spherical Bessel function j₀(x) = sin(x)/x, continuous at 0.
@@ -49,12 +164,8 @@ fn series<R: Real>(x: R, first: R, ratio: impl Fn(usize) -> f64) -> R {
 /// ```
 #[inline]
 pub fn j0<R: Real>(x: R) -> R {
-    if x.abs().to_f64() < SERIES_THRESHOLD {
-        // j0 = Σ (−1)ⁿ x²ⁿ/(2n+1)!  ⇒ ratio (2n+2)(2n+3)
-        series(x, R::ONE, |n| ((2 * n + 2) * (2 * n + 3)) as f64)
-    } else {
-        x.sin() / x
-    }
+    let (f1_over_x, _, f3) = radial(x);
+    f3 + f1_over_x
 }
 
 /// Dipole radial function f₁(x) = sin(x)/x² − cos(x)/x (paper Eq. 15; = j₁).
@@ -68,15 +179,7 @@ pub fn j0<R: Real>(x: R) -> R {
 /// ```
 #[inline]
 pub fn f1<R: Real>(x: R) -> R {
-    if x.abs().to_f64() < SERIES_THRESHOLD {
-        // j1 = (x/3)·Σ tₙ with ratio (2n+2)(2n+5)
-        series(x, x / R::from_f64(3.0), |n| {
-            ((2 * n + 2) * (2 * n + 5)) as f64
-        })
-    } else {
-        let (s, c) = x.sin_cos();
-        s / (x * x) - c / x
-    }
+    radial(x).0 * x
 }
 
 /// Dipole radial function f₂(x) = (3/x³ − 1/x)·sin(x) − 3cos(x)/x² (= j₂).
@@ -90,17 +193,7 @@ pub fn f1<R: Real>(x: R) -> R {
 /// ```
 #[inline]
 pub fn f2<R: Real>(x: R) -> R {
-    if x.abs().to_f64() < SERIES_THRESHOLD {
-        // j2 = (x²/15)·Σ tₙ with ratio (2n+2)(2n+7)
-        series(x, x * x / R::from_f64(15.0), |n| {
-            ((2 * n + 2) * (2 * n + 7)) as f64
-        })
-    } else {
-        let (s, c) = x.sin_cos();
-        let inv = x.recip();
-        let inv2 = inv * inv;
-        (R::from_f64(3.0) * inv2 * inv - inv) * s - R::from_f64(3.0) * c * inv2
-    }
+    radial(x).1 * (x * x)
 }
 
 /// Dipole radial function f₃(x) = (1/x − 1/x³)·sin(x) + cos(x)/x² (Eq. 15).
@@ -115,49 +208,19 @@ pub fn f2<R: Real>(x: R) -> R {
 /// ```
 #[inline]
 pub fn f3<R: Real>(x: R) -> R {
-    if x.abs().to_f64() < SERIES_THRESHOLD {
-        // f3 = Σ (−1)ⁿ aₙ x²ⁿ, aₙ = 1/(2n+1)! − 1/(j₁ denom). The first few
-        // coefficients are 2/3, 2/15, 1/140, 1/5670, 1/399168, 1/43243200;
-        // the term ratio aₙ₊₁/aₙ = (2n+5) / ((2n+2)(2n+3)(2n+7)/(2n+... ))
-        // has no compact closed form, so sum the two constituent series.
-        j0(x)
-            - if x == R::ZERO {
-                R::from_f64(1.0 / 3.0)
-            } else {
-                f1(x) / x
-            }
-    } else {
-        let (s, c) = x.sin_cos();
-        let inv = x.recip();
-        let inv2 = inv * inv;
-        (inv - inv2 * inv) * s + c * inv2
-    }
+    radial(x).2
 }
 
-/// f₁(x)/x, continuous at the focus (limit 1/3). Needed because the dipole
-/// field components divide by `R` (paper Eq. 14).
+/// f₁(x)/x, continuous at the focus (limit 1/3).
 #[inline]
 pub fn f1_over_x<R: Real>(x: R) -> R {
-    if x.abs().to_f64() < SERIES_THRESHOLD {
-        series(x, R::from_f64(1.0 / 3.0), |n| {
-            ((2 * n + 2) * (2 * n + 5)) as f64
-        })
-    } else {
-        f1(x) / x
-    }
+    radial(x).0
 }
 
-/// f₂(x)/x², continuous at the focus (limit 1/15). Needed because the
-/// magnetic components of the dipole field divide by `R²` (paper Eq. 14).
+/// f₂(x)/x², continuous at the focus (limit 1/15).
 #[inline]
 pub fn f2_over_x2<R: Real>(x: R) -> R {
-    if x.abs().to_f64() < SERIES_THRESHOLD {
-        series(x, R::from_f64(1.0 / 15.0), |n| {
-            ((2 * n + 2) * (2 * n + 7)) as f64
-        })
-    } else {
-        f2(x) / (x * x)
-    }
+    radial(x).1
 }
 
 #[cfg(test)]
@@ -175,8 +238,134 @@ mod tests {
         (1.0 / x - 1.0 / x.powi(3)) * x.sin() + x.cos() / (x * x)
     }
 
+    /// The parent implementation's near-focus side: `first · Σ tₙ` with
+    /// `t₀ = 1`, `tₙ₊₁ = −tₙ·x²/((2n+2)(2n+2l+3))`, summed in f64 until the
+    /// terms stop contributing.
+    fn converged_sum(x: f64, first: f64, l: usize) -> f64 {
+        let (mut term, mut sum) = (1.0, 1.0);
+        for n in 0..32 {
+            term = -term * x * x / ((2 * n + 2) * (2 * n + 2 * l + 3)) as f64;
+            if sum + term == sum {
+                break;
+            }
+            sum += term;
+        }
+        first * sum
+    }
+
+    /// `(f₁/x, f₂/x², f₃)` the way the parent computed them: series below
+    /// the threshold, libm closed forms above.
+    fn radial_ref(x: f64) -> [f64; 3] {
+        if x.abs() < SERIES_THRESHOLD {
+            let g1 = converged_sum(x, 1.0 / 3.0, 1);
+            [
+                g1,
+                converged_sum(x, 1.0 / 15.0, 2),
+                converged_sum(x, 1.0, 0) - g1,
+            ]
+        } else {
+            [f1_ref(x) / x, f2_ref(x) / (x * x), f3_ref(x)]
+        }
+    }
+
+    /// Asserts `radial(x)` is within `tol` of `want`, relative to the
+    /// larger of the value and its envelope (1/x², 1/x³, 1/x away from the
+    /// focus — the functions cross zero there).
+    fn assert_radial_close<R: Real>(x: R, want: [f64; 3], tol: f64) {
+        let (g1, g2, g3) = radial(x);
+        let far = x.to_f64().abs().max(1.0);
+        let envelope = [far.powi(-2), far.powi(-3), far.powi(-1)];
+        for (i, got) in [g1, g2, g3].into_iter().enumerate() {
+            let scale = want[i].abs().max(envelope[i]);
+            let err = (got.to_f64() - want[i]).abs() / scale;
+            assert!(
+                err <= tol,
+                "component {i} at x = {x:e}: {got:e} vs {:e} ({err:e})",
+                want[i]
+            );
+        }
+    }
+
     #[test]
-    fn series_matches_closed_form_at_handover() {
+    fn radial_matches_the_closed_forms_and_the_series() {
+        // 0 to 50 in steps of 1/512, plus a fine pass over the hand-over.
+        for i in 0..=(50 * 512) {
+            let x = i as f64 / 512.0;
+            assert_radial_close(x, radial_ref(x), 1e-12);
+            assert_radial_close(-x, radial_ref(x), 1e-12);
+            assert_radial_close(x as f32, radial_ref(x as f32 as f64), 2e-5);
+        }
+        for i in -2000..=2000 {
+            let x = 1.0 + i as f64 * 1e-6;
+            assert_radial_close(x, radial_ref(x), 1e-12);
+            assert_radial_close(x as f32, radial_ref(x as f32 as f64), 2e-5);
+        }
+    }
+
+    #[test]
+    fn radial_is_continuous_across_the_handover() {
+        // The last argument of the series side against the first of the
+        // closed-form side: one ulp apart in x, so equal to rounding.
+        fn check<R: Real>(tol: f64) {
+            let above = R::ONE;
+            let below = R::ONE - R::EPSILON * R::HALF;
+            assert!(below < above);
+            let (a, b) = (radial(below), radial(above));
+            for (lo, hi) in [(a.0, b.0), (a.1, b.1), (a.2, b.2)] {
+                let rel = ((lo - hi) / hi).to_f64().abs();
+                assert!(rel < tol, "{lo:e} vs {hi:e}");
+            }
+        }
+        check::<f64>(1e-13);
+        check::<f32>(1e-5);
+    }
+
+    #[test]
+    fn radial_is_total() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let (g1, g2, g3) = radial(x);
+            assert!(g1.is_nan() && g2.is_nan() && g3.is_nan(), "radial({x})");
+            let (g1, g2, g3) = radial(x as f32);
+            assert!(g1.is_nan() && g2.is_nan() && g3.is_nan(), "radial({x}f32)");
+        }
+        // Just inside the polynomial range and just outside it (libm).
+        fn edge<R: Real>(tol: f64) {
+            let max = R::SIN_COS_POLY_MAX;
+            for x in [
+                max * (R::ONE - R::EPSILON),
+                max,
+                max * (R::ONE + R::EPSILON),
+            ] {
+                assert_radial_close(x, radial_ref(x.to_f64()), tol);
+            }
+            assert_radial_close(max * R::from_f64(1e3), radial_ref(max.to_f64() * 1e3), tol);
+        }
+        edge::<f64>(1e-12);
+        edge::<f32>(2e-5);
+    }
+
+    #[test]
+    fn radial_lanes_equal_radial_bit_for_bit() {
+        fn check<R: Real>() {
+            let bits = |(a, b, c): (R, R, R)| [a, b, c].map(|v| v.to_f64().to_bits());
+            // All lanes in range (the straight-line arm), then with one lane
+            // beyond it and one NaN (the lane-by-lane arm).
+            let mut x = [0.0, 1e-3, 0.5, 0.999, 1.0, 1.001, 7.25, 49.0].map(R::from_f64);
+            for _ in 0..2 {
+                let (g1, g2, g3) = radial_lanes(&x);
+                for l in 0..x.len() {
+                    assert_eq!(bits((g1[l], g2[l], g3[l])), bits(radial(x[l])), "lane {l}");
+                }
+                x[2] = R::SIN_COS_POLY_MAX * R::TWO;
+                x[5] = R::from_f64(f64::NAN);
+            }
+        }
+        check::<f64>();
+        check::<f32>();
+    }
+
+    #[test]
+    fn handover_sides_match_the_closed_forms() {
         // Both branches must agree near the threshold from either side.
         for &x in &[0.5, 0.8, 0.99, 1.01, 1.5, 3.0] {
             assert!((f1(x) - f1_ref(x)).abs() < 1e-13, "f1({x})");

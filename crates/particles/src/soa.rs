@@ -368,6 +368,10 @@ macro_rules! soa_access_body {
             self.x.len()
         }
 
+        fn position_columns(&self) -> Option<(&[R], &[R], &[R])> {
+            Some((&self.x, &self.y, &self.z))
+        }
+
         #[inline(always)]
         fn get(&self, i: usize) -> Particle<R> {
             Particle {

@@ -292,6 +292,15 @@ pub trait ParticleAccess<R: Real>: Send {
         None
     }
 
+    /// The x, y and z position columns, when this collection is
+    /// SoA-backed — the read-only counterpart of
+    /// [`soa_lanes_mut`](Self::soa_lanes_mut) for set-up passes that only
+    /// look at positions. `None` (the default) means there are no
+    /// contiguous columns.
+    fn position_columns(&self) -> Option<(&[R], &[R], &[R])> {
+        None
+    }
+
     /// Splits the collection into disjoint mutable chunks of the given
     /// sizes, in order. Sizes must sum to `len()`; zero sizes are skipped.
     ///

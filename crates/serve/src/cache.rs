@@ -22,11 +22,15 @@
 use crate::job::{scenario_wire, JobReport, JobSpec};
 use std::collections::HashMap;
 
-/// Version of the cached-result format. Folded into every [`CacheKey`],
-/// so bumping it orphans (and thereby invalidates) every entry written
-/// by earlier builds; [`ResultCache::ensure_schema`] additionally drops
-/// stored entries eagerly.
-pub const CACHE_SCHEMA: u64 = 1;
+/// Version of the cached results: their format, and the bits a build
+/// computes for a given spec. Folded into every [`CacheKey`], so bumping
+/// it orphans (and thereby invalidates) every entry written by earlier
+/// builds; [`ResultCache::ensure_schema`] additionally drops stored
+/// entries eagerly.
+///
+/// 2: the m-dipole field moved to polynomial sin/cos and fixed-length
+/// series, which changes trajectories in their last bits.
+pub const CACHE_SCHEMA: u64 = 2;
 
 /// Name of the pusher the service executes. Part of the cache identity:
 /// when alternative pushers (Vay, Higuera-Cary, analytic) reach the
