@@ -111,13 +111,12 @@ pub fn run_device_steps<R: Real, A: ParticleAccess<R>>(
             on_step,
         ),
         MdipoleScenario::Precalculated(pre) => {
-            // Stage the field block and rebuild the table from the staged
-            // columns (bitwise-verbatim), so the kernel reads what the
-            // device holds. The chunk spans the full store from global
-            // index 0, keeping the per-particle field indices aligned.
+            // Stage the field block and read the staged columns in place,
+            // so the kernel reads what the device holds. The chunk spans
+            // the full store from global index 0, keeping the
+            // per-particle field indices aligned.
             let staged_fields = exec.stage_fields(pre);
-            let rebuilt = staged_fields.fields();
-            let source = PrecalculatedSource::new(&rebuilt);
+            let source = PrecalculatedSource::over_columns(staged_fields.columns());
             drive_device(
                 &mut exec,
                 &mut staged,
@@ -350,8 +349,8 @@ pub fn device_record(
         warmup_nsps: run.warmup_nsps(),
         steady_nsps,
         mean_nsps: run.mean_nsps(),
-        imbalance: 1.0,
-        time_imbalance: 1.0,
+        imbalance: 0.0,
+        time_imbalance: 0.0,
         thread_stats: vec![ThreadStat {
             thread: 0,
             domain: 0,

@@ -13,7 +13,7 @@ use pic_math::{Real, Vec3};
 use pic_particles::sort::{cell_order_fraction, CellGrid, PeriodicSorter, SortOrder};
 use pic_particles::{AosEnsemble, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Scenario;
-use pic_runtime::{Schedule, Topology};
+use pic_runtime::{imbalance_of, Schedule, Topology};
 use pic_telemetry::ThreadStat;
 use std::time::Instant;
 
@@ -60,25 +60,16 @@ impl MeasuredRun {
             .collect()
     }
 
-    /// Particle-count load imbalance over the whole run: busiest thread /
-    /// mean (1.0 = balanced or unthreaded).
+    /// Particle-count load imbalance over the whole run
+    /// ([`pic_runtime::imbalance_of`]).
     pub fn imbalance(&self) -> f64 {
-        stat_imbalance(&self.thread_stats, |t| t.particles)
+        imbalance_of(self.thread_stats.iter().map(|t| t.particles))
     }
 
-    /// Busy-time load imbalance over the whole run (1.0 when untimed).
+    /// Busy-time load imbalance over the whole run (0.0 when untimed).
     pub fn time_imbalance(&self) -> f64 {
-        stat_imbalance(&self.thread_stats, |t| t.busy_ns)
+        imbalance_of(self.thread_stats.iter().map(|t| t.busy_ns))
     }
-}
-
-fn stat_imbalance(stats: &[ThreadStat], field: impl Fn(&ThreadStat) -> u64) -> f64 {
-    let total: u64 = stats.iter().map(&field).sum();
-    if total == 0 || stats.is_empty() {
-        return 1.0;
-    }
-    let mean = total as f64 / stats.len() as f64;
-    stats.iter().map(&field).max().unwrap_or(0) as f64 / mean
 }
 
 /// Measures NSPS for one (layout, scenario) cell of the benchmark with
@@ -175,7 +166,7 @@ fn measure_store<R: Real, A: ParticleStore<R>>(
             &mut |_, _| true,
         );
         iteration_ns.push(start.elapsed().as_nanos() as f64);
-        merge_thread_stats(&mut thread_stats, &run.thread_stats);
+        merge_thread_stats(&mut thread_stats, run.thread_stats);
     }
     MeasuredRun {
         iteration_ns,

@@ -20,6 +20,7 @@ use pic_boris::{
 };
 use pic_fields::{DipoleStandingWave, PrecalculatedFields};
 use pic_math::Real;
+use pic_particles::columns::{X, Y, Z};
 use pic_particles::{ParticleAccess, ParticleKernel, SpeciesTable};
 use pic_perfmodel::Scenario;
 use pic_runtime::{
@@ -84,8 +85,12 @@ impl<R: Real> MdipoleScenario<R> {
             Scenario::Precalculated => {
                 let n = store.len();
                 let mut pre = PrecalculatedFields::zeros(n);
-                match store.position_columns() {
-                    Some((xs, ys, zs)) => pre.fill_from(&wave, 0, xs, ys, zs, R::ZERO),
+                match store.columns() {
+                    Some(cols) => {
+                        // bounds: constant indices into `[_; REAL_COLUMNS]`.
+                        let [xs, ys, zs] = [X, Y, Z].map(|c| cols.reals[c]);
+                        pre.fill_from(&wave, 0, xs, ys, zs, R::ZERO)
+                    }
                     // No columns (AoS): gather a block of positions at a
                     // time, as the kernel's gathered arm does.
                     None => {
@@ -162,13 +167,17 @@ pub fn run_mdipole_steps<R: Real, A: ParticleAccess<R>>(
 }
 
 /// Accumulates per-thread totals from `extra` into `totals`, growing
-/// `totals` as needed. Both slices are indexed by thread id.
-pub fn merge_thread_stats(totals: &mut Vec<ThreadStat>, extra: &[ThreadStat]) {
-    if totals.len() < extra.len() {
-        totals.resize(extra.len(), ThreadStat::default());
-    }
+/// `totals` as needed; entries are slotted by thread id.
+pub fn merge_thread_stats(
+    totals: &mut Vec<ThreadStat>,
+    extra: impl IntoIterator<Item = ThreadStat>,
+) {
     for t in extra {
-        let slot = &mut totals[t.thread as usize];
+        let id = t.thread as usize;
+        if totals.len() <= id {
+            totals.resize(id + 1, ThreadStat::default());
+        }
+        let slot = &mut totals[id];
         slot.thread = t.thread;
         slot.domain = t.domain;
         slot.chunks += t.chunks;
@@ -177,18 +186,15 @@ pub fn merge_thread_stats(totals: &mut Vec<ThreadStat>, extra: &[ThreadStat]) {
     }
 }
 
-fn merge_report(totals: &mut Vec<ThreadStat>, report: &SweepReport) {
-    for t in &report.threads {
-        if totals.len() <= t.thread {
-            totals.resize(t.thread + 1, ThreadStat::default());
-        }
-        let slot = &mut totals[t.thread];
-        slot.thread = t.thread as u64;
-        slot.domain = t.domain as u64;
-        slot.chunks += t.chunks as u64;
-        slot.particles += t.particles as u64;
-        slot.busy_ns += t.busy_ns;
-    }
+/// One sweep's per-thread accounting as telemetry totals.
+fn thread_stats_of(report: &SweepReport) -> impl Iterator<Item = ThreadStat> + '_ {
+    report.threads.iter().map(|t| ThreadStat {
+        thread: t.thread as u64,
+        domain: t.domain as u64,
+        chunks: t.chunks as u64,
+        particles: t.particles as u64,
+        busy_ns: t.busy_ns,
+    })
 }
 
 /// Runs one sweep, with or without a cancellation token.
@@ -263,7 +269,7 @@ fn drive<R: Real, A: ParticleAccess<R>, F: FieldSource<R>>(
         if let Some(t) = tuner.as_mut() {
             t.observe(&report);
         }
-        merge_report(&mut thread_stats, &report);
+        merge_thread_stats(&mut thread_stats, thread_stats_of(&report));
         if report.total_particles() < store.len() {
             // Cancelled mid-sweep: the store holds a mix of old and new
             // positions, so the step does not count and time stands still.
@@ -508,8 +514,8 @@ mod tests {
                 busy_ns: 9,
             },
         ];
-        merge_thread_stats(&mut totals, &a);
-        merge_thread_stats(&mut totals, &b);
+        merge_thread_stats(&mut totals, a);
+        merge_thread_stats(&mut totals, b);
         assert_eq!(totals.len(), 2);
         assert_eq!(totals[0].particles, 14);
         assert_eq!(totals[0].chunks, 3);

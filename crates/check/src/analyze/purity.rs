@@ -169,6 +169,7 @@ fn indexable(prev: &Node) -> bool {
         Node::Leaf(t) => match &t.tok {
             Tok::Ident(w) => ![
                 "mut", "dyn", "in", "as", "ref", "else", "return", "box", "move", "impl", "where",
+                "let",
             ]
             .contains(&w.as_str()),
             _ => false,

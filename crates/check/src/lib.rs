@@ -15,6 +15,7 @@
 //!    | `forbid-unsafe-attr` | every other crate keeps `#![forbid(unsafe_code)]` in its `lib.rs` |
 //!    | `instant-outside-telemetry` | wall-clock reads (`std::time::Instant`) stay inside the measuring layers (`pic-telemetry`, `pic-bench`) plus two audited call sites |
 //!    | `unwrap-in-lib` | no `.unwrap()` / `.expect("…")` in library code outside tests |
+//!    | `column-list` | the particle columns `x y z px py pz …` are declared once, in `crates/particles/src/columns.rs`: no other `struct` body or `fn` signature lists them as fields/parameters |
 //!
 //!    A finding can be suppressed at a specific line by an adjacent
 //!    justification comment: `// lint: allow(<rule>): <reason>` on the
@@ -79,6 +80,13 @@ const INSTANT_ALLOW: &[(&str, &str)] = &[
 /// Setup, field-table sampling, and diagnostics code elsewhere converts
 /// at the f64 boundary by design.
 const PRECISION_SCOPE: &[&str] = &["crates/core/src/", "crates/particles/src/"];
+
+/// The particle column schema: the one file that may declare the
+/// column list as fields or parameters (`column-list` rule).
+const COLUMN_SCHEMA: &str = "crates/particles/src/columns.rs";
+
+/// The names whose joint appearance marks a restated column list.
+const COLUMN_NAMES: [&str; 6] = ["x", "y", "z", "px", "py", "pz"];
 
 /// One finding, shared by `pic-lint` and `pic-analyze`.
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -211,24 +219,61 @@ fn in_regions(regions: &[(usize, usize)], line: usize) -> bool {
 /// From `start_line`, finds the first `{` and returns the line span up
 /// to its matching `}`.
 fn brace_region(s: &Scanned, start_line: usize) -> Option<(usize, usize)> {
-    let mut depth = 0i32;
-    let mut opened = false;
-    for (li, line) in s.code.iter().enumerate().skip(start_line) {
-        for c in line.chars() {
+    delimited(s, start_line, 0, '{', '}').map(|(end, _)| (start_line, end))
+}
+
+/// From byte `col` of line `start`, finds the first `open` and returns
+/// the line of its matching `close` with the text between the two — a
+/// block, a struct body, a parameter list. `None` when a `;` ends the
+/// item before anything opens (unit structs, `use` lines).
+fn delimited(
+    s: &Scanned,
+    start: usize,
+    col: usize,
+    open: char,
+    close: char,
+) -> Option<(usize, String)> {
+    let mut depth = 0usize;
+    let mut text = String::new();
+    for (li, line) in s.code.iter().enumerate().skip(start) {
+        let from = if li == start { col } else { 0 };
+        for c in line[from..].chars() {
             match c {
-                '{' => {
-                    depth += 1;
-                    opened = true;
+                ';' if depth == 0 => return None,
+                c if c == open => depth += 1,
+                c if c == close && depth > 0 => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some((li, text));
+                    }
                 }
-                '}' => depth -= 1,
                 _ => {}
             }
-            if opened && depth == 0 {
-                return Some((start_line, li));
+            if depth > 0 {
+                text.push(c);
             }
         }
+        text.push('\n');
     }
     None
+}
+
+/// Identifiers declared with a type in `text`: every `name:` that is not
+/// a path segment (`a::b`).
+fn declared_names(text: &str) -> Vec<&str> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    let mut rest = text;
+    while let Some(start) = rest.find(ident) {
+        let tail = &rest[start..];
+        let len = tail.find(|c| !ident(c)).unwrap_or(tail.len());
+        let after = tail[len..].trim_start();
+        if after.starts_with(':') && !after.starts_with("::") {
+            out.push(&tail[..len]);
+        }
+        rest = &tail[len..];
+    }
+    out
 }
 
 /// Line spans of code generic over the `Real` trait: bodies of `fn` or
@@ -389,6 +434,32 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Diagnostic> {
                              instead"
                         ),
                     ));
+                }
+            }
+        }
+    }
+
+    // column-list — the schema module declares the particle columns;
+    // a struct or signature elsewhere that lists them is a restatement.
+    if path != COLUMN_SCHEMA {
+        for (i, line) in s.code.iter().enumerate() {
+            for (keyword, open, close) in [("struct", '{', '}'), ("fn", '(', ')')] {
+                for at in word_hits(line, keyword, false) {
+                    let restated = delimited(&s, i, at, open, close).is_some_and(|(_, text)| {
+                        let names = declared_names(&text);
+                        COLUMN_NAMES.iter().all(|n| names.contains(n))
+                    });
+                    if restated && !justified(&s, i, "column-list") {
+                        out.push(diag(
+                            i,
+                            "column-list",
+                            format!(
+                                "this `{keyword}` declares the particle columns x y z px py pz \
+                                 by name; they are declared once, in {COLUMN_SCHEMA} — use \
+                                 `ParticleColumns` (or a `Row`) over the container you need"
+                            ),
+                        ));
+                    }
                 }
             }
         }

@@ -188,6 +188,35 @@ fn unwrap_in_lib_rules_out_panicky_library_code() {
 }
 
 #[test]
+fn column_lists_are_declared_only_in_the_schema_module() {
+    // The seeded restatement: a proxy struct that lists the columns.
+    let proxy = "struct Lanes<'a, R> {\n    x: &'a mut [R],\n    y: &'a mut [R],\n    \
+        z: &'a mut [R],\n    px: &'a mut [R],\n    py: &'a mut [R],\n    pz: &'a mut [R],\n}\n";
+    assert_eq!(rules(LIB, proxy), vec!["column-list"]);
+
+    // ... and a constructor that takes them one by one.
+    let ctor = "fn from_columns(\n    x: Vec<f32>, y: Vec<f32>, z: Vec<f32>,\n    \
+        px: Vec<f32>, py: Vec<f32>, pz: Vec<f32>,\n) -> Store {\n    todo()\n}\n";
+    assert_eq!(rules(LIB, ctor), vec!["column-list"]);
+
+    // The schema module is where the list lives.
+    assert!(rules("crates/particles/src/columns.rs", proxy).is_empty());
+
+    // Positions alone, locals in a body, unit structs and path segments
+    // are not a column list.
+    let positions = "fn fill(x: &[f32], y: &[f32], z: &[f32]) {}\n";
+    assert!(rules(LIB, positions).is_empty());
+    let locals = "fn f(v: &V) {\n    let (x, y, z, px, py, pz) = v.get();\n    \
+        let q: f32 = x + y + z + px + py + pz;\n}\n";
+    assert!(rules(LIB, locals).is_empty());
+    let unit = "struct Marker;\nfn g(a: x::T, b: y::T, c: z::T, d: px::T, e: py::T, f: pz::T) {}\n";
+    assert!(rules(LIB, unit).is_empty());
+
+    let justified = format!("// lint: allow(column-list): FFI mirror of a C struct\n{proxy}");
+    assert!(rules(LIB, &justified).is_empty());
+}
+
+#[test]
 fn the_workspace_is_clean() {
     let root = pic_check::find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root");

@@ -7,7 +7,7 @@
 //! per-particle array computed in advance ("Precalculated Fields").
 
 use crate::pusher::Pusher;
-use pic_fields::{BatchSampler, EbSlices, PrecalculatedFields, EB};
+use pic_fields::{map_components, BatchSampler, EbSlices, PrecalculatedFields, EB, FIELD_COLUMNS};
 use pic_math::{Real, Vec3};
 use pic_particles::{ParticleKernel, ParticleView, SpeciesTable};
 
@@ -37,12 +37,7 @@ pub trait FieldSource<R: Real>: Send + Sync {
         // same chunk length, so `i < xs.len()` indexes all of them in range.
         for i in 0..xs.len() {
             let f = self.field(base + i, Vec3::new(xs[i], ys[i], zs[i]), time);
-            out.ex[i] = f.e.x;
-            out.ey[i] = f.e.y;
-            out.ez[i] = f.e.z;
-            out.bx[i] = f.b.x;
-            out.by[i] = f.b.y;
-            out.bz[i] = f.b.z;
+            out.write_lane(i, f);
         }
     }
 }
@@ -83,23 +78,42 @@ impl<R: Real, S: BatchSampler<R>> FieldSource<R> for AnalyticalSource<S> {
 }
 
 /// The "Precalculated Fields" scenario: stream the per-particle array.
+/// The source borrows the six component columns, so it reads a host
+/// table and the device backend's staged copy alike.
 #[derive(Clone, Copy, Debug)]
 pub struct PrecalculatedSource<'a, R> {
-    /// The per-particle field values, indexed by global particle index.
-    pub fields: &'a PrecalculatedFields<R>,
+    /// The component columns, indexed by global particle index.
+    cols: [&'a [R]; FIELD_COLUMNS],
 }
 
 impl<'a, R: Real> PrecalculatedSource<'a, R> {
-    /// Wraps a precalculated array.
+    /// Reads a precalculated array.
     pub fn new(fields: &'a PrecalculatedFields<R>) -> PrecalculatedSource<'a, R> {
-        PrecalculatedSource { fields }
+        PrecalculatedSource::over_columns(fields.columns())
+    }
+
+    /// Reads six externally owned component columns, in
+    /// [`EB::to_array`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless all six have equal length.
+    pub fn over_columns(cols: [&'a [R]; FIELD_COLUMNS]) -> PrecalculatedSource<'a, R> {
+        // bounds: constant index into `[_; FIELD_COLUMNS]`.
+        assert!(
+            cols.iter().all(|c| c.len() == cols[0].len()),
+            "over_columns: all six component columns must have equal length"
+        );
+        PrecalculatedSource { cols }
     }
 }
 
 impl<R: Real> FieldSource<R> for PrecalculatedSource<'_, R> {
     #[inline(always)]
     fn field(&self, index: usize, _pos: Vec3<R>, _time: R) -> EB<R> {
-        self.fields.get(index)
+        // bounds: sweeps hand out indices of the ensemble the table was
+        // built for; an index past it is this lookup's documented panic.
+        EB::from_array(map_components(self.cols, |c| c[index]))
     }
 
     /// Contiguous slice copies instead of per-index [`EB`] assembly: six
@@ -118,12 +132,9 @@ impl<R: Real> FieldSource<R> for PrecalculatedSource<'_, R> {
         // bounds: the sweep hands out chunks of the same ensemble the
         // precalculated table was built for, so `base + n` never exceeds
         // the stored lane length.
-        out.ex.copy_from_slice(&self.fields.exs()[base..base + n]);
-        out.ey.copy_from_slice(&self.fields.eys()[base..base + n]);
-        out.ez.copy_from_slice(&self.fields.ezs()[base..base + n]);
-        out.bx.copy_from_slice(&self.fields.bxs()[base..base + n]);
-        out.by.copy_from_slice(&self.fields.bys()[base..base + n]);
-        out.bz.copy_from_slice(&self.fields.bzs()[base..base + n]);
+        for (dst, src) in out.as_columns_mut().into_iter().zip(self.cols) {
+            dst.copy_from_slice(&src[base..base + n]);
+        }
     }
 }
 
@@ -328,6 +339,14 @@ mod tests {
         assert_eq!(ens.get(0).momentum, Vec3::zero());
         assert_eq!(ens.get(1).momentum, Vec3::zero());
         assert!(ens.get(2).momentum.x != 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal length")]
+    fn over_columns_rejects_ragged_columns() {
+        let (long, short) = ([0.0f64; 3], [0.0f64; 2]);
+        let cols: [&[f64]; FIELD_COLUMNS] = [&long, &short, &long, &long, &long, &long];
+        let _ = PrecalculatedSource::over_columns(cols);
     }
 
     #[test]

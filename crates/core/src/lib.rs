@@ -19,7 +19,7 @@
 //! * [`soa_boris`] — the production kernel: an explicitly blocked (8-wide)
 //!   Boris update mirroring the AVX-512 vectorization of the paper's C++
 //!   loop, run directly over SoA component slices or, on AoS stores, over
-//!   lanes loaded through the per-particle views. [`PushKernel`] with
+//!   blocks transposed into block-local columns. [`PushKernel`] with
 //!   [`BorisPusher`] stays as the scalar oracle it is tested against.
 //! * [`diag`] — ensemble diagnostics (kinetic energy, mean γ, …).
 //!
@@ -50,7 +50,6 @@ pub mod kernel;
 pub mod pusher;
 pub mod radiation;
 pub mod soa_boris;
-pub mod trajectory;
 pub mod vay;
 
 pub use boris::BorisPusher;

@@ -7,13 +7,18 @@
 //! (`lane_block`, driven by [`SoaBorisKernel::run_lanes`]); the store's
 //! layout only decides which columns that body runs over:
 //!
-//! * **SoA** ([`ParticleAccess::soa_lanes_mut`] is `Some`) — the store's
+//! * **SoA** ([`ParticleAccess::columns_mut`] is `Some`) — the store's
 //!   own component columns: unit-stride loads and stores, no gather, no
 //!   scatter.
-//! * **AoS** (no columns) — block-local columns: each block's lanes are
-//!   loaded through the per-particle views into `[R; LANES]` arrays,
-//!   `run_lanes` advances them, and they are stored back through the view
-//!   setters.
+//! * **AoS** (no columns) — block-local columns: each block's particles
+//!   are copied through their views into the single-particle proxies of
+//!   a `ParticleColumns<[R; LANES], _>`, `run_lanes` advances it, and
+//!   the results are copied back the same way.
+//!
+//! Both arms see the store through one type,
+//! [`pic_particles::columns::ParticleColumns`]: the column list is named
+//! once here, where `lane_block` destructures a block into the local
+//! arrays its straight-line body works on.
 //!
 //! Fields are sampled a block at a time through
 //! [`FieldSource::field_block`] on both arms. The arithmetic order per
@@ -24,67 +29,33 @@
 
 use crate::boris::BorisPusher;
 use crate::kernel::FieldSource;
-use crate::pusher::{gamma_of_u, half_kick_coef, momentum_from_u, u_from_momentum, Pusher};
-use pic_fields::EbSlices;
+use crate::pusher::{half_kick_coef, Pusher};
+use pic_fields::{map_components, EbSlices, FIELD_COLUMNS};
 use pic_math::constants::LIGHT_VELOCITY;
-use pic_math::{Real, Vec3};
-use pic_particles::{
-    ParticleAccess, ParticleKernel, ParticleView, SoaLanesMut, SpeciesId, SpeciesTable,
-};
+use pic_math::Real;
+use pic_particles::columns::{ColumnsMut, ParticleColumns, REAL_COLUMNS};
+use pic_particles::{ParticleAccess, ParticleKernel, ParticleView, SpeciesId, SpeciesTable};
 
 /// Vector width of the blocked kernel (AVX-512 double lanes).
 pub const LANES: usize = 8;
 
-/// Fixed-width array views of one block of [`LANES`] lanes.
+/// The fixed-width array view of lanes `[start, start + LANES)` of one
+/// column. Callers guarantee the block is in bounds (`run_lanes` iterates
+/// full blocks only).
 ///
-/// Narrowing every column to `&mut [R; LANES]` once per block makes the
+/// Narrowing every column to `&mut [_; LANES]` once per block makes the
 /// hot loop's trip count a compile-time constant and removes all bounds
 /// checks from its body — the difference between vertical SIMD and
 /// scalar code on wide-FMA targets.
-struct Block<'b, R> {
-    x: &'b mut [R; LANES],
-    y: &'b mut [R; LANES],
-    z: &'b mut [R; LANES],
-    px: &'b mut [R; LANES],
-    py: &'b mut [R; LANES],
-    pz: &'b mut [R; LANES],
-    gamma: &'b mut [R; LANES],
-    species: &'b [SpeciesId; LANES],
-}
-
-impl<'b, R: Real> Block<'b, R> {
-    /// Views the block of lanes `[start, start + LANES)`. Callers
-    /// guarantee the block is in bounds (`run_lanes` iterates full
-    /// blocks only).
-    #[inline(always)]
-    fn at(lanes: &'b mut SoaLanesMut<'_, R>, start: usize) -> Self {
-        // bounds: `run_lanes` only forms full blocks (`start + LANES <= len`),
-        // so every `col[start..]` slice holds at least LANES elements.
-        #[inline(always)]
-        fn arr<T>(col: &mut [T], start: usize) -> &mut [T; LANES] {
-            match col[start..].first_chunk_mut::<LANES>() {
-                Some(a) => a,
-                // analyze: allow(purity-panic): cold branch — unreachable by
-                // the full-block invariant above, kept as a loud guard.
-                None => unreachable!("lane block out of bounds"),
-            }
-        }
-        let species = match lanes.species[start..].first_chunk::<LANES>() {
-            Some(a) => a,
-            // analyze: allow(purity-panic): cold branch — unreachable by the
-            // full-block invariant above, kept as a loud guard.
-            None => unreachable!("lane block out of bounds"),
-        };
-        Block {
-            x: arr(lanes.x, start),
-            y: arr(lanes.y, start),
-            z: arr(lanes.z, start),
-            px: arr(lanes.px, start),
-            py: arr(lanes.py, start),
-            pz: arr(lanes.pz, start),
-            gamma: arr(lanes.gamma, start),
-            species,
-        }
+#[inline(always)]
+fn lane_array<T>(col: &mut [T], start: usize) -> &mut [T; LANES] {
+    // bounds: `run_lanes` only forms full blocks (`start + LANES <= len`),
+    // so `col[start..]` holds at least LANES elements.
+    match col[start..].first_chunk_mut::<LANES>() {
+        Some(a) => a,
+        // analyze: allow(purity-panic): cold branch — unreachable by the
+        // full-block invariant above, kept as a loud guard.
+        None => unreachable!("lane block out of bounds"),
     }
 }
 
@@ -115,90 +86,55 @@ impl<'a, R: Real, F: FieldSource<R>> SoaBorisKernel<'a, R, F> {
     }
 
     /// Advances every particle behind `lanes` by one step, operating
-    /// directly on the component columns. Full blocks of [`LANES`]
-    /// particles run the straight-line vectorizable loop; the
-    /// `len % LANES` remainder runs the reference scalar path.
-    pub fn run_lanes(&self, lanes: &mut SoaLanesMut<'_, R>) {
-        // bounds: all SoA columns share length `n` (checked at SoaLanesMut
-        // construction); both loops below index strictly below `n`.
-        let n = lanes.x.len();
+    /// directly on the component columns; row 0 is global particle
+    /// `base`. Full blocks of [`LANES`] particles run the straight-line
+    /// vectorizable loop; the `len % LANES` remainder runs the reference
+    /// scalar path through the single-particle proxy.
+    pub fn run_lanes(&self, base: usize, lanes: &mut ColumnsMut<'_, R>) {
+        let n = lanes.len();
         let blocks = n / LANES;
         for b in 0..blocks {
-            self.lane_block(lanes, b * LANES);
+            self.lane_block(base, lanes, b * LANES);
         }
-        // Scalar remainder, bitwise-identical by construction: it *is*
-        // the reference implementation.
         for i in (blocks * LANES)..n {
-            let species = self.table.get(lanes.species[i]);
-            let pos = Vec3::new(lanes.x[i], lanes.y[i], lanes.z[i]);
-            let field = self.source.field(lanes.base + i, pos, self.time);
-            let eps = half_kick_coef(species, self.dt);
-            let p_old = Vec3::new(lanes.px[i], lanes.py[i], lanes.pz[i]);
-            let u_old = u_from_momentum(p_old, species.mass);
-            let (u_new, _gamma_n) = BorisPusher::rotate_kick(u_old, &field, eps);
-            let gamma_new = gamma_of_u(u_new);
-            let p_new = momentum_from_u(u_new, species.mass);
-            let v = p_new / (gamma_new * species.mass);
-            lanes.px[i] = p_new.x;
-            lanes.py[i] = p_new.y;
-            lanes.pz[i] = p_new.z;
-            lanes.gamma[i] = gamma_new;
-            lanes.x[i] = pos.x + v.x * self.dt;
-            lanes.y[i] = pos.y + v.y * self.dt;
-            lanes.z[i] = pos.z + v.z * self.dt;
+            self.push_view(base + i, &mut lanes.proxy_at(i));
         }
     }
 
     /// Advances every particle of a store that has no component columns
-    /// (AoS): each full block of [`LANES`] particles is loaded through
-    /// the per-particle views into block-local columns, advanced by
-    /// [`run_lanes`](Self::run_lanes) — the SoA arm itself, over one
-    /// block — and stored back through the view setters; the
-    /// `len % LANES` remainder runs the reference scalar path.
+    /// (AoS): each full block of [`LANES`] particles is copied, view to
+    /// view, into block-local columns — what a pusher reads on the way
+    /// in, what it writes on the way out; the weight, which no pusher
+    /// touches, stays behind — and advanced by
+    /// [`run_lanes`](Self::run_lanes), the SoA arm itself, over one block.
+    /// The `len % LANES` remainder runs the reference scalar path.
     fn run_gathered<A: ParticleAccess<R>>(&self, chunk: &mut A) {
-        // bounds: every `[l]` below has `l in 0..LANES` into `[_; LANES]`
-        // block-local arrays — in range by construction; particle indices
-        // `start + l` and the tail's `i` stay strictly below `chunk.len()`.
+        // bounds: the block-local columns are full-range slices of
+        // `[_; LANES]` arrays and every lane `l` is below LANES; particle
+        // indices `start + l` and the tail's `i` stay strictly below
+        // `chunk.len()`.
         let n = chunk.len();
         let base = chunk.base_index();
         let blocks = n / LANES;
         for b in 0..blocks {
             let start = b * LANES;
-            let mut x = [R::ZERO; LANES];
-            let mut y = [R::ZERO; LANES];
-            let mut z = [R::ZERO; LANES];
-            let mut px = [R::ZERO; LANES];
-            let mut py = [R::ZERO; LANES];
-            let mut pz = [R::ZERO; LANES];
-            let mut gamma = [R::ZERO; LANES];
-            let mut species = [SpeciesId(0); LANES];
+            let mut block = ParticleColumns {
+                reals: [[R::ZERO; LANES]; REAL_COLUMNS],
+                species: [SpeciesId(0); LANES],
+            };
+            let mut lanes = block.each_column_mut(|c| &mut c[..], |s| &mut s[..]);
             for l in 0..LANES {
-                let view = chunk.view_mut(start + l);
-                let (pos, mom) = (view.position(), view.momentum());
-                x[l] = pos.x;
-                y[l] = pos.y;
-                z[l] = pos.z;
-                px[l] = mom.x;
-                py[l] = mom.y;
-                pz[l] = mom.z;
-                species[l] = view.species();
+                let (from, mut to) = (chunk.view_mut(start + l), lanes.proxy_at(l));
+                to.set_position(from.position());
+                to.set_momentum(from.momentum());
+                to.set_species(from.species());
             }
-            self.run_lanes(&mut SoaLanesMut {
-                base: base + start,
-                x: &mut x,
-                y: &mut y,
-                z: &mut z,
-                px: &mut px,
-                py: &mut py,
-                pz: &mut pz,
-                gamma: &mut gamma,
-                species: &species,
-            });
+            self.run_lanes(base + start, &mut lanes);
             for l in 0..LANES {
-                let mut view = chunk.view_mut(start + l);
-                view.set_momentum(Vec3::new(px[l], py[l], pz[l]));
-                view.set_gamma(gamma[l]);
-                view.set_position(Vec3::new(x[l], y[l], z[l]));
+                let (from, mut to) = (lanes.proxy_at(l), chunk.view_mut(start + l));
+                to.set_momentum(from.momentum());
+                to.set_gamma(from.gamma());
+                to.set_position(from.position());
             }
         }
         for i in (blocks * LANES)..n {
@@ -216,21 +152,14 @@ impl<'a, R: Real, F: FieldSource<R>> SoaBorisKernel<'a, R, F> {
     /// left in the loop body, the update loop below compiles to pure
     /// vertical SIMD on targets with wide FMA.
     #[inline]
-    fn lane_block(&self, lanes: &mut SoaLanesMut<'_, R>, start: usize) {
+    fn lane_block(&self, base: usize, lanes: &mut ColumnsMut<'_, R>, start: usize) {
         // bounds: every index in this fn is `[l]` with `l in 0..LANES` into
-        // `[R; LANES]` block-local arrays or the Block's LANES-sized column
-        // views — in range by construction.
-        let base = lanes.base;
-        let Block {
-            x,
-            y,
-            z,
-            px,
-            py,
-            pz,
-            gamma,
+        // `[R; LANES]` block-local arrays or the LANES-sized column views —
+        // in range by construction.
+        let ParticleColumns {
+            reals: [x, y, z, px, py, pz, _weight, gamma],
             species,
-        } = Block::at(lanes, start);
+        } = lanes.each_column_mut(|c| lane_array(c, start), |s| lane_array(s, start));
         // Loop-invariant species constants, one lane each. These are the
         // exact expressions the scalar helpers evaluate per particle.
         let mut eps = [R::ZERO; LANES];
@@ -246,24 +175,13 @@ impl<'a, R: Real, F: FieldSource<R>> SoaBorisKernel<'a, R, F> {
         }
 
         // Blocked field sample straight out of the position columns.
-        let mut ex = [R::ZERO; LANES];
-        let mut ey = [R::ZERO; LANES];
-        let mut ez = [R::ZERO; LANES];
-        let mut bx = [R::ZERO; LANES];
-        let mut by = [R::ZERO; LANES];
-        let mut bz = [R::ZERO; LANES];
+        let mut eb = [[R::ZERO; LANES]; FIELD_COLUMNS];
         {
-            let mut out = EbSlices {
-                ex: &mut ex,
-                ey: &mut ey,
-                ez: &mut ez,
-                bx: &mut bx,
-                by: &mut by,
-                bz: &mut bz,
-            };
+            let mut out = EbSlices::from_columns(map_components(eb.each_mut(), |c| &mut c[..]));
             self.source
                 .field_block(base + start, &x[..], &y[..], &z[..], self.time, &mut out);
         }
+        let [ex, ey, ez, bx, by, bz] = eb;
 
         // Load: u = p/(mc), straight out of the momentum columns at unit
         // stride into block-local arrays.
@@ -351,8 +269,9 @@ impl<R: Real, F: FieldSource<R>> ParticleKernel<R> for SoaBorisKernel<'_, R, F> 
     }
 
     fn apply_chunk<A: ParticleAccess<R>>(&mut self, chunk: &mut A) {
-        match chunk.soa_lanes_mut() {
-            Some(mut lanes) => self.run_lanes(&mut lanes),
+        let base = chunk.base_index();
+        match chunk.columns_mut() {
+            Some(mut lanes) => self.run_lanes(base, &mut lanes),
             None => self.run_gathered(chunk),
         }
     }
@@ -362,9 +281,11 @@ impl<R: Real, F: FieldSource<R>> ParticleKernel<R> for SoaBorisKernel<'_, R, F> 
 mod tests {
     use super::*;
     use crate::kernel::{AnalyticalSource, PrecalculatedSource, PushKernel};
+    use crate::pusher::{gamma_of_u, momentum_from_u};
     use pic_fields::{DipoleStandingWave, PrecalculatedFields};
     use pic_math::constants::{BENCH_OMEGA, BENCH_POWER, BENCH_WAVELENGTH};
-    use pic_particles::{AosEnsemble, Particle, ParticleStore, SoaEnsemble, SpeciesId};
+    use pic_math::Vec3;
+    use pic_particles::{AosEnsemble, Particle, ParticleStore, SoaEnsemble};
     use proptest::prelude::*;
 
     const DIPOLE_SPECIES: [SpeciesId; 2] =

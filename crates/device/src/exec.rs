@@ -31,9 +31,12 @@ use crate::event::Event;
 use crate::graph::{LaunchGraph, NodeId, Ordering, TaskTimeline};
 use crate::usm::{AllocKind, UsmBuffer};
 use pic_boris::{FieldSource, SoaBorisKernel};
-use pic_fields::PrecalculatedFields;
-use pic_math::{Real, Vec3};
-use pic_particles::{Layout, Particle, ParticleAccess, ParticleKernel, SoaChunkMut, SpeciesId};
+use pic_fields::{PrecalculatedFields, FIELD_COLUMNS};
+use pic_math::Real;
+use pic_particles::columns::REAL_COLUMNS;
+use pic_particles::{
+    Layout, Particle, ParticleAccess, ParticleColumns, ParticleKernel, SoaChunkMut, SpeciesId,
+};
 use pic_perfmodel::{Precision, Scenario};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -121,22 +124,15 @@ impl UsmLedger {
 }
 
 /// The particle columns of one ensemble, staged through USM buffers in
-/// SoA form. Works for *both* source layouts — staging reads through
-/// [`ParticleAccess::get`], so an AoS ensemble is transposed into
-/// columns on upload and transposed back on
+/// SoA form: the column set of [`pic_particles::columns`] over
+/// [`UsmBuffer`]s, plus its ledger entry. Works for *both* source
+/// layouts — staging reads through [`ParticleAccess::get`], so an AoS
+/// ensemble is transposed into columns on upload and transposed back on
 /// [`write_back`](Self::write_back) — which is exactly how the device
 /// backend gives the AoS layout its (coalescing-penalized) device path.
 #[derive(Debug)]
 pub struct StagedEnsemble<R> {
-    x: UsmBuffer<R>,
-    y: UsmBuffer<R>,
-    z: UsmBuffer<R>,
-    px: UsmBuffer<R>,
-    py: UsmBuffer<R>,
-    pz: UsmBuffer<R>,
-    weight: UsmBuffer<R>,
-    gamma: UsmBuffer<R>,
-    species: UsmBuffer<SpeciesId>,
+    cols: ParticleColumns<UsmBuffer<R>, UsmBuffer<SpeciesId>>,
     bytes: usize,
     ledger: Rc<UsmLedger>,
 }
@@ -144,44 +140,29 @@ pub struct StagedEnsemble<R> {
 impl<R: Real> StagedEnsemble<R> {
     /// Number of staged particles.
     pub fn len(&self) -> usize {
-        self.x.len()
+        self.cols.species.len()
     }
 
     /// `true` when no particles are staged.
     pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
+        self.cols.species.is_empty()
     }
 
     /// Total host↔device migrations across the nine component buffers
     /// (shared allocations only).
     pub fn migrations(&self) -> usize {
-        self.x.migrations()
-            + self.y.migrations()
-            + self.z.migrations()
-            + self.px.migrations()
-            + self.py.migrations()
-            + self.pz.migrations()
-            + self.weight.migrations()
-            + self.gamma.migrations()
-            + self.species.migrations()
+        let reals = self.cols.reals.iter().map(UsmBuffer::migrations);
+        reals.sum::<usize>() + self.cols.species.migrations()
     }
 
     /// A full-span chunk view over the staged columns (global base 0),
     /// ready for [`DeviceExecutor::execute_chunk`]. Device-side access:
     /// shared buffers migrate to the device on first touch.
     pub fn chunk_mut(&mut self) -> SoaChunkMut<'_, R> {
-        SoaChunkMut::from_columns(
-            0,
-            self.x.device_mut(),
-            self.y.device_mut(),
-            self.z.device_mut(),
-            self.px.device_mut(),
-            self.py.device_mut(),
-            self.pz.device_mut(),
-            self.weight.device_mut(),
-            self.gamma.device_mut(),
-            self.species.device_mut(),
-        )
+        let cols = self
+            .cols
+            .each_column_mut(UsmBuffer::device_mut, UsmBuffer::device_mut);
+        SoaChunkMut::from_columns(0, cols)
     }
 
     /// Copies the staged particles back into `store` (host-side access;
@@ -197,23 +178,9 @@ impl<R: Real> StagedEnsemble<R> {
             self.len(),
             "write_back: store length changed since staging"
         );
-        let (x, y, z) = (self.x.host(), self.y.host(), self.z.host());
-        let (px, py, pz) = (self.px.host(), self.py.host(), self.pz.host());
-        let (weight, gamma) = (self.weight.host(), self.gamma.host());
-        let species = self.species.host();
+        let host = self.cols.each_column(UsmBuffer::host, UsmBuffer::host);
         for i in 0..store.len() {
-            // bounds: all nine columns share `len()`, asserted equal to
-            // `store.len()` above.
-            store.set(
-                i,
-                &Particle {
-                    position: Vec3::new(x[i], y[i], z[i]),
-                    momentum: Vec3::new(px[i], py[i], pz[i]),
-                    weight: weight[i],
-                    gamma: gamma[i],
-                    species: species[i],
-                },
-            );
+            store.set(i, &Particle::from_row(host.row_at(i)));
         }
     }
 }
@@ -228,12 +195,7 @@ impl<R> Drop for StagedEnsemble<R> {
 /// per component column.
 #[derive(Debug)]
 pub struct StagedFields<R> {
-    ex: UsmBuffer<R>,
-    ey: UsmBuffer<R>,
-    ez: UsmBuffer<R>,
-    bx: UsmBuffer<R>,
-    by: UsmBuffer<R>,
-    bz: UsmBuffer<R>,
+    cols: [UsmBuffer<R>; FIELD_COLUMNS],
     bytes: usize,
     ledger: Rc<UsmLedger>,
 }
@@ -241,26 +203,20 @@ pub struct StagedFields<R> {
 impl<R: Real> StagedFields<R> {
     /// Number of staged field values (one per particle).
     pub fn len(&self) -> usize {
-        self.ex.len()
+        // bounds: constant index into `[_; FIELD_COLUMNS]`.
+        self.cols[0].len()
     }
 
     /// `true` when no field values are staged.
     pub fn is_empty(&self) -> bool {
-        self.ex.is_empty()
+        self.len() == 0
     }
 
-    /// Rebuilds the field table from the staged columns. The copy is
-    /// bitwise-verbatim, so a kernel reading the rebuilt table samples
-    /// exactly the values that were staged.
-    pub fn fields(&self) -> PrecalculatedFields<R> {
-        PrecalculatedFields::from_columns(
-            self.ex.device().to_vec(),
-            self.ey.device().to_vec(),
-            self.ez.device().to_vec(),
-            self.bx.device().to_vec(),
-            self.by.device().to_vec(),
-            self.bz.device().to_vec(),
-        )
+    /// The staged component columns as the device sees them — what
+    /// `PrecalculatedSource::over_columns` reads, so a kernel samples
+    /// exactly the values that were staged, without another copy.
+    pub fn columns(&self) -> [&[R]; FIELD_COLUMNS] {
+        self.cols.each_ref().map(UsmBuffer::device)
     }
 }
 
@@ -372,40 +328,19 @@ impl DeviceExecutor {
     ) -> StagedEnsemble<R> {
         let kind = self.alloc_kind();
         let n = store.len();
-        let mut x = Vec::with_capacity(n);
-        let mut y = Vec::with_capacity(n);
-        let mut z = Vec::with_capacity(n);
-        let mut px = Vec::with_capacity(n);
-        let mut py = Vec::with_capacity(n);
-        let mut pz = Vec::with_capacity(n);
-        let mut weight = Vec::with_capacity(n);
-        let mut gamma = Vec::with_capacity(n);
-        let mut species = Vec::with_capacity(n);
+        let mut host = ParticleColumns::<Vec<R>, Vec<SpeciesId>>::default();
+        host.reserve_rows(n);
         for i in 0..n {
-            let p = store.get(i);
-            x.push(p.position.x);
-            y.push(p.position.y);
-            z.push(p.position.z);
-            px.push(p.momentum.x);
-            py.push(p.momentum.y);
-            pz.push(p.momentum.z);
-            weight.push(p.weight);
-            gamma.push(p.gamma);
-            species.push(p.species);
+            host.push_row(store.get(i).to_row());
         }
-        let bytes = 8 * n * R::BYTES + n * std::mem::size_of::<SpeciesId>();
+        let bytes = REAL_COLUMNS * n * R::BYTES + n * std::mem::size_of::<SpeciesId>();
         self.ledger.record_alloc(bytes);
         self.record_node("stage-ensemble", 0.0);
         StagedEnsemble {
-            x: UsmBuffer::from_vec(kind, x),
-            y: UsmBuffer::from_vec(kind, y),
-            z: UsmBuffer::from_vec(kind, z),
-            px: UsmBuffer::from_vec(kind, px),
-            py: UsmBuffer::from_vec(kind, py),
-            pz: UsmBuffer::from_vec(kind, pz),
-            weight: UsmBuffer::from_vec(kind, weight),
-            gamma: UsmBuffer::from_vec(kind, gamma),
-            species: UsmBuffer::from_vec(kind, species),
+            cols: ParticleColumns {
+                reals: host.reals.map(|c| UsmBuffer::from_vec(kind, c)),
+                species: UsmBuffer::from_vec(kind, host.species),
+            },
             bytes,
             ledger: Rc::clone(&self.ledger),
         }
@@ -419,12 +354,7 @@ impl DeviceExecutor {
         self.ledger.record_alloc(bytes);
         self.record_node("stage-fields", 0.0);
         StagedFields {
-            ex: UsmBuffer::from_vec(kind, pre.exs().to_vec()),
-            ey: UsmBuffer::from_vec(kind, pre.eys().to_vec()),
-            ez: UsmBuffer::from_vec(kind, pre.ezs().to_vec()),
-            bx: UsmBuffer::from_vec(kind, pre.bxs().to_vec()),
-            by: UsmBuffer::from_vec(kind, pre.bys().to_vec()),
-            bz: UsmBuffer::from_vec(kind, pre.bzs().to_vec()),
+            cols: pre.columns().map(|c| UsmBuffer::from_vec(kind, c.to_vec())),
             bytes,
             ledger: Rc::clone(&self.ledger),
         }
@@ -492,6 +422,7 @@ mod tests {
     use super::*;
     use pic_boris::AnalyticalSource;
     use pic_fields::UniformFields;
+    use pic_math::Vec3;
     use pic_particles::{AosEnsemble, ParticleStore, SoaEnsemble, SpeciesTable};
 
     fn ensemble<S: ParticleStore<f32> + Default>(n: usize) -> S {
@@ -532,20 +463,35 @@ mod tests {
 
     #[test]
     fn staging_round_trips_both_layouts_bitwise() {
-        let mut exec = DeviceExecutor::new(Device::iris_xe_max());
-        let aos: AosEnsemble<f32> = ensemble(37);
-        let soa: SoaEnsemble<f32> = ensemble(37);
-        let staged_a = exec.stage_ensemble(&aos);
-        let staged_s = exec.stage_ensemble(&soa);
-        let mut back_a: AosEnsemble<f32> = ensemble(37);
-        let mut back_s: SoaEnsemble<f32> = ensemble(37);
-        staged_a.write_back(&mut back_a);
-        staged_s.write_back(&mut back_s);
-        for i in 0..37 {
-            assert_eq!(back_a.get(i), aos.get(i));
-            assert_eq!(back_s.get(i), soa.get(i));
-            assert_eq!(back_a.get(i), back_s.get(i));
+        // 37 = four blocks of LANES and a tail; every column distinct,
+        // with the values `==` would blur (-0.0) or refuse (NaN).
+        fn distinct<S: ParticleStore<f32>>() -> S {
+            let mut s: S = ensemble(37);
+            for i in 0..37 {
+                let mut p = s.get(i);
+                p.momentum = Vec3::new(-0.0, f32::from_bits(0x7fc0_0000 + i as u32), 0.5);
+                p.weight = 2.0 + i as f32;
+                p.gamma = f32::MIN_POSITIVE / 4.0;
+                p.species = SpeciesId(i as u16 % 3);
+                s.set(i, &p);
+            }
+            s
         }
+        fn round_trip<S: ParticleStore<f32>>(exec: &mut DeviceExecutor) {
+            let source: S = distinct();
+            let staged = exec.stage_ensemble(&source);
+            let mut back: S = ensemble(37);
+            back.set(36, &Particle::default());
+            staged.write_back(&mut back);
+            for i in 0..37 {
+                let (want, got) = (source.get(i).to_row(), back.get(i).to_row());
+                assert_eq!(got.0.map(f32::to_bits), want.0.map(f32::to_bits), "{i}");
+                assert_eq!(got.1, want.1, "{i}");
+            }
+        }
+        let mut exec = DeviceExecutor::new(Device::iris_xe_max());
+        round_trip::<AosEnsemble<f32>>(&mut exec);
+        round_trip::<SoaEnsemble<f32>>(&mut exec);
     }
 
     #[test]
@@ -628,15 +574,18 @@ mod tests {
     }
 
     #[test]
-    fn staged_fields_rebuild_bitwise() {
+    fn staged_fields_are_the_table_bit_for_bit() {
         let mut exec = DeviceExecutor::new(Device::p630());
         let mut pre = PrecalculatedFields::<f64>::zeros(5);
         pre.set(
             3,
-            pic_fields::EB::new(Vec3::new(1.0, 2.0, 3.0), Vec3::new(4.0, 5.0, 6.0)),
+            pic_fields::EB::new(Vec3::new(1.0, 2.0, 3.0), Vec3::new(4.0, 5.0, -0.0)),
         );
         let staged = exec.stage_fields(&pre);
-        assert_eq!(staged.fields(), pre);
+        let bits = |cols: [&[f64]; FIELD_COLUMNS]| {
+            cols.map(|c| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(staged.columns()), bits(pre.columns()));
         assert!(!staged.is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! * **Analytical Fields** — evaluated from closed formulas at each
 //!   particle position; here the standing m-dipole wave of Eq. (14)
 //!   ([`dipole::DipoleStandingWave`]) plus simpler sources (uniform,
-//!   crossed, plane wave) used by tests and examples.
+//!   crossed) used by tests and examples.
 //! * **Precalculated Fields** — loaded from a per-particle array
 //!   ([`precalc::PrecalculatedFields`]) computed once in advance.
 //!
@@ -21,7 +21,6 @@ pub mod dipole_pulse;
 pub mod envelope;
 pub mod gaussian_beam;
 pub mod grid;
-pub mod plane_wave;
 pub mod precalc;
 pub mod sampler;
 pub mod uniform;
@@ -31,7 +30,6 @@ pub use dipole_pulse::DipolePulse;
 pub use envelope::{ConstantEnvelope, Envelope, Enveloped, GaussianEnvelope, Sin2Ramp};
 pub use gaussian_beam::GaussianBeam;
 pub use grid::{EmGrid, InterpOrder, ScalarGrid, Stagger};
-pub use plane_wave::PlaneWave;
 pub use precalc::PrecalculatedFields;
-pub use sampler::{BatchSampler, EbSlices, FieldSampler, EB};
+pub use sampler::{map_components, BatchSampler, EbSlices, FieldSampler, EB, FIELD_COLUMNS};
 pub use uniform::UniformFields;

@@ -5,9 +5,11 @@
 //! The arrays are stored SoA (one column per component), so the memory
 //! traffic of the Precalculated scenario matches the paper's description:
 //! an extra data array "comparable in size to the ensemble of particles"
-//! that must be streamed from RAM on every step.
+//! that must be streamed from RAM on every step. The columns are a
+//! `[Vec<R>; FIELD_COLUMNS]` in the order [`crate::sampler`] declares; no
+//! component is named in this file.
 
-use crate::sampler::{BatchSampler, EbSlices, FieldSampler, EB};
+use crate::sampler::{map_components, BatchSampler, EbSlices, FieldSampler, EB, FIELD_COLUMNS};
 use pic_math::{Real, Vec3};
 
 /// Precomputed (**E**, **B**) values, one entry per particle.
@@ -26,12 +28,8 @@ use pic_math::{Real, Vec3};
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PrecalculatedFields<R> {
-    ex: Vec<R>,
-    ey: Vec<R>,
-    ez: Vec<R>,
-    bx: Vec<R>,
-    by: Vec<R>,
-    bz: Vec<R>,
+    /// One column per component, in [`EB::to_array`] order.
+    cols: [Vec<R>; FIELD_COLUMNS],
 }
 
 impl<R: Real> PrecalculatedFields<R> {
@@ -43,40 +41,7 @@ impl<R: Real> PrecalculatedFields<R> {
     /// Creates an array of `n` zero field values.
     pub fn zeros(n: usize) -> PrecalculatedFields<R> {
         PrecalculatedFields {
-            ex: vec![R::ZERO; n],
-            ey: vec![R::ZERO; n],
-            ez: vec![R::ZERO; n],
-            bx: vec![R::ZERO; n],
-            by: vec![R::ZERO; n],
-            bz: vec![R::ZERO; n],
-        }
-    }
-
-    /// Reassembles an array from six externally owned component columns
-    /// (the device backend stages the columns through USM buffers and
-    /// rebuilds the array on the host side). All columns must have equal
-    /// length; the values are taken verbatim, so a round trip through
-    /// [`exs`](Self::exs)…[`bzs`](Self::bzs) is bitwise-identical.
-    pub fn from_columns(
-        ex: Vec<R>,
-        ey: Vec<R>,
-        ez: Vec<R>,
-        bx: Vec<R>,
-        by: Vec<R>,
-        bz: Vec<R>,
-    ) -> PrecalculatedFields<R> {
-        let n = ex.len();
-        assert!(
-            ey.len() == n && ez.len() == n && bx.len() == n && by.len() == n && bz.len() == n,
-            "from_columns: all six component columns must have equal length"
-        );
-        PrecalculatedFields {
-            ex,
-            ey,
-            ez,
-            bx,
-            by,
-            bz,
+            cols: std::array::from_fn(|_| vec![R::ZERO; n]),
         }
     }
 
@@ -117,35 +82,28 @@ impl<R: Real> PrecalculatedFields<R> {
             "fill_from: position slices must have equal length"
         );
         let range = start..start + xs.len();
-        let mut out = EbSlices {
-            ex: &mut self.ex[range.clone()],
-            ey: &mut self.ey[range.clone()],
-            ez: &mut self.ez[range.clone()],
-            bx: &mut self.bx[range.clone()],
-            by: &mut self.by[range.clone()],
-            bz: &mut self.bz[range],
-        };
+        let mut out = EbSlices::from_columns(map_components(self.cols.each_mut(), |c| {
+            &mut c[range.clone()]
+        }));
         sampler.sample_into(xs, ys, zs, time, &mut out);
     }
 
     /// Appends one field value.
     pub fn push(&mut self, f: EB<R>) {
-        self.ex.push(f.e.x);
-        self.ey.push(f.e.y);
-        self.ez.push(f.e.z);
-        self.bx.push(f.b.x);
-        self.by.push(f.b.y);
-        self.bz.push(f.b.z);
+        for (col, v) in self.cols.iter_mut().zip(f.to_array()) {
+            col.push(v);
+        }
     }
 
     /// Number of stored values.
     pub fn len(&self) -> usize {
-        self.ex.len()
+        // bounds: constant index into `[_; FIELD_COLUMNS]`.
+        self.cols[0].len()
     }
 
     /// `true` when no values are stored.
     pub fn is_empty(&self) -> bool {
-        self.ex.is_empty()
+        self.len() == 0
     }
 
     /// Field value for particle `i`.
@@ -157,10 +115,7 @@ impl<R: Real> PrecalculatedFields<R> {
     pub fn get(&self, i: usize) -> EB<R> {
         // bounds: all six component columns share `len()`; `i >= len()` is
         // this accessor's documented panic.
-        EB {
-            e: Vec3::new(self.ex[i], self.ey[i], self.ez[i]),
-            b: Vec3::new(self.bx[i], self.by[i], self.bz[i]),
-        }
+        EB::from_array(map_components(self.cols.each_ref(), |c| c[i]))
     }
 
     /// Overwrites the field value for particle `i`.
@@ -169,48 +124,22 @@ impl<R: Real> PrecalculatedFields<R> {
     ///
     /// Panics if `i >= len()`.
     pub fn set(&mut self, i: usize, f: EB<R>) {
-        self.ex[i] = f.e.x;
-        self.ey[i] = f.e.y;
-        self.ez[i] = f.e.z;
-        self.bx[i] = f.b.x;
-        self.by[i] = f.b.y;
-        self.bz[i] = f.b.z;
+        for (col, v) in self.cols.iter_mut().zip(f.to_array()) {
+            col[i] = v;
+        }
     }
 
     /// Bytes of memory the arrays occupy — the extra RAM traffic that makes
     /// the Precalculated scenario memory-bound (paper §5.3, conclusion 5).
     pub fn memory_bytes(&self) -> usize {
-        6 * self.len() * R::BYTES
+        FIELD_COLUMNS * self.len() * R::BYTES
     }
 
-    /// Electric field x column (one entry per particle).
-    pub fn exs(&self) -> &[R] {
-        &self.ex
-    }
-
-    /// Electric field y column.
-    pub fn eys(&self) -> &[R] {
-        &self.ey
-    }
-
-    /// Electric field z column.
-    pub fn ezs(&self) -> &[R] {
-        &self.ez
-    }
-
-    /// Magnetic field x column.
-    pub fn bxs(&self) -> &[R] {
-        &self.bx
-    }
-
-    /// Magnetic field y column.
-    pub fn bys(&self) -> &[R] {
-        &self.by
-    }
-
-    /// Magnetic field z column.
-    pub fn bzs(&self) -> &[R] {
-        &self.bz
+    /// The component columns (one entry per particle each), in
+    /// [`EB::to_array`] order — what a field source or a staging copy
+    /// reads.
+    pub fn columns(&self) -> [&[R]; FIELD_COLUMNS] {
+        self.cols.each_ref().map(Vec::as_slice)
     }
 }
 
@@ -251,37 +180,6 @@ mod tests {
         for (i, &pos) in positions.iter().enumerate() {
             assert_eq!(pre.get(i), wave.sample(pos, t), "particle {i}");
         }
-    }
-
-    #[test]
-    fn from_columns_round_trips_bitwise() {
-        let wave = DipoleStandingWave::<f32>::new(BENCH_POWER, BENCH_OMEGA);
-        let positions: Vec<Vec3<f32>> = (0..17)
-            .map(|i| Vec3::splat(0.02 * BENCH_WAVELENGTH as f32 * i as f32))
-            .collect();
-        let pre = PrecalculatedFields::from_sampler(&wave, positions.iter().copied(), 0.1);
-        let rebuilt = PrecalculatedFields::from_columns(
-            pre.exs().to_vec(),
-            pre.eys().to_vec(),
-            pre.ezs().to_vec(),
-            pre.bxs().to_vec(),
-            pre.bys().to_vec(),
-            pre.bzs().to_vec(),
-        );
-        assert_eq!(rebuilt, pre);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn from_columns_rejects_ragged_columns() {
-        let _ = PrecalculatedFields::<f64>::from_columns(
-            vec![0.0; 3],
-            vec![0.0; 2],
-            vec![0.0; 3],
-            vec![0.0; 3],
-            vec![0.0; 3],
-            vec![0.0; 3],
-        );
     }
 
     #[test]

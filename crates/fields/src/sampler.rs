@@ -26,6 +26,18 @@ impl<R: Real> EB<R> {
         EB { e, b }
     }
 
+    /// The six components in column order (see [`EbSlices`]).
+    #[inline(always)]
+    pub fn to_array(&self) -> [R; FIELD_COLUMNS] {
+        [self.e.x, self.e.y, self.e.z, self.b.x, self.b.y, self.b.z]
+    }
+
+    /// The inverse of [`to_array`](Self::to_array).
+    #[inline(always)]
+    pub fn from_array([ex, ey, ez, bx, by, bz]: [R; FIELD_COLUMNS]) -> EB<R> {
+        EB::new(Vec3::new(ex, ey, ez), Vec3::new(bx, by, bz))
+    }
+
     /// Electromagnetic energy density (E² + B²)/8π, erg/cm³.
     pub fn energy_density(&self) -> R {
         (self.e.norm2() + self.b.norm2()) / (R::from_f64(8.0) * R::PI)
@@ -49,6 +61,25 @@ impl<R: Real, S: FieldSampler<R> + ?Sized> FieldSampler<R> for &S {
     }
 }
 
+/// Number of field component columns: E then B, x y z each. This file
+/// is the one place the six are listed — [`EbSlices`]' fields,
+/// [`EbSlices::from_columns`]/[`as_columns_mut`](EbSlices::as_columns_mut) and
+/// [`EB::to_array`]/[`EB::from_array`]; field tables, their staged copies
+/// and the block copies hold a `[_; FIELD_COLUMNS]` in that order.
+pub const FIELD_COLUMNS: usize = 6;
+
+/// `[f(c0), f(c1), …]` over six component columns, in order. Written out
+/// rather than `array::map`, which does not reliably inline under
+/// per-particle lookups.
+#[inline(always)]
+pub fn map_components<A, B>(
+    cols: [A; FIELD_COLUMNS],
+    mut f: impl FnMut(A) -> B,
+) -> [B; FIELD_COLUMNS] {
+    let [c0, c1, c2, c3, c4, c5] = cols;
+    [f(c0), f(c1), f(c2), f(c3), f(c4), f(c5)]
+}
+
 /// Destination slices for one lane-block of field values, one component
 /// per slice (structure-of-arrays, mirroring `SoaEnsemble`).
 ///
@@ -69,6 +100,47 @@ pub struct EbSlices<'a, R> {
     pub bz: &'a mut [R],
 }
 
+impl<'a, R: Real> EbSlices<'a, R> {
+    /// Names six columns given in [`EB::to_array`] order.
+    #[inline(always)]
+    pub fn from_columns([ex, ey, ez, bx, by, bz]: [&'a mut [R]; FIELD_COLUMNS]) -> Self {
+        EbSlices {
+            ex,
+            ey,
+            ez,
+            bx,
+            by,
+            bz,
+        }
+    }
+
+    /// The six slices in [`EB::to_array`] order.
+    #[inline(always)]
+    pub fn as_columns_mut(&mut self) -> [&mut [R]; FIELD_COLUMNS] {
+        [
+            &mut *self.ex,
+            &mut *self.ey,
+            &mut *self.ez,
+            &mut *self.bx,
+            &mut *self.by,
+            &mut *self.bz,
+        ]
+    }
+
+    /// Writes the field value of lane `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is past the end of a slice.
+    #[inline(always)]
+    pub fn write_lane(&mut self, i: usize, f: EB<R>) {
+        // bounds: callers pass `i` below the common slice length.
+        for (col, v) in self.as_columns_mut().into_iter().zip(f.to_array()) {
+            col[i] = v;
+        }
+    }
+}
+
 /// Extension of [`FieldSampler`] that fills a whole lane-block of field
 /// values per call, so the hot sweep loop can evaluate fields as
 /// vectorizable component loops instead of one [`EB`] at a time.
@@ -85,13 +157,7 @@ pub trait BatchSampler<R: Real>: FieldSampler<R> {
         // bounds: the runtime slices xs/ys/zs and every EbSlices lane to the
         // same chunk length, so `i < xs.len()` indexes all of them in range.
         for i in 0..xs.len() {
-            let f = self.sample(Vec3::new(xs[i], ys[i], zs[i]), time);
-            out.ex[i] = f.e.x;
-            out.ey[i] = f.e.y;
-            out.ez[i] = f.e.z;
-            out.bx[i] = f.b.x;
-            out.by[i] = f.b.y;
-            out.bz[i] = f.b.z;
+            out.write_lane(i, self.sample(Vec3::new(xs[i], ys[i], zs[i]), time));
         }
     }
 }
@@ -109,7 +175,6 @@ impl<R: Real, S: BatchSampler<R> + ?Sized> BatchSampler<R> for &S {
 impl<R: Real> BatchSampler<R> for crate::dipole_pulse::DipolePulse<R> {}
 impl<R: Real> BatchSampler<R> for crate::gaussian_beam::GaussianBeam<R> {}
 impl<R: Real> BatchSampler<R> for crate::grid::EmGrid<R> {}
-impl<R: Real> BatchSampler<R> for crate::plane_wave::PlaneWave<R> {}
 impl<R: Real> BatchSampler<R> for crate::uniform::UniformFields<R> {}
 impl<R: Real, S: FieldSampler<R>, E: crate::envelope::Envelope> BatchSampler<R>
     for crate::envelope::Enveloped<S, E>
@@ -161,25 +226,12 @@ mod tests {
         let xs = [0.5, -1.0, 3.25];
         let ys = [2.0, 0.0, -0.125];
         let zs = [-4.0, 1.5, 0.75];
-        let (mut ex, mut ey, mut ez) = ([0.0; 3], [0.0; 3], [0.0; 3]);
-        let (mut bx, mut by, mut bz) = ([0.0; 3], [0.0; 3], [0.0; 3]);
-        let mut out = EbSlices {
-            ex: &mut ex,
-            ey: &mut ey,
-            ez: &mut ez,
-            bx: &mut bx,
-            by: &mut by,
-            bz: &mut bz,
-        };
+        let mut cols = [[0.0; 3]; FIELD_COLUMNS];
+        let mut out = EbSlices::from_columns(cols.each_mut().map(|c| &mut c[..]));
         Linear.sample_into(&xs, &ys, &zs, 0.25, &mut out);
         for i in 0..3 {
             let f = Linear.sample(Vec3::new(xs[i], ys[i], zs[i]), 0.25);
-            assert_eq!(ex[i], f.e.x);
-            assert_eq!(ey[i], f.e.y);
-            assert_eq!(ez[i], f.e.z);
-            assert_eq!(bx[i], f.b.x);
-            assert_eq!(by[i], f.b.y);
-            assert_eq!(bz[i], f.b.z);
+            assert_eq!(EB::from_array(cols.map(|c| c[i])), f);
         }
     }
 }

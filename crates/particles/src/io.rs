@@ -8,15 +8,17 @@
 //! line per particle — readable by `numpy.loadtxt` and by this module's
 //! [`read_ensemble`].
 //!
-//! The column list lives in four places here and nowhere else in the
-//! module: [`HEADER`], `widen` (particle → row), `narrow` (row →
-//! particle) and `write_row` (row → text). The text writer, the text
+//! The column list is [`crate::columns`]' and appears here only as text:
+//! [`HEADER`] (held equal to the schema's name table by a test) and
+//! `write_row`'s format string. `widen`/`narrow` are the schema's
+//! particle ↔ row mapping at `f64` width; the text writer, the text
 //! reader and every `ColumnSegment` operation go through those.
 
+use crate::columns::{ParticleColumns, Row, REAL_COLUMNS};
 use crate::particle::Particle;
 use crate::species::SpeciesId;
 use crate::view::{ParticleAccess, ParticleStore};
-use pic_math::{Real, Vec3};
+use pic_math::Real;
 use std::io::{self, BufRead, Write};
 
 /// The header line written before the particle records.
@@ -52,45 +54,25 @@ where
 {
     writeln!(out, "{HEADER}")?;
     for i in 0..store.len() {
-        let p = store.get(i);
-        write_row(out, &widen(&p), p.species.0)?;
+        write_row(out, &widen(&store.get(i)))?;
     }
     Ok(())
 }
 
-/// The real-valued columns of [`HEADER`], in order; `species` follows.
-const REAL_COLUMNS: usize = 8;
-
-/// A particle's real columns widened to `f64` (lossless for both
+/// A particle's row widened to `f64` / `u16` (lossless for both
 /// supported precisions), in [`HEADER`] order.
-fn widen<R: Real>(p: &Particle<R>) -> [f64; REAL_COLUMNS] {
-    let pos = p.position.to_f64();
-    let mom = p.momentum.to_f64();
-    [
-        pos.x,
-        pos.y,
-        pos.z,
-        mom.x,
-        mom.y,
-        mom.z,
-        p.weight.to_f64(),
-        p.gamma.to_f64(),
-    ]
+fn widen<R: Real>(p: &Particle<R>) -> Row<f64, u16> {
+    let (reals, species) = p.to_row();
+    (reals.map(R::to_f64), species.0)
 }
 
 /// The inverse of [`widen`]: exact for values that were widened from `R`.
-fn narrow<R: Real>(r: [f64; REAL_COLUMNS], species: u16) -> Particle<R> {
-    Particle {
-        position: Vec3::from_f64(Vec3::new(r[0], r[1], r[2])),
-        momentum: Vec3::from_f64(Vec3::new(r[3], r[4], r[5])),
-        weight: R::from_f64(r[6]),
-        gamma: R::from_f64(r[7]),
-        species: SpeciesId(species),
-    }
+fn narrow<R: Real>((reals, species): Row<f64, u16>) -> Particle<R> {
+    Particle::from_row((reals.map(R::from_f64), SpeciesId(species)))
 }
 
 /// Writes one particle line — the only place the text row is formatted.
-fn write_row<W: Write>(out: &mut W, r: &[f64; REAL_COLUMNS], species: u16) -> io::Result<()> {
+fn write_row<W: Write>(out: &mut W, (r, species): &Row<f64, u16>) -> io::Result<()> {
     writeln!(
         out,
         "{:e} {:e} {:e} {:e} {:e} {:e} {:e} {:e} {}",
@@ -146,7 +128,7 @@ where
                 format!("line {}: bad species id: {e}", lineno + 1),
             )
         })?;
-        store.push(narrow(reals, species));
+        store.push(narrow((reals, species)));
     }
     Ok(store)
 }
@@ -169,8 +151,7 @@ where
 /// permutation itself.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnSegment {
-    reals: [Vec<f64>; REAL_COLUMNS],
-    species: Vec<u16>,
+    cols: ParticleColumns<Vec<f64>, Vec<u16>>,
 }
 
 /// Magic tag leading the binary encoding of a [`ColumnSegment`].
@@ -231,30 +212,26 @@ impl ColumnSegment {
         let mut seg = ColumnSegment::with_capacity(len);
         for i in 0..len {
             let p = store.get(offset + order.map_or(i, |o| o[i]));
-            for (col, v) in seg.reals.iter_mut().zip(widen(&p)) {
-                col.push(v);
-            }
-            seg.species.push(p.species.0);
+            seg.cols.push_row(widen(&p));
         }
         seg
     }
 
     /// An empty segment with room for `len` particles per column.
     pub fn with_capacity(len: usize) -> ColumnSegment {
-        ColumnSegment {
-            reals: std::array::from_fn(|_| Vec::with_capacity(len)),
-            species: Vec::with_capacity(len),
-        }
+        let mut seg = ColumnSegment::default();
+        seg.cols.reserve_rows(len);
+        seg
     }
 
     /// Number of particles in the segment.
     pub fn len(&self) -> usize {
-        self.species.len()
+        self.cols.len()
     }
 
     /// `true` when the segment holds no particles.
     pub fn is_empty(&self) -> bool {
-        self.species.is_empty()
+        self.cols.is_empty()
     }
 
     /// Approximate payload size in bytes (the splice cost unit).
@@ -278,19 +255,18 @@ impl ColumnSegment {
     {
         check_range(offset, self.len(), store.len(), order);
         for i in 0..self.len() {
-            let row = order.map_or(i, |o| o[i]);
-            let reals = std::array::from_fn(|c| self.reals[c][row]);
-            store.set(offset + i, &narrow(reals, self.species[row]));
+            let row = self.cols.row_at(order.map_or(i, |o| o[i]));
+            store.set(offset + i, &narrow(row));
         }
     }
 
     /// Appends every particle of `other` after this segment's — the
     /// in-order gather splice (column `extend`s, no per-field work).
     pub fn append(&mut self, other: &ColumnSegment) {
-        for (col, more) in self.reals.iter_mut().zip(&other.reals) {
+        for (col, more) in self.cols.reals.iter_mut().zip(&other.cols.reals) {
             col.extend_from_slice(more);
         }
-        self.species.extend_from_slice(&other.species);
+        self.cols.species.extend_from_slice(&other.cols.species);
     }
 
     /// Writes the particle lines (no header) in exactly the format of
@@ -302,8 +278,7 @@ impl ColumnSegment {
     /// Propagates any I/O error from `out`.
     pub fn write_text<W: Write>(&self, out: &mut W) -> io::Result<()> {
         for i in 0..self.len() {
-            let reals = std::array::from_fn(|c| self.reals[c][i]);
-            write_row(out, &reals, self.species[i])?;
+            write_row(out, &self.cols.row_at(i))?;
         }
         Ok(())
     }
@@ -314,10 +289,10 @@ impl ColumnSegment {
         let mut out = Vec::with_capacity(SEGMENT_MAGIC.len() + 8 + self.byte_len());
         out.extend_from_slice(&SEGMENT_MAGIC);
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self.reals.iter().flatten() {
+        for v in self.cols.reals.iter().flatten() {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        for s in &self.species {
+        for s in &self.cols.species {
             out.extend_from_slice(&s.to_le_bytes());
         }
         out
@@ -356,7 +331,7 @@ impl ColumnSegment {
             )));
         }
         let mut seg = ColumnSegment::with_capacity(n);
-        for col in &mut seg.reals {
+        for col in &mut seg.cols.reals {
             let (raw, tail) = rest.split_at(n * 8);
             rest = tail;
             col.extend(
@@ -364,7 +339,7 @@ impl ColumnSegment {
                     .map(|c| f64::from_le_bytes(c.try_into().unwrap_or([0; 8]))),
             );
         }
-        seg.species.extend(
+        seg.cols.species.extend(
             rest.chunks_exact(2)
                 .map(|c| u16::from_le_bytes(c.try_into().unwrap_or([0; 2]))),
         );
@@ -378,6 +353,7 @@ mod tests {
     use crate::aos::AosEnsemble;
     use crate::soa::SoaEnsemble;
     use pic_math::constants::{ELECTRON_MASS, LIGHT_VELOCITY};
+    use pic_math::Vec3;
 
     fn sample() -> AosEnsemble<f64> {
         (0..25)

@@ -10,6 +10,10 @@
 //! * [`SoaEnsemble`] — *structure of arrays* layout.
 //! * [`ParticleView`] — the proxy abstraction (paper's `ParticleProxy`)
 //!   that lets one generic kernel run over either layout.
+//! * [`columns`] — the column schema: the one declaration of the
+//!   particle attributes in column form ([`ParticleColumns`]), which the
+//!   SoA store, its chunks, the kernel's blocks, the device staging and
+//!   the [`ColumnSegment`] all instantiate.
 //! * [`init`] — initial distributions (the benchmark's uniform sphere of
 //!   electrons at rest, Maxwellian momenta, …).
 //! * [`sort`] — periodic cell sorting for cache locality (paper §3 notes
@@ -42,6 +46,7 @@
 
 pub mod aos;
 pub mod cells;
+pub mod columns;
 pub mod init;
 pub mod io;
 pub mod particle;
@@ -52,8 +57,9 @@ pub mod view;
 
 pub use aos::{AosChunkMut, AosEnsemble};
 pub use cells::CellEnsemble;
+pub use columns::{ColumnsMut, ColumnsRef, ParticleColumns, SoaRefMut};
 pub use io::ColumnSegment;
 pub use particle::Particle;
-pub use soa::{SoaChunkMut, SoaEnsemble, SoaLanesMut, SoaRefMut};
+pub use soa::{SoaChunkMut, SoaEnsemble, SoaStore};
 pub use species::{Species, SpeciesId, SpeciesTable};
 pub use view::{DynKernel, Layout, ParticleAccess, ParticleKernel, ParticleStore, ParticleView};

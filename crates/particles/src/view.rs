@@ -13,6 +13,7 @@
 //! * [`ParticleStore`] — a growable [`ParticleAccess`] (the full ensembles;
 //!   chunks only implement `ParticleAccess`).
 
+use crate::columns::{ColumnsMut, ColumnsRef};
 use crate::particle::Particle;
 use crate::species::SpeciesId;
 use pic_math::{Real, Vec3};
@@ -192,7 +193,7 @@ pub trait ParticleKernel<R: Real> {
     /// Processes every particle of `chunk`. The default loops over
     /// [`apply`](Self::apply) through the layout-native views; kernels
     /// with a faster whole-chunk form (the zero-gather SoA Boris path)
-    /// override this to dispatch on [`ParticleAccess::soa_lanes_mut`].
+    /// override this to dispatch on [`ParticleAccess::columns_mut`].
     fn apply_chunk<A: ParticleAccess<R>>(&mut self, chunk: &mut A)
     where
         Self: Sized,
@@ -283,21 +284,18 @@ pub trait ParticleAccess<R: Real>: Send {
         }
     }
 
-    /// Direct mutable access to the structure-of-arrays component columns,
-    /// when this collection is SoA-backed. `None` (the default) means the
-    /// layout has no contiguous columns and callers must go through the
-    /// per-particle views; `Some` lets kernels run straight-line lane
-    /// loops with no gather/scatter.
-    fn soa_lanes_mut(&mut self) -> Option<crate::soa::SoaLanesMut<'_, R>> {
+    /// The component columns as shared slices, when this collection is
+    /// column-backed (SoA). `None` (the default) means there are no
+    /// contiguous columns and callers must go through
+    /// [`get`](Self::get) or the per-particle views.
+    fn columns(&self) -> Option<ColumnsRef<'_, R>> {
         None
     }
 
-    /// The x, y and z position columns, when this collection is
-    /// SoA-backed — the read-only counterpart of
-    /// [`soa_lanes_mut`](Self::soa_lanes_mut) for set-up passes that only
-    /// look at positions. `None` (the default) means there are no
-    /// contiguous columns.
-    fn position_columns(&self) -> Option<(&[R], &[R], &[R])> {
+    /// [`columns`](Self::columns) as mutable slices: `Some` lets kernels
+    /// run straight-line lane loops with no gather/scatter. Row 0 is
+    /// particle [`base_index`](Self::base_index) of the owning ensemble.
+    fn columns_mut(&mut self) -> Option<ColumnsMut<'_, R>> {
         None
     }
 

@@ -35,7 +35,9 @@ pub use affinity::{slot_of, AffinityMap};
 pub use cancel::CancelToken;
 pub use reduce::parallel_reduce;
 pub use schedule::Schedule;
-pub use sweep::{parallel_sweep, parallel_sweep_cancellable, SweepReport, ThreadReport};
+pub use sweep::{
+    imbalance_of, parallel_sweep, parallel_sweep_cancellable, SweepReport, ThreadReport,
+};
 pub use target::ExecTarget;
 pub use topology::Topology;
 pub use tune::GrainTuner;

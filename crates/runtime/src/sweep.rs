@@ -23,6 +23,26 @@ pub struct ThreadReport {
     pub busy_ns: u64,
 }
 
+/// Load imbalance of per-thread amounts of work (particles, busy time):
+/// the busiest thread's amount divided by the mean, so 1.0 is perfectly
+/// balanced. Fewer than two threads, or no work at all, have no
+/// imbalance to speak of and give 0.0 — never NaN — so the figure stays
+/// safe to emit per batch. This is the one definition behind
+/// [`SweepReport::imbalance`], the bench harness's run totals and the
+/// served job report (`BenchRecord::imbalance` states the convention).
+pub fn imbalance_of(amounts: impl IntoIterator<Item = u64>) -> f64 {
+    let (mut threads, mut total, mut max) = (0u64, 0u64, 0u64);
+    for amount in amounts {
+        threads += 1;
+        total += amount;
+        max = max.max(amount);
+    }
+    if threads <= 1 || total == 0 {
+        return 0.0;
+    }
+    max as f64 / (total as f64 / threads as f64)
+}
+
 /// Accounting of one sweep across all threads.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepReport {
@@ -41,18 +61,9 @@ impl SweepReport {
         self.threads.iter().map(|t| t.chunks).sum()
     }
 
-    /// Load imbalance: the busiest thread's particle count divided by the
-    /// mean (1.0 = perfectly balanced). Empty and single-thread reports
-    /// have no imbalance to speak of and return 0.0 — never NaN — so the
-    /// metric stays safe to emit per batch from the serving layer.
+    /// Particle-count load imbalance ([`imbalance_of`]).
     pub fn imbalance(&self) -> f64 {
-        let total = self.total_particles();
-        if total == 0 || self.threads.len() <= 1 {
-            return 0.0;
-        }
-        let mean = total as f64 / self.threads.len() as f64;
-        let max = self.threads.iter().map(|t| t.particles).max().unwrap_or(0);
-        max as f64 / mean
+        imbalance_of(self.threads.iter().map(|t| t.particles as u64))
     }
 
     /// Total kernel busy time across all threads, nanoseconds (0 unless
@@ -61,18 +72,9 @@ impl SweepReport {
         self.threads.iter().map(|t| t.busy_ns).sum()
     }
 
-    /// Busy-time load imbalance: the busiest thread's kernel time divided
-    /// by the mean (1.0 = perfectly balanced). Untimed, empty and
-    /// single-thread reports return 0.0 (undefined, not ideal) — never
-    /// NaN — matching [`imbalance`](Self::imbalance).
+    /// Busy-time load imbalance ([`imbalance_of`]; 0.0 when untimed).
     pub fn time_imbalance(&self) -> f64 {
-        let total = self.total_busy_ns();
-        if total == 0 || self.threads.len() <= 1 {
-            return 0.0;
-        }
-        let mean = total as f64 / self.threads.len() as f64;
-        let max = self.threads.iter().map(|t| t.busy_ns).max().unwrap_or(0);
-        max as f64 / mean
+        imbalance_of(self.threads.iter().map(|t| t.busy_ns))
     }
 
     /// Merges per-shard imbalance metrics into one job-level figure,
@@ -620,6 +622,9 @@ mod tests {
             ],
         };
         assert!((lopsided.imbalance() - 1.8).abs() < 1e-12);
+        // An idle thread is a thread: it lowers the mean, it is not
+        // filtered out.
+        assert!((imbalance_of([30, 10, 0]) - 2.25).abs() < 1e-12);
     }
 
     #[test]

@@ -52,7 +52,7 @@ use pic_math::Real;
 use pic_particles::sort::{apply_perm, invert_perm, morton_perm};
 use pic_particles::{AosEnsemble, ColumnSegment, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Precision;
-use pic_runtime::{CancelToken, ExecTarget};
+use pic_runtime::{imbalance_of, CancelToken, ExecTarget};
 use pic_telemetry::ThreadStat;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -315,7 +315,7 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
                     boundary(step)
                 },
             );
-            merge_thread_stats(&mut thread_stats, &run.thread_stats);
+            merge_thread_stats(&mut thread_stats, run.thread_stats);
             (run.steps_done, run.interrupted)
         } else {
             let run = run_device_steps(
@@ -358,8 +358,8 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
     } else {
         device_ns / denom as f64
     };
-    let imbalance = count_imbalance(&thread_stats, |t| t.particles);
-    let time_imbalance = count_imbalance(&thread_stats, |t| t.busy_ns);
+    let imbalance = imbalance_of(thread_stats.iter().map(|t| t.particles));
+    let time_imbalance = imbalance_of(thread_stats.iter().map(|t| t.busy_ns));
     for (k, job) in jobs.iter().enumerate() {
         if !alive[k] {
             continue;
@@ -408,51 +408,5 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
                 shared.complete(job, report, dump);
             }
         }
-    }
-}
-
-/// Busiest-thread-over-mean minus one, as a fraction; 0.0 for empty or
-/// single-thread runs (PR 4 semantics, matching `SweepReport`).
-fn count_imbalance<F: Fn(&ThreadStat) -> u64>(stats: &[ThreadStat], field: F) -> f64 {
-    let active: Vec<u64> = stats.iter().map(&field).filter(|&v| v > 0).collect();
-    if active.len() <= 1 {
-        return 0.0;
-    }
-    let total: u64 = active.iter().sum();
-    let max = active.iter().copied().max().unwrap_or(0);
-    if total == 0 {
-        return 0.0;
-    }
-    let mean = total as f64 / active.len() as f64;
-    max as f64 / mean - 1.0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn stat(thread: u64, particles: u64, busy_ns: u64) -> ThreadStat {
-        ThreadStat {
-            thread,
-            domain: 0,
-            chunks: 1,
-            particles,
-            busy_ns,
-        }
-    }
-
-    #[test]
-    fn imbalance_is_zero_for_degenerate_runs() {
-        assert_eq!(count_imbalance(&[], |t| t.particles), 0.0);
-        assert_eq!(count_imbalance(&[stat(0, 10, 5)], |t| t.particles), 0.0);
-    }
-
-    #[test]
-    fn imbalance_measures_spread() {
-        let stats = [stat(0, 30, 3), stat(1, 10, 1)];
-        let by_count = count_imbalance(&stats, |t| t.particles);
-        assert!((by_count - 0.5).abs() < 1e-12, "{by_count}");
-        let by_time = count_imbalance(&stats, |t| t.busy_ns);
-        assert!((by_time - 0.5).abs() < 1e-12, "{by_time}");
     }
 }

@@ -67,9 +67,13 @@ pub struct BenchRecord {
     pub steady_nsps: f64,
     /// Mean NSPS over all iterations.
     pub mean_nsps: f64,
-    /// Particle-count load imbalance: busiest thread / mean (1.0 ideal).
+    /// Particle-count load imbalance: busiest thread / mean, so 1.0 is
+    /// ideal; 0.0 means undefined — fewer than two threads (a device
+    /// launch has none) or no work counted. Every producer (bench
+    /// harness, served jobs, sweep reports) computes it with
+    /// `pic_runtime::imbalance_of`.
     pub imbalance: f64,
-    /// Busy-time load imbalance: busiest thread's busy time / mean.
+    /// Busy-time load imbalance, same convention (0.0 when untimed).
     pub time_imbalance: f64,
     /// Per-thread totals, ordered by thread id.
     pub thread_stats: Vec<ThreadStat>,

@@ -5,6 +5,7 @@ use pic_boris::{
     AnalyticalSource, BorisPusher, HigueraCaryPusher, PushKernel, Pusher, SharedPushKernel,
     VayPusher,
 };
+use pic_device::{Device, DeviceExecutor};
 use pic_fields::UniformFields;
 use pic_math::constants::{ELECTRON_MASS, LIGHT_VELOCITY};
 use pic_math::Vec3;
@@ -25,8 +26,76 @@ fn arb_particle() -> impl Strategy<Value = Particle<f64>> {
         .prop_map(move |(pos, u, w)| Particle::new(pos, u * mc, w, SpeciesId(0), ELECTRON_MASS))
 }
 
+/// What every `ParticleAccess` implementor owes its callers, checked on
+/// `store` (any implementor, any base index) against the records it is
+/// to hold: `set` then `get` is the identity, the column view (when
+/// there is one) is the same particles, and `split_sizes_mut` chunks tile
+/// the store in order with the right bases.
+fn check_access<A: ParticleAccess<f64>>(
+    store: &mut A,
+    expect: &[Particle<f64>],
+) -> Result<(), proptest::TestCaseError> {
+    let n = store.len();
+    prop_assert_eq!(n, expect.len());
+    for (i, p) in expect.iter().enumerate() {
+        store.set(i, p);
+        prop_assert_eq!(store.get(i), *p);
+    }
+    prop_assert_eq!(store.columns().is_some(), store.columns_mut().is_some());
+    if let Some(cols) = store.columns() {
+        prop_assert_eq!(cols.len(), n);
+        for (i, p) in expect.iter().enumerate() {
+            prop_assert_eq!(Particle::from_row(cols.row_at(i)), *p);
+        }
+    }
+    let (base, mut seen) = (store.base_index(), 0);
+    for chunk in store.split_sizes_mut(&[n / 3, 0, n - n / 3]) {
+        prop_assert_eq!(chunk.base_index(), base + seen);
+        for i in 0..chunk.len() {
+            prop_assert_eq!(chunk.get(i), expect[seen + i]);
+        }
+        seen += chunk.len();
+    }
+    prop_assert_eq!(seen, n);
+    Ok(())
+}
+
+/// [`check_access`] on `store` and on each of its chunks (whose own
+/// splits are then nested, with non-zero bases).
+fn check_store_and_chunks<S: ParticleStore<f64>>(
+    fresh: &[Particle<f64>],
+    chunk: usize,
+) -> Result<(), proptest::TestCaseError> {
+    // Start from other contents, so that `set` has work to do.
+    let mut store = S::from_particles(fresh.iter().rev().copied());
+    check_access(&mut store, fresh)?;
+    for (k, mut part) in store.split_mut(chunk).into_iter().enumerate() {
+        prop_assert_eq!(part.base_index(), k * chunk);
+        let range = k * chunk..k * chunk + part.len();
+        check_access(&mut part, &fresh[range])?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_access_implementor_keeps_the_same_contract(
+        particles in prop::collection::vec(arb_particle(), 1..60),
+        chunk in 1usize..20,
+    ) {
+        check_store_and_chunks::<SoaEnsemble<f64>>(&particles, chunk)?;
+        check_store_and_chunks::<AosEnsemble<f64>>(&particles, chunk)?;
+        // A chunk over device-staged columns, from either layout.
+        let mut exec = DeviceExecutor::new(Device::p630());
+        let blank: AosEnsemble<f64> = particles.iter().map(|_| Particle::default()).collect();
+        let mut staged = exec.stage_ensemble(&blank);
+        check_access(&mut staged.chunk_mut(), &particles)?;
+        let mut back = blank;
+        staged.write_back(&mut back);
+        prop_assert_eq!(back.to_particles(), particles);
+    }
 
     #[test]
     fn aos_and_soa_stay_bitwise_identical(
