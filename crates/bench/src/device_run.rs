@@ -15,10 +15,11 @@
 //! device records carry `steps_per_iteration = 1` and the first
 //! iteration pays exactly the modeled JIT factor (§5.3).
 
+use crate::emit::RecordSubject;
 use crate::measure::bench_grid;
 use crate::run::{KernelVariant, MdipoleScenario};
 use crate::scenario::{bench_dt, build_ensemble, BenchConfig};
-use pic_boris::{BorisPusher, FieldSource, PrecalculatedSource, Pusher, SoaBorisKernel};
+use pic_boris::{FieldSource, PrecalculatedSource, SoaBorisKernel};
 use pic_device::{Device, DeviceExecutor, Event, StagedEnsemble, SweepProfile};
 use pic_math::stats::Summary;
 use pic_math::Real;
@@ -26,9 +27,9 @@ use pic_particles::sort::{cell_order_fraction, PeriodicSorter, SortOrder};
 use pic_particles::{
     AosEnsemble, Layout, ParticleAccess, ParticleStore, SoaEnsemble, SpeciesTable,
 };
-use pic_perfmodel::{GpuModel, KernelCost, Precision, Scenario};
-use pic_runtime::{CancelToken, ExecTarget};
-use pic_telemetry::{BenchRecord, ThreadStat, SCHEMA_VERSION};
+use pic_perfmodel::{GpuModel, Precision, Scenario};
+use pic_runtime::{CancelToken, ExecTarget, Schedule, Topology};
+use pic_telemetry::{BenchRecord, ThreadStat};
 
 /// The floating-point precision of `R`, for profiles and records.
 pub fn precision_of<R: Real>() -> Precision {
@@ -323,34 +324,29 @@ pub fn device_record(
     cfg: &BenchConfig,
     run: &DeviceMeasuredRun,
 ) -> BenchRecord {
-    let cost = KernelCost::boris(scenario, layout, precision);
-    let tally = Pusher::<f64>::tally(&BorisPusher);
-    let model_nsps =
-        gpu_model_of(target).map_or(0.0, |model| model.nsps(scenario, layout, precision));
-    let steady_nsps = run.steady_nsps();
     let iteration_ns = run.iteration_ns();
     let launches = run.events.len() as u64;
     let total_ns: f64 = iteration_ns.iter().sum();
-    BenchRecord {
-        schema: SCHEMA_VERSION,
-        label: label.to_string(),
-        layout: layout.name().to_string(),
-        scenario: scenario.name().to_string(),
-        precision: precision.name().to_string(),
-        // The paper's GPU port is plain DPC++ (no NUMA/OpenMP modes on
-        // the device); the in-order queue serializes launches.
-        schedule: "DPC++".to_string(),
-        threads: 1,
-        domains: 1,
-        particles: cfg.particles as u64,
+    // The paper's GPU port is plain DPC++ (no NUMA/OpenMP modes on the
+    // device) and its in-order queue serializes launches: the dynamic
+    // schedule's paper row on one thread.
+    let subject = RecordSubject {
+        label,
+        layout,
+        scenario,
+        precision,
+        schedule: Schedule::dynamic(),
+        variant: KernelVariant::SoaFast,
+        topology: &Topology::single(1),
+        target,
+        particles: cfg.particles,
         steps_per_iteration: 1,
+    };
+    BenchRecord {
         iterations: launches,
         iteration_ns,
         warmup_nsps: run.warmup_nsps(),
-        steady_nsps,
         mean_nsps: run.mean_nsps(),
-        imbalance: 0.0,
-        time_imbalance: 0.0,
         thread_stats: vec![ThreadStat {
             thread: 0,
             domain: 0,
@@ -358,31 +354,8 @@ pub fn device_record(
             particles: cfg.particles as u64 * launches,
             busy_ns: total_ns as u64,
         }],
-        flops_per_particle: tally.flop_equivalents(),
-        bytes_per_particle: cost.bytes_total(),
-        model_nsps,
-        model_ratio: if model_nsps > 0.0 {
-            steady_nsps / model_nsps
-        } else {
-            0.0
-        },
-        queue_wait_ns: 0.0,
-        batch_size: 1,
-        outcome: "completed".to_string(),
-        kernel_variant: KernelVariant::SoaFast.name().to_string(),
         order_fraction: run.order_fraction,
-        cache_hit: false,
-        resumes: 0,
-        resumed_from_step: 0,
-        shards: 0,
-        shard_id: 0,
-        device: if target.is_host() {
-            String::new()
-        } else {
-            target.name().to_string()
-        },
-        pinned: false,
-        gather_ns: 0.0,
+        ..subject.record(run.steady_nsps())
     }
 }
 
@@ -390,7 +363,6 @@ pub fn device_record(
 mod tests {
     use super::*;
     use crate::run::run_mdipole_steps;
-    use pic_runtime::{Schedule, Topology};
 
     fn host_reference<R: Real>(scenario: Scenario, n: usize, steps: usize) -> SoaEnsemble<R> {
         let mut store: SoaEnsemble<R> = build_ensemble(n, 7);
@@ -506,7 +478,13 @@ mod tests {
         assert_eq!(rec.device, "p630");
         assert_eq!(rec.steps_per_iteration, 1);
         assert_eq!(rec.iterations, cfg.iterations as u64);
-        assert!(rec.key().ends_with("|Dp630"));
+        assert_eq!(
+            rec.key(),
+            format!(
+                "AoS|Analytical Fields|float|DPC++|t1|d1|n{}|s1|ksoa-fast|Dp630",
+                cfg.particles
+            )
+        );
         // Steady equals the model on a modeled device: ratio is 1.
         assert!((rec.model_ratio - 1.0).abs() < 1e-9, "{}", rec.model_ratio);
         let back = BenchRecord::from_json(&rec.to_json()).expect("round trip");

@@ -7,13 +7,14 @@
 //! --emit-metrics` flag and the regression-gate tests both build records
 //! through here so artifacts stay schema-consistent.
 
+use crate::device_run::gpu_model_of;
 use crate::measure::MeasuredRun;
 use crate::run::KernelVariant;
 use crate::scenario::BenchConfig;
 use pic_boris::{BorisPusher, Pusher};
 use pic_particles::Layout;
 use pic_perfmodel::{CpuModel, KernelCost, Parallelization, Precision, Scenario};
-use pic_runtime::{Schedule, Topology};
+use pic_runtime::{ExecTarget, Schedule, Topology};
 use pic_telemetry::{BenchRecord, SCHEMA_VERSION};
 
 /// Maps a runtime schedule onto the paper's parallelization row used for
@@ -31,11 +32,96 @@ pub fn parallelization_of(schedule: Schedule) -> Parallelization {
     }
 }
 
-/// Assembles the full provenance record for one measured configuration.
-///
-/// The model prediction uses the paper's CPU (2×24-core Xeon 8260L) at
-/// this run's thread count, so `model_ratio` reads as "this host vs the
-/// paper's machine" rather than a same-host residual.
+/// What a record is about — the identity half of a [`BenchRecord`].
+/// The model half (kernel tallies, roofline prediction) follows from it,
+/// so every producer (host harness, device harness, served jobs) starts
+/// from [`RecordSubject::record`] and fills in only what it measured.
+#[derive(Clone, Copy, Debug)]
+pub struct RecordSubject<'a> {
+    /// Label of the emitting run.
+    pub label: &'a str,
+    /// Particle layout.
+    pub layout: Layout,
+    /// Benchmark scenario.
+    pub scenario: Scenario,
+    /// Floating-point precision.
+    pub precision: Precision,
+    /// Sweep schedule (names the record's paper row).
+    pub schedule: Schedule,
+    /// Pusher kernel variant.
+    pub variant: KernelVariant,
+    /// Thread topology of the sweep.
+    pub topology: &'a Topology,
+    /// Execution target; the host leaves the `device` dimension empty.
+    pub target: ExecTarget,
+    /// Macroparticles in the ensemble.
+    pub particles: usize,
+    /// Pusher steps per measured iteration.
+    pub steps_per_iteration: usize,
+}
+
+impl RecordSubject<'_> {
+    /// The record of a run that measured `steady_nsps`: identity, model
+    /// prediction and `model_ratio` filled in, the bench-harness
+    /// defaults for the serving dimensions (never queued, a batch of
+    /// one, completed), every other measurement left at its zero for
+    /// the caller's struct update.
+    ///
+    /// A host prediction uses the paper's CPU (2×24-core Xeon 8260L) at
+    /// this run's thread count, so `model_ratio` reads as "this host vs
+    /// the paper's machine" rather than a same-host residual; a device
+    /// prediction is the target's GPU roofline.
+    pub fn record(&self, steady_nsps: f64) -> BenchRecord {
+        let threads = self.topology.total_threads();
+        let model_nsps = match gpu_model_of(self.target) {
+            Some(gpu) => gpu.nsps(self.scenario, self.layout, self.precision),
+            None => {
+                let cpu = CpuModel::endeavour();
+                cpu.nsps(
+                    self.scenario,
+                    self.layout,
+                    self.precision,
+                    parallelization_of(self.schedule),
+                    threads.clamp(1, cpu.spec.sockets * cpu.spec.cores_per_socket),
+                )
+            }
+        };
+        BenchRecord {
+            schema: SCHEMA_VERSION,
+            label: self.label.to_string(),
+            layout: self.layout.name().to_string(),
+            scenario: self.scenario.name().to_string(),
+            precision: self.precision.name().to_string(),
+            schedule: self.schedule.paper_name().to_string(),
+            threads: threads as u64,
+            domains: self.topology.domains() as u64,
+            particles: self.particles as u64,
+            steps_per_iteration: self.steps_per_iteration as u64,
+            steady_nsps,
+            flops_per_particle: Pusher::<f64>::tally(&BorisPusher).flop_equivalents(),
+            bytes_per_particle: KernelCost::boris(self.scenario, self.layout, self.precision)
+                .bytes_total(),
+            model_nsps,
+            model_ratio: if model_nsps > 0.0 {
+                steady_nsps / model_nsps
+            } else {
+                0.0
+            },
+            batch_size: 1,
+            outcome: "completed".to_string(),
+            kernel_variant: self.variant.name().to_string(),
+            device: if self.target.is_host() {
+                String::new()
+            } else {
+                self.target.name().to_string()
+            },
+            ..BenchRecord::default()
+        }
+    }
+}
+
+/// Assembles the full provenance record for one measured host
+/// configuration.
 #[allow(clippy::too_many_arguments)]
 pub fn bench_record(
     label: &str,
@@ -48,62 +134,28 @@ pub fn bench_record(
     cfg: &BenchConfig,
     run: &MeasuredRun,
 ) -> BenchRecord {
-    let threads = topology.total_threads();
-    let cost = KernelCost::boris(scenario, layout, precision);
-    let tally = Pusher::<f64>::tally(&BorisPusher);
-    let model = CpuModel::endeavour();
-    let model_nsps = model.nsps(
-        scenario,
+    let subject = RecordSubject {
+        label,
         layout,
+        scenario,
         precision,
-        parallelization_of(schedule),
-        threads.clamp(1, model.spec.sockets * model.spec.cores_per_socket),
-    );
-    let steady_nsps = run.steady_nsps();
+        schedule,
+        variant,
+        topology,
+        target: ExecTarget::Host,
+        particles: cfg.particles,
+        steps_per_iteration: cfg.steps_per_iteration,
+    };
     BenchRecord {
-        schema: SCHEMA_VERSION,
-        label: label.to_string(),
-        layout: layout.name().to_string(),
-        scenario: scenario.name().to_string(),
-        precision: precision.name().to_string(),
-        schedule: schedule.paper_name().to_string(),
-        threads: threads as u64,
-        domains: topology.domains() as u64,
-        particles: cfg.particles as u64,
-        steps_per_iteration: cfg.steps_per_iteration as u64,
         iterations: run.iteration_ns.len() as u64,
         iteration_ns: run.iteration_ns.clone(),
         warmup_nsps: run.first_iteration_nsps(),
-        steady_nsps,
         mean_nsps: run.nsps(),
         imbalance: run.imbalance(),
         time_imbalance: run.time_imbalance(),
         thread_stats: run.thread_stats.clone(),
-        flops_per_particle: tally.flop_equivalents(),
-        bytes_per_particle: cost.bytes_total(),
-        model_nsps,
-        model_ratio: if model_nsps > 0.0 {
-            steady_nsps / model_nsps
-        } else {
-            0.0
-        },
-        // Bench-harness runs never queue and are never batched with
-        // other work; the serving layer overrides these.
-        queue_wait_ns: 0.0,
-        batch_size: 1,
-        outcome: "completed".to_string(),
-        kernel_variant: variant.name().to_string(),
         order_fraction: run.order_fraction,
-        cache_hit: false,
-        resumes: 0,
-        resumed_from_step: 0,
-        shards: 0,
-        shard_id: 0,
-        // Host-harness records have no device dimension; the device
-        // backend's records are built by `crate::device_record`.
-        device: String::new(),
-        pinned: false,
-        gather_ns: 0.0,
+        ..subject.record(run.steady_nsps())
     }
 }
 
@@ -130,6 +182,13 @@ mod tests {
             &run,
         );
         assert_eq!(rec.schema, SCHEMA_VERSION);
+        assert_eq!(
+            rec.key(),
+            format!(
+                "SoA|Precalculated Fields|float|DPC++ NUMA|t4|d2|n{}|s{}|ksoa-fast",
+                cfg.particles, cfg.steps_per_iteration
+            )
+        );
         assert_eq!(rec.layout, "SoA");
         assert_eq!(rec.schedule, "DPC++ NUMA");
         assert_eq!(rec.kernel_variant, "soa-fast");

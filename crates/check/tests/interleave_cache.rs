@@ -1,5 +1,12 @@
 //! Exhaustive model checking of the `pic-serve` result-cache admission
-//! protocol (`crates/serve/src/scheduler.rs` + `src/cache.rs`).
+//! protocol (`crates/serve/src/admission.rs`, `completion.rs`,
+//! `cache.rs`).
+//!
+//! Unlike `interleave_serve.rs` and `interleave_shard.rs`, which run the
+//! shipped `Phase` / `Admission` types, the `KeySlot` below is not a copy
+//! of shipped atomics: the shipped per-key state is a `Mutex`-guarded
+//! in-flight map plus the result cache, and the slot is an *abstraction*
+//! of it — each atomic step stands for one critical section.
 //!
 //! Build with `RUSTFLAGS="--cfg interleave"`. The model reduces the
 //! per-key protocol — submit-time cache lookup, inflight primary

@@ -1,25 +1,70 @@
 //! Exhaustive model checking of the `pic-serve` admission/drain
-//! protocol (`crates/serve/src/scheduler.rs`).
+//! protocol.
 //!
-//! Build with `RUSTFLAGS="--cfg interleave"`. The model reproduces the
-//! scheduler's exact atomic protocol over the same vendored `SegQueue`:
-//! `submit` claims a depth slot (`fetch_add`) *before* re-checking the
-//! drain flag and the capacity, returning the slot on either refusal;
-//! consumers exit only on `draining && depth == 0`. The checker runs
-//! every interleaving, so these are proofs over the explored state
-//! space that no admitted job can slip past a drained exit (lost), be
-//! executed twice, or leave `depth` nonzero.
+//! Build with `RUSTFLAGS="--cfg interleave"`. The models run the
+//! shipped `pic_serve::lifecycle::Admission` — the very type
+//! `Server::submit`, the completion path, the dispatcher and the
+//! workers call, compiled with the checker's instrumented atomics —
+//! over the same vendored `SegQueue`: `admit` claims a depth slot
+//! *before* re-checking the drain flag and the capacity, returning the
+//! slot on either refusal; consumers exit only on `drained()`. The
+//! checker runs every interleaving, so these are proofs over the
+//! explored state space that no admitted job can slip past a drained
+//! exit (lost), be executed twice, or leave `depth` nonzero.
+//!
+//! The models are generic over a three-method `Gate` only so that one
+//! `#[should_panic]` test can run the same race over a deliberately
+//! broken twin (flag checked *before* the slot is claimed) and prove
+//! the suite would catch that regression in the shipped type.
 #![cfg(interleave)]
 
 use crossbeam::queue::SegQueue;
-use interleave::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use interleave::sync::atomic::{AtomicUsize, Ordering};
+use pic_serve::lifecycle::Admission;
 use std::sync::Arc;
 
-/// The scheduler's shared admission state, stripped to the atoms the
-/// protocol actually synchronizes on.
+/// What the service skeleton needs of an admission gate.
+trait Gate: Default + Send + Sync + 'static {
+    /// The shipped `Admission` underneath (depth, flag, drain).
+    fn inner(&self) -> &Admission;
+    /// `Server::submit`'s admission step.
+    fn admit(&self, capacity: usize) -> bool;
+}
+
+impl Gate for Admission {
+    fn inner(&self) -> &Admission {
+        self
+    }
+
+    fn admit(&self, capacity: usize) -> bool {
+        Admission::admit(self, capacity).is_ok()
+    }
+}
+
+/// The regression the suite must catch: the same shipped pieces in the
+/// wrong order — flag and capacity are checked first, the slot is
+/// claimed afterwards, so a drain can complete in between.
+#[derive(Default)]
+struct CheckThenClaim(Admission);
+
+impl Gate for CheckThenClaim {
+    fn inner(&self) -> &Admission {
+        &self.0
+    }
+
+    fn admit(&self, capacity: usize) -> bool {
+        if self.0.is_draining() || self.0.depth() >= capacity {
+            return false;
+        }
+        self.0.admit_derived();
+        true
+    }
+}
+
+/// The scheduler's admission skeleton: the gate, one lane, and a record
+/// of what ran.
 struct Service {
-    depth: AtomicUsize,
-    draining: AtomicBool,
+    gate: Admission,
     lane: SegQueue<usize>,
     executed: SegQueue<usize>,
 }
@@ -27,43 +72,33 @@ struct Service {
 impl Service {
     fn new() -> Service {
         Service {
-            depth: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
+            gate: Admission::default(),
             lane: SegQueue::new(),
             executed: SegQueue::new(),
         }
     }
 
-    /// Mirror of `Server::submit`'s admission section. Returns whether
-    /// the job was admitted.
+    /// `Server::submit`: admit, then enqueue. Returns whether the job
+    /// was admitted.
     fn submit(&self, id: usize, capacity: usize) -> bool {
-        let prev = self.depth.fetch_add(1, Ordering::SeqCst);
-        if self.draining.load(Ordering::SeqCst) {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            return false; // Rejected{shutting-down}
-        }
-        if prev >= capacity {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            return false; // Rejected{queue-full}
+        if self.gate.admit(capacity).is_err() {
+            return false; // Rejected{shutting-down} or {queue-full}
         }
         self.lane.push(id);
         true
     }
 
-    /// Mirror of `worker_loop`: execute until drained.
+    /// `worker_loop`: execute until drained. The slot is released after
+    /// the "outcome" (executed record) is published, as `publish` does.
     fn run_worker(&self) {
         loop {
             match self.lane.pop() {
                 Some(id) => {
                     self.executed.push(id);
-                    // ordering: SeqCst — slot released after the
-                    // "outcome" (executed record) is published.
-                    self.depth.fetch_sub(1, Ordering::SeqCst);
+                    self.gate.release();
                 }
                 None => {
-                    if self.draining.load(Ordering::SeqCst)
-                        && self.depth.load(Ordering::SeqCst) == 0
-                    {
+                    if self.gate.drained() {
                         return;
                     }
                     interleave::thread::yield_now();
@@ -88,32 +123,17 @@ impl Service {
 /// space inside the checker's schedule budget while preserving every
 /// depth/draining interleaving — which is what the protocol actually
 /// synchronizes on.
-struct MiniService {
-    depth: AtomicUsize,
-    draining: AtomicBool,
+#[derive(Default)]
+struct MiniService<G: Gate> {
+    gate: G,
     /// 0 = empty; capacity-1 admission guarantees no overwrite.
     slot: AtomicUsize,
     executed: AtomicUsize,
 }
 
-impl MiniService {
-    fn new() -> MiniService {
-        MiniService {
-            depth: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            slot: AtomicUsize::new(0),
-            executed: AtomicUsize::new(0),
-        }
-    }
-
+impl<G: Gate> MiniService<G> {
     fn submit(&self, id: usize) -> bool {
-        let prev = self.depth.fetch_add(1, Ordering::SeqCst);
-        if self.draining.load(Ordering::SeqCst) {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        if prev >= 1 {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
+        if !self.gate.admit(1) {
             return false;
         }
         self.slot.store(id, Ordering::SeqCst);
@@ -125,9 +145,8 @@ impl MiniService {
             let id = self.slot.swap(0, Ordering::SeqCst);
             if id != 0 {
                 self.executed.fetch_add(id, Ordering::SeqCst);
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-            } else if self.draining.load(Ordering::SeqCst) && self.depth.load(Ordering::SeqCst) == 0
-            {
+                self.gate.inner().release();
+            } else if self.gate.inner().drained() {
                 return;
             } else {
                 interleave::thread::yield_now();
@@ -137,20 +156,17 @@ impl MiniService {
 }
 
 /// The core race: one submission, one worker, one shutdown — all
-/// concurrent. In every interleaving the job is either admitted and
-/// executed exactly once before the worker's drained exit, or refused
-/// outright; never lost, never stranded.
-#[test]
-fn admission_racing_a_drain_never_strands_or_loses_the_job() {
-    let explored = interleave::model_counted(|| {
-        let s = Arc::new(MiniService::new());
+/// concurrent. Returns the number of interleavings explored.
+fn race_admission_against_drain<G: Gate>() -> usize {
+    interleave::model_counted(|| {
+        let s = Arc::new(MiniService::<G>::default());
         let producer = {
             let s = Arc::clone(&s);
             interleave::thread::spawn(move || s.submit(7))
         };
         let shutdown = {
             let s = Arc::clone(&s);
-            interleave::thread::spawn(move || s.draining.store(true, Ordering::SeqCst))
+            interleave::thread::spawn(move || s.gate.inner().begin_drain())
         };
         let worker = {
             let s = Arc::clone(&s);
@@ -165,26 +181,40 @@ fn admission_racing_a_drain_never_strands_or_loses_the_job() {
         } else {
             assert_eq!(done, 0, "refused job must never execute");
         }
-        assert_eq!(
-            s.depth.load(Ordering::SeqCst),
-            0,
-            "drained exit leaks depth"
-        );
+        assert_eq!(s.gate.inner().depth(), 0, "drained exit leaks depth");
         assert_eq!(
             s.slot.load(Ordering::SeqCst),
             0,
             "drained exit stranded the slot"
         );
-    });
+    })
+}
+
+/// In every interleaving of the core race the job is either admitted
+/// and executed exactly once before the worker's drained exit, or
+/// refused outright; never lost, never stranded.
+#[test]
+fn admission_racing_a_drain_never_strands_or_loses_the_job() {
+    let explored = race_admission_against_drain::<Admission>();
     assert!(
         explored > 1,
         "expected multiple interleavings, got {explored}"
     );
 }
 
+/// The same race over the check-then-claim twin must fail: a drain
+/// that completes between the twin's flag check and its claim strands
+/// the job. If this test stops panicking, the model above has gone
+/// blind to the one ordering `Admission::admit` exists to get right.
+#[test]
+#[should_panic(expected = "admitted job must execute exactly once")]
+fn checking_the_flag_before_claiming_the_slot_is_caught() {
+    race_admission_against_drain::<CheckThenClaim>();
+}
+
 /// Load shedding under concurrency: two producers race for one slot.
-/// The depth-first `fetch_add` serializes them — exactly one wins in
-/// every schedule, and the shed one never reaches the lane.
+/// The depth-first claim serializes them — exactly one wins in every
+/// schedule, and the shed one never reaches the lane.
 #[test]
 fn capacity_one_admits_exactly_one_of_two_racing_producers() {
     interleave::model(|| {
@@ -201,10 +231,10 @@ fn capacity_one_admits_exactly_one_of_two_racing_producers() {
             1,
             "exactly one producer may win the single slot"
         );
-        s.draining.store(true, Ordering::SeqCst);
+        s.gate.begin_drain();
         s.run_worker();
         assert_eq!(s.drain_results().len(), 1);
-        assert_eq!(s.depth.load(Ordering::SeqCst), 0);
+        assert_eq!(s.gate.depth(), 0);
     });
 }
 
@@ -221,11 +251,11 @@ fn drain_executes_the_whole_admitted_backlog() {
         };
         let shutdown = {
             let s = Arc::clone(&s);
-            interleave::thread::spawn(move || s.draining.store(true, Ordering::SeqCst))
+            interleave::thread::spawn(move || s.gate.begin_drain())
         };
         shutdown.join();
         worker.join();
         assert_eq!(s.drain_results(), vec![1, 2], "backlog lost in the drain");
-        assert_eq!(s.depth.load(Ordering::SeqCst), 0);
+        assert_eq!(s.gate.depth(), 0);
     });
 }

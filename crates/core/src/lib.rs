@@ -48,7 +48,6 @@ pub mod diag;
 pub mod higuera;
 pub mod kernel;
 pub mod pusher;
-pub mod radiation;
 pub mod soa_boris;
 pub mod vay;
 
@@ -58,6 +57,5 @@ pub use kernel::{
     AnalyticalSource, FieldSource, PrecalculatedSource, PushKernel, SharedPushKernel,
 };
 pub use pusher::{OpTally, Pusher};
-pub use radiation::RadiationReactionPusher;
 pub use soa_boris::SoaBorisKernel;
 pub use vay::VayPusher;

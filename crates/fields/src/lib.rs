@@ -18,8 +18,6 @@
 
 pub mod dipole;
 pub mod dipole_pulse;
-pub mod envelope;
-pub mod gaussian_beam;
 pub mod grid;
 pub mod precalc;
 pub mod sampler;
@@ -27,8 +25,6 @@ pub mod uniform;
 
 pub use dipole::DipoleStandingWave;
 pub use dipole_pulse::DipolePulse;
-pub use envelope::{ConstantEnvelope, Envelope, Enveloped, GaussianEnvelope, Sin2Ramp};
-pub use gaussian_beam::GaussianBeam;
 pub use grid::{EmGrid, InterpOrder, ScalarGrid, Stagger};
 pub use precalc::PrecalculatedFields;
 pub use sampler::{map_components, BatchSampler, EbSlices, FieldSampler, EB, FIELD_COLUMNS};

@@ -173,13 +173,8 @@ impl<R: Real, S: BatchSampler<R> + ?Sized> BatchSampler<R> for &S {
 // default; listing them here keeps the `BatchSampler` universe closed
 // over every in-crate `FieldSampler`.
 impl<R: Real> BatchSampler<R> for crate::dipole_pulse::DipolePulse<R> {}
-impl<R: Real> BatchSampler<R> for crate::gaussian_beam::GaussianBeam<R> {}
 impl<R: Real> BatchSampler<R> for crate::grid::EmGrid<R> {}
 impl<R: Real> BatchSampler<R> for crate::uniform::UniformFields<R> {}
-impl<R: Real, S: FieldSampler<R>, E: crate::envelope::Envelope> BatchSampler<R>
-    for crate::envelope::Enveloped<S, E>
-{
-}
 
 #[cfg(test)]
 mod tests {

@@ -20,9 +20,10 @@
 
 use crate::schedule::Schedule;
 use crate::sweep::SweepReport;
+use crate::sync::lock;
 use crate::tune::GrainTuner;
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// The slot (worker index or device queue index) shard `shard_id` is
 /// pinned to, out of `slots` execution units. Deterministic and total:
@@ -107,12 +108,6 @@ impl AffinityMap {
     pub fn bound(&self) -> usize {
         lock(&self.bindings).len()
     }
-}
-
-/// Lock that rides through poisoning: affinity state is advisory tuning
-/// data, safe to read after a worker panic.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -15,6 +15,16 @@
 /// and its verification story.
 pub type WorkQueue<T> = crossbeam::queue::SegQueue<T>;
 
+/// Locks a mutex, riding through poisoning: the one poison-tolerant
+/// acquisition of the serving layer (scheduler, checkpoint store, shard
+/// gather, affinity map). Every critical section behind it inserts,
+/// removes or replaces whole entries under the lock, so a panic
+/// elsewhere never leaves the data torn and the guard is safe to
+/// recover.
+pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Propagates a worker-thread panic to the caller instead of minting a
 /// new panic at the join site (which would lose the original payload).
 /// Used for every scope/join result in this crate, keeping library code

@@ -21,15 +21,9 @@
 //! (`ServeConfig::kill_plan = None`) and pay one `Option` check.
 
 use pic_particles::ColumnSegment;
+use pic_runtime::sync::lock;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Recover the guard from a poisoned lock: checkpoint state is a map of
-/// complete snapshots, each inserted or removed atomically under the
-/// lock, so a panic elsewhere never leaves a torn entry.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 /// One parked snapshot: the absolute step the job has reached and its
 /// span's columns at that step.

@@ -1,0 +1,315 @@
+//! Completion: what the one winner of a job's `→ Done` transition does,
+//! and the cache/coalesce/resume bookkeeping that hangs off it.
+//!
+//! **Cache/coalesce/resume protocol.** Admission consults the
+//! deterministic result cache first: a hit completes the job on the
+//! spot (`queue_wait_ns = 0`, no depth slot). A miss whose [`CacheKey`]
+//! is already in flight registers as a *follower* of the running
+//! primary — it holds a depth slot and is cancellable, but never enters
+//! a lane; when the primary completes it fills the cache and its
+//! followers are served from it (`coalesced`). A primary that dies
+//! (panic, kill-point) is requeued up to `max_resumes` times and
+//! resumes from its last `CheckpointStore` snapshot; if it fails
+//! terminally, the oldest live follower is promoted into a lane so the
+//! key always makes progress. The protocol is model-checked in
+//! `crates/check/tests/interleave_cache.rs` and fault-injected
+//! end-to-end in `crates/serve/tests/fault_injection.rs`.
+
+use crate::cache::{CacheKey, CachedResult};
+use crate::job::{JobReport, JobSpec, Outcome, RejectReason};
+use crate::lifecycle::State;
+use crate::scheduler::Shared;
+use crate::state::JobState;
+use crate::stats::Counter;
+use pic_runtime::sync::lock;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// One in-flight cache key: the job currently responsible for producing
+/// the result, and the identical submissions waiting on it.
+pub(crate) struct Inflight {
+    primary: u64,
+    followers: Vec<Arc<JobState>>,
+}
+
+impl Shared {
+    /// Publishes `outcome` as the job's terminal state — exactly once.
+    /// Returns false if another party already finished the job.
+    pub(crate) fn finish(&self, job: &Arc<JobState>, outcome: Outcome) -> bool {
+        let won = job.phase.finish();
+        if won {
+            self.publish(job, outcome);
+        }
+        won
+    }
+
+    /// Finishes the job only if it is still in `expected` state.
+    pub(crate) fn finish_from(
+        &self,
+        job: &Arc<JobState>,
+        expected: State,
+        outcome: Outcome,
+    ) -> bool {
+        let won = job.phase.finish_from(expected);
+        if won {
+            self.publish(job, outcome);
+        }
+        won
+    }
+
+    /// What the one winner of the `→ Done` transition does, in this
+    /// order (DESIGN.md §3.2 gives the reason for each step's
+    /// place): outcome stored → waiters woken → index entry dropped →
+    /// record + counters → depth released → cache/follower bookkeeping
+    /// → notifier.
+    fn publish(&self, job: &Arc<JobState>, outcome: Outcome) {
+        // ordering: Relaxed — diagnostic; the phase is already `Done`.
+        // Each resume legitimately re-claims the job once, so the
+        // invariant is `executions <= 1 + resumes`.
+        if job.executions.load(Ordering::Relaxed) > 1 + job.resumes.load(Ordering::Relaxed) {
+            self.counters.bump(Counter::ExecOverruns);
+        }
+        job.store_outcome(outcome.clone());
+        lock(&self.index).remove(&job.id);
+        self.emit_record(
+            job.id,
+            &job.spec,
+            &outcome,
+            job.submitted_ns,
+            job.shard_meta(),
+        );
+        let notifier = job.take_notifier();
+        // The slot is released only after the outcome is published, so
+        // `Admission::drained` at an exit point implies every admitted
+        // job already has its outcome.
+        self.admission.release();
+        self.after_finish(job, &outcome);
+        if let Some(notify) = notifier {
+            notify(job.id, &outcome);
+        }
+    }
+
+    /// Post-terminality bookkeeping for the cache/resume protocol:
+    /// drops the job's checkpoint and resolves its in-flight cache
+    /// entry. A completed primary's followers are served from the
+    /// result it just cached; a failed primary's oldest live follower
+    /// is promoted into a lane so the key keeps making progress.
+    fn after_finish(&self, job: &Arc<JobState>, outcome: &Outcome) {
+        self.checkpoints.remove(job.id);
+        // Shard sub-jobs stay out of the cache/inflight protocol
+        // entirely: their spec (same seed, the shard's particle count)
+        // would alias the [`CacheKey`] of a genuine small job, so they
+        // must neither resolve nor populate that key. Only the parent's
+        // merged result is cached, under the parent's unchanged key.
+        if job.shard.is_some() {
+            return;
+        }
+        if self.cfg.cache_capacity == 0 {
+            return;
+        }
+        let key = CacheKey::of(&job.spec);
+        let mut to_serve: Vec<Arc<JobState>> = Vec::new();
+        let mut to_promote: Option<Arc<JobState>> = None;
+        {
+            let mut inflight = lock(&self.inflight);
+            let Some(mut entry) = inflight.remove(&key.hash()) else {
+                return;
+            };
+            if entry.primary != job.id {
+                // A follower terminated on its own (cancelled while
+                // waiting): just forget it, the entry stays.
+                entry.followers.retain(|f| f.id != job.id);
+                inflight.insert(key.hash(), entry);
+                return;
+            }
+            match outcome {
+                Outcome::Completed(_) => to_serve = entry.followers,
+                _ => {
+                    entry.followers.retain(|f| !f.is_terminal());
+                    if !entry.followers.is_empty() {
+                        let next = entry.followers.remove(0);
+                        to_promote = Some(next.clone());
+                        inflight.insert(
+                            key.hash(),
+                            Inflight {
+                                primary: next.id,
+                                followers: entry.followers,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        // Outside the inflight lock: `finish` recurses into
+        // `after_finish`, which must be able to retake it.
+        for follower in to_serve {
+            self.serve_follower(&follower, key);
+        }
+        if let Some(promoted) = to_promote {
+            self.enqueue(promoted);
+        }
+    }
+
+    /// Terminates a follower from its completed primary's cached
+    /// result (or, in the never-expected case that the result did not
+    /// reach the cache, requeues it into a lane to run itself).
+    fn serve_follower(&self, follower: &Arc<JobState>, key: CacheKey) {
+        if follower.is_terminal() {
+            return;
+        }
+        if follower.timed_out_at(self.clock.now_ns()) {
+            self.finish(follower, Outcome::TimedOut);
+            return;
+        }
+        let hit = lock(&self.cache).lookup(key);
+        match hit {
+            Some(result) => {
+                let outcome = Outcome::Completed(result.to_report(&follower.spec));
+                if self.finish(follower, outcome) {
+                    self.counters.bump(Counter::Coalesced);
+                }
+            }
+            None => self.enqueue(follower.clone()),
+        }
+    }
+
+    /// Joins the in-flight entry of `key`: true when the key is already
+    /// being produced and `job` now waits on it as a follower — admitted
+    /// (depth slot, cancellable via the index) but kept out of the
+    /// lanes; false when `job` is the key's new primary.
+    pub(crate) fn follow_or_lead(&self, key: CacheKey, job: &Arc<JobState>) -> bool {
+        let mut inflight = lock(&self.inflight);
+        match inflight.get_mut(&key.hash()) {
+            Some(entry) => {
+                entry.followers.push(job.clone());
+                true
+            }
+            None => {
+                inflight.insert(
+                    key.hash(),
+                    Inflight {
+                        primary: job.id,
+                        followers: Vec::new(),
+                    },
+                );
+                false
+            }
+        }
+    }
+
+    /// Requeues a worker-death victim for a checkpoint resume. Returns
+    /// false when the job is already terminal or its resume budget is
+    /// exhausted — the caller then rejects it as a poison job.
+    pub(crate) fn try_requeue(&self, job: &Arc<JobState>) -> bool {
+        if job.is_terminal() {
+            return false;
+        }
+        // ordering: Relaxed — the budget is only advanced by the one
+        // thread handling this job's death (the panicking worker's
+        // cleanup); publication rides on the lane queue.
+        if job.resumes.load(Ordering::Relaxed) >= self.cfg.max_resumes {
+            return false;
+        }
+        match job.phase.requeue() {
+            Some(State::Running) => {
+                // ordering: Relaxed — diagnostic counter (see above).
+                job.resumes.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(Counter::Resumed);
+            }
+            // Never claimed (a batch mate of the victim): requeued
+            // without charging its resume budget.
+            Some(_) => {}
+            None => return false,
+        }
+        self.enqueue(job.clone());
+        true
+    }
+
+    /// Requeues a job whose execution cannot proceed (its worker died,
+    /// its checkpoint is unreadable, its sweep stalled); one out of
+    /// resume budget — a poison job — terminates
+    /// `Rejected{worker-panic}` instead of vanishing.
+    pub(crate) fn requeue_or_reject(&self, job: &Arc<JobState>) {
+        if !self.try_requeue(job) {
+            self.finish(job, Outcome::Rejected(RejectReason::WorkerPanic));
+        }
+    }
+
+    /// True when the requester or the result cache will read the text
+    /// dump of a job with `spec`; nobody else does, so it is rendered
+    /// only then.
+    pub(crate) fn dump_wanted(&self, spec: &JobSpec) -> bool {
+        spec.return_particles || self.cfg.cache_capacity > 0
+    }
+
+    /// The one exit of a completed run, monolithic or merged: memoizes
+    /// the result, hands the dump to a requester that asked for it, and
+    /// finishes the job.
+    pub(crate) fn complete(
+        &self,
+        job: &Arc<JobState>,
+        mut report: JobReport,
+        dump: Option<String>,
+    ) {
+        // Fill the cache before finishing: `after_finish` serves the
+        // job's coalesced followers straight from this entry.
+        if self.cfg.cache_capacity > 0 {
+            if let Some(text) = &dump {
+                lock(&self.cache).insert(
+                    CacheKey::of(&job.spec),
+                    CachedResult {
+                        nsps: report.nsps,
+                        run_ns: report.run_ns,
+                        batch_size: report.batch_size,
+                        steps_done: report.steps_done,
+                        imbalance: report.imbalance,
+                        time_imbalance: report.time_imbalance,
+                        particles: Some(text.clone()),
+                        shards: report.shards,
+                    },
+                );
+            }
+        }
+        report.particles = dump.filter(|_| job.spec.return_particles);
+        self.finish(job, Outcome::Completed(report));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::scheduler::{ServeConfig, Server};
+    use crate::state::{test_job, test_spec};
+    use std::sync::atomic::Ordering;
+
+    #[test]
+    fn requeue_respects_the_resume_budget() {
+        let cfg = ServeConfig {
+            workers: 0,
+            max_resumes: 2,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(cfg, "requeue-test");
+        let job = test_job(1, test_spec(10));
+        // A never-claimed batch mate requeues without charging budget.
+        assert!(server.shared.try_requeue(&job));
+        // ordering: test-only read.
+        assert_eq!(job.resumes.load(Ordering::Relaxed), 0);
+        // A claimed victim charges one resume per requeue.
+        for expected in 1..=2u32 {
+            assert!(job.claim());
+            assert!(server.shared.try_requeue(&job));
+            // ordering: test-only read.
+            assert_eq!(job.resumes.load(Ordering::Relaxed), expected);
+        }
+        assert!(job.claim());
+        assert!(
+            !server.shared.try_requeue(&job),
+            "budget of 2 is exhausted on the third death"
+        );
+        assert_eq!(server.stats().resumed, 2);
+        // The hand-built job never held a depth slot; drain it from the
+        // lane so shutdown's accounting stays balanced.
+        while server.shared.lanes[1].pop().is_some() {}
+        server.shutdown();
+    }
+}

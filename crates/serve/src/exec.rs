@@ -41,9 +41,12 @@
 //! the accumulated modeled kernel time rather than wall clock.
 
 use crate::cache::CacheKey;
-use crate::job::{JobReport, Outcome, RejectReason};
-use crate::scheduler::{lock, Batch, JobState, Shared};
+use crate::dispatch::Batch;
+use crate::job::{JobReport, Outcome};
+use crate::scheduler::Shared;
 use crate::shard::{merge_segments, shard_kill_key};
+use crate::state::JobState;
+use crate::stats::Counter;
 use pic_bench::{
     append_ensemble_range, bench_dt, merge_thread_stats, run_device_steps, run_mdipole_steps,
     KernelVariant, MdipoleScenario,
@@ -52,6 +55,7 @@ use pic_math::Real;
 use pic_particles::sort::{apply_perm, invert_perm, morton_perm};
 use pic_particles::{AosEnsemble, ColumnSegment, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Precision;
+use pic_runtime::sync::lock;
 use pic_runtime::{imbalance_of, CancelToken, ExecTarget};
 use pic_telemetry::ThreadStat;
 use std::collections::BTreeMap;
@@ -75,8 +79,7 @@ pub(crate) fn run_batch(shared: &Shared, batch: &Batch) {
             let hit = lock(&shared.cache).lookup(CacheKey::of(&job.spec));
             if let Some(result) = hit {
                 if shared.finish(job, Outcome::Completed(result.to_report(&job.spec))) {
-                    // ordering: Relaxed — monotonic stats counter.
-                    shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.bump(Counter::CacheHits);
                 }
                 continue;
             }
@@ -131,15 +134,6 @@ pub(crate) fn run_batch(shared: &Shared, batch: &Batch) {
     }
 }
 
-/// Requeues a claimed job whose execution cannot proceed (unreadable
-/// checkpoint, stalled sweep); a job out of resume budget terminates
-/// `Rejected{worker-panic}` instead of vanishing.
-fn requeue_or_reject(shared: &Shared, job: &Arc<JobState>) {
-    if !shared.try_requeue(job) {
-        shared.finish(job, Outcome::Rejected(RejectReason::WorkerPanic));
-    }
-}
-
 fn run_typed<R: Real, S: ParticleStore<R>>(
     shared: &Shared,
     group: &[Arc<JobState>],
@@ -163,7 +157,7 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
                 // was captured in-memory). Drop it and retry the job
                 // from step 0, or fail it explicitly.
                 shared.checkpoints.remove(job.id);
-                requeue_or_reject(shared, job);
+                shared.requeue_or_reject(job);
                 continue;
             };
             resumed.push((store.len(), snapshot.segment));
@@ -367,7 +361,7 @@ fn run_typed<R: Real, S: ParticleStore<R>>(
         if abs < total {
             // The sweep stalled without a terminal reason (unreachable
             // through the runner's contract); never strand the job.
-            requeue_or_reject(shared, job);
+            shared.requeue_or_reject(job);
             continue;
         }
         let (offset, len) = spans[k];

@@ -16,7 +16,8 @@ use crate::proto::{
     accepted_line, cancel_result_line, error_line, outcome_line, parse_request, rejected_line,
     shutting_down_line, stats_line, Request,
 };
-use crate::scheduler::{lock, Server, ShutdownReport};
+use crate::scheduler::{Server, ShutdownReport};
+use pic_runtime::sync::lock;
 use std::io::{self, BufRead, Write};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;

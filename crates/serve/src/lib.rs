@@ -9,12 +9,28 @@
 //!   benchmark scenario, layout, precision, particle count, step count,
 //!   priority and deadline; a terminal [`Outcome`](job::Outcome) is
 //!   guaranteed exactly once per admitted job.
-//! * [`scheduler`] — the [`Server`](scheduler::Server): a bounded
-//!   admission queue with load shedding, three priority lanes feeding a
-//!   dispatcher that coalesces small compatible jobs into one
-//!   [`pic_bench::run_mdipole_steps`] sweep (amortising per-job overhead
-//!   exactly as the paper's per-iteration overhead analysis predicts),
-//!   and a worker pool with panic isolation and respawn.
+//! * [`scheduler`] — the [`Server`](scheduler::Server) handle, its
+//!   [`ServeConfig`](scheduler::ServeConfig) and the state its threads
+//!   share. The protocol around it is split along its seams, one module
+//!   each (DESIGN.md §3.2 has the map, the transition table and the
+//!   ordered effect list of a completion):
+//!   `admission` (`submit`, the submit-time cache hit, the explicit
+//!   shed, `cancel`), `completion` (what the one winner of a job's
+//!   `→ Done` transition does: outcome, record, depth release, cache
+//!   fill, followers, promotion, requeue), `dispatch` (three priority
+//!   lanes feeding a dispatcher that coalesces small compatible jobs
+//!   into one [`pic_bench::run_mdipole_steps`] sweep — amortising per-job
+//!   overhead exactly as the paper's per-iteration overhead analysis
+//!   predicts — and a worker pool with panic isolation and respawn),
+//!   `stats` (the counter table behind `stats`, the per-submission
+//!   record) and `state` (one job's shared state, the ticket on it).
+//! * [`lifecycle`] — the protocol's two shared types, atoms private:
+//!   [`Phase`](lifecycle::Phase), a job's `Queued → Running → Done`
+//!   state with its one transition table, and
+//!   [`Admission`](lifecycle::Admission), the bounded queue's depth and
+//!   drain flag. Everything above calls these and nothing else touches
+//!   the atoms; the interleave suites in `crates/check` model-check
+//!   these very types.
 //! * [`cache`] — the deterministic result cache: completed jobs are
 //!   memoized under a canonical content hash of their physics identity
 //!   (seeded runs are pure functions of their spec), so repeat
@@ -26,8 +42,8 @@
 //!   last snapshot with a bitwise-identical trajectory.
 //! * [`shard`] — domain decomposition: an over-threshold job is split
 //!   along a deterministic [`ShardPlan`](shard::ShardPlan) into shard
-//!   sub-jobs flowing through the ordinary lanes, and a scatter-gather
-//!   barrier splices the shards' typed column segments and merges
+//!   sub-jobs flowing through the ordinary lanes (`fan_out`), and a
+//!   scatter-gather barrier splices the shards' typed column segments and merges
 //!   diagnostics into one completed response that is bitwise
 //!   shard-count-invariant. With
 //!   [`ServeConfig::pinned`](scheduler::ServeConfig) each shard is
@@ -49,15 +65,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 pub mod cache;
 pub mod checkpoint;
 pub mod clock;
+mod completion;
+mod dispatch;
 pub mod exec;
 pub mod frontend;
 pub mod job;
+pub mod lifecycle;
 pub mod proto;
 pub mod scheduler;
 pub mod shard;
+mod state;
+mod stats;
 
 pub use cache::{CacheKey, CacheStats, CachedResult, ResultCache, CACHE_SCHEMA};
 pub use checkpoint::{CheckpointStore, KillPlan, Snapshot};

@@ -176,19 +176,13 @@ pub fn cancel_result_line(id: u64, result: CancelResult) -> String {
     Value::obj(e).to_json()
 }
 
-/// Response to a `stats` request.
+/// Response to a `stats` request: every member of the snapshot, by its
+/// field name.
 pub fn stats_line(stats: &ServeStats) -> String {
     let mut e = base("stats");
-    e.push(("submitted", Value::Num(stats.submitted as f64)));
-    e.push(("completed", Value::Num(stats.completed as f64)));
-    e.push(("rejected", Value::Num(stats.rejected as f64)));
-    e.push(("cancelled", Value::Num(stats.cancelled as f64)));
-    e.push(("timed_out", Value::Num(stats.timed_out as f64)));
-    e.push(("depth", Value::Num(stats.depth as f64)));
-    e.push(("cache_hits", Value::Num(stats.cache_hits as f64)));
-    e.push(("coalesced", Value::Num(stats.coalesced as f64)));
-    e.push(("resumed", Value::Num(stats.resumed as f64)));
-    e.push(("sharded", Value::Num(stats.sharded as f64)));
+    for (name, value) in stats.members() {
+        e.push((name, Value::Num(value as f64)));
+    }
     Value::obj(e).to_json()
 }
 
@@ -337,5 +331,45 @@ mod tests {
         assert_eq!(v.get("coalesced").and_then(Value::as_u64), Some(1));
         assert_eq!(v.get("resumed").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("sharded").and_then(Value::as_u64), Some(1));
+    }
+
+    #[test]
+    fn stats_line_carries_every_field_of_the_snapshot() {
+        // Distinct non-zero values, so a member wired to the wrong field
+        // shows as well as a missing one.
+        let stats = ServeStats {
+            submitted: 1,
+            completed: 2,
+            rejected: 3,
+            cancelled: 4,
+            timed_out: 5,
+            depth: 6,
+            cache_hits: 7,
+            coalesced: 8,
+            resumed: 9,
+            exec_overruns: 10,
+            sharded: 11,
+        };
+        let v = parse(&stats_line(&stats)).unwrap();
+        // The field names and values come from the struct's derived
+        // `Debug`, not from the counter table the line is built from: a
+        // twelfth field that is not on the wire fails here.
+        let debug = format!("{stats:?}");
+        let fields: Vec<(&str, u64)> = debug
+            .trim_start_matches("ServeStats {")
+            .trim_end_matches('}')
+            .split(',')
+            .filter_map(|field| field.split_once(':'))
+            .map(|(name, value)| (name.trim(), value.trim().parse().unwrap()))
+            .collect();
+        assert_eq!(fields.len(), 11, "{debug}");
+        for (name, value) in fields {
+            assert!(value > 0, "{name} must be set non-zero above");
+            assert_eq!(
+                v.get(name).and_then(Value::as_u64),
+                Some(value),
+                "stats line lost `{name}`"
+            );
+        }
     }
 }

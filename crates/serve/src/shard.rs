@@ -22,10 +22,15 @@
 //! protocol is model-checked exhaustively in
 //! `crates/check/tests/interleave_shard.rs`.
 
-use crate::job::Outcome;
-use crate::scheduler::{lock, JobState};
+use crate::job::{JobReport, JobSpec, Outcome};
+use crate::lifecycle::State;
+use crate::scheduler::{ServeConfig, Shared};
+use crate::state::{JobState, Notifier};
+use crate::stats::Counter;
 use pic_particles::io::HEADER;
 use pic_particles::ColumnSegment;
+use pic_runtime::sync::lock;
+use pic_runtime::{ExecTarget, SweepReport};
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -185,11 +190,182 @@ impl Gather {
     }
 }
 
+/// Fans an admitted over-threshold job out into shard sub-jobs: one
+/// child per [`ShardPlan`] range, each with its own depth slot, index
+/// entry and a gather-reporting notifier, pushed through the parent's
+/// priority lane. The parent never enters a lane — the last shard's
+/// report completes it via `Shared::finish_sharded`.
+pub(crate) fn fan_out(shared: &Arc<Shared>, parent: &Arc<JobState>, shards: usize) {
+    let plan = ShardPlan::new(parent.spec.particles, shards);
+    let gather = Arc::new(Gather::new(parent.clone(), plan.ranges().to_vec()));
+    let mut children: Vec<Arc<JobState>> = Vec::with_capacity(plan.shards());
+    for (shard_id, &(offset, len)) in plan.ranges().iter().enumerate() {
+        let id = shared.next_id();
+        let mut spec = parent.spec.clone();
+        spec.particles = len;
+        // The gather needs every shard's final state regardless of what
+        // the requester asked for.
+        spec.return_particles = true;
+        let report_into = shared.clone();
+        let g = gather.clone();
+        let notifier: Notifier = Box::new(move |_, outcome| {
+            if let Some(all) = g.report(shard_id, outcome) {
+                report_into.finish_sharded(&g, all);
+            }
+        });
+        let ctx = ShardCtx {
+            shard_id,
+            shards: plan.shards(),
+            offset,
+            parent_particles: parent.spec.particles,
+        };
+        let child = Arc::new(JobState::new(
+            id,
+            spec,
+            parent.submitted_ns,
+            State::Queued,
+            Some(ctx),
+            Some(notifier),
+        ));
+        shared.admission.admit_derived();
+        lock(&shared.index).insert(id, child.clone());
+        children.push(child);
+    }
+    // Publish the children on the parent *before* any shard can run:
+    // a fast child's finish path reads `shard_meta` off the parent.
+    *lock(&parent.children) = children.clone();
+    shared.counters.bump(Counter::Sharded);
+    for child in children {
+        shared.enqueue(child);
+    }
+}
+
+/// Shards an admitted spec splits into: 1 (monolithic) unless sharding
+/// is enabled and the job is over the threshold.
+pub(crate) fn shard_count(cfg: &ServeConfig, spec: &JobSpec) -> usize {
+    if cfg.shard_threshold == 0 || spec.particles <= cfg.shard_threshold {
+        return 1;
+    }
+    let k = if cfg.shards == 0 {
+        cfg.workers.max(1)
+    } else {
+        cfg.shards
+    };
+    k.clamp(1, spec.particles)
+}
+
+impl Shared {
+    /// Merges the outcomes of every shard sub-job into the parent's one
+    /// terminal outcome. Runs exactly once per sharded job — the last
+    /// shard to report through `Gather::report` calls it.
+    ///
+    /// A shard that failed fails the whole job with the first
+    /// non-completed outcome in shard order (deterministic). Otherwise
+    /// the merged dump is the header plus the shards' bodies in plan
+    /// order — bitwise what the monolithic run would have produced —
+    /// and the merged measurements reconcile against the per-shard
+    /// records: `run_ns`/`steps_done` are the critical path (max),
+    /// `resumes` the sum, imbalance the particle-weighted mean.
+    pub(crate) fn finish_sharded(&self, gather: &Gather, outcomes: Vec<Outcome>) {
+        let parent = &gather.parent;
+        if let Some(bad) = outcomes
+            .iter()
+            .find(|o| !matches!(o, Outcome::Completed(_)))
+        {
+            self.finish(parent, bad.clone());
+            lock(&parent.children).clear();
+            return;
+        }
+        let reports: Vec<&JobReport> = outcomes
+            .iter()
+            .filter_map(|o| match o {
+                Outcome::Completed(r) => Some(r),
+                _ => None,
+            })
+            .collect();
+        // Columnar gather: shards return typed column segments, rendered
+        // here in plan order to the io text format exactly once.
+        let gather_start = self.clock.now_ns();
+        let segments: Vec<&ColumnSegment> = reports
+            .iter()
+            .filter_map(|r| r.columns.as_deref())
+            .collect();
+        let dump = self
+            .dump_wanted(&parent.spec)
+            .then(|| merge_segments(&segments))
+            .flatten();
+        let gather_ns = self.clock.now_ns().saturating_sub(gather_start);
+        let mut run_ns = reports.iter().map(|r| r.run_ns).max().unwrap_or(0);
+        // Pinned device sharding: one queue per shard lets shard k+1's
+        // column staging overlap shard k's kernel, so the merged wall
+        // time is the modeled pipeline makespan over the shards' kernel
+        // times (per-shard nsps × work recovers the roofline number the
+        // device lane reported), not the critical-path max alone.
+        if self.cfg.pinned {
+            let target = ExecTarget::parse(&parent.spec.device).unwrap_or_default();
+            if !target.is_host() {
+                let shards: Vec<(usize, f64)> = gather
+                    .ranges
+                    .iter()
+                    .zip(&reports)
+                    .map(|(&(_, len), r)| (len, r.nsps * len as f64 * r.steps_done as f64))
+                    .collect();
+                if let Some(pipe) = pic_bench::shard_pipeline(
+                    target,
+                    parent.spec.scenario,
+                    parent.spec.precision,
+                    &shards,
+                ) {
+                    run_ns = (pipe.makespan() * 1e9).round() as u64;
+                }
+            }
+        }
+        let steps_done = reports.iter().map(|r| r.steps_done).max().unwrap_or(0);
+        let queue_wait_ns = reports.iter().map(|r| r.queue_wait_ns).min().unwrap_or(0);
+        let weigh = |field: fn(&JobReport) -> f64| -> f64 {
+            let per_shard: Vec<(usize, f64)> = reports
+                .iter()
+                .zip(&gather.ranges)
+                .map(|(r, &(_, len))| (len, field(r)))
+                .collect();
+            SweepReport::merge_shard_imbalance(&per_shard)
+        };
+        let imbalance = weigh(|r| r.imbalance);
+        let time_imbalance = weigh(|r| r.time_imbalance);
+        let work = parent.spec.particles as f64 * steps_done as f64;
+        let nsps = if work > 0.0 {
+            run_ns as f64 / work
+        } else {
+            0.0
+        };
+        let report = JobReport {
+            nsps,
+            queue_wait_ns,
+            run_ns,
+            batch_size: 1,
+            steps_done,
+            imbalance,
+            time_imbalance,
+            resumes: reports.iter().map(|r| r.resumes).sum(),
+            resumed_from_step: reports
+                .iter()
+                .map(|r| r.resumed_from_step)
+                .max()
+                .unwrap_or(0),
+            shards: reports.len(),
+            gather_ns,
+            ..JobReport::default()
+        };
+        self.complete(parent, report, dump);
+        lock(&parent.children).clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::JobSpec;
-    use crate::scheduler::test_job;
+    use crate::state::test_job;
 
     #[test]
     fn plan_covers_disjointly_without_empty_shards() {
