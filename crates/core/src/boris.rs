@@ -56,7 +56,7 @@ impl<R: Real> Pusher<R> for BorisPusher {
         let p_new = momentum_from_u(u_new, species.mass);
         view.set_momentum(p_new);
         view.set_gamma(gamma_new);
-        advance_position(view, p_new, gamma_new, species.mass, dt);
+        advance_position(view, u_new, gamma_new, dt);
     }
 
     fn name(&self) -> &'static str {
@@ -64,11 +64,11 @@ impl<R: Real> Pusher<R> for BorisPusher {
     }
 
     fn tally(&self) -> OpTally {
-        // rotate_kick: two mul_add kicks (2×3m+3a), γⁿ (3m+3a+√),
-        // t = B·(ε/γⁿ) (÷+3m), s (3m+2a norm², 1a, ÷, 3m), two
-        // cross-and-add rotations (2×6m+6a).
+        // rotate_kick: two mul_add kicks (2×(3m+3a)), γⁿ (3m+3a+√),
+        // t = B·(ε/γⁿ) (÷+3m), s = t·(2/(1+t²)) (3m+2a norm², 1a, ÷, 3m),
+        // two cross-and-add rotations (2×(6m+6a)).
         SHARED_TALLY.combine(OpTally {
-            adds: 27,
+            adds: 24,
             muls: 30,
             divs: 2,
             sqrts: 1,

@@ -53,7 +53,7 @@ impl<R: Real> Pusher<R> for HigueraCaryPusher {
         let p_new = momentum_from_u(u_new, species.mass);
         view.set_momentum(p_new);
         view.set_gamma(gamma_new);
-        advance_position(view, p_new, gamma_new, species.mass, dt);
+        advance_position(view, u_new, gamma_new, dt);
     }
 
     fn name(&self) -> &'static str {
@@ -62,13 +62,13 @@ impl<R: Real> Pusher<R> for HigueraCaryPusher {
 
     fn tally(&self) -> OpTally {
         // kick: Boris's structure with the centred-γ quartic replacing the
-        // plain γⁿ: kicks+rotations as Boris (24m+24a), τ (3m),
-        // γ′²/τ²/u·τ/σ (9m+7a), quartic γ (4m+3a+2√), t (÷+3m),
-        // s (6m+3a+÷).
+        // plain γⁿ: kicks+rotations as Boris (18m+18a), τ (3m),
+        // γ⁻²/τ²/u·τ/σ (9m+8a), quartic γ (4m+3a+2√), t = τ/γ (3÷),
+        // s = t·(2/(1+t²)) (6m+3a+÷).
         SHARED_TALLY.combine(OpTally {
             adds: 32,
-            muls: 43,
-            divs: 2,
+            muls: 40,
+            divs: 4,
             sqrts: 2,
             ..OpTally::default()
         })

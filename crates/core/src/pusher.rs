@@ -18,8 +18,9 @@ pub trait Pusher<R: Real>: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Static per-particle per-step operation tally of `push`, counted
-    /// with loop-invariant species constants (ε, mc, 1/mc) hoisted — the
-    /// form the vectorized benchmark loop actually executes. Feeds the
+    /// with the loop-invariant species constants hoisted (see
+    /// [`SHARED_TALLY`]) — the form the blocked kernel executes on a
+    /// single-species ensemble. A `Vec3 / R` is three divisions. Feeds the
     /// telemetry layer and is reconciled against `pic-perfmodel`'s
     /// roofline constants by that crate's tests.
     fn tally(&self) -> OpTally;
@@ -83,33 +84,53 @@ impl OpTally {
 }
 
 /// Tally of the plumbing every integrator shares: u = p·(1/mc), the final
-/// γ(u), p = u·mc, and the leapfrog position step. Loads are position,
-/// momentum and the six field components; stores are momentum, γ and
-/// position.
+/// γ(u), p = u·mc, and the leapfrog position step x += u·(cΔt/γ). Loads
+/// are position, momentum and the six field components; stores are
+/// momentum, γ and position.
+///
+/// Not counted, here or in any [`Pusher::tally`]: ε = qΔt/(2mc), mc, 1/mc
+/// and c·Δt (5 multiplications, 2 divisions), which depend on the species
+/// and the step only. The blocked kernel evaluates them once per run of
+/// same-species blocks; the scalar `push` and a mixed-species block pay
+/// them per particle on top of the tally.
 pub const SHARED_TALLY: OpTally = OpTally {
-    // gamma_of_u (3a) + position update (3a).
+    // gamma_of_u (3a) + position update (3 fused a).
     adds: 6,
-    // u scale (3) + γ norm² (3) + p scale (3) + v = p·(dt/(γm)) (1+3+3).
-    muls: 16,
-    // 1/(γm) in the position update.
+    // u scale (3) + γ norm² (3) + p scale (3) + position update (3 fused).
+    muls: 12,
+    // cΔt/γ in the position update.
     divs: 1,
     sqrts: 1,
     scalars_read: 12,
     scalars_written: 7,
 };
 
-/// Advances the position by one leapfrog step: `x += v·dt` with
-/// `v = p/(γm)` (paper Eq. 7). Shared by all pushers.
+/// The position-step factor k = c·Δt/γ: with u = p/(mc) the velocity is
+/// v = p/(γm) = u·c/γ, so `x += v·Δt` is `x += u·k` — one division per
+/// particle, and no trip through p and m.
 #[inline(always)]
-pub fn advance_position<R: Real, V: ParticleView<R>>(
-    view: &mut V,
-    momentum: Vec3<R>,
-    gamma: R,
-    mass: R,
-    dt: R,
-) {
-    let v = momentum / (gamma * mass);
-    view.set_position(view.position() + v * dt);
+pub fn drift_coef<R: Real>(gamma: R, dt: R) -> R {
+    R::from_f64(LIGHT_VELOCITY) * dt / gamma
+}
+
+/// Advances the position by one leapfrog step, `x += u·k` with
+/// k = [`drift_coef`] (paper Eq. 7 in dimensionless momentum). Shared by
+/// all pushers.
+#[inline(always)]
+pub fn advance_position<R: Real, V: ParticleView<R>>(view: &mut V, u: Vec3<R>, gamma: R, dt: R) {
+    view.set_position(u.mul_add(drift_coef(gamma, dt), view.position()));
+}
+
+/// The momentum scale mc of a species of rest mass `mass`.
+#[inline(always)]
+pub fn mc<R: Real>(mass: R) -> R {
+    mass * R::from_f64(LIGHT_VELOCITY)
+}
+
+/// 1/(mc), the factor taking a momentum to dimensionless form.
+#[inline(always)]
+pub fn inv_mc<R: Real>(mass: R) -> R {
+    mc(mass).recip()
 }
 
 /// Dimensionless momentum u = p/(mc) and its helpers, shared by the
@@ -117,13 +138,13 @@ pub fn advance_position<R: Real, V: ParticleView<R>>(
 /// precision safe with CGS magnitudes.
 #[inline(always)]
 pub fn u_from_momentum<R: Real>(p: Vec3<R>, mass: R) -> Vec3<R> {
-    p * (mass * R::from_f64(LIGHT_VELOCITY)).recip()
+    p * inv_mc(mass)
 }
 
 /// Converts dimensionless momentum back: p = u·mc.
 #[inline(always)]
 pub fn momentum_from_u<R: Real>(u: Vec3<R>, mass: R) -> Vec3<R> {
-    u * (mass * R::from_f64(LIGHT_VELOCITY))
+    u * mc(mass)
 }
 
 /// γ(u) = √(1 + u²).
@@ -217,10 +238,10 @@ mod tests {
     fn advance_position_moves_along_velocity() {
         let e = Species::<f64>::electron();
         let mut p = Particle::at_rest(Vec3::zero(), 1.0, SpeciesId(0));
-        let mom = Vec3::new(ELECTRON_MASS * LIGHT_VELOCITY, 0.0, 0.0); // γ=√2
+        let u = u_from_momentum(Vec3::new(e.mass * LIGHT_VELOCITY, 0.0, 0.0), e.mass); // γ=√2
         let gamma = 2.0f64.sqrt();
-        advance_position(&mut p, mom, gamma, e.mass, 1.0e-12);
-        // v = p/(γm) = c/√2.
+        advance_position(&mut p, u, gamma, 1.0e-12);
+        // v = u·c/γ = c/√2.
         let expect = LIGHT_VELOCITY / 2.0f64.sqrt() * 1.0e-12;
         assert!((p.position.x - expect).abs() / expect < 1e-14);
     }

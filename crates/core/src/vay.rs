@@ -51,7 +51,7 @@ impl<R: Real> Pusher<R> for VayPusher {
         let p_new = momentum_from_u(u_new, species.mass);
         view.set_momentum(p_new);
         view.set_gamma(gamma_new);
-        advance_position(view, p_new, gamma_new, species.mass, dt);
+        advance_position(view, u_new, gamma_new, dt);
     }
 
     fn name(&self) -> &'static str {
@@ -59,13 +59,14 @@ impl<R: Real> Pusher<R> for VayPusher {
     }
 
     fn tally(&self) -> OpTally {
-        // kick: τ (3m), γⁿ (3m+3a+√), u′ (13m+9a+÷), u·τ (3m+2a),
-        // γ′² (3m+3a), τ² (3m+2a), σ (1a), quartic γ (4m+3a+2√),
-        // t = τ/γ (÷+3m), s (3m+3a+÷), final average (15m+11a).
+        // kick: τ (3m), γⁿ (3m+3a+√), u′ = u + E·2ε + (u×τ)/γⁿ (9m+9a+3÷,
+        // 2ε a species constant), u′·τ (3m+2a), γ′² (3m+3a), τ² (3m+2a),
+        // σ (1a), quartic γ (4m+3a+2√), t = τ/γ (3÷), s = 1/(1+t²)
+        // (3m+3a+÷), final average (15m+11a).
         SHARED_TALLY.combine(OpTally {
             adds: 37,
-            muls: 53,
-            divs: 3,
+            muls: 46,
+            divs: 7,
             sqrts: 3,
             ..OpTally::default()
         })

@@ -105,8 +105,9 @@ impl<R: Real> DipoleStandingWave<R> {
     }
 }
 
-/// Lanes `sample_into` evaluates together: one `f64` AVX-512 register,
-/// and the block length the Boris kernel hands it.
+/// Lanes `sample_into` evaluates together: one 256-bit register of `f32`,
+/// two of `f64` — the Boris kernel's block, of which it hands over a
+/// whole number per call.
 const LANES: usize = 8;
 
 impl<R: Real> DipoleStandingWave<R> {
@@ -165,9 +166,10 @@ impl<R: Real> BatchSampler<R> for DipoleStandingWave<R> {
     /// vertical SIMD. The `len % LANES` tail goes lane by lane.
     ///
     /// `#[inline]` so every codegen unit that calls this gets its own
-    /// copy: the blocked kernel's `LANES`-long call then inlines (one
-    /// block, no tail, `sin_cos` hoisted out of the block loop) whichever
-    /// unit the partitioner puts the kernel in.
+    /// copy and the blocked kernel's call can inline whichever unit the
+    /// partitioner puts the kernel in. The libm `sin_cos` is once per
+    /// call, so what a caller pays for it per point is set by how many
+    /// points it hands over at a time.
     #[inline]
     fn sample_into(&self, xs: &[R], ys: &[R], zs: &[R], time: R, out: &mut EbSlices<'_, R>) {
         let phase = self.phase(time);

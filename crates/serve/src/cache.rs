@@ -30,7 +30,10 @@ use std::collections::HashMap;
 ///
 /// 2: the m-dipole field moved to polynomial sin/cos and fixed-length
 /// series, which changes trajectories in their last bits.
-pub const CACHE_SCHEMA: u64 = 2;
+///
+/// 3: the position step became `x += u·(cΔt/γ)` (one division, fused)
+/// in every pusher and the blocked kernel; last bits again.
+pub const CACHE_SCHEMA: u64 = 3;
 
 /// Name of the pusher the service executes. Part of the cache identity:
 /// when alternative pushers (Vay, Higuera-Cary, analytic) reach the
