@@ -17,7 +17,7 @@
 //!   `EMPTY → INFLIGHT` and becomes the primary (runs the sweep).
 //! * `INFLIGHT`: a primary is running. Duplicates register as
 //!   followers, then *re-check* for `FILLED` — the claim-time cache
-//!   lookup in `exec::run_batch` — so a fill that raced past their
+//!   lookup in `exec::run_job` — so a fill that raced past their
 //!   registration still serves them.
 //! * `FILLED`: the result is cached. Every later submission is a pure
 //!   hit; the primary's finish drains all registered followers.

@@ -54,7 +54,7 @@ impl ShardPhase for Phase {
     }
 
     fn requeue(&self) -> bool {
-        Phase::requeue(self).is_some()
+        Phase::requeue(self)
     }
 
     fn finish(&self) -> bool {

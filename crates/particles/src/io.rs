@@ -144,11 +144,7 @@ where
 /// anything. Segments go back into a store by range
 /// ([`splice_into`](Self::splice_into)) or are concatenated
 /// ([`append`](Self::append)) — both are plain column copies, no
-/// parsing, no float formatting. Capture and splice both take an
-/// optional index order with one rule — destination row `i` comes from
-/// source row `order[i]` — so a store that runs in a sorted order
-/// captures through the inverse permutation and resumes through the
-/// permutation itself.
+/// parsing, no float formatting.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnSegment {
     cols: ParticleColumns<Vec<f64>, Vec<u16>>,
@@ -160,19 +156,12 @@ const SEGMENT_MAGIC: [u8; 8] = *b"PICSEG01";
 /// Encoded payload bytes per particle.
 const ROW_BYTES: usize = REAL_COLUMNS * std::mem::size_of::<f64>() + std::mem::size_of::<u16>();
 
-/// Panics unless `offset + len` fits `store_len` and `order`, when
-/// given, is `len` indices below `len`.
-fn check_range(offset: usize, len: usize, store_len: usize, order: Option<&[usize]>) {
+/// Panics unless `offset + len` fits `store_len`.
+fn check_range(offset: usize, len: usize, store_len: usize) {
     assert!(
         offset.checked_add(len).is_some_and(|end| end <= store_len),
         "segment range {offset}+{len} out of bounds for store of {store_len}"
     );
-    if let Some(order) = order {
-        assert!(
-            order.len() == len && order.iter().all(|&src| src < len),
-            "segment order must hold {len} indices below {len}"
-        );
-    }
 }
 
 impl ColumnSegment {
@@ -187,32 +176,10 @@ impl ColumnSegment {
         R: Real,
         A: ParticleAccess<R>,
     {
-        ColumnSegment::capture(store, offset, len, None)
-    }
-
-    /// Captures `len` particles of `store` starting at `offset`: segment
-    /// row `i` is store particle `offset + order[i]`, or `offset + i`
-    /// without an order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `offset + len` exceeds `store.len()`, or when `order`
-    /// is not `len` indices below `len`.
-    pub fn capture<R, A>(
-        store: &A,
-        offset: usize,
-        len: usize,
-        order: Option<&[usize]>,
-    ) -> ColumnSegment
-    where
-        R: Real,
-        A: ParticleAccess<R>,
-    {
-        check_range(offset, len, store.len(), order);
+        check_range(offset, len, store.len());
         let mut seg = ColumnSegment::with_capacity(len);
-        for i in 0..len {
-            let p = store.get(offset + order.map_or(i, |o| o[i]));
-            seg.cols.push_row(widen(&p));
+        for i in offset..offset + len {
+            seg.cols.push_row(widen(&store.get(i)));
         }
         seg
     }
@@ -242,21 +209,19 @@ impl ColumnSegment {
     /// Splices the segment's particles into `store` starting at
     /// `offset`, narrowing back to the store's precision (exact for
     /// values that were widened from it): store particle `offset + i`
-    /// becomes segment row `order[i]`, or row `i` without an order.
+    /// becomes segment row `i`.
     ///
     /// # Panics
     ///
-    /// Panics when `offset + self.len()` exceeds `store.len()`, or when
-    /// `order` is not `self.len()` indices below `self.len()`.
-    pub fn splice_into<R, A>(&self, store: &mut A, offset: usize, order: Option<&[usize]>)
+    /// Panics when `offset + self.len()` exceeds `store.len()`.
+    pub fn splice_into<R, A>(&self, store: &mut A, offset: usize)
     where
         R: Real,
         A: ParticleAccess<R>,
     {
-        check_range(offset, self.len(), store.len(), order);
+        check_range(offset, self.len(), store.len());
         for i in 0..self.len() {
-            let row = self.cols.row_at(order.map_or(i, |o| o[i]));
-            store.set(offset + i, &narrow(row));
+            store.set(offset + i, &narrow(self.cols.row_at(i)));
         }
     }
 
@@ -431,8 +396,8 @@ mod tests {
         let seg = ColumnSegment::from_store(&ens, 5, 12);
         let mut back: AosEnsemble<f64> = sample();
         let mut soa: SoaEnsemble<f64> = (0..ens.len()).map(|i| ens.get(i)).collect();
-        seg.splice_into(&mut back, 5, None);
-        seg.splice_into(&mut soa, 5, None);
+        seg.splice_into(&mut back, 5);
+        seg.splice_into(&mut soa, 5);
         for i in 0..ens.len() {
             assert_eq!(back.get(i), ens.get(i));
             assert_eq!(soa.get(i), ens.get(i));
@@ -502,7 +467,7 @@ mod tests {
             .collect();
         let seg = ColumnSegment::from_store(&ens, 0, 8);
         let mut back: SoaEnsemble<f32> = (0..8).map(|_| Particle::default()).collect();
-        seg.splice_into(&mut back, 0, None);
+        seg.splice_into(&mut back, 0);
         for i in 0..8 {
             assert_eq!(back.get(i), ens.get(i), "f64 widening must round-trip");
         }

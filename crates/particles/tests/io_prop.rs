@@ -5,7 +5,6 @@
 
 use pic_math::{Real, Vec3};
 use pic_particles::io::{read_ensemble, write_ensemble, HEADER};
-use pic_particles::sort::invert_perm;
 use pic_particles::{
     AosEnsemble, ColumnSegment, Particle, ParticleAccess, ParticleStore, SoaEnsemble, SpeciesId,
 };
@@ -56,22 +55,21 @@ fn store_of<R: Real, S: ParticleStore<R>>(ps: &[Particle<f64>]) -> S {
     }))
 }
 
-/// Capturing through a permutation and splicing through its inverse is
-/// the identity, and a captured segment's text is the store's dump.
+/// Capturing a store and splicing the segment into another is the
+/// identity, and a captured segment's text is the store's dump.
 fn segment_round_trips<R: Real, S: ParticleStore<R>>(
     ps: &[Particle<f64>],
-    perm: &[usize],
 ) -> Result<(), proptest::TestCaseError> {
     let store: S = store_of(ps);
     let n = store.len();
-    let shuffled = ColumnSegment::capture(&store, 0, n, Some(perm));
+    let segment = ColumnSegment::from_store(&store, 0, n);
     let mut back: S = store_of(&vec![Particle::default(); n]);
-    shuffled.splice_into(&mut back, 0, Some(&invert_perm(perm)));
+    segment.splice_into(&mut back, 0);
     for i in 0..n {
         prop_assert_eq!(store.get(i), back.get(i));
     }
     let mut text = format!("{HEADER}\n").into_bytes();
-    ColumnSegment::from_store(&store, 0, n)
+    segment
         .write_text(&mut text)
         .expect("write to Vec cannot fail");
     prop_assert_eq!(
@@ -83,17 +81,11 @@ fn segment_round_trips<R: Real, S: ParticleStore<R>>(
 
 proptest! {
     #[test]
-    fn segments_round_trip_through_any_order(
-        ps in particles(),
-        keys in proptest::collection::vec(0u32..u32::MAX, 32),
-    ) {
-        // A random permutation of 0..n: the argsort of random keys.
-        let mut perm: Vec<usize> = (0..ps.len()).collect();
-        perm.sort_by_key(|&i| keys[i]);
-        segment_round_trips::<f64, AosEnsemble<f64>>(&ps, &perm)?;
-        segment_round_trips::<f64, SoaEnsemble<f64>>(&ps, &perm)?;
-        segment_round_trips::<f32, AosEnsemble<f32>>(&ps, &perm)?;
-        segment_round_trips::<f32, SoaEnsemble<f32>>(&ps, &perm)?;
+    fn segments_round_trip_in_store_order(ps in particles()) {
+        segment_round_trips::<f64, AosEnsemble<f64>>(&ps)?;
+        segment_round_trips::<f64, SoaEnsemble<f64>>(&ps)?;
+        segment_round_trips::<f32, AosEnsemble<f32>>(&ps)?;
+        segment_round_trips::<f32, SoaEnsemble<f32>>(&ps)?;
     }
 
     #[test]
@@ -146,6 +138,51 @@ proptest! {
         let back_soa: SoaEnsemble<f32> = read_ensemble(text.as_bytes()).expect("parse");
         for i in 0..aos.len() {
             prop_assert_eq!(aos.get(i), back_soa.get(i));
+        }
+    }
+
+    // The binary segment codec against a hostile sender: whatever the
+    // header claims, `from_bytes` answers `InvalidData` — it never
+    // panics, and never allocates for a count the buffer cannot back.
+    #[test]
+    fn segment_header_bit_flips_are_invalid_data(ps in particles(), bit in 0usize..128) {
+        let store: AosEnsemble<f64> = ps.iter().copied().collect();
+        let mut bytes = ColumnSegment::from_store(&store, 0, store.len()).to_bytes();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let err = ColumnSegment::from_bytes(&bytes).expect_err("a flipped header must not decode");
+        prop_assert_eq!(err.kind(), ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn segment_counts_the_buffer_cannot_back_are_invalid_data(
+        ps in particles(),
+        pick in 0usize..6,
+        noise in 0u64..u64::MAX,
+    ) {
+        let store: SoaEnsemble<f64> = ps.iter().copied().collect();
+        let n = store.len() as u64;
+        let mut bytes = ColumnSegment::from_store(&store, 0, store.len()).to_bytes();
+        // One more than the buffer holds, far more, counts whose byte
+        // size wraps `usize` (66 bytes a row), and anything at all.
+        let claimed = [n + 1, n + (1 << 40), u64::MAX / 66 + 1, u64::MAX / 8, u64::MAX, noise][pick];
+        bytes[8..16].copy_from_slice(&claimed.to_le_bytes());
+        match ColumnSegment::from_bytes(&bytes) {
+            Ok(segment) => prop_assert_eq!((claimed, segment.len() as u64), (n, n)),
+            Err(err) => prop_assert_eq!(err.kind(), ErrorKind::InvalidData),
+        }
+    }
+
+    #[test]
+    fn arbitrary_segment_bytes_never_panic(
+        bytes in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..300),
+        magic in 0usize..2,
+    ) {
+        let mut bytes = bytes;
+        if magic == 1 && bytes.len() >= 8 {
+            bytes[..8].copy_from_slice(b"PICSEG01");
+        }
+        if let Err(err) = ColumnSegment::from_bytes(&bytes) {
+            prop_assert_eq!(err.kind(), ErrorKind::InvalidData);
         }
     }
 

@@ -100,7 +100,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 };
             }
             // Valueless: pin each shard to a dedicated worker slot with
-            // per-shard queueing, tuning and Morton pre-sorting.
+            // per-shard queueing and grain tuning.
             "--pinned" => args.cfg.pinned = true,
             "--label" => args.label = value("--label")?,
             "--telemetry" => args.telemetry = Some(PathBuf::from(value("--telemetry")?)),

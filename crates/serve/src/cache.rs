@@ -115,8 +115,6 @@ pub struct CachedResult {
     pub nsps: f64,
     /// Wall time of the producing sweep, ns.
     pub run_ns: u64,
-    /// Jobs coalesced into the producing batch.
-    pub batch_size: usize,
     /// Steps integrated (always the spec's full step count).
     pub steps_done: usize,
     /// Load imbalance of the producing sweep.
@@ -141,9 +139,8 @@ impl CachedResult {
     pub fn to_report(&self, requester: &JobSpec) -> JobReport {
         JobReport {
             nsps: self.nsps,
-            queue_wait_ns: 0,
             run_ns: self.run_ns,
-            batch_size: self.batch_size,
+            batch_size: 1,
             steps_done: self.steps_done,
             imbalance: self.imbalance,
             time_imbalance: self.time_imbalance,
@@ -153,11 +150,10 @@ impl CachedResult {
                 None
             },
             cache_hit: true,
-            resumes: 0,
-            resumed_from_step: 0,
             shards: self.shards,
-            columns: None,
-            gather_ns: 0,
+            // Everything that belongs to the serving of the producing
+            // run — queue wait, setup, resumes, gather — stays zero.
+            ..JobReport::default()
         }
     }
 }
@@ -301,7 +297,6 @@ mod tests {
         CachedResult {
             nsps: tag,
             run_ns: 1_000,
-            batch_size: 1,
             steps_done: 10,
             imbalance: 0.0,
             time_imbalance: 0.0,

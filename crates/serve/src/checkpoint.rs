@@ -1,13 +1,12 @@
 //! In-memory checkpoint store and the fault-injection kill plan.
 //!
 //! Jobs are integrated in segments of `checkpoint_interval` steps; after
-//! each segment the worker captures every still-alive job's particle
-//! span as a [`ColumnSegment`] — in the job's original particle order,
-//! whatever order the worker's store runs in — and parks it here, tagged
-//! with the absolute step count reached. When a worker dies mid-batch
-//! (panic, injected fault), the scheduler requeues the victims instead
-//! of rejecting them, and the next worker splices each one's latest
-//! segment over its freshly seeded store. A segment holds the store's
+//! each segment the worker captures the job's store as a
+//! [`ColumnSegment`] and parks it here, tagged with the absolute step
+//! count reached. When a worker dies mid-job (panic, injected fault),
+//! the scheduler requeues the victim instead of rejecting it, and the
+//! next worker splices its latest segment over its freshly seeded
+//! store. A segment holds the store's
 //! values widened to `f64`, which narrows back exactly in both
 //! precisions, so a resumed trajectory is bit-identical to an
 //! uninterrupted one. Snapshots are shared by `Arc`: reading one for a

@@ -198,8 +198,9 @@ impl Shared {
     }
 
     /// Requeues a worker-death victim for a checkpoint resume. Returns
-    /// false when the job is already terminal or its resume budget is
-    /// exhausted — the caller then rejects it as a poison job.
+    /// false when the job is not running (terminal, or never claimed) or
+    /// its resume budget is exhausted — the caller then rejects it as a
+    /// poison job.
     pub(crate) fn try_requeue(&self, job: &Arc<JobState>) -> bool {
         if job.is_terminal() {
             return false;
@@ -210,17 +211,12 @@ impl Shared {
         if job.resumes.load(Ordering::Relaxed) >= self.cfg.max_resumes {
             return false;
         }
-        match job.phase.requeue() {
-            Some(State::Running) => {
-                // ordering: Relaxed — diagnostic counter (see above).
-                job.resumes.fetch_add(1, Ordering::Relaxed);
-                self.counters.bump(Counter::Resumed);
-            }
-            // Never claimed (a batch mate of the victim): requeued
-            // without charging its resume budget.
-            Some(_) => {}
-            None => return false,
+        if !job.phase.requeue() {
+            return false;
         }
+        // ordering: Relaxed — diagnostic counter (see above).
+        job.resumes.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(Counter::Resumed);
         self.enqueue(job.clone());
         true
     }
@@ -260,7 +256,6 @@ impl Shared {
                     CachedResult {
                         nsps: report.nsps,
                         run_ns: report.run_ns,
-                        batch_size: report.batch_size,
                         steps_done: report.steps_done,
                         imbalance: report.imbalance,
                         time_imbalance: report.time_imbalance,
@@ -290,10 +285,10 @@ mod tests {
         };
         let server = Server::start(cfg, "requeue-test");
         let job = test_job(1, test_spec(10));
-        // A never-claimed batch mate requeues without charging budget.
-        assert!(server.shared.try_requeue(&job));
-        // ordering: test-only read.
-        assert_eq!(job.resumes.load(Ordering::Relaxed), 0);
+        assert!(
+            !server.shared.try_requeue(&job),
+            "only a claimed job is requeued"
+        );
         // A claimed victim charges one resume per requeue.
         for expected in 1..=2u32 {
             assert!(job.claim());

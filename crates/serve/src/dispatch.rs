@@ -1,12 +1,11 @@
 //! Dispatch and the worker pool: the dispatcher thread stages jobs out
-//! of the priority lanes, orders them by (priority, deadline), coalesces
-//! small compatible jobs into batches — one combined `parallel_sweep`
-//! per batch, so per-job overhead amortises the way the paper's
-//! per-iteration overhead analysis predicts — and routes pinned shard
-//! batches to their worker slot. Worker threads drain the batch queues;
-//! a panicking batch takes its worker down, the dispatcher respawns a
-//! clean one, and the batch's jobs are requeued for a checkpoint resume
-//! or terminate `Rejected{worker-panic}` instead of vanishing.
+//! of the priority lanes, orders them by (priority, deadline, id) and
+//! hands each one to a worker queue — the shared one, or under
+//! `ServeConfig::pinned` the queue of the worker slot its shard is bound
+//! to. Worker threads drain the queues, one job per execution; a
+//! panicking job takes its worker down, the dispatcher respawns a clean
+//! one, and the job is requeued for a checkpoint resume or terminates
+//! `Rejected{worker-panic}` instead of vanishing.
 
 use crate::exec;
 use crate::job::Outcome;
@@ -20,20 +19,8 @@ use std::time::Duration;
 /// How long an idle dispatcher/worker sleeps between queue polls.
 const IDLE_WAIT: Duration = Duration::from_micros(200);
 
-/// A group of claimed-together jobs executed as one combined sweep.
-pub(crate) struct Batch {
-    /// Jobs in dispatch order. Invariant: mutually `batch_compatible`.
-    pub jobs: Vec<Arc<JobState>>,
-}
-
-/// Orders staged jobs by (lane, deadline, id) and groups adjacent
-/// compatible small jobs under the particle budget. Pure, for direct
-/// unit testing — end-to-end batch sizes depend on dispatch timing.
-pub(crate) fn form_batches(
-    mut staged: Vec<Arc<JobState>>,
-    coalesce_max: usize,
-    budget: usize,
-) -> Vec<Batch> {
+/// Puts staged jobs in dispatch order: by (lane, deadline, id).
+fn dispatch_order(staged: &mut [Arc<JobState>]) {
     staged.sort_by_key(|j| {
         (
             j.spec.priority.lane(),
@@ -41,49 +28,23 @@ pub(crate) fn form_batches(
             j.id,
         )
     });
-    let mut out: Vec<(Batch, usize)> = Vec::new();
-    for job in staged {
-        let n = job.spec.particles;
-        // Shard sub-jobs always ride alone: a kill-point aimed at one
-        // shard must take down only that shard's worker, and the
-        // invariance tests rely on per-shard batches being independent.
-        if n <= coalesce_max && job.shard.is_none() {
-            if let Some((batch, total)) = out.last_mut() {
-                let fits = *total + n <= budget
-                    && batch.jobs.iter().all(|b| {
-                        b.shard.is_none()
-                            && b.spec.particles <= coalesce_max
-                            && b.spec.batch_compatible(&job.spec)
-                    });
-                if fits {
-                    batch.jobs.push(job);
-                    *total += n;
-                    continue;
-                }
-            }
-        }
-        out.push((Batch { jobs: vec![job] }, n));
-    }
-    out.into_iter().map(|(batch, _)| batch).collect()
 }
 
-/// Resolves the worker slot a batch is pinned to, or `None` when the
-/// batch rides the shared queue. Only shard sub-job batches pin (they
-/// always ride alone — see `form_batches`); the binding is established
-/// once per shard in the `AffinityMap` so resumes and respawns land
-/// on the same slot, keeping the shard's tuner state warm.
-fn pinned_slot(shared: &Shared, batch: &Batch) -> Option<usize> {
-    if !shared.cfg.pinned || shared.pinned_batches.is_empty() {
+/// Resolves the worker slot a job is pinned to, or `None` when it rides
+/// the shared queue. Only shard sub-jobs pin; the binding is established
+/// once per shard in the `AffinityMap` so resumes and respawns land on
+/// the same slot, keeping the shard's tuner state warm.
+fn pinned_slot(shared: &Shared, job: &JobState) -> Option<usize> {
+    if !shared.cfg.pinned || shared.pinned_ready.is_empty() {
         return None;
     }
-    let job = batch.jobs.first()?;
     let ctx = job.shard.as_ref()?;
     let slot = shared.affinity.bind(
         ctx.shard_id,
         job.spec.particles,
         shared.cfg.topology.total_threads(),
     );
-    Some(slot % shared.pinned_batches.len())
+    Some(slot % shared.pinned_ready.len())
 }
 
 pub(crate) fn dispatcher_loop(shared: Arc<Shared>) {
@@ -104,25 +65,21 @@ pub(crate) fn dispatcher_loop(shared: Arc<Shared>) {
             // Admission-only configuration (tests): no worker can ever
             // execute the backlog, so the drain cancels it explicitly
             // rather than hanging — never silently. The backlog is what
-            // was just staged out of the lanes plus every batch still
+            // was just staged out of the lanes plus every job still
             // parked in the shared and the pinned queues.
-            let parked = std::iter::once(&shared.batches)
-                .chain(&shared.pinned_batches)
-                .flat_map(|queue| std::iter::from_fn(move || queue.pop()))
-                .flat_map(|batch| batch.jobs);
+            let parked = std::iter::once(&shared.ready)
+                .chain(&shared.pinned_ready)
+                .flat_map(|queue| std::iter::from_fn(move || queue.pop()));
             for job in staged.drain(..).chain(parked) {
                 shared.finish(&job, Outcome::Cancelled);
             }
         }
         if !staged.is_empty() {
-            for batch in form_batches(
-                staged,
-                shared.cfg.coalesce_max_particles,
-                shared.cfg.batch_particle_budget,
-            ) {
-                match pinned_slot(&shared, &batch) {
-                    Some(slot) => shared.pinned_batches[slot].push(batch),
-                    None => shared.batches.push(batch),
+            dispatch_order(&mut staged);
+            for job in staged {
+                match pinned_slot(&shared, &job) {
+                    Some(slot) => shared.pinned_ready[slot].push(job),
+                    None => shared.ready.push(job),
                 }
             }
             continue;
@@ -165,23 +122,20 @@ fn worker_loop(shared: Arc<Shared>, slot: usize) {
         // be stolen by another worker, and the shared queue must never
         // starve this slot's pinned work.
         let next = shared
-            .pinned_batches
+            .pinned_ready
             .get(slot)
             .and_then(|queue| queue.pop())
-            .or_else(|| shared.batches.pop());
+            .or_else(|| shared.ready.pop());
         match next {
-            Some(batch) => {
+            Some(job) => {
                 let panicked =
-                    catch_unwind(AssertUnwindSafe(|| exec::run_batch(&shared, &batch))).is_err();
+                    catch_unwind(AssertUnwindSafe(|| exec::run_job(&shared, &job))).is_err();
                 if panicked {
-                    // Panic isolation: each of the batch's jobs is
-                    // requeued for a checkpoint resume (or, out of
-                    // budget, rejected explicitly). This thread dies
-                    // either way, so the dispatcher replaces it with a
-                    // clean one.
-                    for job in &batch.jobs {
-                        shared.requeue_or_reject(job);
-                    }
+                    // Panic isolation: the job is requeued for a
+                    // checkpoint resume (or, out of budget, rejected
+                    // explicitly). This thread dies either way, so the
+                    // dispatcher replaces it with a clean one.
+                    shared.requeue_or_reject(&job);
                     return;
                 }
             }
@@ -198,51 +152,9 @@ fn worker_loop(shared: Arc<Shared>, slot: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{Priority, RejectReason};
-    use crate::scheduler::{ServeConfig, Server};
+    use crate::job::{JobSpec, Priority, RejectReason};
+    use crate::scheduler::{quick_cfg, ServeConfig, Server};
     use crate::state::{test_job, test_spec as spec};
-
-    #[test]
-    fn batches_coalesce_compatible_small_jobs_under_budget() {
-        let jobs = vec![
-            test_job(1, spec(100)),
-            test_job(2, spec(200)),
-            test_job(3, spec(300)),
-        ];
-        let batches = form_batches(jobs, 1_000, 10_000);
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].jobs.len(), 3);
-    }
-
-    #[test]
-    fn big_jobs_ride_alone_and_split_small_runs() {
-        let jobs = vec![
-            test_job(1, spec(100)),
-            test_job(2, spec(5_000)),
-            test_job(3, spec(100)),
-        ];
-        let batches = form_batches(jobs, 1_000, 10_000);
-        assert_eq!(batches.len(), 3, "the big job splits the run");
-        assert_eq!(batches[1].jobs[0].id, 2);
-    }
-
-    #[test]
-    fn budget_caps_batch_growth() {
-        let jobs = (1..=5).map(|i| test_job(i, spec(400))).collect();
-        let batches = form_batches(jobs, 1_000, 1_000);
-        assert_eq!(batches.len(), 3, "400+400, 400+400, 400");
-        assert_eq!(batches[0].jobs.len(), 2);
-        assert_eq!(batches[2].jobs.len(), 1);
-    }
-
-    #[test]
-    fn incompatible_physics_never_shares_a_batch() {
-        let mut double = spec(100);
-        double.precision = pic_perfmodel::Precision::F64;
-        let jobs = vec![test_job(1, spec(100)), test_job(2, double)];
-        let batches = form_batches(jobs, 1_000, 10_000);
-        assert_eq!(batches.len(), 2);
-    }
 
     #[test]
     fn dispatch_order_is_priority_then_deadline_then_id() {
@@ -254,10 +166,48 @@ mod tests {
         let mut later = spec(100);
         later.priority = Priority::High;
         later.deadline_ms = Some(50);
-        let jobs = vec![test_job(1, low), test_job(2, later), test_job(3, urgent)];
-        let batches = form_batches(jobs, 0, 0); // no coalescing
-        let order: Vec<u64> = batches.iter().map(|b| b.jobs[0].id).collect();
+        let mut jobs = vec![test_job(1, low), test_job(2, later), test_job(3, urgent)];
+        dispatch_order(&mut jobs);
+        let order: Vec<u64> = jobs.iter().map(|j| j.id).collect();
         assert_eq!(order, vec![3, 2, 1]);
+    }
+
+    /// Same-physics jobs that reach the dispatcher together still run
+    /// one per execution, each to the result it has when run alone.
+    #[test]
+    fn a_burst_of_same_physics_jobs_runs_one_job_per_execution() {
+        let specs: Vec<_> = (0..8u64)
+            .map(|i| {
+                let mut s = spec(100);
+                s.seed = 500 + i;
+                s.return_particles = true;
+                s
+            })
+            .collect();
+        // One server, one worker; the jobs one after another, or all
+        // submitted before any is waited for.
+        let run = |burst: bool| -> Vec<Outcome> {
+            let server = Server::start(quick_cfg(), "burst-test");
+            let submit = |s: &JobSpec| server.submit(s.clone(), None).expect("admitted");
+            let outcomes = if burst {
+                let tickets: Vec<_> = specs.iter().map(submit).collect();
+                tickets.iter().map(|t| t.wait()).collect()
+            } else {
+                specs.iter().map(|s| submit(s).wait()).collect()
+            };
+            server.shutdown();
+            outcomes
+        };
+        let (solo, burst) = (run(false), run(true));
+        for (alone, together) in solo.iter().zip(&burst) {
+            let (Outcome::Completed(alone), Outcome::Completed(together)) = (alone, together)
+            else {
+                panic!("did not complete: {alone:?} / {together:?}");
+            };
+            assert_eq!(together.batch_size, 1);
+            assert!(together.particles.is_some());
+            assert_eq!(together.particles, alone.particles);
+        }
     }
 
     #[test]

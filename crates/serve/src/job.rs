@@ -83,7 +83,7 @@ pub struct JobSpec {
     pub seed: u64,
     /// Return the final particle state in the completion report.
     pub return_particles: bool,
-    /// Execution target: `"host"` (the default) runs the batch sweep on
+    /// Execution target: `"host"` (the default) runs the job's sweep on
     /// the host thread pool; `"p630"` / `"iris-xe-max"` route it through
     /// the device backend (same trajectories bitwise, modeled timing).
     /// Unknown names are shed at validation with `Rejected{invalid}`.
@@ -241,17 +241,6 @@ impl JobSpec {
             device,
         })
     }
-
-    /// True when two specs can share one batch: identical physics
-    /// configuration (the combined sweep must be one homogeneous
-    /// kernel), differing only in sizing, seed, priority or limits.
-    pub fn batch_compatible(&self, other: &JobSpec) -> bool {
-        self.scenario == other.scenario
-            && self.layout == other.layout
-            && self.precision == other.precision
-            && self.steps == other.steps
-            && self.device == other.device
-    }
 }
 
 /// Wire name of a scenario (lowercase; `Scenario::name` is the paper's
@@ -299,7 +288,7 @@ pub enum RejectReason {
     ShuttingDown,
     /// The spec failed validation.
     Invalid(String),
-    /// The worker executing the job's batch panicked.
+    /// The worker executing the job panicked.
     WorkerPanic,
 }
 
@@ -328,22 +317,28 @@ impl RejectReason {
 /// Measured results of a completed job.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobReport {
-    /// Batch throughput: nanoseconds per particle per step over the
-    /// batch the job ran in (the paper's NSPS metric).
+    /// Throughput: nanoseconds per particle per step of the job's run
+    /// (the paper's NSPS metric).
     pub nsps: f64,
-    /// Time the job waited in the queue before its batch started, ns.
+    /// Time from admission until a worker claimed the job, ns.
     pub queue_wait_ns: u64,
-    /// Wall time of the batch sweep, ns.
+    /// Time from the claim until the first step: seeding the ensemble,
+    /// preparing the fields and, on a resume, splicing the checkpoint,
+    /// ns. On a merged parent, the largest of its shards'.
+    pub setup_ns: u64,
+    /// Wall time of the job's steps, ns.
     pub run_ns: u64,
-    /// Jobs coalesced into the batch (1 = ran alone).
+    /// Jobs executed in one sweep. The service runs one job per
+    /// execution, so this is always 1; the wire and `BenchRecord` keep
+    /// the field.
     pub batch_size: usize,
     /// Steps actually integrated (equals the spec's `steps` unless the
-    /// batch stopped early).
+    /// job stopped early).
     pub steps_done: usize,
-    /// Particle-count load imbalance of the batch sweep (0.0 when
+    /// Particle-count load imbalance of the job's sweeps (0.0 when
     /// single-threaded).
     pub imbalance: f64,
-    /// Busy-time load imbalance of the batch sweep.
+    /// Busy-time load imbalance of the job's sweeps.
     pub time_imbalance: f64,
     /// Final particle state (`pic_particles::io` text format), present
     /// when the spec asked for `return_particles`.
@@ -464,32 +459,6 @@ mod tests {
         spec.particles = 10;
         spec.steps = 101;
         assert!(spec.validate(10_000, 100).is_err());
-    }
-
-    #[test]
-    fn batch_compatibility_ignores_sizing_but_not_physics() {
-        let a = JobSpec::default();
-        let mut b = JobSpec {
-            particles: 5,
-            seed: 9,
-            priority: Priority::Low,
-            ..JobSpec::default()
-        };
-        assert!(a.batch_compatible(&b));
-        b.precision = Precision::F64;
-        assert!(!a.batch_compatible(&b));
-        let c = JobSpec {
-            steps: 11,
-            ..JobSpec::default()
-        };
-        assert!(!a.batch_compatible(&c));
-        // A device job must never share a batch with a host job: the
-        // whole batch runs through one backend.
-        let d = JobSpec {
-            device: "p630".to_string(),
-            ..JobSpec::default()
-        };
-        assert!(!a.batch_compatible(&d));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! `pic-serve`: a batched, admission-controlled simulation job service.
+//! `pic-serve`: an admission-controlled simulation job service.
 //!
 //! The paper's observation — pusher throughput is governed by how work
-//! is batched, laid out and scheduled across workers — extends directly
-//! to a serving layer. This crate turns the one-shot benchmark harness
-//! into a multi-tenant service, std-only and offline-safe:
+//! is laid out and scheduled across workers — extends directly to a
+//! serving layer. This crate turns the one-shot benchmark harness into
+//! a multi-tenant service, std-only and offline-safe; a worker executes
+//! one job at a time, over one store, in the job's own particle order:
 //!
 //! * [`job`] — the typed job API: a [`JobSpec`](job::JobSpec) names a
 //!   benchmark scenario, layout, precision, particle count, step count,
@@ -18,10 +19,9 @@
 //!   shed, `cancel`), `completion` (what the one winner of a job's
 //!   `→ Done` transition does: outcome, record, depth release, cache
 //!   fill, followers, promotion, requeue), `dispatch` (three priority
-//!   lanes feeding a dispatcher that coalesces small compatible jobs
-//!   into one [`pic_bench::run_mdipole_steps`] sweep — amortising per-job
-//!   overhead exactly as the paper's per-iteration overhead analysis
-//!   predicts — and a worker pool with panic isolation and respawn),
+//!   lanes feeding a dispatcher that hands jobs out in (priority,
+//!   deadline, id) order, and a worker pool with panic isolation and
+//!   respawn),
 //!   `stats` (the counter table behind `stats`, the per-submission
 //!   record) and `state` (one job's shared state, the ticket on it).
 //! * [`lifecycle`] — the protocol's two shared types, atoms private:
@@ -47,8 +47,9 @@
 //!   diagnostics into one completed response that is bitwise
 //!   shard-count-invariant. With
 //!   [`ServeConfig::pinned`](scheduler::ServeConfig) each shard is
-//!   bound to a dedicated worker slot — its own queue, per-shard grain
-//!   tuning and an independent Morton pre-sort of its sub-range.
+//!   bound to a dedicated worker slot — its own queue and per-shard
+//!   grain tuning — and a sharded device job is merged as a K-queue
+//!   pipeline.
 //! * [`proto`] — the versioned line-delimited JSON wire protocol.
 //! * [`frontend`] — pumps requests from any `BufRead` into the server
 //!   and responses back out; the `pic-serve` binary wires it to
@@ -58,8 +59,8 @@
 //!   and nothing else in the crate).
 //!
 //! Every job — including shed ones — emits a `pic-telemetry`
-//! [`pic_telemetry::BenchRecord`] carrying queue wait, batch size, NSPS
-//! and outcome, so the `regress` gate can watch the service path the
+//! [`pic_telemetry::BenchRecord`] carrying queue wait, NSPS and
+//! outcome, so the `regress` gate can watch the service path the
 //! same way it watches the bench path.
 
 #![forbid(unsafe_code)]

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 /// Where a job is in its life.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 pub enum State {
-    /// Admitted, waiting in a lane or a batch.
+    /// Admitted, waiting in a lane or a worker queue.
     Queued,
     /// Claimed by a worker, executing.
     Running,
@@ -71,12 +71,9 @@ enum Event {
 /// refused, and `Done` has no outgoing row. Where an event has several
 /// source states the likeliest comes first — [`Phase::fire`] tries the
 /// rows in this order.
-const TRANSITIONS: [(State, Event, State); 7] = [
+const TRANSITIONS: [(State, Event, State); 6] = [
     (State::Queued, Event::Claim, State::Running),
     (State::Running, Event::Requeue, State::Queued),
-    // A batch mate of the victim that was never claimed: requeued
-    // without charging its resume budget.
-    (State::Queued, Event::Requeue, State::Queued),
     (State::Running, Event::Finish, State::Done),
     (State::Queued, Event::Finish, State::Done),
     (State::Queued, Event::FinishFrom(State::Queued), State::Done),
@@ -140,12 +137,12 @@ impl Phase {
         self.fire(Event::Claim).is_some()
     }
 
-    /// Puts a dead worker's job back in line. `Some(Running)` — it was
-    /// executing, the requeue is charged to its resume budget;
-    /// `Some(Queued)` — a never-claimed batch mate, uncharged; `None` —
-    /// already terminal, must not be requeued.
-    pub fn requeue(&self) -> Option<State> {
-        self.fire(Event::Requeue)
+    /// `Running → Queued`: puts a dead worker's job back in line. True
+    /// for the one caller that took it out of `Running`; false when the
+    /// job is terminal, or was never claimed and so still has its place
+    /// in line.
+    pub fn requeue(&self) -> bool {
+        self.fire(Event::Requeue).is_some()
     }
 
     /// Any non-`Done` state `→ Done`: true for the one winner.
@@ -302,10 +299,7 @@ mod tests {
             };
             assert_eq!(after(Phase::claim), next_state(from, Event::Claim));
             assert_eq!(after(Phase::finish), next_state(from, Event::Finish));
-            assert_eq!(
-                after(|p| p.requeue().is_some()),
-                next_state(from, Event::Requeue)
-            );
+            assert_eq!(after(Phase::requeue), next_state(from, Event::Requeue));
             for expected in ALL {
                 let phase = Phase::new(from);
                 let won = phase.finish_from(expected);
@@ -314,10 +308,6 @@ mod tests {
                     next_state(from, Event::FinishFrom(expected))
                 );
             }
-            // `requeue` reports the state left, which is what decides
-            // whether the resume budget is charged.
-            let left = Phase::new(from).requeue();
-            assert_eq!(left, (from != State::Done).then_some(from));
         }
     }
 
@@ -357,7 +347,7 @@ mod tests {
                         } else if op < 2 {
                             phase.claim().then_some(&claims)
                         } else {
-                            (phase.requeue() == Some(State::Running)).then_some(&charged)
+                            phase.requeue().then_some(&charged)
                         };
                         if let Some(counter) = counter {
                             // ordering: Relaxed — test tally, read after

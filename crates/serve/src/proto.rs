@@ -156,6 +156,10 @@ pub fn outcome_line(id: u64, tag: Option<&str>, outcome: &Outcome) -> String {
             if r.gather_ns > 0 {
                 e.push(("gather_ns", Value::Num(r.gather_ns as f64)));
             }
+            // Additive likewise: only an executed job has a setup.
+            if r.setup_ns > 0 {
+                e.push(("setup_ns", Value::Num(r.setup_ns as f64)));
+            }
             if r.resumes > 0 {
                 e.push(("resumes", Value::Num(r.resumes as f64)));
                 e.push(("resumed_from_step", Value::Num(r.resumed_from_step as f64)));
@@ -250,6 +254,7 @@ mod tests {
         let report = crate::job::JobReport {
             nsps: 12.5,
             queue_wait_ns: 100,
+            setup_ns: 40,
             run_ns: 5_000,
             batch_size: 3,
             steps_done: 7,
@@ -267,6 +272,7 @@ mod tests {
         let v = parse(&line).unwrap();
         assert_eq!(v.get("type").and_then(Value::as_str), Some("completed"));
         assert_eq!(v.get("batch_size").and_then(Value::as_u64), Some(3));
+        assert_eq!(v.get("setup_ns").and_then(Value::as_u64), Some(40));
         assert_eq!(v.get("steps_done").and_then(Value::as_u64), Some(7));
         assert_eq!(v.get("cache_hit"), Some(&Value::Bool(false)));
         assert_eq!(v.get("resumes").and_then(Value::as_u64), Some(2));
@@ -312,6 +318,7 @@ mod tests {
         assert_eq!(v.get("cache_hit"), Some(&Value::Bool(true)));
         assert!(v.get("resumes").is_none());
         assert!(v.get("resumed_from_step").is_none());
+        assert!(v.get("setup_ns").is_none(), "a cache hit set nothing up");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The admission-controlled, batching job scheduler: its configuration,
+//! The admission-controlled job scheduler: its configuration,
 //! the state its threads share, and the [`Server`] handle.
 //!
 //! The protocol lives in the modules around this one, each holding one
@@ -15,8 +15,8 @@
 //!   requeue.
 //! * `shard` — fan-out of an over-threshold job and the gather that
 //!   merges its shards back into one completion.
-//! * `dispatch` — batching, the dispatcher thread, the worker pool with
-//!   panic isolation and respawn.
+//! * `dispatch` — dispatch order, pinned-slot routing, the dispatcher
+//!   thread, the worker pool with panic isolation and respawn.
 //! * `stats` — the counter table and the per-submission telemetry
 //!   record.
 
@@ -24,7 +24,7 @@ use crate::cache::ResultCache;
 use crate::checkpoint::{CheckpointStore, KillPlan};
 use crate::clock::Clock;
 use crate::completion::Inflight;
-use crate::dispatch::{dispatcher_loop, Batch};
+use crate::dispatch::dispatcher_loop;
 use crate::lifecycle::Admission;
 use crate::state::JobState;
 use crate::stats::{Counter, Counters};
@@ -42,8 +42,9 @@ pub use crate::stats::{ServeStats, ShutdownReport};
 /// Service sizing and execution configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads executing batches. `0` = admission-only (used by
-    /// tests to exercise queue behavior deterministically).
+    /// Worker threads, each executing one job at a time. `0` =
+    /// admission-only (used by tests to exercise queue behavior
+    /// deterministically).
     pub workers: usize,
     /// Bound of the admission queue: jobs admitted but not yet terminal.
     /// Submissions beyond it are shed with `Rejected{queue-full}`.
@@ -52,13 +53,9 @@ pub struct ServeConfig {
     pub max_particles: usize,
     /// Per-job step-count limit.
     pub max_steps: usize,
-    /// Jobs at or below this particle count may be coalesced.
-    pub coalesce_max_particles: usize,
-    /// Combined particle budget of one coalesced batch.
-    pub batch_particle_budget: usize,
-    /// Thread topology of each batch sweep.
+    /// Thread topology of each job's sweep.
     pub topology: Topology,
-    /// Schedule of each batch sweep.
+    /// Schedule of each job's sweep.
     pub schedule: Schedule,
     /// Test hook: a job whose seed matches panics inside its worker,
     /// exercising panic isolation and respawn. `None` in production.
@@ -66,7 +63,7 @@ pub struct ServeConfig {
     /// Completed results kept in the deterministic cache (LRU-evicted).
     /// `0` disables caching, follower coalescing and claim-time hits.
     pub cache_capacity: usize,
-    /// Steps between particle-store checkpoints inside a running batch.
+    /// Steps between particle-store checkpoints inside a running job.
     /// `0` disables checkpointing: a killed job restarts from step 0.
     pub checkpoint_interval: usize,
     /// Times a worker-death victim is requeued before it terminates
@@ -83,11 +80,13 @@ pub struct ServeConfig {
     /// per worker); always clamped to the job's particle count.
     pub shards: usize,
     /// Pin shard sub-jobs to execution units: shard `k` always
-    /// dispatches to worker `k mod workers` (with a per-shard grain
-    /// tuner that persists across executions of the decomposition), and
-    /// a sharded device job is merged as a K-queue pipeline whose
-    /// staging overlaps the compute chain. `false` keeps the unpinned
-    /// behavior: any worker takes any shard, one device queue.
+    /// dispatches to worker `k mod workers` through that slot's own
+    /// queue (with a per-shard grain tuner that persists across
+    /// executions of the decomposition), and a sharded device job is
+    /// merged as a K-queue pipeline whose staging overlaps the compute
+    /// chain. A pinned shard runs in the same particle order as an
+    /// unpinned one. `false` keeps the unpinned behavior: any worker
+    /// takes any shard, one device queue.
     pub pinned: bool,
 }
 
@@ -98,8 +97,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_particles: 1_000_000,
             max_steps: 10_000,
-            coalesce_max_particles: 5_000,
-            batch_particle_budget: 20_000,
             topology: Topology::single(1),
             schedule: Schedule::dynamic(),
             fault_inject_seed: None,
@@ -121,12 +118,12 @@ pub(crate) struct Shared {
     pub clock: Clock,
     /// Priority lanes, index = `Priority::lane()`.
     pub lanes: [WorkQueue<Arc<JobState>>; 3],
-    /// Formed batches awaiting a worker.
-    pub batches: WorkQueue<Batch>,
-    /// Per-worker pinned batch queues (index = worker slot). Used only
-    /// under `cfg.pinned`: shard batches are routed to their affinity
-    /// slot's queue, everything else rides the shared `batches` queue.
-    pub pinned_batches: Vec<WorkQueue<Batch>>,
+    /// Dispatched jobs awaiting a worker, in dispatch order.
+    pub ready: WorkQueue<Arc<JobState>>,
+    /// Per-worker pinned queues (index = worker slot). Used only under
+    /// `cfg.pinned`: shard sub-jobs are routed to their affinity slot's
+    /// queue, everything else rides the shared `ready` queue.
+    pub pinned_ready: Vec<WorkQueue<Arc<JobState>>>,
     /// Shard→worker bindings with per-shard grain tuners, populated at
     /// dispatch time under `cfg.pinned`.
     pub affinity: AffinityMap,
@@ -174,8 +171,8 @@ impl Server {
             label: label.to_string(),
             clock: Clock::new(),
             lanes: [WorkQueue::new(), WorkQueue::new(), WorkQueue::new()],
-            batches: WorkQueue::new(),
-            pinned_batches: (0..worker_slots).map(|_| WorkQueue::new()).collect(),
+            ready: WorkQueue::new(),
+            pinned_ready: (0..worker_slots).map(|_| WorkQueue::new()).collect(),
             affinity: AffinityMap::new(worker_slots),
             admission: Admission::default(),
             cache: Mutex::new(cache),
@@ -229,15 +226,28 @@ mod tests {
     #[test]
     fn submitted_job_completes_with_a_report_and_a_record() {
         let server = Server::start(quick_cfg(), "sched-test");
+        let before_ns = server.shared.clock.now_ns();
         let ticket = server
             .submit(spec(200), None)
             .unwrap_or_else(|r| panic!("admission refused: {r:?}"));
         let Outcome::Completed(report) = ticket.wait() else {
             panic!("expected completion, got {:?}", ticket.outcome());
         };
+        let wall_ns = server.shared.clock.now_ns() - before_ns;
         assert_eq!(report.steps_done, 10);
         assert!(report.nsps > 0.0);
         assert!(report.batch_size >= 1);
+        assert!(
+            report.setup_ns > 0,
+            "seeding and field preparation take time"
+        );
+        assert!(
+            report.queue_wait_ns + report.setup_ns + report.run_ns <= wall_ns,
+            "queue {} + setup {} + run {} exceed the job's wall time {wall_ns}",
+            report.queue_wait_ns,
+            report.setup_ns,
+            report.run_ns
+        );
         let out = server.shutdown();
         assert_eq!(out.stats.completed, 1);
         assert_eq!(out.stats.depth, 0);

@@ -264,8 +264,8 @@ impl Shared {
     /// the merged dump is the header plus the shards' bodies in plan
     /// order — bitwise what the monolithic run would have produced —
     /// and the merged measurements reconcile against the per-shard
-    /// records: `run_ns`/`steps_done` are the critical path (max),
-    /// `resumes` the sum, imbalance the particle-weighted mean.
+    /// records: `setup_ns`/`run_ns`/`steps_done` are the critical path
+    /// (max), `resumes` the sum, imbalance the particle-weighted mean.
     pub(crate) fn finish_sharded(&self, gather: &Gather, outcomes: Vec<Outcome>) {
         let parent = &gather.parent;
         if let Some(bad) = outcomes
@@ -322,6 +322,7 @@ impl Shared {
         }
         let steps_done = reports.iter().map(|r| r.steps_done).max().unwrap_or(0);
         let queue_wait_ns = reports.iter().map(|r| r.queue_wait_ns).min().unwrap_or(0);
+        let setup_ns = reports.iter().map(|r| r.setup_ns).max().unwrap_or(0);
         let weigh = |field: fn(&JobReport) -> f64| -> f64 {
             let per_shard: Vec<(usize, f64)> = reports
                 .iter()
@@ -341,6 +342,7 @@ impl Shared {
         let report = JobReport {
             nsps,
             queue_wait_ns,
+            setup_ns,
             run_ns,
             batch_size: 1,
             steps_done,

@@ -173,9 +173,9 @@ impl Shared {
             scenario: spec.scenario,
             precision: spec.precision,
             schedule: self.cfg.schedule,
-            // Batches run through the SoA fast path (exec.rs); the
-            // service does no locality sorting, so `order_fraction`
-            // stays at its unmeasured 0.
+            // Jobs run through the SoA fast path in their seeded
+            // particle order (exec.rs): nothing sorts, so nothing
+            // measures `order_fraction` and it stays 0.
             variant: KernelVariant::SoaFast,
             topology: &self.cfg.topology,
             // Picks the model; a name validation refused predicts as

@@ -29,10 +29,11 @@ use std::thread;
 const STEPS: usize = 12;
 const INTERVAL: usize = 3;
 
-/// Ten jobs with distinct physics: all eight scenario × layout ×
-/// precision combos, plus two batch-compatible mates of the first combo
-/// (they can coalesce into one sweep and die together). Seeds are
-/// unique — the kill plan and the reference dumps key on them.
+/// Ten jobs: all eight scenario × layout × precision combos, plus two
+/// more of the first combo that differ from it only in size and seed —
+/// neighbours in the queue with the same physics, which must not
+/// interact. Seeds are unique — the kill plan and the reference dumps
+/// key on them.
 fn job_set() -> Vec<JobSpec> {
     let mut jobs = Vec::new();
     let mut seed = 100u64;
@@ -144,9 +145,9 @@ fn check_schedule(schedule: u64, reference: &HashMap<u64, String>) {
     let cfg = ServeConfig {
         workers: 2,
         checkpoint_interval: INTERVAL,
-        // Generous budget: every panic charges the victim *and* its
-        // claimed batch mates one resume each.
-        max_resumes: 16,
+        // A schedule arms at most four points, possibly all on one job;
+        // each charges that job one resume and nobody else.
+        max_resumes: 4,
         kill_plan: Some(plan.clone()),
         ..ServeConfig::default()
     };
@@ -212,6 +213,43 @@ fn killed_workers_resume_bitwise_identically_sweep() {
     for schedule in 1..=24 {
         check_schedule(schedule, &reference);
     }
+}
+
+/// A kill takes down the job it was armed on and nobody else: of the
+/// three same-physics jobs of the set, submitted back to back, only the
+/// armed one is charged a resume.
+#[test]
+fn a_kill_charges_only_the_job_it_was_armed_on() {
+    let set = job_set();
+    let physics = |j: &JobSpec| (j.scenario, j.layout, j.precision);
+    let alike: Vec<u64> = set
+        .iter()
+        .filter(|j| physics(j) == physics(&set[0]))
+        .map(|j| j.seed)
+        .collect();
+    assert_eq!(alike.len(), 3, "the first combo and its two neighbours");
+    let victim = alike[1];
+    let plan = KillPlan::new();
+    plan.arm(victim, 5);
+    let cfg = ServeConfig {
+        workers: 2,
+        checkpoint_interval: INTERVAL,
+        kill_plan: Some(plan.clone()),
+        ..ServeConfig::default()
+    };
+    let (outcomes, report) = run_all(cfg, "fault-one");
+    assert_eq!(plan.armed(), 0, "the kill fired");
+    for seed in alike {
+        let Outcome::Completed(r) = &outcomes[&seed] else {
+            panic!("job seed {seed}: {:?}", outcomes[&seed]);
+        };
+        assert_eq!(
+            r.resumes,
+            u64::from(seed == victim),
+            "job seed {seed}: only the armed job resumes"
+        );
+    }
+    assert_eq!(report.stats.resumed, 1, "one kill, one resume");
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! Kill-points for shards are armed through `KillPlan::arm_shard`, which
 //! keys the point on [`shard_kill_key`] — a per-shard derivation of the
 //! parent seed — so a point can strike one shard without aliasing its
-//! siblings or a monolithic job with the same seed. Shard sub-jobs ride
-//! alone in their batches (the scheduler never coalesces them), so the
-//! panic takes down exactly one shard's worker.
+//! siblings or a monolithic job with the same seed. A worker executes
+//! one job at a time, so the panic takes down exactly one shard's
+//! worker.
 //!
 //! The quick variant kills one mid-plan shard; the `#[ignore]`d sweep
 //! kills every shard at several steps, plus a two-shard double kill,
@@ -51,9 +51,9 @@ fn reference_dump(spec: &JobSpec) -> String {
     report.particles.expect("reference dump")
 }
 
-/// Runs `spec` sharded (and Morton-sorted per shard when `pinned`)
-/// under `plan`, asserting completion, and returns the merged dump, the
-/// parent's resume count and the drained report.
+/// Runs `spec` sharded (each shard on its own worker slot when
+/// `pinned`) under `plan`, asserting completion, and returns the merged
+/// dump, the parent's resume count and the drained report.
 fn run_with_plan(
     spec: &JobSpec,
     pinned: bool,
@@ -123,10 +123,9 @@ fn killed_shard_resumes_while_siblings_run_untouched() {
     assert_eq!(shard_resumes[2], 0, "shard 2 never resumed");
 }
 
-/// The same kill on a pinned shard of a Precalculated job: the shard runs
-/// Morton-sorted, its checkpoint is parked in original order, and the
-/// resume splices it back through the permutation over a store whose
-/// fields were prepared from the sorted t=0 positions.
+/// The same kill on a pinned shard of a Precalculated job: the resume
+/// splices the checkpoint over a store whose per-particle fields were
+/// prepared from the seeded t=0 positions, on the shard's own slot.
 #[test]
 fn killed_pinned_shard_resumes_on_precalculated_fields() {
     for (layout, precision) in [(Layout::Aos, Precision::F64), (Layout::Soa, Precision::F32)] {

@@ -114,8 +114,8 @@ fn merged_dumps_are_bitwise_equal_across_shard_counts() {
             let tag = format!("{layout:?}/{precision:?}");
             let (reference, ref_shards, _) = run_sharded(spec(layout, precision), 1);
             assert_eq!(ref_shards, 0, "{tag}: K=1 runs monolithic");
-            // Pinned execution reorders *how* each shard integrates
-            // (dedicated worker slot, Morton pre-sorted sub-range) but
+            // Pinned execution changes *where* each shard integrates
+            // (dedicated worker slot, its own queue and grain tuner) but
             // never what it computes: both modes must reproduce the
             // monolithic dump bitwise through the columnar gather.
             for pinned in [false, true] {

@@ -176,12 +176,20 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Arrays and objects nested deeper than this are refused. The parser
+/// recurses once per level and lines come off the wire: without a bound
+/// a line of a few hundred thousand `[` overflows the stack, which
+/// aborts the process instead of returning an error. The schema's own
+/// documents nest four deep.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document from `input` (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -197,6 +205,8 @@ struct Parser<'a> {
     /// `src.as_bytes()`: structural characters are all ASCII.
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -241,12 +251,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, one level further down.
+    fn nested(
+        &mut self,
+        container: fn(&mut Parser<'a>) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -454,6 +478,21 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("12 34").unwrap_err().message.contains("trailing"));
         assert!(parse("").is_err());
+    }
+
+    /// Regression: each of these lines overflowed the parser's stack
+    /// (a process abort, not a panic) before the depth bound.
+    #[test]
+    fn runaway_nesting_is_an_error_not_a_stack_overflow() {
+        for unit in ["[", "{\"a\":", "[{\"a\":"] {
+            let err = parse(&unit.repeat(200_000)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok(), "{MAX_DEPTH} levels still parse");
+        assert!(parse(&format!("[{deepest}]")).is_err());
+        // Siblings do not count as depth.
+        assert!(parse(&format!("[{}]", "[[]],".repeat(1_000) + "[]")).is_ok());
     }
 
     #[test]

@@ -89,8 +89,9 @@ pub struct BenchRecord {
     /// Time the job spent queued before execution started, nanoseconds
     /// (0 for bench-harness records, which never queue).
     pub queue_wait_ns: f64,
-    /// Number of jobs coalesced into the batch this record's work ran
-    /// in (1 for bench-harness records; 0 for jobs that never ran).
+    /// Number of jobs this record's work ran together with: 1 for a
+    /// served job (the service runs one job per execution) and for
+    /// bench-harness records; 0 for jobs that never ran.
     pub batch_size: u64,
     /// Terminal outcome of the producing job: `"completed"`,
     /// `"rejected"`, `"cancelled"` or `"timed-out"` (bench-harness
