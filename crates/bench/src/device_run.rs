@@ -23,7 +23,7 @@ use pic_boris::{FieldSource, PrecalculatedSource, SoaBorisKernel};
 use pic_device::{Device, DeviceExecutor, Event, StagedEnsemble, SweepProfile};
 use pic_math::stats::Summary;
 use pic_math::Real;
-use pic_particles::sort::{cell_order_fraction, PeriodicSorter, SortOrder};
+use pic_particles::sort::{cell_order_fraction, sort_by_morton};
 use pic_particles::{
     AosEnsemble, Layout, ParticleAccess, ParticleStore, SoaEnsemble, SpeciesTable,
 };
@@ -289,7 +289,7 @@ fn measure_device_store<R: Real, A: ParticleStore<R>>(
     // Same locality discipline as the host fast path: Morton-sort before
     // the Precalculated sampling pass so memory order is access order.
     if scenario == Scenario::Precalculated {
-        PeriodicSorter::with_order(grid, cfg.iterations.max(1), SortOrder::Morton).sort_now(store);
+        sort_by_morton(store, &grid);
     }
     let order_fraction = cell_order_fraction(store, &grid);
     let ctx = MdipoleScenario::prepare(scenario, store);

@@ -18,16 +18,13 @@ use pic_runtime::{ExecTarget, Schedule, Topology};
 use pic_telemetry::{BenchRecord, SCHEMA_VERSION};
 
 /// Maps a runtime schedule onto the paper's parallelization row used for
-/// the model prediction (guided has no paper row; it behaves like the
-/// dynamic DPC++/TBB mode).
+/// the model prediction.
 pub fn parallelization_of(schedule: Schedule) -> Parallelization {
     match schedule {
         Schedule::StaticChunks => Parallelization::OpenMp,
         // Auto-tuned scheduling is dynamic scheduling with a measured
         // grain, so it maps to the same paper row.
-        Schedule::Dynamic { .. } | Schedule::Guided { .. } | Schedule::AutoTuned => {
-            Parallelization::Dpcpp
-        }
+        Schedule::Dynamic { .. } | Schedule::AutoTuned => Parallelization::Dpcpp,
         Schedule::NumaDomains { .. } => Parallelization::DpcppNuma,
     }
 }
@@ -224,10 +221,6 @@ mod tests {
         );
         assert_eq!(
             parallelization_of(Schedule::dynamic()),
-            Parallelization::Dpcpp
-        );
-        assert_eq!(
-            parallelization_of(Schedule::guided()),
             Parallelization::Dpcpp
         );
         assert_eq!(

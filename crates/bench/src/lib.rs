@@ -9,10 +9,7 @@
 //! | `fig1`            | Fig. 1 — strong scaling 1–48 cores               |
 //! | `table3`          | Table 3 — GPU NSPS vs CPU, single precision      |
 //! | `first_iteration` | §5.3 — first-iteration JIT/warm-up overhead      |
-//! | `pushers`         | ablation — Boris vs Vay vs Higuera–Cary          |
-//! | `interp`          | ablation — interpolation order and grid gather   |
-//! | `ensemble_org`    | ablation — global-array+sort vs per-cell+migrate (§3) |
-//! | `schedule_sim`    | ablation — static/dynamic/guided under load imbalance (§4.3) |
+//! | `schedule_sim`    | ablation — simulated static/dynamic/guided policies under load imbalance (§4.3) |
 //! | `kernel_micro`    | criterion micro-benchmarks of the push kernel    |
 //!
 //! `cargo run -p pic-bench --bin reproduce` prints all modeled artifacts

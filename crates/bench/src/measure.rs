@@ -10,7 +10,7 @@ use crate::scenario::{build_ensemble, BenchConfig};
 use pic_math::constants::BENCH_WAVELENGTH;
 use pic_math::stats::Summary;
 use pic_math::{Real, Vec3};
-use pic_particles::sort::{cell_order_fraction, CellGrid, PeriodicSorter, SortOrder};
+use pic_particles::sort::{cell_order_fraction, sort_by_morton, CellGrid};
 use pic_particles::{AosEnsemble, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Scenario;
 use pic_runtime::{imbalance_of, Schedule, Topology};
@@ -142,8 +142,7 @@ fn measure_store<R: Real, A: ParticleStore<R>>(
     // streaming reads. The scalar baseline is left unsorted on purpose:
     // it measures the current layout as-is.
     if variant == KernelVariant::SoaFast && scenario == Scenario::Precalculated {
-        PeriodicSorter::with_order(grid, cfg.steps_per_iteration.max(1), SortOrder::Morton)
-            .sort_now(store);
+        sort_by_morton(store, &grid);
     }
     let order_fraction = cell_order_fraction(store, &grid);
     // Field context (including the Precalculated sampling pass) is built

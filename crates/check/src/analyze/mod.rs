@@ -37,6 +37,9 @@ pub struct Analysis {
     /// The complete `Ordering::…` inventory (production *and* test
     /// code) — coverage is asserted against an independent grep.
     pub ordering_sites: Vec<atomics::OrderingSite>,
+    /// Size of the symbol index the checks ran over: `(fns, structs)`,
+    /// test code included — the workspace's surface as one number pair.
+    pub indexed: (usize, usize),
 }
 
 /// Analyzes a set of `(workspace-relative path, source text)` pairs.
@@ -49,6 +52,7 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
     Analysis {
         diagnostics,
         ordering_sites,
+        indexed: (idx.fns.len(), idx.structs.len()),
     }
 }
 

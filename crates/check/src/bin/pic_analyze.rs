@@ -91,8 +91,11 @@ fn main() -> ExitCode {
 
     if analysis.diagnostics.is_empty() {
         println!(
-            "pic-analyze: workspace clean ({} `Ordering::` sites inventoried)",
-            analysis.ordering_sites.len()
+            "pic-analyze: workspace clean ({} `Ordering::` sites inventoried; \
+             {} fns and {} structs indexed)",
+            analysis.ordering_sites.len(),
+            analysis.indexed.0,
+            analysis.indexed.1
         );
         return ExitCode::SUCCESS;
     }

@@ -39,7 +39,6 @@ fn every_schedule_accounts_for_every_particle() {
         Schedule::StaticChunks,
         Schedule::Dynamic { grain: 0 },
         Schedule::Dynamic { grain: 7 },
-        Schedule::Guided { min_grain: 0 },
         Schedule::NumaDomains { grain: 0 },
         Schedule::NumaDomains { grain: 5 },
     ];
@@ -66,7 +65,6 @@ fn aos_and_soa_reports_agree_on_totals() {
     // work totals regardless of storage layout.
     for schedule in [
         Schedule::Dynamic { grain: 16 },
-        Schedule::Guided { min_grain: 4 },
         Schedule::NumaDomains { grain: 16 },
     ] {
         let topo = Topology::uniform(2, 2);

@@ -2,15 +2,11 @@
 //! to DPC++.
 //!
 //! The crate implements the conventional **Boris** scheme (paper §2,
-//! Eqs. 6–13) plus the two standard alternatives surveyed by the paper's
-//! Ref. \[11] (Ripperda et al. 2018), **Vay** and **Higuera–Cary**, all over
-//! the layout-agnostic [`pic_particles::ParticleView`] proxy so one kernel
-//! serves both AoS and SoA ensembles:
+//! Eqs. 6–13) over the layout-agnostic [`pic_particles::ParticleView`]
+//! proxy so one kernel serves both AoS and SoA ensembles:
 //!
 //! * [`BorisPusher`] — half electric kick, exact-|p| magnetic rotation,
 //!   half electric kick, leapfrog position update.
-//! * [`VayPusher`] — Vay (2008) velocity average; correct E×B drift.
-//! * [`HigueraCaryPusher`] — Higuera–Cary (2017) volume-preserving form.
 //! * [`PushKernel`] — binds a pusher to a field source and species table,
 //!   ready for [`pic_particles::ParticleAccess::for_each_mut`] or the
 //!   parallel runtime.
@@ -45,17 +41,13 @@
 
 pub mod boris;
 pub mod diag;
-pub mod higuera;
 pub mod kernel;
 pub mod pusher;
 pub mod soa_boris;
-pub mod vay;
 
 pub use boris::BorisPusher;
-pub use higuera::HigueraCaryPusher;
 pub use kernel::{
     AnalyticalSource, FieldSource, PrecalculatedSource, PushKernel, SharedPushKernel,
 };
 pub use pusher::{OpTally, Pusher};
 pub use soa_boris::SoaBorisKernel;
-pub use vay::VayPusher;

@@ -1,4 +1,5 @@
-//! The pusher abstraction shared by all integrators.
+//! The pusher abstraction: the trait, its operation tally and the
+//! dimensionless-momentum helpers the Boris scheme is written in.
 
 use pic_fields::EB;
 use pic_math::constants::LIGHT_VELOCITY;
@@ -69,8 +70,8 @@ impl OpTally {
         f64::from(self.scalars_written) * scalar_bytes as f64
     }
 
-    /// Element-wise sum: a pusher's tally is the part every scheme shares
-    /// plus its own. Memory traffic adds too.
+    /// Element-wise sum: a pusher's tally is the shared plumbing
+    /// ([`SHARED_TALLY`]) plus the scheme's own. Memory traffic adds too.
     pub fn combine(self, other: OpTally) -> OpTally {
         OpTally {
             adds: self.adds + other.adds,
@@ -83,9 +84,9 @@ impl OpTally {
     }
 }
 
-/// Tally of the plumbing every integrator shares: u = p·(1/mc), the final
-/// γ(u), p = u·mc, and the leapfrog position step x += u·(cΔt/γ). Loads
-/// are position, momentum and the six field components; stores are
+/// Tally of the plumbing around the momentum update: u = p·(1/mc), the
+/// final γ(u), p = u·mc, and the leapfrog position step x += u·(cΔt/γ).
+/// Loads are position, momentum and the six field components; stores are
 /// momentum, γ and position.
 ///
 /// Not counted, here or in any [`Pusher::tally`]: ε = qΔt/(2mc), mc, 1/mc
@@ -114,8 +115,7 @@ pub fn drift_coef<R: Real>(gamma: R, dt: R) -> R {
 }
 
 /// Advances the position by one leapfrog step, `x += u·k` with
-/// k = [`drift_coef`] (paper Eq. 7 in dimensionless momentum). Shared by
-/// all pushers.
+/// k = [`drift_coef`] (paper Eq. 7 in dimensionless momentum).
 #[inline(always)]
 pub fn advance_position<R: Real, V: ParticleView<R>>(view: &mut V, u: Vec3<R>, gamma: R, dt: R) {
     view.set_position(u.mul_add(drift_coef(gamma, dt), view.position()));
@@ -133,9 +133,8 @@ pub fn inv_mc<R: Real>(mass: R) -> R {
     mc(mass).recip()
 }
 
-/// Dimensionless momentum u = p/(mc) and its helpers, shared by the
-/// integrators. Forming the ratio before any squaring keeps single
-/// precision safe with CGS magnitudes.
+/// Dimensionless momentum u = p/(mc). Forming the ratio before any
+/// squaring keeps single precision safe with CGS magnitudes.
 #[inline(always)]
 pub fn u_from_momentum<R: Real>(p: Vec3<R>, mass: R) -> Vec3<R> {
     p * inv_mc(mass)
@@ -169,22 +168,12 @@ mod tests {
 
     #[test]
     fn tallies_reflect_algorithm_complexity() {
-        use crate::{BorisPusher, HigueraCaryPusher, VayPusher};
-        let boris = Pusher::<f64>::tally(&BorisPusher).flop_equivalents();
-        let vay = Pusher::<f64>::tally(&VayPusher).flop_equivalents();
-        let hc = Pusher::<f64>::tally(&HigueraCaryPusher).flop_equivalents();
-        // Boris is the cheapest scheme; Vay's quartic + velocity average
-        // costs the most of the three.
-        assert!(boris < hc && hc < vay, "boris={boris} hc={hc} vay={vay}");
-        // All pushers move the same particle state and field components.
-        for t in [
-            Pusher::<f64>::tally(&BorisPusher),
-            Pusher::<f64>::tally(&VayPusher),
-            Pusher::<f64>::tally(&HigueraCaryPusher),
-        ] {
-            assert_eq!(t.scalars_read, 12);
-            assert_eq!(t.scalars_written, 7);
-        }
+        let t = Pusher::<f64>::tally(&crate::BorisPusher);
+        // The scheme's own arithmetic sits on top of the shared plumbing.
+        assert!(t.flop_equivalents() > SHARED_TALLY.flop_equivalents());
+        // A push moves the particle state and six field components.
+        assert_eq!(t.scalars_read, 12);
+        assert_eq!(t.scalars_written, 7);
     }
 
     #[test]

@@ -404,17 +404,20 @@ mod tests {
         let _ = DipoleStandingWave::<f64>::new(-1.0, BENCH_OMEGA);
     }
 
-    /// `sample_into` over `points` (positions in units of 1/k, so their
-    /// norm is kR) against `sample` point by point, compared as bits.
-    fn assert_batch_matches_scalar<R: Real>(points: &[(f64, f64, f64)], time_scale: f64) {
-        let w = DipoleStandingWave::<R>::new(BENCH_POWER, BENCH_OMEGA);
-        let t = R::from_f64(time_scale / BENCH_OMEGA);
-        let n = points.len();
-        let inv_k = 1.0 / w.wave_number().to_f64();
-        let xs: Vec<R> = points.iter().map(|p| R::from_f64(p.0 * inv_k)).collect();
-        let ys: Vec<R> = points.iter().map(|p| R::from_f64(p.1 * inv_k)).collect();
-        let zs: Vec<R> = points.iter().map(|p| R::from_f64(p.2 * inv_k)).collect();
-        let mut lanes: [Vec<R>; 6] = std::array::from_fn(|_| vec![R::ZERO; n]);
+    type Point = (f64, f64, f64);
+
+    /// The x, y and z columns of `points`, each coordinate times `scale`.
+    fn columns<R: Real>(points: &[Point], scale: f64) -> [Vec<R>; 3] {
+        let axes: [fn(&Point) -> f64; 3] = [|p| p.0, |p| p.1, |p| p.2];
+        axes.map(|axis| {
+            let column = points.iter().map(|p| R::from_f64(axis(p) * scale));
+            column.collect()
+        })
+    }
+
+    /// `sample_into` over the points, as its six output lanes.
+    fn batch<R: Real>(w: &DipoleStandingWave<R>, [xs, ys, zs]: [&[R]; 3], t: R) -> [Vec<R>; 6] {
+        let mut lanes: [Vec<R>; 6] = std::array::from_fn(|_| vec![R::ZERO; xs.len()]);
         let [ex, ey, ez, bx, by, bz] = &mut lanes;
         let mut out = EbSlices {
             ex,
@@ -424,7 +427,18 @@ mod tests {
             by,
             bz,
         };
-        w.sample_into(&xs, &ys, &zs, t, &mut out);
+        w.sample_into(xs, ys, zs, t, &mut out);
+        lanes
+    }
+
+    /// `sample_into` over `points` (positions in units of 1/k, so their
+    /// norm is kR) against `sample` point by point, compared as bits.
+    fn assert_batch_matches_scalar<R: Real>(points: &[(f64, f64, f64)], time_scale: f64) {
+        let w = DipoleStandingWave::<R>::new(BENCH_POWER, BENCH_OMEGA);
+        let t = R::from_f64(time_scale / BENCH_OMEGA);
+        let n = points.len();
+        let [xs, ys, zs] = columns::<R>(points, 1.0 / w.wave_number().to_f64());
+        let lanes = batch(&w, [&xs, &ys, &zs], t);
         let bits = |v: R| v.to_f64().to_bits();
         for i in 0..n {
             let f = w.sample(Vec3::new(xs[i], ys[i], zs[i]), t);
@@ -432,6 +446,49 @@ mod tests {
             let got = lanes.each_ref().map(|lane| bits(lane[i]));
             assert_eq!(got, want, "lane {i} of {n} at kR = {:?}", points[i]);
         }
+    }
+
+    /// Both samplers over finite `points` (cm) at the finite time `t`:
+    /// every component of every field must be finite.
+    fn assert_fields_finite<R: Real>(points: &[Point], t: f64) {
+        let w = DipoleStandingWave::<R>::new(BENCH_POWER, BENCH_OMEGA);
+        let t = R::from_f64(t);
+        let [xs, ys, zs] = columns::<R>(points, 1.0);
+        let inputs = xs.iter().chain(&ys).chain(&zs).chain([&t]);
+        assert!(inputs.into_iter().all(|v| v.is_finite()), "{points:?} {t}");
+        let lanes = batch(&w, [&xs, &ys, &zs], t);
+        for i in 0..points.len() {
+            let f = w.sample(Vec3::new(xs[i], ys[i], zs[i]), t);
+            let scalar = [f.e.x, f.e.y, f.e.z, f.b.x, f.b.y, f.b.z];
+            let batched = lanes.each_ref().map(|lane| lane[i]);
+            assert!(
+                scalar.iter().chain(&batched).all(|v| v.is_finite()),
+                "{} at {:?}, t = {t}: sample {scalar:?}, sample_into {batched:?}",
+                R::NAME,
+                (xs[i], ys[i], zs[i]),
+            );
+        }
+    }
+
+    /// `points` and `t` scaled into `R`'s range: a coordinate or time of
+    /// magnitude `m` ≥ 1 becomes `MAX^(m − 1)` for `m` in `1..2` — log-uniform
+    /// up to the largest finite value, where `R²` overflows — and smaller
+    /// magnitudes are kept as they are. Times stop where `ω₀t` would
+    /// overflow: the phase has no limit to fall back on there.
+    fn stretched<R: Real>(points: &[Point], t: f64) -> (Vec<Point>, f64) {
+        let stretch = |v: f64, max: f64| {
+            if v.abs() < 1.0 {
+                v
+            } else {
+                max.powf(v.abs() - 1.0).copysign(v)
+            }
+        };
+        let max = R::MAX.to_f64();
+        let points = points
+            .iter()
+            .map(|p| (stretch(p.0, max), stretch(p.1, max), stretch(p.2, max)))
+            .collect();
+        (points, stretch(t, 0.5 * max / BENCH_OMEGA))
     }
 
     /// Scales a direction to the norm `k_r`.
@@ -480,6 +537,51 @@ mod tests {
                 }
             }
         }
+
+        /// No finite position and time yields a non-finite field component,
+        /// from either sampler in either precision: at the focus, on the
+        /// series side, at the hand-over, on the closed-form side, beyond
+        /// the polynomial sin/cos range, and out to coordinates whose
+        /// square overflows.
+        #[test]
+        fn finite_inputs_sample_to_finite_fields(
+            dirs in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), LANES + 3),
+            regimes in prop::collection::vec(0usize..5, LANES + 3),
+            fracs in prop::collection::vec(0.0f64..1.0, LANES + 3),
+            far in prop::collection::vec((-2.0f64..2.0, -2.0f64..2.0, -2.0f64..2.0), LANES + 3),
+            t in -2.0f64..2.0,
+        ) {
+            let inv_k = LIGHT_VELOCITY / BENCH_OMEGA;
+            let points: Vec<Point> = (0..LANES + 3)
+                .map(|i| {
+                    let k_r = match regimes[i] {
+                        0 => return far[i],
+                        1 => 0.0,
+                        2 => fracs[i],
+                        3 => 1.0 + 2e-6 * (fracs[i] - 0.5),
+                        _ => 1.0 + 50.0 * fracs[i],
+                    };
+                    at_radius(dirs[i], k_r * inv_k)
+                })
+                .collect();
+            for len in [LANES + 3, LANES, 1] {
+                let (points32, t32) = stretched::<f32>(&points[..len], t);
+                assert_fields_finite::<f32>(&points32, t32);
+                let (points64, t64) = stretched::<f64>(&points[..len], t);
+                assert_fields_finite::<f64>(&points64, t64);
+            }
+        }
+    }
+
+    /// Found by `finite_inputs_sample_to_finite_fields`: finite in `f32`,
+    /// but `y²` is not, so `kR` reads ∞.
+    #[test]
+    fn a_position_whose_square_overflows_samples_to_zero_not_nan() {
+        let far = (-3.942905e25, -6.863032e36, 0.94658756);
+        assert_fields_finite::<f32>(&[far], -0.81744564);
+        let w = DipoleStandingWave::<f32>::new(BENCH_POWER, BENCH_OMEGA);
+        let f = w.sample(Vec3::new(far.0 as f32, far.1 as f32, far.2 as f32), 1.0e-15);
+        assert_eq!((f.e, f.b), (Vec3::zero(), Vec3::zero()));
     }
 
     #[test]

@@ -9,23 +9,16 @@
 //!   crossed) used by tests and examples.
 //! * **Precalculated Fields** — loaded from a per-particle array
 //!   ([`precalc::PrecalculatedFields`]) computed once in advance.
-//!
-//! For the full PIC substrate the crate also provides grid-based field
-//! storage with CIC/TSC interpolation ([`grid`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dipole;
-pub mod dipole_pulse;
-pub mod grid;
 pub mod precalc;
 pub mod sampler;
 pub mod uniform;
 
 pub use dipole::DipoleStandingWave;
-pub use dipole_pulse::DipolePulse;
-pub use grid::{EmGrid, InterpOrder, ScalarGrid, Stagger};
 pub use precalc::PrecalculatedFields;
 pub use sampler::{map_components, BatchSampler, EbSlices, FieldSampler, EB, FIELD_COLUMNS};
 pub use uniform::UniformFields;

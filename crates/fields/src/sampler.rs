@@ -169,11 +169,9 @@ impl<R: Real, S: BatchSampler<R> + ?Sized> BatchSampler<R> for &S {
     }
 }
 
-// Samplers without a profitable straight-line form keep the per-point
-// default; listing them here keeps the `BatchSampler` universe closed
-// over every in-crate `FieldSampler`.
-impl<R: Real> BatchSampler<R> for crate::dipole_pulse::DipolePulse<R> {}
-impl<R: Real> BatchSampler<R> for crate::grid::EmGrid<R> {}
+// A uniform field has no profitable straight-line form and keeps the
+// per-point default; with it the `BatchSampler` universe is closed over
+// every in-crate `FieldSampler`.
 impl<R: Real> BatchSampler<R> for crate::uniform::UniformFields<R> {}
 
 #[cfg(test)]

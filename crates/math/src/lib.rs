@@ -32,7 +32,6 @@ pub mod constants;
 pub mod real;
 pub mod special;
 pub mod stats;
-pub mod units;
 pub mod vector;
 
 pub use real::Real;

@@ -107,8 +107,10 @@ fn in_poly_range<R: Real>(x: R) -> bool {
 /// 1/15, 2/3) — the three factors the dipole field components are built
 /// from (paper Eq. 14 divides f₁ by `R` and f₂ by `R²`).
 ///
-/// Total: arguments beyond [`Real::SIN_COS_POLY_MAX`], NaN and ±∞ take
-/// their sine and cosine from libm.
+/// Total: finite arguments beyond [`Real::SIN_COS_POLY_MAX`] (and NaN,
+/// which stays NaN) take their sine and cosine from libm; ±∞ — what `kR`
+/// reads when a finite position's `R²` overflows — gives the limit
+/// `(0, 0, 0)` every factor decays to, where libm's sine would be NaN.
 ///
 /// # Example
 ///
@@ -121,12 +123,24 @@ fn in_poly_range<R: Real>(x: R) -> bool {
 /// ```
 #[inline]
 pub fn radial<R: Real>(x: R) -> (R, R, R) {
-    let sin_cos = if in_poly_range(x) {
-        x.sin_cos_poly()
+    if in_poly_range(x) {
+        radial_from(x, x.sin_cos_poly())
     } else {
-        x.sin_cos()
-    };
-    radial_from(x, sin_cos)
+        radial_beyond_poly(x)
+    }
+}
+
+/// [`radial`] outside the polynomial sin/cos range. Out of line: no
+/// physical `kR` gets here, and the callers' in-range code stays as
+/// small as it is without this arm.
+#[cold]
+#[inline(never)]
+fn radial_beyond_poly<R: Real>(x: R) -> (R, R, R) {
+    if x.abs() > R::MAX {
+        (R::ZERO, R::ZERO, R::ZERO)
+    } else {
+        radial_from(x, x.sin_cos())
+    }
 }
 
 /// [`radial`] of every lane, as three arrays — each lane bit for bit what
@@ -322,11 +336,15 @@ mod tests {
 
     #[test]
     fn radial_is_total() {
-        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let (g1, g2, g3) = radial(x);
-            assert!(g1.is_nan() && g2.is_nan() && g3.is_nan(), "radial({x})");
-            let (g1, g2, g3) = radial(x as f32);
-            assert!(g1.is_nan() && g2.is_nan() && g3.is_nan(), "radial({x}f32)");
+        let (g1, g2, g3) = radial(f64::NAN);
+        assert!(g1.is_nan() && g2.is_nan() && g3.is_nan());
+        let (g1, g2, g3) = radial(f32::NAN);
+        assert!(g1.is_nan() && g2.is_nan() && g3.is_nan());
+        // kR = ±∞ is a finite position whose R² overflowed: the limit of
+        // every factor, not libm's sin(∞) = NaN.
+        for x in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(radial(x), (0.0, 0.0, 0.0), "radial({x})");
+            assert_eq!(radial(x as f32), (0.0, 0.0, 0.0), "radial({x}f32)");
         }
         // Just inside the polynomial range and just outside it (libm).
         fn edge<R: Real>(tol: f64) {
@@ -349,7 +367,7 @@ mod tests {
         fn check<R: Real>() {
             let bits = |(a, b, c): (R, R, R)| [a, b, c].map(|v| v.to_f64().to_bits());
             // All lanes in range (the straight-line arm), then with one lane
-            // beyond it and one NaN (the lane-by-lane arm).
+            // beyond it, one NaN and one infinite (the lane-by-lane arm).
             let mut x = [0.0, 1e-3, 0.5, 0.999, 1.0, 1.001, 7.25, 49.0].map(R::from_f64);
             for _ in 0..2 {
                 let (g1, g2, g3) = radial_lanes(&x);
@@ -358,6 +376,7 @@ mod tests {
                 }
                 x[2] = R::SIN_COS_POLY_MAX * R::TWO;
                 x[5] = R::from_f64(f64::NAN);
+                x[6] = R::from_f64(f64::INFINITY);
             }
         }
         check::<f64>();

@@ -2,13 +2,12 @@
 //!
 //! The paper's benchmark (§5.2) starts from "electrons at rest, distributed
 //! uniformly within the sphere with radius r = 0.6λ". This module provides
-//! that distribution plus the usual PIC initialisations (uniform box,
-//! Maxwellian momenta) used by the full simulation substrate.
+//! that distribution, its sharded range form, and a uniform box for tests
+//! that need positions spread over a grid.
 
-use crate::particle::{lorentz_gamma, Particle};
-use crate::species::{Species, SpeciesId};
+use crate::particle::Particle;
+use crate::species::SpeciesId;
 use crate::view::ParticleStore;
-use pic_math::constants::LIGHT_VELOCITY;
 use pic_math::{Real, Vec3};
 use rand::Rng;
 
@@ -39,7 +38,7 @@ pub fn sample_sphere<G: Rng + ?Sized>(dist: &SphereDist, rng: &mut G) -> Vec3<f6
 }
 
 /// Samples an isotropic unit vector (Marsaglia's method on the sphere).
-pub fn sample_unit_vector<G: Rng + ?Sized>(rng: &mut G) -> Vec3<f64> {
+fn sample_unit_vector<G: Rng + ?Sized>(rng: &mut G) -> Vec3<f64> {
     loop {
         let x = rng.gen::<f64>() * 2.0 - 1.0;
         let y = rng.gen::<f64>() * 2.0 - 1.0;
@@ -59,14 +58,6 @@ pub fn sample_box<G: Rng + ?Sized>(dist: &BoxDist, rng: &mut G) -> Vec3<f64> {
         rng.gen_range(dist.min.y..dist.max.y),
         rng.gen_range(dist.min.z..dist.max.z),
     )
-}
-
-/// Samples a standard normal variate (Box–Muller; `rand_distr` is not a
-/// permitted dependency, so the transform is implemented here).
-pub fn sample_standard_normal<G: Rng + ?Sized>(rng: &mut G) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Fills `store` with `n` particles of `species` at rest, uniformly
@@ -133,80 +124,6 @@ pub fn fill_sphere_at_rest_range<R, S, G>(
     }
 }
 
-/// Fills `store` with `n` particles uniformly distributed in `bounds` with
-/// non-relativistic Maxwellian momenta of temperature `temperature_erg`
-/// (momentum spread per axis: √(m·k_B T), with the temperature given in
-/// energy units).
-#[allow(clippy::too_many_arguments)]
-pub fn fill_box_maxwellian<R, S, G>(
-    store: &mut S,
-    n: usize,
-    bounds: &BoxDist,
-    temperature_erg: f64,
-    weight: f64,
-    species_id: SpeciesId,
-    species: &Species<R>,
-    rng: &mut G,
-) where
-    R: Real,
-    S: ParticleStore<R>,
-    G: Rng + ?Sized,
-{
-    let sigma = (species.mass.to_f64() * temperature_erg).sqrt();
-    store.reserve(n);
-    for _ in 0..n {
-        let pos = sample_box(bounds, rng);
-        let p = Vec3::new(
-            sigma * sample_standard_normal(rng),
-            sigma * sample_standard_normal(rng),
-            sigma * sample_standard_normal(rng),
-        );
-        let momentum = Vec3::<R>::from_f64(p);
-        store.push(Particle::new(
-            Vec3::from_f64(pos),
-            momentum,
-            R::from_f64(weight),
-            species_id,
-            species.mass,
-        ));
-    }
-}
-
-/// Fills `store` with a cold drifting beam: `n` particles in `bounds`, all
-/// with momentum `gamma_beta · m c` along `direction`.
-#[allow(clippy::too_many_arguments)]
-pub fn fill_box_beam<R, S, G>(
-    store: &mut S,
-    n: usize,
-    bounds: &BoxDist,
-    gamma_beta: f64,
-    direction: Vec3<f64>,
-    weight: f64,
-    species_id: SpeciesId,
-    species: &Species<R>,
-    rng: &mut G,
-) where
-    R: Real,
-    S: ParticleStore<R>,
-    G: Rng + ?Sized,
-{
-    let mc = species.mass.to_f64() * LIGHT_VELOCITY;
-    let p = direction.normalized() * (gamma_beta * mc);
-    let momentum = Vec3::<R>::from_f64(p);
-    let gamma = lorentz_gamma(momentum, species.mass);
-    store.reserve(n);
-    for _ in 0..n {
-        let pos = sample_box(bounds, rng);
-        store.push(Particle {
-            position: Vec3::from_f64(pos),
-            momentum,
-            weight: R::from_f64(weight),
-            gamma,
-            species: species_id,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,17 +174,6 @@ mod tests {
             .sum::<Vec3<f64>>()
             / n as f64;
         assert!(mean.norm() < 0.02, "mean = {mean}");
-    }
-
-    #[test]
-    fn normal_sampler_moments() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let n = 50000;
-        let xs: Vec<f64> = (0..n).map(|_| sample_standard_normal(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
-        assert!(mean.abs() < 0.02, "mean = {mean}");
-        assert!((var - 1.0).abs() < 0.03, "var = {var}");
     }
 
     #[test]
@@ -354,60 +260,5 @@ mod tests {
             &mut StdRng::seed_from_u64(11),
         );
         assert_eq!(empty.len(), 0);
-    }
-
-    #[test]
-    fn maxwellian_fill_has_expected_spread() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let table = SpeciesTable::<f64>::with_standard_species();
-        let e = *table.get(EL);
-        let bounds = BoxDist {
-            min: Vec3::zero(),
-            max: Vec3::splat(1.0),
-        };
-        let temp = 1.0e-9; // erg, nonrelativistic for electrons
-        let mut ens = AosEnsemble::<f64>::new();
-        fill_box_maxwellian(&mut ens, 20000, &bounds, temp, 1.0, EL, &e, &mut rng);
-        let sigma2 = e.mass.to_f64() * temp;
-        let var = ens
-            .as_slice()
-            .iter()
-            .map(|p| p.momentum.x * p.momentum.x)
-            .sum::<f64>()
-            / ens.len() as f64;
-        assert!(
-            (var / sigma2 - 1.0).abs() < 0.05,
-            "var ratio = {}",
-            var / sigma2
-        );
-    }
-
-    #[test]
-    fn beam_fill_is_monoenergetic() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let table = SpeciesTable::<f64>::with_standard_species();
-        let e = *table.get(EL);
-        let bounds = BoxDist {
-            min: Vec3::zero(),
-            max: Vec3::splat(1.0),
-        };
-        let mut ens = AosEnsemble::<f64>::new();
-        fill_box_beam(
-            &mut ens,
-            50,
-            &bounds,
-            3.0,
-            Vec3::new(0.0, 0.0, 2.0),
-            1.0,
-            EL,
-            &e,
-            &mut rng,
-        );
-        let expect_gamma = (1.0f64 + 9.0).sqrt();
-        for p in ens.as_slice() {
-            assert!((p.gamma - expect_gamma).abs() < 1e-12);
-            assert_eq!(p.momentum.x, 0.0);
-            assert!(p.momentum.z > 0.0);
-        }
     }
 }

@@ -15,9 +15,9 @@
 //!   SoA store, its chunks, the kernel's blocks, the device staging and
 //!   the [`ColumnSegment`] all instantiate.
 //! * [`init`] — initial distributions (the benchmark's uniform sphere of
-//!   electrons at rest, Maxwellian momenta, …).
-//! * [`sort`] — periodic cell sorting for cache locality (paper §3 notes
-//!   Hi-Chi stores one global array and "periodically sorts" it).
+//!   electrons at rest and its sharded range form).
+//! * [`sort`] — Morton sorting for cache locality (paper §3 notes Hi-Chi
+//!   stores one global array and "periodically sorts" it).
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod aos;
-pub mod cells;
 pub mod columns;
 pub mod init;
 pub mod io;
@@ -56,7 +55,6 @@ pub mod species;
 pub mod view;
 
 pub use aos::{AosChunkMut, AosEnsemble};
-pub use cells::CellEnsemble;
 pub use columns::{ColumnsMut, ColumnsRef, ParticleColumns, SoaRefMut};
 pub use io::ColumnSegment;
 pub use particle::Particle;

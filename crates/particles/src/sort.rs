@@ -1,12 +1,11 @@
-//! Periodic particle sorting for cache locality (paper §3).
+//! Particle sorting for cache locality (paper §3).
 //!
 //! Hi-Chi stores the whole ensemble in one array and "periodically sorts the
 //! array of particles in order to improve cache locality". This module
-//! provides the two usual orderings:
-//!
-//! * linear **cell index** on a regular grid (counting sort, O(n)), and
-//! * **Morton (Z-order) code** sorting, which also keeps neighbouring cells
-//!   close in memory.
+//! sorts by the **Morton (Z-order) code** of a particle's cell on a regular
+//! grid, which keeps neighbouring cells close in memory, exposes the
+//! permutation so a caller can undo the sort, and measures how cell-ordered
+//! an ensemble is.
 
 use crate::view::{ParticleAccess, ParticleStore};
 use pic_math::{Real, Vec3};
@@ -38,11 +37,6 @@ impl CellGrid {
             "CellGrid: zero cells along an axis"
         );
         CellGrid { min, max, cells }
-    }
-
-    /// Total number of cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells[0] * self.cells[1] * self.cells[2]
     }
 
     /// Integer cell coordinates of a position (clamped into the domain).
@@ -86,33 +80,6 @@ pub fn morton3(x: u32, y: u32, z: u32) -> u64 {
         x
     }
     spread(x) | (spread(y) << 1) | (spread(z) << 2)
-}
-
-/// Sorts the ensemble by linear cell index using a counting sort (stable,
-/// O(n + cells)). This is the "periodic sort" step of Hi-Chi's single-array
-/// ensemble organisation.
-pub fn sort_by_cell<R: Real, S: ParticleStore<R>>(store: &mut S, grid: &CellGrid) {
-    let n = store.len();
-    if n <= 1 {
-        return;
-    }
-    let mut keys = Vec::with_capacity(n);
-    for i in 0..n {
-        keys.push(grid.cell_index(store.get(i).position.to_f64()));
-    }
-    let mut counts = vec![0usize; grid.cell_count() + 1];
-    for &k in &keys {
-        counts[k + 1] += 1;
-    }
-    for c in 1..counts.len() {
-        counts[c] += counts[c - 1];
-    }
-    let particles = store.to_particles();
-    let mut next = counts;
-    for (p, &k) in particles.iter().zip(&keys) {
-        store.set(next[k], p);
-        next[k] += 1;
-    }
 }
 
 /// Sorts the ensemble by Morton code (comparison sort, O(n log n)).
@@ -174,119 +141,6 @@ pub fn invert_perm(perm: &[usize]) -> Vec<usize> {
         inv[src] = dst;
     }
     inv
-}
-
-/// Schedules the "periodic" in Hi-Chi's periodic sorting: counts steps and
-/// triggers a cell sort every `interval` calls.
-///
-/// # Example
-///
-/// ```
-/// use pic_math::Vec3;
-/// use pic_particles::sort::{CellGrid, PeriodicSorter};
-/// use pic_particles::{AosEnsemble, Particle, ParticleStore};
-///
-/// let grid = CellGrid::new(Vec3::zero(), Vec3::splat(4.0), [4, 4, 4]);
-/// let mut sorter = PeriodicSorter::new(grid, 10);
-/// let mut ens = AosEnsemble::<f64>::from_particles(
-///     (0..5).map(|_| Particle::default()));
-/// let mut sorts = 0;
-/// for _step in 0..25 {
-///     if sorter.maybe_sort(&mut ens) {
-///         sorts += 1;
-///     }
-/// }
-/// assert_eq!(sorts, 2); // after steps 10 and 20
-/// ```
-#[derive(Clone, Debug)]
-pub struct PeriodicSorter {
-    grid: CellGrid,
-    interval: usize,
-    order: SortOrder,
-    steps: usize,
-    sorts: usize,
-}
-
-/// Which ordering a [`PeriodicSorter`] applies.
-#[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
-pub enum SortOrder {
-    /// Linear cell index (counting sort, the Hi-Chi default).
-    #[default]
-    Cell,
-    /// Morton (Z-order) code — neighbouring cells also stay close in
-    /// memory, so precalculated-field lookups become streaming reads.
-    Morton,
-}
-
-impl PeriodicSorter {
-    /// Creates a sorter that cell-sorts every `interval` steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn new(grid: CellGrid, interval: usize) -> PeriodicSorter {
-        PeriodicSorter::with_order(grid, interval, SortOrder::Cell)
-    }
-
-    /// Creates a sorter with an explicit ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn with_order(grid: CellGrid, interval: usize, order: SortOrder) -> PeriodicSorter {
-        assert!(interval > 0, "PeriodicSorter: zero interval");
-        PeriodicSorter {
-            grid,
-            interval,
-            order,
-            steps: 0,
-            sorts: 0,
-        }
-    }
-
-    /// Sorts `store` immediately with this sorter's ordering, without
-    /// touching the step counter — the "sort once before the run" mode
-    /// used by the bench harness (re-sorting mid-run would desynchronize
-    /// per-particle side arrays such as precalculated fields).
-    pub fn sort_now<R: Real, S: ParticleStore<R>>(&mut self, store: &mut S) {
-        match self.order {
-            SortOrder::Cell => sort_by_cell(store, &self.grid),
-            SortOrder::Morton => sort_by_morton(store, &self.grid),
-        }
-        self.sorts += 1;
-    }
-
-    /// Counts one step; sorts (and returns `true`) on every
-    /// `interval`-th call.
-    pub fn maybe_sort<R: Real, S: ParticleStore<R>>(&mut self, store: &mut S) -> bool {
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.interval) {
-            self.sort_now(store);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The sorting grid.
-    pub fn grid(&self) -> &CellGrid {
-        &self.grid
-    }
-
-    /// The ordering this sorter applies.
-    pub fn order(&self) -> SortOrder {
-        self.order
-    }
-
-    /// Number of sorts performed so far.
-    pub fn sorts(&self) -> usize {
-        self.sorts
-    }
-
-    /// Steps counted so far.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
 }
 
 /// Measures how well an ensemble is cell-ordered: the fraction of adjacent
@@ -385,51 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_sort_orders_cells_aos() {
-        let mut ens: AosEnsemble<f64> = random_ensemble(500, 11);
-        let g = grid();
-        assert!(cell_order_fraction(&ens, &g) < 0.9);
-        sort_by_cell(&mut ens, &g);
-        assert_eq!(cell_order_fraction(&ens, &g), 1.0);
-        assert_eq!(ens.len(), 500);
-    }
-
-    #[test]
-    fn counting_sort_orders_cells_soa() {
-        let mut ens: SoaEnsemble<f64> = random_ensemble(500, 12);
-        let g = grid();
-        sort_by_cell(&mut ens, &g);
-        assert_eq!(cell_order_fraction(&ens, &g), 1.0);
-    }
-
-    #[test]
-    fn counting_sort_preserves_multiset() {
-        let mut ens: AosEnsemble<f64> = random_ensemble(200, 13);
-        let g = grid();
-        let mut before: Vec<f64> = ens.as_slice().iter().map(|p| p.weight).collect();
-        sort_by_cell(&mut ens, &g);
-        let mut after: Vec<f64> = ens.as_slice().iter().map(|p| p.weight).collect();
-        before.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        after.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn counting_sort_is_stable() {
-        // Two particles in the same cell keep their relative order.
-        let g = grid();
-        let mut ens = AosEnsemble::<f64>::new();
-        for (i, x) in [0.9, 0.05, 0.06, 0.07].iter().enumerate() {
-            let mut p = Particle::at_rest(Vec3::new(*x, 0.0, 0.0), 1.0, SpeciesId(0));
-            p.weight = i as f64;
-            ens.push(p);
-        }
-        sort_by_cell(&mut ens, &g);
-        let weights: Vec<f64> = ens.as_slice().iter().map(|p| p.weight).collect();
-        assert_eq!(weights, vec![1.0, 2.0, 3.0, 0.0]);
-    }
-
-    #[test]
     fn morton_sort_orders_by_morton_code() {
         let mut ens: SoaEnsemble<f64> = random_ensemble(300, 14);
         let g = grid();
@@ -446,28 +255,9 @@ mod tests {
     fn sorting_tiny_ensembles_is_a_noop() {
         let g = grid();
         let mut empty = AosEnsemble::<f64>::new();
-        sort_by_cell(&mut empty, &g);
         sort_by_morton(&mut empty, &g);
         assert!(empty.is_empty());
         assert_eq!(cell_order_fraction(&empty, &g), 1.0);
-    }
-
-    #[test]
-    fn periodic_sorter_counts_and_sorts() {
-        let g = grid();
-        let mut sorter = PeriodicSorter::new(g, 5);
-        let mut ens: AosEnsemble<f64> = random_ensemble(200, 21);
-        assert!(cell_order_fraction(&ens, &g) < 0.9);
-        let mut fired = 0;
-        for _ in 0..12 {
-            if sorter.maybe_sort(&mut ens) {
-                fired += 1;
-                assert_eq!(cell_order_fraction(&ens, &g), 1.0);
-            }
-        }
-        assert_eq!(fired, 2);
-        assert_eq!(sorter.sorts(), 2);
-        assert_eq!(sorter.steps(), 12);
     }
 
     #[test]
@@ -571,30 +361,10 @@ mod tests {
         // Morton order is not linear cell order, but it is far more
         // cell-coherent than a random shuffle.
         assert!(sorted > shuffled);
-        sort_by_cell(&mut ens, &g);
-        assert_eq!(cell_order_fraction(&ens, &g), 1.0);
-    }
-
-    #[test]
-    fn periodic_sorter_morton_mode() {
-        let g = grid();
-        let mut sorter = PeriodicSorter::with_order(g, 3, SortOrder::Morton);
-        assert_eq!(sorter.order(), SortOrder::Morton);
-        assert_eq!(sorter.grid(), &g);
-        let mut ens: SoaEnsemble<f64> = random_ensemble(300, 51);
-        sorter.sort_now(&mut ens);
-        assert_eq!(sorter.sorts(), 1);
-        assert_eq!(sorter.steps(), 0); // sort_now leaves the schedule alone
-        let mut prev = 0u64;
-        for i in 0..ens.len() {
-            let code = g.morton_index(ens.get(i).position.to_f64());
-            assert!(code >= prev);
-            prev = code;
-        }
-        for _ in 0..3 {
-            sorter.maybe_sort(&mut ens);
-        }
-        assert_eq!(sorter.sorts(), 2);
-        assert_eq!(PeriodicSorter::new(g, 3).order(), SortOrder::Cell);
+        // One cell thick in y and z, the Morton code is the linear cell
+        // index, so a Morton sort is a full cell sort.
+        let line = CellGrid::new(Vec3::zero(), Vec3::splat(1.0), [4, 1, 1]);
+        sort_by_morton(&mut ens, &line);
+        assert_eq!(cell_order_fraction(&ens, &line), 1.0);
     }
 }

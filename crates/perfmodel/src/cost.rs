@@ -249,7 +249,7 @@ mod tests {
     /// agree in magnitude (within 2×), not digit for digit.
     mod tally_reconciliation {
         use super::*;
-        use pic_boris::{BorisPusher, HigueraCaryPusher, Pusher, VayPusher};
+        use pic_boris::{BorisPusher, Pusher};
 
         #[test]
         fn boris_tally_matches_model_flops_in_magnitude() {
@@ -268,20 +268,6 @@ mod tests {
             for prec in [Precision::F32, Precision::F64] {
                 let ratio = dipole_flops_counted(prec) / DIPOLE_FLOPS;
                 assert!((0.5..=2.0).contains(&ratio), "{prec}: ratio {ratio:.2}");
-            }
-        }
-
-        #[test]
-        fn alternative_pushers_stay_within_the_boris_model_band() {
-            // Vay and Higuera–Cary replace the rotation, not the memory
-            // pattern: the model's flops constant must remain a magnitude
-            // estimate for them too.
-            for tally in [
-                Pusher::<f64>::tally(&VayPusher),
-                Pusher::<f64>::tally(&HigueraCaryPusher),
-            ] {
-                let ratio = tally.flop_equivalents() / BORIS_FLOPS;
-                assert!((0.5..=3.0).contains(&ratio), "ratio {ratio:.2}");
             }
         }
 

@@ -11,19 +11,21 @@
 //!   is divided into NUMA domains and dynamic scheduling happens only
 //!   *within* each domain's arena → [`Schedule::NumaDomains`].
 //!
+//! A fourth schedule, [`Schedule::AutoTuned`], is dynamic scheduling with a
+//! measured grain ([`GrainTuner`]).
+//!
 //! [`parallel_sweep`] applies a [`pic_particles::ParticleKernel`] factory
 //! to every particle of an ensemble under the chosen schedule, using real
 //! threads (crossbeam scoped threads + lock-free chunk queues). On the
-//! single-core CI container this validates *correctness* of all three
-//! modes; the *performance* shapes of the paper's 48-core platform are
-//! regenerated by the `pic-perfmodel` crate.
+//! two-vCPU container this validates *correctness* of every mode; the
+//! *performance* shapes of the paper's 48-core platform are regenerated
+//! by the `pic-perfmodel` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod affinity;
 pub mod cancel;
-pub mod reduce;
 pub mod schedule;
 pub mod sweep;
 pub mod sync;
@@ -33,7 +35,6 @@ pub mod tune;
 
 pub use affinity::{slot_of, AffinityMap};
 pub use cancel::CancelToken;
-pub use reduce::parallel_reduce;
 pub use schedule::Schedule;
 pub use sweep::{
     imbalance_of, parallel_sweep, parallel_sweep_cancellable, SweepReport, ThreadReport,

@@ -16,13 +16,6 @@ pub enum Schedule {
         /// to at least 1 — roughly TBB's auto partitioner granularity.
         grain: usize,
     },
-    /// A shared queue of *decreasing* work items: large chunks first, then
-    /// progressively finer ones — OpenMP's `schedule(guided)`. Lower queue
-    /// traffic than plain dynamic with similar load balance.
-    Guided {
-        /// Smallest work item; 0 chooses `n/(64·threads)`, at least 1.
-        min_grain: usize,
-    },
     /// Dynamic scheduling restricted to per-domain arenas, the effect of
     /// `DPCPP_CPU_PLACES=numa_domains` (paper §4.3): the particle range is
     /// partitioned across domains proportionally, and threads only pull
@@ -52,11 +45,6 @@ impl Schedule {
         Schedule::NumaDomains { grain: 0 }
     }
 
-    /// Guided scheduling with automatic minimum granularity.
-    pub fn guided() -> Schedule {
-        Schedule::Guided { min_grain: 0 }
-    }
-
     /// Dynamic scheduling with measured (auto-tuned) granularity.
     pub fn auto() -> Schedule {
         Schedule::AutoTuned
@@ -67,28 +55,8 @@ impl Schedule {
     pub fn grain_request(&self) -> usize {
         match self {
             Schedule::Dynamic { grain } | Schedule::NumaDomains { grain } => *grain,
-            Schedule::Guided { min_grain } => *min_grain,
             Schedule::StaticChunks | Schedule::AutoTuned => 0,
         }
-    }
-
-    /// The decreasing chunk sizes of guided scheduling: each chunk is
-    /// `remaining/(2·threads)`, floored at `min_grain` (0 = automatic).
-    /// The sizes sum to `items`.
-    pub fn guided_sizes(items: usize, threads: usize, min_grain: usize) -> Vec<usize> {
-        let floor = if min_grain > 0 {
-            min_grain
-        } else {
-            (items / (64 * threads.max(1))).max(1)
-        };
-        let mut sizes = Vec::new();
-        let mut remaining = items;
-        while remaining > 0 {
-            let size = (remaining / (2 * threads.max(1))).max(floor).min(remaining);
-            sizes.push(size);
-            remaining -= size;
-        }
-        sizes
     }
 
     /// Resolves a requested grain: explicit values pass through, 0 becomes
@@ -106,7 +74,6 @@ impl Schedule {
         match self {
             Schedule::StaticChunks => "OpenMP",
             Schedule::Dynamic { .. } => "DPC++",
-            Schedule::Guided { .. } => "OpenMP guided",
             Schedule::NumaDomains { .. } => "DPC++ NUMA",
             Schedule::AutoTuned => "DPC++ auto",
         }
@@ -134,7 +101,6 @@ mod tests {
     #[test]
     fn grain_requests() {
         assert_eq!(Schedule::Dynamic { grain: 64 }.grain_request(), 64);
-        assert_eq!(Schedule::Guided { min_grain: 9 }.grain_request(), 9);
         assert_eq!(Schedule::NumaDomains { grain: 5 }.grain_request(), 5);
         assert_eq!(Schedule::StaticChunks.grain_request(), 0);
         assert_eq!(Schedule::auto().grain_request(), 0);

@@ -315,16 +315,6 @@ where
             run_queued(topology, &kernel_factory, |_domain| Some(&queue), cancel)
         }
 
-        Schedule::Guided { min_grain } => {
-            // Decreasing chunk sizes, consumed from a shared queue.
-            let sizes = Schedule::guided_sizes(n, threads, min_grain);
-            let queue = WorkQueue::new();
-            for chunk in store.split_sizes_mut(&sizes) {
-                queue.push(chunk);
-            }
-            run_queued(topology, &kernel_factory, |_domain| Some(&queue), cancel)
-        }
-
         Schedule::NumaDomains { grain } => {
             let grain = Schedule::resolve_grain(grain, n, threads);
             let mut chunks = store.split_mut(grain);
@@ -462,35 +452,11 @@ mod tests {
         for schedule in [
             Schedule::StaticChunks,
             Schedule::dynamic(),
-            Schedule::guided(),
             Schedule::numa(),
             Schedule::auto(),
         ] {
             check_each_particle_once::<SoaEnsemble<f64>>(schedule, Topology::uniform(2, 3));
         }
-    }
-
-    #[test]
-    fn guided_processes_every_particle_aos() {
-        check_each_particle_once::<AosEnsemble<f64>>(
-            Schedule::Guided { min_grain: 10 },
-            Topology::uniform(2, 2),
-        );
-    }
-
-    #[test]
-    fn guided_sizes_decrease_and_cover() {
-        let sizes = Schedule::guided_sizes(1000, 4, 25);
-        assert_eq!(sizes.iter().sum::<usize>(), 1000);
-        assert_eq!(sizes[0], 125); // 1000/(2·4)
-        for w in sizes.windows(2) {
-            assert!(w[1] <= w[0], "{sizes:?}");
-        }
-        assert!(*sizes.last().unwrap() >= 1);
-        assert!(sizes[sizes.len() - 2] >= 25);
-        // Degenerate cases.
-        assert!(Schedule::guided_sizes(0, 4, 10).is_empty());
-        assert_eq!(Schedule::guided_sizes(3, 8, 0), vec![1, 1, 1]);
     }
 
     #[test]
@@ -738,7 +704,6 @@ mod tests {
         for schedule in [
             Schedule::StaticChunks,
             Schedule::dynamic(),
-            Schedule::guided(),
             Schedule::numa(),
         ] {
             for topo in [Topology::single(1), Topology::uniform(2, 2)] {

@@ -1,8 +1,8 @@
 //! Synchronization primitives behind the sweep, routed through one
 //! place so the model-checked build swaps in instrumented versions.
 //!
-//! [`WorkQueue`] is the queue that backs the Dynamic / Guided /
-//! NumaDomains schedules. It aliases `crossbeam::queue::SegQueue`,
+//! [`WorkQueue`] is the queue that backs the Dynamic / NumaDomains
+//! schedules. It aliases `crossbeam::queue::SegQueue`,
 //! whose atomics are themselves `cfg(interleave)`-switched: building
 //! the workspace with `RUSTFLAGS="--cfg interleave"` turns every queue
 //! operation into a model-checker decision point, and the suites in

@@ -1,7 +1,10 @@
 //! Pumps wire-protocol lines between an I/O pair and a [`Server`].
 //!
-//! Requests are read line-by-line from any `BufRead`; responses are
-//! funneled through an internal channel to a dedicated writer thread, so
+//! Requests are read line-by-line from any `BufRead`, through a buffer
+//! bounded at [`MAX_LINE_BYTES`]; a line that is longer, or not UTF-8,
+//! is answered with an `error` line and the connection carries on.
+//! Responses are funneled through an internal channel to a dedicated
+//! writer thread, so
 //! job-completion notifiers (which fire on scheduler threads) and
 //! synchronous replies interleave without tearing lines. The writer
 //! thread owns the output until every response for this connection has
@@ -18,9 +21,49 @@ use crate::proto::{
 };
 use crate::scheduler::{Server, ShutdownReport};
 use pic_runtime::sync::lock;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
+
+/// Longest request line (terminator included) the frontend buffers. A
+/// submit line is a small JSON object.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Reads the next request line, without its terminator. `None` is end
+/// of input; `Some(Err(why))` is a line the frontend refuses — longer
+/// than [`MAX_LINE_BYTES`] or not UTF-8 — which has been consumed
+/// through its newline, so the next read starts on the next line.
+fn read_request_line<I: BufRead>(input: &mut I) -> io::Result<Option<Result<String, String>>> {
+    let mut line = Vec::new();
+    let mut bounded = (&mut *input).take(MAX_LINE_BYTES as u64);
+    if bounded.read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() != Some(&b'\n') && line.len() == MAX_LINE_BYTES {
+        // Discard the rest of the line a buffer-full at a time.
+        loop {
+            let seen = input.fill_buf()?;
+            let newline = seen.iter().position(|&b| b == b'\n');
+            let used = newline.map_or(seen.len(), |at| at + 1);
+            input.consume(used);
+            if newline.is_some() || used == 0 {
+                break;
+            }
+        }
+        return Ok(Some(Err(format!(
+            "request line exceeds {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    }
+    Ok(Some(String::from_utf8(line).map_err(|_| {
+        "request line is not valid UTF-8".to_string()
+    })))
+}
 
 /// What a finished [`serve_lines`] session hands back.
 pub struct ServeOutcome<O> {
@@ -35,7 +78,7 @@ pub struct ServeOutcome<O> {
 /// job outcomes) to `output`. Returns the output plus whether shutdown
 /// was requested. The server itself keeps running — callers owning
 /// multiple connections decide when to drain it.
-pub fn serve_connection<I, O>(server: &Server, input: I, output: O) -> io::Result<(O, bool)>
+pub fn serve_connection<I, O>(server: &Server, mut input: I, output: O) -> io::Result<(O, bool)>
 where
     I: BufRead,
     O: Write + Send + 'static,
@@ -51,12 +94,11 @@ where
         Ok(output)
     });
     let mut shutdown_requested = false;
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    while let Some(line) = read_request_line(&mut input)? {
+        if line.as_ref().is_ok_and(|text| text.trim().is_empty()) {
             continue;
         }
-        let response = match parse_request(&line) {
+        let response = match line.and_then(|text| parse_request(&text)) {
             Err(why) => error_line(&why),
             Ok(Request::Submit { tag, spec }) => {
                 // The outcome must follow `accepted` on the wire, but a

@@ -4,12 +4,14 @@
 //!
 //! The lines here are arbitrary bytes, valid requests cut short or with
 //! bytes overwritten, and valid prefixes repeated to any depth or
-//! length. (A line that is not UTF-8 never reaches the parser:
-//! `BufRead::lines` fails the connection with `InvalidData`.)
+//! length. A line that is not UTF-8, or longer than the frontend will
+//! buffer, never reaches the parser: the frontend answers it with an
+//! `error` line itself and reads on.
 
 use pic_serve::clock::Clock;
+use pic_serve::frontend::serve_lines;
 use pic_serve::proto::parse_request;
-use pic_serve::JobSpec;
+use pic_serve::{JobSpec, ServeConfig, Server};
 use pic_telemetry::json::{parse, Value};
 use proptest::prelude::*;
 
@@ -123,4 +125,36 @@ fn long_lines_parse_in_linear_time() {
             "{unit:?}: 1 MiB took {large} ns, 128 KiB took {small} ns"
         );
     }
+}
+
+/// What a fresh service answers on one connection carrying `hostile`
+/// and then a `stats` request: the message of the `error` line that
+/// refuses the first, once the second has been answered too.
+fn refusal_then_stats(hostile: &[u8]) -> String {
+    let input = [hostile, b"{\"op\":\"stats\"}\n"].concat();
+    let server = Server::start(ServeConfig::default(), "hostile-input");
+    let served = serve_lines(server, std::io::Cursor::new(input), Vec::<u8>::new())
+        .expect("a refused line must not end the connection");
+    let text = String::from_utf8(served.output).expect("responses are UTF-8");
+    let lines: Vec<Value> = text.lines().map(|l| parse(l).expect("json")).collect();
+    let field = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_owned);
+    assert_eq!(lines.len(), 2, "{text}");
+    assert_eq!(field(&lines[0], "type").as_deref(), Some("error"), "{text}");
+    assert_eq!(field(&lines[1], "type").as_deref(), Some("stats"), "{text}");
+    field(&lines[0], "message").expect("an error line carries a message")
+}
+
+/// A line longer than the frontend buffers is refused for its length —
+/// it is never held whole, let alone parsed — and skipped.
+#[test]
+fn an_overlong_line_is_refused_unparsed_and_the_connection_lives() {
+    let line = [vec![b'x'; 1024 * 1024], b"\n".to_vec()].concat();
+    let message = refusal_then_stats(&line);
+    assert!(message.contains("exceeds"), "{message}");
+}
+
+#[test]
+fn a_non_utf8_line_is_refused_and_the_connection_lives() {
+    let message = refusal_then_stats(b"\xff\n");
+    assert!(message.contains("UTF-8"), "{message}");
 }

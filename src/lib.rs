@@ -6,12 +6,11 @@
 //!
 //! * [`pic_math`] — `FP`/`FP3` analogues, constants, special functions.
 //! * [`pic_particles`] — AoS/SoA ensembles and the proxy abstraction.
-//! * [`pic_fields`] — analytical, grid and precalculated field sources.
-//! * [`pic_boris`] — the Boris/Vay/Higuera–Cary pushers and kernels.
+//! * [`pic_fields`] — analytical and precalculated field sources.
+//! * [`pic_boris`] — the Boris pusher, its scalar oracle and the blocked SoA kernel.
 //! * [`pic_runtime`] — static/dynamic/NUMA-domain parallel sweeps.
 //! * [`pic_perfmodel`] — performance models of the paper's platforms.
 //! * [`pic_device`] — the SYCL-like device/executor/USM layer.
-//! * [`pic_sim`] — the full PIC substrate.
 //! * [`pic_bench`] — the NSPS benchmark harness.
 
 #![forbid(unsafe_code)]
@@ -23,4 +22,3 @@ pub use pic_math;
 pub use pic_particles;
 pub use pic_perfmodel;
 pub use pic_runtime;
-pub use pic_sim;

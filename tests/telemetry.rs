@@ -8,11 +8,10 @@ use pic_runtime::{parallel_sweep, Schedule, Topology};
 use pic_telemetry::{compare, read_records, write_records, BenchRecord, Registry, SCHEMA_VERSION};
 use std::path::PathBuf;
 
-fn every_schedule() -> [Schedule; 4] {
+fn every_schedule() -> [Schedule; 3] {
     [
         Schedule::StaticChunks,
         Schedule::dynamic(),
-        Schedule::guided(),
         Schedule::numa(),
     ]
 }
