@@ -21,12 +21,9 @@ use pic_boris::{
 use pic_fields::{DipoleStandingWave, PrecalculatedFields};
 use pic_math::Real;
 use pic_particles::columns::{X, Y, Z};
-use pic_particles::{ParticleAccess, ParticleKernel, SpeciesTable};
+use pic_particles::{ParticleAccess, SpeciesTable};
 use pic_perfmodel::Scenario;
-use pic_runtime::{
-    parallel_sweep, parallel_sweep_cancellable, CancelToken, GrainTuner, Schedule, SweepReport,
-    Topology,
-};
+use pic_runtime::{parallel_sweep, CancelToken, GrainTuner, Schedule, SweepReport, Topology};
 use pic_telemetry::ThreadStat;
 
 /// Which pusher kernel implementation drives the sweep.
@@ -62,9 +59,9 @@ impl std::fmt::Display for KernelVariant {
     }
 }
 
-/// Field context for the benchmark workload, built once per run and
-/// reused across every step (and, in the serving layer, across every job
-/// of a batch).
+/// Field context for the benchmark workload, built once per run (in the
+/// serving layer, once per execution of a job) and reused across every
+/// step.
 pub enum MdipoleScenario<R: Real> {
     /// Fields evaluated analytically at each particle position (paper
     /// scenario 2).
@@ -130,9 +127,9 @@ pub struct MdipoleRun {
 /// one `bench_dt` per completed step, so callers can span several calls
 /// over one continuous trajectory).
 ///
-/// `cancel`, when provided, is polled between steps *and* at every chunk
-/// boundary inside each sweep; a cancelled run returns with
-/// `interrupted = true` and `steps_done` counting only fully swept steps.
+/// `cancel`, when provided, is polled between steps; a cancelled run
+/// returns with `interrupted = true`. A step, once started, sweeps every
+/// particle, so the store always holds `steps_done` whole steps.
 /// `on_step` runs after each completed step and returns `false` to stop
 /// early — the serving layer uses it for per-job deadline checks.
 ///
@@ -197,25 +194,6 @@ fn thread_stats_of(report: &SweepReport) -> impl Iterator<Item = ThreadStat> + '
     })
 }
 
-/// Runs one sweep, with or without a cancellation token.
-fn sweep_once<R, A, K>(
-    store: &mut A,
-    topology: &Topology,
-    schedule: Schedule,
-    cancel: Option<&CancelToken>,
-    factory: impl Fn(usize) -> K + Sync,
-) -> SweepReport
-where
-    R: Real,
-    A: ParticleAccess<R>,
-    K: ParticleKernel<R> + Send,
-{
-    match cancel {
-        Some(token) => parallel_sweep_cancellable(store, topology, schedule, factory, token),
-        None => parallel_sweep(store, topology, schedule, factory),
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn drive<R: Real, A: ParticleAccess<R>, F: FieldSource<R>>(
     store: &mut A,
@@ -257,11 +235,11 @@ fn drive<R: Real, A: ParticleAccess<R>, F: FieldSource<R>>(
                     dt,
                     time: *time,
                 };
-                sweep_once(store, topology, effective, cancel, |_| shared.to_kernel())
+                parallel_sweep(store, topology, effective, |_| shared.to_kernel())
             }
             KernelVariant::SoaFast => {
                 let (tbl, t) = (&table, *time);
-                sweep_once(store, topology, effective, cancel, move |_| {
+                parallel_sweep(store, topology, effective, move |_| {
                     SoaBorisKernel::new(source, tbl, dt, t)
                 })
             }
@@ -270,15 +248,6 @@ fn drive<R: Real, A: ParticleAccess<R>, F: FieldSource<R>>(
             t.observe(&report);
         }
         merge_thread_stats(&mut thread_stats, thread_stats_of(&report));
-        if report.total_particles() < store.len() {
-            // Cancelled mid-sweep: the store holds a mix of old and new
-            // positions, so the step does not count and time stands still.
-            return MdipoleRun {
-                steps_done,
-                thread_stats,
-                interrupted: true,
-            };
-        }
         *time += dt;
         steps_done = step + 1;
         if !on_step(step, &report) {

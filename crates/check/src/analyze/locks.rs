@@ -284,8 +284,13 @@ impl Walker<'_> {
     }
 }
 
-/// Runs the lock-order check over every in-scope non-test fn.
-pub fn check(idx: &Index) -> Vec<Diagnostic> {
+/// Where each nested acquisition `(held, acquired)` was first seen:
+/// `(file index, 0-based line)`.
+type Nesting = BTreeMap<(String, String), (usize, usize)>;
+
+/// The nested-acquisition digraph over every in-scope non-test fn,
+/// transitive through calls between them.
+fn nesting(idx: &Index) -> Nesting {
     let mut edges: BTreeMap<(String, String), usize> = BTreeMap::new();
     let mut edge_file: HashMap<(String, String), usize> = HashMap::new();
     let mut summaries: HashMap<usize, FnSummary> = HashMap::new();
@@ -365,6 +370,21 @@ pub fn check(idx: &Index) -> Vec<Diagnostic> {
         }
     }
 
+    edges
+        .into_iter()
+        .map(|(k, line)| {
+            let file = edge_file.get(&k).copied().unwrap_or(0);
+            (k, (file, line))
+        })
+        .collect()
+}
+
+/// Runs the lock-order check over every in-scope non-test fn. Returns
+/// the findings and every nested acquisition as `(held, acquired)` lock
+/// keys — a key that never appears on the left is a leaf: nothing is
+/// locked under it.
+pub fn check(idx: &Index) -> (Vec<Diagnostic>, Vec<(String, String)>) {
+    let edges = nesting(idx);
     // Cycle detection over the key digraph.
     let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for (from, to) in edges.keys() {
@@ -383,8 +403,8 @@ pub fn check(idx: &Index) -> Vec<Diagnostic> {
                 return;
             }
             let first = (cycle[0].to_string(), cycle[1 % cycle.len()].to_string());
-            let line = edges.get(&first).copied().unwrap_or(0);
-            let file = edge_file.get(&first).copied();
+            let (file, line) = edges.get(&first).copied().unzip();
+            let line = line.unwrap_or(0);
             let path_str = cycle
                 .iter()
                 .chain(std::iter::once(&cycle[0]))
@@ -407,7 +427,7 @@ pub fn check(idx: &Index) -> Vec<Diagnostic> {
         });
     }
     diags.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    diags
+    (diags, edges.into_keys().collect())
 }
 
 /// DFS from `path[0]` reporting each simple cycle that returns to it.

@@ -37,6 +37,9 @@ pub struct Analysis {
     /// The complete `Ordering::…` inventory (production *and* test
     /// code) — coverage is asserted against an independent grep.
     pub ordering_sites: Vec<atomics::OrderingSite>,
+    /// Every nested lock acquisition in the serving layer as `(held,
+    /// acquired)` keys; a key never on the left is a leaf lock.
+    pub lock_nesting: Vec<(String, String)>,
     /// Size of the symbol index the checks ran over: `(fns, structs)`,
     /// test code included — the workspace's surface as one number pair.
     pub indexed: (usize, usize),
@@ -47,11 +50,13 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
     let idx = index::Index::build(sources);
     let (mut diagnostics, ordering_sites) = atomics::check(&idx);
     diagnostics.extend(purity::check(&idx));
-    diagnostics.extend(locks::check(&idx));
+    let (lock_cycles, lock_nesting) = locks::check(&idx);
+    diagnostics.extend(lock_cycles);
     diagnostics.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Analysis {
         diagnostics,
         ordering_sites,
+        lock_nesting,
         indexed: (idx.fns.len(), idx.structs.len()),
     }
 }

@@ -16,6 +16,7 @@
 //!    | `instant-outside-telemetry` | wall-clock reads (`std::time::Instant`) stay inside the measuring layers (`pic-telemetry`, `pic-bench`) plus two audited call sites |
 //!    | `unwrap-in-lib` | no `.unwrap()` / `.expect("…")` in library code outside tests |
 //!    | `column-list` | the particle columns `x y z px py pz …` are declared once, in `crates/particles/src/columns.rs`: no other `struct` body or `fn` signature lists them as fields/parameters |
+//!    | `sleep-in-service` | no `thread::sleep` in the job service or the sweep runtime outside tests: a thread with nothing to do blocks on what it waits for, it does not poll on a timer |
 //!
 //!    A finding can be suppressed at a specific line by an adjacent
 //!    justification comment: `// lint: allow(<rule>): <reason>` on the
@@ -80,6 +81,10 @@ const INSTANT_ALLOW: &[(&str, &str)] = &[
 /// Setup, field-table sampling, and diagnostics code elsewhere converts
 /// at the f64 boundary by design.
 const PRECISION_SCOPE: &[&str] = &["crates/core/src/", "crates/particles/src/"];
+
+/// Directory prefixes where `sleep-in-service` applies: the job service
+/// and the sweep runtime under it.
+const SLEEP_SCOPE: &[&str] = &["crates/serve/src/", "crates/runtime/src/"];
 
 /// The particle column schema: the one file that may declare the
 /// column list as fields or parameters (`column-list` rule).
@@ -481,6 +486,25 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Diagnostic> {
                     "wall-clock timing belongs to pic-telemetry / pic-bench (or an \
                      INSTANT_ALLOW entry in crates/check/src/lib.rs); scattered timers \
                      skew the NSPS measurements the paper tables depend on"
+                        .to_string(),
+                ));
+            }
+        }
+    }
+
+    // sleep-in-service.
+    if SLEEP_SCOPE.iter().any(|p| path.starts_with(p)) {
+        for (i, line) in s.code.iter().enumerate() {
+            if !word_hits(line, "sleep", false).is_empty()
+                && !in_regions(&tests, i)
+                && !justified(&s, i, "sleep-in-service")
+            {
+                out.push(diag(
+                    i,
+                    "sleep-in-service",
+                    "`thread::sleep` in service code is a polling loop in the making: an \
+                     idle service thread blocks on the queue, a condvar or a channel (with \
+                     a bounded wait), so that being idle costs no CPU and adds no latency"
                         .to_string(),
                 ));
             }

@@ -28,6 +28,32 @@ fn the_workspace_is_clean_under_analyze() {
     );
 }
 
+/// The job queue's mutex (`JobQueue::waiting`, crates/serve/src/queue.rs)
+/// is a leaf of the lock order: it is taken under nothing's protection
+/// but its own, and nothing — directly or through a call — is locked
+/// while it is held. The analyzer must see the lock to be able to say so.
+#[test]
+fn the_job_queue_mutex_is_a_leaf_lock() {
+    let root = workspace_root();
+    let queue_rs = "crates/serve/src/queue.rs";
+    let text = std::fs::read_to_string(root.join(queue_rs)).expect("queue.rs");
+    let queue_only = analyze::index::Index::build(&[(queue_rs.to_string(), text)]);
+    assert!(
+        analyze::locks::acquisition_sites(&queue_only).len() >= 3,
+        "push, pop and wake_all each take the queue's lock"
+    );
+    let analysis = analyze::analyze_workspace(&root).expect("workspace scan failed");
+    let under_queue: Vec<_> = analysis
+        .lock_nesting
+        .iter()
+        .filter(|(held, _)| held == "waiting")
+        .collect();
+    assert!(
+        under_queue.is_empty(),
+        "locked while the queue is: {under_queue:?}"
+    );
+}
+
 /// Every fixture in the seeded-violation corpus trips its rule — the
 /// non-inverted twin of the CI `--seeded` step.
 #[test]

@@ -162,6 +162,32 @@ fn instant_stays_in_the_measuring_layers() {
 }
 
 #[test]
+fn service_threads_block_instead_of_sleeping() {
+    let bad = "fn idle() { std::thread::sleep(IDLE_WAIT); }\n";
+    let imported = "use std::thread::sleep;\nfn idle() { sleep(IDLE_WAIT); }\n";
+    for module in [
+        "crates/serve/src/dispatch.rs",
+        "crates/runtime/src/sweep.rs",
+    ] {
+        assert_eq!(rules(module, bad), vec!["sleep-in-service"], "{module}");
+    }
+    assert_eq!(
+        rules("crates/serve/src/dispatch.rs", imported),
+        vec!["sleep-in-service"; 2]
+    );
+
+    // Tests may pause; so may code outside the service and its runtime.
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn pause() { std::thread::sleep(D); }\n}\n";
+    assert!(rules("crates/serve/src/dispatch.rs", in_test).is_empty());
+    assert!(rules("crates/serve/tests/idle.rs", bad).is_empty());
+    assert!(rules("crates/telemetry/src/registry.rs", bad).is_empty());
+
+    let justified =
+        "// lint: allow(sleep-in-service): back-off before re-reading a sysfs node\nfn f() { std::thread::sleep(D); }\n";
+    assert!(rules("crates/runtime/src/topology.rs", justified).is_empty());
+}
+
+#[test]
 fn unwrap_in_lib_rules_out_panicky_library_code() {
     let bad = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
     assert_eq!(rules(LIB, bad), vec!["unwrap-in-lib"]);

@@ -1,5 +1,5 @@
-//! The device execution backend: USM staging, launch recording, and
-//! roofline-timed execution of the SoA fast path (ROADMAP item 2).
+//! The device execution backend: USM staging and roofline-timed
+//! execution of the SoA fast path (ROADMAP item 2).
 //!
 //! [`DeviceExecutor`] is the subsystem that routes the real benchmark
 //! kernels — `SoaBorisKernel::apply_chunk`, and through its analytical
@@ -10,9 +10,11 @@
 //!    through [`UsmBuffer`]s (shared allocations on GPUs, host
 //!    allocations on the CPU), with every byte accounted in a
 //!    [`UsmLedger`];
-//! 2. each kernel launch is **recorded** into a [`LaunchGraph`]
-//!    (validated topologically — a cyclic dependency is a hard error)
-//!    and an in-order [`TaskTimeline`];
+//! 2. each kernel launch returns an [`Event`] carrying its measured and
+//!    modeled time, in submission order — one in-order queue, the shape
+//!    the paper's port uses (a sharded job's K-queue overlap is
+//!    [`ShardPipeline`](crate::pipeline::ShardPipeline)'s, over a
+//!    [`LaunchGraph`](crate::graph::LaunchGraph));
 //! 3. execution is **functional**: the kernel runs on the host over the
 //!    staged columns, bitwise-identical to the host sweep, while the
 //!    reported time comes from the `pic-perfmodel` GPU roofline (EU
@@ -28,7 +30,6 @@
 use crate::clock::Stopwatch;
 use crate::device::{Backend, Device};
 use crate::event::Event;
-use crate::graph::{LaunchGraph, NodeId, Ordering, TaskTimeline};
 use crate::usm::{AllocKind, UsmBuffer};
 use pic_boris::{FieldSource, SoaBorisKernel};
 use pic_fields::{PrecalculatedFields, FIELD_COLUMNS};
@@ -254,22 +255,15 @@ impl<R> Drop for StagedFields<R> {
 pub struct DeviceExecutor {
     device: Device,
     launches: usize,
-    timeline: TaskTimeline,
-    graph: LaunchGraph,
-    last_node: Option<NodeId>,
     ledger: Rc<UsmLedger>,
 }
 
 impl DeviceExecutor {
-    /// A cold (un-JITted) executor bound to `device`, with an in-order
-    /// submission timeline — the queue shape the paper's port uses.
+    /// A cold (un-JITted) executor bound to `device`.
     pub fn new(device: Device) -> DeviceExecutor {
         DeviceExecutor {
             device,
             launches: 0,
-            timeline: TaskTimeline::new(Ordering::InOrder, 1),
-            graph: LaunchGraph::new(),
-            last_node: None,
             ledger: Rc::new(UsmLedger::new()),
         }
     }
@@ -282,16 +276,6 @@ impl DeviceExecutor {
     /// Kernel launches so far (staging nodes not counted).
     pub fn launches(&self) -> usize {
         self.launches
-    }
-
-    /// The recorded launch dependency graph.
-    pub fn graph(&self) -> &LaunchGraph {
-        &self.graph
-    }
-
-    /// The modeled in-order execution timeline.
-    pub fn timeline(&self) -> &TaskTimeline {
-        &self.timeline
     }
 
     /// The USM allocation ledger shared with every staged buffer.
@@ -309,19 +293,8 @@ impl DeviceExecutor {
         }
     }
 
-    /// Records a non-kernel node (staging, write-back) into the graph,
-    /// chained in-order after the previous node.
-    fn record_node(&mut self, name: &str, duration_s: f64) -> NodeId {
-        let id = self.graph.add_node(name, duration_s);
-        if let Some(prev) = self.last_node {
-            self.graph.add_edge(prev, id);
-        }
-        self.last_node = Some(id);
-        id
-    }
-
     /// Stages the particle columns of `store` through USM buffers
-    /// (ledger-accounted; recorded as a `stage` node in the graph).
+    /// (ledger-accounted).
     pub fn stage_ensemble<R: Real, A: ParticleAccess<R>>(
         &mut self,
         store: &A,
@@ -335,7 +308,6 @@ impl DeviceExecutor {
         }
         let bytes = REAL_COLUMNS * n * R::BYTES + n * std::mem::size_of::<SpeciesId>();
         self.ledger.record_alloc(bytes);
-        self.record_node("stage-ensemble", 0.0);
         StagedEnsemble {
             cols: ParticleColumns {
                 reals: host.reals.map(|c| UsmBuffer::from_vec(kind, c)),
@@ -347,12 +319,11 @@ impl DeviceExecutor {
     }
 
     /// Stages a precalculated field block through USM buffers
-    /// (ledger-accounted; recorded as a `stage` node in the graph).
+    /// (ledger-accounted).
     pub fn stage_fields<R: Real>(&mut self, pre: &PrecalculatedFields<R>) -> StagedFields<R> {
         let kind = self.alloc_kind();
         let bytes = pre.memory_bytes();
         self.ledger.record_alloc(bytes);
-        self.record_node("stage-fields", 0.0);
         StagedFields {
             cols: pre.columns().map(|c| UsmBuffer::from_vec(kind, c.to_vec())),
             bytes,
@@ -392,17 +363,13 @@ impl DeviceExecutor {
             }
         };
         self.launches += 1;
-        let event = Event {
+        Event {
             device: self.device.name().to_string(),
             wall: watch.elapsed(),
             modeled_ns,
             particles: n,
             first_launch,
-        };
-        let seconds = event.time_ns() * 1e-9;
-        self.record_node("boris-push", seconds);
-        self.timeline.submit(seconds, &[]);
-        event
+        }
     }
 
     /// The hot path: functionally executes one staged chunk with the
@@ -492,46 +459,6 @@ mod tests {
         let mut exec = DeviceExecutor::new(Device::iris_xe_max());
         round_trip::<AosEnsemble<f32>>(&mut exec);
         round_trip::<SoaEnsemble<f32>>(&mut exec);
-    }
-
-    #[test]
-    fn launches_chain_in_order_through_graph_and_timeline() {
-        let mut exec = DeviceExecutor::new(Device::p630());
-        let ens: SoaEnsemble<f32> = ensemble(64);
-        let mut staged = exec.stage_ensemble(&ens);
-        let field = UniformFields::magnetic(Vec3::new(0.0, 0.0, 1.0));
-        let source = AnalyticalSource::new(field);
-        let table = SpeciesTable::<f32>::with_standard_species();
-        let e1 = exec.launch_boris(
-            &mut staged,
-            SoaBorisKernel::new(&source, &table, 1e-12, 0.0),
-            profile(),
-        );
-        let e2 = exec.launch_boris(
-            &mut staged,
-            SoaBorisKernel::new(&source, &table, 1e-12, 0.0),
-            profile(),
-        );
-        assert!(e1.first_launch && !e2.first_launch);
-        // JIT factor: the cold launch is exactly 1.5x the steady one.
-        let ratio = e1.modeled_ns.unwrap() / e2.modeled_ns.unwrap();
-        assert!((ratio - 1.5).abs() < 1e-12, "ratio = {ratio}");
-        assert_eq!(exec.launches(), 2);
-        // Graph: stage + 2 kernels, in submission order, acyclic.
-        let order = exec
-            .graph()
-            .topo_order()
-            .expect("in-order graph is a chain");
-        assert_eq!(order.len(), 3);
-        assert_eq!(exec.graph().name(order[0]), "stage-ensemble");
-        assert_eq!(exec.graph().name(order[1]), "boris-push");
-        // Timeline holds both kernel launches, serialized.
-        assert_eq!(exec.timeline().len(), 2);
-        let expect = (e1.time_ns() + e2.time_ns()) * 1e-9;
-        assert!((exec.timeline().makespan() - expect).abs() < 1e-15);
-        // Critical path equals the timeline makespan (pure chain).
-        let cp = exec.graph().critical_path().expect("acyclic");
-        assert!((cp - expect).abs() < 1e-15);
     }
 
     #[test]

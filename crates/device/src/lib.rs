@@ -13,15 +13,15 @@
 //!   host/device/shared semantics and migration accounting (the model the
 //!   paper chose).
 //! * [`DeviceExecutor`] — the one execution path: stages particle
-//!   columns and field blocks through USM, records launches into a
-//!   validated [`LaunchGraph`], and runs the real blocked Boris kernel
-//!   functionally, returning profiling [`Event`]s timed with the GPU
+//!   columns and field blocks through USM and runs the real blocked
+//!   Boris kernel functionally, one in-order launch per step,
+//!   returning profiling [`Event`]s timed with the GPU
 //!   roofline — including the first-launch JIT penalty the paper
 //!   measures (§5.3; Table 3 reproduction).
 //! * [`ShardPipeline`] — the pinned K-queue shard schedule: per-shard
 //!   staging overlapped with the single compute engine's kernel chain,
-//!   modeled on a two-slot timeline and cross-checked against the
-//!   recorded launch graph (ROADMAP item 1's device half).
+//!   modeled on a two-slot timeline and cross-checked against its
+//!   recorded [`LaunchGraph`] (ROADMAP item 1's device half).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

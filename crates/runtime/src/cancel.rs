@@ -2,11 +2,11 @@
 //!
 //! A [`CancelToken`] is a cloneable flag shared between the party that
 //! requests a stop (a job scheduler, a deadline watchdog, a Ctrl-C
-//! handler) and the sweep workers that honor it. Workers poll the token
-//! at *chunk boundaries* only — never inside the per-particle loop — so
-//! cancellation costs one atomic load per grain and the kernel hot path
-//! stays untouched, mirroring how the paper's per-iteration overhead
-//! analysis keeps bookkeeping out of the push loop.
+//! handler) and the step runners that honor it. Runners poll the token
+//! *between steps* only — a sweep, once started, covers every particle —
+//! so cancellation costs one atomic load per step and the kernel hot
+//! path stays untouched, mirroring how the paper's per-iteration
+//! overhead analysis keeps bookkeeping out of the push loop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -36,9 +36,7 @@ pub mod tune;
 pub use affinity::{slot_of, AffinityMap};
 pub use cancel::CancelToken;
 pub use schedule::Schedule;
-pub use sweep::{
-    imbalance_of, parallel_sweep, parallel_sweep_cancellable, SweepReport, ThreadReport,
-};
+pub use sweep::{imbalance_of, parallel_sweep, SweepReport, ThreadReport};
 pub use target::ExecTarget;
 pub use topology::Topology;
 pub use tune::GrainTuner;

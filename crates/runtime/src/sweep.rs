@@ -1,6 +1,5 @@
 //! The parallel particle sweep.
 
-use crate::cancel::CancelToken;
 use crate::schedule::Schedule;
 use crate::sync::{join_or_propagate, WorkQueue};
 use crate::topology::Topology;
@@ -171,86 +170,21 @@ where
     K: ParticleKernel<R> + Send,
     F: Fn(usize) -> K + Sync,
 {
-    sweep_impl(store, topology, schedule, kernel_factory, None)
-}
-
-/// [`parallel_sweep`] with cooperative cancellation: workers poll
-/// `cancel` at every chunk boundary and stop pulling work once it is
-/// set. Chunks already started run to completion (the per-particle loop
-/// is never interrupted), so an interrupted sweep still produces a
-/// consistent ensemble and an accurate report — it just covers fewer
-/// particles. Callers detect interruption by comparing
-/// `report.total_particles()` against `store.len()`.
-///
-/// Granularity: under the queued schedules every grain is a checkpoint;
-/// under [`Schedule::StaticChunks`] each thread checks once before its
-/// single block; the serial fast path splits the range into grains so a
-/// single-threaded service worker can still stop mid-ensemble.
-pub fn parallel_sweep_cancellable<R, A, K, F>(
-    store: &mut A,
-    topology: &Topology,
-    schedule: Schedule,
-    kernel_factory: F,
-    cancel: &CancelToken,
-) -> SweepReport
-where
-    R: Real,
-    A: ParticleAccess<R>,
-    K: ParticleKernel<R> + Send,
-    F: Fn(usize) -> K + Sync,
-{
-    sweep_impl(store, topology, schedule, kernel_factory, Some(cancel))
-}
-
-fn sweep_impl<R, A, K, F>(
-    store: &mut A,
-    topology: &Topology,
-    schedule: Schedule,
-    kernel_factory: F,
-    cancel: Option<&CancelToken>,
-) -> SweepReport
-where
-    R: Real,
-    A: ParticleAccess<R>,
-    K: ParticleKernel<R> + Send,
-    F: Fn(usize) -> K + Sync,
-{
     let n = store.len();
     let threads = topology.total_threads();
-    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
 
     // Serial fast path: one thread, no queues, no spawning.
     if threads == 1 {
         let mut kernel = kernel_factory(0);
-        let mut report = ThreadReport {
-            thread: 0,
-            domain: 0,
-            ..ThreadReport::default()
-        };
-        match cancel {
-            None => {
-                let (busy_ns, ()) = timed(|| kernel.apply_chunk(store));
-                report.chunks = 1;
-                report.particles = n;
-                report.busy_ns = busy_ns;
-            }
-            Some(token) => {
-                // Split into grains so cancellation has boundaries to
-                // land on even without worker threads.
-                let grain = Schedule::resolve_grain(schedule.grain_request(), n, 2);
-                for mut chunk in store.split_mut(grain) {
-                    if token.is_cancelled() {
-                        break;
-                    }
-                    report.chunks += 1;
-                    report.particles += chunk.len();
-                    let (busy_ns, ()) = timed(|| kernel.apply_chunk(&mut chunk));
-                    report.busy_ns += busy_ns;
-                }
-            }
-        }
+        let (busy_ns, ()) = timed(|| kernel.apply_chunk(store));
         return SweepReport {
-            threads: vec![report],
+            threads: vec![ThreadReport {
+                thread: 0,
+                domain: 0,
+                chunks: 1,
+                particles: n,
+                busy_ns,
+            }],
         };
     }
 
@@ -265,21 +199,16 @@ where
                     .enumerate()
                     .map(|(tid, mut chunk)| {
                         let factory = &kernel_factory;
-                        let cancelled = &cancelled;
                         scope.spawn(move |_| {
-                            let mut report = ThreadReport {
+                            let mut kernel = factory(tid);
+                            let (busy_ns, ()) = timed(|| kernel.apply_chunk(&mut chunk));
+                            ThreadReport {
                                 thread: tid,
                                 domain: topology.domain_of(tid),
-                                ..ThreadReport::default()
-                            };
-                            if !cancelled() {
-                                let mut kernel = factory(tid);
-                                report.particles = chunk.len();
-                                report.chunks = 1;
-                                let (busy_ns, ()) = timed(|| kernel.apply_chunk(&mut chunk));
-                                report.busy_ns = busy_ns;
+                                chunks: 1,
+                                particles: chunk.len(),
+                                busy_ns,
                             }
-                            report
                         })
                     })
                     .collect();
@@ -312,7 +241,7 @@ where
             for chunk in store.split_mut(grain) {
                 queue.push(chunk);
             }
-            run_queued(topology, &kernel_factory, |_domain| Some(&queue), cancel)
+            run_queued(topology, &kernel_factory, |_domain| Some(&queue))
         }
 
         Schedule::NumaDomains { grain } => {
@@ -329,23 +258,17 @@ where
                 }
             }
             debug_assert!(chunks.is_empty());
-            run_queued(
-                topology,
-                &kernel_factory,
-                |domain| queues.get(domain),
-                cancel,
-            )
+            run_queued(topology, &kernel_factory, |domain| queues.get(domain))
         }
     }
 }
 
 /// Spawns one worker per topology thread; each drains the queue returned
-/// by `queue_of` for its domain, checking `cancel` before every pop.
+/// by `queue_of` for its domain.
 fn run_queued<'q, R, C, K, F, Q>(
     topology: &Topology,
     kernel_factory: &F,
     queue_of: Q,
-    cancel: Option<&CancelToken>,
 ) -> SweepReport
 where
     R: Real,
@@ -368,16 +291,7 @@ where
                     };
                     if let Some(queue) = queue_of(domain) {
                         let mut kernel = kernel_factory(tid);
-                        loop {
-                            // Chunk-boundary cancellation: checked before
-                            // the pop so a cancelled sweep never claims
-                            // work it will not do.
-                            if cancel.is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
-                            let Some(mut chunk) = queue.pop() else {
-                                break;
-                            };
+                        while let Some(mut chunk) = queue.pop() {
                             report.chunks += 1;
                             report.particles += chunk.len();
                             let (busy_ns, ()) = timed(|| kernel.apply_chunk(&mut chunk));
@@ -696,80 +610,6 @@ mod tests {
             );
             assert_eq!(report.total_particles(), 0, "{schedule:?}");
         }
-    }
-
-    #[test]
-    fn precancelled_sweep_does_no_work() {
-        use crate::cancel::CancelToken;
-        for schedule in [
-            Schedule::StaticChunks,
-            Schedule::dynamic(),
-            Schedule::numa(),
-        ] {
-            for topo in [Topology::single(1), Topology::uniform(2, 2)] {
-                let mut ens: AosEnsemble<f64> = ensemble(503);
-                let token = CancelToken::new();
-                token.cancel();
-                let report =
-                    parallel_sweep_cancellable(&mut ens, &topo, schedule, increment_kernel, &token);
-                assert_eq!(report.total_particles(), 0, "{schedule:?} {topo:?}");
-                for i in 0..ens.len() {
-                    assert_eq!(ens.get(i).weight, 0.0, "particle {i} was touched");
-                }
-                assert_eq!(report.threads.len(), topo.total_threads());
-            }
-        }
-    }
-
-    #[test]
-    fn uncancelled_token_is_a_no_op() {
-        use crate::cancel::CancelToken;
-        for topo in [Topology::single(1), Topology::uniform(2, 2)] {
-            let mut ens: AosEnsemble<f64> = ensemble(1003);
-            let token = CancelToken::new();
-            let report = parallel_sweep_cancellable(
-                &mut ens,
-                &topo,
-                Schedule::dynamic(),
-                increment_kernel,
-                &token,
-            );
-            assert_eq!(report.total_particles(), 1003);
-            for i in 0..ens.len() {
-                assert_eq!(ens.get(i).weight, 1.0);
-            }
-        }
-    }
-
-    #[test]
-    fn cancellation_stops_at_a_chunk_boundary() {
-        use crate::cancel::CancelToken;
-        // The kernel itself cancels the token while processing the first
-        // chunk; the serial worker must stop before pulling a second one,
-        // leaving a partial but chunk-aligned sweep.
-        let mut ens: AosEnsemble<f64> = ensemble(1000);
-        let token = CancelToken::new();
-        let kernel_token = token.clone();
-        let report = parallel_sweep_cancellable(
-            &mut ens,
-            &Topology::single(1),
-            Schedule::Dynamic { grain: 100 },
-            move |_tid| {
-                let t = kernel_token.clone();
-                DynKernel(move |_i, v: &mut dyn ParticleView<f64>| {
-                    t.cancel();
-                    let w = v.weight();
-                    v.set_weight(w + 1.0);
-                })
-            },
-            &token,
-        );
-        // Exactly the first grain ran: started chunks complete, no new
-        // chunk is claimed after the flag is up.
-        assert_eq!(report.total_particles(), 100);
-        assert_eq!(report.total_chunks(), 1);
-        assert_eq!(ens.get(99).weight, 1.0);
-        assert_eq!(ens.get(100).weight, 0.0);
     }
 
     #[test]

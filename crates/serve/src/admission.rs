@@ -17,7 +17,7 @@ use std::sync::Arc;
 pub enum CancelResult {
     /// The job was still queued; it is now terminally `Cancelled`.
     Done,
-    /// The job is running; it will stop at the next chunk boundary.
+    /// The job is running; it will stop at the next step boundary.
     Requested,
     /// The job already reached a terminal outcome.
     AlreadyTerminal,
@@ -75,7 +75,7 @@ impl Server {
             notifier,
         ));
         // Coalesce duplicates: a job whose key is already in flight
-        // waits on that run instead of entering a lane.
+        // waits on that run instead of entering the queue.
         let follower = shared.cfg.cache_capacity > 0 && shared.follow_or_lead(key, &job);
         lock(&shared.index).insert(id, job.clone());
         if !follower {
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_explicitly_and_recovers() {
-        // workers: 0 — nothing drains the lanes, so capacity is exact.
+        // workers: 0 — nothing takes from the queue, so capacity is exact.
         let cfg = ServeConfig {
             workers: 0,
             queue_capacity: 2,

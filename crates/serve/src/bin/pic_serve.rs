@@ -99,8 +99,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     parse_count("--shards", &raw)?
                 };
             }
-            // Valueless: pin each shard to a dedicated worker slot with
-            // per-shard queueing and grain tuning.
+            // Valueless: only the worker slot a shard is bound to takes
+            // it, and its grain is tuned per shard.
             "--pinned" => args.cfg.pinned = true,
             "--label" => args.label = value("--label")?,
             "--telemetry" => args.telemetry = Some(PathBuf::from(value("--telemetry")?)),

@@ -36,8 +36,9 @@ use std::collections::HashMap;
 pub const CACHE_SCHEMA: u64 = 3;
 
 /// Name of the pusher the service executes. Part of the cache identity:
-/// when alternative pushers (Vay, Higuera-Cary, analytic) reach the
-/// serving layer, their results must never alias Boris results.
+/// should another pusher ever reach the serving layer (the parked
+/// candidate is the analytic Boris pusher), its results must never
+/// alias Boris results.
 pub const PUSHER_NAME: &str = "boris";
 
 /// Canonical content hash of a job's physics identity.

@@ -50,12 +50,6 @@ impl CheckpointStore {
         CheckpointStore::default()
     }
 
-    /// The step a restarted job should resume from: its snapshot's step,
-    /// or 0 when it never reached a segment boundary.
-    pub fn step_of(&self, id: u64) -> usize {
-        lock(&self.snapshots).get(&id).map_or(0, |s| s.step)
-    }
-
     /// The full snapshot for `id`, if one is parked.
     pub fn snapshot(&self, id: u64) -> Option<Snapshot> {
         lock(&self.snapshots).get(&id).cloned()
@@ -147,11 +141,9 @@ mod tests {
     #[test]
     fn store_round_trips_and_reports_step() {
         let store = CheckpointStore::new();
-        assert_eq!(store.step_of(7), 0, "no snapshot means step 0");
         assert!(store.snapshot(7).is_none());
         let segment = ColumnSegment::with_capacity(3);
         store.put(7, 25, segment.clone());
-        assert_eq!(store.step_of(7), 25);
         assert_eq!(
             store.snapshot(7),
             Some(Snapshot {
@@ -160,11 +152,15 @@ mod tests {
             })
         );
         store.put(7, 50, segment);
-        assert_eq!(store.step_of(7), 50, "replace keeps the latest");
+        assert_eq!(
+            store.snapshot(7).map(|s| s.step),
+            Some(50),
+            "replace keeps the latest"
+        );
         assert_eq!(store.len(), 1);
         store.remove(7);
         assert!(store.is_empty());
-        assert_eq!(store.step_of(7), 0);
+        assert!(store.snapshot(7).is_none());
     }
 
     #[test]

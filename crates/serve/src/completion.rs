@@ -6,12 +6,12 @@
 //! spot (`queue_wait_ns = 0`, no depth slot). A miss whose [`CacheKey`]
 //! is already in flight registers as a *follower* of the running
 //! primary — it holds a depth slot and is cancellable, but never enters
-//! a lane; when the primary completes it fills the cache and its
+//! the queue; when the primary completes it fills the cache and its
 //! followers are served from it (`coalesced`). A primary that dies
 //! (panic, kill-point) is requeued up to `max_resumes` times and
 //! resumes from its last `CheckpointStore` snapshot; if it fails
-//! terminally, the oldest live follower is promoted into a lane so the
-//! key always makes progress. The protocol is model-checked in
+//! terminally, the oldest live follower is promoted into the queue so
+//! the key always makes progress. The protocol is model-checked in
 //! `crates/check/tests/interleave_cache.rs` and fault-injected
 //! end-to-end in `crates/serve/tests/fault_injection.rs`.
 
@@ -83,6 +83,11 @@ impl Shared {
         // `Admission::drained` at an exit point implies every admitted
         // job already has its outcome.
         self.admission.release();
+        if self.admission.drained() {
+            // That was the last job of a draining service: the workers
+            // waiting for another one can go.
+            self.queue.wake_all();
+        }
         self.after_finish(job, &outcome);
         if let Some(notify) = notifier {
             notify(job.id, &outcome);
@@ -93,7 +98,7 @@ impl Shared {
     /// drops the job's checkpoint and resolves its in-flight cache
     /// entry. A completed primary's followers are served from the
     /// result it just cached; a failed primary's oldest live follower
-    /// is promoted into a lane so the key keeps making progress.
+    /// is promoted into the queue so the key keeps making progress.
     fn after_finish(&self, job: &Arc<JobState>, outcome: &Outcome) {
         self.checkpoints.remove(job.id);
         // Shard sub-jobs stay out of the cache/inflight protocol
@@ -152,7 +157,7 @@ impl Shared {
 
     /// Terminates a follower from its completed primary's cached
     /// result (or, in the never-expected case that the result did not
-    /// reach the cache, requeues it into a lane to run itself).
+    /// reach the cache, queues it to run itself).
     fn serve_follower(&self, follower: &Arc<JobState>, key: CacheKey) {
         if follower.is_terminal() {
             return;
@@ -176,7 +181,7 @@ impl Shared {
     /// Joins the in-flight entry of `key`: true when the key is already
     /// being produced and `job` now waits on it as a follower — admitted
     /// (depth slot, cancellable via the index) but kept out of the
-    /// lanes; false when `job` is the key's new primary.
+    /// queue; false when `job` is the key's new primary.
     pub(crate) fn follow_or_lead(&self, key: CacheKey, job: &Arc<JobState>) -> bool {
         let mut inflight = lock(&self.inflight);
         match inflight.get_mut(&key.hash()) {
@@ -207,7 +212,7 @@ impl Shared {
         }
         // ordering: Relaxed — the budget is only advanced by the one
         // thread handling this job's death (the panicking worker's
-        // cleanup); publication rides on the lane queue.
+        // cleanup); publication rides on the queue's mutex.
         if job.resumes.load(Ordering::Relaxed) >= self.cfg.max_resumes {
             return false;
         }
@@ -289,12 +294,18 @@ mod tests {
             !server.shared.try_requeue(&job),
             "only a claimed job is requeued"
         );
-        // A claimed victim charges one resume per requeue.
+        // A claimed victim charges one resume per requeue, and is back
+        // in the queue for the next worker. (Popped by hand: the
+        // hand-built job never held a depth slot, so it must not be
+        // left for the drain to cancel.)
+        let shared = &server.shared;
         for expected in 1..=2u32 {
             assert!(job.claim());
-            assert!(server.shared.try_requeue(&job));
+            assert!(shared.try_requeue(&job));
             // ordering: test-only read.
             assert_eq!(job.resumes.load(Ordering::Relaxed), expected);
+            let queued = shared.queue.pop(0, &shared.admission);
+            assert_eq!(queued.map(|j| j.id), Some(job.id));
         }
         assert!(job.claim());
         assert!(
@@ -302,9 +313,6 @@ mod tests {
             "budget of 2 is exhausted on the third death"
         );
         assert_eq!(server.stats().resumed, 2);
-        // The hand-built job never held a depth slot; drain it from the
-        // lane so shutdown's accounting stays balanced.
-        while server.shared.lanes[1].pop().is_some() {}
         server.shutdown();
     }
 }

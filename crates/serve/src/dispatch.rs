@@ -1,41 +1,29 @@
-//! Dispatch and the worker pool: the dispatcher thread stages jobs out
-//! of the priority lanes, orders them by (priority, deadline, id) and
-//! hands each one to a worker queue — the shared one, or under
-//! `ServeConfig::pinned` the queue of the worker slot its shard is bound
-//! to. Worker threads drain the queues, one job per execution; a
-//! panicking job takes its worker down, the dispatcher respawns a clean
-//! one, and the job is requeued for a checkpoint resume or terminates
-//! `Rejected{worker-panic}` instead of vanishing.
+//! The worker pool and its supervisor. Workers block in
+//! [`JobQueue::pop`](crate::queue::JobQueue::pop) and run one job per
+//! execution; under `ServeConfig::pinned` a shard sub-job is queued for
+//! the one worker slot its shard is bound to. A panicking job takes its
+//! worker down: the job is requeued for a checkpoint resume or
+//! terminates `Rejected{worker-panic}` instead of vanishing, and the
+//! supervisor — which spawned the pool and joins it on drain — puts a
+//! clean worker in the dead one's slot.
 
 use crate::exec;
 use crate::job::Outcome;
+use crate::queue::SAFETY_WAIT;
 use crate::scheduler::Shared;
 use crate::state::JobState;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
-/// How long an idle dispatcher/worker sleeps between queue polls.
-const IDLE_WAIT: Duration = Duration::from_micros(200);
-
-/// Puts staged jobs in dispatch order: by (lane, deadline, id).
-fn dispatch_order(staged: &mut [Arc<JobState>]) {
-    staged.sort_by_key(|j| {
-        (
-            j.spec.priority.lane(),
-            j.spec.deadline_ms.unwrap_or(u64::MAX),
-            j.id,
-        )
-    });
-}
-
-/// Resolves the worker slot a job is pinned to, or `None` when it rides
-/// the shared queue. Only shard sub-jobs pin; the binding is established
-/// once per shard in the `AffinityMap` so resumes and respawns land on
-/// the same slot, keeping the shard's tuner state warm.
-fn pinned_slot(shared: &Shared, job: &JobState) -> Option<usize> {
-    if !shared.cfg.pinned || shared.pinned_ready.is_empty() {
+/// Resolves the worker slot a job is pinned to, or `None` when any
+/// worker may take it. Only shard sub-jobs pin; the binding is
+/// established once per shard in the `AffinityMap` so resumes and
+/// replacement workers land on the same slot, keeping the shard's tuner
+/// state warm.
+pub(crate) fn pinned_slot(shared: &Shared, job: &JobState) -> Option<usize> {
+    if !shared.cfg.pinned || shared.cfg.workers == 0 {
         return None;
     }
     let ctx = job.shard.as_ref()?;
@@ -44,107 +32,80 @@ fn pinned_slot(shared: &Shared, job: &JobState) -> Option<usize> {
         job.spec.particles,
         shared.cfg.topology.total_threads(),
     );
-    Some(slot % shared.pinned_ready.len())
+    Some(slot % shared.cfg.workers)
 }
 
-pub(crate) fn dispatcher_loop(shared: Arc<Shared>) {
-    let mut workers: Vec<(usize, JoinHandle<()>)> = (0..shared.cfg.workers)
-        .map(|slot| (slot, spawn_worker(shared.clone(), slot)))
+pub(crate) fn supervisor_loop(shared: Arc<Shared>) {
+    if shared.cfg.workers == 0 {
+        // Admission-only configuration (tests): no worker can ever
+        // execute the backlog, so the drain cancels it explicitly
+        // rather than hanging — never silently.
+        shared.queue.wait_for_drain(&shared.admission);
+        while let Some(job) = shared.queue.pop(0, &shared.admission) {
+            shared.finish(&job, Outcome::Cancelled);
+        }
+        return;
+    }
+    let (exits, exited) = mpsc::channel();
+    let mut workers: Vec<Option<JoinHandle<()>>> = (0..shared.cfg.workers)
+        .map(|slot| Some(spawn_worker(&shared, slot, &exits)))
         .collect();
-    loop {
-        respawn_dead(&mut workers, &shared);
-        let mut staged: Vec<Arc<JobState>> = Vec::new();
-        for lane in &shared.lanes {
-            while let Some(job) = lane.pop() {
-                staged.push(job);
-            }
-        }
-        // Jobs cancelled while still in a lane are already terminal.
-        staged.retain(|job| !job.is_terminal());
-        if shared.admission.is_draining() && shared.cfg.workers == 0 {
-            // Admission-only configuration (tests): no worker can ever
-            // execute the backlog, so the drain cancels it explicitly
-            // rather than hanging — never silently. The backlog is what
-            // was just staged out of the lanes plus every job still
-            // parked in the shared and the pinned queues.
-            let parked = std::iter::once(&shared.ready)
-                .chain(&shared.pinned_ready)
-                .flat_map(|queue| std::iter::from_fn(move || queue.pop()));
-            for job in staged.drain(..).chain(parked) {
-                shared.finish(&job, Outcome::Cancelled);
-            }
-        }
-        if !staged.is_empty() {
-            dispatch_order(&mut staged);
-            for job in staged {
-                match pinned_slot(&shared, &job) {
-                    Some(slot) => shared.pinned_ready[slot].push(job),
-                    None => shared.ready.push(job),
-                }
-            }
+    while workers.iter().any(Option::is_some) {
+        // Bounded like every wait in the service, though a notice sent
+        // is a notice held: a timeout changes nothing here.
+        let Ok(slot) = exited.recv_timeout(SAFETY_WAIT) else {
             continue;
+        };
+        // The notice is a worker thread's last act, sent once: the
+        // handle in its slot is that thread's and the join is immediate.
+        if let Some(ended) = workers[slot].take() {
+            let _ = ended.join();
         }
-        if shared.admission.drained() {
-            break;
-        }
-        thread::sleep(IDLE_WAIT);
-    }
-    for (_, worker) in workers {
-        let _ = worker.join();
-    }
-}
-
-fn respawn_dead(workers: &mut Vec<(usize, JoinHandle<()>)>, shared: &Arc<Shared>) {
-    let mut i = 0;
-    while i < workers.len() {
-        if workers[i].1.is_finished() {
-            let (slot, dead) = workers.swap_remove(i);
-            let _ = dead.join();
-            // A normally-exited (drained) worker is not replaced. The
-            // replacement inherits the dead worker's slot so shards
-            // pinned to it keep their queue and tuner state.
-            if !shared.admission.drained() {
-                workers.push((slot, spawn_worker(shared.clone(), slot)));
-            }
-        } else {
-            i += 1;
+        // A worker that exited because the service drained is not
+        // replaced. A replacement inherits the dead worker's slot, so
+        // shards pinned to it keep their worker and tuner state.
+        if !shared.admission.drained() {
+            workers[slot] = Some(spawn_worker(&shared, slot, &exits));
         }
     }
 }
 
-fn spawn_worker(shared: Arc<Shared>, slot: usize) -> JoinHandle<()> {
-    thread::spawn(move || worker_loop(shared, slot))
+/// Tells the supervisor that the worker in `slot` is gone — on return
+/// and on unwind alike, so a worker never ends unnoticed.
+struct ExitNotice {
+    slot: usize,
+    exits: Sender<usize>,
 }
 
-fn worker_loop(shared: Arc<Shared>, slot: usize) {
-    loop {
-        // Own pinned queue first: a shard bound to this slot must never
-        // be stolen by another worker, and the shared queue must never
-        // starve this slot's pinned work.
-        let next = shared
-            .pinned_ready
-            .get(slot)
-            .and_then(|queue| queue.pop())
-            .or_else(|| shared.ready.pop());
-        match next {
-            Some(job) => {
-                let panicked =
-                    catch_unwind(AssertUnwindSafe(|| exec::run_job(&shared, &job))).is_err();
-                if panicked {
-                    // Panic isolation: the job is requeued for a
-                    // checkpoint resume (or, out of budget, rejected
-                    // explicitly). This thread dies either way, so the
-                    // dispatcher replaces it with a clean one.
-                    shared.requeue_or_reject(&job);
-                    return;
-                }
-            }
-            None => {
-                if shared.admission.drained() {
-                    return;
-                }
-                thread::sleep(IDLE_WAIT);
-            }
+impl Drop for ExitNotice {
+    fn drop(&mut self) {
+        // The supervisor outlives every worker; nothing to do if not.
+        let _ = self.exits.send(self.slot);
+    }
+}
+
+fn spawn_worker(shared: &Arc<Shared>, slot: usize, exits: &Sender<usize>) -> JoinHandle<()> {
+    let shared = shared.clone();
+    let notice = ExitNotice {
+        slot,
+        exits: exits.clone(),
+    };
+    thread::spawn(move || {
+        let _notice = notice;
+        worker_loop(&shared, slot);
+    })
+}
+
+fn worker_loop(shared: &Arc<Shared>, slot: usize) {
+    while let Some(job) = shared.queue.pop(slot, &shared.admission) {
+        let panicked = catch_unwind(AssertUnwindSafe(|| exec::run_job(shared, &job))).is_err();
+        if panicked {
+            // Panic isolation: the job is requeued for a checkpoint
+            // resume (or, out of budget, rejected explicitly). This
+            // thread dies either way, so the supervisor replaces it
+            // with a clean one.
+            shared.requeue_or_reject(&job);
+            return;
         }
     }
 }
@@ -153,26 +114,49 @@ fn worker_loop(shared: Arc<Shared>, slot: usize) {
 mod tests {
     use super::*;
     use crate::job::{JobSpec, Priority, RejectReason};
-    use crate::scheduler::{quick_cfg, ServeConfig, Server};
-    use crate::state::{test_job, test_spec as spec};
+    use crate::lifecycle::State;
+    use crate::scheduler::{quick_cfg, JobTicket, Notifier, ServeConfig, Server};
+    use crate::state::test_spec as spec;
+    use pic_runtime::sync::lock;
+    use std::sync::Mutex;
 
+    /// One worker held by a long job while six `Low` jobs and then one
+    /// `High` job arrive: the `High` one runs next. (The pause before
+    /// it is submitted is what let a staging thread move the backlog
+    /// out of priority order's reach.)
     #[test]
-    fn dispatch_order_is_priority_then_deadline_then_id() {
-        let mut low = spec(100);
-        low.priority = Priority::Low;
-        let mut urgent = spec(100);
-        urgent.priority = Priority::High;
-        urgent.deadline_ms = Some(5);
-        let mut later = spec(100);
-        later.priority = Priority::High;
-        later.deadline_ms = Some(50);
-        let mut jobs = vec![test_job(1, low), test_job(2, later), test_job(3, urgent)];
-        dispatch_order(&mut jobs);
-        let order: Vec<u64> = jobs.iter().map(|j| j.id).collect();
-        assert_eq!(order, vec![3, 2, 1]);
+    fn priority_holds_under_backlog() {
+        let server = Server::start(quick_cfg(), "backlog-test");
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let submit = |particles: usize, steps: usize, priority: Priority, seed: u64| {
+            let mut s = spec(particles);
+            (s.steps, s.priority, s.seed) = (steps, priority, seed);
+            let order = order.clone();
+            let record: Notifier = Box::new(move |id, _| lock(&order).push(id));
+            server.submit(s, Some(record)).expect("admitted")
+        };
+        let blocker = submit(200_000, 40, Priority::Normal, 1);
+        while blocker.state.phase.state() != State::Running {
+            thread::yield_now();
+        }
+        let lows: Vec<_> = (0..6)
+            .map(|i| submit(20_000, 20, Priority::Low, 10 + i))
+            .collect();
+        thread::sleep(std::time::Duration::from_millis(5));
+        let high = submit(500, 5, Priority::High, 20);
+        for ticket in lows.iter().chain([&blocker, &high]) {
+            assert!(matches!(ticket.wait(), Outcome::Completed(_)));
+        }
+        server.shutdown();
+        let expected: Vec<u64> = [&blocker, &high]
+            .into_iter()
+            .chain(&lows)
+            .map(JobTicket::id)
+            .collect();
+        assert_eq!(*lock(&order), expected);
     }
 
-    /// Same-physics jobs that reach the dispatcher together still run
+    /// Same-physics jobs that wait in the queue together still run
     /// one per execution, each to the result it has when run alone.
     #[test]
     fn a_burst_of_same_physics_jobs_runs_one_job_per_execution() {

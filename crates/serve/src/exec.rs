@@ -11,7 +11,9 @@
 //! splice its checkpoint if it is resuming, integrate its segments
 //! through [`pic_bench::run_mdipole_steps`], capture one segment.
 //! Cancellation and timeouts are observed at step boundaries via the
-//! runner's `on_step` hook.
+//! runner's `on_step` hook; a step, once started, sweeps every particle
+//! in one `apply_chunk` per thread, the path the sweep workloads of
+//! `benchmark/` measure.
 //!
 //! **One store, segments at the edges.** The Precalculated field context
 //! is computed from the seeded t=0 store before anything else touches
@@ -53,7 +55,7 @@ use pic_math::Real;
 use pic_particles::{AosEnsemble, ColumnSegment, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Precision;
 use pic_runtime::sync::lock;
-use pic_runtime::{imbalance_of, CancelToken, ExecTarget};
+use pic_runtime::{imbalance_of, ExecTarget};
 use pic_telemetry::ThreadStat;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -156,7 +158,6 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
         Some(ctx) => shard_kill_key(job.spec.seed, ctx.shard_id),
         None => job.spec.seed,
     };
-    let token = CancelToken::new();
     // Reconstruct the simulation clock by repeated accumulation — the
     // exact op sequence the runner itself uses (`*time += dt` per step);
     // one multiplication would differ in the last ulp and break the
@@ -190,7 +191,6 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
             if let Some(outcome) = outcome {
                 shared.finish(job, outcome);
                 ended = true;
-                token.cancel();
                 return false;
             }
             // Deterministic fault injection: a kill-point armed for the
@@ -223,7 +223,7 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
                 &shared.cfg.topology,
                 schedule,
                 KernelVariant::SoaFast,
-                Some(&token),
+                None,
                 &mut |step, report| {
                     if let Some(shard_id) = tuned_shard {
                         shared.affinity.observe(shard_id, report);
@@ -241,7 +241,7 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
                 &mut time,
                 job.spec.layout,
                 target,
-                Some(&token),
+                None,
                 &mut |step, _event| boundary(step),
             );
             device_ns += run.total_ns();

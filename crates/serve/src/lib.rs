@@ -18,10 +18,11 @@
 //!   `admission` (`submit`, the submit-time cache hit, the explicit
 //!   shed, `cancel`), `completion` (what the one winner of a job's
 //!   `→ Done` transition does: outcome, record, depth release, cache
-//!   fill, followers, promotion, requeue), `dispatch` (three priority
-//!   lanes feeding a dispatcher that hands jobs out in (priority,
-//!   deadline, id) order, and a worker pool with panic isolation and
-//!   respawn),
+//!   fill, followers, promotion, requeue), `queue` (the one ordered,
+//!   blocking queue between `submit` and a worker: a free worker takes
+//!   the first waiting job in (priority, deadline, id) order that is
+//!   not pinned to another slot), `dispatch` (the worker pool with
+//!   panic isolation, and the supervisor that replaces a dead worker),
 //!   `stats` (the counter table behind `stats`, the per-submission
 //!   record) and `state` (one job's shared state, the ticket on it).
 //! * [`lifecycle`] — the protocol's two shared types, atoms private:
@@ -42,14 +43,14 @@
 //!   last snapshot with a bitwise-identical trajectory.
 //! * [`shard`] — domain decomposition: an over-threshold job is split
 //!   along a deterministic [`ShardPlan`](shard::ShardPlan) into shard
-//!   sub-jobs flowing through the ordinary lanes (`fan_out`), and a
+//!   sub-jobs flowing through the ordinary queue (`fan_out`), and a
 //!   scatter-gather barrier splices the shards' typed column segments and merges
 //!   diagnostics into one completed response that is bitwise
 //!   shard-count-invariant. With
 //!   [`ServeConfig::pinned`](scheduler::ServeConfig) each shard is
-//!   bound to a dedicated worker slot — its own queue and per-shard
-//!   grain tuning — and a sharded device job is merged as a K-queue
-//!   pipeline.
+//!   bound to a dedicated worker slot — only that worker takes it, and
+//!   its grain is tuned per shard — and a sharded device job is merged
+//!   as a K-queue pipeline.
 //! * [`proto`] — the versioned line-delimited JSON wire protocol.
 //! * [`frontend`] — pumps requests from any `BufRead` into the server
 //!   and responses back out; the `pic-serve` binary wires it to
@@ -77,6 +78,7 @@ pub mod frontend;
 pub mod job;
 pub mod lifecycle;
 pub mod proto;
+mod queue;
 pub mod scheduler;
 pub mod shard;
 mod state;

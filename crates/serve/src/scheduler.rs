@@ -15,8 +15,12 @@
 //!   requeue.
 //! * `shard` — fan-out of an over-threshold job and the gather that
 //!   merges its shards back into one completion.
-//! * `dispatch` — dispatch order, pinned-slot routing, the dispatcher
-//!   thread, the worker pool with panic isolation and respawn.
+//! * `queue` — [`JobQueue`]: the one structure an admitted job waits
+//!   in, ordered (lane, deadline, id), each entry optionally pinned to
+//!   a worker slot.
+//! * `dispatch` — pinned-slot routing, the worker pool with panic
+//!   isolation, and the supervisor thread that spawns, replaces and
+//!   joins it.
 //! * `stats` — the counter table and the per-submission telemetry
 //!   record.
 
@@ -24,11 +28,12 @@ use crate::cache::ResultCache;
 use crate::checkpoint::{CheckpointStore, KillPlan};
 use crate::clock::Clock;
 use crate::completion::Inflight;
-use crate::dispatch::dispatcher_loop;
+use crate::dispatch::{pinned_slot, supervisor_loop};
 use crate::lifecycle::Admission;
+use crate::queue::JobQueue;
 use crate::state::JobState;
 use crate::stats::{Counter, Counters};
-use pic_runtime::sync::{lock, WorkQueue};
+use pic_runtime::sync::lock;
 use pic_runtime::{AffinityMap, Schedule, Topology};
 use pic_telemetry::BenchRecord;
 use std::collections::HashMap;
@@ -73,16 +78,16 @@ pub struct ServeConfig {
     /// (see [`KillPlan`]). `None` in production.
     pub kill_plan: Option<KillPlan>,
     /// Particle count above which an admitted job is domain-decomposed
-    /// into shard sub-jobs that run through the normal lanes and are
+    /// into shard sub-jobs that run through the normal queue and are
     /// scatter-gathered back into one completion. `0` disables sharding.
     pub shard_threshold: usize,
     /// Shards an over-threshold job splits into. `0` = auto (one shard
     /// per worker); always clamped to the job's particle count.
     pub shards: usize,
-    /// Pin shard sub-jobs to execution units: shard `k` always
-    /// dispatches to worker `k mod workers` through that slot's own
-    /// queue (with a per-shard grain tuner that persists across
-    /// executions of the decomposition), and a sharded device job is
+    /// Pin shard sub-jobs to execution units: shard `k` is only ever
+    /// taken by worker `k mod workers` (with a per-shard grain tuner
+    /// that persists across executions of the decomposition), and a
+    /// sharded device job is
     /// merged as a K-queue pipeline whose staging overlaps the compute
     /// chain. A pinned shard runs in the same particle order as an
     /// unpinned one. `false` keeps the unpinned behavior: any worker
@@ -111,21 +116,15 @@ impl Default for ServeConfig {
     }
 }
 
-/// State shared by the server handle, dispatcher and workers.
+/// State shared by the server handle, supervisor and workers.
 pub(crate) struct Shared {
     pub cfg: ServeConfig,
     pub label: String,
     pub clock: Clock,
-    /// Priority lanes, index = `Priority::lane()`.
-    pub lanes: [WorkQueue<Arc<JobState>>; 3],
-    /// Dispatched jobs awaiting a worker, in dispatch order.
-    pub ready: WorkQueue<Arc<JobState>>,
-    /// Per-worker pinned queues (index = worker slot). Used only under
-    /// `cfg.pinned`: shard sub-jobs are routed to their affinity slot's
-    /// queue, everything else rides the shared `ready` queue.
-    pub pinned_ready: Vec<WorkQueue<Arc<JobState>>>,
+    /// Every job that waits for a worker, in dispatch order.
+    pub queue: JobQueue,
     /// Shard→worker bindings with per-shard grain tuners, populated at
-    /// dispatch time under `cfg.pinned`.
+    /// enqueue time under `cfg.pinned`.
     pub affinity: AffinityMap,
     /// The bounded queue's depth and the drain flag.
     pub admission: Admission,
@@ -149,20 +148,23 @@ impl Shared {
         self.counters.bump(Counter::Submitted) + 1
     }
 
-    /// Pushes a job into its priority lane.
+    /// Queues a job for a worker: the one way into [`JobQueue`].
     pub fn enqueue(&self, job: Arc<JobState>) {
-        self.lanes[job.spec.priority.lane()].push(job);
+        // The slot is resolved before the push: the affinity map has a
+        // lock of its own, and the queue's is a leaf.
+        let slot = pinned_slot(self, &job);
+        self.queue.push(job, slot);
     }
 }
 
 /// The running service: admission, scheduling, execution, drain.
 pub struct Server {
     pub(crate) shared: Arc<Shared>,
-    dispatcher: JoinHandle<()>,
+    supervisor: JoinHandle<()>,
 }
 
 impl Server {
-    /// Starts the dispatcher and worker pool.
+    /// Starts the supervisor, which starts the worker pool.
     pub fn start(cfg: ServeConfig, label: &str) -> Server {
         let cache = ResultCache::new(cfg.cache_capacity);
         let worker_slots = cfg.workers;
@@ -170,9 +172,7 @@ impl Server {
             cfg,
             label: label.to_string(),
             clock: Clock::new(),
-            lanes: [WorkQueue::new(), WorkQueue::new(), WorkQueue::new()],
-            ready: WorkQueue::new(),
-            pinned_ready: (0..worker_slots).map(|_| WorkQueue::new()).collect(),
+            queue: JobQueue::new(),
             affinity: AffinityMap::new(worker_slots),
             admission: Admission::default(),
             cache: Mutex::new(cache),
@@ -182,11 +182,11 @@ impl Server {
             index: Mutex::new(HashMap::new()),
             records: Mutex::new(Vec::new()),
         });
-        let dispatcher = {
+        let supervisor = {
             let shared = shared.clone();
-            thread::spawn(move || dispatcher_loop(shared))
+            thread::spawn(move || supervisor_loop(shared))
         };
-        Server { shared, dispatcher }
+        Server { shared, supervisor }
     }
 
     /// Counter snapshot.
@@ -198,9 +198,10 @@ impl Server {
     /// final stats plus the per-job telemetry records.
     pub fn shutdown(self) -> ShutdownReport {
         self.shared.admission.begin_drain();
-        // The dispatcher exits only once drained and joins its workers
-        // first; a panicked dispatcher still leaves consistent stats.
-        let _ = self.dispatcher.join();
+        self.shared.queue.wake_all();
+        // The supervisor exits only once drained and joins its workers
+        // first; a panicked supervisor still leaves consistent stats.
+        let _ = self.supervisor.join();
         ShutdownReport {
             stats: self.shared.stats_snapshot(),
             records: std::mem::take(&mut *lock(&self.shared.records)),

@@ -6,7 +6,7 @@
 //! *sharding*: an over-threshold [`JobSpec`](crate::job::JobSpec) is
 //! split along a [`ShardPlan`] — contiguous, seed-stable index ranges
 //! over the initial seeded ensemble — into sub-jobs that flow through
-//! the ordinary lanes, one particle store per shard. Because the Boris
+//! the ordinary queue, one particle store per shard. Because the Boris
 //! pusher is particle-independent (no particle-particle interaction in
 //! either benchmark scenario) and the seeded fill is index-stable, the
 //! concatenation of the shard results is bitwise-identical to the
@@ -192,8 +192,8 @@ impl Gather {
 
 /// Fans an admitted over-threshold job out into shard sub-jobs: one
 /// child per [`ShardPlan`] range, each with its own depth slot, index
-/// entry and a gather-reporting notifier, pushed through the parent's
-/// priority lane. The parent never enters a lane — the last shard's
+/// entry and a gather-reporting notifier, queued at the parent's
+/// priority. The parent never enters the queue — the last shard's
 /// report completes it via `Shared::finish_sharded`.
 pub(crate) fn fan_out(shared: &Arc<Shared>, parent: &Arc<JobState>, shards: usize) {
     let plan = ShardPlan::new(parent.spec.particles, shards);

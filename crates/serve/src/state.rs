@@ -35,7 +35,7 @@ pub(crate) struct JobState {
     /// `Some` when this job is a shard sub-job of a decomposed parent:
     /// its place in the plan and the gather it reports into.
     pub shard: Option<ShardCtx>,
-    /// Shard sub-jobs of this job, set before they enter the lanes and
+    /// Shard sub-jobs of this job, set before they enter the queue and
     /// cleared when the gather completes (breaking the parent↔child
     /// `Arc` cycle). Empty for monolithic jobs.
     pub children: Mutex<Vec<Arc<JobState>>>,
@@ -96,7 +96,7 @@ impl JobState {
         }
     }
 
-    /// Asks a running job to stop at its next chunk or step boundary.
+    /// Asks a running job to stop at its next step boundary.
     pub fn request_cancel(&self) {
         // ordering: Relaxed — advisory flag, observed at claim time and
         // step boundaries; the `Queued → Done` race in `cancel_job` is
@@ -108,7 +108,7 @@ impl JobState {
     /// terminated for another reason).
     pub fn cancel_pending(&self) -> bool {
         // ordering: Relaxed — advisory monotonic flag; a stale read
-        // only delays the cancel by one chunk/step boundary.
+        // only delays the cancel by one step boundary.
         self.cancel_requested.load(Ordering::Relaxed)
     }
 
