@@ -1,0 +1,376 @@
+//! Shortest round-trip decimal text of an `f64`, without `core::fmt`.
+//!
+//! [`write_exp`] lays down exactly the bytes `format!("{:e}", x)` would —
+//! `{:e}` is this module's test oracle, and every golden, cached dump
+//! and wire comparison in the workspace is defined by its bytes — at
+//! about a third of the cost: the digits come from Raffaello Giulietti's
+//! Schubfach construction (*The Schubfach way to render doubles*, 2020),
+//! three 64×128-bit multiplications against one entry of a table of
+//! powers of ten, and are written two at a time.
+//!
+//! One rule is `core`'s and not the paper's: when two shortest
+//! candidates are *exactly* equally near the value, `core` takes the
+//! upper one where Schubfach rounds half to even (2⁻²⁵ is
+//! `2.9802322387695313e-8`, not `…12e-8`). And `core` narrows the lower
+//! half of the rounding interval for every power of two, the smallest
+//! normal number included, although that one's lower neighbour is a full
+//! step away.
+
+/// Most bytes [`write_exp`] writes: sign, 17 digits and the point,
+/// `e-` and three exponent digits (`-1.2345678901234567e-308`).
+pub const MAX_EXP_LEN: usize = 24;
+
+/// Most bytes [`write_uint`] writes (`u64::MAX` has 20 digits).
+pub const MAX_UINT_LEN: usize = 20;
+
+/// Smallest and largest power of ten in [`POW10`]: the `-k` of every
+/// finite `f64`'s decimal exponent `k`.
+const MIN_POW10: i32 = -292;
+const MAX_POW10: i32 = 324;
+
+/// Limbs of the exact integers the table is cut from: 10³²⁴ < 2¹⁰⁷⁷,
+/// and ⌊2¹¹⁵¹ / 10²⁹²⌋ keeps 182 bits.
+const LIMBS: usize = 18;
+
+/// g(k) = ⌈10ᵏ · 2^(127 − ⌊log₂ 10ᵏ⌋)⌉ for k in
+/// `MIN_POW10..=MAX_POW10`: the leading 128 bits of 10ᵏ, rounded up.
+/// Evaluated by the compiler from exact integers; the `decimal` test
+/// suite holds every entry against independent big-integer arithmetic.
+static POW10: [u128; (MAX_POW10 - MIN_POW10 + 1) as usize] = pow10_table();
+
+/// The leading 128 bits of the integer in `limbs` (little-endian,
+/// non-zero), and whether any bit below them is set.
+const fn leading_128(limbs: &[u64; LIMBS]) -> (u128, bool) {
+    let mut top = LIMBS - 1;
+    while limbs[top] == 0 {
+        top -= 1;
+    }
+    let shift = limbs[top].leading_zeros();
+    let second = if top >= 1 { limbs[top - 1] } else { 0 };
+    let third = (if top >= 2 { limbs[top - 2] } else { 0 } as u128) << shift;
+    let lead = ((((limbs[top] as u128) << 64) | second as u128) << shift) | (third >> 64);
+    let mut sticky = third as u64 != 0;
+    let mut i = 3;
+    while i <= top {
+        sticky |= limbs[top - i] != 0;
+        i += 1;
+    }
+    (lead, sticky)
+}
+
+const fn pow10_table() -> [u128; (MAX_POW10 - MIN_POW10 + 1) as usize] {
+    let mut table = [0u128; (MAX_POW10 - MIN_POW10 + 1) as usize];
+    // Upward: 10ᵏ exactly, times ten per entry.
+    let mut power = [0u64; LIMBS];
+    power[0] = 1;
+    let mut k = 0;
+    while k <= MAX_POW10 {
+        let (lead, sticky) = leading_128(&power);
+        table[(k - MIN_POW10) as usize] = lead + sticky as u128;
+        let mut carry = 0u128;
+        let mut i = 0;
+        while i < LIMBS {
+            let wide = power[i] as u128 * 10 + carry;
+            power[i] = wide as u64;
+            carry = wide >> 64;
+            i += 1;
+        }
+        k += 1;
+    }
+    // Downward: ⌊2¹¹⁵¹ / 10ʲ⌋, a floor division by ten per entry —
+    // ⌊⌊x / a⌋ / b⌋ = ⌊x / ab⌋, so every quotient is exact. 10⁻ʲ is no
+    // dyadic fraction: the ceiling is always one more than these bits.
+    let mut quotient = [0u64; LIMBS];
+    quotient[LIMBS - 1] = 1 << 63;
+    let mut j = 1;
+    while j <= -MIN_POW10 {
+        let mut rem = 0u128;
+        let mut i = LIMBS;
+        while i > 0 {
+            i -= 1;
+            let wide = (rem << 64) | quotient[i] as u128;
+            quotient[i] = (wide / 10) as u64;
+            rem = wide % 10;
+        }
+        table[(-j - MIN_POW10) as usize] = leading_128(&quotient).0 + 1;
+        j += 1;
+    }
+    table
+}
+
+/// `"00" "01" … "99"`.
+static PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    pairs
+};
+
+/// Right-aligns the decimal digits of `n` in `scratch`, two at a time;
+/// returns the index of the first.
+fn digits_of(mut n: u64, scratch: &mut [u8; MAX_UINT_LEN]) -> usize {
+    let mut at = MAX_UINT_LEN;
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        scratch[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        scratch[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        scratch[at] = b'0' + n as u8;
+    }
+    at
+}
+
+/// Writes `n` in decimal at the start of `out`; returns the byte count
+/// (at most [`MAX_UINT_LEN`]).
+///
+/// # Panics
+///
+/// Panics when `out` is shorter than the digits.
+pub fn write_uint(n: u64, out: &mut [u8]) -> usize {
+    let mut scratch = [0u8; MAX_UINT_LEN];
+    let first = digits_of(n, &mut scratch);
+    let digits = &scratch[first..];
+    out[..digits.len()].copy_from_slice(digits);
+    digits.len()
+}
+
+/// The high 64 bits of `g · cp / 2⁶⁴`, with every bit shifted out
+/// folded into the last one ("round to odd"): enough to order the
+/// product against any integer and to tell an exact one apart.
+fn round_to_odd(g: u128, cp: u64) -> u64 {
+    let low = (g as u64 as u128) * cp as u128;
+    let high = (g >> 64) * cp as u128 + (low >> 64);
+    (high >> 64) as u64 | u64::from(high as u64 > 1)
+}
+
+/// The shortest decimal `digits · 10ᵏ` that reads back as the positive
+/// finite `f64` with bit pattern `bits`, the nearest one when several
+/// are that short, the upper one on an exact tie. `digits` may end in
+/// zeros.
+fn shortest(bits: u64) -> (u64, i32) {
+    const FRACTION_BITS: u32 = 52;
+    let fraction = bits & ((1 << FRACTION_BITS) - 1);
+    let biased = (bits >> FRACTION_BITS) as i32;
+    // value = c · 2^q
+    let (c, q) = match biased {
+        0 => (fraction, -1074),
+        _ => (fraction | 1 << FRACTION_BITS, biased - 1075),
+    };
+    let even = c & 1 == 0;
+    // Below a power of two the neighbour is half a step away (`core`
+    // says so of the smallest normal number too; see the module docs).
+    let narrow_below = fraction == 0 && biased != 0;
+    // ⌊log₁₀ 2^q⌋, or ⌊log₁₀ ¾·2^q⌋ over the narrowed interval.
+    let k = (q * 1_262_611 - if narrow_below { 524_031 } else { 0 }) >> 22;
+    // ⌊log₂ 10^-k⌋ + q + 1, in 1..=4: the scaled value keeps two
+    // fraction bits below the integer part of v · 10^-k.
+    let h = q + ((-k * 1_741_647) >> 19) + 1;
+    // bounds: -k is in MIN_POW10..=MAX_POW10 for every q in -1074..=971.
+    let g = POW10[(-k - MIN_POW10) as usize];
+    let lower = round_to_odd(g, (4 * c - 2 + u64::from(narrow_below)) << h) + u64::from(!even);
+    let scaled = round_to_odd(g, (4 * c) << h);
+    let upper = round_to_odd(g, (4 * c + 2) << h) - u64::from(!even);
+    let s = scaled / 4;
+    // One digit fewer: at most one multiple of ten lies in the interval.
+    if s >= 10 {
+        let tens = s / 10;
+        let down = lower <= 40 * tens;
+        let up = 40 * tens + 40 <= upper;
+        if down != up {
+            return (tens + u64::from(up), k + 1);
+        }
+    }
+    let down = lower <= 4 * s;
+    let up = 4 * s + 4 <= upper;
+    if down != up {
+        return (s + u64::from(up), k);
+    }
+    // Both in: the nearer one, the upper one when `scaled` is exactly
+    // the midpoint (round-to-odd keeps an inexact product odd).
+    (s + u64::from(scaled >= 4 * s + 2), k)
+}
+
+/// Writes `value` at the start of `out` as `format!("{value:e}")` does —
+/// the shortest digits that read back as `value`, `d[.ddd]e[-]x`, `NaN`,
+/// `inf`, `-inf` — and returns the byte count (at most
+/// [`MAX_EXP_LEN`]).
+///
+/// # Panics
+///
+/// Panics when `out` is shorter than the text; [`MAX_EXP_LEN`] bytes
+/// always suffice.
+///
+/// # Example
+///
+/// ```
+/// use pic_math::decimal::{write_exp, MAX_EXP_LEN};
+///
+/// let mut buf = [0u8; MAX_EXP_LEN];
+/// let n = write_exp(-1.5e-7, &mut buf);
+/// assert_eq!(&buf[..n], b"-1.5e-7");
+/// ```
+pub fn write_exp(value: f64, out: &mut [u8]) -> usize {
+    let literal = |text: &[u8], out: &mut [u8]| {
+        out[..text.len()].copy_from_slice(text);
+        text.len()
+    };
+    if value.is_nan() {
+        return literal(b"NaN", out);
+    }
+    let mut at = 0;
+    if value.is_sign_negative() {
+        out[0] = b'-';
+        at = 1;
+    }
+    let magnitude = value.to_bits() & (u64::MAX >> 1);
+    if magnitude == 0 {
+        return at + literal(b"0e0", &mut out[at..]);
+    }
+    if value.is_infinite() {
+        return at + literal(b"inf", &mut out[at..]);
+    }
+    let (digits, k) = shortest(magnitude);
+    let mut scratch = [0u8; MAX_UINT_LEN];
+    let first = digits_of(digits, &mut scratch);
+    let exponent = k + (MAX_UINT_LEN - first) as i32 - 1;
+    let mut end = MAX_UINT_LEN;
+    while scratch[end - 1] == b'0' {
+        end -= 1;
+    }
+    out[at] = scratch[first];
+    at += 1;
+    if end - first > 1 {
+        out[at] = b'.';
+        at += 1;
+        at += literal(&scratch[first + 1..end], &mut out[at..]);
+    }
+    out[at] = b'e';
+    at += 1;
+    if exponent < 0 {
+        out[at] = b'-';
+        at += 1;
+    }
+    at + write_uint(u64::from(exponent.unsigned_abs()), &mut out[at..])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cmp::Ordering;
+
+    /// A non-negative integer, little-endian base 2³², no leading zero
+    /// limbs: just enough exact arithmetic to hold the table to its
+    /// definition by multiplication (the table itself is built by
+    /// repeated division).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Big(Vec<u32>);
+
+    impl Big {
+        fn from_u128(mut n: u128) -> Big {
+            let mut limbs = Vec::new();
+            while n > 0 {
+                limbs.push(n as u32);
+                n >>= 32;
+            }
+            Big(limbs)
+        }
+
+        fn pow2(bits: usize) -> Big {
+            let mut limbs = vec![0; bits / 32];
+            limbs.push(1 << (bits % 32));
+            Big(limbs)
+        }
+
+        fn times(&self, other: &Big) -> Big {
+            let mut limbs = vec![0u32; self.0.len() + other.0.len()];
+            for (i, &a) in self.0.iter().enumerate() {
+                let mut carry = 0u64;
+                for (j, &b) in other.0.iter().enumerate() {
+                    let wide = u64::from(a) * u64::from(b) + u64::from(limbs[i + j]) + carry;
+                    limbs[i + j] = wide as u32;
+                    carry = wide >> 32;
+                }
+                limbs[i + other.0.len()] = carry as u32;
+            }
+            while limbs.last() == Some(&0) {
+                limbs.pop();
+            }
+            Big(limbs)
+        }
+
+        fn bit_len(&self) -> usize {
+            let top = self.0.last().expect("non-zero");
+            self.0.len() * 32 - top.leading_zeros() as usize
+        }
+    }
+
+    impl PartialOrd for Big {
+        fn partial_cmp(&self, other: &Big) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Big {
+        fn cmp(&self, other: &Big) -> Ordering {
+            (self.0.len().cmp(&other.0.len()))
+                .then_with(|| self.0.iter().rev().cmp(other.0.iter().rev()))
+        }
+    }
+
+    #[test]
+    fn every_table_entry_is_the_rounded_up_leading_128_bits_of_its_power() {
+        let ten = Big::from_u128(10);
+        let mut power = Big::from_u128(1);
+        for k in 0..=MAX_POW10.max(-MIN_POW10) {
+            let bits = power.bit_len();
+            if k <= MAX_POW10 {
+                // (g − 1)·2^r < 10ᵏ ≤ g·2^r with r = ⌊log₂ 10ᵏ⌋ − 127,
+                // both sides scaled by 2^-r while r is negative.
+                let g = POW10[(k - MIN_POW10) as usize];
+                assert!(g >= 1 << 127, "10^{k} is not normalised");
+                let (up, down) = (bits.saturating_sub(128), 128usize.saturating_sub(bits));
+                let scaled_power = power.times(&Big::pow2(down));
+                assert!(
+                    scaled_power <= Big::from_u128(g).times(&Big::pow2(up)),
+                    "10^{k}"
+                );
+                assert!(
+                    Big::from_u128(g - 1).times(&Big::pow2(up)) < scaled_power,
+                    "10^{k}"
+                );
+            }
+            if (1..=-MIN_POW10).contains(&k) {
+                // (g − 1)·10ʲ < 2^-r ≤ g·10ʲ with r = ⌊log₂ 10⁻ʲ⌋ − 127
+                // = −bits − 127 (10ʲ is no power of two).
+                let g = POW10[(-k - MIN_POW10) as usize];
+                assert!(g >= 1 << 127, "10^-{k} is not normalised");
+                let one = Big::pow2(bits + 127);
+                assert!(one <= Big::from_u128(g).times(&power), "10^-{k}");
+                assert!(Big::from_u128(g - 1).times(&power) < one, "10^-{k}");
+            }
+            power = power.times(&ten);
+        }
+    }
+
+    #[test]
+    fn the_table_spans_every_finite_exponent() {
+        // `shortest` indexes with -k, k = ⌊log₁₀ 2^q⌋ (or of ¾·2^q).
+        let k_of = |q: i32, narrow: i32| (q * 1_262_611 - narrow) >> 22;
+        assert_eq!(-k_of(-1074, 524_031), MAX_POW10);
+        assert_eq!(-k_of(971, 0), MIN_POW10);
+        // The two spot values every description of the table gives.
+        assert_eq!(POW10[-MIN_POW10 as usize], 1 << 127, "10^0");
+        assert_eq!(POW10[(1 - MIN_POW10) as usize], 10 << 124, "10^1");
+    }
+}

@@ -8,6 +8,8 @@
 //!   single and double precision (paper §3).
 //! * [`Vec3`] — a 3-component vector (the paper's `FP3`).
 //! * [`constants`] — Gaussian (CGS) physical constants used by Hi-Chi.
+//! * [`decimal`] — shortest round-trip float text without `core::fmt`, the
+//!   digits of every particle dump (`{:e}` is its test oracle).
 //! * [`special`] — the dipole-wave radial functions f₁, f₂, f₃ of Eq. (15),
 //!   with series expansions that stay accurate near the focus.
 //! * [`stats`] — summary statistics used by the benchmark harness.
@@ -29,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod constants;
+pub mod decimal;
 pub mod real;
 pub mod special;
 pub mod stats;

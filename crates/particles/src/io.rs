@@ -10,7 +10,7 @@
 //!
 //! The column list is [`crate::columns`]' and appears here only as text:
 //! [`HEADER`] (held equal to the schema's name table by a test) and
-//! `write_row`'s format string. `widen`/`narrow` are the schema's
+//! `write_row`'s field order. `widen`/`narrow` are the schema's
 //! particle ↔ row mapping at `f64` width; the text writer, the text
 //! reader and every `ColumnSegment` operation go through those.
 
@@ -18,6 +18,7 @@ use crate::columns::{ParticleColumns, Row, REAL_COLUMNS};
 use crate::particle::Particle;
 use crate::species::SpeciesId;
 use crate::view::{ParticleAccess, ParticleStore};
+use pic_math::decimal::{write_exp, write_uint, MAX_EXP_LEN};
 use pic_math::Real;
 use std::io::{self, BufRead, Write};
 
@@ -71,13 +72,25 @@ fn narrow<R: Real>((reals, species): Row<f64, u16>) -> Particle<R> {
     Particle::from_row((reals.map(R::from_f64), SpeciesId(species)))
 }
 
-/// Writes one particle line — the only place the text row is formatted.
-fn write_row<W: Write>(out: &mut W, (r, species): &Row<f64, u16>) -> io::Result<()> {
-    writeln!(
-        out,
-        "{:e} {:e} {:e} {:e} {:e} {:e} {:e} {:e} {}",
-        r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], species
-    )
+/// Longest particle line: every real at its longest and a separator
+/// each, five species digits, the newline.
+pub const MAX_ROW_LEN: usize = REAL_COLUMNS * (MAX_EXP_LEN + 1) + 5 + 1;
+
+/// Writes one particle line — the only place the text row is formatted:
+/// the reals as `{:e}` prints them (by [`pic_math::decimal`], which is
+/// held to those bytes), the species in decimal, assembled on the stack
+/// and handed to `out` in one piece.
+fn write_row<W: Write>(out: &mut W, (reals, species): &Row<f64, u16>) -> io::Result<()> {
+    let mut line = [0u8; MAX_ROW_LEN];
+    let mut at = 0;
+    for &value in reals {
+        at += write_exp(value, &mut line[at..]);
+        line[at] = b' ';
+        at += 1;
+    }
+    at += write_uint(u64::from(*species), &mut line[at..]);
+    line[at] = b'\n';
+    out.write_all(&line[..=at])
 }
 
 /// Reads an ensemble written by [`write_ensemble`]. Lines starting with
@@ -178,8 +191,20 @@ impl ColumnSegment {
     {
         check_range(offset, len, store.len());
         let mut seg = ColumnSegment::with_capacity(len);
-        for i in offset..offset + len {
-            seg.cols.push_row(widen(&store.get(i)));
+        match store.columns() {
+            // A column-backed store widens column by column.
+            Some(cols) => {
+                for (wide, col) in seg.cols.reals.iter_mut().zip(cols.reals) {
+                    wide.extend(col[offset..offset + len].iter().map(|v| v.to_f64()));
+                }
+                let species = &cols.species[offset..offset + len];
+                seg.cols.species.extend(species.iter().map(|s| s.0));
+            }
+            None => {
+                for i in offset..offset + len {
+                    seg.cols.push_row(widen(&store.get(i)));
+                }
+            }
         }
         seg
     }
@@ -220,8 +245,24 @@ impl ColumnSegment {
         A: ParticleAccess<R>,
     {
         check_range(offset, self.len(), store.len());
-        for i in 0..self.len() {
-            store.set(offset + i, &narrow(self.cols.row_at(i)));
+        let end = offset + self.len();
+        match store.columns_mut() {
+            // A column-backed store narrows column by column.
+            Some(cols) => {
+                for (col, wide) in cols.reals.into_iter().zip(&self.cols.reals) {
+                    for (v, w) in col[offset..end].iter_mut().zip(wide) {
+                        *v = R::from_f64(*w);
+                    }
+                }
+                for (s, id) in cols.species[offset..end].iter_mut().zip(&self.cols.species) {
+                    *s = SpeciesId(*id);
+                }
+            }
+            None => {
+                for i in 0..self.len() {
+                    store.set(offset + i, &narrow(self.cols.row_at(i)));
+                }
+            }
         }
     }
 
@@ -332,6 +373,107 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// `write_ensemble` as it was before `pic_math::decimal`: every real
+    /// through `core::fmt`'s `{:e}`. Kept as the oracle of the row
+    /// writer, as `{:e}` is the oracle of the digits.
+    fn write_ensemble_fmt<R: Real, A: ParticleAccess<R>>(store: &A) -> Vec<u8> {
+        let mut out = format!("{HEADER}\n").into_bytes();
+        for i in 0..store.len() {
+            let (r, species) = widen(&store.get(i));
+            writeln!(
+                out,
+                "{:e} {:e} {:e} {:e} {:e} {:e} {:e} {:e} {}",
+                r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], species
+            )
+            .unwrap();
+        }
+        out
+    }
+
+    /// A seeded ensemble after 20 steps of a stand-in pusher (the real
+    /// one lives above this crate): a kick, γ, a drift, all in `R`, so
+    /// every column carries full-width mantissas at the store's precision.
+    fn pushed<R: Real, S: ParticleStore<R>>() -> S {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut store = S::default();
+        let sphere = crate::init::SphereDist {
+            center: Vec3::zero(),
+            radius: 5.4e-5,
+        };
+        let mut rng = StdRng::seed_from_u64(24);
+        crate::init::fill_sphere_at_rest(&mut store, 400, &sphere, 1.0, SpeciesId(0), &mut rng);
+        let mc = R::from_f64(ELECTRON_MASS * LIGHT_VELOCITY);
+        let step = R::from_f64(LIGHT_VELOCITY * 1.0e-16);
+        for _ in 0..20 {
+            for i in 0..store.len() {
+                let mut p = store.get(i);
+                let x = p.position;
+                p.momentum += Vec3::new(x.y, -x.z, x.x) * R::from_f64(3.0e-13);
+                p.gamma = (R::ONE + (p.momentum / mc).norm2()).sqrt();
+                p.position += p.momentum / mc * (step / p.gamma);
+                p.species = SpeciesId((i % 7) as u16 * 9_999);
+                store.set(i, &p);
+            }
+        }
+        store
+    }
+
+    #[test]
+    fn dump_bytes_are_what_the_fmt_row_writer_wrote() {
+        fn check<R: Real, S: ParticleStore<R>>() {
+            let store: S = pushed();
+            let mut dump = Vec::new();
+            write_ensemble(&store, &mut dump).unwrap();
+            let expect = write_ensemble_fmt(&store);
+            assert!(
+                dump == expect,
+                "first differing line: {:?}",
+                std::str::from_utf8(&dump)
+                    .unwrap()
+                    .lines()
+                    .zip(std::str::from_utf8(&expect).unwrap().lines())
+                    .find(|(got, want)| got != want)
+            );
+            // The pushed state is not trivially short: most reals need
+            // all of f64's 17 digits.
+            assert!(dump.len() > store.len() * 100, "{}", dump.len());
+        }
+        check::<f32, SoaEnsemble<f32>>();
+        check::<f32, AosEnsemble<f32>>();
+        check::<f64, SoaEnsemble<f64>>();
+        check::<f64, AosEnsemble<f64>>();
+    }
+
+    #[test]
+    fn the_longest_row_fits_the_row_buffer() {
+        // Every real at 24 bytes, the widest species id.
+        let worst = Particle {
+            position: Vec3::splat(-1.234_567_890_123_456_7e-308),
+            momentum: Vec3::splat(-f64::MAX),
+            weight: -2.225_073_858_507_201_4e-308,
+            gamma: -1.797_693_134_862_315_7e-300,
+            species: SpeciesId(u16::MAX),
+        };
+        let store = AosEnsemble::<f64>::from_particles([worst]);
+        let mut dump = Vec::new();
+        write_ensemble(&store, &mut dump).unwrap();
+        assert_eq!(dump, write_ensemble_fmt(&store));
+        assert!(
+            dump.len() - HEADER.len() - 1 > MAX_ROW_LEN - 6,
+            "{}",
+            dump.len()
+        );
+        // Non-finite reals have no digits; they print as `{:e}` names them.
+        let odd = Particle {
+            position: Vec3::new(f64::NAN, f64::INFINITY, f64::NEG_INFINITY),
+            ..worst
+        };
+        let store = AosEnsemble::<f64>::from_particles([odd]);
+        let mut dump = Vec::new();
+        write_ensemble(&store, &mut dump).unwrap();
+        assert_eq!(dump, write_ensemble_fmt(&store));
     }
 
     #[test]

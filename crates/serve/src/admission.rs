@@ -101,7 +101,7 @@ impl Server {
         result: CachedResult,
     ) -> JobTicket {
         let shared = &self.shared;
-        let outcome = Outcome::Completed(result.to_report(&spec));
+        let outcome = Arc::new(Outcome::Completed(result.to_report(&spec)));
         let job = Arc::new(JobState::new(
             id,
             spec,

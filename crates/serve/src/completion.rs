@@ -59,7 +59,8 @@ impl Shared {
 
     /// What the one winner of the `→ Done` transition does, in this
     /// order (DESIGN.md §3.2 gives the reason for each step's
-    /// place): outcome stored → waiters woken → index entry dropped →
+    /// place): outcome stored (shared, not copied) → waiters woken →
+    /// index entry dropped →
     /// record + counters → depth released → cache/follower bookkeeping
     /// → notifier.
     fn publish(&self, job: &Arc<JobState>, outcome: Outcome) {
@@ -69,6 +70,9 @@ impl Shared {
         if job.executions.load(Ordering::Relaxed) > 1 + job.resumes.load(Ordering::Relaxed) {
             self.counters.bump(Counter::ExecOverruns);
         }
+        // The one materialisation of the outcome (and of a dump in it):
+        // the job keeps it, every step below borrows it.
+        let outcome = Arc::new(outcome);
         job.store_outcome(outcome.clone());
         lock(&self.index).remove(&job.id);
         self.emit_record(
@@ -252,25 +256,30 @@ impl Shared {
         mut report: JobReport,
         dump: Option<String>,
     ) {
+        // The text has up to two readers; it is copied only when it has
+        // both, and moves to its one reader otherwise.
+        let (cached, returned) = match (self.cfg.cache_capacity > 0, job.spec.return_particles) {
+            (true, true) => (dump.clone(), dump),
+            (true, false) => (dump, None),
+            (false, wanted) => (None, dump.filter(|_| wanted)),
+        };
         // Fill the cache before finishing: `after_finish` serves the
         // job's coalesced followers straight from this entry.
-        if self.cfg.cache_capacity > 0 {
-            if let Some(text) = &dump {
-                lock(&self.cache).insert(
-                    CacheKey::of(&job.spec),
-                    CachedResult {
-                        nsps: report.nsps,
-                        run_ns: report.run_ns,
-                        steps_done: report.steps_done,
-                        imbalance: report.imbalance,
-                        time_imbalance: report.time_imbalance,
-                        particles: Some(text.clone()),
-                        shards: report.shards,
-                    },
-                );
-            }
+        if let Some(text) = cached {
+            lock(&self.cache).insert(
+                CacheKey::of(&job.spec),
+                CachedResult {
+                    nsps: report.nsps,
+                    run_ns: report.run_ns,
+                    steps_done: report.steps_done,
+                    imbalance: report.imbalance,
+                    time_imbalance: report.time_imbalance,
+                    particles: Some(text),
+                    shards: report.shards,
+                },
+            );
         }
-        report.particles = dump.filter(|_| job.spec.return_particles);
+        report.particles = returned;
         self.finish(job, Outcome::Completed(report));
     }
 }

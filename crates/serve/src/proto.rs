@@ -164,10 +164,12 @@ pub fn outcome_line(id: u64, tag: Option<&str>, outcome: &Outcome) -> String {
                 e.push(("resumes", Value::Num(r.resumes as f64)));
                 e.push(("resumed_from_step", Value::Num(r.resumed_from_step as f64)));
             }
-            if let Some(p) = &r.particles {
-                e.push(("particles", Value::Str(p.clone())));
+            let e = with_tag(e, tag);
+            match &r.particles {
+                // The dump is escaped into the line from where it lies.
+                Some(dump) => Value::obj_json_with_str(e, "particles", dump),
+                None => Value::obj(e).to_json(),
             }
-            Value::obj(with_tag(e, tag)).to_json()
         }
     }
 }
@@ -286,6 +288,102 @@ mod tests {
             v.get("gather_ns").is_none(),
             "monolithic completions omit the gather_ns field"
         );
+    }
+
+    /// The `completed` line with the dump cloned into a `Value::Str`
+    /// like every other member — how the line was built before the dump
+    /// was escaped in place, and what it must still equal.
+    fn completed_line_via_value(id: u64, tag: Option<&str>, r: &crate::job::JobReport) -> String {
+        let mut e = base("completed");
+        e.push(("id", Value::Num(id as f64)));
+        e.push(("nsps", Value::Num(r.nsps)));
+        e.push(("queue_wait_ns", Value::Num(r.queue_wait_ns as f64)));
+        e.push(("run_ns", Value::Num(r.run_ns as f64)));
+        e.push(("batch_size", Value::Num(r.batch_size as f64)));
+        e.push(("steps_done", Value::Num(r.steps_done as f64)));
+        e.push(("imbalance", Value::Num(r.imbalance)));
+        e.push(("time_imbalance", Value::Num(r.time_imbalance)));
+        e.push(("cache_hit", Value::Bool(r.cache_hit)));
+        for (name, value) in [
+            ("shards", r.shards as u64),
+            ("gather_ns", r.gather_ns),
+            ("setup_ns", r.setup_ns),
+            ("resumes", r.resumes),
+        ] {
+            if value > 0 {
+                e.push((name, Value::Num(value as f64)));
+            }
+        }
+        if r.resumes > 0 {
+            e.push(("resumed_from_step", Value::Num(r.resumed_from_step as f64)));
+        }
+        if let Some(p) = &r.particles {
+            e.push(("particles", Value::Str(p.clone())));
+        }
+        Value::obj(with_tag(e, tag)).to_json()
+    }
+
+    #[test]
+    fn a_dump_escaped_in_place_gives_the_line_the_value_route_gives() {
+        let looks_like_a_member = r#"","particles":"","proto":9,"x":""#;
+        let rows: String = (0..300)
+            .map(|i| {
+                format!(
+                    "{:e} {:e} {i}\n",
+                    i as f64 * 1.7e-5,
+                    -1.0 / (i as f64 + 3.0)
+                )
+            })
+            .collect();
+        let dumps = [
+            String::new(),
+            "# x y z px py pz weight gamma species\n".to_string(),
+            rows,
+            looks_like_a_member.to_string(),
+            "quote \" backslash \\ tab \t cr \r nul \u{0} esc \u{1b} del \u{7f} é ∑ 🦀\n"
+                .to_string(),
+        ];
+        let tags = [
+            None,
+            Some("t"),
+            Some(looks_like_a_member),
+            Some("q\"\\\n\u{1}"),
+        ];
+        // Every subset of the optional members, with and without a dump.
+        for optional in 0..16u32 {
+            let on = |bit: u32| u64::from(optional >> bit & 1);
+            let report = crate::job::JobReport {
+                nsps: 3.25,
+                queue_wait_ns: 17,
+                run_ns: 1 << 40,
+                batch_size: 1,
+                steps_done: 20,
+                imbalance: 1.0625,
+                shards: on(0) as usize * 4,
+                gather_ns: on(1) * 750,
+                setup_ns: on(2) * 40,
+                resumes: on(3) * 2,
+                resumed_from_step: on(3) * 10,
+                ..Default::default()
+            };
+            for tag in tags {
+                for dump in dumps.iter().map(Some).chain([None]) {
+                    let report = crate::job::JobReport {
+                        particles: dump.cloned(),
+                        ..report.clone()
+                    };
+                    let expect = completed_line_via_value(9, tag, &report);
+                    let line = outcome_line(9, tag, &Outcome::Completed(report));
+                    assert_eq!(line, expect);
+                    let v = parse(&line).unwrap();
+                    assert_eq!(
+                        v.get("particles").and_then(Value::as_str),
+                        dump.map(|d| &**d)
+                    );
+                    assert_eq!(v.get("tag").and_then(Value::as_str), tag);
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::lifecycle::State;
 use crate::scheduler::{ServeConfig, Shared};
 use crate::state::{JobState, Notifier};
 use crate::stats::Counter;
-use pic_particles::io::HEADER;
+use pic_particles::io::{HEADER, MAX_ROW_LEN};
 use pic_particles::ColumnSegment;
 use pic_runtime::sync::lock;
 use pic_runtime::{ExecTarget, SweepReport};
@@ -109,11 +109,15 @@ pub fn merge_segments(segments: &[&ColumnSegment]) -> Option<String> {
     if segments.is_empty() {
         return None;
     }
-    let mut out: Vec<u8> = Vec::new();
+    // Room for the longest rows, so the text is never moved while it
+    // grows; what the rows did not need is handed back.
+    let rows: usize = segments.iter().map(|seg| seg.len()).sum();
+    let mut out: Vec<u8> = Vec::with_capacity(HEADER.len() + 1 + rows * MAX_ROW_LEN);
     writeln!(out, "{HEADER}").ok()?;
     for seg in segments {
         seg.write_text(&mut out).ok()?;
     }
+    out.shrink_to_fit();
     String::from_utf8(out).ok()
 }
 
@@ -173,6 +177,8 @@ impl Gather {
                 // the barrier stays safe even if it were not.
                 return None;
             }
+            // A shard's outcome carries its columns behind an `Arc` and
+            // never a rendered dump: this copies a report's numbers.
             *slot = Some(outcome.clone());
         }
         // ordering: SeqCst — the slot write above must be visible to

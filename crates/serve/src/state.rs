@@ -39,7 +39,9 @@ pub(crate) struct JobState {
     /// cleared when the gather completes (breaking the parent↔child
     /// `Arc` cycle). Empty for monolithic jobs.
     pub children: Mutex<Vec<Arc<JobState>>>,
-    outcome: Mutex<Option<Outcome>>,
+    /// Shared with whoever `publish` lends it to: the lock covers a
+    /// reference count, never a copy of a particle dump.
+    outcome: Mutex<Option<Arc<Outcome>>>,
     done: Condvar,
     notifier: Mutex<Option<Notifier>>,
 }
@@ -125,7 +127,7 @@ impl JobState {
 
     /// Stores the terminal outcome and wakes every [`JobTicket::wait`].
     /// Called once, by the winner of the job's `→ Done` transition.
-    pub fn store_outcome(&self, outcome: Outcome) {
+    pub fn store_outcome(&self, outcome: Arc<Outcome>) {
         *lock(&self.outcome) = Some(outcome);
         self.done.notify_all();
     }
@@ -156,24 +158,29 @@ impl JobTicket {
         self.state.id
     }
 
-    /// The outcome, if the job already terminated.
+    /// The outcome, if the job already terminated. The copy is the
+    /// caller's, made after the job's lock is released.
     pub fn outcome(&self) -> Option<Outcome> {
-        lock(&self.state.outcome).clone()
+        let shared = lock(&self.state.outcome).clone();
+        shared.as_deref().cloned()
     }
 
-    /// Blocks until the job terminates.
+    /// Blocks until the job terminates; copies like
+    /// [`outcome`](Self::outcome).
     pub fn wait(&self) -> Outcome {
         let mut guard = lock(&self.state.outcome);
-        loop {
-            if let Some(outcome) = guard.clone() {
-                return outcome;
+        let shared = loop {
+            if let Some(outcome) = &*guard {
+                break outcome.clone();
             }
             guard = self
                 .state
                 .done
                 .wait(guard)
                 .unwrap_or_else(PoisonError::into_inner);
-        }
+        };
+        drop(guard);
+        Outcome::clone(&shared)
     }
 }
 
