@@ -18,15 +18,23 @@
 //! invalidates the whole cache by construction, mirroring the
 //! `BenchRecord` schema-gate policy. Capacity is bounded with
 //! least-recently-used eviction.
+//!
+//! An entry keeps the producing run's final particle state as the
+//! column segments it was captured in, shared and never copied; the
+//! text dump is rendered from them per requester that asks, outside
+//! the cache lock.
 
 use crate::job::{scenario_wire, JobReport, JobSpec};
+use crate::shard::merge_segments;
+use pic_particles::ColumnSegment;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Version of the cached results: their format, and the bits a build
 /// computes for a given spec. Folded into every [`CacheKey`], so bumping
 /// it orphans (and thereby invalidates) every entry written by earlier
-/// builds; [`ResultCache::ensure_schema`] additionally drops stored
-/// entries eagerly.
+/// builds. The cache lives in one process, so it never holds another
+/// build's entries.
 ///
 /// 2: the m-dipole field moved to polynomial sin/cos and fixed-length
 /// series, which changes trajectories in their last bits.
@@ -122,10 +130,13 @@ pub struct CachedResult {
     pub imbalance: f64,
     /// Busy-time imbalance of the producing sweep.
     pub time_imbalance: f64,
-    /// Final particle state (`pic_particles::io` text), kept so a hit
-    /// can serve `return_particles` even when the producing spec did
-    /// not ask for it.
-    pub particles: Option<String>,
+    /// Final particle state of the producing run, in particle order: a
+    /// monolithic run's one captured segment, or a merged parent's
+    /// shard segments in plan order. The run's own `Arc`s — the cache
+    /// copies no columns and keeps no text, so a hit can serve
+    /// `return_particles` even when the producing spec did not ask,
+    /// at the cost of a render.
+    pub columns: Vec<Arc<ColumnSegment>>,
     /// Shards the producing run was decomposed into (0 = monolithic).
     /// The key is identical either way — sharding changes how a spec is
     /// *executed*, never what it computes — so a hit may be served from
@@ -134,9 +145,17 @@ pub struct CachedResult {
 }
 
 impl CachedResult {
+    /// The producing run's particle dump, rendered from its columns —
+    /// bitwise what it would have returned itself.
+    pub(crate) fn render(&self) -> Option<String> {
+        let segments: Vec<&ColumnSegment> = self.columns.iter().map(|s| &**s).collect();
+        merge_segments(&segments)
+    }
+
     /// Builds the report a cache hit hands to `requester`: the
     /// memoized measurements, `queue_wait_ns = 0`, and the particle
-    /// dump only when the requester asked for it.
+    /// dump — rendered here, so call it outside the cache lock — only
+    /// when the requester asked for it.
     pub fn to_report(&self, requester: &JobSpec) -> JobReport {
         JobReport {
             nsps: self.nsps,
@@ -145,11 +164,7 @@ impl CachedResult {
             steps_done: self.steps_done,
             imbalance: self.imbalance,
             time_imbalance: self.time_imbalance,
-            particles: if requester.return_particles {
-                self.particles.clone()
-            } else {
-                None
-            },
+            particles: requester.return_particles.then(|| self.render()).flatten(),
             cache_hit: true,
             shards: self.shards,
             // Everything that belongs to the serving of the producing
@@ -168,31 +183,12 @@ struct Entry {
 /// Bounded, LRU-evicting map from [`CacheKey`] to [`CachedResult`].
 ///
 /// Not internally synchronized — the scheduler wraps it in its own
-/// mutex (one lock, short critical sections).
+/// mutex (one lock, short critical sections: a lookup raises reference
+/// counts, an insert moves `Arc`s in).
 pub struct ResultCache {
     capacity: usize,
-    schema: u64,
     entries: HashMap<u64, Entry>,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
-}
-
-/// Counter snapshot of a [`ResultCache`].
-#[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
-pub struct CacheStats {
-    /// Entries currently stored.
-    pub entries: usize,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries dropped by LRU pressure.
-    pub evictions: u64,
-    /// Entries dropped by schema invalidation.
-    pub invalidations: u64,
 }
 
 impl ResultCache {
@@ -201,30 +197,18 @@ impl ResultCache {
     pub fn new(capacity: usize) -> ResultCache {
         ResultCache {
             capacity,
-            schema: CACHE_SCHEMA,
             entries: HashMap::new(),
             tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            invalidations: 0,
         }
     }
 
-    /// Looks `key` up, refreshing its recency on a hit.
+    /// Looks `key` up, refreshing its recency on a hit. The result
+    /// shares the entry's columns.
     pub fn lookup(&mut self, key: CacheKey) -> Option<CachedResult> {
         self.tick += 1;
-        match self.entries.get_mut(&key.hash()) {
-            Some(entry) => {
-                entry.used = self.tick;
-                self.hits += 1;
-                Some(entry.result.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let entry = self.entries.get_mut(&key.hash())?;
+        entry.used = self.tick;
+        Some(entry.result.clone())
     }
 
     /// Stores `result` under `key`, evicting the least-recently-used
@@ -242,7 +226,6 @@ impl ResultCache {
                 .map(|(k, _)| k)
             {
                 self.entries.remove(&coldest);
-                self.evictions += 1;
             }
         }
         self.entries.insert(
@@ -253,46 +236,19 @@ impl ResultCache {
             },
         );
     }
-
-    /// Explicit schema gate: when the result format version moves past
-    /// the one this cache was filled under, every stored entry is
-    /// dropped — stale-format results are never served.
-    pub fn ensure_schema(&mut self, schema: u64) {
-        if schema != self.schema {
-            self.invalidations += self.entries.len() as u64;
-            self.entries.clear();
-            self.schema = schema;
-        }
-    }
-
-    /// Fraction of lookups served from the cache. Degenerate-input
-    /// hygiene: an untouched cache reports `0.0`, never `NaN` (the
-    /// `SweepReport::imbalance` policy).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            entries: self.entries.len(),
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            invalidations: self.invalidations,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pic_particles::Layout;
+    use pic_particles::{Layout, SoaEnsemble};
     use pic_perfmodel::{Precision, Scenario};
+
+    /// A real three-particle segment, as a monolithic run captures it.
+    fn segment() -> Arc<ColumnSegment> {
+        let store: SoaEnsemble<f64> = pic_bench::build_ensemble(3, 7);
+        Arc::new(ColumnSegment::from_store(&store, 0, 3))
+    }
 
     fn result(tag: f64) -> CachedResult {
         CachedResult {
@@ -301,7 +257,7 @@ mod tests {
             steps_done: 10,
             imbalance: 0.0,
             time_imbalance: 0.0,
-            particles: Some("# dump\n".to_string()),
+            columns: vec![segment()],
             shards: 0,
         }
     }
@@ -382,7 +338,9 @@ mod tests {
     #[test]
     fn hit_serves_particles_only_on_request() {
         let mut cache = ResultCache::new(4);
-        cache.insert(key_n(1), result(1.0));
+        let stored = result(1.0);
+        let expect = merge_segments(&[&*stored.columns[0]]);
+        cache.insert(key_n(1), stored);
         let hit = cache.lookup(key_n(1)).expect("hit");
         let plain = hit.to_report(&JobSpec::default());
         assert!(plain.cache_hit);
@@ -392,7 +350,33 @@ mod tests {
             return_particles: true,
             ..JobSpec::default()
         };
-        assert!(hit.to_report(&wants).particles.is_some());
+        let dump = hit.to_report(&wants).particles;
+        assert!(expect.is_some());
+        assert_eq!(dump, expect, "rendered from the cached columns");
+    }
+
+    #[test]
+    fn lookup_shares_the_columns_it_was_given() {
+        let mut cache = ResultCache::new(4);
+        let (a, b) = (segment(), segment());
+        cache.insert(
+            key_n(1),
+            CachedResult {
+                columns: vec![a.clone(), b.clone()],
+                ..result(1.0)
+            },
+        );
+        assert_eq!(
+            Arc::strong_count(&a),
+            2,
+            "the entry holds the producer's Arc"
+        );
+        let hit = cache.lookup(key_n(1)).expect("hit");
+        assert_eq!(hit.columns.len(), 2);
+        assert!(Arc::ptr_eq(&hit.columns[0], &a) && Arc::ptr_eq(&hit.columns[1], &b));
+        assert_eq!(Arc::strong_count(&a), 3, "a lookup only raises the count");
+        drop(hit);
+        assert_eq!(Arc::strong_count(&a), 2);
     }
 
     #[test]
@@ -406,8 +390,7 @@ mod tests {
         assert!(cache.lookup(key_n(2)).is_none(), "2 was evicted");
         assert!(cache.lookup(key_n(1)).is_some());
         assert!(cache.lookup(key_n(3)).is_some());
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.stats().entries, 2);
+        assert_eq!(cache.entries.len(), 2);
     }
 
     #[test]
@@ -415,36 +398,6 @@ mod tests {
         let mut cache = ResultCache::new(0);
         cache.insert(key_n(1), result(1.0));
         assert!(cache.lookup(key_n(1)).is_none());
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn schema_bump_invalidates_everything() {
-        let mut cache = ResultCache::new(4);
-        cache.insert(key_n(1), result(1.0));
-        cache.insert(key_n(2), result(2.0));
-        cache.ensure_schema(CACHE_SCHEMA);
-        assert_eq!(cache.stats().entries, 2, "same schema keeps entries");
-        cache.ensure_schema(CACHE_SCHEMA + 1);
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().invalidations, 2);
-        assert!(cache.lookup(key_n(1)).is_none());
-    }
-
-    #[test]
-    fn hit_rate_of_an_untouched_cache_is_zero_not_nan() {
-        let cache = ResultCache::new(4);
-        let rate = cache.hit_rate();
-        assert_eq!(rate, 0.0);
-        assert!(!rate.is_nan());
-    }
-
-    #[test]
-    fn hit_rate_counts_hits_over_lookups() {
-        let mut cache = ResultCache::new(4);
-        cache.insert(key_n(1), result(1.0));
-        assert!(cache.lookup(key_n(1)).is_some());
-        assert!(cache.lookup(key_n(9)).is_none());
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
+        assert!(cache.entries.is_empty());
     }
 }

@@ -21,6 +21,7 @@ use crate::lifecycle::State;
 use crate::scheduler::Shared;
 use crate::state::JobState;
 use crate::stats::Counter;
+use pic_particles::ColumnSegment;
 use pic_runtime::sync::lock;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -240,55 +241,116 @@ impl Shared {
         }
     }
 
-    /// True when the requester or the result cache will read the text
-    /// dump of a job with `spec`; nobody else does, so it is rendered
-    /// only then.
+    /// True when the requester or the result cache will read the final
+    /// columns of a job with `spec`; nobody else does, so a monolithic
+    /// run captures them only then.
     pub(crate) fn dump_wanted(&self, spec: &JobSpec) -> bool {
         spec.return_particles || self.cfg.cache_capacity > 0
     }
 
     /// The one exit of a completed run, monolithic or merged: memoizes
-    /// the result, hands the dump to a requester that asked for it, and
-    /// finishes the job.
+    /// the result with the run's `columns` — a monolithic run's one
+    /// segment, a merged parent's shard segments in plan order, moved in
+    /// and never copied — renders the dump from them only for a
+    /// requester that asked, and finishes the job. On a merged parent
+    /// that render is part of the gather and is billed to `gather_ns`.
     pub(crate) fn complete(
         &self,
         job: &Arc<JobState>,
         mut report: JobReport,
-        dump: Option<String>,
+        columns: Vec<Arc<ColumnSegment>>,
     ) {
-        // The text has up to two readers; it is copied only when it has
-        // both, and moves to its one reader otherwise.
-        let (cached, returned) = match (self.cfg.cache_capacity > 0, job.spec.return_particles) {
-            (true, true) => (dump.clone(), dump),
-            (true, false) => (dump, None),
-            (false, wanted) => (None, dump.filter(|_| wanted)),
+        let result = CachedResult {
+            nsps: report.nsps,
+            run_ns: report.run_ns,
+            steps_done: report.steps_done,
+            imbalance: report.imbalance,
+            time_imbalance: report.time_imbalance,
+            columns,
+            shards: report.shards,
         };
+        if job.spec.return_particles {
+            let render_start = self.clock.now_ns();
+            report.particles = result.render();
+            if report.shards > 0 {
+                report.gather_ns += self.clock.now_ns().saturating_sub(render_start);
+            }
+        }
         // Fill the cache before finishing: `after_finish` serves the
         // job's coalesced followers straight from this entry.
-        if let Some(text) = cached {
-            lock(&self.cache).insert(
-                CacheKey::of(&job.spec),
-                CachedResult {
-                    nsps: report.nsps,
-                    run_ns: report.run_ns,
-                    steps_done: report.steps_done,
-                    imbalance: report.imbalance,
-                    time_imbalance: report.time_imbalance,
-                    particles: Some(text),
-                    shards: report.shards,
-                },
-            );
+        if self.cfg.cache_capacity > 0 {
+            lock(&self.cache).insert(CacheKey::of(&job.spec), result);
         }
-        report.particles = returned;
         self.finish(job, Outcome::Completed(report));
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::cache::CacheKey;
+    use crate::job::{JobReport, JobSpec, Outcome};
     use crate::scheduler::{ServeConfig, Server};
-    use crate::state::{test_job, test_spec};
+    use crate::shard::{merge_segments, Gather};
+    use crate::state::{test_job, test_spec, JobTicket};
+    use pic_particles::{ColumnSegment, SoaEnsemble};
+    use pic_runtime::sync::lock;
     use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    /// A merged parent that did not ask for particles: the cache entry
+    /// holds the very segments the gather received, and a later hit
+    /// that asks renders the dump the monolithic run would have.
+    #[test]
+    fn a_merged_parent_caches_its_shards_own_segments() {
+        let cfg = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(cfg, "complete-test");
+        let shared = &server.shared;
+        let whole: SoaEnsemble<f64> = pic_bench::build_ensemble(9, 7);
+        let ranges = vec![(0, 4), (4, 3), (7, 2)];
+        let shards: Vec<Arc<ColumnSegment>> = ranges
+            .iter()
+            .map(|&(off, len)| Arc::new(ColumnSegment::from_store(&whole, off, len)))
+            .collect();
+        let outcomes = shards
+            .iter()
+            .map(|seg| {
+                Outcome::Completed(JobReport {
+                    columns: Some(seg.clone()),
+                    ..JobReport::default()
+                })
+            })
+            .collect();
+        let spec = test_spec(9);
+        let parent = test_job(1, spec.clone());
+        // The hand-built parent holds the depth slot its `publish` returns.
+        shared.admission.admit_derived();
+        shared.finish_sharded(&Gather::new(parent.clone(), ranges), outcomes);
+        let ticket = JobTicket {
+            state: parent.clone(),
+        };
+        let Some(Outcome::Completed(report)) = ticket.outcome() else {
+            panic!("merged parent did not complete");
+        };
+        assert!(report.particles.is_none(), "nobody asked for text");
+        let hit = lock(&shared.cache)
+            .lookup(CacheKey::of(&spec))
+            .expect("cached");
+        assert_eq!(hit.columns.len(), 3);
+        for (cached, shard) in hit.columns.iter().zip(&shards) {
+            assert!(Arc::ptr_eq(cached, shard), "the shard's own segment");
+        }
+        let wants = JobSpec {
+            return_particles: true,
+            ..spec
+        };
+        let expect = merge_segments(&[&ColumnSegment::from_store(&whole, 0, 9)]);
+        assert!(expect.is_some());
+        assert_eq!(hit.to_report(&wants).particles, expect);
+        server.shutdown();
+    }
 
     #[test]
     fn requeue_respects_the_resume_budget() {

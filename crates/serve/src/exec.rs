@@ -37,14 +37,14 @@
 //! **Device jobs.** A spec whose `device` names a modeled GPU runs each
 //! segment through [`pic_bench::run_device_steps`] instead of the host
 //! sweep — the same kernel over staged columns, so trajectories (and
-//! therefore checkpoints, resumes, and cache dumps) stay bitwise
+//! therefore checkpoints, resumes, and cached columns) stay bitwise
 //! identical to a host run; only the reported NSPS differs, coming from
 //! the accumulated modeled kernel time rather than wall clock.
 
 use crate::cache::CacheKey;
 use crate::job::{JobReport, Outcome};
 use crate::scheduler::Shared;
-use crate::shard::{merge_segments, shard_kill_key};
+use crate::shard::shard_kill_key;
 use crate::state::JobState;
 use crate::stats::Counter;
 use pic_bench::{
@@ -289,26 +289,23 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
         resumed_from_step: job.resume_step.load(Ordering::Relaxed),
         ..JobReport::default()
     };
-    let capture = || ColumnSegment::from_store(&store, 0, store.len());
+    let capture = || Arc::new(ColumnSegment::from_store(&store, 0, store.len()));
     match &job.shard {
-        // A shard hands its slice to the gather, which renders the
-        // merged dump once and completes the parent; the shard itself
-        // never renders or populates the cache — its spec's key aliases
-        // a genuine small job's (same seed, fewer particles).
+        // A shard hands its slice to the gather, which completes the
+        // parent; the shard itself never renders or populates the cache
+        // — its spec's key aliases a genuine small job's (same seed,
+        // fewer particles).
         Some(ctx) => {
             let report = JobReport {
                 shards: ctx.shards,
-                columns: Some(Arc::new(capture())),
+                columns: Some(capture()),
                 ..report
             };
             shared.finish(job, Outcome::Completed(report));
         }
         None => {
-            let dump = shared
-                .dump_wanted(&job.spec)
-                .then(|| merge_segments(&[&capture()]))
-                .flatten();
-            shared.complete(job, report, dump);
+            let columns = shared.dump_wanted(&job.spec).then(capture);
+            shared.complete(job, report, columns.into_iter().collect());
         }
     }
 }

@@ -358,14 +358,15 @@ pub struct JobReport {
     /// is bitwise-identical to the monolithic run's.
     pub shards: usize,
     /// Final particle state of a shard sub-job as a typed column
-    /// segment, rendered by the gather without text re-parsing. `None`
-    /// for monolithic jobs and for merged parents (which report text
-    /// through `particles` instead). Shared, so the outcome's trip
-    /// through the finish path and the gather copies no columns.
+    /// segment, handed to the gather. `None` for monolithic jobs and for
+    /// merged parents: their segments go to the result cache, their text
+    /// (if asked for) to `particles`. Shared, so the outcome's trip
+    /// through the finish path, the gather and the cache copies no
+    /// columns.
     pub columns: Option<Arc<ColumnSegment>>,
-    /// Time the scatter-gather merge spent splicing and rendering the
-    /// shard results, ns. Non-zero only on the merged parent of a
-    /// sharded completion.
+    /// Time the scatter-gather merge spent splicing the shard results
+    /// and, if the requester asked for particles, rendering them, ns.
+    /// Non-zero only on the merged parent of a sharded completion.
     pub gather_ns: u64,
 }
 

@@ -36,7 +36,9 @@
 //!   memoized under a canonical content hash of their physics identity
 //!   (seeded runs are pure functions of their spec), so repeat
 //!   submissions cost a lookup (`queue_wait_ns = 0`) instead of a
-//!   sweep, and concurrent duplicates coalesce onto one run.
+//!   sweep, and concurrent duplicates coalesce onto one run. An entry
+//!   keeps the run's column segments, and a dump is rendered from them
+//!   only for a requester that asks.
 //! * [`checkpoint`] — in-memory checkpoints (typed column segments)
 //!   captured at step-segment boundaries, plus the deterministic
 //!   [`KillPlan`] fault hook; a job whose worker dies resumes from its
@@ -84,7 +86,7 @@ pub mod shard;
 mod state;
 mod stats;
 
-pub use cache::{CacheKey, CacheStats, CachedResult, ResultCache, CACHE_SCHEMA};
+pub use cache::{CacheKey, CachedResult, ResultCache, CACHE_SCHEMA};
 pub use checkpoint::{CheckpointStore, KillPlan, Snapshot};
 pub use job::{JobReport, JobSpec, Outcome, Priority, RejectReason};
 pub use scheduler::{CancelResult, JobTicket, ServeConfig, ServeStats, Server, ShutdownReport};

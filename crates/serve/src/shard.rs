@@ -267,8 +267,9 @@ impl Shared {
     ///
     /// A shard that failed fails the whole job with the first
     /// non-completed outcome in shard order (deterministic). Otherwise
-    /// the merged dump is the header plus the shards' bodies in plan
-    /// order — bitwise what the monolithic run would have produced —
+    /// the parent completes with the shards' own segments in plan order
+    /// (its dump, if asked for, is the header plus their rows — bitwise
+    /// what the monolithic run would have produced),
     /// and the merged measurements reconcile against the per-shard
     /// records: `setup_ns`/`run_ns`/`steps_done` are the critical path
     /// (max), `resumes` the sum, imbalance the particle-weighted mean.
@@ -289,17 +290,12 @@ impl Shared {
                 _ => None,
             })
             .collect();
-        // Columnar gather: shards return typed column segments, rendered
-        // here in plan order to the io text format exactly once.
+        // Columnar gather: shards return typed column segments, taken in
+        // plan order and shared; `complete` renders them for a requester
+        // that asked and adds that render to `gather_ns`.
         let gather_start = self.clock.now_ns();
-        let segments: Vec<&ColumnSegment> = reports
-            .iter()
-            .filter_map(|r| r.columns.as_deref())
-            .collect();
-        let dump = self
-            .dump_wanted(&parent.spec)
-            .then(|| merge_segments(&segments))
-            .flatten();
+        let columns: Vec<Arc<ColumnSegment>> =
+            reports.iter().filter_map(|r| r.columns.clone()).collect();
         let gather_ns = self.clock.now_ns().saturating_sub(gather_start);
         let mut run_ns = reports.iter().map(|r| r.run_ns).max().unwrap_or(0);
         // Pinned device sharding: one queue per shard lets shard k+1's
@@ -364,7 +360,7 @@ impl Shared {
             gather_ns,
             ..JobReport::default()
         };
-        self.complete(parent, report, dump);
+        self.complete(parent, report, columns);
         lock(&parent.children).clear();
     }
 }

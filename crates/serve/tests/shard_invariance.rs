@@ -222,35 +222,75 @@ fn merged_diagnostics_reconcile_against_per_shard_records() {
 /// The cache key is deliberately shard-agnostic: a sharded producer
 /// fills the same entry an unsharded run would, so a repeat submission
 /// of the identical spec is a hit regardless of how the first run was
-/// decomposed.
+/// decomposed. The producer here does not ask for particles, so the
+/// entry holds only its columns: a coalesced follower or a hit that
+/// asks gets them rendered — bitwise the dump of a cache-less run — and
+/// a hit that does not ask gets no text.
 #[test]
 fn sharded_and_unsharded_runs_share_one_cache_entry() {
-    let cfg = ServeConfig {
-        workers: 2,
-        cache_capacity: 8,
-        shard_threshold: THRESHOLD,
-        shards: 3,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(cfg, "inv-cache");
-    let s = spec(Layout::Soa, Precision::F32);
-    let first = server.submit(s.clone(), None).expect("admitted").wait();
-    let Outcome::Completed(r1) = first else {
-        panic!("sharded producer: {first:?}");
-    };
-    assert_eq!(r1.shards, 3, "first run was sharded");
-    let again = server.submit(s, None).expect("admitted").wait();
-    let Outcome::Completed(r2) = again else {
-        panic!("repeat: {again:?}");
-    };
-    assert!(r2.cache_hit, "repeat hits the sharded producer's entry");
-    assert_eq!(r2.queue_wait_ns, 0);
-    assert_eq!(r2.shards, 3, "the hit reports its producer's shape");
-    assert_eq!(
-        r2.particles, r1.particles,
-        "identical merged dump from the cache"
-    );
-    let out = server.shutdown();
-    assert_eq!(out.stats.cache_hits, 1);
-    assert_eq!(out.stats.sharded, 1, "the hit never fans out");
+    for layout in [Layout::Soa, Layout::Aos] {
+        for precision in [Precision::F32, Precision::F64] {
+            let (reference, _, _) = run_sharded(spec(layout, precision), 1);
+            for producer_shards in [0usize, 3] {
+                let tag = format!("{layout:?}/{precision:?} producer K={producer_shards}");
+                let cfg = ServeConfig {
+                    workers: 2,
+                    cache_capacity: 8,
+                    shard_threshold: if producer_shards > 0 { THRESHOLD } else { 0 },
+                    shards: 3,
+                    ..ServeConfig::default()
+                };
+                let server = Server::start(cfg, "inv-cache");
+                let asks = spec(layout, precision);
+                let quiet = JobSpec {
+                    return_particles: false,
+                    ..asks.clone()
+                };
+                let complete = |s: &JobSpec| {
+                    let outcome = server.submit(s.clone(), None).expect("admitted").wait();
+                    let Outcome::Completed(report) = outcome else {
+                        panic!("{tag}: {outcome:?}");
+                    };
+                    report
+                };
+                // Submitted back to back: the second either follows the
+                // running producer or, if that already finished, hits.
+                let first = server.submit(quiet.clone(), None).expect("admitted");
+                let second = server.submit(asks.clone(), None).expect("admitted");
+                let (Outcome::Completed(r1), Outcome::Completed(r2)) =
+                    (first.wait(), second.wait())
+                else {
+                    panic!("{tag}: producer or follower did not complete");
+                };
+                assert!(!r1.cache_hit, "{tag}: the producer ran");
+                assert_eq!(r1.shards, producer_shards, "{tag}: producer shape");
+                assert!(r1.particles.is_none(), "{tag}: producer did not ask");
+                let r3 = complete(&asks);
+                let r4 = complete(&quiet);
+                for (what, r) in [("follower", &r2), ("hit", &r3), ("quiet hit", &r4)] {
+                    assert!(r.cache_hit, "{tag}: {what} served from the cache");
+                    assert_eq!(r.queue_wait_ns, 0, "{tag}: {what}");
+                    assert_eq!(
+                        r.shards, producer_shards,
+                        "{tag}: {what} reports its producer's shape"
+                    );
+                }
+                assert_eq!(
+                    r2.particles.as_deref(),
+                    Some(reference.as_str()),
+                    "{tag}: follower's dump rendered from the cached columns"
+                );
+                assert_eq!(r3.particles, r2.particles, "{tag}: hit's dump");
+                assert_eq!(r4.particles, None, "{tag}: a hit that does not ask");
+                let out = server.shutdown();
+                assert_eq!(out.stats.cache_hits + out.stats.coalesced, 3, "{tag}");
+                assert!(out.stats.cache_hits >= 2, "{tag}");
+                assert_eq!(
+                    out.stats.sharded,
+                    u64::from(producer_shards > 0),
+                    "{tag}: a hit never fans out"
+                );
+            }
+        }
+    }
 }
