@@ -254,6 +254,7 @@ impl<R> Drop for StagedFields<R> {
 #[derive(Debug)]
 pub struct DeviceExecutor {
     device: Device,
+    /// Kernel launches so far: the first pays the JIT factor.
     launches: usize,
     ledger: Rc<UsmLedger>,
 }
@@ -271,11 +272,6 @@ impl DeviceExecutor {
     /// The bound device.
     pub fn device(&self) -> &Device {
         &self.device
-    }
-
-    /// Kernel launches so far (staging nodes not counted).
-    pub fn launches(&self) -> usize {
-        self.launches
     }
 
     /// The USM allocation ledger shared with every staged buffer.

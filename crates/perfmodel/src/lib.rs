@@ -32,7 +32,6 @@ pub mod gpu;
 pub mod report;
 pub mod roofline;
 pub mod sched;
-pub mod sensitivity;
 pub mod specs;
 
 pub use cost::{KernelCost, Precision, Scenario};

@@ -145,17 +145,20 @@ pub struct CachedResult {
 }
 
 impl CachedResult {
-    /// The producing run's particle dump, rendered from its columns —
-    /// bitwise what it would have returned itself.
-    pub(crate) fn render(&self) -> Option<String> {
+    /// The producing run's particle dump, rendered from its columns as
+    /// one piece — bitwise what it would have returned itself.
+    pub(crate) fn render(&self) -> Vec<Arc<String>> {
         let segments: Vec<&ColumnSegment> = self.columns.iter().map(|s| &**s).collect();
         merge_segments(&segments)
+            .map(Arc::new)
+            .into_iter()
+            .collect()
     }
 
     /// Builds the report a cache hit hands to `requester`: the
     /// memoized measurements, `queue_wait_ns = 0`, and the particle
-    /// dump — rendered here, so call it outside the cache lock — only
-    /// when the requester asked for it.
+    /// dump as one `dump` piece — rendered here, so call it outside the
+    /// cache lock — only when the requester asked for it.
     pub fn to_report(&self, requester: &JobSpec) -> JobReport {
         JobReport {
             nsps: self.nsps,
@@ -164,7 +167,11 @@ impl CachedResult {
             steps_done: self.steps_done,
             imbalance: self.imbalance,
             time_imbalance: self.time_imbalance,
-            particles: requester.return_particles.then(|| self.render()).flatten(),
+            dump: if requester.return_particles {
+                self.render()
+            } else {
+                Vec::new()
+            },
             cache_hit: true,
             shards: self.shards,
             // Everything that belongs to the serving of the producing
@@ -342,7 +349,8 @@ mod tests {
         let expect = merge_segments(&[&*stored.columns[0]]);
         cache.insert(key_n(1), stored);
         let hit = cache.lookup(key_n(1)).expect("hit");
-        let plain = hit.to_report(&JobSpec::default());
+        let mut plain = hit.to_report(&JobSpec::default());
+        plain.join_dump();
         assert!(plain.cache_hit);
         assert_eq!(plain.queue_wait_ns, 0);
         assert!(plain.particles.is_none());
@@ -350,7 +358,10 @@ mod tests {
             return_particles: true,
             ..JobSpec::default()
         };
-        let dump = hit.to_report(&wants).particles;
+        let mut report = hit.to_report(&wants);
+        assert_eq!(report.dump.len(), 1, "one piece");
+        report.join_dump();
+        let dump = report.particles;
         assert!(expect.is_some());
         assert_eq!(dump, expect, "rendered from the cached columns");
     }

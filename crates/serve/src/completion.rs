@@ -251,9 +251,9 @@ impl Shared {
     /// The one exit of a completed run, monolithic or merged: memoizes
     /// the result with the run's `columns` — a monolithic run's one
     /// segment, a merged parent's shard segments in plan order, moved in
-    /// and never copied — renders the dump from them only for a
-    /// requester that asked, and finishes the job. On a merged parent
-    /// that render is part of the gather and is billed to `gather_ns`.
+    /// and never copied — and finishes the job. A monolithic run's dump
+    /// is rendered here, as one piece, only for a requester that asked;
+    /// a merged parent arrives with the pieces its shards rendered.
     pub(crate) fn complete(
         &self,
         job: &Arc<JobState>,
@@ -269,12 +269,8 @@ impl Shared {
             columns,
             shards: report.shards,
         };
-        if job.spec.return_particles {
-            let render_start = self.clock.now_ns();
-            report.particles = result.render();
-            if report.shards > 0 {
-                report.gather_ns += self.clock.now_ns().saturating_sub(render_start);
-            }
+        if job.spec.return_particles && report.dump.is_empty() {
+            report.dump = result.render();
         }
         // Fill the cache before finishing: `after_finish` serves the
         // job's coalesced followers straight from this entry.
@@ -289,66 +285,101 @@ impl Shared {
 mod tests {
     use crate::cache::CacheKey;
     use crate::job::{JobReport, JobSpec, Outcome};
-    use crate::scheduler::{ServeConfig, Server};
-    use crate::shard::{merge_segments, Gather};
-    use crate::state::{test_job, test_spec, JobTicket};
-    use pic_particles::{ColumnSegment, SoaEnsemble};
+    use crate::scheduler::{ServeConfig, Server, Shared};
+    use crate::shard::{fan_out, merge_segments};
+    use crate::state::{test_job, test_spec, JobState, JobTicket};
+    use pic_particles::ColumnSegment;
     use pic_runtime::sync::lock;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
-    /// A merged parent that did not ask for particles: the cache entry
-    /// holds the very segments the gather received, and a later hit
-    /// that asks renders the dump the monolithic run would have.
+    /// Fans `spec` out into 3 shards over 11 particles (4/4/3) on a
+    /// `workers: 0` server and runs them on this thread: the merged
+    /// parent, its report and its shards' reports as the service holds
+    /// them.
+    fn run_sharded_by_hand(shared: &Arc<Shared>, spec: JobSpec) -> (Arc<JobState>, Vec<JobReport>) {
+        let parent = test_job(shared.next_id(), spec);
+        // The hand-built parent holds the depth slot its `publish` returns.
+        shared.admission.admit_derived();
+        fan_out(shared, &parent, 3);
+        let children = lock(&parent.children).clone();
+        for _ in &children {
+            let child = shared.queue.pop(0, &shared.admission).expect("a shard");
+            crate::exec::run_job(shared, &child);
+        }
+        let reports = [&parent].into_iter().chain(&children).map(|job| {
+            match job.shared_outcome().as_deref() {
+                Some(Outcome::Completed(r)) => r.clone(),
+                other => panic!("job {} did not complete: {other:?}", job.id),
+            }
+        });
+        (parent.clone(), reports.collect())
+    }
+
+    /// Text exists only where it was asked for, and is never merged. A
+    /// sharded parent that did not ask has no shard render anything, and
+    /// its cache entry holds the shards' own segments, from which a hit
+    /// that asks renders the dump. One that asked carries its shards' own
+    /// pieces, one each in plan order, and a caller's copy joins them into
+    /// the dump `merge_segments` renders from the same segments.
     #[test]
-    fn a_merged_parent_caches_its_shards_own_segments() {
+    fn a_sharded_parent_renders_only_if_asked_and_never_merges() {
         let cfg = ServeConfig {
             workers: 0,
             ..ServeConfig::default()
         };
-        let server = Server::start(cfg, "complete-test");
+        let server = Server::start(cfg, "render-test");
         let shared = &server.shared;
-        let whole: SoaEnsemble<f64> = pic_bench::build_ensemble(9, 7);
-        let ranges = vec![(0, 4), (4, 3), (7, 2)];
-        let shards: Vec<Arc<ColumnSegment>> = ranges
-            .iter()
-            .map(|&(off, len)| Arc::new(ColumnSegment::from_store(&whole, off, len)))
-            .collect();
-        let outcomes = shards
-            .iter()
-            .map(|seg| {
-                Outcome::Completed(JobReport {
-                    columns: Some(seg.clone()),
-                    ..JobReport::default()
-                })
-            })
-            .collect();
-        let spec = test_spec(9);
-        let parent = test_job(1, spec.clone());
-        // The hand-built parent holds the depth slot its `publish` returns.
-        shared.admission.admit_derived();
-        shared.finish_sharded(&Gather::new(parent.clone(), ranges), outcomes);
-        let ticket = JobTicket {
-            state: parent.clone(),
+        let quiet = JobSpec {
+            steps: 2,
+            ..test_spec(11)
         };
-        let Some(Outcome::Completed(report)) = ticket.outcome() else {
-            panic!("merged parent did not complete");
-        };
-        assert!(report.particles.is_none(), "nobody asked for text");
-        let hit = lock(&shared.cache)
-            .lookup(CacheKey::of(&spec))
-            .expect("cached");
-        assert_eq!(hit.columns.len(), 3);
-        for (cached, shard) in hit.columns.iter().zip(&shards) {
-            assert!(Arc::ptr_eq(cached, shard), "the shard's own segment");
-        }
-        let wants = JobSpec {
+        let asks = JobSpec {
             return_particles: true,
-            ..spec
+            ..quiet.clone()
         };
-        let expect = merge_segments(&[&ColumnSegment::from_store(&whole, 0, 9)]);
-        assert!(expect.is_some());
-        assert_eq!(hit.to_report(&wants).particles, expect);
+        for spec in [
+            quiet.clone(),
+            JobSpec {
+                seed: 8,
+                ..asks.clone()
+            },
+        ] {
+            let (parent, reports) = run_sharded_by_hand(shared, spec.clone());
+            let (merged, shards) = reports.split_first().expect("parent first");
+            let segments: Vec<Arc<ColumnSegment>> = shards
+                .iter()
+                .map(|r| r.columns.clone().expect("columns"))
+                .collect();
+            let expect = merge_segments(&segments.iter().map(|s| &**s).collect::<Vec<_>>());
+            assert!(merged.particles.is_none(), "no joined text in the service");
+            if !spec.return_particles {
+                assert!(shards.iter().all(|r| r.dump.is_empty() && r.render_ns == 0));
+                assert!(merged.dump.is_empty());
+                let hit = lock(&shared.cache)
+                    .lookup(CacheKey::of(&spec))
+                    .expect("cached");
+                assert_eq!(hit.columns.len(), 3);
+                for (cached, own) in hit.columns.iter().zip(&segments) {
+                    assert!(Arc::ptr_eq(cached, own), "the shard's own segment");
+                }
+                let mut report = hit.to_report(&asks);
+                report.join_dump();
+                assert_eq!(report.particles, expect, "a hit renders the cached columns");
+                continue;
+            }
+            assert_eq!(merged.dump.len(), 3, "one piece per shard");
+            for (piece, shard) in merged.dump.iter().zip(shards) {
+                assert_eq!(shard.dump.len(), 1);
+                assert!(Arc::ptr_eq(piece, &shard.dump[0]), "the shard's own piece");
+            }
+            let Some(Outcome::Completed(copy)) = (JobTicket { state: parent }).outcome() else {
+                panic!("no outcome");
+            };
+            assert!(copy.dump.is_empty(), "the caller's copy holds one string");
+            assert!(expect.is_some());
+            assert_eq!(copy.particles, expect);
+        }
         server.shutdown();
     }
 

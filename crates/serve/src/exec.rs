@@ -44,7 +44,7 @@
 use crate::cache::CacheKey;
 use crate::job::{JobReport, Outcome};
 use crate::scheduler::Shared;
-use crate::shard::shard_kill_key;
+use crate::shard::{render_rows, shard_kill_key};
 use crate::state::JobState;
 use crate::stats::Counter;
 use pic_bench::{
@@ -292,13 +292,26 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
     let capture = || Arc::new(ColumnSegment::from_store(&store, 0, store.len()));
     match &job.shard {
         // A shard hands its slice to the gather, which completes the
-        // parent; the shard itself never renders or populates the cache
-        // — its spec's key aliases a genuine small job's (same seed,
-        // fewer particles).
+        // parent; the shard never populates the cache — its spec's key
+        // aliases a genuine small job's (same seed, fewer particles). If
+        // the requester asked, the shard renders its own rows here, on
+        // its own worker and beside its siblings, and shard 0 leads with
+        // the header: the gather then joins nothing.
         Some(ctx) => {
+            let columns = capture();
+            let (dump, render_ns) = if job.spec.return_particles {
+                let render_start = shared.clock.now_ns();
+                let piece = render_rows(&[&columns], ctx.shard_id == 0);
+                let render_ns = shared.clock.now_ns().saturating_sub(render_start);
+                (piece.map(Arc::new).into_iter().collect(), render_ns)
+            } else {
+                (Vec::new(), 0)
+            };
             let report = JobReport {
                 shards: ctx.shards,
-                columns: Some(capture()),
+                columns: Some(columns),
+                dump,
+                render_ns,
                 ..report
             };
             shared.finish(job, Outcome::Completed(report));

@@ -341,8 +341,16 @@ pub struct JobReport {
     /// Busy-time load imbalance of the job's sweeps.
     pub time_imbalance: f64,
     /// Final particle state (`pic_particles::io` text format), present
-    /// when the spec asked for `return_particles`.
+    /// when the spec asked for `return_particles`, on the copy a
+    /// [`JobTicket`](crate::JobTicket) hands out: it joins `dump` into
+    /// this. Never set inside the service.
     pub particles: Option<String>,
+    /// The same text inside the service, in the pieces it was rendered
+    /// in, shared and never joined: one for a monolithic run or a cache
+    /// hit; one per shard, in plan order, for a merged parent (shard 0's
+    /// leads with the header); none when the spec did not ask. The wire
+    /// escapes them one after another (`proto::write_outcome`).
+    pub dump: Vec<Arc<String>>,
     /// True when the result was served from the deterministic result
     /// cache (or coalesced onto a duplicate in flight) instead of a
     /// fresh sweep. Cache hits always report `queue_wait_ns = 0`.
@@ -360,14 +368,30 @@ pub struct JobReport {
     /// Final particle state of a shard sub-job as a typed column
     /// segment, handed to the gather. `None` for monolithic jobs and for
     /// merged parents: their segments go to the result cache, their text
-    /// (if asked for) to `particles`. Shared, so the outcome's trip
-    /// through the finish path, the gather and the cache copies no
-    /// columns.
+    /// (if asked for) to `dump`. Shared, so the outcome's trip through
+    /// the finish path, the gather and the cache copies no columns.
     pub columns: Option<Arc<ColumnSegment>>,
+    /// Time a shard sub-job spent rendering its piece of `dump`, ns.
+    /// Zero everywhere else: a merged parent bills its slowest shard's
+    /// render to `gather_ns`.
+    pub render_ns: u64,
     /// Time the scatter-gather merge spent splicing the shard results
-    /// and, if the requester asked for particles, rendering them, ns.
+    /// plus, if the requester asked for particles, the render of its
+    /// slowest shard — the render on the job's critical path — ns.
     /// Non-zero only on the merged parent of a sharded completion.
     pub gather_ns: u64,
+}
+
+impl JobReport {
+    /// Moves the `dump` pieces into `particles`, joined: what a caller
+    /// outside the service reads.
+    pub(crate) fn join_dump(&mut self) {
+        if !self.dump.is_empty() {
+            let pieces: Vec<&str> = self.dump.iter().map(|p| p.as_str()).collect();
+            self.particles = Some(pieces.concat());
+            self.dump.clear();
+        }
+    }
 }
 
 /// The exactly-once terminal state of a job.

@@ -46,8 +46,9 @@
 //! * [`shard`] — domain decomposition: an over-threshold job is split
 //!   along a deterministic [`ShardPlan`](shard::ShardPlan) into shard
 //!   sub-jobs flowing through the ordinary queue (`fan_out`), and a
-//!   scatter-gather barrier splices the shards' typed column segments and merges
-//!   diagnostics into one completed response that is bitwise
+//!   scatter-gather barrier takes the shards' typed column segments (and
+//!   the dump pieces they rendered, if asked for) in plan order and
+//!   merges diagnostics into one completed response that is bitwise
 //!   shard-count-invariant. With
 //!   [`ServeConfig::pinned`](scheduler::ServeConfig) each shard is
 //!   bound to a dedicated worker slot — only that worker takes it, and
@@ -55,8 +56,9 @@
 //!   as a K-queue pipeline.
 //! * [`proto`] — the versioned line-delimited JSON wire protocol.
 //! * [`frontend`] — pumps requests from any `BufRead` into the server
-//!   and responses back out; the `pic-serve` binary wires it to
-//!   stdin/stdout or a Unix-domain socket.
+//!   and responses back out, a dump streamed escaped from its pieces;
+//!   the `pic-serve` binary wires it to stdin/stdout or a Unix-domain
+//!   socket.
 //! * [`clock`] — the service's single wall-clock read point (the
 //!   `pic-lint` `instant-outside-telemetry` allowlist names this module
 //!   and nothing else in the crate).

@@ -16,7 +16,8 @@
 
 use crate::job::{JobSpec, Outcome};
 use crate::scheduler::{CancelResult, ServeStats};
-use pic_telemetry::json::{parse, Value};
+use pic_telemetry::json::{parse, write_obj_with_str, Value};
+use std::io::{self, Write};
 
 /// Protocol version spoken by this build.
 pub const PROTO_VERSION: u64 = 1;
@@ -122,9 +123,32 @@ pub fn rejected_line(
     Value::obj(with_tag(e, tag)).to_json()
 }
 
-/// The terminal response for an admitted job.
+/// The terminal response for an admitted job: the bytes
+/// [`write_outcome`] writes.
 pub fn outcome_line(id: u64, tag: Option<&str>, outcome: &Outcome) -> String {
-    match outcome {
+    let mut line = Vec::new();
+    // lint: allow(unwrap-in-lib): writing to a `Vec` cannot fail, and the
+    // line is made of `&str` pieces and ASCII, so it is UTF-8.
+    write_outcome(&mut line, id, tag, outcome).expect("a Vec takes every write");
+    // lint: allow(unwrap-in-lib): see above.
+    String::from_utf8(line).expect("JSON text is UTF-8")
+}
+
+/// Writes the terminal response for an admitted job to `out`, without
+/// the line's terminator. A dump is escaped from where it lies —
+/// `particles`, or the `dump` pieces in order — so neither it nor the
+/// line is copied whole.
+///
+/// # Errors
+///
+/// Propagates any I/O error from `out`.
+pub fn write_outcome<W: Write>(
+    out: &mut W,
+    id: u64,
+    tag: Option<&str>,
+    outcome: &Outcome,
+) -> io::Result<()> {
+    let line = match outcome {
         Outcome::Rejected(reason) => rejected_line(Some(id), tag, reason),
         Outcome::Cancelled => {
             let mut e = base("cancelled");
@@ -165,13 +189,17 @@ pub fn outcome_line(id: u64, tag: Option<&str>, outcome: &Outcome) -> String {
                 e.push(("resumed_from_step", Value::Num(r.resumed_from_step as f64)));
             }
             let e = with_tag(e, tag);
-            match &r.particles {
-                // The dump is escaped into the line from where it lies.
-                Some(dump) => Value::obj_json_with_str(e, "particles", dump),
-                None => Value::obj(e).to_json(),
+            let pieces: Vec<&str> = match &r.particles {
+                Some(text) => vec![text],
+                None => r.dump.iter().map(|piece| piece.as_str()).collect(),
+            };
+            if !pieces.is_empty() {
+                return write_obj_with_str(out, e, "particles", &pieces);
             }
+            Value::obj(e).to_json()
         }
-    }
+    };
+    out.write_all(line.as_bytes())
 }
 
 /// Response to a `cancel` request.
@@ -263,11 +291,13 @@ mod tests {
             imbalance: 1.1,
             time_imbalance: 0.0,
             particles: Some("# header\n".to_string()),
+            dump: Vec::new(),
             cache_hit: false,
             resumes: 2,
             resumed_from_step: 5,
             shards: 0,
             columns: None,
+            render_ns: 0,
             gather_ns: 0,
         };
         let line = outcome_line(9, None, &Outcome::Completed(report));
@@ -373,6 +403,22 @@ mod tests {
                         ..report.clone()
                     };
                     let expect = completed_line_via_value(9, tag, &report);
+                    // The same text as the service holds it: in pieces,
+                    // cut at a third and two thirds (on characters).
+                    let pieces = dump.map_or_else(Vec::new, |text| {
+                        let cut = |at: usize| (at..).find(|&i| text.is_char_boundary(i)).unwrap();
+                        let (a, b) = (cut(text.len() / 3), cut(2 * text.len() / 3));
+                        [&text[..a], &text[a..b], &text[b..]]
+                            .map(|p| std::sync::Arc::new(p.to_string()))
+                            .to_vec()
+                    });
+                    let in_pieces = crate::job::JobReport {
+                        particles: None,
+                        dump: pieces,
+                        ..report.clone()
+                    };
+                    let line = outcome_line(9, tag, &Outcome::Completed(in_pieces));
+                    assert_eq!(line, expect, "from pieces");
                     let line = outcome_line(9, tag, &Outcome::Completed(report));
                     assert_eq!(line, expect);
                     let v = parse(&line).unwrap();

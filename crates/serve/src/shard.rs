@@ -102,18 +102,26 @@ pub fn shard_kill_key(seed: u64, shard_id: usize) -> u64 {
 /// Renders spliced shard [`ColumnSegment`]s into the text dump the
 /// monolithic run would have produced: the `pic_particles::io` header
 /// once, then every segment's rows in shard order — typed columns
-/// straight to text, with no per-shard re-parsing or intermediate
-/// per-shard dump strings. Returns `None` for an empty segment set or a
-/// formatting failure.
+/// straight to text, with no per-shard re-parsing. Returns `None` for an
+/// empty segment set or a formatting failure.
 pub fn merge_segments(segments: &[&ColumnSegment]) -> Option<String> {
     if segments.is_empty() {
         return None;
     }
+    render_rows(segments, true)
+}
+
+/// `segments`' rows as text, in order, led by the `pic_particles::io`
+/// header when `header` is set: the whole dump, or one shard's piece of
+/// it (shard 0's with the header). `None` on a formatting failure.
+pub(crate) fn render_rows(segments: &[&ColumnSegment], header: bool) -> Option<String> {
     // Room for the longest rows, so the text is never moved while it
     // grows; what the rows did not need is handed back.
     let rows: usize = segments.iter().map(|seg| seg.len()).sum();
     let mut out: Vec<u8> = Vec::with_capacity(HEADER.len() + 1 + rows * MAX_ROW_LEN);
-    writeln!(out, "{HEADER}").ok()?;
+    if header {
+        writeln!(out, "{HEADER}").ok()?;
+    }
     for seg in segments {
         seg.write_text(&mut out).ok()?;
     }
@@ -177,8 +185,8 @@ impl Gather {
                 // the barrier stays safe even if it were not.
                 return None;
             }
-            // A shard's outcome carries its columns behind an `Arc` and
-            // never a rendered dump: this copies a report's numbers.
+            // A shard's outcome carries its columns and its piece of the
+            // dump behind `Arc`s: this copies a report's numbers.
             *slot = Some(outcome.clone());
         }
         // ordering: SeqCst — the slot write above must be visible to
@@ -207,11 +215,11 @@ pub(crate) fn fan_out(shared: &Arc<Shared>, parent: &Arc<JobState>, shards: usiz
     let mut children: Vec<Arc<JobState>> = Vec::with_capacity(plan.shards());
     for (shard_id, &(offset, len)) in plan.ranges().iter().enumerate() {
         let id = shared.next_id();
+        // The child keeps the parent's `return_particles`: it always hands
+        // its columns to the gather (for the cache), and renders its piece
+        // of the dump only for a requester that asked.
         let mut spec = parent.spec.clone();
         spec.particles = len;
-        // The gather needs every shard's final state regardless of what
-        // the requester asked for.
-        spec.return_particles = true;
         let report_into = shared.clone();
         let g = gather.clone();
         let notifier: Notifier = Box::new(move |_, outcome| {
@@ -267,12 +275,14 @@ impl Shared {
     ///
     /// A shard that failed fails the whole job with the first
     /// non-completed outcome in shard order (deterministic). Otherwise
-    /// the parent completes with the shards' own segments in plan order
-    /// (its dump, if asked for, is the header plus their rows — bitwise
-    /// what the monolithic run would have produced),
-    /// and the merged measurements reconcile against the per-shard
-    /// records: `setup_ns`/`run_ns`/`steps_done` are the critical path
-    /// (max), `resumes` the sum, imbalance the particle-weighted mean.
+    /// the parent completes with the shards' own segments and, if asked
+    /// for, their own dump pieces, both in plan order and never joined
+    /// (the pieces in a row are the header plus the rows — bitwise what
+    /// the monolithic run would have produced), and the merged
+    /// measurements reconcile against the per-shard records:
+    /// `setup_ns`/`run_ns`/`steps_done` are the critical path (max), as
+    /// is the shard render billed to `gather_ns`; `resumes` is the sum,
+    /// imbalance the particle-weighted mean.
     pub(crate) fn finish_sharded(&self, gather: &Gather, outcomes: Vec<Outcome>) {
         let parent = &gather.parent;
         if let Some(bad) = outcomes
@@ -290,13 +300,16 @@ impl Shared {
                 _ => None,
             })
             .collect();
-        // Columnar gather: shards return typed column segments, taken in
-        // plan order and shared; `complete` renders them for a requester
-        // that asked and adds that render to `gather_ns`.
+        // Columnar gather: shards return typed column segments and, for a
+        // requester that asked, the text they rendered on their own
+        // workers; both are taken in plan order and shared. The slowest
+        // render is on the job's critical path, so it is billed here.
         let gather_start = self.clock.now_ns();
         let columns: Vec<Arc<ColumnSegment>> =
             reports.iter().filter_map(|r| r.columns.clone()).collect();
-        let gather_ns = self.clock.now_ns().saturating_sub(gather_start);
+        let dump: Vec<Arc<String>> = reports.iter().flat_map(|r| r.dump.clone()).collect();
+        let render_ns = reports.iter().map(|r| r.render_ns).max().unwrap_or(0);
+        let gather_ns = self.clock.now_ns().saturating_sub(gather_start) + render_ns;
         let mut run_ns = reports.iter().map(|r| r.run_ns).max().unwrap_or(0);
         // Pinned device sharding: one queue per shard lets shard k+1's
         // column staging overlap shard k's kernel, so the merged wall
@@ -357,6 +370,7 @@ impl Shared {
                 .max()
                 .unwrap_or(0),
             shards: reports.len(),
+            dump,
             gather_ns,
             ..JobReport::default()
         };
@@ -421,8 +435,8 @@ mod tests {
     fn segment_merge_matches_the_monolithic_dump() {
         use pic_particles::SoaEnsemble;
 
-        // Both exits render through `merge_segments`: the monolithic
-        // one from a single whole-store segment.
+        // The monolithic exit renders a single whole-store segment; the
+        // shards render a piece each, the first with the header.
         let whole: SoaEnsemble<f64> = pic_bench::build_ensemble(25, 7);
         let expect = merge_segments(&[&ColumnSegment::from_store(&whole, 0, 25)]);
         let segs: Vec<ColumnSegment> = [(0usize, 10usize), (10, 9), (19, 6)]
@@ -432,6 +446,12 @@ mod tests {
         let refs: Vec<&ColumnSegment> = segs.iter().collect();
         assert!(expect.is_some());
         assert_eq!(merge_segments(&refs), expect, "bitwise the monolithic dump");
+        let pieces: Option<String> = segs
+            .iter()
+            .enumerate()
+            .map(|(i, seg)| render_rows(&[seg], i == 0))
+            .collect();
+        assert_eq!(pieces, expect, "the shards' pieces, in plan order");
         assert_eq!(merge_segments(&[]), None, "empty set is explicit");
     }
 

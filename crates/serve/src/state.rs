@@ -8,7 +8,9 @@ use pic_runtime::sync::lock;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-/// Callback fired exactly once with a job's terminal outcome.
+/// Callback fired exactly once with a job's terminal outcome: the
+/// service's own, whose dump is its shared `dump` pieces (`particles` is
+/// `None`), so a clone of it copies no text.
 pub type Notifier = Box<dyn FnOnce(u64, &Outcome) + Send>;
 
 /// One admitted job's shared state.
@@ -132,6 +134,12 @@ impl JobState {
         self.done.notify_all();
     }
 
+    /// The stored terminal outcome, shared: the service's own, with its
+    /// dump in pieces.
+    pub fn shared_outcome(&self) -> Option<Arc<Outcome>> {
+        lock(&self.outcome).clone()
+    }
+
     /// Hands the notifier to the one party that will fire it.
     pub fn take_notifier(&self) -> Option<Notifier> {
         lock(&self.notifier).take()
@@ -159,10 +167,12 @@ impl JobTicket {
     }
 
     /// The outcome, if the job already terminated. The copy is the
-    /// caller's, made after the job's lock is released.
+    /// caller's, made after the job's lock is released; a dump in it is
+    /// one `particles` string.
     pub fn outcome(&self) -> Option<Outcome> {
-        let shared = lock(&self.state.outcome).clone();
-        shared.as_deref().cloned()
+        self.state
+            .shared_outcome()
+            .map(|shared| caller_copy(&shared))
     }
 
     /// Blocks until the job terminates; copies like
@@ -180,8 +190,17 @@ impl JobTicket {
                 .unwrap_or_else(PoisonError::into_inner);
         };
         drop(guard);
-        Outcome::clone(&shared)
+        caller_copy(&shared)
     }
+}
+
+/// A caller's own copy of the service's outcome, its dump joined.
+fn caller_copy(shared: &Outcome) -> Outcome {
+    let mut outcome = shared.clone();
+    if let Outcome::Completed(report) = &mut outcome {
+        report.join_dump();
+    }
+    outcome
 }
 
 /// The default spec at `particles` particles.

@@ -7,7 +7,9 @@
 //! round-trip formatting so `parse(write(x)) == x` exactly.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
+use std::io;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -108,44 +110,6 @@ impl Value {
         out
     }
 
-    /// `Value::obj(entries ∪ {key: Str(text)}).to_json()`, byte for
-    /// byte, with `text` escaped straight from the borrow into the line
-    /// at `key`'s sorted position: the one member that can be a 17.7 MB
-    /// particle dump is not copied into a [`Value::Str`] first. `key`
-    /// must not be among `entries`.
-    pub fn obj_json_with_str(
-        entries: impl IntoIterator<Item = (&'static str, Value)>,
-        key: &str,
-        text: &str,
-    ) -> String {
-        let mut members: Vec<(&str, Value)> = entries.into_iter().collect();
-        members.sort_by_key(|(k, _)| *k);
-        let (before, after) = members.split_at(members.partition_point(|(k, _)| *k < key));
-        // Room for the whole line, so it is allocated once: a dump's
-        // escapes are its newlines, one per row of at least 34 bytes.
-        let mut out = String::with_capacity(text.len() + text.len() / 16 + 256);
-        out.push('{');
-        let name = |out: &mut String, k: &str| {
-            if out.len() > 1 {
-                out.push(',');
-            }
-            write_escaped(k, out);
-            out.push(':');
-        };
-        for (k, v) in before {
-            name(&mut out, k);
-            v.write(&mut out);
-        }
-        name(&mut out, key);
-        write_escaped(text, &mut out);
-        for (k, v) in after {
-            name(&mut out, k);
-            v.write(&mut out);
-        }
-        out.push('}');
-        out
-    }
-
     fn write(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
@@ -185,33 +149,122 @@ impl Value {
     }
 }
 
-/// Appends `s` as a JSON string literal. Whatever needs escaping is one
-/// ASCII byte, never part of a multi-byte sequence, so the bytes between
-/// two escapes are whole characters and go out as one `push_str` — a
-/// 17.7 MB particle dump is ~125 000 such runs, not 17.7 M `char` pushes.
+/// Writes `Value::obj(entries ∪ {key: Str(pieces joined)}).to_json()` to
+/// `out`, byte for byte, with each piece escaped straight from its borrow
+/// at `key`'s sorted position: the one member that can be a 17.7 MB
+/// particle dump is neither joined nor copied into a [`Value::Str`], and
+/// no line holding it is built. The member goes out as one write per run
+/// between two escapes, so an unbuffered `out` (a socket) wants a buffer
+/// in front of it. `key` must not be among `entries`.
+///
+/// # Errors
+///
+/// Propagates any I/O error from `out`.
+pub fn write_obj_with_str<W: io::Write>(
+    out: &mut W,
+    entries: impl IntoIterator<Item = (&'static str, Value)>,
+    key: &str,
+    pieces: &[&str],
+) -> io::Result<()> {
+    let mut members: Vec<(&str, Value)> = entries.into_iter().collect();
+    members.sort_by_key(|(k, _)| *k);
+    let (before, after) = members.split_at(members.partition_point(|(k, _)| *k < key));
+    let mut head = String::from("{");
+    for (k, v) in before {
+        write_escaped(k, &mut head);
+        head.push(':');
+        v.write(&mut head);
+        head.push(',');
+    }
+    write_escaped(key, &mut head);
+    head.push_str(":\"");
+    out.write_all(head.as_bytes())?;
+    for piece in pieces {
+        for_each_escaped(piece, |run| out.write_all(run.as_bytes()))?;
+    }
+    let mut tail = String::from("\"");
+    for (k, v) in after {
+        tail.push(',');
+        write_escaped(k, &mut tail);
+        tail.push(':');
+        v.write(&mut tail);
+    }
+    tail.push('}');
+    out.write_all(tail.as_bytes())
+}
+
+/// Appends `s` as a JSON string literal.
 fn write_escaped(s: &str, out: &mut String) {
     out.reserve(s.len() + 2);
     out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        run = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-    }
-    out.push_str(&s[run..]);
+    let Ok(()) = for_each_escaped::<Infallible>(s, |run| {
+        out.push_str(run);
+        Ok(())
+    });
     out.push('"');
+}
+
+/// What each byte below 0x20 becomes inside a JSON string.
+const CONTROL_ESCAPES: [&str; 32] = [
+    "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+    "\\u0008", "\\t", "\\n", "\\u000b", "\\u000c", "\\r", "\\u000e", "\\u000f", "\\u0010",
+    "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017", "\\u0018",
+    "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+];
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::MAX / 0xff;
+
+/// Index of the first byte of `bytes` that a JSON string must escape — a
+/// control below 0x20, `"` or `\` — found eight bytes per step. Per word,
+/// each test is the classic `(x − 0x01…·n) & !x & 0x80…` ("a byte of x
+/// is below n"), with `"` and `\` turned into zeros by an XOR: a borrow
+/// can flag a byte above a true one, never below it, so the lowest flag
+/// is exact. Bytes of multi-byte UTF-8 sequences have the high bit set
+/// and are never flagged.
+fn next_escape(bytes: &[u8]) -> Option<usize> {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut last = [b' '; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    let words = words.iter().copied().chain([last]);
+    words.enumerate().find_map(|(i, word)| {
+        let word = u64::from_le_bytes(word);
+        let quote = word ^ (ONES * u64::from(b'"'));
+        let backslash = word ^ (ONES * u64::from(b'\\'));
+        // `"` and `\` have the high bit clear: `!quote`, `!backslash` and
+        // `!word` agree there.
+        let below = word.wrapping_sub(ONES * 0x20);
+        let mask = (below | quote.wrapping_sub(ONES) | backslash.wrapping_sub(ONES)) & !word;
+        let mask = mask & (ONES << 7);
+        (mask != 0).then_some(i * 8 + (mask.trailing_zeros() / 8) as usize)
+    })
+}
+
+/// Hands `emit` the body of `s` as a JSON string literal, without the
+/// quotes: the runs that need no escape, borrowed from `s`, and between
+/// them the escape of each byte that does. The one escaper of every
+/// string this module writes. What needs escaping is one ASCII byte,
+/// never inside a multi-byte sequence, so every run is whole characters.
+fn for_each_escaped<E>(s: &str, mut emit: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+    let mut rest = s;
+    while let Some(at) = next_escape(rest.as_bytes()) {
+        let (run, escaped) = rest.split_at(at);
+        if !run.is_empty() {
+            emit(run)?;
+        }
+        emit(match escaped.as_bytes()[0] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            // bounds: every other byte the scan stops at is below 0x20.
+            b => CONTROL_ESCAPES[usize::from(b)],
+        })?;
+        rest = &escaped[1..];
+    }
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        emit(rest)
+    }
 }
 
 /// Arrays and objects nested deeper than this are refused. The parser
@@ -467,19 +520,26 @@ mod tests {
     #[test]
     fn a_borrowed_member_lands_where_the_map_would_put_it() {
         let entries = || [("b", Value::Num(1.0)), ("d", Value::Str("x\"y".into()))];
-        let text = "line one\nline \"two\"\\\u{1}";
+        let text = "line one\nline \"two\"\\\u{1} é";
+        let written = |entries: &[(&'static str, Value)], key: &str, pieces: &[&str]| {
+            let mut out = Vec::new();
+            write_obj_with_str(&mut out, entries.iter().cloned(), key, pieces).unwrap();
+            String::from_utf8(out).unwrap()
+        };
         // Before every key, between two, after every key; then alone.
         for key in ["a", "c", "e"] {
             let owned = entries()
                 .into_iter()
                 .chain([(key, Value::Str(text.into()))]);
-            assert_eq!(
-                Value::obj_json_with_str(entries(), key, text),
-                Value::obj(owned).to_json(),
-                "{key}"
-            );
+            let expect = Value::obj(owned).to_json();
+            assert_eq!(written(&entries(), key, &[text]), expect, "{key}");
+            // The member in two pieces, cut at every character boundary.
+            for (cut, _) in text.char_indices().chain([(text.len(), ' ')]) {
+                let pieces = [&text[..cut], &text[cut..]];
+                assert_eq!(written(&entries(), key, &pieces), expect, "{key} {cut}");
+            }
         }
-        assert_eq!(Value::obj_json_with_str([], "k", ""), r#"{"k":""}"#);
+        assert_eq!(written(&[], "k", &[]), r#"{"k":""}"#);
     }
 
     #[test]
@@ -581,14 +641,34 @@ mod tests {
         out.push('"');
     }
 
+    /// `s` escaped by the char loop, and by the word scan both into a
+    /// `String` and streamed in two pieces cut at `cut` (a character
+    /// boundary) through a buffer of `capacity` bytes: all three agree,
+    /// and the literal parses back to `s`.
+    fn escape_three_ways(s: &str, cut: usize, capacity: usize) {
+        let mut old = String::new();
+        write_escaped_by_char(s, &mut old);
+        let mut new = String::from("prefix");
+        write_escaped(s, &mut new);
+        assert_eq!(&new["prefix".len()..], old, "input {s:?}");
+        let mut streamed = io::BufWriter::with_capacity(capacity, Vec::new());
+        write_obj_with_str(&mut streamed, [], "k", &[&s[..cut], &s[cut..]]).unwrap();
+        let streamed = String::from_utf8(streamed.into_inner().unwrap()).unwrap();
+        assert_eq!(
+            streamed,
+            format!("{{\"k\":{old}}}"),
+            "input {s:?} cut at {cut}"
+        );
+        assert_eq!(parse(&old).unwrap(), Value::Str(s.to_owned()));
+    }
+
     #[test]
-    fn run_copying_escaper_is_byte_identical_to_the_char_loop() {
-        // Random strings over an alphabet that is mostly what needs
-        // escaping and what must not be split: quotes, backslashes, every
-        // control byte, DEL, and 2-, 3- and 4-byte UTF-8 sequences.
-        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
-        alphabet.extend(['"', '\\', '/', ' ', 'a', 'Z', '7', '\u{7f}']);
-        alphabet.extend([
+    fn word_scanning_escaper_is_byte_identical_to_the_char_loop() {
+        // Random strings over two alphabets: one that is mostly what needs
+        // escaping and what must not be split — quotes, backslashes, every
+        // control byte, DEL, and 2-, 3- and 4-byte UTF-8 sequences — and
+        // one where escapes are rare, so that whole words scan clean.
+        let wide = [
             'é',
             'ß',
             '\u{80}',
@@ -597,7 +677,13 @@ mod tests {
             '\u{ffff}',
             '😀',
             '\u{10ffff}',
-        ]);
+        ];
+        let mut dense: Vec<char> = (0u8..0x20).map(char::from).collect();
+        dense.extend(['"', '\\', '/', ' ', 'a', 'Z', '7', '\u{7f}']);
+        dense.extend(wide);
+        let mut sparse: Vec<char> = "0123456789e-+. ".chars().cycle().take(120).collect();
+        sparse.extend(wide);
+        sparse.extend(['\n', '"', '\\', '\u{1}', '\u{1f}', '\u{7f}']);
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
             state = state
@@ -605,16 +691,38 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
-        for case in 0..2000 {
+        // A 4-byte character across a word boundary, escapes beside it.
+        let fixed = ["😀\"é\n漢".to_owned(), "\\😀x".to_owned()];
+        let random = (0..2000).map(|case| {
+            let alphabet = if case % 2 == 0 { &dense } else { &sparse };
             let len = if case < 8 { case } else { next() % 200 };
-            let s: String = (0..len)
+            (0..len)
                 .map(|_| alphabet[next() % alphabet.len()])
-                .collect();
-            let (mut old, mut new) = (String::new(), String::from("prefix"));
-            write_escaped_by_char(&s, &mut old);
-            write_escaped(&s, &mut new);
-            assert_eq!(&new["prefix".len()..], old, "input {s:?}");
-            assert_eq!(parse(&old).unwrap(), Value::Str(s));
+                .collect::<String>()
+        });
+        let cases: Vec<String> = fixed.into_iter().chain(random).collect();
+        for (case, s) in cases.iter().enumerate() {
+            // At every start offset mod 8, so that each byte of the string
+            // sits at each position of a word; cut somewhere.
+            for pad in 0..8 {
+                let padded = format!("{}{s}", "x".repeat(pad));
+                let cuts: Vec<usize> = padded.char_indices().map(|(i, _)| i).collect();
+                let cut = cuts.get(case % (cuts.len() + 1)).copied();
+                escape_three_ways(&padded, cut.unwrap_or(padded.len()), 64);
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_through_a_buffer_splits_the_member_at_every_byte() {
+        // A member that overfills a 64 KiB buffer, with escapes and a wide
+        // character at every byte position around the point where the
+        // buffer first fills, and the two pieces cut there too.
+        const CAPACITY: usize = 64 * 1024;
+        for at in CAPACITY - 24..CAPACITY + 24 {
+            let s = format!("{}\"😀\n\\{}", "a".repeat(at), "b".repeat(40));
+            escape_three_ways(&s, at, CAPACITY);
+            escape_three_ways(&s, at + 1, CAPACITY);
         }
     }
 
