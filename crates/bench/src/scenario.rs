@@ -13,10 +13,8 @@
 use pic_fields::DipoleStandingWave;
 use pic_math::constants::{BENCH_OMEGA, BENCH_POWER, BENCH_WAVELENGTH};
 use pic_math::{Real, Vec3};
-use pic_particles::init::{fill_sphere_at_rest, fill_sphere_at_rest_range, SphereDist};
+use pic_particles::init::{fill_sphere_at_rest_range, SphereDist};
 use pic_particles::{ParticleStore, SpeciesTable};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Workload sizing for one harness run.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
@@ -94,27 +92,14 @@ pub fn bench_dt() -> f64 {
 /// Builds the paper's initial ensemble: `n` electrons at rest, uniform in
 /// a sphere of radius 0.6λ, deterministic for a given `seed`.
 pub fn build_ensemble<R: Real, S: ParticleStore<R>>(n: usize, seed: u64) -> S {
-    let mut store = S::default();
-    fill_sphere_at_rest(
-        &mut store,
-        n,
-        &SphereDist {
-            center: Vec3::zero(),
-            radius: 0.6 * BENCH_WAVELENGTH,
-        },
-        1.0,
-        SpeciesTable::<R>::ELECTRON,
-        &mut StdRng::seed_from_u64(seed),
-    );
-    store
+    build_ensemble_range(n, seed, 0, n)
 }
 
 /// Builds the `[offset, offset + len)` shard of the `n_total`-particle
 /// seeded ensemble [`build_ensemble`] produces — bitwise-identical to
-/// the corresponding slice of the full fill (the serving layer's domain
-/// decomposition depends on this; see
-/// `pic_particles::init::fill_sphere_at_rest_range` for why the seeded
-/// stream is replayed rather than skipped).
+/// the corresponding slice of the full fill, and drawn at the cost of
+/// its own particles only (the serving layer's domain decomposition
+/// depends on both).
 pub fn build_ensemble_range<R: Real, S: ParticleStore<R>>(
     n_total: usize,
     seed: u64,
@@ -129,6 +114,7 @@ pub fn build_ensemble_range<R: Real, S: ParticleStore<R>>(
 /// Appends the particles [`build_ensemble_range`] would build to
 /// `store`, so a batch of jobs is seeded straight into the one store
 /// that runs them (`offset = 0, len = n_total` is [`build_ensemble`]).
+/// A range reaching past `n_total` is cut there.
 pub fn append_ensemble_range<R: Real, S: ParticleStore<R>>(
     store: &mut S,
     n_total: usize,
@@ -138,16 +124,15 @@ pub fn append_ensemble_range<R: Real, S: ParticleStore<R>>(
 ) {
     fill_sphere_at_rest_range(
         store,
-        n_total,
         offset,
-        offset.saturating_add(len),
+        offset.saturating_add(len).min(n_total),
         &SphereDist {
             center: Vec3::zero(),
             radius: 0.6 * BENCH_WAVELENGTH,
         },
         1.0,
         SpeciesTable::<R>::ELECTRON,
-        &mut StdRng::seed_from_u64(seed),
+        seed,
     );
 }
 
@@ -186,19 +171,34 @@ mod tests {
         assert_ne!(a.get(0), a2.get(0));
     }
 
+    /// Every shard — either layout and precision, starts and lengths
+    /// off the fill's 8-particle blocks — is the full build's slice, and
+    /// a range past the end is cut there.
     #[test]
     fn range_ensembles_match_the_full_build_slice() {
-        let full: SoaEnsemble<f32> = build_ensemble(60, 5);
-        let mut rebuilt = Vec::new();
-        for (offset, len) in [(0usize, 21usize), (21, 20), (41, 19)] {
-            let shard: SoaEnsemble<f32> = build_ensemble_range(60, 5, offset, len);
-            assert_eq!(shard.len(), len);
-            for i in 0..len {
-                assert_eq!(shard.get(i), full.get(offset + i));
-                rebuilt.push(shard.get(i));
+        fn check<R: Real, S: ParticleStore<R>>() {
+            const TOTAL: usize = 13 + 129;
+            let full: S = build_ensemble(TOTAL, 5);
+            for offset in [0, 13] {
+                for len in [0, 1, 7, 8, 9, 127, 129] {
+                    let shard: S = build_ensemble_range(TOTAL, 5, offset, len);
+                    assert_eq!(shard.len(), len);
+                    for i in 0..len {
+                        assert_eq!(shard.get(i), full.get(offset + i), "({offset}, +{len})");
+                    }
+                }
             }
+            let mut rebuilt = Vec::new();
+            for (offset, len) in [(0, 50), (50, 50), (100, 50)] {
+                let shard: S = build_ensemble_range(TOTAL, 5, offset, len);
+                rebuilt.extend(shard.to_particles());
+            }
+            assert_eq!(rebuilt, full.to_particles(), "shards cover the ensemble");
         }
-        assert_eq!(rebuilt.len(), full.len(), "shards cover the ensemble");
+        check::<f32, SoaEnsemble<f32>>();
+        check::<f64, SoaEnsemble<f64>>();
+        check::<f32, AosEnsemble<f32>>();
+        check::<f64, AosEnsemble<f64>>();
     }
 
     #[test]

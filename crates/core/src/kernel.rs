@@ -285,8 +285,6 @@ mod tests {
     use pic_math::constants::{BENCH_OMEGA, BENCH_POWER, BENCH_WAVELENGTH};
     use pic_particles::init::{fill_sphere_at_rest, SphereDist};
     use pic_particles::{AosEnsemble, ParticleAccess, ParticleStore, SoaEnsemble, SpeciesTable};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn bench_ensemble<S: ParticleStore<f64>>(n: usize) -> S {
         let mut s = S::default();
@@ -299,7 +297,7 @@ mod tests {
             },
             1.0,
             SpeciesTable::<f64>::ELECTRON,
-            &mut StdRng::seed_from_u64(77),
+            77,
         );
         s
     }

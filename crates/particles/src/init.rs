@@ -2,12 +2,12 @@
 //!
 //! The paper's benchmark (§5.2) starts from "electrons at rest, distributed
 //! uniformly within the sphere with radius r = 0.6λ". This module provides
-//! that distribution, its sharded range form, and a uniform box for tests
-//! that need positions spread over a grid.
+//! that distribution, drawn per particle index so that any range of it is
+//! drawn directly, and a uniform box for tests that need positions spread
+//! over a grid.
 
-use crate::particle::Particle;
 use crate::species::SpeciesId;
-use crate::view::ParticleStore;
+use crate::view::{ParticleStore, ParticleView};
 use pic_math::{Real, Vec3};
 use rand::Rng;
 
@@ -29,28 +29,6 @@ pub struct BoxDist {
     pub max: Vec3<f64>,
 }
 
-/// Samples a point uniformly inside a sphere (exact inverse-CDF sampling:
-/// radius ∝ u^(1/3), direction isotropic).
-pub fn sample_sphere<G: Rng + ?Sized>(dist: &SphereDist, rng: &mut G) -> Vec3<f64> {
-    let dir = sample_unit_vector(rng);
-    let r = dist.radius * rng.gen::<f64>().powf(1.0 / 3.0);
-    dist.center + dir * r
-}
-
-/// Samples an isotropic unit vector (Marsaglia's method on the sphere).
-fn sample_unit_vector<G: Rng + ?Sized>(rng: &mut G) -> Vec3<f64> {
-    loop {
-        let x = rng.gen::<f64>() * 2.0 - 1.0;
-        let y = rng.gen::<f64>() * 2.0 - 1.0;
-        let z = rng.gen::<f64>() * 2.0 - 1.0;
-        let n2 = x * x + y * y + z * z;
-        if n2 > 1e-12 && n2 <= 1.0 {
-            let inv = n2.sqrt().recip();
-            return Vec3::new(x * inv, y * inv, z * inv);
-        }
-    }
-}
-
 /// Samples a point uniformly inside a box.
 pub fn sample_box<G: Rng + ?Sized>(dist: &BoxDist, rng: &mut G) -> Vec3<f64> {
     Vec3::new(
@@ -60,66 +38,109 @@ pub fn sample_box<G: Rng + ?Sized>(dist: &BoxDist, rng: &mut G) -> Vec3<f64> {
     )
 }
 
-/// Fills `store` with `n` particles of `species` at rest, uniformly
-/// distributed in `sphere` — the paper's benchmark initial condition.
-pub fn fill_sphere_at_rest<R, S, G>(
+/// SplitMix64's increment, ⌊2⁶⁴/φ⌋.
+pub const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's finaliser: a bijection of `u64` in which every input bit
+/// reaches every output bit.
+#[inline(always)]
+pub fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Uniform draws per particle: `cos θ`, `φ`, and three for the radius.
+const DRAWS: u64 = 5;
+/// Particles drawn together.
+const BLOCK: usize = 8;
+
+/// Positions of particles `first .. first + BLOCK` as x, y, z lanes. Draw
+/// `k` of particle `i` is SplitMix64 output `i·DRAWS + k` of the stream
+/// keyed `key`, as a 53-bit uniform `u_k` in `[0, 1)`. `cos θ = 2u₀ − 1`
+/// and `φ = 2π·u₁` are uniform on the unit sphere; the maximum of three
+/// uniforms has CDF w³, the radial law of a uniform ball, so
+/// `r = R·max(u₂, u₃, u₄)` needs no cube root.
+#[inline(always)]
+fn sphere_block(key: u64, first: u64, sphere: &SphereDist) -> [[f64; BLOCK]; 3] {
+    let (mut xs, mut ys, mut zs) = ([0.0; BLOCK], [0.0; BLOCK], [0.0; BLOCK]);
+    let lanes = xs.iter_mut().zip(&mut ys).zip(&mut zs);
+    for (lane, ((x, y), z)) in (0u64..).zip(lanes) {
+        let draw = first.wrapping_add(lane).wrapping_mul(DRAWS);
+        let u = |k: u64| {
+            let bits = mix64(key.wrapping_add(draw.wrapping_add(k).wrapping_mul(GOLDEN_GAMMA)));
+            (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        };
+        let cos_t = 2.0 * u(0) - 1.0;
+        let sin_t = (1.0 - cos_t * cos_t).sqrt();
+        let (sin_p, cos_p) = (std::f64::consts::TAU * u(1)).sin_cos_poly();
+        let r = sphere.radius * u(2).max(u(3)).max(u(4));
+        *x = sphere.center.x + r * sin_t * cos_p;
+        *y = sphere.center.y + r * sin_t * sin_p;
+        *z = sphere.center.z + r * cos_t;
+    }
+    [xs, ys, zs]
+}
+
+/// Appends `n` particles of `species` at rest, uniformly distributed in
+/// `sphere` — the paper's benchmark initial condition: the range
+/// `[0, n)` of [`fill_sphere_at_rest_range`].
+pub fn fill_sphere_at_rest<R: Real, S: ParticleStore<R>>(
     store: &mut S,
     n: usize,
     sphere: &SphereDist,
     weight: f64,
     species: SpeciesId,
-    rng: &mut G,
-) where
-    R: Real,
-    S: ParticleStore<R>,
-    G: Rng + ?Sized,
-{
-    store.reserve(n);
-    for _ in 0..n {
-        let pos = sample_sphere(sphere, rng);
-        store.push(Particle::at_rest(
-            Vec3::from_f64(pos),
-            R::from_f64(weight),
-            species,
-        ));
-    }
+    seed: u64,
+) {
+    fill_sphere_at_rest_range(store, 0, n, sphere, weight, species, seed);
 }
 
-/// Fills `store` with the `[start, end)` index range of the same
-/// `n_total`-particle sphere fill [`fill_sphere_at_rest`] produces.
-///
-/// The isotropic direction sampler is a rejection loop, so each particle
-/// consumes a *variable* number of RNG draws — a shard cannot fast-
-/// forward the stream to its offset. Instead the full seeded sequence is
-/// replayed from particle 0 and only the range is kept, which makes the
-/// extracted range bitwise-identical to the corresponding slice of the
-/// full fill (the shard-invariance property the serving layer's domain
-/// decomposition rests on).
-#[allow(clippy::too_many_arguments)]
-pub fn fill_sphere_at_rest_range<R, S, G>(
+/// Appends particles `[start, end)` (none if `end <= start`) of the
+/// `seed`ed sphere fill. Particle `i` is the same bits whatever range
+/// draws it, in either layout — the shard invariance the serving layer's
+/// domain decomposition rests on — and, computed in `f64` and narrowed,
+/// the same point in either precision.
+pub fn fill_sphere_at_rest_range<R: Real, S: ParticleStore<R>>(
     store: &mut S,
-    n_total: usize,
     start: usize,
     end: usize,
     sphere: &SphereDist,
     weight: f64,
     species: SpeciesId,
-    rng: &mut G,
-) where
-    R: Real,
-    S: ParticleStore<R>,
-    G: Rng + ?Sized,
-{
-    let end = end.min(n_total);
-    store.reserve(end.saturating_sub(start));
-    for i in 0..end {
-        let pos = sample_sphere(sphere, rng);
-        if i >= start {
-            store.push(Particle::at_rest(
-                Vec3::from_f64(pos),
-                R::from_f64(weight),
-                species,
-            ));
+    seed: u64,
+) {
+    let len = end.saturating_sub(start);
+    let base = store.len();
+    store.extend_at_rest(len, R::from_f64(weight), species);
+    let key = mix64(seed.wrapping_add(GOLDEN_GAMMA));
+    let block = |j: usize| sphere_block(key, (start + j) as u64, sphere);
+    // Whole blocks go straight into SoA position columns; an AoS store and
+    // a SoA tail take the same block values through their views.
+    let mut done = 0;
+    if let Some(cols) = store.columns_mut() {
+        // The position columns lead the schema (`X`, `Y`, `Z` = 0, 1, 2).
+        let [xs, ys, zs, ..] = cols.reals;
+        let blocks = (xs[base..].as_chunks_mut::<BLOCK>().0.iter_mut())
+            .zip(ys[base..].as_chunks_mut::<BLOCK>().0)
+            .zip(zs[base..].as_chunks_mut::<BLOCK>().0);
+        for ((x, y), z) in blocks {
+            let [bx, by, bz] = block(done);
+            for lane in 0..BLOCK {
+                x[lane] = R::from_f64(bx[lane]);
+                y[lane] = R::from_f64(by[lane]);
+                z[lane] = R::from_f64(bz[lane]);
+            }
+            done += BLOCK;
+        }
+    }
+    for j in (done..len).step_by(BLOCK) {
+        let [bx, by, bz] = block(j);
+        for lane in 0..BLOCK.min(len - j) {
+            let pos = Vec3::new(bx[lane], by[lane], bz[lane]);
+            store
+                .view_mut(base + j + lane)
+                .set_position(Vec3::from_f64(pos));
         }
     }
 }
@@ -128,137 +149,176 @@ pub fn fill_sphere_at_rest_range<R, S, G>(
 mod tests {
     use super::*;
     use crate::aos::AosEnsemble;
+    use crate::particle::Particle;
     use crate::soa::SoaEnsemble;
     use crate::species::SpeciesTable;
     use crate::view::ParticleAccess;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     const EL: SpeciesId = SpeciesTable::<f64>::ELECTRON;
+    /// Large enough for the statistical bounds below to be tight.
+    const N: usize = 200_000;
+
+    fn unit_sphere() -> SphereDist {
+        SphereDist {
+            center: Vec3::zero(),
+            radius: 1.0,
+        }
+    }
+
+    fn positions(seed: u64, sphere: &SphereDist) -> Vec<Vec3<f64>> {
+        let mut ens = SoaEnsemble::<f64>::new();
+        fill_sphere_at_rest(&mut ens, N, sphere, 1.0, EL, seed);
+        (0..N).map(|i| ens.get(i).position).collect()
+    }
 
     #[test]
-    fn sphere_points_inside_radius() {
-        let mut rng = StdRng::seed_from_u64(1);
+    fn sphere_points_lie_inside_the_radius() {
         let d = SphereDist {
             center: Vec3::new(1.0, 2.0, 3.0),
             radius: 0.5,
         };
-        for _ in 0..1000 {
-            let p = sample_sphere(&d, &mut rng);
-            assert!((p - d.center).norm() <= d.radius + 1e-12);
+        for p in positions(1, &d) {
+            assert!((p - d.center).norm() <= d.radius * (1.0 + 1e-12));
         }
     }
 
+    /// Kolmogorov–Smirnov distance of the radii from the uniform ball's
+    /// CDF (r/R)³; the 0.1 % critical value at N = 2·10⁵ is 1.95/√N.
     #[test]
-    fn sphere_radius_distribution_is_uniform_density() {
-        // For uniform density, the fraction of points with r < R/2 is 1/8.
-        let mut rng = StdRng::seed_from_u64(2);
+    fn radii_follow_the_uniform_ball_law() {
+        let mut radii: Vec<f64> = positions(2, &unit_sphere())
+            .iter()
+            .map(|p| p.norm())
+            .collect();
+        radii.sort_by(f64::total_cmp);
+        let n = radii.len() as f64;
+        let ks = radii
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let cdf = r.powi(3);
+                (cdf - i as f64 / n)
+                    .abs()
+                    .max(((i + 1) as f64 / n - cdf).abs())
+            })
+            .fold(0.0, f64::max);
+        assert!(ks < 1.95 / n.sqrt(), "KS distance {ks}");
+    }
+
+    /// Directions are isotropic: their mean is 0 and each ⟨nᵢ²⟩ is 1/3
+    /// (five standard errors: σ(n̄ᵢ) = 1/√(3N), σ(⟨nᵢ²⟩) = √(4/45N)).
+    /// The positions' mean is the centre.
+    #[test]
+    fn directions_are_isotropic_and_the_mean_is_the_centre() {
         let d = SphereDist {
-            center: Vec3::zero(),
+            center: Vec3::new(-4.0, 0.5, 2.0),
             radius: 1.0,
         };
-        let n = 20000;
-        let inside = (0..n)
-            .filter(|_| sample_sphere(&d, &mut rng).norm() < 0.5)
-            .count();
-        let frac = inside as f64 / n as f64;
-        assert!((frac - 0.125).abs() < 0.01, "frac = {frac}");
+        let points = positions(3, &d);
+        let n = points.len() as f64;
+        let (mut mean_dir, mut second, mut mean_pos) = ([0.0; 3], [0.0; 3], Vec3::zero());
+        for p in &points {
+            let rel = *p - d.center;
+            let dir = rel / rel.norm();
+            for (k, c) in [dir.x, dir.y, dir.z].into_iter().enumerate() {
+                mean_dir[k] += c / n;
+                second[k] += c * c / n;
+            }
+            mean_pos += *p / n;
+        }
+        for k in 0..3 {
+            assert!(mean_dir[k].abs() < 5.0 / (3.0 * n).sqrt(), "{mean_dir:?}");
+            let tol = 5.0 * (4.0 / (45.0 * n)).sqrt();
+            assert!((second[k] - 1.0 / 3.0).abs() < tol, "{second:?}");
+        }
+        // σ of one coordinate of a uniform unit ball is 1/√5.
+        let off = mean_pos - d.center;
+        assert!(off.norm() < 5.0 / (5.0 * n).sqrt(), "mean {mean_pos}");
     }
 
     #[test]
-    fn unit_vectors_are_isotropic() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 20000;
-        let mean: Vec3<f64> = (0..n)
-            .map(|_| sample_unit_vector(&mut rng))
-            .sum::<Vec3<f64>>()
-            / n as f64;
-        assert!(mean.norm() < 0.02, "mean = {mean}");
+    fn different_seeds_give_different_ensembles() {
+        let (a, b) = (positions(4, &unit_sphere()), positions(5, &unit_sphere()));
+        let same = a.iter().zip(&b).filter(|(p, q)| p == q).count();
+        assert_eq!(same, 0);
     }
 
     #[test]
     fn fill_sphere_matches_paper_setup() {
-        let mut rng = StdRng::seed_from_u64(5);
         let lambda = pic_math::constants::BENCH_WAVELENGTH;
         let d = SphereDist {
             center: Vec3::zero(),
             radius: 0.6 * lambda,
         };
         let mut ens = SoaEnsemble::<f32>::new();
-        fill_sphere_at_rest(&mut ens, 500, &d, 1.0, EL, &mut rng);
+        fill_sphere_at_rest(&mut ens, 500, &d, 1.0, EL, 5);
         assert_eq!(ens.len(), 500);
         for i in 0..ens.len() {
             let p = ens.get(i);
             assert_eq!(p.momentum, Vec3::zero());
             assert_eq!(p.gamma, 1.0);
+            assert_eq!(p.weight, 1.0);
+            assert_eq!(p.species, EL);
             assert!(p.position.to_f64().norm() <= 0.6 * lambda * 1.0001);
         }
     }
 
     #[test]
     fn seeded_fills_are_deterministic_across_layouts() {
-        let d = SphereDist {
-            center: Vec3::zero(),
-            radius: 1.0,
-        };
+        let d = unit_sphere();
         let mut aos = AosEnsemble::<f64>::new();
         let mut soa = SoaEnsemble::<f64>::new();
-        fill_sphere_at_rest(&mut aos, 100, &d, 1.0, EL, &mut StdRng::seed_from_u64(9));
-        fill_sphere_at_rest(&mut soa, 100, &d, 1.0, EL, &mut StdRng::seed_from_u64(9));
+        fill_sphere_at_rest(&mut aos, 100, &d, 1.0, EL, 9);
+        fill_sphere_at_rest(&mut soa, 100, &d, 1.0, EL, 9);
         for i in 0..100 {
             assert_eq!(aos.get(i), soa.get(i));
         }
     }
 
+    /// Every range — in either layout and precision, appended after a
+    /// particle already in the store — is the matching slice of the full
+    /// fill, including starts and lengths that are not whole blocks.
     #[test]
     fn range_fill_matches_the_full_fill_slice() {
-        let d = SphereDist {
-            center: Vec3::zero(),
-            radius: 1.0,
-        };
-        let mut full = SoaEnsemble::<f64>::new();
-        fill_sphere_at_rest(&mut full, 37, &d, 1.0, EL, &mut StdRng::seed_from_u64(11));
-        for (start, end) in [(0, 37), (0, 13), (13, 25), (25, 37), (36, 37)] {
-            let mut part = SoaEnsemble::<f64>::new();
-            fill_sphere_at_rest_range(
-                &mut part,
-                37,
-                start,
-                end,
-                &d,
-                1.0,
-                EL,
-                &mut StdRng::seed_from_u64(11),
-            );
-            assert_eq!(part.len(), end - start);
-            for i in 0..part.len() {
-                assert_eq!(part.get(i), full.get(start + i), "range ({start},{end})");
+        fn check<R: Real, S: ParticleStore<R>>() {
+            const TOTAL: usize = 13 + 129;
+            let d = unit_sphere();
+            let mut full = S::default();
+            fill_sphere_at_rest(&mut full, TOTAL, &d, 1.0, EL, 11);
+            for start in [0, 13] {
+                for len in [0, 1, 7, 8, 9, 127, 129] {
+                    let lead = Particle::at_rest(Vec3::zero(), R::ONE, SpeciesId(3));
+                    let mut part = S::default();
+                    part.push(lead);
+                    fill_sphere_at_rest_range(&mut part, start, start + len, &d, 1.0, EL, 11);
+                    assert_eq!(part.len(), 1 + len);
+                    assert_eq!(part.get(0), lead, "the existing particle is kept");
+                    for i in 0..len {
+                        assert_eq!(part.get(1 + i), full.get(start + i), "({start}, +{len})");
+                    }
+                }
             }
+            // An inverted range is empty.
+            let mut empty = S::default();
+            fill_sphere_at_rest_range(&mut empty, 9, 5, &d, 1.0, EL, 11);
+            assert_eq!(empty.len(), 0);
         }
-        // An out-of-bounds end is clamped; an empty range stays empty.
-        let mut clamped = SoaEnsemble::<f64>::new();
-        fill_sphere_at_rest_range(
-            &mut clamped,
-            37,
-            30,
-            99,
-            &d,
-            1.0,
-            EL,
-            &mut StdRng::seed_from_u64(11),
-        );
-        assert_eq!(clamped.len(), 7);
-        let mut empty = SoaEnsemble::<f64>::new();
-        fill_sphere_at_rest_range(
-            &mut empty,
-            37,
-            5,
-            5,
-            &d,
-            1.0,
-            EL,
-            &mut StdRng::seed_from_u64(11),
-        );
-        assert_eq!(empty.len(), 0);
+        check::<f32, SoaEnsemble<f32>>();
+        check::<f64, SoaEnsemble<f64>>();
+        check::<f32, AosEnsemble<f32>>();
+        check::<f64, AosEnsemble<f64>>();
+    }
+
+    /// `f32` ensembles hold the `f64` ensemble's points, narrowed.
+    #[test]
+    fn precisions_hold_the_same_points() {
+        let d = unit_sphere();
+        let mut wide = SoaEnsemble::<f64>::new();
+        let mut narrow = SoaEnsemble::<f32>::new();
+        fill_sphere_at_rest(&mut wide, 37, &d, 1.0, EL, 6);
+        fill_sphere_at_rest(&mut narrow, 37, &d, 1.0, EL, 6);
+        for i in 0..37 {
+            assert_eq!(narrow.get(i).position, Vec3::from_f64(wide.get(i).position));
+        }
     }
 }

@@ -396,14 +396,12 @@ mod tests {
     /// one lives above this crate): a kick, γ, a drift, all in `R`, so
     /// every column carries full-width mantissas at the store's precision.
     fn pushed<R: Real, S: ParticleStore<R>>() -> S {
-        use rand::{rngs::StdRng, SeedableRng};
         let mut store = S::default();
         let sphere = crate::init::SphereDist {
             center: Vec3::zero(),
             radius: 5.4e-5,
         };
-        let mut rng = StdRng::seed_from_u64(24);
-        crate::init::fill_sphere_at_rest(&mut store, 400, &sphere, 1.0, SpeciesId(0), &mut rng);
+        crate::init::fill_sphere_at_rest(&mut store, 400, &sphere, 1.0, SpeciesId(0), 24);
         let mc = R::from_f64(ELECTRON_MASS * LIGHT_VELOCITY);
         let step = R::from_f64(LIGHT_VELOCITY * 1.0e-16);
         for _ in 0..20 {

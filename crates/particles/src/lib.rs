@@ -25,9 +25,7 @@
 //! use pic_particles::{AosEnsemble, ParticleAccess, SpeciesTable};
 //! use pic_particles::init::{self, SphereDist};
 //! use pic_math::Vec3;
-//! use rand::SeedableRng;
 //!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
 //! let mut ens = AosEnsemble::<f64>::new();
 //! init::fill_sphere_at_rest(
 //!     &mut ens,
@@ -35,7 +33,7 @@
 //!     &SphereDist { center: Vec3::zero(), radius: 1.0e-4 },
 //!     1.0,
 //!     SpeciesTable::<f64>::ELECTRON,
-//!     &mut rng,
+//!     42,
 //! );
 //! assert_eq!(ens.len(), 1000);
 //! assert!(ens.get(0).position.norm() <= 1.0e-4);

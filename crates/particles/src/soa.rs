@@ -10,7 +10,7 @@ use crate::columns::{ColumnsMut, ColumnsRef, ParticleColumns, SoaRefMut, X, Y, Z
 use crate::particle::Particle;
 use crate::species::SpeciesId;
 use crate::view::{Layout, ParticleAccess, ParticleStore};
-use pic_math::Real;
+use pic_math::{Real, Vec3};
 use std::ops::DerefMut;
 
 /// A column store: [`ParticleColumns`] over containers `C`/`S`, plus the
@@ -79,14 +79,6 @@ impl<R: Real> FromIterator<Particle<R>> for SoaEnsemble<R> {
             s.push(p);
         }
         s
-    }
-}
-
-impl<R: Real> Extend<Particle<R>> for SoaEnsemble<R> {
-    fn extend<I: IntoIterator<Item = Particle<R>>>(&mut self, iter: I) {
-        for p in iter {
-            self.push(p);
-        }
     }
 }
 
@@ -198,6 +190,15 @@ impl<R: Real> ParticleStore<R> for SoaEnsemble<R> {
         self.cols.reserve_rows(additional);
     }
 
+    fn extend_at_rest(&mut self, n: usize, weight: R, species: SpeciesId) {
+        let (reals, species) = Particle::at_rest(Vec3::zero(), weight, species).to_row();
+        let len = self.cols.len() + n;
+        for (col, v) in self.cols.reals.iter_mut().zip(reals) {
+            col.resize(len, v);
+        }
+        self.cols.species.resize(len, species);
+    }
+
     fn swap_remove(&mut self, i: usize) -> Particle<R> {
         Particle::from_row(self.cols.swap_remove_row(i))
     }
@@ -208,7 +209,6 @@ mod tests {
     use super::*;
     use crate::columns::{GAMMA, PX, PY, PZ, WEIGHT};
     use crate::view::ParticleView;
-    use pic_math::Vec3;
 
     fn sample(n: usize) -> SoaEnsemble<f64> {
         (0..n)

@@ -41,7 +41,10 @@ use std::sync::Arc;
 ///
 /// 3: the position step became `x += u·(cΔt/γ)` (one division, fused)
 /// in every pusher and the blocked kernel; last bits again.
-pub const CACHE_SCHEMA: u64 = 3;
+///
+/// 4: the initial sphere is drawn counter-based, per particle index;
+/// every ensemble's positions changed.
+pub const CACHE_SCHEMA: u64 = 4;
 
 /// Name of the pusher the service executes. Part of the cache identity:
 /// should another pusher ever reach the serving layer (the parked

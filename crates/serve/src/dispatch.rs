@@ -20,19 +20,13 @@ use std::thread::{self, JoinHandle};
 /// Resolves the worker slot a job is pinned to, or `None` when any
 /// worker may take it. Only shard sub-jobs pin; the binding is
 /// established once per shard in the `AffinityMap` so resumes and
-/// replacement workers land on the same slot, keeping the shard's tuner
-/// state warm.
+/// replacement workers land on the same slot.
 pub(crate) fn pinned_slot(shared: &Shared, job: &JobState) -> Option<usize> {
     if !shared.cfg.pinned || shared.cfg.workers == 0 {
         return None;
     }
     let ctx = job.shard.as_ref()?;
-    let slot = shared.affinity.bind(
-        ctx.shard_id,
-        job.spec.particles,
-        shared.cfg.topology.total_threads(),
-    );
-    Some(slot % shared.cfg.workers)
+    Some(shared.affinity.bind(ctx.shard_id) % shared.cfg.workers)
 }
 
 pub(crate) fn supervisor_loop(shared: Arc<Shared>) {
@@ -63,7 +57,7 @@ pub(crate) fn supervisor_loop(shared: Arc<Shared>) {
         }
         // A worker that exited because the service drained is not
         // replaced. A replacement inherits the dead worker's slot, so
-        // shards pinned to it keep their worker and tuner state.
+        // shards pinned to it keep their worker.
         if !shared.admission.drained() {
             workers[slot] = Some(spawn_worker(&shared, slot, &exits));
         }

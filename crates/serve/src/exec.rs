@@ -119,9 +119,9 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
         return;
     }
     let start_step = snapshot.as_ref().map_or(0, |snap| snap.step);
-    // A shard sub-job seeds the *parent's* RNG stream and keeps its plan
-    // range, so concatenating the shards reproduces the monolithic
-    // ensemble bitwise.
+    // A shard sub-job draws its plan range of the *parent's* ensemble, so
+    // concatenating the shards reproduces the monolithic ensemble
+    // bitwise.
     let (n_total, offset) = match &job.shard {
         Some(ctx) => (ctx.parent_particles, ctx.offset),
         None => (job.spec.particles, 0),
@@ -145,12 +145,6 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
     // Validation guarantees the device name parses; Host is a safe
     // fallback for a spec that somehow bypassed it.
     let target = ExecTarget::parse(&job.spec.device).unwrap_or_default();
-    // A pinned shard sweeps with its own per-shard tuned grain.
-    let tuned_shard = job
-        .shard
-        .as_ref()
-        .filter(|_| shared.cfg.pinned)
-        .map(|ctx| ctx.shard_id);
     // A shard sub-job consults the kill plan under its shard kill key,
     // so a point armed via `arm_shard` takes down exactly one shard's
     // worker.
@@ -208,28 +202,16 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
         // AoS. Device jobs run the same kernel through the device
         // backend's staged columns — same trajectories, modeled timing.
         let (steps_done, interrupted) = if target.is_host() {
-            // The per-shard grain is re-resolved each segment so
-            // observations feed forward, falling back to the
-            // service-wide schedule until the shard's affinity slot has
-            // settled.
-            let schedule = tuned_shard
-                .and_then(|shard_id| shared.affinity.schedule_for(shard_id))
-                .unwrap_or(shared.cfg.schedule);
             let run = run_mdipole_steps(
                 &mut store,
                 &ctx,
                 seg,
                 &mut time,
                 &shared.cfg.topology,
-                schedule,
+                shared.cfg.schedule,
                 KernelVariant::SoaFast,
                 None,
-                &mut |step, report| {
-                    if let Some(shard_id) = tuned_shard {
-                        shared.affinity.observe(shard_id, report);
-                    }
-                    boundary(step)
-                },
+                &mut |step, _report| boundary(step),
             );
             merge_thread_stats(&mut thread_stats, run.thread_stats);
             (run.steps_done, run.interrupted)

@@ -123,8 +123,8 @@ pub(crate) struct Shared {
     pub clock: Clock,
     /// Every job that waits for a worker, in dispatch order.
     pub queue: JobQueue,
-    /// Shard→worker bindings with per-shard grain tuners, populated at
-    /// enqueue time under `cfg.pinned`.
+    /// Shard→worker bindings, populated at enqueue time under
+    /// `cfg.pinned`.
     pub affinity: AffinityMap,
     /// The bounded queue's depth and the drain flag.
     pub admission: Admission,

@@ -27,6 +27,7 @@ use crate::lifecycle::State;
 use crate::scheduler::{ServeConfig, Shared};
 use crate::state::{JobState, Notifier};
 use crate::stats::Counter;
+use pic_particles::init::{mix64, GOLDEN_GAMMA};
 use pic_particles::io::{HEADER, MAX_ROW_LEN};
 use pic_particles::ColumnSegment;
 use pic_runtime::sync::lock;
@@ -93,10 +94,7 @@ impl ShardPlan {
 /// the shard index, so a fault-injection harness can kill exactly one
 /// shard's worker while its siblings run untouched.
 pub fn shard_kill_key(seed: u64, shard_id: usize) -> u64 {
-    let mut z = seed ^ (shard_id as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(seed ^ (shard_id as u64 + 1).wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// Renders spliced shard [`ColumnSegment`]s into the text dump the

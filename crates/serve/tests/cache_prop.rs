@@ -129,14 +129,14 @@ proptest! {
 /// Cross-process stability: FNV-1a is seedless, so the same spec hashes
 /// to the same 64-bit value in every process, on every run, on every
 /// platform. The literal below was computed once and must never drift
-/// while `CACHE_SCHEMA == 3` — a drift means every deployed cache would
+/// while `CACHE_SCHEMA == 4` — a drift means every deployed cache would
 /// be silently orphaned.
 #[test]
 fn default_spec_hash_is_pinned() {
-    assert_eq!(CACHE_SCHEMA, 3, "bumping the schema re-pins this test");
+    assert_eq!(CACHE_SCHEMA, 4, "bumping the schema re-pins this test");
     let hash = CacheKey::of(&JobSpec::default()).hash();
     assert_eq!(
-        hash, 0x4477_6303_B6D6_D74F,
+        hash, 0xFEB6_5D1C_74A7_AF56,
         "canonical hash of the default spec drifted: 0x{hash:016X}"
     );
 }

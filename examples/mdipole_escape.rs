@@ -19,8 +19,6 @@ use pic_math::constants::{BENCH_OMEGA, BENCH_POWER, BENCH_WAVELENGTH};
 use pic_math::Vec3;
 use pic_particles::init::{fill_sphere_at_rest, SphereDist};
 use pic_particles::{ParticleAccess, SoaEnsemble, SpeciesTable};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let n = 10_000;
@@ -41,7 +39,7 @@ fn main() {
         },
         1.0,
         SpeciesTable::<f64>::ELECTRON,
-        &mut StdRng::seed_from_u64(2021),
+        2021,
     );
 
     let period = 2.0 * std::f64::consts::PI / BENCH_OMEGA;
