@@ -12,6 +12,7 @@
 //!   digits of every particle dump (`{:e}` is its test oracle).
 //! * [`special`] — the dipole-wave radial functions f₁, f₂, f₃ of Eq. (15),
 //!   with series expansions that stay accurate near the focus.
+//! * [`splitmix`] — the SplitMix64 mix behind counter-keyed draws.
 //! * [`stats`] — summary statistics used by the benchmark harness.
 //!
 //! # Example
@@ -34,6 +35,7 @@ pub mod constants;
 pub mod decimal;
 pub mod real;
 pub mod special;
+pub mod splitmix;
 pub mod stats;
 pub mod vector;
 

@@ -42,6 +42,11 @@ impl<R: Real> AosEnsemble<R> {
         &self.items
     }
 
+    /// Mutably borrows the backing records.
+    pub fn as_mut_slice(&mut self) -> &mut [Particle<R>] {
+        &mut self.items
+    }
+
     /// Consumes the ensemble, returning the backing vector.
     pub fn into_inner(self) -> Vec<Particle<R>> {
         self.items
@@ -79,6 +84,11 @@ pub struct AosChunkMut<'a, R> {
 impl<'a, R: Real> AosChunkMut<'a, R> {
     /// Borrows the chunk's records.
     pub fn as_slice(&self) -> &[Particle<R>] {
+        self.items
+    }
+
+    /// Mutably borrows the chunk's records.
+    pub fn as_mut_slice(&mut self) -> &mut [Particle<R>] {
         self.items
     }
 }
@@ -324,6 +334,20 @@ mod tests {
         assert_eq!(sub.len(), 2);
         assert_eq!(sub[0].base_index(), 4);
         assert_eq!(sub[1].base_index(), 6);
+    }
+
+    #[test]
+    fn retain_drops_failing_particles() {
+        let mut ens = sample(10);
+        let removed = ens.retain(|p| p.position.x < 5.0);
+        assert_eq!(removed, 5);
+        assert_eq!(ens.len(), 5);
+        assert!(ens.as_slice().iter().all(|p| p.position.x < 5.0));
+        // Keeping everything is a no-op.
+        assert_eq!(ens.retain(|_| true), 0);
+        // Dropping everything empties the store.
+        assert_eq!(ens.retain(|_| false), 5);
+        assert!(ens.is_empty());
     }
 
     #[test]

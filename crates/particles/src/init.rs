@@ -8,6 +8,7 @@
 
 use crate::species::SpeciesId;
 use crate::view::{ParticleStore, ParticleView};
+use pic_math::splitmix::{mix64, GOLDEN_GAMMA};
 use pic_math::{Real, Vec3};
 use rand::Rng;
 
@@ -38,18 +39,6 @@ pub fn sample_box<G: Rng + ?Sized>(dist: &BoxDist, rng: &mut G) -> Vec3<f64> {
     )
 }
 
-/// SplitMix64's increment, ⌊2⁶⁴/φ⌋.
-pub const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// SplitMix64's finaliser: a bijection of `u64` in which every input bit
-/// reaches every output bit.
-#[inline(always)]
-pub fn mix64(z: u64) -> u64 {
-    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Uniform draws per particle: `cos θ`, `φ`, and three for the radius.
 const DRAWS: u64 = 5;
 /// Particles drawn together.
@@ -60,10 +49,11 @@ const BLOCK: usize = 8;
 /// keyed `key`, as a 53-bit uniform `u_k` in `[0, 1)`. `cos θ = 2u₀ − 1`
 /// and `φ = 2π·u₁` are uniform on the unit sphere; the maximum of three
 /// uniforms has CDF w³, the radial law of a uniform ball, so
-/// `r = R·max(u₂, u₃, u₄)` needs no cube root.
+/// `r = R·max(u₂, u₃, u₄)` needs no cube root. Computed in `f64`, then
+/// narrowed, so both precisions hold the same points.
 #[inline(always)]
-fn sphere_block(key: u64, first: u64, sphere: &SphereDist) -> [[f64; BLOCK]; 3] {
-    let (mut xs, mut ys, mut zs) = ([0.0; BLOCK], [0.0; BLOCK], [0.0; BLOCK]);
+fn sphere_block<R: Real>(key: u64, first: u64, sphere: &SphereDist) -> [[R; BLOCK]; 3] {
+    let (mut xs, mut ys, mut zs) = ([R::ZERO; BLOCK], [R::ZERO; BLOCK], [R::ZERO; BLOCK]);
     let lanes = xs.iter_mut().zip(&mut ys).zip(&mut zs);
     for (lane, ((x, y), z)) in (0u64..).zip(lanes) {
         let draw = first.wrapping_add(lane).wrapping_mul(DRAWS);
@@ -75,9 +65,9 @@ fn sphere_block(key: u64, first: u64, sphere: &SphereDist) -> [[f64; BLOCK]; 3] 
         let sin_t = (1.0 - cos_t * cos_t).sqrt();
         let (sin_p, cos_p) = (std::f64::consts::TAU * u(1)).sin_cos_poly();
         let r = sphere.radius * u(2).max(u(3)).max(u(4));
-        *x = sphere.center.x + r * sin_t * cos_p;
-        *y = sphere.center.y + r * sin_t * sin_p;
-        *z = sphere.center.z + r * cos_t;
+        *x = R::from_f64(sphere.center.x + r * sin_t * cos_p);
+        *y = R::from_f64(sphere.center.y + r * sin_t * sin_p);
+        *z = R::from_f64(sphere.center.z + r * cos_t);
     }
     [xs, ys, zs]
 }
@@ -99,8 +89,7 @@ pub fn fill_sphere_at_rest<R: Real, S: ParticleStore<R>>(
 /// Appends particles `[start, end)` (none if `end <= start`) of the
 /// `seed`ed sphere fill. Particle `i` is the same bits whatever range
 /// draws it, in either layout — the shard invariance the serving layer's
-/// domain decomposition rests on — and, computed in `f64` and narrowed,
-/// the same point in either precision.
+/// domain decomposition rests on — and the same point in either precision.
 pub fn fill_sphere_at_rest_range<R: Real, S: ParticleStore<R>>(
     store: &mut S,
     start: usize,
@@ -125,22 +114,16 @@ pub fn fill_sphere_at_rest_range<R: Real, S: ParticleStore<R>>(
             .zip(ys[base..].as_chunks_mut::<BLOCK>().0)
             .zip(zs[base..].as_chunks_mut::<BLOCK>().0);
         for ((x, y), z) in blocks {
-            let [bx, by, bz] = block(done);
-            for lane in 0..BLOCK {
-                x[lane] = R::from_f64(bx[lane]);
-                y[lane] = R::from_f64(by[lane]);
-                z[lane] = R::from_f64(bz[lane]);
-            }
+            [*x, *y, *z] = block(done);
             done += BLOCK;
         }
     }
     for j in (done..len).step_by(BLOCK) {
         let [bx, by, bz] = block(j);
         for lane in 0..BLOCK.min(len - j) {
-            let pos = Vec3::new(bx[lane], by[lane], bz[lane]);
             store
                 .view_mut(base + j + lane)
-                .set_position(Vec3::from_f64(pos));
+                .set_position(Vec3::new(bx[lane], by[lane], bz[lane]));
         }
     }
 }

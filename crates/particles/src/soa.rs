@@ -82,6 +82,14 @@ impl<R: Real> FromIterator<Particle<R>> for SoaEnsemble<R> {
     }
 }
 
+impl<R: Real> Extend<Particle<R>> for SoaEnsemble<R> {
+    fn extend<I: IntoIterator<Item = Particle<R>>>(&mut self, iter: I) {
+        for p in iter {
+            self.push(p);
+        }
+    }
+}
+
 impl<'a, R: Real> SoaChunkMut<'a, R> {
     /// A chunk view over externally owned columns — the seam the device
     /// backend uses to run the SoA fast path over USM-staged buffers.

@@ -346,12 +346,30 @@ pub trait ParticleStore<R: Real>: ParticleAccess<R> + Default {
     }
 
     /// Removes particle `i` in O(1) by swapping the last particle into its
-    /// slot, returning the removed record.
+    /// slot, returning the removed record. Used by escape/boundary handling.
     ///
     /// # Panics
     ///
     /// Panics if `i >= len()`.
     fn swap_remove(&mut self, i: usize) -> Particle<R>;
+
+    /// Removes every particle failing `keep` (O(n), swap-remove based, so
+    /// the surviving order is not preserved). Returns the number removed.
+    /// The escape-handling primitive: drop particles that left the region
+    /// of interest instead of pushing them forever.
+    fn retain(&mut self, mut keep: impl FnMut(&Particle<R>) -> bool) -> usize {
+        let mut removed = 0;
+        let mut i = 0;
+        while i < self.len() {
+            if keep(&self.get(i)) {
+                i += 1;
+            } else {
+                self.swap_remove(i);
+                removed += 1;
+            }
+        }
+        removed
+    }
 
     /// Builds a store from owned records.
     fn from_particles<I: IntoIterator<Item = Particle<R>>>(iter: I) -> Self {

@@ -99,8 +99,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     parse_count("--shards", &raw)?
                 };
             }
-            // Valueless: only the worker slot a shard is bound to takes
-            // it, and its grain is tuned per shard.
+            // Valueless: only the worker slot a shard is bound to takes it.
             "--pinned" => args.cfg.pinned = true,
             "--label" => args.label = value("--label")?,
             "--telemetry" => args.telemetry = Some(PathBuf::from(value("--telemetry")?)),

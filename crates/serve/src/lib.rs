@@ -51,9 +51,8 @@
 //!   merges diagnostics into one completed response that is bitwise
 //!   shard-count-invariant. With
 //!   [`ServeConfig::pinned`](scheduler::ServeConfig) each shard is
-//!   bound to a dedicated worker slot — only that worker takes it, and
-//!   its grain is tuned per shard — and a sharded device job is merged
-//!   as a K-queue pipeline.
+//!   bound to a dedicated worker slot — only that worker takes it — and
+//!   a sharded device job is merged as a K-queue pipeline.
 //! * [`proto`] — the versioned line-delimited JSON wire protocol.
 //! * [`frontend`] — pumps requests from any `BufRead` into the server
 //!   and responses back out, a dump streamed escaped from its pieces;

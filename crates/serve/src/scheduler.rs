@@ -85,9 +85,7 @@ pub struct ServeConfig {
     /// per worker); always clamped to the job's particle count.
     pub shards: usize,
     /// Pin shard sub-jobs to execution units: shard `k` is only ever
-    /// taken by worker `k mod workers` (with a per-shard grain tuner
-    /// that persists across executions of the decomposition), and a
-    /// sharded device job is
+    /// taken by worker `k mod workers`, and a sharded device job is
     /// merged as a K-queue pipeline whose staging overlaps the compute
     /// chain. A pinned shard runs in the same particle order as an
     /// unpinned one. `false` keeps the unpinned behavior: any worker

@@ -27,7 +27,7 @@ use crate::lifecycle::State;
 use crate::scheduler::{ServeConfig, Shared};
 use crate::state::{JobState, Notifier};
 use crate::stats::Counter;
-use pic_particles::init::{mix64, GOLDEN_GAMMA};
+use pic_math::splitmix::{mix64, GOLDEN_GAMMA};
 use pic_particles::io::{HEADER, MAX_ROW_LEN};
 use pic_particles::ColumnSegment;
 use pic_runtime::sync::lock;

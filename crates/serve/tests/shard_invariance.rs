@@ -115,7 +115,7 @@ fn merged_dumps_are_bitwise_equal_across_shard_counts() {
             let (reference, ref_shards, _) = run_sharded(spec(layout, precision), 1);
             assert_eq!(ref_shards, 0, "{tag}: K=1 runs monolithic");
             // Pinned execution changes *where* each shard integrates
-            // (dedicated worker slot, its own queue and grain tuner) but
+            // (dedicated worker slot, its own queue) but
             // never what it computes: both modes must reproduce the
             // monolithic dump bitwise through the columnar gather.
             for pinned in [false, true] {
