@@ -1,12 +1,22 @@
-//! Shortest round-trip decimal text of an `f64`, without `core::fmt`.
+//! Shortest round-trip decimal text of an `f64` or an `f32`, without
+//! `core::fmt`.
 //!
-//! [`write_exp`] lays down exactly the bytes `format!("{:e}", x)` would —
-//! `{:e}` is this module's test oracle, and every golden, cached dump
-//! and wire comparison in the workspace is defined by its bytes — at
-//! about a third of the cost: the digits come from Raffaello Giulietti's
-//! Schubfach construction (*The Schubfach way to render doubles*, 2020),
-//! three 64×128-bit multiplications against one entry of a table of
-//! powers of ten, and are written two at a time.
+//! [`write_exp`] and [`write_exp_f32`] lay down exactly the bytes
+//! `format!("{:e}", x)` would for a value of that width — `{:e}` is this
+//! module's test oracle, and every golden, cached dump and wire
+//! comparison in the workspace is defined by its bytes — at about a third
+//! of the cost: the digits come from Raffaello Giulietti's Schubfach
+//! construction (*The Schubfach way to render doubles*, 2020), three
+//! multiplications against one entry of a table of powers of ten, and
+//! are written two at a time. An `f64` takes three 64×128-bit products
+//! against the whole 128-bit entry; an `f32` takes the paper's float
+//! variant, three 64×64-bit products against the entry's upper 64 bits.
+//! One digit layout serves both widths.
+//!
+//! An `f32`'s text is the shortest that reads back as that `f32` under a
+//! correctly rounded `f32` parse. Parsed as `f64` and then narrowed it can
+//! land one step off (`7.038531e-26` is `f32` bits `0x15ae43fd`, but
+//! `0x15ae43fe` by way of `f64`): read it at its own width.
 //!
 //! One rule is `core`'s and not the paper's: when two shortest
 //! candidates are *exactly* equally near the value, `core` takes the
@@ -16,9 +26,15 @@
 //! normal number included, although that one's lower neighbour is a full
 //! step away.
 
+use std::num::FpCategory;
+
 /// Most bytes [`write_exp`] writes: sign, 17 digits and the point,
 /// `e-` and three exponent digits (`-1.2345678901234567e-308`).
 pub const MAX_EXP_LEN: usize = 24;
+
+/// Most bytes [`write_exp_f32`] writes: sign, 9 digits and the point,
+/// `e-` and two exponent digits (`-1.00000075e-36`).
+pub const MAX_EXP_LEN_F32: usize = 15;
 
 /// Most bytes [`write_uint`] writes (`u64::MAX` has 20 digits).
 pub const MAX_UINT_LEN: usize = 20;
@@ -110,39 +126,30 @@ static PAIRS: [u8; 200] = {
     pairs
 };
 
-/// Right-aligns the decimal digits of `n` in `scratch`, two at a time;
-/// returns the index of the first.
-fn digits_of(mut n: u64, scratch: &mut [u8; MAX_UINT_LEN]) -> usize {
-    let mut at = MAX_UINT_LEN;
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        at -= 2;
-        scratch[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    }
-    if n >= 10 {
-        let pair = n as usize * 2;
-        at -= 2;
-        scratch[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        scratch[at] = b'0' + n as u8;
-    }
-    at
-}
-
-/// Writes `n` in decimal at the start of `out`; returns the byte count
-/// (at most [`MAX_UINT_LEN`]).
+/// Writes `n` in decimal at the start of `out`, two digits at a time
+/// from the last; returns the byte count (at most [`MAX_UINT_LEN`]).
 ///
 /// # Panics
 ///
 /// Panics when `out` is shorter than the digits.
-pub fn write_uint(n: u64, out: &mut [u8]) -> usize {
-    let mut scratch = [0u8; MAX_UINT_LEN];
-    let first = digits_of(n, &mut scratch);
-    let digits = &scratch[first..];
-    out[..digits.len()].copy_from_slice(digits);
-    digits.len()
+pub fn write_uint(mut n: u64, out: &mut [u8]) -> usize {
+    let len = n.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let mut at = len;
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        out[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        out[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        out[at] = b'0' + n as u8;
+    }
+    len
 }
 
 /// The high 64 bits of `g · cp / 2⁶⁴`, with every bit shifted out
@@ -152,6 +159,23 @@ fn round_to_odd(g: u128, cp: u64) -> u64 {
     let low = (g as u64 as u128) * cp as u128;
     let high = (g >> 64) * cp as u128 + (low >> 64);
     (high >> 64) as u64 | u64::from(high as u64 > 1)
+}
+
+/// [`round_to_odd`] of the float variant: the integer part of
+/// `g · cp / 2⁹⁶`, with the 32 bits below it folded into the last one
+/// (the product's low 64 bits are below `g`'s own precision).
+fn round_to_odd_f32(g: u64, cp: u64) -> u64 {
+    let high = ((u128::from(g) * u128::from(cp)) >> 64) as u64;
+    high >> 32 | u64::from(high as u32 != 0)
+}
+
+/// Where a positive finite value `c · 2^q` lands in the table:
+/// `k = ⌊log₁₀ 2^q⌋` (of `¾·2^q` over an interval narrowed below a power
+/// of two) and `h = ⌊log₂ 10^-k⌋ + q + 1`, in `1..=4`, the shift that
+/// keeps two fraction bits below the integer part of `4c · 2^q · 10^-k`.
+fn scale(q: i32, narrow_below: bool) -> (i32, i32) {
+    let k = (q * 1_262_611 - if narrow_below { 524_031 } else { 0 }) >> 22;
+    (k, q + ((-k * 1_741_647) >> 19) + 1)
 }
 
 /// The shortest decimal `digits · 10ᵏ` that reads back as the positive
@@ -167,20 +191,48 @@ fn shortest(bits: u64) -> (u64, i32) {
         0 => (fraction, -1074),
         _ => (fraction | 1 << FRACTION_BITS, biased - 1075),
     };
-    let even = c & 1 == 0;
     // Below a power of two the neighbour is half a step away (`core`
     // says so of the smallest normal number too; see the module docs).
     let narrow_below = fraction == 0 && biased != 0;
-    // ⌊log₁₀ 2^q⌋, or ⌊log₁₀ ¾·2^q⌋ over the narrowed interval.
-    let k = (q * 1_262_611 - if narrow_below { 524_031 } else { 0 }) >> 22;
-    // ⌊log₂ 10^-k⌋ + q + 1, in 1..=4: the scaled value keeps two
-    // fraction bits below the integer part of v · 10^-k.
-    let h = q + ((-k * 1_741_647) >> 19) + 1;
+    let (k, h) = scale(q, narrow_below);
     // bounds: -k is in MIN_POW10..=MAX_POW10 for every q in -1074..=971.
     let g = POW10[(-k - MIN_POW10) as usize];
-    let lower = round_to_odd(g, (4 * c - 2 + u64::from(narrow_below)) << h) + u64::from(!even);
+    let odd = c & 1;
+    let lower = round_to_odd(g, (4 * c - 2 + u64::from(narrow_below)) << h) + odd;
     let scaled = round_to_odd(g, (4 * c) << h);
-    let upper = round_to_odd(g, (4 * c + 2) << h) - u64::from(!even);
+    let upper = round_to_odd(g, (4 * c + 2) << h) - odd;
+    pick(lower, scaled, upper, k)
+}
+
+/// [`shortest`] of the positive finite `f32` with bit pattern `bits`:
+/// at most 9 digits. Schubfach's float variant, on `g`'s upper 64 bits
+/// rounded up (no table of its own) and a product window 32 bits wider.
+fn shortest_f32(bits: u32) -> (u64, i32) {
+    const FRACTION_BITS: u32 = 23;
+    let fraction = bits & ((1 << FRACTION_BITS) - 1);
+    let biased = (bits >> FRACTION_BITS) as i32;
+    let (c, q) = match biased {
+        0 => (fraction, -149),
+        _ => (fraction | 1 << FRACTION_BITS, biased - 150),
+    };
+    let c = u64::from(c);
+    let narrow_below = fraction == 0 && biased != 0;
+    let (k, h) = scale(q, narrow_below);
+    // bounds: -k is in -31..=45 for every q in -149..=104. No entry
+    // there has an all-ones upper half (the table suite checks).
+    let g = (POW10[(-k - MIN_POW10) as usize] >> 64) as u64 + 1;
+    let h = h + 32;
+    let odd = c & 1;
+    let lower = round_to_odd_f32(g, (4 * c - 2 + u64::from(narrow_below)) << h) + odd;
+    let scaled = round_to_odd_f32(g, (4 * c) << h);
+    let upper = round_to_odd_f32(g, (4 * c + 2) << h) - odd;
+    pick(lower, scaled, upper, k)
+}
+
+/// The shortest decimal in the rounding interval `[lower, upper] / 4 ·
+/// 10ᵏ` around `scaled / 4 · 10ᵏ` (all three rounded to odd).
+#[inline(always)]
+fn pick(lower: u64, scaled: u64, upper: u64, k: i32) -> (u64, i32) {
     let s = scaled / 4;
     // One digit fewer: at most one multiple of ten lies in the interval.
     if s >= 10 {
@@ -221,47 +273,90 @@ fn shortest(bits: u64) -> (u64, i32) {
 /// assert_eq!(&buf[..n], b"-1.5e-7");
 /// ```
 pub fn write_exp(value: f64, out: &mut [u8]) -> usize {
-    let literal = |text: &[u8], out: &mut [u8]| {
+    let magnitude = value.to_bits() & (u64::MAX >> 1);
+    lay_out(
+        value.is_sign_negative(),
+        value.classify(),
+        || shortest(magnitude),
+        out,
+    )
+}
+
+/// [`write_exp`] of an `f32`: the bytes `format!("{value:e}")` prints
+/// for the `f32` itself, at most [`MAX_EXP_LEN_F32`] of them (where the
+/// value widened to `f64` would print up to 17 digits).
+///
+/// # Panics
+///
+/// Panics when `out` is shorter than the text; [`MAX_EXP_LEN_F32`] bytes
+/// always suffice.
+///
+/// # Example
+///
+/// ```
+/// use pic_math::decimal::{write_exp_f32, MAX_EXP_LEN_F32};
+///
+/// let mut buf = [0u8; MAX_EXP_LEN_F32];
+/// let n = write_exp_f32(0.1, &mut buf);
+/// assert_eq!(&buf[..n], b"1e-1");
+/// ```
+pub fn write_exp_f32(value: f32, out: &mut [u8]) -> usize {
+    let magnitude = value.to_bits() & (u32::MAX >> 1);
+    lay_out(
+        value.is_sign_negative(),
+        value.classify(),
+        || shortest_f32(magnitude),
+        out,
+    )
+}
+
+/// `{:e}`'s text of a float of either width at the start of `out`: the
+/// sign, then `NaN`, `0e0`, `inf`, or the finite value's `digits · 10ᵏ`
+/// as `d[.ddd]e[-]x`. `digits` runs for a finite non-zero value only.
+#[inline(always)]
+fn lay_out(
+    negative: bool,
+    class: FpCategory,
+    digits: impl FnOnce() -> (u64, i32),
+    out: &mut [u8],
+) -> usize {
+    let name = |text: &[u8], out: &mut [u8]| {
         out[..text.len()].copy_from_slice(text);
         text.len()
     };
-    if value.is_nan() {
-        return literal(b"NaN", out);
+    if class == FpCategory::Nan {
+        return name(b"NaN", out);
     }
-    let mut at = 0;
-    if value.is_sign_negative() {
+    let at = usize::from(negative);
+    if negative {
         out[0] = b'-';
-        at = 1;
     }
-    let magnitude = value.to_bits() & (u64::MAX >> 1);
-    if magnitude == 0 {
-        return at + literal(b"0e0", &mut out[at..]);
-    }
-    if value.is_infinite() {
-        return at + literal(b"inf", &mut out[at..]);
-    }
-    let (digits, k) = shortest(magnitude);
-    let mut scratch = [0u8; MAX_UINT_LEN];
-    let first = digits_of(digits, &mut scratch);
-    let exponent = k + (MAX_UINT_LEN - first) as i32 - 1;
-    let mut end = MAX_UINT_LEN;
-    while scratch[end - 1] == b'0' {
+    let (digits, k) = match class {
+        FpCategory::Zero => return at + name(b"0e0", &mut out[at..]),
+        FpCategory::Infinite => return at + name(b"inf", &mut out[at..]),
+        _ => digits(),
+    };
+    // The digits one byte in, so that the first can step left of the
+    // point; the trailing zeros are dropped.
+    let len = write_uint(digits, &mut out[at + 1..]);
+    let mut end = at + 1 + len;
+    while out[end - 1] == b'0' {
         end -= 1;
     }
-    out[at] = scratch[first];
-    at += 1;
-    if end - first > 1 {
-        out[at] = b'.';
-        at += 1;
-        at += literal(&scratch[first + 1..end], &mut out[at..]);
+    out[at] = out[at + 1];
+    if end > at + 2 {
+        out[at + 1] = b'.';
+    } else {
+        end = at + 1;
     }
-    out[at] = b'e';
-    at += 1;
+    out[end] = b'e';
+    end += 1;
+    let exponent = k + len as i32 - 1;
     if exponent < 0 {
-        out[at] = b'-';
-        at += 1;
+        out[end] = b'-';
+        end += 1;
     }
-    at + write_uint(u64::from(exponent.unsigned_abs()), &mut out[at..])
+    end + write_uint(u64::from(exponent.unsigned_abs()), &mut out[end..])
 }
 
 #[cfg(test)]
@@ -369,6 +464,12 @@ mod tests {
         let k_of = |q: i32, narrow: i32| (q * 1_262_611 - narrow) >> 22;
         assert_eq!(-k_of(-1074, 524_031), MAX_POW10);
         assert_eq!(-k_of(971, 0), MIN_POW10);
+        // `shortest_f32`'s range, whose entries it rounds up at 64 bits.
+        assert_eq!(-k_of(-149, 524_031), 45);
+        assert_eq!(-k_of(104, 0), -31);
+        for k in -31..=45 {
+            assert_ne!(POW10[(k - MIN_POW10) as usize] >> 64, u64::MAX as u128);
+        }
         // The two spot values every description of the table gives.
         assert_eq!(POW10[-MIN_POW10 as usize], 1 << 127, "10^0");
         assert_eq!(POW10[(1 - MIN_POW10) as usize], 10 << 124, "10^1");

@@ -6,9 +6,12 @@
 //! exactly `f32` and `f64`, carrying every scalar operation the pushers,
 //! field evaluators and solvers need.
 
+use crate::decimal;
 use std::fmt::{Debug, Display, LowerExp};
 use std::iter::Sum;
+use std::num::ParseFloatError;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
+use std::str::FromStr;
 
 mod private {
     /// Prevents downstream implementations so new methods can be added
@@ -57,6 +60,7 @@ pub trait Real:
     + MulAssign
     + DivAssign
     + Sum
+    + FromStr<Err = ParseFloatError>
     + private::Sealed
 {
     /// Additive identity.
@@ -81,6 +85,19 @@ pub trait Real:
     /// 8192 in `f32`, 2²⁰ in `f64` — the reach of its three-constant
     /// argument reduction.
     const SIN_COS_POLY_MAX: Self;
+    /// Most bytes [`write_exp`](Self::write_exp) writes: 15 for `f32`,
+    /// 24 for `f64`.
+    const MAX_EXP_LEN: usize;
+
+    /// Writes the value at the start of `out` as `format!("{:e}")` prints
+    /// it at this precision — the shortest digits that read back as this
+    /// value at this width ([`crate::decimal`]) — and returns the byte
+    /// count, at most [`MAX_EXP_LEN`](Self::MAX_EXP_LEN).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` is shorter than the text.
+    fn write_exp(self, out: &mut [u8]) -> usize;
 
     /// Lossy conversion from `f64` (used for literals and constants).
     fn from_f64(x: f64) -> Self;
@@ -226,7 +243,7 @@ const TRIG_F64: TrigPoly<f64, 6> = TrigPoly {
 };
 
 macro_rules! impl_real {
-    ($t:ty, $name:expr, $bytes:expr, $pi:expr, $trig:expr) => {
+    ($t:ty, $name:expr, $bytes:expr, $pi:expr, $trig:expr, $exp_len:expr, $write_exp:path) => {
         impl Real for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -238,7 +255,12 @@ macro_rules! impl_real {
             const BYTES: usize = $bytes;
             const NAME: &'static str = $name;
             const SIN_COS_POLY_MAX: Self = $trig.max;
+            const MAX_EXP_LEN: usize = $exp_len;
 
+            #[inline(always)]
+            fn write_exp(self, out: &mut [u8]) -> usize {
+                $write_exp(self, out)
+            }
             #[inline(always)]
             fn from_f64(x: f64) -> Self {
                 x as $t
@@ -355,8 +377,24 @@ macro_rules! impl_real {
     };
 }
 
-impl_real!(f32, "float", 4, std::f32::consts::PI, TRIG_F32);
-impl_real!(f64, "double", 8, std::f64::consts::PI, TRIG_F64);
+impl_real!(
+    f32,
+    "float",
+    4,
+    std::f32::consts::PI,
+    TRIG_F32,
+    decimal::MAX_EXP_LEN_F32,
+    decimal::write_exp_f32
+);
+impl_real!(
+    f64,
+    "double",
+    8,
+    std::f64::consts::PI,
+    TRIG_F64,
+    decimal::MAX_EXP_LEN,
+    decimal::write_exp
+);
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,14 @@
-//! `pic_math::decimal::write_exp` is held to the bytes of `{:e}`: over
-//! random and structured inputs (a million each in `--release`, ten
-//! thousand in a debug build), and over a committed list of hard cases
-//! whose expected text does not come from the toolchain under test.
+//! `pic_math::decimal::write_exp` and `write_exp_f32` are held to the
+//! bytes of `{:e}` at their own width: over random and structured inputs
+//! (a million each in `--release`, ten thousand in a debug build), over a
+//! committed list of hard cases whose expected text does not come from
+//! the toolchain under test, and — `#[ignore]`d, minutes in `--release` —
+//! over every `f32`.
 
-use pic_math::decimal::{write_exp, write_uint, MAX_EXP_LEN, MAX_UINT_LEN};
+use pic_math::decimal::{
+    write_exp, write_exp_f32, write_uint, MAX_EXP_LEN, MAX_EXP_LEN_F32, MAX_UINT_LEN,
+};
+use std::fmt::Write;
 
 const CASES: usize = if cfg!(debug_assertions) {
     10_000
@@ -17,9 +22,25 @@ fn exp_text(x: f64) -> String {
     String::from_utf8(buf[..n].to_vec()).expect("ASCII")
 }
 
+fn exp_text_f32(x: f32) -> String {
+    let mut buf = [0u8; MAX_EXP_LEN_F32];
+    let n = write_exp_f32(x, &mut buf);
+    String::from_utf8(buf[..n].to_vec()).expect("ASCII")
+}
+
 #[track_caller]
 fn assert_matches_core(x: f64) {
     assert_eq!(exp_text(x), format!("{x:e}"), "bits {:016x}", x.to_bits());
+}
+
+#[track_caller]
+fn assert_matches_core_f32(x: f32) {
+    assert_eq!(
+        exp_text_f32(x),
+        format!("{x:e}"),
+        "bits {:08x}",
+        x.to_bits()
+    );
 }
 
 /// SplitMix64: a fixed stream, so a failure names a reproducible value.
@@ -41,8 +62,8 @@ fn random_bit_patterns_print_as_core_prints_them() {
 
 #[test]
 fn widened_f32_values_print_as_core_prints_them() {
-    // What an f32 store's dump is made of: 24 significant bits, printed
-    // at f64's 17 digits.
+    // An f32 widened to f64: 24 significant bits, printed at f64's 17
+    // digits.
     let mut state = 2;
     for _ in 0..CASES {
         assert_matches_core(f64::from(f32::from_bits(next(&mut state) as u32)));
@@ -95,21 +116,133 @@ fn subnormals_print_as_core_prints_them() {
 }
 
 #[test]
+fn random_f32_bit_patterns_print_as_core_prints_them() {
+    let mut state = 6;
+    for _ in 0..CASES {
+        assert_matches_core_f32(f32::from_bits(next(&mut state) as u32));
+    }
+}
+
+#[test]
+fn every_f32_exponent_prints_as_core_prints_it() {
+    // 0xff is the non-finite exponent: infinities and NaNs included.
+    let mut state = 7;
+    for exponent in 0..=0xffu32 {
+        let random = (0..CASES / 512).map(|_| next(&mut state) as u32 & ((1 << 23) - 1));
+        for fraction in [0, 1, 1 << 22, (1 << 23) - 1].into_iter().chain(random) {
+            let x = f32::from_bits(exponent << 23 | fraction);
+            assert_matches_core_f32(x);
+            assert_matches_core_f32(-x);
+        }
+    }
+}
+
+#[test]
+fn f32_subnormals_print_as_core_prints_them() {
+    // Every subnormal with one bit set and its neighbours (zero and the
+    // smallest normal number among them), then random ones.
+    for bit in 0..=23 {
+        for near in [-1i32, 0, 1] {
+            assert_matches_core_f32(f32::from_bits((1u32 << bit).wrapping_add_signed(near)));
+        }
+    }
+    let mut state = 8;
+    for _ in 0..CASES {
+        assert_matches_core_f32(f32::from_bits(next(&mut state) as u32 & ((1 << 23) - 1)));
+    }
+}
+
+#[test]
+fn f32_powers_of_two_and_their_neighbours_print_as_core_prints_them() {
+    // Every power of two, 2⁻¹⁴⁹ to 2¹²⁷ (the narrowed interval), and the
+    // patterns up to `span` steps either side of it.
+    let span = (CASES / (277 * 2)) as u32;
+    for power in (0..23)
+        .map(|bit| 1u32 << bit)
+        .chain((1..=254).map(|e| e << 23))
+    {
+        for step in 0..=span {
+            assert_matches_core_f32(f32::from_bits(power + step));
+            assert_matches_core_f32(f32::from_bits(power.saturating_sub(step)));
+        }
+    }
+}
+
+#[test]
+fn f32_text_is_not_f64_text_narrowed() {
+    // The shortest text of f32 bits 0x15ae43fd reads back as them at f32
+    // width, and one step above by way of f64: a reader must parse an f32
+    // dump as f32.
+    let x = f32::from_bits(0x15ae_43fd);
+    let text = exp_text_f32(x);
+    assert_eq!(text, "7.038531e-26");
+    assert_eq!(text.parse::<f32>().map(f32::to_bits), Ok(0x15ae_43fd));
+    let narrowed = text.parse::<f64>().expect("a number") as f32;
+    assert_eq!(narrowed.to_bits(), 0x15ae_43fe);
+    // And widened to f64 it still prints at f64's digits.
+    assert_eq!(exp_text(f64::from(x)), format!("{:e}", f64::from(x)));
+}
+
+#[test]
 fn hard_cases_match_the_committed_text() {
     let golden = include_str!("data/decimal_golden.txt");
     let mut cases = 0;
     for line in golden.lines().filter(|l| !l.starts_with('#')) {
         let (bits, text) = line.split_once(' ').expect("`<bits> <text>`");
-        let x = f64::from_bits(u64::from_str_radix(bits, 16).expect("hex bits"));
-        assert_eq!(exp_text(x), text, "write_exp drifted on {bits}");
+        let (ours, oracle) = if bits.len() == 8 {
+            let x = f32::from_bits(u32::from_str_radix(bits, 16).expect("hex bits"));
+            (exp_text_f32(x), format!("{x:e}"))
+        } else {
+            let x = f64::from_bits(u64::from_str_radix(bits, 16).expect("hex bits"));
+            (exp_text(x), format!("{x:e}"))
+        };
+        assert_eq!(ours, text, "the digits drifted on {bits}");
         assert_eq!(
-            format!("{x:e}"),
-            text,
+            oracle, text,
             "the oracle moved: this toolchain's `{{:e}}` prints {bits} differently"
         );
         cases += 1;
     }
-    assert!(cases >= 200, "golden list truncated: {cases} cases");
+    assert!(cases >= 490, "golden list truncated: {cases} cases");
+}
+
+/// Every one of the 2³² `f32` bit patterns: `write_exp_f32` prints what
+/// `{:e}` prints, and a correctly rounded `f32` parse of that text gives
+/// the same bits back (every NaN prints `NaN`). Minutes on two threads:
+///
+/// ```text
+/// cargo test --release -p pic-math --test decimal -- --ignored every_f32
+/// ```
+#[test]
+#[ignore = "exhaustive over 2^32 patterns: minutes in --release"]
+fn every_f32_prints_as_core_prints_it_and_reads_back() {
+    let lanes = std::thread::available_parallelism().map_or(2, usize::from) as u64;
+    let total = 1u64 << 32;
+    let checked: u64 = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..lanes)
+            .map(|lane| {
+                scope.spawn(move || {
+                    let mut want = String::new();
+                    let mut buf = [0u8; MAX_EXP_LEN_F32];
+                    let range = lane * total / lanes..(lane + 1) * total / lanes;
+                    for bits in range.clone() {
+                        let x = f32::from_bits(bits as u32);
+                        let n = write_exp_f32(x, &mut buf);
+                        want.clear();
+                        write!(want, "{x:e}").expect("write to a String");
+                        assert_eq!(&buf[..n], want.as_bytes(), "bits {bits:08x}");
+                        if !x.is_nan() {
+                            let back: f32 = want.parse().expect("`{:e}` text parses");
+                            assert_eq!(back.to_bits(), x.to_bits(), "{want} read back");
+                        }
+                    }
+                    range.end - range.start
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("worker")).sum()
+    });
+    assert_eq!(checked, total);
 }
 
 #[test]

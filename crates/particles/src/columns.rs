@@ -8,7 +8,7 @@
 //!
 //! | container `C` | what it is |
 //! |---|---|
-//! | `Vec<R>` | the SoA ensemble ([`crate::SoaEnsemble`]) and, as `Vec<f64>`, the [`crate::ColumnSegment`] |
+//! | `Vec<R>` | the SoA ensemble ([`crate::SoaEnsemble`]) and, at its store's width, the [`crate::ColumnSegment`] |
 //! | `&mut [R]` / `&[R]` | a chunk or whole-store view ([`ColumnsMut`], [`ColumnsRef`], [`crate::SoaChunkMut`]) |
 //! | `&mut [[R; LANES]]`, `&mut [R; LANES]` | the blocked kernel's view of a chunk as whole blocks, and of one block |
 //! | `[R; FIELD_BLOCKS * LANES]` | the block-local columns of the kernel's gathered (AoS) arm |

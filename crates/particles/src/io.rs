@@ -8,24 +8,32 @@
 //! line per particle — readable by `numpy.loadtxt` and by this module's
 //! [`read_ensemble`].
 //!
+//! Every real is printed at the store's own precision: the shortest
+//! digits that read back as that `f32` or `f64` (what `{:e}` prints for
+//! it, by [`pic_math::decimal`]). [`read_ensemble`] parses them at that
+//! precision too; an `f32` dump parsed as `f64` and then narrowed can land
+//! one step off (see [`pic_math::decimal`]).
+//!
 //! The column list is [`crate::columns`]' and appears here only as text:
 //! [`HEADER`] (held equal to the schema's name table by a test) and
-//! `write_row`'s field order. `widen`/`narrow` are the schema's
-//! particle ↔ row mapping at `f64` width; the text writer, the text
+//! `write_row`'s field order. `row_of`/`particle_of` are the schema's
+//! particle ↔ row mapping at a given width; the text writer, the text
 //! reader and every `ColumnSegment` operation go through those.
 
 use crate::columns::{ParticleColumns, Row, REAL_COLUMNS};
 use crate::particle::Particle;
 use crate::species::SpeciesId;
 use crate::view::{ParticleAccess, ParticleStore};
-use pic_math::decimal::{write_exp, write_uint, MAX_EXP_LEN};
+use pic_math::decimal::write_uint;
 use pic_math::Real;
 use std::io::{self, BufRead, Write};
 
 /// The header line written before the particle records.
 pub const HEADER: &str = "# x y z px py pz weight gamma species";
 
-/// Writes an ensemble as text (full `f64` precision, round-trip safe).
+/// Writes an ensemble as text, every real at the store's precision
+/// (round-trip safe: [`read_ensemble`] at that precision reads back the
+/// same bits).
 ///
 /// # Errors
 ///
@@ -55,36 +63,50 @@ where
 {
     writeln!(out, "{HEADER}")?;
     for i in 0..store.len() {
-        write_row(out, &widen(&store.get(i)))?;
+        write_row(out, &row_of::<R, R>(&store.get(i)))?;
     }
     Ok(())
 }
 
-/// A particle's row widened to `f64` / `u16` (lossless for both
-/// supported precisions), in [`HEADER`] order.
-fn widen<R: Real>(p: &Particle<R>) -> Row<f64, u16> {
+/// `v` at width `W`: exact when widening, and when narrowing a value
+/// that was widened from `W` (an `f32` → `f32` cast folds away).
+#[inline(always)]
+fn cast<R: Real, W: Real>(v: R) -> W {
+    W::from_f64(v.to_f64())
+}
+
+/// A particle's row with its reals at width `W` and its species as a
+/// plain `u16`, in [`HEADER`] order.
+fn row_of<R: Real, W: Real>(p: &Particle<R>) -> Row<W, u16> {
     let (reals, species) = p.to_row();
-    (reals.map(R::to_f64), species.0)
+    (reals.map(cast), species.0)
 }
 
-/// The inverse of [`widen`]: exact for values that were widened from `R`.
-fn narrow<R: Real>((reals, species): Row<f64, u16>) -> Particle<R> {
-    Particle::from_row((reals.map(R::from_f64), SpeciesId(species)))
+/// The inverse of [`row_of`]: exact for a row taken at `R`'s width or
+/// wider.
+fn particle_of<W: Real, R: Real>((reals, species): Row<W, u16>) -> Particle<R> {
+    Particle::from_row((reals.map(cast), SpeciesId(species)))
 }
 
-/// Longest particle line: every real at its longest and a separator
-/// each, five species digits, the newline.
-pub const MAX_ROW_LEN: usize = REAL_COLUMNS * (MAX_EXP_LEN + 1) + 5 + 1;
+/// Longest particle line at precision `R`: every real at its longest
+/// and a separator each, five species digits, the newline (134 bytes
+/// for `f32`, 206 for `f64`).
+const fn row_len<R: Real>() -> usize {
+    REAL_COLUMNS * (R::MAX_EXP_LEN + 1) + 5 + 1
+}
+
+/// Longest particle line of either precision (an `f64` one).
+pub const MAX_ROW_LEN: usize = row_len::<f64>();
 
 /// Writes one particle line — the only place the text row is formatted:
-/// the reals as `{:e}` prints them (by [`pic_math::decimal`], which is
-/// held to those bytes), the species in decimal, assembled on the stack
-/// and handed to `out` in one piece.
-fn write_row<W: Write>(out: &mut W, (reals, species): &Row<f64, u16>) -> io::Result<()> {
+/// the reals as `{:e}` prints them at their own precision (by
+/// [`pic_math::decimal`], which is held to those bytes), the species in
+/// decimal, assembled on the stack and handed to `out` in one piece.
+fn write_row<R: Real, W: Write>(out: &mut W, (reals, species): &Row<R, u16>) -> io::Result<()> {
     let mut line = [0u8; MAX_ROW_LEN];
     let mut at = 0;
     for &value in reals {
-        at += write_exp(value, &mut line[at..]);
+        at += value.write_exp(&mut line[at..]);
         line[at] = b' ';
         at += 1;
     }
@@ -93,8 +115,9 @@ fn write_row<W: Write>(out: &mut W, (reals, species): &Row<f64, u16>) -> io::Res
     out.write_all(&line[..=at])
 }
 
-/// Reads an ensemble written by [`write_ensemble`]. Lines starting with
-/// `#` and blank lines are skipped.
+/// Reads an ensemble written by [`write_ensemble`], each real parsed at
+/// precision `R` (correctly rounded). Lines starting with `#` and blank
+/// lines are skipped.
 ///
 /// # Errors
 ///
@@ -126,7 +149,7 @@ where
                 ),
             ));
         }
-        let mut reals = [0.0; REAL_COLUMNS];
+        let mut reals = [R::ZERO; REAL_COLUMNS];
         for (value, text) in reals.iter_mut().zip(&fields) {
             *value = text.parse().map_err(|e| {
                 io::Error::new(
@@ -141,33 +164,51 @@ where
                 format!("line {}: bad species id: {e}", lineno + 1),
             )
         })?;
-        store.push(narrow((reals, species)));
+        store.push(particle_of::<R, R>((reals, species)));
     }
     Ok(store)
+}
+
+/// A segment's columns at one width.
+type Columns<W> = ParticleColumns<Vec<W>, Vec<u16>>;
+
+/// The columns at the width of the store they were captured from.
+#[derive(Clone, Debug, PartialEq)]
+enum Width {
+    F32(Columns<f32>),
+    F64(Columns<f64>),
 }
 
 /// A contiguous range of particles as typed columns — the one form in
 /// which particle state waits outside a store: the gather payload of
 /// domain-decomposed runs and the checkpoint of a running job.
 ///
-/// Columns are stored widened to `f64` (lossless for both supported
-/// precisions), exactly the values [`write_ensemble`] would print, so a
+/// Columns keep the width of the store they were captured from (`f32` or
+/// `f64`), exactly the values [`write_ensemble`] would print, so a
 /// segment can reproduce the text dump of its range bitwise via
 /// [`write_text`](Self::write_text) without the producer serializing
 /// anything. Segments go back into a store by range
 /// ([`splice_into`](Self::splice_into)) or are concatenated
 /// ([`append`](Self::append)) — both are plain column copies, no
 /// parsing, no float formatting.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ColumnSegment {
-    cols: ParticleColumns<Vec<f64>, Vec<u16>>,
+    cols: Width,
+}
+
+impl Default for ColumnSegment {
+    fn default() -> ColumnSegment {
+        ColumnSegment {
+            cols: Width::F64(Columns::default()),
+        }
+    }
 }
 
 /// Magic tag leading the binary encoding of a [`ColumnSegment`].
-const SEGMENT_MAGIC: [u8; 8] = *b"PICSEG01";
+const SEGMENT_MAGIC: [u8; 8] = *b"PICSEG02";
 
-/// Encoded payload bytes per particle.
-const ROW_BYTES: usize = REAL_COLUMNS * std::mem::size_of::<f64>() + std::mem::size_of::<u16>();
+/// Bytes before the payload: the magic, the count, the width.
+const SEGMENT_HEADER_LEN: usize = SEGMENT_MAGIC.len() + 8 + 1;
 
 /// Panics unless `offset + len` fits `store_len`.
 fn check_range(offset: usize, len: usize, store_len: usize) {
@@ -177,9 +218,112 @@ fn check_range(offset: usize, len: usize, store_len: usize) {
     );
 }
 
+/// `len` particles of `store` from `offset`, as columns at width `W`.
+fn capture<R, A, W>(store: &A, offset: usize, len: usize) -> Columns<W>
+where
+    R: Real,
+    A: ParticleAccess<R>,
+    W: Real,
+{
+    let mut cols = Columns::default();
+    cols.reserve_rows(len);
+    match store.columns() {
+        // A column-backed store is copied column by column.
+        Some(src) => {
+            for (col, from) in cols.reals.iter_mut().zip(src.reals) {
+                col.extend(from[offset..offset + len].iter().map(|&v| cast::<R, W>(v)));
+            }
+            let species = &src.species[offset..offset + len];
+            cols.species.extend(species.iter().map(|s| s.0));
+        }
+        None => {
+            for i in offset..offset + len {
+                cols.push_row(row_of(&store.get(i)));
+            }
+        }
+    }
+    cols
+}
+
+/// Writes `cols` into `store` from `offset` on, at the store's width.
+fn splice<W, R, A>(cols: &Columns<W>, store: &mut A, offset: usize)
+where
+    W: Real,
+    R: Real,
+    A: ParticleAccess<R>,
+{
+    let end = offset + cols.len();
+    match store.columns_mut() {
+        // A column-backed store is written column by column.
+        Some(dst) => {
+            for (col, from) in dst.reals.into_iter().zip(&cols.reals) {
+                for (v, &w) in col[offset..end].iter_mut().zip(from) {
+                    *v = cast(w);
+                }
+            }
+            for (s, &id) in dst.species[offset..end].iter_mut().zip(&cols.species) {
+                *s = SpeciesId(id);
+            }
+        }
+        None => {
+            for i in 0..cols.len() {
+                store.set(offset + i, &particle_of(cols.row_at(i)));
+            }
+        }
+    }
+}
+
+/// Appends `more`'s rows to `cols`, with room for at least `room` rows
+/// beyond the current ones.
+fn extend<W: Copy>(cols: &mut Columns<W>, more: &Columns<W>, room: usize) {
+    cols.reserve_rows(room);
+    for (col, more) in cols.reals.iter_mut().zip(&more.reals) {
+        col.extend_from_slice(more);
+    }
+    cols.species.extend_from_slice(&more.species);
+}
+
+fn write_rows<W: Real, O: Write>(cols: &Columns<W>, out: &mut O) -> io::Result<()> {
+    for i in 0..cols.len() {
+        write_row(out, &cols.row_at(i))?;
+    }
+    Ok(())
+}
+
+/// The real columns little-endian, one after another, then the species.
+fn encode<W: Copy, const N: usize>(cols: &Columns<W>, to_le: fn(W) -> [u8; N], out: &mut Vec<u8>) {
+    for &v in cols.reals.iter().flatten() {
+        out.extend_from_slice(&to_le(v));
+    }
+    for s in &cols.species {
+        out.extend_from_slice(&s.to_le_bytes());
+    }
+}
+
+/// The inverse of [`encode`] for `n` rows; `payload` holds exactly them.
+fn decode<W, const N: usize>(payload: &[u8], n: usize, from_le: fn([u8; N]) -> W) -> Columns<W> {
+    let mut cols = Columns::default();
+    cols.reserve_rows(n);
+    let mut rest = payload;
+    for col in &mut cols.reals {
+        let (raw, tail) = rest.split_at(n * N);
+        rest = tail;
+        // unwrap-free: chunks_exact(N) yields exactly N bytes.
+        col.extend(
+            raw.chunks_exact(N)
+                .map(|c| from_le(c.try_into().unwrap_or([0; N]))),
+        );
+    }
+    cols.species.extend(
+        rest.chunks_exact(2)
+            .map(|c| u16::from_le_bytes(c.try_into().unwrap_or([0; 2]))),
+    );
+    cols
+}
+
 impl ColumnSegment {
     /// Captures `len` particles of `store` starting at `offset` as
-    /// widened columns, in store order.
+    /// columns at the store's width, in store order.
     ///
     /// # Panics
     ///
@@ -190,51 +334,70 @@ impl ColumnSegment {
         A: ParticleAccess<R>,
     {
         check_range(offset, len, store.len());
-        let mut seg = ColumnSegment::with_capacity(len);
-        match store.columns() {
-            // A column-backed store widens column by column.
-            Some(cols) => {
-                for (wide, col) in seg.cols.reals.iter_mut().zip(cols.reals) {
-                    wide.extend(col[offset..offset + len].iter().map(|v| v.to_f64()));
-                }
-                let species = &cols.species[offset..offset + len];
-                seg.cols.species.extend(species.iter().map(|s| s.0));
-            }
-            None => {
-                for i in offset..offset + len {
-                    seg.cols.push_row(widen(&store.get(i)));
-                }
-            }
-        }
-        seg
+        let cols = if R::BYTES == 4 {
+            Width::F32(capture(store, offset, len))
+        } else {
+            Width::F64(capture(store, offset, len))
+        };
+        ColumnSegment { cols }
     }
 
-    /// An empty segment with room for `len` particles per column.
+    /// An empty segment with room for `len` particles. Its real columns
+    /// take their width, and this room, from the first segment
+    /// [`append`](Self::append)ed to it.
     pub fn with_capacity(len: usize) -> ColumnSegment {
-        let mut seg = ColumnSegment::default();
-        seg.cols.reserve_rows(len);
-        seg
+        let mut cols = Columns::default();
+        cols.species.reserve(len);
+        ColumnSegment {
+            cols: Width::F64(cols),
+        }
+    }
+
+    fn species(&self) -> &Vec<u16> {
+        match &self.cols {
+            Width::F32(cols) => &cols.species,
+            Width::F64(cols) => &cols.species,
+        }
     }
 
     /// Number of particles in the segment.
     pub fn len(&self) -> usize {
-        self.cols.len()
+        self.species().len()
     }
 
     /// `true` when the segment holds no particles.
     pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
+        self.species().is_empty()
     }
 
-    /// Approximate payload size in bytes (the splice cost unit).
+    /// Bytes per real: 4 for columns captured from an `f32` store, 8 for
+    /// `f64`.
+    fn width(&self) -> usize {
+        match self.cols {
+            Width::F32(_) => 4,
+            Width::F64(_) => 8,
+        }
+    }
+
+    /// Approximate payload size in bytes (the splice cost unit):
+    /// `8 × width + 2` per particle, 34 at `f32`, 66 at `f64`.
     pub fn byte_len(&self) -> usize {
-        self.len() * ROW_BYTES
+        self.len() * (REAL_COLUMNS * self.width() + 2)
+    }
+
+    /// Most bytes one line of [`write_text`](Self::write_text) takes at
+    /// this segment's width: the text of `n` rows fits `n` times this.
+    pub fn max_row_len(&self) -> usize {
+        match self.cols {
+            Width::F32(_) => row_len::<f32>(),
+            Width::F64(_) => row_len::<f64>(),
+        }
     }
 
     /// Splices the segment's particles into `store` starting at
-    /// `offset`, narrowing back to the store's precision (exact for
-    /// values that were widened from it): store particle `offset + i`
-    /// becomes segment row `i`.
+    /// `offset`, at the store's precision (exact for the store the
+    /// segment was captured from): store particle `offset + i` becomes
+    /// segment row `i`.
     ///
     /// # Panics
     ///
@@ -245,34 +408,36 @@ impl ColumnSegment {
         A: ParticleAccess<R>,
     {
         check_range(offset, self.len(), store.len());
-        let end = offset + self.len();
-        match store.columns_mut() {
-            // A column-backed store narrows column by column.
-            Some(cols) => {
-                for (col, wide) in cols.reals.into_iter().zip(&self.cols.reals) {
-                    for (v, w) in col[offset..end].iter_mut().zip(wide) {
-                        *v = R::from_f64(*w);
-                    }
-                }
-                for (s, id) in cols.species[offset..end].iter_mut().zip(&self.cols.species) {
-                    *s = SpeciesId(*id);
-                }
-            }
-            None => {
-                for i in 0..self.len() {
-                    store.set(offset + i, &narrow(self.cols.row_at(i)));
-                }
-            }
+        match &self.cols {
+            Width::F32(cols) => splice(cols, store, offset),
+            Width::F64(cols) => splice(cols, store, offset),
         }
     }
 
     /// Appends every particle of `other` after this segment's — the
-    /// in-order gather splice (column `extend`s, no per-field work).
+    /// in-order gather splice (column `extend`s, no per-field work). An
+    /// empty segment takes `other`'s width.
+    ///
+    /// # Panics
+    ///
+    /// Panics when both segments hold particles, at different widths: a
+    /// job never mixes precisions.
     pub fn append(&mut self, other: &ColumnSegment) {
-        for (col, more) in self.cols.reals.iter_mut().zip(&other.cols.reals) {
-            col.extend_from_slice(more);
+        if other.is_empty() {
+            return;
         }
-        self.cols.species.extend_from_slice(&other.cols.species);
+        let room = (self.species().capacity() - self.len()).max(other.len());
+        if self.is_empty() {
+            self.cols = match other.cols {
+                Width::F32(_) => Width::F32(Columns::default()),
+                Width::F64(_) => Width::F64(Columns::default()),
+            };
+        }
+        match (&mut self.cols, &other.cols) {
+            (Width::F32(cols), Width::F32(more)) => extend(cols, more, room),
+            (Width::F64(cols), Width::F64(more)) => extend(cols, more, room),
+            _ => panic!("cannot append f32 and f64 columns into one segment"),
+        }
     }
 
     /// Writes the particle lines (no header) in exactly the format of
@@ -282,24 +447,24 @@ impl ColumnSegment {
     /// # Errors
     ///
     /// Propagates any I/O error from `out`.
-    pub fn write_text<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        for i in 0..self.len() {
-            write_row(out, &self.cols.row_at(i))?;
+    pub fn write_text<O: Write>(&self, out: &mut O) -> io::Result<()> {
+        match &self.cols {
+            Width::F32(cols) => write_rows(cols, out),
+            Width::F64(cols) => write_rows(cols, out),
         }
-        Ok(())
     }
 
     /// Encodes the segment as a self-describing little-endian byte
-    /// stream (magic, count, eight `f64` columns, species column).
+    /// stream: magic, count, width (4 or 8), eight real columns at that
+    /// width, the species column.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(SEGMENT_MAGIC.len() + 8 + self.byte_len());
+        let mut out = Vec::with_capacity(SEGMENT_HEADER_LEN + self.byte_len());
         out.extend_from_slice(&SEGMENT_MAGIC);
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self.cols.reals.iter().flatten() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for s in &self.cols.species {
-            out.extend_from_slice(&s.to_le_bytes());
+        out.push(self.width() as u8);
+        match &self.cols {
+            Width::F32(cols) => encode(cols, f32::to_le_bytes, &mut out),
+            Width::F64(cols) => encode(cols, f64::to_le_bytes, &mut out),
         }
         out
     }
@@ -308,12 +473,12 @@ impl ColumnSegment {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for a bad magic tag, a truncated stream, or
-    /// trailing bytes — a mangled shard payload must fail loudly, never
-    /// splice garbage.
+    /// Returns `InvalidData` for a bad magic tag, a width other than 4 or
+    /// 8, a truncated stream, or trailing bytes — a mangled shard payload
+    /// must fail loudly, never splice garbage.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<ColumnSegment> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        if bytes.len() < SEGMENT_MAGIC.len() + 8 {
+        if bytes.len() < SEGMENT_HEADER_LEN {
             return Err(bad(format!(
                 "segment header truncated: {} bytes",
                 bytes.len()
@@ -323,33 +488,30 @@ impl ColumnSegment {
         if magic != SEGMENT_MAGIC {
             return Err(bad("bad segment magic".to_string()));
         }
-        let (count, mut rest) = rest.split_at(8);
+        let (count, rest) = rest.split_at(8);
+        let (width, payload) = rest.split_at(1);
         // unwrap-free: split_at(8) guarantees exactly 8 bytes.
         let n64 = u64::from_le_bytes(count.try_into().unwrap_or([0; 8]));
         let n = usize::try_from(n64).map_err(|_| bad(format!("segment count {n64} overflows")))?;
+        let width = usize::from(width[0]);
+        if width != 4 && width != 8 {
+            return Err(bad(format!("segment width {width} is neither 4 nor 8")));
+        }
         let expect = n
-            .checked_mul(ROW_BYTES)
+            .checked_mul(REAL_COLUMNS * width + 2)
             .ok_or_else(|| bad(format!("segment count {n64} overflows")))?;
-        if rest.len() != expect {
+        if payload.len() != expect {
             return Err(bad(format!(
                 "segment of {n} particles needs {expect} payload bytes, got {}",
-                rest.len()
+                payload.len()
             )));
         }
-        let mut seg = ColumnSegment::with_capacity(n);
-        for col in &mut seg.cols.reals {
-            let (raw, tail) = rest.split_at(n * 8);
-            rest = tail;
-            col.extend(
-                raw.chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().unwrap_or([0; 8]))),
-            );
-        }
-        seg.cols.species.extend(
-            rest.chunks_exact(2)
-                .map(|c| u16::from_le_bytes(c.try_into().unwrap_or([0; 2]))),
-        );
-        Ok(seg)
+        let cols = if width == 4 {
+            Width::F32(decode(payload, n, f32::from_le_bytes))
+        } else {
+            Width::F64(decode(payload, n, f64::from_le_bytes))
+        };
+        Ok(ColumnSegment { cols })
     }
 }
 
@@ -376,12 +538,12 @@ mod tests {
     }
 
     /// `write_ensemble` as it was before `pic_math::decimal`: every real
-    /// through `core::fmt`'s `{:e}`. Kept as the oracle of the row
-    /// writer, as `{:e}` is the oracle of the digits.
+    /// through `core::fmt`'s `{:e}` at the store's precision. Kept as the
+    /// oracle of the row writer, as `{:e}` is the oracle of the digits.
     fn write_ensemble_fmt<R: Real, A: ParticleAccess<R>>(store: &A) -> Vec<u8> {
         let mut out = format!("{HEADER}\n").into_bytes();
         for i in 0..store.len() {
-            let (r, species) = widen(&store.get(i));
+            let (r, species) = row_of::<R, R>(&store.get(i));
             writeln!(
                 out,
                 "{:e} {:e} {:e} {:e} {:e} {:e} {:e} {:e} {}",
@@ -420,7 +582,7 @@ mod tests {
 
     #[test]
     fn dump_bytes_are_what_the_fmt_row_writer_wrote() {
-        fn check<R: Real, S: ParticleStore<R>>() {
+        fn check<R: Real, S: ParticleStore<R>>(bytes_per_row: usize) {
             let store: S = pushed();
             let mut dump = Vec::new();
             write_ensemble(&store, &mut dump).unwrap();
@@ -435,13 +597,13 @@ mod tests {
                     .find(|(got, want)| got != want)
             );
             // The pushed state is not trivially short: most reals need
-            // all of f64's 17 digits.
-            assert!(dump.len() > store.len() * 100, "{}", dump.len());
+            // all of their precision's digits (9 for f32, 17 for f64).
+            assert!(dump.len() > store.len() * bytes_per_row, "{}", dump.len());
         }
-        check::<f32, SoaEnsemble<f32>>();
-        check::<f32, AosEnsemble<f32>>();
-        check::<f64, SoaEnsemble<f64>>();
-        check::<f64, AosEnsemble<f64>>();
+        check::<f32, SoaEnsemble<f32>>(80);
+        check::<f32, AosEnsemble<f32>>(80);
+        check::<f64, SoaEnsemble<f64>>(100);
+        check::<f64, AosEnsemble<f64>>(100);
     }
 
     #[test]
@@ -463,6 +625,22 @@ mod tests {
             "{}",
             dump.len()
         );
+        // Every f32 real at 15 bytes (`-1.00000075e-36`): exactly an f32
+        // segment's bound.
+        let x = -f32::from_bits(0x03aa_242d);
+        let worst_f32 = Particle {
+            position: Vec3::splat(x),
+            momentum: Vec3::splat(x),
+            weight: x,
+            gamma: x,
+            species: SpeciesId(u16::MAX),
+        };
+        let store = AosEnsemble::<f32>::from_particles([worst_f32]);
+        let mut dump = Vec::new();
+        write_ensemble(&store, &mut dump).unwrap();
+        assert_eq!(dump, write_ensemble_fmt(&store));
+        let seg = ColumnSegment::from_store(&store, 0, 1);
+        assert_eq!(dump.len() - HEADER.len() - 1, seg.max_row_len());
         // Non-finite reals have no digits; they print as `{:e}` names them.
         let odd = Particle {
             position: Vec3::new(f64::NAN, f64::INFINITY, f64::NEG_INFINITY),
@@ -554,11 +732,39 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_segment_takes_the_width_of_what_is_appended() {
+        let ens: SoaEnsemble<f32> = pushed();
+        let seg = ColumnSegment::from_store(&ens, 0, ens.len());
+        assert_eq!(seg.byte_len(), ens.len() * (8 * 4 + 2));
+        for mut merged in [ColumnSegment::default(), ColumnSegment::with_capacity(9)] {
+            merged.append(&seg);
+            assert_eq!(merged, seg);
+            assert_eq!(merged.to_bytes(), seg.to_bytes());
+        }
+        let mut appended = seg.clone();
+        appended.append(&ColumnSegment::default());
+        assert_eq!(appended, seg, "an empty segment adds nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot append f32 and f64 columns")]
+    fn appending_across_widths_panics() {
+        let narrow: SoaEnsemble<f32> = pushed();
+        let mut seg = ColumnSegment::from_store(&narrow, 0, 3);
+        seg.append(&ColumnSegment::from_store(&sample(), 0, 3));
+    }
+
+    #[test]
     fn segment_binary_codec_round_trips() {
         let ens = sample();
         let seg = ColumnSegment::from_store(&ens, 0, ens.len());
         let back = ColumnSegment::from_bytes(&seg.to_bytes()).unwrap();
         assert_eq!(back, seg);
+        let narrow: AosEnsemble<f32> = pushed();
+        let seg = ColumnSegment::from_store(&narrow, 0, narrow.len());
+        let bytes = seg.to_bytes();
+        assert_eq!(bytes.len(), SEGMENT_HEADER_LEN + narrow.len() * 34);
+        assert_eq!(ColumnSegment::from_bytes(&bytes).unwrap(), seg);
         let empty = ColumnSegment::default();
         assert!(empty.is_empty());
         assert_eq!(ColumnSegment::from_bytes(&empty.to_bytes()).unwrap(), empty);
@@ -570,8 +776,15 @@ mod tests {
         let bytes = ColumnSegment::from_bytes(&ColumnSegment::from_store(&ens, 0, 4).to_bytes())
             .unwrap()
             .to_bytes();
-        // Truncated payload, truncated header, bad magic, trailing junk:
-        // all must surface as InvalidData, never a panic or silent data.
+        // Truncated payload, truncated header, bad magic, trailing junk,
+        // a width that is neither 4 nor 8, the f32 width over an f64
+        // payload: all must surface as InvalidData, never a panic or
+        // silent data.
+        let with_width = |width: u8| {
+            let mut b = bytes.clone();
+            b[SEGMENT_HEADER_LEN - 1] = width;
+            b
+        };
         let cases: Vec<Vec<u8>> = vec![
             bytes[..bytes.len() - 3].to_vec(),
             bytes[..7].to_vec(),
@@ -585,6 +798,10 @@ mod tests {
                 b.push(0);
                 b
             },
+            with_width(0),
+            with_width(2),
+            with_width(16),
+            with_width(4),
         ];
         for (i, case) in cases.iter().enumerate() {
             let err = ColumnSegment::from_bytes(case).expect_err("case must fail");
@@ -593,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn f32_segment_widening_is_lossless() {
+    fn f32_segment_keeps_f32_width() {
         let ens: SoaEnsemble<f32> = (0..8)
             .map(|i| {
                 Particle::new(
@@ -606,10 +823,17 @@ mod tests {
             })
             .collect();
         let seg = ColumnSegment::from_store(&ens, 0, 8);
+        assert_eq!(seg.byte_len(), 8 * 34);
         let mut back: SoaEnsemble<f32> = (0..8).map(|_| Particle::default()).collect();
         seg.splice_into(&mut back, 0);
         for i in 0..8 {
-            assert_eq!(back.get(i), ens.get(i), "f64 widening must round-trip");
+            assert_eq!(back.get(i), ens.get(i), "an f32 segment must round-trip");
+        }
+        // Spliced into an f64 store, it widens exactly.
+        let mut wide: AosEnsemble<f64> = (0..8).map(|_| Particle::default()).collect();
+        seg.splice_into(&mut wide, 0);
+        for i in 0..8 {
+            assert_eq!(wide.get(i).position.x, f64::from(ens.get(i).position.x));
         }
         // And the text path matches write_ensemble on the f32 store too.
         let mut whole = Vec::new();
@@ -617,10 +841,11 @@ mod tests {
         let mut text = format!("{HEADER}\n").into_bytes();
         seg.write_text(&mut text).unwrap();
         assert_eq!(whole, text);
+        assert!(std::str::from_utf8(&text).unwrap().contains(" 1e-19 "));
     }
 
     #[test]
-    fn f32_roundtrip_within_precision() {
+    fn f32_roundtrip_is_bitwise() {
         let mc = (ELECTRON_MASS * LIGHT_VELOCITY) as f32;
         let ens: SoaEnsemble<f32> = (0..5)
             .map(|i| {
@@ -637,9 +862,35 @@ mod tests {
         write_ensemble(&ens, &mut buf).unwrap();
         let back: SoaEnsemble<f32> = read_ensemble(buf.as_slice()).unwrap();
         for i in 0..ens.len() {
-            let a = ens.get(i);
-            let b = back.get(i);
-            assert!((a.momentum - b.momentum).norm() <= 1e-6 * a.momentum.norm());
+            let (a, b) = (ens.get(i).to_row(), back.get(i).to_row());
+            assert_eq!(a.0.map(f32::to_bits), b.0.map(f32::to_bits), "particle {i}");
+            assert_eq!(a.1, b.1);
         }
+    }
+
+    #[test]
+    fn f32_text_is_read_at_f32_width() {
+        // `7.038531e-26` is the shortest text of f32 bits 0x15ae43fd; read
+        // as f64 and narrowed it would be 0x15ae43fe.
+        fn check<S: ParticleStore<f32>>() {
+            let x = f32::from_bits(0x15ae_43fd);
+            let p = Particle {
+                position: Vec3::new(x, -x, 1.0),
+                momentum: Vec3::splat(-x),
+                weight: x,
+                gamma: 1.0,
+                species: SpeciesId(3),
+            };
+            let store = S::from_particles([p]);
+            let mut buf = Vec::new();
+            write_ensemble(&store, &mut buf).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            assert!(text.contains("7.038531e-26 -7.038531e-26 1e0 "), "{text}");
+            let back: S = read_ensemble(text.as_bytes()).unwrap();
+            let bits = |s: &S| s.get(0).to_row().0.map(f32::to_bits);
+            assert_eq!(bits(&back), bits(&store));
+        }
+        check::<AosEnsemble<f32>>();
+        check::<SoaEnsemble<f32>>();
     }
 }

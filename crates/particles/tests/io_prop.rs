@@ -38,6 +38,25 @@ fn particles() -> impl Strategy<Value = Vec<Particle<f64>>> {
     proptest::collection::vec(particle(), 0..32)
 }
 
+/// A finite `f32` of either sign from its bit pattern: every exponent
+/// below the non-finite one, subnormals and zero included.
+fn finite_f32() -> impl Strategy<Value = f32> {
+    ((0u32..0x7f80_0000), (0u32..2)).prop_map(|(bits, sign)| f32::from_bits(bits | sign << 31))
+}
+
+/// A particle row of arbitrary finite `f32`s and any species id.
+fn f32_row() -> impl Strategy<Value = ([f32; 8], u16)> {
+    (
+        proptest::collection::vec(finite_f32(), 8..9),
+        (0u16..u16::MAX),
+    )
+        .prop_map(|(reals, species)| {
+            let mut row = [0.0; 8];
+            row.copy_from_slice(&reals);
+            (row, species)
+        })
+}
+
 fn write_to_string<R: Real, A: ParticleAccess<R>>(store: &A) -> String {
     let mut buf = Vec::new();
     write_ensemble(store, &mut buf).expect("write to Vec cannot fail");
@@ -117,9 +136,9 @@ proptest! {
         }
     }
 
-    // An f32 widens to f64 exactly, `{:e}` round-trips the f64, and
-    // the final f64→f32 conversion recovers the original bits — so even
-    // float ensembles round-trip exactly, not just approximately.
+    // An f32 is printed at f32's shortest round-trip digits and parsed
+    // back as an f32 (correctly rounded), so float ensembles round-trip
+    // exactly, not just approximately.
     #[test]
     fn f32_roundtrip_is_exact_in_both_layouts(ps in particles()) {
         let aos: AosEnsemble<f32> = ps
@@ -141,11 +160,38 @@ proptest! {
         }
     }
 
+    // Every finite f32 bit pattern, subnormals and both zeros included,
+    // in every column: the dump reads back bit for bit in both layouts.
+    // Parsing it as f64 and narrowing would not (`7.038531e-26`).
+    #[test]
+    fn f32_bit_patterns_round_trip_bit_for_bit(
+        rows in proptest::collection::vec(f32_row(), 0..32),
+    ) {
+        let ps: Vec<Particle<f32>> = rows
+            .iter()
+            .map(|&(reals, species)| Particle::from_row((reals, SpeciesId(species))))
+            .collect();
+        let aos = AosEnsemble::<f32>::from_particles(ps.iter().copied());
+        let soa = SoaEnsemble::<f32>::from_particles(ps.iter().copied());
+        let text = write_to_string(&aos);
+        prop_assert_eq!(&text, &write_to_string(&soa));
+        let back_aos: AosEnsemble<f32> = read_ensemble(text.as_bytes()).expect("parse");
+        let back_soa: SoaEnsemble<f32> = read_ensemble(text.as_bytes()).expect("parse");
+        prop_assert_eq!(back_aos.len(), ps.len());
+        prop_assert_eq!(back_soa.len(), ps.len());
+        for (i, p) in ps.iter().enumerate() {
+            let bits = |q: Particle<f32>| (q.to_row().0.map(f32::to_bits), q.species);
+            prop_assert_eq!(bits(back_aos.get(i)), bits(*p));
+            prop_assert_eq!(bits(back_soa.get(i)), bits(*p));
+        }
+    }
+
     // The binary segment codec against a hostile sender: whatever the
     // header claims, `from_bytes` answers `InvalidData` — it never
     // panics, and never allocates for a count the buffer cannot back.
+    // Bits 0..136 are the magic, the count and the width byte.
     #[test]
-    fn segment_header_bit_flips_are_invalid_data(ps in particles(), bit in 0usize..128) {
+    fn segment_header_bit_flips_are_invalid_data(ps in particles(), bit in 0usize..136) {
         let store: AosEnsemble<f64> = ps.iter().copied().collect();
         let mut bytes = ColumnSegment::from_store(&store, 0, store.len()).to_bytes();
         bytes[bit / 8] ^= 1 << (bit % 8);
@@ -179,7 +225,7 @@ proptest! {
     ) {
         let mut bytes = bytes;
         if magic == 1 && bytes.len() >= 8 {
-            bytes[..8].copy_from_slice(b"PICSEG01");
+            bytes[..8].copy_from_slice(b"PICSEG02");
         }
         if let Err(err) = ColumnSegment::from_bytes(&bytes) {
             prop_assert_eq!(err.kind(), ErrorKind::InvalidData);

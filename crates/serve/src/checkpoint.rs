@@ -6,10 +6,9 @@
 //! count reached. When a worker dies mid-job (panic, injected fault),
 //! the scheduler requeues the victim instead of rejecting it, and the
 //! next worker splices its latest segment over its freshly seeded
-//! store. A segment holds the store's
-//! values widened to `f64`, which narrows back exactly in both
-//! precisions, so a resumed trajectory is bit-identical to an
-//! uninterrupted one. Snapshots are shared by `Arc`: reading one for a
+//! store. A segment holds the store's values at the store's own width,
+//! so a resumed trajectory is bit-identical to an uninterrupted one.
+//! Snapshots are shared by `Arc`: reading one for a
 //! resume copies no particle data under the store's lock.
 //!
 //! [`KillPlan`] is the test-only half: a deterministic, seeded schedule

@@ -10,7 +10,8 @@
 //! crosses the channel as the outcome itself, its dump still in the
 //! pieces it was rendered in: the writer serializes it straight into a
 //! [`RESPONSE_BUFFER`]-byte buffer flushed to the output as it fills, so
-//! a `completed` line carrying a 17.7 MB dump is never built whole. The
+//! a `completed` line carrying a dump of many megabytes is never built
+//! whole. The
 //! writer thread owns the output until every response for this connection has
 //! been written — including the terminal response of every job submitted
 //! on it — because each submission's notifier holds a channel sender and

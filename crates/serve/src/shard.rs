@@ -28,7 +28,7 @@ use crate::scheduler::{ServeConfig, Shared};
 use crate::state::{JobState, Notifier};
 use crate::stats::Counter;
 use pic_math::splitmix::{mix64, GOLDEN_GAMMA};
-use pic_particles::io::{HEADER, MAX_ROW_LEN};
+use pic_particles::io::HEADER;
 use pic_particles::ColumnSegment;
 use pic_runtime::sync::lock;
 use pic_runtime::{ExecTarget, SweepReport};
@@ -113,10 +113,14 @@ pub fn merge_segments(segments: &[&ColumnSegment]) -> Option<String> {
 /// header when `header` is set: the whole dump, or one shard's piece of
 /// it (shard 0's with the header). `None` on a formatting failure.
 pub(crate) fn render_rows(segments: &[&ColumnSegment], header: bool) -> Option<String> {
-    // Room for the longest rows, so the text is never moved while it
-    // grows; what the rows did not need is handed back.
-    let rows: usize = segments.iter().map(|seg| seg.len()).sum();
-    let mut out: Vec<u8> = Vec::with_capacity(HEADER.len() + 1 + rows * MAX_ROW_LEN);
+    // Room for the longest rows at each segment's width, so the text is
+    // never moved while it grows; what the rows did not need is handed
+    // back.
+    let room: usize = segments
+        .iter()
+        .map(|seg| seg.len() * seg.max_row_len())
+        .sum();
+    let mut out: Vec<u8> = Vec::with_capacity(HEADER.len() + 1 + room);
     if header {
         writeln!(out, "{HEADER}").ok()?;
     }

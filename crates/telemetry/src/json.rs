@@ -151,8 +151,9 @@ impl Value {
 
 /// Writes `Value::obj(entries ∪ {key: Str(pieces joined)}).to_json()` to
 /// `out`, byte for byte, with each piece escaped straight from its borrow
-/// at `key`'s sorted position: the one member that can be a 17.7 MB
-/// particle dump is neither joined nor copied into a [`Value::Str`], and
+/// at `key`'s sorted position: the one member that can be a particle dump
+/// of many megabytes (≈ 11 MB for 125 000 `f32` particles, ≈ 18 MB at
+/// `f64`) is neither joined nor copied into a [`Value::Str`], and
 /// no line holding it is built. The member goes out as one write per run
 /// between two escapes, so an unbuffered `out` (a socket) wants a buffer
 /// in front of it. `key` must not be among `entries`.

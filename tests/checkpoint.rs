@@ -69,9 +69,9 @@ fn checkpoint_can_switch_layouts() {
 
 #[test]
 fn f32_checkpoint_restart_is_exact_in_aos() {
-    // The snapshot text is written as f64 (`{:e}` is shortest-round-trip
-    // exact) and f32 → f64 widening is lossless, so the f32 round-trip
-    // must be bitwise too.
+    // The snapshot text holds each f32 at its shortest round-trip digits
+    // and is parsed back as f32, so the f32 round-trip must be bitwise
+    // too.
     let mut reference: AosEnsemble<f32> = build_ensemble(200, 9);
     push_steps(&mut reference, 30, 0);
 
