@@ -178,42 +178,6 @@ fn drive_device<R: Real, F: FieldSource<R>>(
     }
 }
 
-/// Models the pinned K-queue execution of a sharded device job: one
-/// [`pic_device::ShardPipeline`] stage/compute pair per shard, so shard
-/// *k+1*'s column transfer overlaps shard *k*'s kernel.
-///
-/// `shards` lists `(particles, compute_ns)` per shard in plan order —
-/// `compute_ns` is the shard's reported kernel time (the modeled
-/// roofline number the device lane already emits). Stage time is the
-/// shard's staged bytes (nine particle columns, plus the six field
-/// columns in the Precalculated scenario — the exact byte counts the
-/// USM ledger records) over the device's effective memory bandwidth.
-///
-/// Returns `None` for the host target: host "staging" is an in-memory
-/// copy with no transfer engine to overlap, so no pipeline is modeled.
-pub fn shard_pipeline(
-    target: ExecTarget,
-    scenario: Scenario,
-    precision: Precision,
-    shards: &[(usize, f64)],
-) -> Option<pic_device::ShardPipeline> {
-    let model = gpu_model_of(target)?;
-    let bandwidth = model.spec.mem_bandwidth * model.cal.mem_eff;
-    let real_bytes = match precision {
-        Precision::F32 => 4usize,
-        Precision::F64 => 8usize,
-    };
-    let mut pipeline = pic_device::ShardPipeline::new();
-    for (shard_id, &(particles, compute_ns)) in shards.iter().enumerate() {
-        let mut bytes = particles * (8 * real_bytes + 2);
-        if scenario == Scenario::Precalculated {
-            bytes += 6 * real_bytes * particles;
-        }
-        pipeline.record_shard(shard_id, bytes as f64 / bandwidth, compute_ns * 1e-9);
-    }
-    Some(pipeline)
-}
-
 /// Result of one measured device configuration: one event per iteration
 /// (one launch = one iteration on the device protocol).
 #[derive(Clone, Debug, PartialEq)]
@@ -489,62 +453,6 @@ mod tests {
         assert!((rec.model_ratio - 1.0).abs() < 1e-9, "{}", rec.model_ratio);
         let back = BenchRecord::from_json(&rec.to_json()).expect("round trip");
         assert_eq!(back, rec);
-    }
-
-    #[test]
-    fn pinned_shard_runs_overlap_transfer_with_compute_in_the_model() {
-        use crate::scenario::build_ensemble_range;
-        // Execute each shard of a 4-way plan through the device lane for
-        // real (own executor per shard), then model the pinned
-        // K-queue schedule from the reported kernel times.
-        let total = 400usize;
-        let ranges = [(0usize, 100usize), (100, 100), (200, 100), (300, 100)];
-        let mut shards = Vec::new();
-        for &(offset, len) in &ranges {
-            let mut store: SoaEnsemble<f32> = build_ensemble_range(total, 7, offset, len);
-            let ctx = MdipoleScenario::prepare(Scenario::Analytical, &store);
-            let mut time = 0.0f32;
-            let run = run_device_steps(
-                &mut store,
-                &ctx,
-                3,
-                &mut time,
-                Layout::Soa,
-                ExecTarget::IrisXeMax,
-                None,
-                &mut |_, _| true,
-            );
-            assert_eq!(run.steps_done, 3);
-            shards.push((len, run.total_ns()));
-        }
-        let pipeline = shard_pipeline(
-            ExecTarget::IrisXeMax,
-            Scenario::Analytical,
-            Precision::F32,
-            &shards,
-        )
-        .expect("GPU target has a pipeline model");
-        assert_eq!(pipeline.len(), 4);
-        // The overlap, asserted on the modeled event timeline: every
-        // later shard's staging starts before the previous shard's
-        // kernel finishes, and the pipelined makespan beats the PR 9
-        // single-queue serialization.
-        assert!(pipeline.overlapped());
-        for k in 1..pipeline.len() {
-            assert!(pipeline.shard(k).stage_start < pipeline.shard(k - 1).compute_finish);
-        }
-        assert!(pipeline.makespan() < pipeline.serialized_span());
-        // And the launch graph agrees with the timeline (makespan()
-        // cross-checks against the critical path internally).
-        assert_eq!(pipeline.graph().len(), 8);
-        // The host target has no transfer engine to model.
-        assert!(shard_pipeline(
-            ExecTarget::Host,
-            Scenario::Analytical,
-            Precision::F32,
-            &shards
-        )
-        .is_none());
     }
 
     #[test]

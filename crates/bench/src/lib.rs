@@ -34,7 +34,7 @@ pub mod table;
 
 pub use device_run::{
     device_record, gpu_model_of, measure_device_nsps, precision_of, run_device_steps,
-    shard_pipeline, DeviceMeasuredRun, DeviceRun,
+    DeviceMeasuredRun, DeviceRun,
 };
 pub use emit::{bench_record, parallelization_of, RecordSubject};
 pub use measure::{bench_grid, measure_nsps, measure_nsps_variant, MeasuredRun};

@@ -311,64 +311,6 @@ impl TwoLocks {
 "#,
         )],
     ),
-    (
-        // The gather-path inversion the pinning layer must never grow:
-        // the scheduler splices column segments while binding a shard's
-        // affinity slot, and the affinity side observes sweep reports
-        // back into the segments. One file lives under the runtime's
-        // affinity module, proving the pass sees edges across the
-        // extended scope, not just `crates/serve`.
-        "gather-splice-against-affinity-bind",
-        "lock-order-cycle",
-        &[
-            (
-                "crates/serve/src/seeded_gather.rs",
-                r#"
-use std::sync::{Mutex, MutexGuard};
-
-pub struct Gather {
-    pub segments: Mutex<Vec<u32>>,
-    pub slots: Mutex<Vec<u32>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect("mutex poisoned")
-}
-
-impl Gather {
-    pub fn splice(&self) {
-        let g = lock(&self.segments);
-        let _slot = lock(&self.slots);
-        drop(g);
-    }
-}
-"#,
-            ),
-            (
-                "crates/runtime/src/affinity.rs",
-                r#"
-use std::sync::{Mutex, MutexGuard};
-
-pub struct AffinityMap {
-    pub slots: Mutex<Vec<u32>>,
-    pub segments: Mutex<Vec<u32>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect("mutex poisoned")
-}
-
-impl AffinityMap {
-    pub fn observe(&self) {
-        let g = lock(&self.slots);
-        let _seg = lock(&self.segments);
-        drop(g);
-    }
-}
-"#,
-            ),
-        ],
-    ),
 ];
 
 /// Runs the whole corpus; returns `(fixture name, expected rule,

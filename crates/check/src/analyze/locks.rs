@@ -28,13 +28,10 @@ const LOCK_FREE_FNS: &[&str] = &["lock", "try_lock"];
 /// Method names that acquire when called on a known Mutex/RwLock field.
 const LOCK_METHODS: &[&str] = &["lock", "try_lock", "read", "write"];
 
-/// Is this file inside the lock-order scope? `crates/serve` plus the
-/// runtime's shard-affinity map — the only lock the serving layer takes
-/// from another crate (workers observe sweep reports into it while the
-/// dispatcher binds shards), so its acquisitions must order against the
-/// scheduler's own mutexes.
+/// Is this file inside the lock-order scope? `crates/serve`, which holds
+/// every blocking lock of the workspace.
 pub fn in_scope(path: &str) -> bool {
-    path.contains("crates/serve/src") || path.contains("crates/runtime/src/affinity.rs")
+    path.contains("crates/serve/src")
 }
 
 #[derive(Clone, Debug)]

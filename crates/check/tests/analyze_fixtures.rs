@@ -70,10 +70,8 @@ fn every_seeded_fixture_is_caught() {
         missed.join(", ")
     );
     // Every rule family is represented (purity-alloc has two fixtures:
-    // the host kernel root and the device executor root; lock-order-cycle
-    // has two: the serve-local pair and the cross-crate gather/affinity
-    // inversion).
-    assert_eq!(results.len(), 14);
+    // the host kernel root and the device executor root).
+    assert_eq!(results.len(), 13);
     for family in ["atomics-", "purity-", "lock-order-"] {
         assert!(
             results.iter().any(|(_, rule, _)| rule.starts_with(family)),

@@ -12,9 +12,7 @@
 //!    [`UsmLedger`];
 //! 2. each kernel launch returns an [`Event`] carrying its measured and
 //!    modeled time, in submission order — one in-order queue, the shape
-//!    the paper's port uses (a sharded job's K-queue overlap is
-//!    [`ShardPipeline`](crate::pipeline::ShardPipeline)'s, over a
-//!    [`LaunchGraph`](crate::graph::LaunchGraph));
+//!    the paper's port uses;
 //! 3. execution is **functional**: the kernel runs on the host over the
 //!    staged columns, bitwise-identical to the host sweep, while the
 //!    reported time comes from the `pic-perfmodel` GPU roofline (EU

@@ -17,11 +17,9 @@
 //!   Boris kernel functionally, one in-order launch per step,
 //!   returning profiling [`Event`]s timed with the GPU
 //!   roofline — including the first-launch JIT penalty the paper
-//!   measures (§5.3; Table 3 reproduction).
-//! * [`ShardPipeline`] — the pinned K-queue shard schedule: per-shard
-//!   staging overlapped with the single compute engine's kernel chain,
-//!   modeled on a two-slot timeline and cross-checked against its
-//!   recorded [`LaunchGraph`] (ROADMAP item 1's device half).
+//!   measures (§5.3; Table 3 reproduction). A sharded device job runs
+//!   each shard through its own executor; its modeled time is the sum of
+//!   the shards' kernel times, as on the paper's one in-order queue.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,14 +28,10 @@ pub mod clock;
 pub mod device;
 pub mod event;
 pub mod exec;
-pub mod graph;
-pub mod pipeline;
 pub mod usm;
 
 pub use clock::Stopwatch;
 pub use device::{Backend, Device};
 pub use event::Event;
 pub use exec::{DeviceExecutor, StagedEnsemble, StagedFields, SweepProfile, UsmLedger};
-pub use graph::{CycleError, LaunchGraph, NodeId, Ordering, TaskId, TaskTimeline};
-pub use pipeline::{ShardPipeline, ShardSchedule};
 pub use usm::{AllocKind, UsmBuffer};

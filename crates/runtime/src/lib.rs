@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod cancel;
 pub mod schedule;
 pub mod sweep;
@@ -33,7 +32,6 @@ pub mod target;
 pub mod topology;
 pub mod tune;
 
-pub use affinity::{slot_of, AffinityMap};
 pub use cancel::CancelToken;
 pub use schedule::Schedule;
 pub use sweep::{imbalance_of, parallel_sweep, SweepReport, ThreadReport};

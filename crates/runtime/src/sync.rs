@@ -17,7 +17,7 @@ pub type WorkQueue<T> = crossbeam::queue::SegQueue<T>;
 
 /// Locks a mutex, riding through poisoning: the one poison-tolerant
 /// acquisition of the serving layer (scheduler, checkpoint store, shard
-/// gather, affinity map). Every critical section behind it inserts,
+/// gather). Every critical section behind it inserts,
 /// removes or replaces whole entries under the lock, so a panic
 /// elsewhere never leaves the data torn and the guard is safe to
 /// recover.

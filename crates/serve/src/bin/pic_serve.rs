@@ -8,7 +8,7 @@
 //! ```text
 //! pic-serve [--stdio | --socket PATH] [--workers N] [--queue-depth N]
 //!           [--threads N] [--cache N] [--checkpoint-interval N]
-//!           [--shard-threshold N] [--shards K|auto] [--pinned]
+//!           [--shard-threshold N] [--shards K|auto]
 //!           [--label NAME] [--telemetry PATH]
 //! ```
 
@@ -37,7 +37,7 @@ fn usage() -> String {
     "usage: pic-serve [--stdio | --socket PATH] [--workers N] \
      [--queue-depth N] [--threads N] [--cache N] \
      [--checkpoint-interval N] [--shard-threshold N] [--shards K|auto] \
-     [--pinned] [--label NAME] [--telemetry PATH]"
+     [--label NAME] [--telemetry PATH]"
         .to_string()
 }
 
@@ -99,8 +99,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     parse_count("--shards", &raw)?
                 };
             }
-            // Valueless: only the worker slot a shard is bound to takes it.
-            "--pinned" => args.cfg.pinned = true,
             "--label" => args.label = value("--label")?,
             "--telemetry" => args.telemetry = Some(PathBuf::from(value("--telemetry")?)),
             "--help" | "-h" => return Err(usage()),

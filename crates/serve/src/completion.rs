@@ -304,7 +304,7 @@ mod tests {
         fan_out(shared, &parent, 3);
         let children = lock(&parent.children).clone();
         for _ in &children {
-            let child = shared.queue.pop(0, &shared.admission).expect("a shard");
+            let child = shared.queue.pop(&shared.admission).expect("a shard");
             crate::exec::run_job(shared, &child);
         }
         let reports = [&parent].into_iter().chain(&children).map(|job| {
@@ -406,7 +406,7 @@ mod tests {
             assert!(shared.try_requeue(&job));
             // ordering: test-only read.
             assert_eq!(job.resumes.load(Ordering::Relaxed), expected);
-            let queued = shared.queue.pop(0, &shared.admission);
+            let queued = shared.queue.pop(&shared.admission);
             assert_eq!(queued.map(|j| j.id), Some(job.id));
         }
         assert!(job.claim());

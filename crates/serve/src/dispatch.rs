@@ -1,7 +1,6 @@
 //! The worker pool and its supervisor. Workers block in
 //! [`JobQueue::pop`](crate::queue::JobQueue::pop) and run one job per
-//! execution; under `ServeConfig::pinned` a shard sub-job is queued for
-//! the one worker slot its shard is bound to. A panicking job takes its
+//! execution, a shard sub-job like any other. A panicking job takes its
 //! worker down: the job is requeued for a checkpoint resume or
 //! terminates `Rejected{worker-panic}` instead of vanishing, and the
 //! supervisor — which spawned the pool and joins it on drain — puts a
@@ -11,23 +10,10 @@ use crate::exec;
 use crate::job::Outcome;
 use crate::queue::SAFETY_WAIT;
 use crate::scheduler::Shared;
-use crate::state::JobState;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-
-/// Resolves the worker slot a job is pinned to, or `None` when any
-/// worker may take it. Only shard sub-jobs pin; the binding is
-/// established once per shard in the `AffinityMap` so resumes and
-/// replacement workers land on the same slot.
-pub(crate) fn pinned_slot(shared: &Shared, job: &JobState) -> Option<usize> {
-    if !shared.cfg.pinned || shared.cfg.workers == 0 {
-        return None;
-    }
-    let ctx = job.shard.as_ref()?;
-    Some(shared.affinity.bind(ctx.shard_id) % shared.cfg.workers)
-}
 
 pub(crate) fn supervisor_loop(shared: Arc<Shared>) {
     if shared.cfg.workers == 0 {
@@ -35,7 +21,7 @@ pub(crate) fn supervisor_loop(shared: Arc<Shared>) {
         // execute the backlog, so the drain cancels it explicitly
         // rather than hanging — never silently.
         shared.queue.wait_for_drain(&shared.admission);
-        while let Some(job) = shared.queue.pop(0, &shared.admission) {
+        while let Some(job) = shared.queue.pop(&shared.admission) {
             shared.finish(&job, Outcome::Cancelled);
         }
         return;
@@ -56,8 +42,7 @@ pub(crate) fn supervisor_loop(shared: Arc<Shared>) {
             let _ = ended.join();
         }
         // A worker that exited because the service drained is not
-        // replaced. A replacement inherits the dead worker's slot, so
-        // shards pinned to it keep their worker.
+        // replaced; a replacement takes the dead worker's slot.
         if !shared.admission.drained() {
             workers[slot] = Some(spawn_worker(&shared, slot, &exits));
         }
@@ -86,12 +71,12 @@ fn spawn_worker(shared: &Arc<Shared>, slot: usize, exits: &Sender<usize>) -> Joi
     };
     thread::spawn(move || {
         let _notice = notice;
-        worker_loop(&shared, slot);
+        worker_loop(&shared);
     })
 }
 
-fn worker_loop(shared: &Arc<Shared>, slot: usize) {
-    while let Some(job) = shared.queue.pop(slot, &shared.admission) {
+fn worker_loop(shared: &Arc<Shared>) {
+    while let Some(job) = shared.queue.pop(&shared.admission) {
         let panicked = catch_unwind(AssertUnwindSafe(|| exec::run_job(shared, &job))).is_err();
         if panicked {
             // Panic isolation: the job is requeued for a checkpoint

@@ -20,9 +20,9 @@
 //!   `→ Done` transition does: outcome, record, depth release, cache
 //!   fill, followers, promotion, requeue), `queue` (the one ordered,
 //!   blocking queue between `submit` and a worker: a free worker takes
-//!   the first waiting job in (priority, deadline, id) order that is
-//!   not pinned to another slot), `dispatch` (the worker pool with
-//!   panic isolation, and the supervisor that replaces a dead worker),
+//!   the first waiting job in (priority, deadline, id) order), `dispatch`
+//!   (the worker pool with panic isolation, and the supervisor that
+//!   replaces a dead worker),
 //!   `stats` (the counter table behind `stats`, the per-submission
 //!   record) and `state` (one job's shared state, the ticket on it).
 //! * [`lifecycle`] — the protocol's two shared types, atoms private:
@@ -49,10 +49,7 @@
 //!   scatter-gather barrier takes the shards' typed column segments (and
 //!   the dump pieces they rendered, if asked for) in plan order and
 //!   merges diagnostics into one completed response that is bitwise
-//!   shard-count-invariant. With
-//!   [`ServeConfig::pinned`](scheduler::ServeConfig) each shard is
-//!   bound to a dedicated worker slot — only that worker takes it — and
-//!   a sharded device job is merged as a K-queue pipeline.
+//!   shard-count-invariant. Any free worker takes any shard.
 //! * [`proto`] — the versioned line-delimited JSON wire protocol.
 //! * [`frontend`] — pumps requests from any `BufRead` into the server
 //!   and responses back out, a dump streamed escaped from its pieces;

@@ -1,15 +1,15 @@
 //! The one place an admitted job waits for a worker.
 //!
 //! [`JobQueue`] is an ordered map behind a mutex, plus a condvar: every
-//! entry is keyed `(priority lane, deadline, id)` and carries the worker
-//! slot it is pinned to, if any. `Shared::enqueue` pushes and wakes; a
-//! free worker's blocking [`pop`](JobQueue::pop) takes the first entry
-//! in key order that it may run. The order is therefore decided when a
-//! worker is free, over everything that is waiting at that moment.
+//! job is keyed `(priority lane, deadline, id)`. `Shared::enqueue` pushes
+//! and wakes one worker; a free worker's blocking [`pop`](JobQueue::pop)
+//! takes the first job in key order, whatever it is — a shard sub-job
+//! like any other. The order is therefore decided when a worker is free,
+//! over everything that is waiting at that moment.
 //!
 //! The mutex is a leaf: nothing is locked, and no job code runs, while
 //! it is held (`pic-analyze`'s lock-order pass resolves calls by name,
-//! which is why the code under the guard says `remove_entry` and `park`
+//! which is why the code under the guard says `pop_first` and `park`
 //! rather than `remove` and `wait` — `CheckpointStore::remove` and
 //! `JobTicket::wait` lock). Every wait is bounded by [`SAFETY_WAIT`], so a missed
 //! wake-up costs that long and nothing more — no exit or hand-off
@@ -28,13 +28,7 @@ pub(crate) const SAFETY_WAIT: Duration = Duration::from_millis(50);
 /// Dispatch order: lane (0 = high), then earliest deadline, then id.
 type Key = (usize, u64, u64);
 
-struct Entry {
-    job: Arc<JobState>,
-    /// `Some(k)`: only the worker in slot `k` may take this entry.
-    slot: Option<usize>,
-}
-
-type Waiting = BTreeMap<Key, Entry>;
+type Waiting = BTreeMap<Key, Arc<JobState>>;
 
 /// Jobs admitted and not yet handed to a worker, in dispatch order.
 pub(crate) struct JobQueue {
@@ -50,36 +44,26 @@ impl JobQueue {
         }
     }
 
-    /// Queues `job`, for the worker in `slot` only when one is given,
-    /// and wakes a worker that can take it.
-    pub fn push(&self, job: Arc<JobState>, slot: Option<usize>) {
+    /// Queues `job` and wakes a worker.
+    pub fn push(&self, job: Arc<JobState>) {
         let key = (
             job.spec.priority.lane(),
             job.spec.deadline_ms.unwrap_or(u64::MAX),
             job.id,
         );
-        lock(&self.waiting).insert(key, Entry { job, slot });
-        match slot {
-            // Any waiter may turn out to be the pinned slot's worker.
-            Some(_) => self.wake.notify_all(),
-            None => self.wake.notify_one(),
-        }
+        lock(&self.waiting).insert(key, job);
+        self.wake.notify_one();
     }
 
-    /// Blocks until the first entry in dispatch order that is unpinned
-    /// or pinned to `slot` can be returned. `None` only once the
-    /// service has [`drained`](Admission::drained) and holds no such
-    /// entry. An entry cancelled while it waited is returned like any
-    /// other; `JobState::claim` refuses it.
-    pub fn pop(&self, slot: usize, admission: &Admission) -> Option<Arc<JobState>> {
+    /// Blocks until the first job in dispatch order can be returned.
+    /// `None` only once the service has [`drained`](Admission::drained)
+    /// and holds no job. A job cancelled while it waited is returned like
+    /// any other; `JobState::claim` refuses it.
+    pub fn pop(&self, admission: &Admission) -> Option<Arc<JobState>> {
         let mut waiting = lock(&self.waiting);
         loop {
-            let first = waiting
-                .iter()
-                .find(|(_, entry)| entry.slot.is_none_or(|pinned| pinned == slot))
-                .map(|(key, _)| *key);
-            if let Some((_, entry)) = first.and_then(|key| waiting.remove_entry(&key)) {
-                return Some(entry.job);
+            if let Some((_, job)) = waiting.pop_first() {
+                return Some(job);
             }
             if admission.drained() {
                 return None;
@@ -125,9 +109,9 @@ mod tests {
     use std::sync::mpsc;
     use std::thread;
 
-    fn ids(queue: &JobQueue, slot: usize, admission: &Admission, n: usize) -> Vec<u64> {
+    fn ids(queue: &JobQueue, admission: &Admission, n: usize) -> Vec<u64> {
         (0..n)
-            .filter_map(|_| queue.pop(slot, admission))
+            .filter_map(|_| queue.pop(admission))
             .map(|job| job.id)
             .collect()
     }
@@ -144,35 +128,21 @@ mod tests {
         later.deadline_ms = Some(50);
         let (queue, admission) = (JobQueue::new(), Admission::default());
         for (id, spec) in [(1, low), (2, later.clone()), (3, urgent), (4, later)] {
-            queue.push(test_job(id, spec), None);
+            queue.push(test_job(id, spec));
         }
-        assert_eq!(ids(&queue, 0, &admission, 4), vec![3, 2, 4, 1]);
-    }
-
-    #[test]
-    fn a_pinned_entry_goes_only_to_its_slot_and_an_unpinned_one_to_any() {
-        let (queue, admission) = (JobQueue::new(), Admission::default());
-        queue.push(test_job(1, spec(10)), Some(1));
-        queue.push(test_job(2, spec(10)), None);
-        queue.push(test_job(3, spec(10)), Some(0));
-        queue.push(test_job(4, spec(10)), None);
-        // Slot 0 passes over the entry pinned to slot 1, in order.
-        assert_eq!(ids(&queue, 0, &admission, 2), vec![2, 3]);
-        // A slot nothing is pinned to takes only unpinned entries.
-        assert_eq!(ids(&queue, 2, &admission, 1), vec![4]);
-        assert_eq!(ids(&queue, 1, &admission, 1), vec![1]);
+        assert_eq!(ids(&queue, &admission, 4), vec![3, 2, 4, 1]);
     }
 
     #[test]
     fn a_cancelled_while_queued_entry_is_refused_by_claim() {
         let (queue, admission) = (JobQueue::new(), Admission::default());
         let (cancelled, live) = (test_job(1, spec(10)), test_job(2, spec(10)));
-        queue.push(cancelled.clone(), None);
-        queue.push(live, None);
+        queue.push(cancelled.clone());
+        queue.push(live);
         assert!(cancelled.phase.finish_from(State::Queued));
         // What a worker does with each entry it pops.
         let claimed: Vec<u64> = (0..2)
-            .filter_map(|_| queue.pop(0, &admission))
+            .filter_map(|_| queue.pop(&admission))
             .filter(|job| job.claim())
             .map(|job| job.id)
             .collect();
@@ -190,7 +160,7 @@ mod tests {
         let (popped, result) = mpsc::channel();
         let worker = {
             let (queue, admission) = (queue.clone(), admission.clone());
-            thread::spawn(move || popped.send(queue.pop(0, &admission).map(|job| job.id)))
+            thread::spawn(move || popped.send(queue.pop(&admission).map(|job| job.id)))
         };
         // Several safety waits go by with the queue empty.
         assert!(result.recv_timeout(3 * SAFETY_WAIT).is_err());

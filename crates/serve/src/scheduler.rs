@@ -16,11 +16,9 @@
 //! * `shard` — fan-out of an over-threshold job and the gather that
 //!   merges its shards back into one completion.
 //! * `queue` — [`JobQueue`]: the one structure an admitted job waits
-//!   in, ordered (lane, deadline, id), each entry optionally pinned to
-//!   a worker slot.
-//! * `dispatch` — pinned-slot routing, the worker pool with panic
-//!   isolation, and the supervisor thread that spawns, replaces and
-//!   joins it.
+//!   in, ordered (lane, deadline, id); any free worker takes the first.
+//! * `dispatch` — the worker pool with panic isolation, and the
+//!   supervisor thread that spawns, replaces and joins it.
 //! * `stats` — the counter table and the per-submission telemetry
 //!   record.
 
@@ -28,13 +26,13 @@ use crate::cache::ResultCache;
 use crate::checkpoint::{CheckpointStore, KillPlan};
 use crate::clock::Clock;
 use crate::completion::Inflight;
-use crate::dispatch::{pinned_slot, supervisor_loop};
+use crate::dispatch::supervisor_loop;
 use crate::lifecycle::Admission;
 use crate::queue::JobQueue;
 use crate::state::JobState;
 use crate::stats::{Counter, Counters};
 use pic_runtime::sync::lock;
-use pic_runtime::{AffinityMap, Schedule, Topology};
+use pic_runtime::{Schedule, Topology};
 use pic_telemetry::BenchRecord;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -84,12 +82,9 @@ pub struct ServeConfig {
     /// Shards an over-threshold job splits into. `0` = auto (one shard
     /// per worker); always clamped to the job's particle count.
     pub shards: usize,
-    /// Pin shard sub-jobs to execution units: shard `k` is only ever
-    /// taken by worker `k mod workers`, and a sharded device job is
-    /// merged as a K-queue pipeline whose staging overlaps the compute
-    /// chain. A pinned shard runs in the same particle order as an
-    /// unpinned one. `false` keeps the unpinned behavior: any worker
-    /// takes any shard, one device queue.
+    /// No effect: every shard sub-job is taken by whichever worker is
+    /// free. Kept only so that `benchmark/`, which sets it, compiles;
+    /// deleted with the next change to `benchmark/` (ROADMAP item 5).
     pub pinned: bool,
 }
 
@@ -121,9 +116,6 @@ pub(crate) struct Shared {
     pub clock: Clock,
     /// Every job that waits for a worker, in dispatch order.
     pub queue: JobQueue,
-    /// Shard→worker bindings, populated at enqueue time under
-    /// `cfg.pinned`.
-    pub affinity: AffinityMap,
     /// The bounded queue's depth and the drain flag.
     pub admission: Admission,
     /// The deterministic result cache (None-equivalent at capacity 0).
@@ -148,10 +140,7 @@ impl Shared {
 
     /// Queues a job for a worker: the one way into [`JobQueue`].
     pub fn enqueue(&self, job: Arc<JobState>) {
-        // The slot is resolved before the push: the affinity map has a
-        // lock of its own, and the queue's is a leaf.
-        let slot = pinned_slot(self, &job);
-        self.queue.push(job, slot);
+        self.queue.push(job);
     }
 }
 
@@ -165,13 +154,11 @@ impl Server {
     /// Starts the supervisor, which starts the worker pool.
     pub fn start(cfg: ServeConfig, label: &str) -> Server {
         let cache = ResultCache::new(cfg.cache_capacity);
-        let worker_slots = cfg.workers;
         let shared = Arc::new(Shared {
             cfg,
             label: label.to_string(),
             clock: Clock::new(),
             queue: JobQueue::new(),
-            affinity: AffinityMap::new(worker_slots),
             admission: Admission::default(),
             cache: Mutex::new(cache),
             inflight: Mutex::new(HashMap::new()),

@@ -284,7 +284,9 @@ impl Shared {
     /// measurements reconcile against the per-shard records:
     /// `setup_ns`/`run_ns`/`steps_done` are the critical path (max), as
     /// is the shard render billed to `gather_ns`; `resumes` is the sum,
-    /// imbalance the particle-weighted mean.
+    /// imbalance the particle-weighted mean. `nsps` is `run_ns` over the
+    /// work on the host, and the shards' summed modeled kernel time over
+    /// the work on a device.
     pub(crate) fn finish_sharded(&self, gather: &Gather, outcomes: Vec<Outcome>) {
         let parent = &gather.parent;
         if let Some(bad) = outcomes
@@ -312,31 +314,7 @@ impl Shared {
         let dump: Vec<Arc<String>> = reports.iter().flat_map(|r| r.dump.clone()).collect();
         let render_ns = reports.iter().map(|r| r.render_ns).max().unwrap_or(0);
         let gather_ns = self.clock.now_ns().saturating_sub(gather_start) + render_ns;
-        let mut run_ns = reports.iter().map(|r| r.run_ns).max().unwrap_or(0);
-        // Pinned device sharding: one queue per shard lets shard k+1's
-        // column staging overlap shard k's kernel, so the merged wall
-        // time is the modeled pipeline makespan over the shards' kernel
-        // times (per-shard nsps × work recovers the roofline number the
-        // device lane reported), not the critical-path max alone.
-        if self.cfg.pinned {
-            let target = ExecTarget::parse(&parent.spec.device).unwrap_or_default();
-            if !target.is_host() {
-                let shards: Vec<(usize, f64)> = gather
-                    .ranges
-                    .iter()
-                    .zip(&reports)
-                    .map(|(&(_, len), r)| (len, r.nsps * len as f64 * r.steps_done as f64))
-                    .collect();
-                if let Some(pipe) = pic_bench::shard_pipeline(
-                    target,
-                    parent.spec.scenario,
-                    parent.spec.precision,
-                    &shards,
-                ) {
-                    run_ns = (pipe.makespan() * 1e9).round() as u64;
-                }
-            }
-        }
+        let run_ns = reports.iter().map(|r| r.run_ns).max().unwrap_or(0);
         let steps_done = reports.iter().map(|r| r.steps_done).max().unwrap_or(0);
         let queue_wait_ns = reports.iter().map(|r| r.queue_wait_ns).min().unwrap_or(0);
         let setup_ns = reports.iter().map(|r| r.setup_ns).max().unwrap_or(0);
@@ -351,11 +329,20 @@ impl Shared {
         let imbalance = weigh(|r| r.imbalance);
         let time_imbalance = weigh(|r| r.time_imbalance);
         let work = parent.spec.particles as f64 * steps_done as f64;
-        let nsps = if work > 0.0 {
-            run_ns as f64 / work
+        // A device job's NSPS is modeled kernel time, as in a monolithic
+        // run (exec.rs): here its shards' kernels, one after another on
+        // the device's one in-order queue. Wall time stays in `run_ns`.
+        let target = ExecTarget::parse(&parent.spec.device).unwrap_or_default();
+        let busy_ns = if target.is_host() {
+            run_ns as f64
         } else {
-            0.0
+            reports
+                .iter()
+                .zip(&gather.ranges)
+                .map(|(r, &(_, len))| r.nsps * len as f64 * r.steps_done as f64)
+                .sum()
         };
+        let nsps = if work > 0.0 { busy_ns / work } else { 0.0 };
         let report = JobReport {
             nsps,
             queue_wait_ns,

@@ -210,7 +210,6 @@ impl Shared {
             resumed_from_step: report.map_or(0, |r| r.resumed_from_step),
             shards: shard.map_or(0, |(k, _)| k),
             shard_id: shard.map_or(0, |(_, i)| i),
-            pinned: self.cfg.pinned && shard.is_some(),
             gather_ns: report.map_or(0.0, |r| r.gather_ns as f64),
             ..subject.record(nsps)
         };
@@ -291,7 +290,6 @@ mod tests {
             workers: 2,
             shard_threshold: 1_000,
             shards: 2,
-            pinned: true,
             ..ServeConfig::default()
         };
         let server = Server::start(cfg, "keys");
@@ -327,12 +325,12 @@ mod tests {
         keys.sort();
         let prefix = "SoA|Analytical Fields|float|DPC++|t1|d1";
         let expect = [
-            format!("{prefix}|n1500|s10|ksoa-fast|S2.0|P"),
+            format!("{prefix}|n1500|s10|ksoa-fast|S2.0"),
             format!("{prefix}|n200|s10|ksoa-fast"),
             format!("{prefix}|n200|s10|ksoa-fast|Dfpga"),
             format!("{prefix}|n200|s10|ksoa-fast|Dp630"),
-            format!("{prefix}|n750|s10|ksoa-fast|S2.1|P"),
-            format!("{prefix}|n750|s10|ksoa-fast|S2.2|P"),
+            format!("{prefix}|n750|s10|ksoa-fast|S2.1"),
+            format!("{prefix}|n750|s10|ksoa-fast|S2.2"),
         ];
         assert_eq!(keys, expect);
     }

@@ -53,6 +53,42 @@ fn device_job_matches_the_host_job_bitwise_and_is_recorded() {
     assert!(devices.contains(&"p630"), "{devices:?}");
 }
 
+/// A sharded device job reports what a monolithic one does: modeled
+/// kernel time over particle-steps — here its shards' kernels one after
+/// another on the device's one in-order queue — not wall time.
+#[test]
+fn sharded_device_job_reports_its_shards_modeled_kernel_time() {
+    let cfg = ServeConfig {
+        workers: 2,
+        cache_capacity: 0,
+        shard_threshold: 100,
+        shards: 3,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg, "device-shard-test");
+    let (_, nsps) = completed_dump(&server, spec("iris-xe-max"));
+    let out = server.shutdown();
+    let parent = out
+        .records
+        .iter()
+        .find(|r| r.shards == 3 && r.shard_id == 0)
+        .expect("the merged parent's record");
+    let shards: Vec<_> = out.records.iter().filter(|r| r.shard_id > 0).collect();
+    assert_eq!(shards.len(), 3);
+    let kernel_ns: f64 = shards
+        .iter()
+        .map(|r| r.mean_nsps * (r.particles * r.steps_per_iteration) as f64)
+        .sum();
+    let expect = kernel_ns / (parent.particles * parent.steps_per_iteration) as f64;
+    for (what, got) in [("report", nsps), ("record", parent.mean_nsps)] {
+        assert!(
+            ((got - expect) / expect).abs() < 1e-9,
+            "{what}: {got} against the shards' {expect}"
+        );
+    }
+    assert!(parent.model_ratio.is_finite() && parent.model_ratio > 0.0);
+}
+
 #[test]
 fn device_aliases_canonicalize_and_repeat_jobs_hit_the_cache() {
     let server = Server::start(cfg(), "device-cache-test");

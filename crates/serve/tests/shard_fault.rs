@@ -35,8 +35,7 @@ fn spec() -> JobSpec {
 }
 
 /// The uninterrupted, *unsharded* reference dump of `spec`: no kill
-/// plan, no checkpointing, no sharding, no pinning — one monolithic
-/// sweep.
+/// plan, no checkpointing, no sharding — one monolithic sweep.
 fn reference_dump(spec: &JobSpec) -> String {
     let cfg = ServeConfig {
         workers: 2,
@@ -51,15 +50,9 @@ fn reference_dump(spec: &JobSpec) -> String {
     report.particles.expect("reference dump")
 }
 
-/// Runs `spec` sharded (each shard on its own worker slot when
-/// `pinned`) under `plan`, asserting completion, and returns the merged
-/// dump, the parent's resume count and the drained report.
-fn run_with_plan(
-    spec: &JobSpec,
-    pinned: bool,
-    plan: KillPlan,
-    label: &str,
-) -> (String, u64, ShutdownReport) {
+/// Runs `spec` sharded under `plan`, asserting completion, and returns
+/// the merged dump, the parent's resume count and the drained report.
+fn run_with_plan(spec: &JobSpec, plan: KillPlan, label: &str) -> (String, u64, ShutdownReport) {
     let cfg = ServeConfig {
         workers: 2,
         cache_capacity: 0,
@@ -68,7 +61,6 @@ fn run_with_plan(
         kill_plan: Some(plan),
         shard_threshold: 10,
         shards: SHARDS,
-        pinned,
         ..ServeConfig::default()
     };
     let server = Server::start(cfg, label);
@@ -97,7 +89,7 @@ fn killed_shard_resumes_while_siblings_run_untouched() {
     assert!(!plan.fire(shard_kill_key(SEED, 0), 5), "sibling untouched");
     assert_eq!(plan.armed(), 1, "probes consumed nothing");
 
-    let (dump, resumes, out) = run_with_plan(&spec(), false, plan.clone(), "shard-fault-quick");
+    let (dump, resumes, out) = run_with_plan(&spec(), plan.clone(), "shard-fault-quick");
     assert_eq!(plan.armed(), 0, "the kill-point fired");
     assert_eq!(
         dump, reference,
@@ -123,11 +115,11 @@ fn killed_shard_resumes_while_siblings_run_untouched() {
     assert_eq!(shard_resumes[2], 0, "shard 2 never resumed");
 }
 
-/// The same kill on a pinned shard of a Precalculated job: the resume
-/// splices the checkpoint over a store whose per-particle fields were
-/// prepared from the seeded t=0 positions, on the shard's own slot.
+/// The same kill on a shard of a Precalculated job: the resume splices
+/// the checkpoint over a store whose per-particle fields were prepared
+/// from the seeded t=0 positions.
 #[test]
-fn killed_pinned_shard_resumes_on_precalculated_fields() {
+fn killed_shard_resumes_on_precalculated_fields() {
     for (layout, precision) in [(Layout::Aos, Precision::F64), (Layout::Soa, Precision::F32)] {
         let spec = JobSpec {
             scenario: Scenario::Precalculated,
@@ -135,10 +127,10 @@ fn killed_pinned_shard_resumes_on_precalculated_fields() {
             precision,
             ..spec()
         };
-        let label = format!("shard-fault-pinned-{}-{}", layout.name(), precision.name());
+        let label = format!("shard-fault-precalc-{}-{}", layout.name(), precision.name());
         let plan = KillPlan::new();
         plan.arm_shard(SEED, 1, 5);
-        let (dump, resumes, out) = run_with_plan(&spec, true, plan.clone(), &label);
+        let (dump, resumes, out) = run_with_plan(&spec, plan.clone(), &label);
         assert_eq!(plan.armed(), 0, "{label}: the kill-point fired");
         assert_eq!(dump, reference_dump(&spec), "{label}: bitwise merge");
         assert!(resumes >= 1, "{label}: resume recorded");
@@ -157,7 +149,7 @@ fn every_shard_survives_kills_at_every_interval() {
             let plan = KillPlan::new();
             plan.arm_shard(SEED, shard, step);
             let label = format!("shard-fault-s{shard}-t{step}");
-            let (dump, resumes, out) = run_with_plan(&spec(), false, plan.clone(), &label);
+            let (dump, resumes, out) = run_with_plan(&spec(), plan.clone(), &label);
             assert_eq!(plan.armed(), 0, "{label}: kill fired");
             assert_eq!(dump, reference, "{label}: bitwise merge");
             assert!(resumes >= 1, "{label}: resume recorded");
@@ -168,7 +160,7 @@ fn every_shard_survives_kills_at_every_interval() {
     let plan = KillPlan::new();
     plan.arm_shard(SEED, 0, 4);
     plan.arm_shard(SEED, 2, 9);
-    let (dump, resumes, _) = run_with_plan(&spec(), false, plan.clone(), "shard-fault-double");
+    let (dump, resumes, _) = run_with_plan(&spec(), plan.clone(), "shard-fault-double");
     assert_eq!(plan.armed(), 0, "both kills fired");
     assert_eq!(dump, reference, "double kill: bitwise merge");
     assert!(resumes >= 2, "both shards resumed");

@@ -46,20 +46,14 @@ fn spec(layout: Layout, precision: Precision) -> JobSpec {
 /// from a previous K's result — the cache key is *identical* across
 /// shard counts by design.
 fn run_sharded(spec: JobSpec, shards: usize) -> (String, usize, ShutdownReport) {
-    run_cfg(spec, shards, false)
-}
-
-fn run_cfg(spec: JobSpec, shards: usize, pinned: bool) -> (String, usize, ShutdownReport) {
     let cfg = ServeConfig {
         workers: 2,
         cache_capacity: 0,
         shard_threshold: THRESHOLD,
         shards,
-        pinned,
         ..ServeConfig::default()
     };
-    let mode = if pinned { "-pinned" } else { "" };
-    let server = Server::start(cfg, &format!("inv-k{shards}{mode}"));
+    let server = Server::start(cfg, &format!("inv-k{shards}"));
     let outcome = server.submit(spec, None).expect("admitted").wait();
     let Outcome::Completed(report) = outcome else {
         panic!("K={shards}: job did not complete: {outcome:?}");
@@ -114,58 +108,40 @@ fn merged_dumps_are_bitwise_equal_across_shard_counts() {
             let tag = format!("{layout:?}/{precision:?}");
             let (reference, ref_shards, _) = run_sharded(spec(layout, precision), 1);
             assert_eq!(ref_shards, 0, "{tag}: K=1 runs monolithic");
-            // Pinned execution changes *where* each shard integrates
-            // (dedicated worker slot, its own queue) but
-            // never what it computes: both modes must reproduce the
-            // monolithic dump bitwise through the columnar gather.
-            for pinned in [false, true] {
-                for k in [2usize, 3, 8] {
-                    let (dump, shards, out) = run_cfg(spec(layout, precision), k, pinned);
-                    assert_eq!(shards, k, "{tag}: report carries the shard count");
-                    assert_eq!(
-                        dump, reference,
-                        "{tag}: K={k} pinned={pinned} merged dump must be \
-                         bitwise-identical to K=1"
-                    );
-                    assert_eq!(out.stats.sharded, 1, "{tag}: one fan-out");
-                    assert_eq!(
-                        out.stats.submitted,
-                        1 + k as u64,
-                        "{tag}: parent plus K shard sub-jobs"
-                    );
-                    assert_eq!(out.stats.completed, 1 + k as u64);
-                    assert_eq!(out.records.len(), 1 + k, "one record per submission");
-                    for r in &out.records {
-                        assert_eq!(
-                            r.pinned, pinned,
-                            "{tag}: K={k} records carry the pinning mode"
-                        );
-                    }
-                }
+            for k in [2usize, 3, 8] {
+                let (dump, shards, out) = run_sharded(spec(layout, precision), k);
+                assert_eq!(shards, k, "{tag}: report carries the shard count");
+                assert_eq!(
+                    dump, reference,
+                    "{tag}: K={k} merged dump must be bitwise-identical to K=1"
+                );
+                assert_eq!(out.stats.sharded, 1, "{tag}: one fan-out");
+                assert_eq!(
+                    out.stats.submitted,
+                    1 + k as u64,
+                    "{tag}: parent plus K shard sub-jobs"
+                );
+                assert_eq!(out.stats.completed, 1 + k as u64);
+                assert_eq!(out.records.len(), 1 + k, "one record per submission");
             }
         }
     }
 }
 
 /// The merged parent's record (and only it) measures the columnar
-/// gather; pinned and unpinned runs both go through it.
+/// gather.
 #[test]
 fn parent_record_measures_the_gather() {
-    for pinned in [false, true] {
-        let (_, _, out) = run_cfg(spec(Layout::Soa, Precision::F64), 3, pinned);
-        let parent: Vec<&BenchRecord> = out
-            .records
-            .iter()
-            .filter(|r| r.shards == 3 && r.shard_id == 0)
-            .collect();
-        assert_eq!(parent.len(), 1, "pinned={pinned}: one merged parent record");
-        assert!(
-            parent[0].gather_ns > 0.0,
-            "pinned={pinned}: the gather was timed"
-        );
-        for r in out.records.iter().filter(|r| r.shard_id > 0) {
-            assert_eq!(r.gather_ns, 0.0, "pinned={pinned}: shards do not gather");
-        }
+    let (_, _, out) = run_sharded(spec(Layout::Soa, Precision::F64), 3);
+    let parent: Vec<&BenchRecord> = out
+        .records
+        .iter()
+        .filter(|r| r.shards == 3 && r.shard_id == 0)
+        .collect();
+    assert_eq!(parent.len(), 1, "one merged parent record");
+    assert!(parent[0].gather_ns > 0.0, "the gather was timed");
+    for r in out.records.iter().filter(|r| r.shard_id > 0) {
+        assert_eq!(r.gather_ns, 0.0, "shards do not gather");
     }
 }
 

@@ -127,9 +127,9 @@ pub struct BenchRecord {
     /// for records written before the device backend existed.
     pub device: String,
     /// True when the record's shard ran pinned to a dedicated worker
-    /// slot (or is the merged parent of a pinned sharded job). False
-    /// for unpinned runs and for records written before shard pinning
-    /// existed.
+    /// slot (or is the merged parent of a pinned sharded job), as in
+    /// `BENCH_10.json`. Nothing sets it since shard pinning was deleted;
+    /// it is read back so such files still diff.
     pub pinned: bool,
     /// Nanoseconds the scheduler spent merging shard results into the
     /// parent's dump (columnar splice or legacy text concatenation).

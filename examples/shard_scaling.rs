@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Submits the same over-threshold job to `pic-serve` at several shard
-//! counts K — with shard pinning off and on — and prints, for each K,
+//! counts K and prints, for each K,
 //! the merged NSPS the service reports (the slowest shard's run time
 //! over the whole job's particle-steps — the critical path a K-worker
 //! machine would observe), the measured end-to-end wall time on *this*
@@ -25,7 +25,7 @@
 //! JSON lines for the regression gate and the CI artifact.
 //!
 //! Shard-count invariance (the merged dump is bitwise-identical at
-//! every K, pinned or not) is proven by
+//! every K) is proven by
 //! `crates/serve/tests/shard_invariance.rs`; this example is about the
 //! performance side of the same decomposition.
 
@@ -50,7 +50,6 @@ fn run_once(
     steps: usize,
     workers: usize,
     shards: usize,
-    pinned: bool,
     label: &str,
 ) -> (JobReport, f64, Vec<BenchRecord>) {
     let cfg = ServeConfig {
@@ -58,7 +57,6 @@ fn run_once(
         cache_capacity: 0, // every configuration must run for real
         shard_threshold: 1000,
         shards,
-        pinned,
         ..ServeConfig::default()
     };
     let server = Server::start(cfg, label);
@@ -110,36 +108,29 @@ fn main() {
         "=== Measured on this host: {particles} particles x {steps} steps, \
          {workers} workers ==="
     );
-    for pinned in [false, true] {
-        let mode = if pinned { "pinned" } else { "unpinned" };
-        println!("--- {mode} ---");
-        let mut base_wall = None;
-        for k in [1usize, 2, 4, 8] {
-            let label = format!("shard-scaling-{mode}-k{k}");
-            let (report, wall_ms, parents) = run_once(particles, steps, workers, k, pinned, &label);
-            let base = *base_wall.get_or_insert(wall_ms);
-            println!(
-                "  K={k:<2}  shards={:<2}  merged NSPS={:.3}  wall={wall_ms:.0} ms  \
-                 S(K)={:.2}  gather={} ns",
-                report.shards,
-                report.nsps,
-                base / wall_ms,
-                report.gather_ns,
-            );
-            records.extend(parents);
-        }
+    let mut base_wall = None;
+    for k in [1usize, 2, 4, 8] {
+        let label = format!("shard-scaling-k{k}");
+        let (report, wall_ms, parents) = run_once(particles, steps, workers, k, &label);
+        let base = *base_wall.get_or_insert(wall_ms);
+        println!(
+            "  K={k:<2}  shards={:<2}  merged NSPS={:.3}  wall={wall_ms:.0} ms  \
+             S(K)={:.2}  gather={} ns",
+            report.shards,
+            report.nsps,
+            base / wall_ms,
+            report.gather_ns,
+        );
+        records.extend(parents);
     }
 
     println!();
     println!("=== Gather cost vs particle count (K=4, no dump requested) ===");
-    for pinned in [false, true] {
-        let mode = if pinned { "pinned" } else { "unpinned" };
-        for n in [particles / 8, particles / 4, particles / 2, particles] {
-            let label = format!("gather-sweep-{mode}-n{n}");
-            let (report, _, parents) = run_once(n, steps, workers, 4, pinned, &label);
-            println!("  {mode:<9} N={n:<9}  gather={} ns", report.gather_ns);
-            records.extend(parents);
-        }
+    for n in [particles / 8, particles / 4, particles / 2, particles] {
+        let label = format!("gather-sweep-n{n}");
+        let (report, _, parents) = run_once(n, steps, workers, 4, &label);
+        println!("  N={n:<9}  gather={} ns", report.gather_ns);
+        records.extend(parents);
     }
 
     match write_records(std::path::Path::new(&out_path), &records) {
