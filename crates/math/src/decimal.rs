@@ -4,14 +4,23 @@
 //! [`write_exp`] and [`write_exp_f32`] lay down exactly the bytes
 //! `format!("{:e}", x)` would for a value of that width — `{:e}` is this
 //! module's test oracle, and every golden, cached dump and wire
-//! comparison in the workspace is defined by its bytes — at about a third
+//! comparison in the workspace is defined by its bytes — at a fraction
 //! of the cost: the digits come from Raffaello Giulietti's Schubfach
 //! construction (*The Schubfach way to render doubles*, 2020), three
-//! multiplications against one entry of a table of powers of ten, and
-//! are written two at a time. An `f64` takes three 64×128-bit products
-//! against the whole 128-bit entry; an `f32` takes the paper's float
-//! variant, three 64×64-bit products against the entry's upper 64 bits.
-//! One digit layout serves both widths.
+//! multiplications against one entry of a table of powers of ten. An
+//! `f64` takes three 64×128-bit products against the whole 128-bit entry;
+//! an `f32` takes the paper's float variant, three 64×64-bit products
+//! against the entry's upper 64 bits. The shortest candidate is chosen by
+//! compares and selects, not by branches on the value.
+//!
+//! One digit layout serves both widths: the digits are scaled to the
+//! width's full count (9 for `f32`, 17 for `f64`), and the fraction is
+//! written eight digits at a time, each eight converted inside one `u64`
+//! by multiplies and shifts (SWAR) and stored whole; the text's length
+//! comes from the count of zero bytes at the top of the last non-zero
+//! word. So a writer may leave scratch bytes after the text it returns
+//! the length of — never past [`MAX_EXP_LEN`] ([`MAX_EXP_LEN_F32`]) bytes
+//! from the start, and it asks for that many.
 //!
 //! An `f32`'s text is the shortest that reads back as that `f32` under a
 //! correctly rounded `f32` parse. Parsed as `f64` and then narrowed it can
@@ -28,13 +37,19 @@
 
 use std::num::FpCategory;
 
-/// Most bytes [`write_exp`] writes: sign, 17 digits and the point,
-/// `e-` and three exponent digits (`-1.2345678901234567e-308`).
+/// Most bytes [`write_exp`] writes, scratch bytes included, and the
+/// longest text: sign, 17 digits and the point, `e-` and three exponent
+/// digits (`-1.2345678901234567e-308`).
 pub const MAX_EXP_LEN: usize = 24;
 
-/// Most bytes [`write_exp_f32`] writes: sign, 9 digits and the point,
-/// `e-` and two exponent digits (`-1.00000075e-36`).
+/// Most bytes [`write_exp_f32`] writes, scratch bytes included, and the
+/// longest text: sign, 9 digits and the point, `e-` and two exponent
+/// digits (`-1.00000075e-36`).
 pub const MAX_EXP_LEN_F32: usize = 15;
+
+// Each is the longest text `lay_out` lays out at its width, and what it
+// asks of `out`: sign, digits, point, `e-`, exponent.
+const _: () = assert!(MAX_EXP_LEN == 1 + 17 + 3 + 3 && MAX_EXP_LEN_F32 == 1 + 9 + 3 + 2);
 
 /// Most bytes [`write_uint`] writes (`u64::MAX` has 20 digits).
 pub const MAX_UINT_LEN: usize = 20;
@@ -201,7 +216,7 @@ fn shortest(bits: u64) -> (u64, i32) {
     let lower = round_to_odd(g, (4 * c - 2 + u64::from(narrow_below)) << h) + odd;
     let scaled = round_to_odd(g, (4 * c) << h);
     let upper = round_to_odd(g, (4 * c + 2) << h) - odd;
-    pick(lower, scaled, upper, k)
+    (pick(lower, scaled, upper), k)
 }
 
 /// [`shortest`] of the positive finite `f32` with bit pattern `bits`:
@@ -226,42 +241,40 @@ fn shortest_f32(bits: u32) -> (u64, i32) {
     let lower = round_to_odd_f32(g, (4 * c - 2 + u64::from(narrow_below)) << h) + odd;
     let scaled = round_to_odd_f32(g, (4 * c) << h);
     let upper = round_to_odd_f32(g, (4 * c + 2) << h) - odd;
-    pick(lower, scaled, upper, k)
+    (pick(lower, scaled, upper), k)
 }
 
-/// The shortest decimal in the rounding interval `[lower, upper] / 4 ·
-/// 10ᵏ` around `scaled / 4 · 10ᵏ` (all three rounded to odd).
+/// The digits of the shortest decimal in the rounding interval `[lower,
+/// upper] / 4 · 10ᵏ` around `scaled / 4 · 10ᵏ` (all three rounded to
+/// odd), at the scale of `10ᵏ`: every candidate weighed and one taken by
+/// selects, so no branch depends on the value.
 #[inline(always)]
-fn pick(lower: u64, scaled: u64, upper: u64, k: i32) -> (u64, i32) {
+fn pick(lower: u64, scaled: u64, upper: u64) -> u64 {
     let s = scaled / 4;
     // One digit fewer: at most one multiple of ten lies in the interval.
-    if s >= 10 {
-        let tens = s / 10;
-        let down = lower <= 40 * tens;
-        let up = 40 * tens + 40 <= upper;
-        if down != up {
-            return (tens + u64::from(up), k + 1);
-        }
+    let tens = s / 10;
+    let (tens_down, tens_up) = (lower <= 40 * tens, 40 * tens + 40 <= upper);
+    let shorter = (s >= 10) & (tens_down != tens_up);
+    // Otherwise one of `s` and `s + 1`: the one inside, or with both in,
+    // the nearer one, the upper one when `scaled` is exactly the
+    // midpoint (round-to-odd keeps an inexact product odd).
+    let (down, up) = (lower <= 4 * s, 4 * s + 4 <= upper);
+    let step = if down != up { up } else { scaled >= 4 * s + 2 };
+    if shorter {
+        10 * (tens + u64::from(tens_up))
+    } else {
+        s + u64::from(step)
     }
-    let down = lower <= 4 * s;
-    let up = 4 * s + 4 <= upper;
-    if down != up {
-        return (s + u64::from(up), k);
-    }
-    // Both in: the nearer one, the upper one when `scaled` is exactly
-    // the midpoint (round-to-odd keeps an inexact product odd).
-    (s + u64::from(scaled >= 4 * s + 2), k)
 }
 
 /// Writes `value` at the start of `out` as `format!("{value:e}")` does —
 /// the shortest digits that read back as `value`, `d[.ddd]e[-]x`, `NaN`,
-/// `inf`, `-inf` — and returns the byte count (at most
-/// [`MAX_EXP_LEN`]).
+/// `inf`, `-inf` — and returns the byte count. The bytes of `out` after
+/// the count, up to [`MAX_EXP_LEN`], may be overwritten.
 ///
 /// # Panics
 ///
-/// Panics when `out` is shorter than the text; [`MAX_EXP_LEN`] bytes
-/// always suffice.
+/// Panics when `out` is shorter than [`MAX_EXP_LEN`].
 ///
 /// # Example
 ///
@@ -274,7 +287,7 @@ fn pick(lower: u64, scaled: u64, upper: u64, k: i32) -> (u64, i32) {
 /// ```
 pub fn write_exp(value: f64, out: &mut [u8]) -> usize {
     let magnitude = value.to_bits() & (u64::MAX >> 1);
-    lay_out(
+    lay_out::<17, 3>(
         value.is_sign_negative(),
         value.classify(),
         || shortest(magnitude),
@@ -283,13 +296,13 @@ pub fn write_exp(value: f64, out: &mut [u8]) -> usize {
 }
 
 /// [`write_exp`] of an `f32`: the bytes `format!("{value:e}")` prints
-/// for the `f32` itself, at most [`MAX_EXP_LEN_F32`] of them (where the
-/// value widened to `f64` would print up to 17 digits).
+/// for the `f32` itself (where the value widened to `f64` would print up
+/// to 17 digits). The bytes of `out` after the count, up to
+/// [`MAX_EXP_LEN_F32`], may be overwritten.
 ///
 /// # Panics
 ///
-/// Panics when `out` is shorter than the text; [`MAX_EXP_LEN_F32`] bytes
-/// always suffice.
+/// Panics when `out` is shorter than [`MAX_EXP_LEN_F32`].
 ///
 /// # Example
 ///
@@ -302,7 +315,7 @@ pub fn write_exp(value: f64, out: &mut [u8]) -> usize {
 /// ```
 pub fn write_exp_f32(value: f32, out: &mut [u8]) -> usize {
     let magnitude = value.to_bits() & (u32::MAX >> 1);
-    lay_out(
+    lay_out::<9, 2>(
         value.is_sign_negative(),
         value.classify(),
         || shortest_f32(magnitude),
@@ -310,16 +323,68 @@ pub fn write_exp_f32(value: f32, out: &mut [u8]) -> usize {
     )
 }
 
+/// 10ⁿ for every `n` a `u64` holds, `0..=19`.
+static POW10_U64: [u64; 20] = {
+    let mut powers = [1u64; 20];
+    let mut n = 1;
+    while n < 20 {
+        powers[n] = powers[n - 1] * 10;
+        n += 1;
+    }
+    powers
+};
+
+/// The number of decimal digits of `n ≥ 1`: `⌊log₁₀ n⌋ + 1`, with the
+/// logarithm first taken from the bit length (1233 / 2¹² ≈ log₁₀ 2,
+/// which lands on it or one below) and then corrected by one compare.
+#[inline(always)]
+fn digit_count(n: u64) -> u32 {
+    let guess = ((64 - n.leading_zeros()) * 1233) >> 12;
+    // bounds: guess ≤ 64 · 1233 >> 12 = 19.
+    guess + u32::from(n >= POW10_U64[guess as usize])
+}
+
+/// `0x30` (`'0'`) in every byte of a word.
+const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// The eight decimal digits of `n < 10⁸`, one a byte, the first in the
+/// lowest: `n`'s text once [`ASCII_ZEROS`] is added, stored little-endian.
+/// Each split — into halves of four digits, quarters of two, single
+/// digits — divides every lane of the word at once by a multiply and
+/// shift that is exact over the lane's range (x · 5243 >> 19 = ⌊x / 100⌋
+/// below 43 699, x · 103 >> 10 = ⌊x / 10⌋ below 179) and whose product
+/// stays inside the lane.
+#[inline(always)]
+fn eight_digits(n: u64) -> u64 {
+    // Two 32-bit lanes: the first four digits low, the last four high.
+    let halves = (n / 10_000) | ((n % 10_000) << 32);
+    let hundreds = ((halves * 5243) >> 19) & 0x0000_007f_0000_007f;
+    // Four 16-bit lanes of two digits each.
+    let pairs = hundreds | ((halves - hundreds * 100) << 16);
+    let tens = ((pairs * 103) >> 10) & 0x000f_000f_000f_000f;
+    tens | ((pairs - tens * 10) << 8)
+}
+
 /// `{:e}`'s text of a float of either width at the start of `out`: the
 /// sign, then `NaN`, `0e0`, `inf`, or the finite value's `digits · 10ᵏ`
 /// as `d[.ddd]e[-]x`. `digits` runs for a finite non-zero value only.
+///
+/// `DIGITS` is the width's longest shortest text (9 for `f32`, 17 for
+/// `f64`) and `EXP_DIGITS` its longest exponent (2 and 3). The digits are
+/// scaled to exactly `DIGITS` of them; the fraction goes out eight digits
+/// a store, whole, and its trailing zeros — the high zero bytes of the
+/// last non-zero word — are then left out of the count, as are an
+/// exponent's leading zeros. So every write lands inside the width's
+/// longest text, and the bytes after the count are scratch.
 #[inline(always)]
-fn lay_out(
+fn lay_out<const DIGITS: u32, const EXP_DIGITS: usize>(
     negative: bool,
     class: FpCategory,
     digits: impl FnOnce() -> (u64, i32),
     out: &mut [u8],
 ) -> usize {
+    // Sign, digits, point, `e-`, exponent.
+    let out = &mut out[..DIGITS as usize + 4 + EXP_DIGITS];
     let name = |text: &[u8], out: &mut [u8]| {
         out[..text.len()].copy_from_slice(text);
         text.len()
@@ -327,36 +392,52 @@ fn lay_out(
     if class == FpCategory::Nan {
         return name(b"NaN", out);
     }
+    // A non-negative value writes its first character over the sign.
+    out[0] = b'-';
     let at = usize::from(negative);
-    if negative {
-        out[0] = b'-';
-    }
     let (digits, k) = match class {
         FpCategory::Zero => return at + name(b"0e0", &mut out[at..]),
         FpCategory::Infinite => return at + name(b"inf", &mut out[at..]),
         _ => digits(),
     };
-    // The digits one byte in, so that the first can step left of the
-    // point; the trailing zeros are dropped.
-    let len = write_uint(digits, &mut out[at + 1..]);
-    let mut end = at + 1 + len;
-    while out[end - 1] == b'0' {
-        end -= 1;
+    let count = digit_count(digits);
+    // bounds: `digits` has 1..=DIGITS digits.
+    let full = digits * POW10_U64[(DIGITS - count) as usize];
+    let unit = POW10_U64[DIGITS as usize - 1];
+    let lead = full / unit;
+    let mut fraction = full - lead * unit;
+    out[at] = b'0' + lead as u8;
+    out[at + 1] = b'.';
+    // Eight fraction digits a word, from the last; trailing zero digits
+    // are counted while every word after this one is zero.
+    let words = (DIGITS as usize - 1) / 8;
+    let (mut zeros, mut tail) = (0, true);
+    for word in (0..words).rev() {
+        let digits = eight_digits(fraction % 100_000_000);
+        fraction /= 100_000_000;
+        zeros += (digits.leading_zeros() as usize / 8) * usize::from(tail);
+        tail &= digits == 0;
+        let from = at + 2 + 8 * word;
+        out[from..from + 8].copy_from_slice(&(digits | ASCII_ZEROS).to_le_bytes());
     }
-    out[at] = out[at + 1];
-    if end > at + 2 {
-        out[at + 1] = b'.';
-    } else {
-        end = at + 1;
-    }
+    // `d.ddd`, or `d` alone when the fraction is all zeros.
+    let shown = 8 * words - zeros;
+    let mut end = at + 1 + if shown > 0 { shown + 1 } else { 0 };
     out[end] = b'e';
-    end += 1;
-    let exponent = k + len as i32 - 1;
-    if exponent < 0 {
-        out[end] = b'-';
-        end += 1;
-    }
-    end + write_uint(u64::from(exponent.unsigned_abs()), &mut out[end..])
+    out[end + 1] = b'-';
+    let exponent = k + count as i32 - 1;
+    end += 1 + usize::from(exponent < 0);
+    // The exponent's digits right-aligned in three bytes of a word,
+    // shifted down past its leading zeros.
+    let e = exponent.unsigned_abs() as usize;
+    let pair = 2 * (e % 100);
+    let word = u32::from(b'0' + (e / 100) as u8)
+        | u32::from(PAIRS[pair]) << 8
+        | u32::from(PAIRS[pair + 1]) << 16;
+    let length = 1 + usize::from(e >= 10) + usize::from(e >= 100);
+    let word = (word >> (8 * (3 - length))).to_le_bytes();
+    out[end..end + EXP_DIGITS].copy_from_slice(&word[..EXP_DIGITS]);
+    end + length
 }
 
 #[cfg(test)]

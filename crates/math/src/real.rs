@@ -85,18 +85,20 @@ pub trait Real:
     /// 8192 in `f32`, 2²⁰ in `f64` — the reach of its three-constant
     /// argument reduction.
     const SIN_COS_POLY_MAX: Self;
-    /// Most bytes [`write_exp`](Self::write_exp) writes: 15 for `f32`,
-    /// 24 for `f64`.
+    /// Most bytes [`write_exp`](Self::write_exp) writes, the scratch
+    /// bytes after a shorter text included, and the longest text: 15 for
+    /// `f32`, 24 for `f64`.
     const MAX_EXP_LEN: usize;
 
     /// Writes the value at the start of `out` as `format!("{:e}")` prints
     /// it at this precision — the shortest digits that read back as this
     /// value at this width ([`crate::decimal`]) — and returns the byte
-    /// count, at most [`MAX_EXP_LEN`](Self::MAX_EXP_LEN).
+    /// count. The bytes of `out` after the count, up to
+    /// [`MAX_EXP_LEN`](Self::MAX_EXP_LEN), may be overwritten.
     ///
     /// # Panics
     ///
-    /// Panics when `out` is shorter than the text.
+    /// Panics when `out` is shorter than [`MAX_EXP_LEN`](Self::MAX_EXP_LEN).
     fn write_exp(self, out: &mut [u8]) -> usize;
 
     /// Lossy conversion from `f64` (used for literals and constants).

@@ -2,8 +2,10 @@
 //! bytes of `{:e}` at their own width: over random and structured inputs
 //! (a million each in `--release`, ten thousand in a debug build), over a
 //! committed list of hard cases whose expected text does not come from
-//! the toolchain under test, and — `#[ignore]`d, minutes in `--release` —
-//! over every `f32`.
+//! the toolchain under test, over every 65 521st `f32`, and —
+//! `#[ignore]`d, minutes in `--release` — over every `f32`. Every text is
+//! written into a buffer of exactly `MAX_EXP_LEN` (`MAX_EXP_LEN_F32`)
+//! bytes: the writers may overwrite bytes after the text, never past that.
 
 use pic_math::decimal::{
     write_exp, write_exp_f32, write_uint, MAX_EXP_LEN, MAX_EXP_LEN_F32, MAX_UINT_LEN,
@@ -90,6 +92,20 @@ fn short_decimals_print_as_core_prints_them() {
         assert_matches_core(digits * 10f64.powi(exponent));
         assert_matches_core(-digits / 10f64.powi(exponent));
     }
+    // Every digit count an f64 prints, 1 to 17, each at one-, two- and
+    // three-digit exponents of both signs.
+    let mut counts = std::collections::BTreeSet::new();
+    for count in 1..=17 {
+        for exponent in [0, 7, -7, 42, -42, 300, -300] {
+            let mantissa = &"1.2345678923456789"[..count + usize::from(count > 1)];
+            let x: f64 = format!("{mantissa}e{exponent}").parse().unwrap();
+            assert_matches_core(x);
+            assert_matches_core(-x);
+            let text = exp_text(x);
+            counts.insert(text.split('e').next().unwrap().replace('.', "").len());
+        }
+    }
+    assert_eq!(counts, (1..=17).collect());
 }
 
 #[test]
@@ -101,6 +117,28 @@ fn every_exponent_prints_as_core_prints_it() {
             assert_matches_core(x);
             assert_matches_core(-x);
         }
+    }
+    // The layout's edges: where the exponent gains its third digit, the
+    // extremes, the named values, a fraction of exactly one and of
+    // exactly two eight-digit words.
+    let edges = [
+        (1e99, "1e99"),
+        (1e100, "1e100"),
+        (1e-99, "1e-99"),
+        (1e-100, "1e-100"),
+        (5e-324, "5e-324"),
+        (f64::MAX, "1.7976931348623157e308"),
+        (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+        (-0.0, "-0e0"),
+        (f64::NAN, "NaN"),
+        (f64::INFINITY, "inf"),
+        (f64::NEG_INFINITY, "-inf"),
+        (1.23456789, "1.23456789e0"),
+        (-(0.1 + 0.2), "-3.0000000000000004e-1"),
+    ];
+    for (x, text) in edges {
+        assert_eq!(exp_text(x), text);
+        assert_matches_core(x);
     }
 }
 
@@ -134,6 +172,27 @@ fn every_f32_exponent_prints_as_core_prints_it() {
             assert_matches_core_f32(x);
             assert_matches_core_f32(-x);
         }
+    }
+    // The layout's edges at f32's width: where the exponent gains its
+    // second digit, the extremes, the named values, a fraction of exactly
+    // one eight-digit word.
+    let edges = [
+        (1e9, "1e9"),
+        (1e10, "1e10"),
+        (1e-9, "1e-9"),
+        (1e-10, "1e-10"),
+        (1e-45, "1e-45"),
+        (f32::MAX, "3.4028235e38"),
+        (f32::MIN_POSITIVE, "1.1754944e-38"),
+        (-0.0, "-0e0"),
+        (f32::NAN, "NaN"),
+        (f32::INFINITY, "inf"),
+        (f32::NEG_INFINITY, "-inf"),
+        (-f32::from_bits(0x03aa_242d), "-1.00000075e-36"),
+    ];
+    for (x, text) in edges {
+        assert_eq!(exp_text_f32(x), text);
+        assert_matches_core_f32(x);
     }
 }
 
@@ -206,9 +265,37 @@ fn hard_cases_match_the_committed_text() {
     assert!(cases >= 490, "golden list truncated: {cases} cases");
 }
 
-/// Every one of the 2³² `f32` bit patterns: `write_exp_f32` prints what
-/// `{:e}` prints, and a correctly rounded `f32` parse of that text gives
-/// the same bits back (every NaN prints `NaN`). Minutes on two threads:
+/// `write_exp_f32` prints the `f32` with bit pattern `bits` as `{:e}`
+/// prints it, and a correctly rounded `f32` parse of that text gives the
+/// same bits back (every NaN prints `NaN`). `want` is a scratch string.
+fn check_f32_reads_back(bits: u32, want: &mut String) {
+    let x = f32::from_bits(bits);
+    let mut buf = [0u8; MAX_EXP_LEN_F32];
+    let n = write_exp_f32(x, &mut buf);
+    want.clear();
+    write!(want, "{x:e}").expect("write to a String");
+    assert_eq!(&buf[..n], want.as_bytes(), "bits {bits:08x}");
+    if !x.is_nan() {
+        let back: f32 = want.parse().expect("`{:e}` text parses");
+        assert_eq!(back.to_bits(), x.to_bits(), "{want} read back");
+    }
+}
+
+#[test]
+fn every_65521st_f32_prints_as_core_prints_it_and_reads_back() {
+    // A prime stride: about 256 patterns in each of the 256 exponents,
+    // at fractions spread over the whole range.
+    let mut want = String::new();
+    let mut checked = 0;
+    for bits in (0..=u32::MAX).step_by(65_521) {
+        check_f32_reads_back(bits, &mut want);
+        checked += 1;
+    }
+    assert_eq!(checked, 65_552);
+}
+
+/// Every one of the 2³² `f32` bit patterns through
+/// [`check_f32_reads_back`]. Minutes on two threads:
 ///
 /// ```text
 /// cargo test --release -p pic-math --test decimal -- --ignored every_f32
@@ -223,18 +310,9 @@ fn every_f32_prints_as_core_prints_it_and_reads_back() {
             .map(|lane| {
                 scope.spawn(move || {
                     let mut want = String::new();
-                    let mut buf = [0u8; MAX_EXP_LEN_F32];
                     let range = lane * total / lanes..(lane + 1) * total / lanes;
                     for bits in range.clone() {
-                        let x = f32::from_bits(bits as u32);
-                        let n = write_exp_f32(x, &mut buf);
-                        want.clear();
-                        write!(want, "{x:e}").expect("write to a String");
-                        assert_eq!(&buf[..n], want.as_bytes(), "bits {bits:08x}");
-                        if !x.is_nan() {
-                            let back: f32 = want.parse().expect("`{:e}` text parses");
-                            assert_eq!(back.to_bits(), x.to_bits(), "{want} read back");
-                        }
+                        check_f32_reads_back(bits as u32, &mut want);
                     }
                     range.end - range.start
                 })

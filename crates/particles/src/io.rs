@@ -6,7 +6,8 @@
 //! from external tools, checkpointing long runs, plotting). The format is
 //! deliberately trivial: one header line, then one whitespace-separated
 //! line per particle — readable by `numpy.loadtxt` and by this module's
-//! [`read_ensemble`].
+//! [`read_ensemble`]. The rows of a dump headed for a JSON line end in
+//! the two bytes `\` `n` instead ([`RowEnd`]): that is the whole escape.
 //!
 //! Every real is printed at the store's own precision: the shortest
 //! digits that read back as that `f32` or `f64` (what `{:e}` prints for
@@ -62,10 +63,33 @@ where
     W: Write,
 {
     writeln!(out, "{HEADER}")?;
+    let mut line = [0u8; LINE_LEN];
     for i in 0..store.len() {
-        write_row(out, &row_of::<R, R>(&store.get(i)))?;
+        let len = write_row(&mut line, &row_of::<R, R>(&store.get(i)), RowEnd::Newline);
+        out.write_all(&line[..len])?;
     }
     Ok(())
+}
+
+/// How each text row ends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowEnd {
+    /// A newline: the text as a file holds it.
+    Newline,
+    /// The two bytes `\` `n`: the text as the body of a JSON string. A
+    /// row holds digits, `.`, `e`, `-`, spaces, `NaN` and `inf`, none of
+    /// which JSON escapes, so its newline is all there is to escape.
+    Escaped,
+}
+
+impl RowEnd {
+    /// The bytes that end a row.
+    pub const fn bytes(self) -> &'static [u8] {
+        match self {
+            RowEnd::Newline => b"\n",
+            RowEnd::Escaped => b"\\n",
+        }
+    }
 }
 
 /// `v` at width `W`: exact when widening, and when narrowing a value
@@ -88,22 +112,37 @@ fn particle_of<W: Real, R: Real>((reals, species): Row<W, u16>) -> Particle<R> {
     Particle::from_row((reals.map(cast), SpeciesId(species)))
 }
 
-/// Longest particle line at precision `R`: every real at its longest
-/// and a separator each, five species digits, the newline (134 bytes
-/// for `f32`, 206 for `f64`).
-const fn row_len<R: Real>() -> usize {
-    REAL_COLUMNS * (R::MAX_EXP_LEN + 1) + 5 + 1
+/// Longest particle line at precision `R` ending in `end`: every real
+/// at its longest and a separator each, five species digits, the row end
+/// (134 bytes for `f32`, 206 for `f64`, one more escaped).
+const fn row_len<R: Real>(end: RowEnd) -> usize {
+    REAL_COLUMNS * (R::MAX_EXP_LEN + 1) + 5 + end.bytes().len()
 }
 
 /// Longest particle line of either precision (an `f64` one).
-pub const MAX_ROW_LEN: usize = row_len::<f64>();
+pub const MAX_ROW_LEN: usize = row_len::<f64>(RowEnd::Newline);
 
-/// Writes one particle line — the only place the text row is formatted:
-/// the reals as `{:e}` prints them at their own precision (by
-/// [`pic_math::decimal`], which is held to those bytes), the species in
-/// decimal, assembled on the stack and handed to `out` in one piece.
-fn write_row<R: Real, W: Write>(out: &mut W, (reals, species): &Row<R, u16>) -> io::Result<()> {
-    let mut line = [0u8; MAX_ROW_LEN];
+/// The line buffer [`write_row`] fills: the longest line with either end.
+const LINE_LEN: usize = row_len::<f64>(RowEnd::Escaped);
+
+// Each real is handed the rest of the line, which must hold the most a
+// real may write: its longest text, the bytes after a shorter text that
+// `write_exp` may overwrite included. The last real's share is the
+// tightest.
+const _: () =
+    assert!((REAL_COLUMNS - 1) * (f64::MAX_EXP_LEN + 1) + f64::MAX_EXP_LEN <= MAX_ROW_LEN);
+
+/// Lays one particle line out at the start of `line` and returns its
+/// length — the only place the text row is formatted: the reals as `{:e}`
+/// prints them at their own precision (by [`pic_math::decimal`], which is
+/// held to those bytes), the species in decimal, then `end`. Bytes after
+/// the length are scratch.
+#[inline(always)]
+fn write_row<R: Real>(
+    line: &mut [u8; LINE_LEN],
+    (reals, species): &Row<R, u16>,
+    end: RowEnd,
+) -> usize {
     let mut at = 0;
     for &value in reals {
         at += value.write_exp(&mut line[at..]);
@@ -111,8 +150,9 @@ fn write_row<R: Real, W: Write>(out: &mut W, (reals, species): &Row<R, u16>) -> 
         at += 1;
     }
     at += write_uint(u64::from(*species), &mut line[at..]);
-    line[at] = b'\n';
-    out.write_all(&line[..=at])
+    let end = end.bytes();
+    line[at..at + end.len()].copy_from_slice(end);
+    at + end.len()
 }
 
 /// Reads an ensemble written by [`write_ensemble`], each real parsed at
@@ -283,9 +323,13 @@ fn extend<W: Copy>(cols: &mut Columns<W>, more: &Columns<W>, room: usize) {
     cols.species.extend_from_slice(&more.species);
 }
 
-fn write_rows<W: Real, O: Write>(cols: &Columns<W>, out: &mut O) -> io::Result<()> {
+/// `cols`' rows as text, each laid out in one line buffer kept for the
+/// whole segment and handed to `out` in one piece.
+fn write_rows<W: Real, O: Write>(cols: &Columns<W>, out: &mut O, end: RowEnd) -> io::Result<()> {
+    let mut line = [0u8; LINE_LEN];
     for i in 0..cols.len() {
-        write_row(out, &cols.row_at(i))?;
+        let len = write_row(&mut line, &cols.row_at(i), end);
+        out.write_all(&line[..len])?;
     }
     Ok(())
 }
@@ -385,12 +429,13 @@ impl ColumnSegment {
         self.len() * (REAL_COLUMNS * self.width() + 2)
     }
 
-    /// Most bytes one line of [`write_text`](Self::write_text) takes at
-    /// this segment's width: the text of `n` rows fits `n` times this.
-    pub fn max_row_len(&self) -> usize {
+    /// Most bytes one line of [`write_text`](Self::write_text) ending in
+    /// `end` takes at this segment's width: the text of `n` rows fits `n`
+    /// times this.
+    pub fn max_row_len(&self, end: RowEnd) -> usize {
         match self.cols {
-            Width::F32(_) => row_len::<f32>(),
-            Width::F64(_) => row_len::<f64>(),
+            Width::F32(_) => row_len::<f32>(end),
+            Width::F64(_) => row_len::<f64>(end),
         }
     }
 
@@ -441,16 +486,18 @@ impl ColumnSegment {
     }
 
     /// Writes the particle lines (no header) in exactly the format of
-    /// [`write_ensemble`]: a segment captured from a store reproduces
-    /// that store range's dump bytes verbatim.
+    /// [`write_ensemble`], each ending in `end`: with
+    /// [`RowEnd::Newline`], a segment captured from a store reproduces
+    /// that store range's dump bytes verbatim; with [`RowEnd::Escaped`],
+    /// those bytes as the body of a JSON string.
     ///
     /// # Errors
     ///
     /// Propagates any I/O error from `out`.
-    pub fn write_text<O: Write>(&self, out: &mut O) -> io::Result<()> {
+    pub fn write_text<O: Write>(&self, out: &mut O, end: RowEnd) -> io::Result<()> {
         match &self.cols {
-            Width::F32(cols) => write_rows(cols, out),
-            Width::F64(cols) => write_rows(cols, out),
+            Width::F32(cols) => write_rows(cols, out, end),
+            Width::F64(cols) => write_rows(cols, out, end),
         }
     }
 
@@ -640,7 +687,10 @@ mod tests {
         write_ensemble(&store, &mut dump).unwrap();
         assert_eq!(dump, write_ensemble_fmt(&store));
         let seg = ColumnSegment::from_store(&store, 0, 1);
-        assert_eq!(dump.len() - HEADER.len() - 1, seg.max_row_len());
+        assert_eq!(
+            dump.len() - HEADER.len() - 1,
+            seg.max_row_len(RowEnd::Newline)
+        );
         // Non-finite reals have no digits; they print as `{:e}` names them.
         let odd = Particle {
             position: Vec3::new(f64::NAN, f64::INFINITY, f64::NEG_INFINITY),
@@ -703,7 +753,7 @@ mod tests {
         for (offset, len) in [(0usize, 10usize), (10, 15)] {
             let seg = ColumnSegment::from_store(&ens, offset, len);
             assert_eq!(seg.len(), len);
-            seg.write_text(&mut spliced).unwrap();
+            seg.write_text(&mut spliced, RowEnd::Newline).unwrap();
         }
         assert_eq!(whole, spliced, "segment text must be dump bytes verbatim");
     }
@@ -839,7 +889,7 @@ mod tests {
         let mut whole = Vec::new();
         write_ensemble(&ens, &mut whole).unwrap();
         let mut text = format!("{HEADER}\n").into_bytes();
-        seg.write_text(&mut text).unwrap();
+        seg.write_text(&mut text, RowEnd::Newline).unwrap();
         assert_eq!(whole, text);
         assert!(std::str::from_utf8(&text).unwrap().contains(" 1e-19 "));
     }

@@ -4,7 +4,7 @@
 //! than silently yielding a short ensemble.
 
 use pic_math::{Real, Vec3};
-use pic_particles::io::{read_ensemble, write_ensemble, HEADER};
+use pic_particles::io::{read_ensemble, write_ensemble, RowEnd, HEADER};
 use pic_particles::{
     AosEnsemble, ColumnSegment, Particle, ParticleAccess, ParticleStore, SoaEnsemble, SpeciesId,
 };
@@ -89,7 +89,7 @@ fn segment_round_trips<R: Real, S: ParticleStore<R>>(
     }
     let mut text = format!("{HEADER}\n").into_bytes();
     segment
-        .write_text(&mut text)
+        .write_text(&mut text, RowEnd::Newline)
         .expect("write to Vec cannot fail");
     prop_assert_eq!(
         String::from_utf8(text).expect("UTF-8"),

@@ -25,7 +25,8 @@
 //! the cache lock.
 
 use crate::job::{scenario_wire, JobReport, JobSpec};
-use crate::shard::merge_segments;
+use crate::shard::render_rows;
+use pic_particles::io::RowEnd;
 use pic_particles::ColumnSegment;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -149,10 +150,11 @@ pub struct CachedResult {
 
 impl CachedResult {
     /// The producing run's particle dump, rendered from its columns as
-    /// one piece — bitwise what it would have returned itself.
+    /// one [`JobReport::dump`] piece — bitwise what it would have
+    /// returned itself.
     pub(crate) fn render(&self) -> Vec<Arc<String>> {
         let segments: Vec<&ColumnSegment> = self.columns.iter().map(|s| &**s).collect();
-        merge_segments(&segments)
+        render_rows(&segments, true, RowEnd::Escaped)
             .map(Arc::new)
             .into_iter()
             .collect()
@@ -251,6 +253,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::merge_segments;
     use pic_particles::{Layout, SoaEnsemble};
     use pic_perfmodel::{Precision, Scenario};
 

@@ -52,6 +52,7 @@ use pic_bench::{
     KernelVariant, MdipoleScenario,
 };
 use pic_math::Real;
+use pic_particles::io::RowEnd;
 use pic_particles::{AosEnsemble, ColumnSegment, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Precision;
 use pic_runtime::sync::lock;
@@ -283,7 +284,7 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
             let columns = capture();
             let (dump, render_ns) = if job.spec.return_particles {
                 let render_start = shared.clock.now_ns();
-                let piece = render_rows(&[&columns], ctx.shard_id == 0);
+                let piece = render_rows(&[&columns], ctx.shard_id == 0, RowEnd::Escaped);
                 let render_ns = shared.clock.now_ns().saturating_sub(render_start);
                 (piece.map(Arc::new).into_iter().collect(), render_ns)
             } else {

@@ -343,13 +343,17 @@ pub struct JobReport {
     /// Final particle state (`pic_particles::io` text format), present
     /// when the spec asked for `return_particles`, on the copy a
     /// [`JobTicket`](crate::JobTicket) hands out: it joins `dump` into
-    /// this. Never set inside the service.
+    /// this, newlines restored. Never set inside the service. The wire
+    /// escapes it into a JSON string body once (`proto::write_outcome`).
     pub particles: Option<String>,
     /// The same text inside the service, in the pieces it was rendered
     /// in, shared and never joined: one for a monolithic run or a cache
     /// hit; one per shard, in plan order, for a merged parent (shard 0's
-    /// leads with the header); none when the spec did not ask. The wire
-    /// escapes them one after another (`proto::write_outcome`).
+    /// leads with the header); none when the spec did not ask. Each piece
+    /// is already the body of a JSON string — the text with every newline
+    /// written as `\n`, its only character JSON escapes — rendered so by
+    /// the shard module's `render_rows`, the one producer; the wire writes
+    /// the pieces one after another verbatim (`proto::write_outcome`).
     pub dump: Vec<Arc<String>>,
     /// True when the result was served from the deterministic result
     /// cache (or coalesced onto a duplicate in flight) instead of a
@@ -383,12 +387,14 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// Moves the `dump` pieces into `particles`, joined: what a caller
-    /// outside the service reads.
+    /// Moves the `dump` pieces into `particles`, joined and with each
+    /// escaped newline turned back into one: what a caller outside the
+    /// service reads. The inverse of the render, whose text holds no
+    /// other escape.
     pub(crate) fn join_dump(&mut self) {
         if !self.dump.is_empty() {
-            let pieces: Vec<&str> = self.dump.iter().map(|p| p.as_str()).collect();
-            self.particles = Some(pieces.concat());
+            let body: String = self.dump.iter().map(|p| p.as_str()).collect();
+            self.particles = Some(body.replace("\\n", "\n"));
             self.dump.clear();
         }
     }

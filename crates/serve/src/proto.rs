@@ -16,7 +16,7 @@
 
 use crate::job::{JobSpec, Outcome};
 use crate::scheduler::{CancelResult, ServeStats};
-use pic_telemetry::json::{parse, write_obj_with_str, Value};
+use pic_telemetry::json::{parse, str_body, write_obj_with_str, Value};
 use std::io::{self, Write};
 
 /// Protocol version spoken by this build.
@@ -135,9 +135,10 @@ pub fn outcome_line(id: u64, tag: Option<&str>, outcome: &Outcome) -> String {
 }
 
 /// Writes the terminal response for an admitted job to `out`, without
-/// the line's terminator. A dump is escaped from where it lies —
-/// `particles`, or the `dump` pieces in order — so neither it nor the
-/// line is copied whole.
+/// the line's terminator. The `dump` pieces, already JSON string bodies,
+/// are written in order from where they lie, so neither the dump nor
+/// the line is copied whole; a `particles` text is escaped into a body
+/// first.
 ///
 /// # Errors
 ///
@@ -189,8 +190,12 @@ pub fn write_outcome<W: Write>(
                 e.push(("resumed_from_step", Value::Num(r.resumed_from_step as f64)));
             }
             let e = with_tag(e, tag);
+            let body;
             let pieces: Vec<&str> = match &r.particles {
-                Some(text) => vec![text],
+                Some(text) => {
+                    body = str_body(text);
+                    vec![&body]
+                }
                 None => r.dump.iter().map(|piece| piece.as_str()).collect(),
             };
             if !pieces.is_empty() {
@@ -404,12 +409,13 @@ mod tests {
                     };
                     let expect = completed_line_via_value(9, tag, &report);
                     // The same text as the service holds it: in pieces,
-                    // cut at a third and two thirds (on characters).
+                    // cut at a third and two thirds (on characters), each
+                    // the body of a JSON string.
                     let pieces = dump.map_or_else(Vec::new, |text| {
                         let cut = |at: usize| (at..).find(|&i| text.is_char_boundary(i)).unwrap();
                         let (a, b) = (cut(text.len() / 3), cut(2 * text.len() / 3));
                         [&text[..a], &text[a..b], &text[b..]]
-                            .map(|p| std::sync::Arc::new(p.to_string()))
+                            .map(|p| std::sync::Arc::new(str_body(p)))
                             .to_vec()
                     });
                     let in_pieces = crate::job::JobReport {

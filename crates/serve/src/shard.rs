@@ -28,11 +28,10 @@ use crate::scheduler::{ServeConfig, Shared};
 use crate::state::{JobState, Notifier};
 use crate::stats::Counter;
 use pic_math::splitmix::{mix64, GOLDEN_GAMMA};
-use pic_particles::io::HEADER;
+use pic_particles::io::{RowEnd, HEADER};
 use pic_particles::ColumnSegment;
 use pic_runtime::sync::lock;
 use pic_runtime::{ExecTarget, SweepReport};
-use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -106,26 +105,35 @@ pub fn merge_segments(segments: &[&ColumnSegment]) -> Option<String> {
     if segments.is_empty() {
         return None;
     }
-    render_rows(segments, true)
+    render_rows(segments, true, RowEnd::Newline)
 }
 
-/// `segments`' rows as text, in order, led by the `pic_particles::io`
-/// header when `header` is set: the whole dump, or one shard's piece of
-/// it (shard 0's with the header). `None` on a formatting failure.
-pub(crate) fn render_rows(segments: &[&ColumnSegment], header: bool) -> Option<String> {
+/// `segments`' rows as text, in order, each ending in `end`, led by the
+/// `pic_particles::io` header when `header` is set: the whole dump, or
+/// one shard's piece of it (shard 0's with the header). With
+/// [`RowEnd::Escaped`] the text is the body of a JSON string, as the
+/// wire writes it: the only producer of
+/// [`JobReport::dump`](crate::job::JobReport::dump) pieces. `None` on a
+/// formatting failure.
+pub(crate) fn render_rows(
+    segments: &[&ColumnSegment],
+    header: bool,
+    end: RowEnd,
+) -> Option<String> {
     // Room for the longest rows at each segment's width, so the text is
     // never moved while it grows; what the rows did not need is handed
     // back.
     let room: usize = segments
         .iter()
-        .map(|seg| seg.len() * seg.max_row_len())
+        .map(|seg| seg.len() * seg.max_row_len(end))
         .sum();
-    let mut out: Vec<u8> = Vec::with_capacity(HEADER.len() + 1 + room);
+    let mut out: Vec<u8> = Vec::with_capacity(HEADER.len() + end.bytes().len() + room);
     if header {
-        writeln!(out, "{HEADER}").ok()?;
+        out.extend_from_slice(HEADER.as_bytes());
+        out.extend_from_slice(end.bytes());
     }
     for seg in segments {
-        seg.write_text(&mut out).ok()?;
+        seg.write_text(&mut out, end).ok()?;
     }
     out.shrink_to_fit();
     String::from_utf8(out).ok()
@@ -373,6 +381,7 @@ mod tests {
     use super::*;
     use crate::job::JobSpec;
     use crate::state::test_job;
+    use pic_telemetry::json::str_body;
 
     #[test]
     fn plan_covers_disjointly_without_empty_shards() {
@@ -438,9 +447,13 @@ mod tests {
         let pieces: Option<String> = segs
             .iter()
             .enumerate()
-            .map(|(i, seg)| render_rows(&[seg], i == 0))
+            .map(|(i, seg)| render_rows(&[seg], i == 0, RowEnd::Escaped))
             .collect();
-        assert_eq!(pieces, expect, "the shards' pieces, in plan order");
+        assert_eq!(
+            pieces,
+            expect.as_deref().map(str_body),
+            "the shards' pieces, in plan order, as the body of a JSON string"
+        );
         assert_eq!(merge_segments(&[]), None, "empty set is explicit");
     }
 
@@ -455,5 +468,101 @@ mod tests {
         let all = gather.report(1, &done).expect("last report merges");
         assert_eq!(all.len(), 3);
         assert!(gather.report(1, &done).is_none(), "merge happens once");
+    }
+
+    /// One real of a proptest particle from a random word: every third
+    /// or so a class `{:e}` spells out — ±0, a subnormal, NaN, ±inf —
+    /// otherwise any bit pattern of the width.
+    fn special_f64(word: u64) -> f64 {
+        let sign = word & 1 << 63;
+        f64::from_bits(match word % 12 {
+            0 => sign,
+            1 => sign | (word >> 4) & ((1 << 52) - 1),
+            2 => sign | f64::NAN.to_bits(),
+            3 => sign | f64::INFINITY.to_bits(),
+            _ => word,
+        })
+    }
+
+    /// [`special_f64`] at `f32`'s width.
+    fn special_f32(word: u64) -> f32 {
+        let sign = (word >> 32) as u32 & 1 << 31;
+        f32::from_bits(match word % 12 {
+            0 => sign,
+            1 => sign | (word >> 4) as u32 & ((1 << 23) - 1),
+            2 => sign | f32::NAN.to_bits(),
+            3 => sign | f32::INFINITY.to_bits(),
+            _ => (word >> 32) as u32,
+        })
+    }
+
+    /// A store of one particle per nine words (eight reals and a species
+    /// each), cut at `cuts` into contiguous shard ranges: the pieces
+    /// `render_rows` renders are the JSON string body of
+    /// `write_ensemble`'s bytes, and `join_dump` gives those bytes back.
+    fn pieces_are_the_escaped_dump<R, S>(
+        words: &[u64],
+        cuts: &[usize],
+        real: fn(u64) -> R,
+    ) -> Result<(), proptest::TestCaseError>
+    where
+        R: pic_math::Real,
+        S: pic_particles::ParticleStore<R>,
+    {
+        use pic_math::Vec3;
+        use pic_particles::io::write_ensemble;
+        use pic_particles::{Particle, SpeciesId};
+        use proptest::prelude::*;
+
+        let store = S::from_particles(words.chunks_exact(9).map(|w| Particle {
+            position: Vec3::new(real(w[0]), real(w[1]), real(w[2])),
+            momentum: Vec3::new(real(w[3]), real(w[4]), real(w[5])),
+            weight: real(w[6]),
+            gamma: real(w[7]),
+            species: SpeciesId(w[8] as u16),
+        }));
+        let mut text = Vec::new();
+        write_ensemble(&store, &mut text).expect("a Vec takes every write");
+        let text = String::from_utf8(text).expect("a dump is ASCII");
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (store.len() + 1)).collect();
+        bounds.extend([0, store.len()]);
+        bounds.sort_unstable();
+        let segments: Vec<ColumnSegment> = bounds
+            .windows(2)
+            .map(|w| ColumnSegment::from_store(&store, w[0], w[1] - w[0]))
+            .collect();
+        let pieces: Vec<Arc<String>> = segments
+            .iter()
+            .enumerate()
+            .map(|(i, seg)| Arc::new(render_rows(&[seg], i == 0, RowEnd::Escaped).expect("rows")))
+            .collect();
+        let body = str_body(&text);
+        prop_assert_eq!(
+            pieces.iter().map(|p| p.as_str()).collect::<String>(),
+            body.clone()
+        );
+        let refs: Vec<&ColumnSegment> = segments.iter().collect();
+        prop_assert_eq!(render_rows(&refs, true, RowEnd::Escaped), Some(body));
+        let mut report = JobReport {
+            dump: pieces,
+            ..JobReport::default()
+        };
+        report.join_dump();
+        prop_assert_eq!(report.particles, Some(text));
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rendered_pieces_are_the_escaped_dump_and_join_back_to_it(
+            words in proptest::collection::vec(proptest::any::<u64>(), 0..9 * 40),
+            cuts in proptest::collection::vec(proptest::any::<usize>(), 0..6),
+        ) {
+            use pic_particles::{AosEnsemble, SoaEnsemble};
+            pieces_are_the_escaped_dump::<f32, SoaEnsemble<f32>>(&words, &cuts, special_f32)?;
+            pieces_are_the_escaped_dump::<f32, AosEnsemble<f32>>(&words, &cuts, special_f32)?;
+            pieces_are_the_escaped_dump::<f64, SoaEnsemble<f64>>(&words, &cuts, special_f64)?;
+            pieces_are_the_escaped_dump::<f64, AosEnsemble<f64>>(&words, &cuts, special_f64)?;
+        }
     }
 }

@@ -7,7 +7,6 @@
 //! round-trip formatting so `parse(write(x)) == x` exactly.
 
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::io;
 
@@ -149,14 +148,15 @@ impl Value {
     }
 }
 
-/// Writes `Value::obj(entries ∪ {key: Str(pieces joined)}).to_json()` to
-/// `out`, byte for byte, with each piece escaped straight from its borrow
-/// at `key`'s sorted position: the one member that can be a particle dump
-/// of many megabytes (≈ 11 MB for 125 000 `f32` particles, ≈ 18 MB at
-/// `f64`) is neither joined nor copied into a [`Value::Str`], and
-/// no line holding it is built. The member goes out as one write per run
-/// between two escapes, so an unbuffered `out` (a socket) wants a buffer
-/// in front of it. `key` must not be among `entries`.
+/// Writes `Value::obj(entries ∪ {key: Str(s)}).to_json()` to `out`, byte
+/// for byte, where `pieces` joined are [`str_body`]`(s)`: the member's
+/// body, already escaped, written verbatim from its borrows at `key`'s
+/// sorted position. The one member that can be a particle dump of many
+/// megabytes (≈ 11 MB for 125 000 `f32` particles, ≈ 18 MB at `f64`) is
+/// neither joined, nor copied into a [`Value::Str`], nor scanned, and no
+/// line holding it is built. Each piece is one write, so an unbuffered
+/// `out` (a socket) wants a buffer in front of it. `key` must not be
+/// among `entries`.
 ///
 /// # Errors
 ///
@@ -180,8 +180,12 @@ pub fn write_obj_with_str<W: io::Write>(
     write_escaped(key, &mut head);
     head.push_str(":\"");
     out.write_all(head.as_bytes())?;
+    debug_assert!(
+        pieces.iter().all(|p| p.bytes().all(|b| b >= 0x20)),
+        "a string body holds no raw control byte: escape it with `str_body`"
+    );
     for piece in pieces {
-        for_each_escaped(piece, |run| out.write_all(run.as_bytes()))?;
+        out.write_all(piece.as_bytes())?;
     }
     let mut tail = String::from("\"");
     for (k, v) in after {
@@ -194,14 +198,21 @@ pub fn write_obj_with_str<W: io::Write>(
     out.write_all(tail.as_bytes())
 }
 
+/// `s` as the body of a JSON string literal: escaped, without the
+/// quotes. What [`write_obj_with_str`] takes.
+pub fn str_body(s: &str) -> String {
+    // A particle dump's body is ≈ 1 % longer than its text (one escape a
+    // row): room enough that the body is never moved while it grows.
+    let mut body = String::with_capacity(s.len() + s.len() / 16);
+    push_body(s, &mut body);
+    body
+}
+
 /// Appends `s` as a JSON string literal.
 fn write_escaped(s: &str, out: &mut String) {
     out.reserve(s.len() + 2);
     out.push('"');
-    let Ok(()) = for_each_escaped::<Infallible>(s, |run| {
-        out.push_str(run);
-        Ok(())
-    });
+    push_body(s, out);
     out.push('"');
 }
 
@@ -241,31 +252,25 @@ fn next_escape(bytes: &[u8]) -> Option<usize> {
     })
 }
 
-/// Hands `emit` the body of `s` as a JSON string literal, without the
-/// quotes: the runs that need no escape, borrowed from `s`, and between
-/// them the escape of each byte that does. The one escaper of every
-/// string this module writes. What needs escaping is one ASCII byte,
-/// never inside a multi-byte sequence, so every run is whole characters.
-fn for_each_escaped<E>(s: &str, mut emit: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+/// Appends the body of `s` as a JSON string literal, without the quotes:
+/// the runs that need no escape, copied whole, and between them the
+/// escape of each byte that does. The one escaper of every string this
+/// module writes. What needs escaping is one ASCII byte, never inside a
+/// multi-byte sequence, so every run is whole characters.
+fn push_body(s: &str, out: &mut String) {
     let mut rest = s;
     while let Some(at) = next_escape(rest.as_bytes()) {
         let (run, escaped) = rest.split_at(at);
-        if !run.is_empty() {
-            emit(run)?;
-        }
-        emit(match escaped.as_bytes()[0] {
+        out.push_str(run);
+        out.push_str(match escaped.as_bytes()[0] {
             b'"' => "\\\"",
             b'\\' => "\\\\",
             // bounds: every other byte the scan stops at is below 0x20.
             b => CONTROL_ESCAPES[usize::from(b)],
-        })?;
+        });
         rest = &escaped[1..];
     }
-    if rest.is_empty() {
-        Ok(())
-    } else {
-        emit(rest)
-    }
+    out.push_str(rest);
 }
 
 /// Arrays and objects nested deeper than this are refused. The parser
@@ -533,10 +538,11 @@ mod tests {
                 .into_iter()
                 .chain([(key, Value::Str(text.into()))]);
             let expect = Value::obj(owned).to_json();
-            assert_eq!(written(&entries(), key, &[text]), expect, "{key}");
-            // The member in two pieces, cut at every character boundary.
-            for (cut, _) in text.char_indices().chain([(text.len(), ' ')]) {
-                let pieces = [&text[..cut], &text[cut..]];
+            let body = str_body(text);
+            assert_eq!(written(&entries(), key, &[&body]), expect, "{key}");
+            // The body in two pieces, cut at every character boundary.
+            for (cut, _) in body.char_indices().chain([(body.len(), ' ')]) {
+                let pieces = [&body[..cut], &body[cut..]];
                 assert_eq!(written(&entries(), key, &pieces), expect, "{key} {cut}");
             }
         }
@@ -643,9 +649,9 @@ mod tests {
     }
 
     /// `s` escaped by the char loop, and by the word scan both into a
-    /// `String` and streamed in two pieces cut at `cut` (a character
-    /// boundary) through a buffer of `capacity` bytes: all three agree,
-    /// and the literal parses back to `s`.
+    /// `String` and in two pieces cut at `cut` (a character boundary),
+    /// streamed through a buffer of `capacity` bytes: all three agree, and
+    /// the literal parses back to `s`.
     fn escape_three_ways(s: &str, cut: usize, capacity: usize) {
         let mut old = String::new();
         write_escaped_by_char(s, &mut old);
@@ -653,7 +659,8 @@ mod tests {
         write_escaped(s, &mut new);
         assert_eq!(&new["prefix".len()..], old, "input {s:?}");
         let mut streamed = io::BufWriter::with_capacity(capacity, Vec::new());
-        write_obj_with_str(&mut streamed, [], "k", &[&s[..cut], &s[cut..]]).unwrap();
+        let pieces = [str_body(&s[..cut]), str_body(&s[cut..])];
+        write_obj_with_str(&mut streamed, [], "k", &[&pieces[0], &pieces[1]]).unwrap();
         let streamed = String::from_utf8(streamed.into_inner().unwrap()).unwrap();
         assert_eq!(
             streamed,
