@@ -124,10 +124,9 @@ fn warmup() {
 }
 
 /// Measures every layout × scenario cell at single precision under the
-/// paper schedules (plus the auto-tuned one) with the blocked kernel,
-/// adds scalar-oracle baseline runs on the SoA cells so the
-/// `kernel_variant` field distinguishes implementations, and writes
-/// `BENCH_<label>.json`.
+/// three paper schedules with the blocked kernel, adds scalar-oracle
+/// baseline runs on the SoA cells so the `kernel_variant` field
+/// distinguishes implementations, and writes `BENCH_<label>.json`.
 fn emit_metrics(label: &str, device: ExecTarget) -> std::io::Result<std::path::PathBuf> {
     let cfg = BenchConfig::from_env();
     let threads = std::thread::available_parallelism()
@@ -144,7 +143,6 @@ fn emit_metrics(label: &str, device: ExecTarget) -> std::io::Result<std::path::P
         Schedule::StaticChunks,
         Schedule::dynamic(),
         Schedule::numa(),
-        Schedule::auto(),
     ];
     let mut records = Vec::new();
     print_banner(

@@ -22,9 +22,7 @@ use pic_telemetry::{BenchRecord, SCHEMA_VERSION};
 pub fn parallelization_of(schedule: Schedule) -> Parallelization {
     match schedule {
         Schedule::StaticChunks => Parallelization::OpenMp,
-        // Auto-tuned scheduling is dynamic scheduling with a measured
-        // grain, so it maps to the same paper row.
-        Schedule::Dynamic { .. } | Schedule::AutoTuned => Parallelization::Dpcpp,
+        Schedule::Dynamic { .. } => Parallelization::Dpcpp,
         Schedule::NumaDomains { .. } => Parallelization::DpcppNuma,
     }
 }
@@ -227,6 +225,5 @@ mod tests {
             parallelization_of(Schedule::numa()),
             Parallelization::DpcppNuma
         );
-        assert_eq!(parallelization_of(Schedule::auto()), Parallelization::Dpcpp);
     }
 }

@@ -252,7 +252,7 @@ mod tests {
                 Scenario::Analytical,
                 &cfg,
                 &topo,
-                Schedule::auto(),
+                Schedule::dynamic(),
                 variant,
             );
             assert!(run.nsps() > 0.0, "{variant}");

@@ -23,7 +23,7 @@ use pic_math::Real;
 use pic_particles::columns::{X, Y, Z};
 use pic_particles::{ParticleAccess, SpeciesTable};
 use pic_perfmodel::Scenario;
-use pic_runtime::{parallel_sweep, CancelToken, GrainTuner, Schedule, SweepReport, Topology};
+use pic_runtime::{parallel_sweep, CancelToken, Schedule, SweepReport, Topology};
 use pic_telemetry::ThreadStat;
 
 /// Which pusher kernel implementation drives the sweep.
@@ -135,9 +135,7 @@ pub struct MdipoleRun {
 ///
 /// `variant` selects the pusher implementation (scalar reference or the
 /// blocked production kernel); both integrate bitwise-identical
-/// trajectories. Under [`Schedule::AutoTuned`] the
-/// first few steps probe grain sizes via [`GrainTuner`] and the rest run
-/// at the measured best.
+/// trajectories.
 #[allow(clippy::too_many_arguments)]
 pub fn run_mdipole_steps<R: Real, A: ParticleAccess<R>>(
     store: &mut A,
@@ -208,13 +206,6 @@ fn drive<R: Real, A: ParticleAccess<R>, F: FieldSource<R>>(
 ) -> MdipoleRun {
     let table = SpeciesTable::<R>::with_standard_species();
     let dt = R::from_f64(bench_dt());
-    // Auto-tuned scheduling: probe a grain ladder over the first steps,
-    // then lock in the cheapest (falls back to the default grain when
-    // telemetry is off — every probe ties).
-    let mut tuner = match schedule {
-        Schedule::AutoTuned => Some(GrainTuner::new(store.len(), topology.total_threads())),
-        _ => None,
-    };
     let mut thread_stats: Vec<ThreadStat> = Vec::new();
     let mut steps_done = 0;
     for step in 0..steps {
@@ -225,7 +216,6 @@ fn drive<R: Real, A: ParticleAccess<R>, F: FieldSource<R>>(
                 interrupted: true,
             };
         }
-        let effective = tuner.as_ref().map_or(schedule, GrainTuner::schedule);
         let report = match variant {
             KernelVariant::Scalar => {
                 let shared = SharedPushKernel {
@@ -235,18 +225,15 @@ fn drive<R: Real, A: ParticleAccess<R>, F: FieldSource<R>>(
                     dt,
                     time: *time,
                 };
-                parallel_sweep(store, topology, effective, |_| shared.to_kernel())
+                parallel_sweep(store, topology, schedule, |_| shared.to_kernel())
             }
             KernelVariant::SoaFast => {
                 let (tbl, t) = (&table, *time);
-                parallel_sweep(store, topology, effective, move |_| {
+                parallel_sweep(store, topology, schedule, move |_| {
                     SoaBorisKernel::new(source, tbl, dt, t)
                 })
             }
         };
-        if let Some(t) = tuner.as_mut() {
-            t.observe(&report);
-        }
         merge_thread_stats(&mut thread_stats, thread_stats_of(&report));
         *time += dt;
         steps_done = step + 1;
@@ -352,28 +339,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(scalar.get(i), fast.get(i), "particle {i}");
         }
-    }
-
-    #[test]
-    fn auto_schedule_completes_and_probes_grains() {
-        let mut store: SoaEnsemble<f32> = build_ensemble(400, 13);
-        let ctx = MdipoleScenario::prepare(Scenario::Precalculated, &store);
-        let mut time = 0.0f32;
-        let run = run_mdipole_steps(
-            &mut store,
-            &ctx,
-            6,
-            &mut time,
-            &Topology::single(2),
-            Schedule::auto(),
-            KernelVariant::SoaFast,
-            None,
-            &mut |_, _| true,
-        );
-        assert_eq!(run.steps_done, 6);
-        assert!(!run.interrupted);
-        let pushed: u64 = run.thread_stats.iter().map(|t| t.particles).sum();
-        assert_eq!(pushed, 400 * 6);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!    |------|----------|
 //!    | `precision-pollution` | no `f64`/`f32` tokens, casts, or literal suffixes inside `Real`-generic code — an `f64` literal in a generic kernel silently turns the float rows of Table 2 into double precision |
 //!    | `ordering-justification` | every `Ordering::SeqCst`/`Ordering::Relaxed` carries an adjacent `// ordering:` comment arguing why it is sound |
-//!    | `unsafe-outside-allowlist` | `unsafe` appears only in the audited lock-free queue (`vendor/crossbeam/src/queue.rs`) |
-//!    | `forbid-unsafe-attr` | every other crate keeps `#![forbid(unsafe_code)]` in its `lib.rs` |
+//!    | `unsafe-outside-allowlist` | no `unsafe` anywhere in the workspace, `vendor/` included; there is no allowlist, the id is kept stable |
+//!    | `forbid-unsafe-attr` | every crate, `vendor/` included, keeps `#![forbid(unsafe_code)]` in its `lib.rs` |
 //!    | `instant-outside-telemetry` | wall-clock reads (`std::time::Instant`) stay inside the measuring layers (`pic-telemetry`, `pic-bench`) plus two audited call sites |
 //!    | `unwrap-in-lib` | no `.unwrap()` / `.expect("…")` in library code outside tests |
 //!    | `column-list` | the particle columns `x y z px py pz …` are declared once, in `crates/particles/src/columns.rs`: no other `struct` body or `fn` signature lists them as fields/parameters |
@@ -21,14 +21,14 @@
 //!    A finding can be suppressed at a specific line by an adjacent
 //!    justification comment: `// lint: allow(<rule>): <reason>` on the
 //!    same line or within the three preceding lines. The `unsafe` and
-//!    `forbid` rules only honor the central allowlists in this file —
-//!    widening the unsafe surface must be a reviewed change here, not a
+//!    `forbid` rules honor no comment and have no allowlist: admitting
+//!    `unsafe` anywhere must be a reviewed change to this file, not a
 //!    drive-by comment.
 //!
 //! 2. **The interleave suites** (`tests/interleave_*.rs`, built with
 //!    `RUSTFLAGS="--cfg interleave"`): exhaustive model checking of the
-//!    telemetry `Registry` drain-after-join protocol and the lock-free
-//!    `SegQueue` push/pop linearizability, including a seeded
+//!    telemetry `Registry` drain-after-join protocol and of the job
+//!    service's admission, cache and shard protocols, including a seeded
 //!    drain-*before*-join bug that the checker must catch (see
 //!    `src/bin/seeded_race.rs` and the CI self-check).
 
@@ -44,18 +44,6 @@ use std::path::{Path, PathBuf};
 /// How many preceding lines a justification comment may sit above its
 /// use site and still count as "adjacent".
 const ADJACENT_LINES: usize = 3;
-
-/// Files allowed to contain `unsafe` (and whose crates are exempt from
-/// the `forbid-unsafe-attr` rule). Everything here must explain every
-/// block with a `// SAFETY:` comment (the clippy
-/// `undocumented_unsafe_blocks` lint enforces that layer).
-const UNSAFE_ALLOW: &[(&str, &str)] = &[(
-    "vendor/crossbeam/src/queue.rs",
-    "lock-free segmented queue: slot ownership mediated by atomics, model-checked under interleave",
-)];
-
-/// Crates whose `src/lib.rs` may omit `#![forbid(unsafe_code)]`.
-const FORBID_ATTR_EXEMPT: &[&str] = &["vendor/crossbeam"];
 
 /// Files allowed to use `std::time::Instant` besides the measuring
 /// crates (`crates/telemetry`, `crates/bench`), each with the reason.
@@ -357,35 +345,26 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Diagnostic> {
     };
 
     // unsafe-outside-allowlist — applies everywhere, no inline escape.
-    if !allowlisted(UNSAFE_ALLOW, path) {
-        for (i, line) in s.code.iter().enumerate() {
-            if !word_hits(line, "unsafe", false).is_empty() {
-                out.push(diag(
-                    i,
-                    "unsafe-outside-allowlist",
-                    "`unsafe` outside the audited allowlist (see UNSAFE_ALLOW in \
-                     crates/check/src/lib.rs); lock-free code belongs in the \
-                     vendored queue, everything else stays safe Rust"
-                        .to_string(),
-                ));
-            }
+    for (i, line) in s.code.iter().enumerate() {
+        if !word_hits(line, "unsafe", false).is_empty() {
+            out.push(diag(
+                i,
+                "unsafe-outside-allowlist",
+                "`unsafe` in the workspace; every crate, vendored ones included, \
+                 is safe Rust"
+                    .to_string(),
+            ));
         }
     }
 
     // forbid-unsafe-attr — crate roots must pin #![forbid(unsafe_code)].
-    if let Some(krate) = path
-        .strip_suffix("/src/lib.rs")
-        .filter(|k| !FORBID_ATTR_EXEMPT.contains(k))
-    {
+    if let Some(krate) = path.strip_suffix("/src/lib.rs") {
         let has = s.code.iter().any(|l| l.contains("#![forbid(unsafe_code)]"));
         if !has {
             out.push(diag(
                 0,
                 "forbid-unsafe-attr",
-                format!(
-                    "crate `{krate}` has no `#![forbid(unsafe_code)]`; add it (or add the \
-                     crate to FORBID_ATTR_EXEMPT in crates/check/src/lib.rs with a reason)"
-                ),
+                format!("crate `{krate}` has no `#![forbid(unsafe_code)]`; add it"),
             ));
         }
     }

@@ -23,11 +23,11 @@
 //!   hit; the primary's finish drains all registered followers.
 //!
 //! Followers are modeled as a registered/drained counter pair rather
-//! than the real queue (the queue's own linearizability is proven in
-//! interleave_queue.rs), per-submission outcomes travel through return
-//! values instead of extra shared atomics, and one participant always
-//! runs on the checker's root thread — all three choices shrink the
-//! schedule tree so the naive-DFS checker can exhaust it. A crashed
+//! than the real follower list (`Inflight`'s `Vec`), per-submission
+//! outcomes travel through return values instead of extra shared
+//! atomics, and one participant always runs on the checker's root
+//! thread — all three choices shrink the schedule tree so the
+//! naive-DFS checker can exhaust it. A crashed
 //! primary releases the claim (`INFLIGHT → EMPTY`, the scheduler's
 //! `try_requeue`) and resubmits — whoever wins the next election
 //! produces the result. The checker runs every interleaving, so these

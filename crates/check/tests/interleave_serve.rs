@@ -5,12 +5,13 @@
 //! shipped `pic_serve::lifecycle::Admission` — the very type
 //! `Server::submit`, the completion path, the dispatcher and the
 //! workers call, compiled with the checker's instrumented atomics —
-//! over the same vendored `SegQueue`: `admit` claims a depth slot
-//! *before* re-checking the drain flag and the capacity, returning the
-//! slot on either refusal; consumers exit only on `drained()`. The
-//! checker runs every interleaving, so these are proofs over the
-//! explored state space that no admitted job can slip past a drained
-//! exit (lost), be executed twice, or leave `depth` nonzero.
+//! over a lane that is one instrumented `AtomicUsize` used as a bit set
+//! of job ids: `admit` claims a depth slot *before* re-checking the
+//! drain flag and the capacity, returning the slot on either refusal;
+//! consumers exit only on `drained()`. The checker runs every
+//! interleaving, so these are proofs over the explored state space that
+//! no admitted job can slip past a drained exit (lost), be executed
+//! twice, or leave `depth` nonzero.
 //!
 //! The models are generic over a three-method `Gate` only so that one
 //! `#[should_panic]` test can run the same race over a deliberately
@@ -18,7 +19,6 @@
 //! the suite would catch that regression in the shipped type.
 #![cfg(interleave)]
 
-use crossbeam::queue::SegQueue;
 use interleave::sync::atomic::{AtomicUsize, Ordering};
 use pic_serve::lifecycle::Admission;
 use std::sync::Arc;
@@ -62,96 +62,55 @@ impl Gate for CheckThenClaim {
 }
 
 /// The scheduler's admission skeleton: the gate, one lane, and a record
-/// of what ran.
-struct Service {
-    gate: Admission,
-    lane: SegQueue<usize>,
-    executed: SegQueue<usize>,
-}
-
-impl Service {
-    fn new() -> Service {
-        Service {
-            gate: Admission::default(),
-            lane: SegQueue::new(),
-            executed: SegQueue::new(),
-        }
-    }
-
-    /// `Server::submit`: admit, then enqueue. Returns whether the job
-    /// was admitted.
-    fn submit(&self, id: usize, capacity: usize) -> bool {
-        if self.gate.admit(capacity).is_err() {
-            return false; // Rejected{shutting-down} or {queue-full}
-        }
-        self.lane.push(id);
-        true
-    }
-
-    /// `worker_loop`: execute until drained. The slot is released after
-    /// the "outcome" (executed record) is published, as `publish` does.
-    fn run_worker(&self) {
-        loop {
-            match self.lane.pop() {
-                Some(id) => {
-                    self.executed.push(id);
-                    self.gate.release();
-                }
-                None => {
-                    if self.gate.drained() {
-                        return;
-                    }
-                    interleave::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    fn drain_results(&self) -> Vec<usize> {
-        let mut done = Vec::new();
-        while let Some(id) = self.executed.pop() {
-            done.push(id);
-        }
-        done.sort_unstable();
-        done
-    }
-}
-
-/// The protocol with the lane reduced to one atomic slot. The queue's
-/// own linearizability is proven separately (interleave_queue.rs);
-/// composing with a single-slot lane keeps the 3-thread race's state
-/// space inside the checker's schedule budget while preserving every
-/// depth/draining interleaving — which is what the protocol actually
-/// synchronizes on.
+/// of what ran. Lane and record are bit sets of job ids (`1 << id`), so
+/// a push is one `fetch_add`, a worker takes the whole lane with one
+/// `swap(0)`, and a job executed twice shows up as a carry into the
+/// next bit.
 #[derive(Default)]
 struct MiniService<G: Gate> {
     gate: G,
-    /// 0 = empty; capacity-1 admission guarantees no overwrite.
-    slot: AtomicUsize,
+    lane: AtomicUsize,
     executed: AtomicUsize,
 }
 
 impl<G: Gate> MiniService<G> {
-    fn submit(&self, id: usize) -> bool {
-        if !self.gate.admit(1) {
-            return false;
+    /// `Server::submit`: admit, then enqueue. Returns whether the job
+    /// was admitted.
+    fn submit(&self, id: usize, capacity: usize) -> bool {
+        if !self.gate.admit(capacity) {
+            return false; // Rejected{shutting-down} or {queue-full}
         }
-        self.slot.store(id, Ordering::SeqCst);
+        self.lane.fetch_add(1 << id, Ordering::SeqCst);
         true
     }
 
+    /// `worker_loop`: execute until drained. Each job's slot is
+    /// released after its "outcome" (executed record) is published, as
+    /// `publish` does.
     fn run_worker(&self) {
         loop {
-            let id = self.slot.swap(0, Ordering::SeqCst);
-            if id != 0 {
-                self.executed.fetch_add(id, Ordering::SeqCst);
-                self.gate.inner().release();
-            } else if self.gate.inner().drained() {
-                return;
-            } else {
+            let mut taken = self.lane.swap(0, Ordering::SeqCst);
+            if taken == 0 {
+                if self.gate.inner().drained() {
+                    return;
+                }
                 interleave::thread::yield_now();
             }
+            while taken != 0 {
+                let job = taken & taken.wrapping_neg();
+                taken &= !job;
+                self.executed.fetch_add(job, Ordering::SeqCst);
+                self.gate.inner().release();
+            }
         }
+    }
+
+    /// The ids of the executed jobs, ascending.
+    fn drain_results(&self) -> Vec<usize> {
+        let done = self.executed.load(Ordering::SeqCst);
+        (0..usize::BITS as usize)
+            .filter(|id| done & (1 << id) != 0)
+            .collect()
     }
 }
 
@@ -162,7 +121,7 @@ fn race_admission_against_drain<G: Gate>() -> usize {
         let s = Arc::new(MiniService::<G>::default());
         let producer = {
             let s = Arc::clone(&s);
-            interleave::thread::spawn(move || s.submit(7))
+            interleave::thread::spawn(move || s.submit(3, 1))
         };
         let shutdown = {
             let s = Arc::clone(&s);
@@ -177,13 +136,13 @@ fn race_admission_against_drain<G: Gate>() -> usize {
         worker.join();
         let done = s.executed.load(Ordering::SeqCst);
         if admitted {
-            assert_eq!(done, 7, "admitted job must execute exactly once");
+            assert_eq!(done, 1 << 3, "admitted job must execute exactly once");
         } else {
             assert_eq!(done, 0, "refused job must never execute");
         }
         assert_eq!(s.gate.inner().depth(), 0, "drained exit leaks depth");
         assert_eq!(
-            s.slot.load(Ordering::SeqCst),
+            s.lane.load(Ordering::SeqCst),
             0,
             "drained exit stranded the slot"
         );
@@ -218,7 +177,7 @@ fn checking_the_flag_before_claiming_the_slot_is_caught() {
 #[test]
 fn capacity_one_admits_exactly_one_of_two_racing_producers() {
     interleave::model(|| {
-        let s = Arc::new(Service::new());
+        let s = Arc::new(MiniService::<Admission>::default());
         let producers: Vec<_> = (1..=2)
             .map(|id| {
                 let s = Arc::clone(&s);
@@ -243,7 +202,7 @@ fn capacity_one_admits_exactly_one_of_two_racing_producers() {
 #[test]
 fn drain_executes_the_whole_admitted_backlog() {
     interleave::model(|| {
-        let s = Arc::new(Service::new());
+        let s = Arc::new(MiniService::<Admission>::default());
         assert!(s.submit(1, 4) && s.submit(2, 4), "uncontended admission");
         let worker = {
             let s = Arc::clone(&s);

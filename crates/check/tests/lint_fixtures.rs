@@ -77,12 +77,9 @@ fn ordering_justification_requires_adjacent_comment() {
 }
 
 #[test]
-fn unsafe_only_in_the_audited_queue() {
+fn unsafe_is_refused_everywhere() {
     let bad = "fn f() { unsafe { std::hint::unreachable_unchecked() } }\n";
     assert_eq!(rules(LIB, bad), vec!["unsafe-outside-allowlist"]);
-
-    // The allowlisted queue file may use it.
-    assert!(rules("vendor/crossbeam/src/queue.rs", bad).is_empty());
 
     // `unsafe_code` (the lint name) is not the keyword.
     let attr = "#![forbid(unsafe_code)]\nfn f() {}\n";
@@ -104,8 +101,7 @@ fn crate_roots_must_forbid_unsafe() {
     let present = "//! docs\n#![forbid(unsafe_code)]\npub fn f() {}\n";
     assert!(rules("crates/demo/src/lib.rs", present).is_empty());
 
-    // Exempt crate; and non-root files are not checked.
-    assert!(!rules("vendor/crossbeam/src/lib.rs", missing).contains(&"forbid-unsafe-attr"));
+    // Non-root files are not checked.
     assert!(rules("crates/demo/src/other.rs", missing).is_empty());
 }
 

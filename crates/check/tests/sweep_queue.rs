@@ -1,12 +1,13 @@
-//! End-to-end accounting check for the sweep on the lock-free queue:
-//! for every `Schedule`, layout, and topology, the `SweepReport` must
+//! End-to-end accounting check for the sweep's grain hand-out: for
+//! every `Schedule`, layout, and topology, the `SweepReport` must
 //! account for each particle exactly once, and the kernel must have
 //! been applied exactly once per particle (a lost or duplicated chunk
 //! shows up as a wrong weight, not just a wrong counter).
 //!
-//! This runs in the normal (non-interleave) build: the queue under the
-//! sweep is the same code the model checker verifies exhaustively in
-//! `tests/interleave_queue.rs`.
+//! The queued schedules split the range into grains before any worker
+//! starts and hand them out from a `Mutex` around the grain iterator
+//! (`pic_runtime::sweep`), one grain per lock; this suite is what
+//! checks that hand-out end to end.
 
 use pic_particles::{AosEnsemble, DynKernel, Particle, ParticleStore, ParticleView, SoaEnsemble};
 use pic_runtime::{parallel_sweep, Schedule, Topology};

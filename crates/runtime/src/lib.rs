@@ -11,12 +11,10 @@
 //!   is divided into NUMA domains and dynamic scheduling happens only
 //!   *within* each domain's arena → [`Schedule::NumaDomains`].
 //!
-//! A fourth schedule, [`Schedule::AutoTuned`], is dynamic scheduling with a
-//! measured grain ([`GrainTuner`]).
-//!
 //! [`parallel_sweep`] applies a [`pic_particles::ParticleKernel`] factory
 //! to every particle of an ensemble under the chosen schedule, using real
-//! threads (crossbeam scoped threads + lock-free chunk queues). On the
+//! scoped threads: the queued schedules split the range into grains up
+//! front, and workers claim them one at a time under a mutex. On the
 //! two-vCPU container this validates *correctness* of every mode; the
 //! *performance* shapes of the paper's 48-core platform are regenerated
 //! by the `pic-perfmodel` crate.
@@ -30,11 +28,9 @@ pub mod sweep;
 pub mod sync;
 pub mod target;
 pub mod topology;
-pub mod tune;
 
 pub use cancel::CancelToken;
 pub use schedule::Schedule;
 pub use sweep::{imbalance_of, parallel_sweep, SweepReport, ThreadReport};
 pub use target::ExecTarget;
 pub use topology::Topology;
-pub use tune::GrainTuner;

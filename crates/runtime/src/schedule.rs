@@ -25,13 +25,6 @@ pub enum Schedule {
         /// Particles per work item; 0 chooses automatically per domain.
         grain: usize,
     },
-    /// Dynamic scheduling whose grain is *measured*, not guessed: the
-    /// driver probes a few grain sizes around the TBB-like default during
-    /// the first iterations (using per-thread `busy_ns` from the sweep
-    /// report) and locks in the cheapest one — see
-    /// [`crate::tune::GrainTuner`]. Handed directly to the sweep it
-    /// behaves as [`Schedule::Dynamic`] with automatic granularity.
-    AutoTuned,
 }
 
 impl Schedule {
@@ -43,20 +36,6 @@ impl Schedule {
     /// NUMA-domain scheduling with automatic granularity.
     pub fn numa() -> Schedule {
         Schedule::NumaDomains { grain: 0 }
-    }
-
-    /// Dynamic scheduling with measured (auto-tuned) granularity.
-    pub fn auto() -> Schedule {
-        Schedule::AutoTuned
-    }
-
-    /// The grain request this schedule carries (0 = automatic). The
-    /// static and auto-tuned schedules request automatic granularity.
-    pub fn grain_request(&self) -> usize {
-        match self {
-            Schedule::Dynamic { grain } | Schedule::NumaDomains { grain } => *grain,
-            Schedule::StaticChunks | Schedule::AutoTuned => 0,
-        }
     }
 
     /// Resolves a requested grain: explicit values pass through, 0 becomes
@@ -75,7 +54,6 @@ impl Schedule {
             Schedule::StaticChunks => "OpenMP",
             Schedule::Dynamic { .. } => "DPC++",
             Schedule::NumaDomains { .. } => "DPC++ NUMA",
-            Schedule::AutoTuned => "DPC++ auto",
         }
     }
 }
@@ -95,15 +73,6 @@ mod tests {
         assert_eq!(Schedule::StaticChunks.paper_name(), "OpenMP");
         assert_eq!(Schedule::dynamic().paper_name(), "DPC++");
         assert_eq!(Schedule::numa().to_string(), "DPC++ NUMA");
-        assert_eq!(Schedule::auto().paper_name(), "DPC++ auto");
-    }
-
-    #[test]
-    fn grain_requests() {
-        assert_eq!(Schedule::Dynamic { grain: 64 }.grain_request(), 64);
-        assert_eq!(Schedule::NumaDomains { grain: 5 }.grain_request(), 5);
-        assert_eq!(Schedule::StaticChunks.grain_request(), 0);
-        assert_eq!(Schedule::auto().grain_request(), 0);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The parallel particle sweep.
 
 use crate::schedule::Schedule;
-use crate::sync::{join_or_propagate, WorkQueue};
+use crate::sync::{join_or_propagate, lock};
 use crate::topology::Topology;
 use pic_math::Real;
 use pic_particles::{ParticleAccess, ParticleKernel};
+use std::sync::Mutex;
+use std::vec;
 
 /// Per-thread accounting of one sweep.
 #[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
@@ -193,13 +195,13 @@ where
             let chunk_size = n.div_ceil(threads).max(1);
             let chunks = store.split_mut(chunk_size);
             // Chunk i goes to thread i — OpenMP static.
-            let reports: Vec<ThreadReport> = join_or_propagate(crossbeam::thread::scope(|scope| {
+            let reports: Vec<ThreadReport> = std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
                     .into_iter()
                     .enumerate()
                     .map(|(tid, mut chunk)| {
                         let factory = &kernel_factory;
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let mut kernel = factory(tid);
                             let (busy_ns, ()) = timed(|| kernel.apply_chunk(&mut chunk));
                             ThreadReport {
@@ -216,7 +218,7 @@ where
                     .into_iter()
                     .map(|h| join_or_propagate(h.join()))
                     .collect()
-            }));
+            });
             let mut threads_vec = reports;
             // Threads beyond the chunk count did no work but still appear.
             for tid in threads_vec.len()..threads {
@@ -233,38 +235,32 @@ where
             }
         }
 
-        // A bare AutoTuned schedule (no driver-side tuner) behaves as
-        // dynamic with automatic granularity.
-        Schedule::Dynamic { .. } | Schedule::AutoTuned => {
-            let grain = Schedule::resolve_grain(schedule.grain_request(), n, threads);
-            let queue = WorkQueue::new();
-            for chunk in store.split_mut(grain) {
-                queue.push(chunk);
-            }
-            run_queued(topology, &kernel_factory, |_domain| Some(&queue))
-        }
-
-        Schedule::NumaDomains { grain } => {
+        Schedule::Dynamic { grain } | Schedule::NumaDomains { grain } => {
+            let numa = matches!(schedule, Schedule::NumaDomains { .. });
             let grain = Schedule::resolve_grain(grain, n, threads);
             let mut chunks = store.split_mut(grain);
-            // Assign contiguous grain runs to domains proportionally.
-            let shares = topology.partition_items(chunks.len());
-            let queues: Vec<WorkQueue<A::ChunkMut<'_>>> =
-                (0..topology.domains()).map(|_| WorkQueue::new()).collect();
-            // Distribute from the back to keep pop order irrelevant.
-            for (d, &share) in shares.iter().enumerate().rev() {
-                for chunk in chunks.split_off(chunks.len() - share) {
-                    queues[d].push(chunk);
-                }
-            }
+            // One queue for every thread, or one per domain holding a
+            // contiguous run of grains in proportion to its threads. Each
+            // hands out its grains in index order.
+            let shares = if numa {
+                topology.partition_items(chunks.len())
+            } else {
+                vec![chunks.len()]
+            };
+            let queues: Vec<Mutex<vec::IntoIter<A::ChunkMut<'_>>>> = shares
+                .iter()
+                .map(|&share| Mutex::new(chunks.drain(..share).collect::<Vec<_>>().into_iter()))
+                .collect();
             debug_assert!(chunks.is_empty());
-            run_queued(topology, &kernel_factory, |domain| queues.get(domain))
+            run_queued(topology, &kernel_factory, |domain| {
+                queues.get(if numa { domain } else { 0 })
+            })
         }
     }
 }
 
-/// Spawns one worker per topology thread; each drains the queue returned
-/// by `queue_of` for its domain.
+/// Spawns one worker per topology thread; each claims grains from the
+/// queue returned by `queue_of` for its domain until it is empty.
 fn run_queued<'q, R, C, K, F, Q>(
     topology: &Topology,
     kernel_factory: &F,
@@ -275,14 +271,14 @@ where
     C: ParticleAccess<R> + 'q,
     K: ParticleKernel<R> + Send,
     F: Fn(usize) -> K + Sync,
-    Q: Fn(usize) -> Option<&'q WorkQueue<C>> + Sync,
+    Q: Fn(usize) -> Option<&'q Mutex<vec::IntoIter<C>>> + Sync,
 {
     let threads = topology.total_threads();
-    let reports: Vec<ThreadReport> = join_or_propagate(crossbeam::thread::scope(|scope| {
+    let reports: Vec<ThreadReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|tid| {
                 let queue_of = &queue_of;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let domain = topology.domain_of(tid);
                     let mut report = ThreadReport {
                         thread: tid,
@@ -291,7 +287,13 @@ where
                     };
                     if let Some(queue) = queue_of(domain) {
                         let mut kernel = kernel_factory(tid);
-                        while let Some(mut chunk) = queue.pop() {
+                        loop {
+                            // The grain is taken in its own statement: a
+                            // guard in a `while let` condition would live
+                            // through the kernel call and serialize the
+                            // workers.
+                            let next = lock(queue).next();
+                            let Some(mut chunk) = next else { break };
                             report.chunks += 1;
                             report.particles += chunk.len();
                             let (busy_ns, ()) = timed(|| kernel.apply_chunk(&mut chunk));
@@ -306,7 +308,7 @@ where
             .into_iter()
             .map(|h| join_or_propagate(h.join()))
             .collect()
-    }));
+    });
     SweepReport { threads: reports }
 }
 
@@ -367,10 +369,40 @@ mod tests {
             Schedule::StaticChunks,
             Schedule::dynamic(),
             Schedule::numa(),
-            Schedule::auto(),
         ] {
             check_each_particle_once::<SoaEnsemble<f64>>(schedule, Topology::uniform(2, 3));
         }
+    }
+
+    /// Sweeps 1003 particles on two domains of two threads with a kernel
+    /// that panics on the particle at x = 777.
+    fn sweep_with_a_panicking_particle(schedule: Schedule) {
+        let mut ens: AosEnsemble<f64> = ensemble(1003);
+        parallel_sweep(&mut ens, &Topology::uniform(2, 2), schedule, |_tid| {
+            DynKernel(|_i, v: &mut dyn ParticleView<f64>| {
+                if v.position().x == 777.0 {
+                    panic!("kernel fault on particle 777");
+                }
+            })
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel fault on particle 777")]
+    fn static_propagates_a_kernel_panic() {
+        sweep_with_a_panicking_particle(Schedule::StaticChunks);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel fault on particle 777")]
+    fn dynamic_propagates_a_kernel_panic() {
+        sweep_with_a_panicking_particle(Schedule::dynamic());
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel fault on particle 777")]
+    fn numa_propagates_a_kernel_panic() {
+        sweep_with_a_panicking_particle(Schedule::numa());
     }
 
     #[test]

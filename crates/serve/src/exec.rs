@@ -56,7 +56,7 @@ use pic_particles::io::RowEnd;
 use pic_particles::{AosEnsemble, ColumnSegment, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Precision;
 use pic_runtime::sync::lock;
-use pic_runtime::{imbalance_of, ExecTarget};
+use pic_runtime::{imbalance_of, ExecTarget, Schedule};
 use pic_telemetry::ThreadStat;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -209,7 +209,7 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
                 seg,
                 &mut time,
                 &shared.cfg.topology,
-                shared.cfg.schedule,
+                Schedule::dynamic(),
                 KernelVariant::SoaFast,
                 None,
                 &mut |step, _report| boundary(step),

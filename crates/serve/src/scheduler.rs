@@ -32,7 +32,7 @@ use crate::queue::JobQueue;
 use crate::state::JobState;
 use crate::stats::{Counter, Counters};
 use pic_runtime::sync::lock;
-use pic_runtime::{Schedule, Topology};
+use pic_runtime::Topology;
 use pic_telemetry::BenchRecord;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -58,8 +58,6 @@ pub struct ServeConfig {
     pub max_steps: usize,
     /// Thread topology of each job's sweep.
     pub topology: Topology,
-    /// Schedule of each job's sweep.
-    pub schedule: Schedule,
     /// Test hook: a job whose seed matches panics inside its worker,
     /// exercising panic isolation and respawn. `None` in production.
     pub fault_inject_seed: Option<u64>,
@@ -96,7 +94,6 @@ impl Default for ServeConfig {
             max_particles: 1_000_000,
             max_steps: 10_000,
             topology: Topology::single(1),
-            schedule: Schedule::dynamic(),
             fault_inject_seed: None,
             cache_capacity: 128,
             checkpoint_interval: 0,

@@ -12,7 +12,7 @@ use crate::job::{JobSpec, Outcome};
 use crate::scheduler::Shared;
 use pic_bench::{KernelVariant, RecordSubject};
 use pic_runtime::sync::lock;
-use pic_runtime::ExecTarget;
+use pic_runtime::{ExecTarget, Schedule};
 use pic_telemetry::BenchRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -172,7 +172,7 @@ impl Shared {
             layout: spec.layout,
             scenario: spec.scenario,
             precision: spec.precision,
-            schedule: self.cfg.schedule,
+            schedule: Schedule::dynamic(),
             // Jobs run through the SoA fast path in their seeded
             // particle order (exec.rs): nothing sorts, so nothing
             // measures `order_fraction` and it stays 0.

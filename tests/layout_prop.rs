@@ -156,7 +156,7 @@ proptest! {
         particles in prop::collection::vec(arb_particle(), 1..80),
         e in arb_vec3(1e3),
         b in arb_vec3(1e5),
-        schedule_idx in 0usize..4,
+        schedule_idx in 0usize..3,
         steps in 1usize..6,
     ) {
         // The same kernel through the threaded sweep must treat AoS and
@@ -169,7 +169,6 @@ proptest! {
             Schedule::StaticChunks,
             Schedule::dynamic(),
             Schedule::numa(),
-            Schedule::auto(),
         ][schedule_idx];
         let topo = Topology::uniform(2, 2);
         let dt = 1e-13;
