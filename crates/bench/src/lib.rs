@@ -1,26 +1,20 @@
 //! Benchmark harness regenerating the paper's evaluation (§5).
 //!
-//! Each table/figure has a bench target (run `cargo bench -p pic-bench`):
+//! Three binaries, one job each:
 //!
-//! | Target            | Paper artifact                                   |
-//! |-------------------|--------------------------------------------------|
-//! | `table1`          | Table 1 — hardware parameters (model inputs)     |
-//! | `table2`          | Table 2 — CPU NSPS, 6 implementations × 2 scenarios × 2 precisions |
-//! | `fig1`            | Fig. 1 — strong scaling 1–48 cores               |
-//! | `table3`          | Table 3 — GPU NSPS vs CPU, single precision      |
-//! | `first_iteration` | §5.3 — first-iteration JIT/warm-up overhead      |
-//! | `schedule_sim`    | ablation — simulated static/dynamic/guided policies under load imbalance (§4.3) |
-//! | `kernel_micro`    | criterion micro-benchmarks of the push kernel    |
-//!
-//! `cargo run -p pic-bench --bin reproduce` prints all modeled artifacts
-//! in one shot.
+//! | Binary        | Job                                                        |
+//! |---------------|------------------------------------------------------------|
+//! | `reproduce`   | prints every artefact — Table 1, Table 2, the Fig. 1 series, Table 3, the §5.3 first-iteration profile; `--emit-metrics` measures the real kernels (layout × scenario × precision × schedule) into `BENCH_<label>.json` |
+//! | `regress`     | compares two `BENCH_*.json` files, exit 1 on a slowdown     |
+//! | `table3_gate` | asserts the Table 3 shape of a `--device` emit             |
 //!
 //! Because the evaluation hardware (2×24-core Xeon, Intel GPUs) is not
-//! available here, each target prints **(a)** the performance-model
-//! prediction next to the paper's published number and **(b)** real
-//! measured wall-clock numbers for the functional Rust kernels on this
-//! host, clearly labeled. The model regenerates the paper's *shape*; the
-//! measurements ground the functional code. See DESIGN.md §2.
+//! available here, `reproduce` prints **(a)** the performance-model
+//! prediction next to the paper's published number and, with
+//! `--emit-metrics`, **(b)** real measured wall-clock numbers for the
+//! functional Rust kernels on this host, as records. The model
+//! regenerates the paper's *shape*; the measurements ground the
+//! functional code. See DESIGN.md §2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

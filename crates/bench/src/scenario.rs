@@ -46,15 +46,6 @@ impl BenchConfig {
         }
     }
 
-    /// The paper's full scale (≈ 10¹¹ particle-steps; hours on one core).
-    pub fn paper_scale() -> BenchConfig {
-        BenchConfig {
-            particles: 10_000_000,
-            steps_per_iteration: 1_000,
-            iterations: 10,
-        }
-    }
-
     /// Reads the scale from `PIC_BENCH_PARTICLES` / `PIC_BENCH_STEPS` /
     /// `PIC_BENCH_ITERS`, falling back to [`default_scale`](Self::default_scale).
     pub fn from_env() -> BenchConfig {
@@ -145,9 +136,6 @@ mod tests {
     fn config_scales() {
         let q = BenchConfig::quick();
         assert_eq!(q.work_per_iteration(), 10_000);
-        let p = BenchConfig::paper_scale();
-        assert_eq!(p.particles, 10_000_000);
-        assert_eq!(p.steps_per_iteration, 1_000);
     }
 
     #[test]

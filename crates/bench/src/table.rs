@@ -1,4 +1,4 @@
-//! Plain-text table output for the bench targets.
+//! Plain-text table output for `reproduce`.
 
 /// A simple fixed-width text table.
 #[derive(Clone, Debug, Default)]
@@ -26,16 +26,6 @@ impl Table {
         assert_eq!(row.len(), self.header.len(), "row width mismatch");
         self.rows.push(row);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table.
@@ -88,7 +78,7 @@ pub fn fmt_cell(model: f64, paper: f64) -> String {
     format!("{model:.2} (paper {paper:.2}, {dev:+.0}%)")
 }
 
-/// Prints a banner introducing a bench target and its provenance caveat.
+/// Prints a banner introducing one artefact and its provenance caveat.
 pub fn print_banner(title: &str, note: &str) {
     println!();
     println!("=== {title} ===");
@@ -110,8 +100,6 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[1].chars().all(|c| c == '-'));
         assert!(lines[3].starts_with("longer-name  2.25"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

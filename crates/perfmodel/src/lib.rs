@@ -31,7 +31,6 @@ pub mod cpu;
 pub mod gpu;
 pub mod report;
 pub mod roofline;
-pub mod sched;
 pub mod specs;
 
 pub use cost::{KernelCost, Precision, Scenario};
@@ -39,5 +38,4 @@ pub use cpu::{CpuModel, Parallelization};
 pub use gpu::GpuModel;
 pub use report::{default_report, fidelity, Cell, Fidelity};
 pub use roofline::{Bound, Roofline};
-pub use sched::{SchedOutcome, SchedSim, SimPolicy};
 pub use specs::{CpuSpec, GpuSpec};

@@ -1,9 +1,9 @@
 //! The reproduction report: every modeled cell next to its published
 //! value, as data.
 //!
-//! The bench targets print these tables; tests assert aggregate fidelity
-//! (mean absolute deviation, worst cell); downstream code can query any
-//! cell programmatically instead of re-parsing bench output.
+//! `pic-bench`'s `reproduce` prints these tables; tests assert aggregate
+//! fidelity (mean absolute deviation, worst cell); downstream code can
+//! query any cell programmatically instead of re-parsing that output.
 
 use crate::cost::{Precision, Scenario};
 use crate::cpu::{CpuModel, Parallelization};

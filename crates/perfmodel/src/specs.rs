@@ -52,11 +52,6 @@ impl CpuSpec {
             * self.base_clock
     }
 
-    /// Peak FP64 throughput at base clock, flop/s (half the FP32 lanes).
-    pub fn peak_flops_f64(&self) -> f64 {
-        self.peak_flops_f32() / 2.0
-    }
-
     /// Clock at a given active-core count: boost for one core, sliding
     /// linearly to base when all cores are busy.
     pub fn clock_at(&self, active_cores: usize) -> f64 {

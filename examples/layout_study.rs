@@ -63,6 +63,6 @@ fn main() {
     assert!(identical);
     println!(
         "\nOn CPUs the paper finds the layouts nearly equivalent (memory-bound kernel);\n\
-         on GPUs SoA wins by ≥1.5-2x — run `cargo bench -p pic-bench --bench table3`."
+         on GPUs SoA wins by ≥1.5-2x — run `cargo run --release -p pic-bench --bin reproduce`."
     );
 }
