@@ -1,26 +1,41 @@
-//! Shortest round-trip decimal text of an `f64` or an `f32`, without
-//! `core::fmt`.
+//! Shortest round-trip decimal text of `f64`s and `f32`s, sixteen at a
+//! time, without `core::fmt`.
 //!
-//! [`write_exp`] and [`write_exp_f32`] lay down exactly the bytes
-//! `format!("{:e}", x)` would for a value of that width — `{:e}` is this
-//! module's test oracle, and every golden, cached dump and wire
-//! comparison in the workspace is defined by its bytes — at a fraction
-//! of the cost: the digits come from Raffaello Giulietti's Schubfach
-//! construction (*The Schubfach way to render doubles*, 2020), three
-//! multiplications against one entry of a table of powers of ten. An
-//! `f64` takes three 64×128-bit products against the whole 128-bit entry;
-//! an `f32` takes the paper's float variant, three 64×64-bit products
-//! against the entry's upper 64 bits. The shortest candidate is chosen by
-//! compares and selects, not by branches on the value.
+//! [`exp_block`] and [`exp_block_f32`] lay down, for each value of a
+//! block of [`EXP_BLOCK`], exactly the bytes `format!("{:e}", x)` would
+//! for a value of that width — `{:e}` is this module's test oracle, and
+//! every golden, cached dump and wire comparison in the workspace is
+//! defined by its bytes — at a fraction of the cost: the digits come
+//! from Raffaello Giulietti's Schubfach construction (*The Schubfach way
+//! to render doubles*, 2020), three multiplications against one entry of
+//! a table of powers of ten. An `f64` takes three 64×128-bit products
+//! against the whole 128-bit entry, one lane at a time; an `f32` takes the
+//! paper's float variant, whose three products against the entry's upper
+//! 64 bits split into 32×32-bit ones, so a block's digits are computed as
+//! plain per-lane array code that the compiler vectorizes, the way the
+//! Boris kernel's `lane_block` is written.
 //!
-//! One digit layout serves both widths: the digits are scaled to the
-//! width's full count (9 for `f32`, 17 for `f64`), and the fraction is
-//! written eight digits at a time, each eight converted inside one `u64`
-//! by multiplies and shifts (SWAR) and stored whole; the text's length
-//! comes from the count of zero bytes at the top of the last non-zero
-//! word. So a writer may leave scratch bytes after the text it returns
-//! the length of — never past [`MAX_EXP_LEN`] ([`MAX_EXP_LEN_F32`]) bytes
-//! from the start, and it asks for that many.
+//! Everything after the digits is lane code at both widths, with one
+//! layout for both: the digits are scaled to the width's full count (9
+//! for `f32`, 17 for `f64`), the fraction is converted four digits at a
+//! time inside one `u32` by multiplies and shifts (SWAR), its trailing
+//! zeros are read off the zero bytes at the top of the last non-zero
+//! word, and the text is assembled as whole little-endian words, each
+//! piece shifted to its byte offset. The shortest candidate, the digit
+//! count, the point, the exponent's sign and width, and the names of
+//! `NaN`, `inf` and zero are all picked by selects per lane: there is no
+//! branch on a value and no scalar fallback. An [`ExpBlock`] holds the
+//! finished texts; [`ExpBlock::put`] copies one whole, so a caller laying
+//! texts one after another overwrites the scratch bytes after each.
+//!
+//! The compiler keeps lane code vector code only while each loop over
+//! the lanes is plain: fixed-size arrays indexed by the lane, and one
+//! integer width per loop where it can be (32-bit lanes are twice as many
+//! a register as 64-bit ones). Two harmless-looking rewrites of the
+//! layout's 32-bit loop — a `zip` over the digit groups, a `flatten` of
+//! their words — each made it scalar, with branches, at twice the time of
+//! a block; no test notices, so read the object code (`objdump -d`) of
+//! [`exp_block_f32`] after touching it.
 //!
 //! An `f32`'s text is the shortest that reads back as that `f32` under a
 //! correctly rounded `f32` parse. Parsed as `f64` and then narrowed it can
@@ -35,24 +50,26 @@
 //! normal number included, although that one's lower neighbour is a full
 //! step away.
 
-use std::num::FpCategory;
-
-/// Most bytes [`write_exp`] writes, scratch bytes included, and the
-/// longest text: sign, 17 digits and the point, `e-` and three exponent
-/// digits (`-1.2345678901234567e-308`).
+/// Longest text of an `f64`: sign, 17 digits and the point, `e-` and
+/// three exponent digits (`-1.2345678901234567e-308`).
 pub const MAX_EXP_LEN: usize = 24;
 
-/// Most bytes [`write_exp_f32`] writes, scratch bytes included, and the
-/// longest text: sign, 9 digits and the point, `e-` and two exponent
-/// digits (`-1.00000075e-36`).
+/// Longest text of an `f32`: sign, 9 digits and the point, `e-` and two
+/// exponent digits (`-1.00000075e-36`).
 pub const MAX_EXP_LEN_F32: usize = 15;
 
-// Each is the longest text `lay_out` lays out at its width, and what it
-// asks of `out`: sign, digits, point, `e-`, exponent.
+// Each is the longest text `lay_out_block` lays out at its width: sign,
+// digits, point, `e-`, exponent.
 const _: () = assert!(MAX_EXP_LEN == 1 + 17 + 3 + 3 && MAX_EXP_LEN_F32 == 1 + 9 + 3 + 2);
 
-/// Most bytes [`write_uint`] writes (`u64::MAX` has 20 digits).
-pub const MAX_UINT_LEN: usize = 20;
+/// Values an [`ExpBlock`] holds the text of: the lanes of the block code.
+pub const EXP_BLOCK: usize = 16;
+
+/// Words of text an [`ExpBlock`] keeps for each lane: the longest text
+/// of either width.
+const EXP_WORDS: usize = MAX_EXP_LEN.div_ceil(8);
+
+use std::ops::{Div, Mul, Sub};
 
 /// Smallest and largest power of ten in [`POW10`]: the `-k` of every
 /// finite `f64`'s decimal exponent `k`.
@@ -67,7 +84,8 @@ const LIMBS: usize = 18;
 /// `MIN_POW10..=MAX_POW10`: the leading 128 bits of 10ᵏ, rounded up.
 /// Evaluated by the compiler from exact integers; the `decimal` test
 /// suite holds every entry against independent big-integer arithmetic.
-static POW10: [u128; (MAX_POW10 - MIN_POW10 + 1) as usize] = pow10_table();
+const POW10_TABLE: [u128; (MAX_POW10 - MIN_POW10 + 1) as usize] = pow10_table();
+static POW10: [u128; (MAX_POW10 - MIN_POW10 + 1) as usize] = POW10_TABLE;
 
 /// The leading 128 bits of the integer in `limbs` (little-endian,
 /// non-zero), and whether any bit below them is set.
@@ -129,43 +147,23 @@ const fn pow10_table() -> [u128; (MAX_POW10 - MIN_POW10 + 1) as usize] {
     table
 }
 
-/// `"00" "01" … "99"`.
-static PAIRS: [u8; 200] = {
-    let mut pairs = [0u8; 200];
-    let mut n = 0;
-    while n < 100 {
-        pairs[2 * n] = b'0' + (n / 10) as u8;
-        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
-        n += 1;
-    }
-    pairs
-};
+/// Smallest and largest `-k` of an `f32`'s decimal exponent `k`: the
+/// span of [`G32`].
+const MIN_POW10_F32: i32 = -31;
+const MAX_POW10_F32: i32 = 45;
 
-/// Writes `n` in decimal at the start of `out`, two digits at a time
-/// from the last; returns the byte count (at most [`MAX_UINT_LEN`]).
-///
-/// # Panics
-///
-/// Panics when `out` is shorter than the digits.
-pub fn write_uint(mut n: u64, out: &mut [u8]) -> usize {
-    let len = n.checked_ilog10().map_or(1, |log| log as usize + 1);
-    let mut at = len;
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        at -= 2;
-        out[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+/// [`POW10`]'s entries for k in `MIN_POW10_F32..=MAX_POW10_F32`, cut to
+/// their upper 64 bits and rounded up by one: the float variant's table
+/// (no entry there has an all-ones upper half; the table suite checks).
+static G32: [u64; (MAX_POW10_F32 - MIN_POW10_F32 + 1) as usize] = {
+    let mut table = [0u64; (MAX_POW10_F32 - MIN_POW10_F32 + 1) as usize];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = (POW10_TABLE[(MIN_POW10_F32 - MIN_POW10) as usize + i] >> 64) as u64 + 1;
+        i += 1;
     }
-    if n >= 10 {
-        let pair = n as usize * 2;
-        at -= 2;
-        out[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        out[at] = b'0' + n as u8;
-    }
-    len
-}
+    table
+};
 
 /// The high 64 bits of `g · cp / 2⁶⁴`, with every bit shifted out
 /// folded into the last one ("round to odd"): enough to order the
@@ -176,11 +174,16 @@ fn round_to_odd(g: u128, cp: u64) -> u64 {
     (high >> 64) as u64 | u64::from(high as u64 > 1)
 }
 
-/// [`round_to_odd`] of the float variant: the integer part of
-/// `g · cp / 2⁹⁶`, with the 32 bits below it folded into the last one
-/// (the product's low 64 bits are below `g`'s own precision).
-fn round_to_odd_f32(g: u64, cp: u64) -> u64 {
-    let high = ((u128::from(g) * u128::from(cp)) >> 64) as u64;
+/// [`round_to_odd`] of the float variant, for `cp = m << (h + 32)`: the
+/// integer part of `g · cp / 2⁹⁶`, with the 32 bits below it folded into
+/// the last one (the product's low 64 bits are below `g`'s own
+/// precision). With `g` split into 32-bit halves that is
+/// `(g_hi · m << h) + (g_lo · m >> (32 − h))` exactly, two 32×32→64-bit
+/// products (`m < 2²⁶`, `h` in `1..=4`, so neither term overflows).
+#[inline(always)]
+fn round_to_odd_f32(g: u64, m: u32, h: u32) -> u64 {
+    let m = u64::from(m);
+    let high = (((g >> 32) * m) << h) + (((g & 0xffff_ffff) * m) >> (32 - h));
     high >> 32 | u64::from(high as u32 != 0)
 }
 
@@ -188,6 +191,7 @@ fn round_to_odd_f32(g: u64, cp: u64) -> u64 {
 /// `k = ⌊log₁₀ 2^q⌋` (of `¾·2^q` over an interval narrowed below a power
 /// of two) and `h = ⌊log₂ 10^-k⌋ + q + 1`, in `1..=4`, the shift that
 /// keeps two fraction bits below the integer part of `4c · 2^q · 10^-k`.
+#[inline(always)]
 fn scale(q: i32, narrow_below: bool) -> (i32, i32) {
     let k = (q * 1_262_611 - if narrow_below { 524_031 } else { 0 }) >> 22;
     (k, q + ((-k * 1_741_647) >> 19) + 1)
@@ -216,43 +220,18 @@ fn shortest(bits: u64) -> (u64, i32) {
     let lower = round_to_odd(g, (4 * c - 2 + u64::from(narrow_below)) << h) + odd;
     let scaled = round_to_odd(g, (4 * c) << h);
     let upper = round_to_odd(g, (4 * c + 2) << h) - odd;
-    (pick(lower, scaled, upper), k)
-}
-
-/// [`shortest`] of the positive finite `f32` with bit pattern `bits`:
-/// at most 9 digits. Schubfach's float variant, on `g`'s upper 64 bits
-/// rounded up (no table of its own) and a product window 32 bits wider.
-fn shortest_f32(bits: u32) -> (u64, i32) {
-    const FRACTION_BITS: u32 = 23;
-    let fraction = bits & ((1 << FRACTION_BITS) - 1);
-    let biased = (bits >> FRACTION_BITS) as i32;
-    let (c, q) = match biased {
-        0 => (fraction, -149),
-        _ => (fraction | 1 << FRACTION_BITS, biased - 150),
-    };
-    let c = u64::from(c);
-    let narrow_below = fraction == 0 && biased != 0;
-    let (k, h) = scale(q, narrow_below);
-    // bounds: -k is in -31..=45 for every q in -149..=104. No entry
-    // there has an all-ones upper half (the table suite checks).
-    let g = (POW10[(-k - MIN_POW10) as usize] >> 64) as u64 + 1;
-    let h = h + 32;
-    let odd = c & 1;
-    let lower = round_to_odd_f32(g, (4 * c - 2 + u64::from(narrow_below)) << h) + odd;
-    let scaled = round_to_odd_f32(g, (4 * c) << h);
-    let upper = round_to_odd_f32(g, (4 * c + 2) << h) - odd;
-    (pick(lower, scaled, upper), k)
+    (pick(lower, scaled, upper, |s| s / 10), k)
 }
 
 /// The digits of the shortest decimal in the rounding interval `[lower,
 /// upper] / 4 · 10ᵏ` around `scaled / 4 · 10ᵏ` (all three rounded to
 /// odd), at the scale of `10ᵏ`: every candidate weighed and one taken by
-/// selects, so no branch depends on the value.
+/// selects. `div10` is `⌊s / 10⌋` over the width's range of `s`.
 #[inline(always)]
-fn pick(lower: u64, scaled: u64, upper: u64) -> u64 {
+fn pick(lower: u64, scaled: u64, upper: u64, div10: impl Fn(u64) -> u64) -> u64 {
     let s = scaled / 4;
     // One digit fewer: at most one multiple of ten lies in the interval.
-    let tens = s / 10;
+    let tens = div10(s);
     let (tens_down, tens_up) = (lower <= 40 * tens, 40 * tens + 40 <= upper);
     let shorter = (s >= 10) & (tens_down != tens_up);
     // Otherwise one of `s` and `s + 1`: the one inside, or with both in,
@@ -267,177 +246,451 @@ fn pick(lower: u64, scaled: u64, upper: u64) -> u64 {
     }
 }
 
-/// Writes `value` at the start of `out` as `format!("{value:e}")` does —
-/// the shortest digits that read back as `value`, `d[.ddd]e[-]x`, `NaN`,
-/// `inf`, `-inf` — and returns the byte count. The bytes of `out` after
-/// the count, up to [`MAX_EXP_LEN`], may be overwritten.
-///
-/// # Panics
-///
-/// Panics when `out` is shorter than [`MAX_EXP_LEN`].
-///
-/// # Example
-///
-/// ```
-/// use pic_math::decimal::{write_exp, MAX_EXP_LEN};
-///
-/// let mut buf = [0u8; MAX_EXP_LEN];
-/// let n = write_exp(-1.5e-7, &mut buf);
-/// assert_eq!(&buf[..n], b"-1.5e-7");
-/// ```
-pub fn write_exp(value: f64, out: &mut [u8]) -> usize {
-    let magnitude = value.to_bits() & (u64::MAX >> 1);
-    lay_out::<17, 3>(
-        value.is_sign_negative(),
-        value.classify(),
-        || shortest(magnitude),
-        out,
-    )
+/// The text of [`EXP_BLOCK`] values, one a lane, as [`exp_block`],
+/// [`exp_block_f32`] and [`uint_block`] lay it out: lane `l`'s bytes are
+/// the little-endian words `words[0][l]`, `words[1][l]`, …, of which the
+/// first `len[l]` are the text and the rest scratch.
+#[derive(Clone, Debug, Default)]
+pub struct ExpBlock {
+    words: [[u64; EXP_BLOCK]; EXP_WORDS],
+    len: [u8; EXP_BLOCK],
 }
 
-/// [`write_exp`] of an `f32`: the bytes `format!("{value:e}")` prints
-/// for the `f32` itself (where the value widened to `f64` would print up
-/// to 17 digits). The bytes of `out` after the count, up to
-/// [`MAX_EXP_LEN_F32`], may be overwritten.
-///
-/// # Panics
-///
-/// Panics when `out` is shorter than [`MAX_EXP_LEN_F32`].
-///
-/// # Example
-///
-/// ```
-/// use pic_math::decimal::{write_exp_f32, MAX_EXP_LEN_F32};
-///
-/// let mut buf = [0u8; MAX_EXP_LEN_F32];
-/// let n = write_exp_f32(0.1, &mut buf);
-/// assert_eq!(&buf[..n], b"1e-1");
-/// ```
-pub fn write_exp_f32(value: f32, out: &mut [u8]) -> usize {
-    let magnitude = value.to_bits() & (u32::MAX >> 1);
-    lay_out::<9, 2>(
-        value.is_sign_negative(),
-        value.classify(),
-        || shortest_f32(magnitude),
-        out,
-    )
-}
+impl ExpBlock {
+    /// Bytes [`put`](Self::put) writes: a lane's every word, at least
+    /// the longest text of either width.
+    pub const PUT_LEN: usize = 8 * EXP_WORDS;
 
-/// 10ⁿ for every `n` a `u64` holds, `0..=19`.
-static POW10_U64: [u64; 20] = {
-    let mut powers = [1u64; 20];
-    let mut n = 1;
-    while n < 20 {
-        powers[n] = powers[n - 1] * 10;
-        n += 1;
+    /// Copies lane `lane`'s text to the start of `out`, whole words, and
+    /// returns its length. The bytes of `out` after the text, up to
+    /// [`PUT_LEN`](Self::PUT_LEN), are overwritten with scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is not below [`EXP_BLOCK`] or `out` is shorter
+    /// than [`PUT_LEN`](Self::PUT_LEN).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pic_math::decimal::{exp_block_f32, ExpBlock, EXP_BLOCK};
+    ///
+    /// let mut values = [0.0f32; EXP_BLOCK];
+    /// values[3] = 0.1;
+    /// let block = exp_block_f32(&values);
+    /// let mut buf = [0u8; ExpBlock::PUT_LEN];
+    /// let n = block.put(3, &mut buf);
+    /// assert_eq!(&buf[..n], b"1e-1");
+    /// ```
+    #[inline(always)]
+    pub fn put(&self, lane: usize, out: &mut [u8]) -> usize {
+        let out = &mut out[..Self::PUT_LEN];
+        for (to, words) in out.chunks_exact_mut(8).zip(&self.words) {
+            to.copy_from_slice(&words[lane].to_le_bytes());
+        }
+        usize::from(self.len[lane])
     }
-    powers
-};
+}
 
-/// The number of decimal digits of `n ≥ 1`: `⌊log₁₀ n⌋ + 1`, with the
-/// logarithm first taken from the bit length (1233 / 2¹² ≈ log₁₀ 2,
-/// which lands on it or one below) and then corrected by one compare.
+/// What the text of each lane's finite non-zero value is made of, and
+/// which lanes print a name instead: the layout's input at either width.
+/// `GROUPS` is the fraction's eight-digit groups (1 for `f32`, 2 for
+/// `f64`).
+struct Parts<const GROUPS: usize> {
+    /// 1 where the value is negative.
+    negative: [u32; EXP_BLOCK],
+    /// The value's [`name`], 0 where it has digits.
+    named: [u32; EXP_BLOCK],
+    /// The first digit, `1..=9`.
+    lead: [u32; EXP_BLOCK],
+    /// The digits after the first, eight a group, the first group first.
+    groups: [[u32; EXP_BLOCK]; GROUPS],
+    /// The decimal exponent of the first digit.
+    exponent: [i32; EXP_BLOCK],
+}
+
+impl<const GROUPS: usize> Parts<GROUPS> {
+    fn new() -> Parts<GROUPS> {
+        Parts {
+            negative: [0; EXP_BLOCK],
+            named: [0; EXP_BLOCK],
+            lead: [0; EXP_BLOCK],
+            groups: [[0; EXP_BLOCK]; GROUPS],
+            exponent: [0; EXP_BLOCK],
+        }
+    }
+}
+
+/// The greedy binary sequence that scales `f32` digits (1 to 9 of them)
+/// to exactly 9: `(limit, factor, shift)`, multiply by `factor` = 10^shift
+/// where the digits are below `limit`, so that they stay below 10⁹. The
+/// shifts 8, 4, 2, 1 sum to every count 0..=8 of missing digits.
+const F32_STEPS: [(u32, u32, i32); 4] = [
+    (10, 100_000_000, 8),
+    (100_000, 10_000, 4),
+    (10_000_000, 100, 2),
+    (100_000_000, 10, 1),
+];
+
+/// [`F32_STEPS`] for `f64` digits (1 to 17 of them), scaled to 17.
+const F64_STEPS: [(u64, u64, i32); 5] = [
+    (10, 10_000_000_000_000_000, 16),
+    (1_000_000_000, 100_000_000, 8),
+    (10_000_000_000_000, 10_000, 4),
+    (1_000_000_000_000_000, 100, 2),
+    (10_000_000_000_000_000, 10, 1),
+];
+
+/// `digits · 10ᵏ` as its parts: the digits scaled by `steps` to exactly
+/// `1 + 8 · GROUPS` of them (`unit` is 10^(8 · GROUPS), the first digit's
+/// place), then the first digit, the eight-digit groups after it, and the
+/// first digit's exponent. `T` is `u32` for `f32` digits, so that a lane
+/// of them is a 32-bit lane, and `u64` for `f64` ones.
 #[inline(always)]
-fn digit_count(n: u64) -> u32 {
-    let guess = ((64 - n.leading_zeros()) * 1233) >> 12;
-    // bounds: guess ≤ 64 · 1233 >> 12 = 19.
-    guess + u32::from(n >= POW10_U64[guess as usize])
+fn split<T, const GROUPS: usize>(
+    digits: T,
+    k: i32,
+    steps: &[(T, T, i32)],
+    unit: T,
+) -> (u32, [u32; GROUPS], i32)
+where
+    T: Copy + PartialOrd + Mul<Output = T> + Div<Output = T> + Sub<Output = T> + Into<u64>,
+{
+    let (mut full, mut exponent) = (digits, k + 8 * GROUPS as i32);
+    for &(limit, factor, shift) in steps {
+        let short = full < limit;
+        full = if short { full * factor } else { full };
+        exponent -= if short { shift } else { 0 };
+    }
+    let lead = full / unit;
+    let mut fraction: u64 = (full - lead * unit).into();
+    let mut groups = [0u32; GROUPS];
+    for group in (1..GROUPS).rev() {
+        groups[group] = (fraction % 100_000_000) as u32;
+        fraction /= 100_000_000;
+    }
+    groups[0] = fraction as u32;
+    (lead.into() as u32, groups, exponent)
+}
+
+/// `{:e}`'s text of each value of `values`, as `format!("{x:e}")` prints
+/// an `f64`: the shortest digits that read back as it, `d[.ddd]e[-]x`,
+/// `NaN`, `inf`, `-inf`, `0e0`, `-0e0`. At most [`MAX_EXP_LEN`] bytes a
+/// lane. The digits are [`shortest`]'s, one lane at a time; the text is
+/// laid out as lane code.
+///
+/// # Example
+///
+/// ```
+/// use pic_math::decimal::{exp_block, ExpBlock, EXP_BLOCK};
+///
+/// let mut values = [1.0f64; EXP_BLOCK];
+/// values[0] = -1.5e-7;
+/// let block = exp_block(&values);
+/// let mut buf = [0u8; ExpBlock::PUT_LEN];
+/// let n = block.put(0, &mut buf);
+/// assert_eq!(&buf[..n], b"-1.5e-7");
+/// let n = block.put(1, &mut buf);
+/// assert_eq!(&buf[..n], b"1e0");
+/// ```
+pub fn exp_block(values: &[f64; EXP_BLOCK]) -> ExpBlock {
+    const INF: u64 = 0x7ff0_0000_0000_0000;
+    let mut parts = Parts::<2>::new();
+    // bounds: every index in this fn is `[l]` with `l in 0..EXP_BLOCK`
+    // into `[_; EXP_BLOCK]` arrays — in range by construction.
+    for (l, value) in values.iter().enumerate() {
+        let bits = value.to_bits();
+        let magnitude = bits & (u64::MAX >> 1);
+        parts.negative[l] = (bits >> 63) as u32;
+        parts.named[l] = name(magnitude == 0, magnitude == INF, magnitude > INF);
+        // A named value's digits are those of 1 and go unused.
+        let magnitude = if parts.named[l] != 0 {
+            1f64.to_bits()
+        } else {
+            magnitude
+        };
+        let (digits, k) = shortest(magnitude);
+        let (lead, [first, last], exponent) = split(digits, k, &F64_STEPS, 10_u64.pow(16));
+        parts.lead[l] = lead;
+        parts.groups[0][l] = first;
+        parts.groups[1][l] = last;
+        parts.exponent[l] = exponent;
+    }
+    lay_out_block::<2, 3>(&parts)
+}
+
+/// [`exp_block`] of `f32`s: the bytes `format!("{x:e}")` prints for the
+/// `f32` itself (where the value widened to `f64` would print up to 17
+/// digits). At most [`MAX_EXP_LEN_F32`] bytes a lane.
+///
+/// The digits are Schubfach's float variant on `g`'s upper 64 bits
+/// rounded up ([`G32`]), with a product window 32 bits wider than the
+/// value's: [`round_to_odd_f32`]'s two 32×32-bit products a candidate,
+/// and `⌊s / 10⌋ = s · 0xCCCCCCCD >> 35` (`s < 2²⁸`) — per-lane array code
+/// with no branch, as is the layout after it.
+///
+/// # Example
+///
+/// ```
+/// use pic_math::decimal::{exp_block_f32, ExpBlock, EXP_BLOCK};
+///
+/// let mut values = [f32::NAN; EXP_BLOCK];
+/// values[15] = -3.0e38;
+/// let block = exp_block_f32(&values);
+/// let mut buf = [0u8; ExpBlock::PUT_LEN];
+/// let n = block.put(15, &mut buf);
+/// assert_eq!(&buf[..n], b"-3e38");
+/// let n = block.put(14, &mut buf);
+/// assert_eq!(&buf[..n], b"NaN");
+/// ```
+pub fn exp_block_f32(values: &[f32; EXP_BLOCK]) -> ExpBlock {
+    const FRACTION_BITS: u32 = 23;
+    const INF: u32 = 0x7f80_0000;
+    let mut parts = Parts::<1>::new();
+    let mut digits = [0u32; EXP_BLOCK];
+    let mut k = [0i32; EXP_BLOCK];
+    // bounds: every index in this fn is `[l]` with `l in 0..EXP_BLOCK`
+    // into `[_; EXP_BLOCK]` arrays, and a clamped one into `G32`.
+    for l in 0..EXP_BLOCK {
+        let bits = values[l].to_bits();
+        let magnitude = bits & (u32::MAX >> 1);
+        parts.negative[l] = bits >> 31;
+        parts.named[l] = name(magnitude == 0, magnitude == INF, magnitude > INF);
+        // A named value's digits are those of 1 and go unused.
+        let magnitude = if parts.named[l] != 0 {
+            1f32.to_bits()
+        } else {
+            magnitude
+        };
+        let fraction = magnitude & ((1 << FRACTION_BITS) - 1);
+        let biased = magnitude >> FRACTION_BITS;
+        // value = c · 2^q; a subnormal's exponent is the smallest normal one.
+        let c = fraction | u32::from(biased != 0) << FRACTION_BITS;
+        let q = biased.max(1) as i32 - 150;
+        let narrow_below = (fraction == 0) & (biased != 0);
+        let (k_l, h) = scale(q, narrow_below);
+        k[l] = k_l;
+        // -k is in MIN_POW10_F32..=MAX_POW10_F32 for every q in
+        // -149..=104; the clamp only proves it.
+        let g = G32[(-k_l - MIN_POW10_F32).clamp(0, MAX_POW10_F32 - MIN_POW10_F32) as usize];
+        let h = h as u32;
+        let odd = u64::from(c & 1);
+        let lower = round_to_odd_f32(g, 4 * c - 2 + u32::from(narrow_below), h) + odd;
+        let scaled = round_to_odd_f32(g, 4 * c, h);
+        let upper = round_to_odd_f32(g, 4 * c + 2, h) - odd;
+        digits[l] = pick(lower, scaled, upper, |s| (s * 0xcccc_cccd) >> 35) as u32;
+    }
+    // Its own loop, in 32-bit lanes throughout.
+    for l in 0..EXP_BLOCK {
+        let (lead, [group], exponent) = split(digits[l], k[l], &F32_STEPS, 100_000_000);
+        parts.lead[l] = lead;
+        parts.groups[0][l] = group;
+        parts.exponent[l] = exponent;
+    }
+    lay_out_block::<1, 2>(&parts)
+}
+
+/// The decimal text of each species id of `values`, as `{}` prints a
+/// `u16`, in an [`ExpBlock`] of the same layout: at most 5 bytes a lane.
+///
+/// # Example
+///
+/// ```
+/// use pic_math::decimal::{uint_block, ExpBlock, EXP_BLOCK};
+///
+/// let block = uint_block(&[65_535; EXP_BLOCK]);
+/// let mut buf = [0u8; ExpBlock::PUT_LEN];
+/// let n = block.put(0, &mut buf);
+/// assert_eq!(&buf[..n], b"65535");
+/// ```
+pub fn uint_block(values: &[u16; EXP_BLOCK]) -> ExpBlock {
+    let mut block = ExpBlock::default();
+    // bounds: every index is `[l]` with `l in 0..EXP_BLOCK`.
+    for (l, &id) in values.iter().enumerate() {
+        let n = u32::from(id);
+        let count = 1 + u32::from(n >= 10) + u32::from(n >= 100);
+        let count = count + u32::from(n >= 1_000) + u32::from(n >= 10_000);
+        // Five digits with leading zeros, first in the lowest byte,
+        // shifted down past the zeros.
+        let high = n / 10_000;
+        let five = u64::from(u32::from(b'0') + high)
+            | u64::from(four_digits(n - high * 10_000) | ASCII_ZEROS) << 8;
+        block.words[0][l] = five >> (8 * (5 - count));
+        block.len[l] = count as u8;
+    }
+    block
+}
+
+/// The texts of the values with no digits, as little-endian words:
+/// `NaN` (never signed), `inf` and `0e0` (signed).
+const NAN_TEXT: u32 = u32::from_le_bytes(*b"NaN\0");
+const INF_TEXT: u32 = u32::from_le_bytes(*b"inf\0");
+const ZERO_TEXT: u32 = u32::from_le_bytes(*b"0e0\0");
+
+/// A value's text when it has no digits, 0 for a finite non-zero one.
+#[inline(always)]
+fn name(zero: bool, infinite: bool, nan: bool) -> u32 {
+    if nan {
+        NAN_TEXT
+    } else if infinite {
+        INF_TEXT
+    } else if zero {
+        ZERO_TEXT
+    } else {
+        0
+    }
 }
 
 /// `0x30` (`'0'`) in every byte of a word.
-const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
+const ASCII_ZEROS: u32 = 0x3030_3030;
 
-/// The eight decimal digits of `n < 10⁸`, one a byte, the first in the
-/// lowest: `n`'s text once [`ASCII_ZEROS`] is added, stored little-endian.
-/// Each split — into halves of four digits, quarters of two, single
-/// digits — divides every lane of the word at once by a multiply and
-/// shift that is exact over the lane's range (x · 5243 >> 19 = ⌊x / 100⌋
-/// below 43 699, x · 103 >> 10 = ⌊x / 10⌋ below 179) and whose product
-/// stays inside the lane.
+/// The low `n` bytes of a word set, `n` clamped to `0..=4`.
 #[inline(always)]
-fn eight_digits(n: u64) -> u64 {
-    // Two 32-bit lanes: the first four digits low, the last four high.
-    let halves = (n / 10_000) | ((n % 10_000) << 32);
-    let hundreds = ((halves * 5243) >> 19) & 0x0000_007f_0000_007f;
-    // Four 16-bit lanes of two digits each.
-    let pairs = hundreds | ((halves - hundreds * 100) << 16);
-    let tens = ((pairs * 103) >> 10) & 0x000f_000f_000f_000f;
-    tens | ((pairs - tens * 10) << 8)
+fn low_bytes(n: u32) -> u32 {
+    if n == 0 {
+        0
+    } else {
+        u32::MAX >> (32 - 8 * n.min(4))
+    }
 }
 
-/// `{:e}`'s text of a float of either width at the start of `out`: the
-/// sign, then `NaN`, `0e0`, `inf`, or the finite value's `digits · 10ᵏ`
-/// as `d[.ddd]e[-]x`. `digits` runs for a finite non-zero value only.
-///
-/// `DIGITS` is the width's longest shortest text (9 for `f32`, 17 for
-/// `f64`) and `EXP_DIGITS` its longest exponent (2 and 3). The digits are
-/// scaled to exactly `DIGITS` of them; the fraction goes out eight digits
-/// a store, whole, and its trailing zeros — the high zero bytes of the
-/// last non-zero word — are then left out of the count, as are an
-/// exponent's leading zeros. So every write lands inside the width's
-/// longest text, and the bytes after the count are scratch.
+/// The four decimal digits of `n < 10⁴`, one a byte, the first in the
+/// lowest: `n`'s text once [`ASCII_ZEROS`] is added, stored little-endian.
+/// Each split — into halves of two digits, then single digits — divides
+/// every lane of the word at once by a multiply and shift that is exact
+/// over the lane's range (x · 5243 >> 19 = ⌊x / 100⌋ below 43 699,
+/// x · 103 >> 10 = ⌊x / 10⌋ below 179) and whose product stays inside the
+/// lane (SWAR).
 #[inline(always)]
-fn lay_out<const DIGITS: u32, const EXP_DIGITS: usize>(
-    negative: bool,
-    class: FpCategory,
-    digits: impl FnOnce() -> (u64, i32),
-    out: &mut [u8],
-) -> usize {
-    // Sign, digits, point, `e-`, exponent.
-    let out = &mut out[..DIGITS as usize + 4 + EXP_DIGITS];
-    let name = |text: &[u8], out: &mut [u8]| {
-        out[..text.len()].copy_from_slice(text);
-        text.len()
-    };
-    if class == FpCategory::Nan {
-        return name(b"NaN", out);
+fn four_digits(n: u32) -> u32 {
+    // Two 16-bit lanes: the first two digits low, the last two high.
+    let hundreds = (n * 5243) >> 19;
+    let pairs = hundreds | (n - hundreds * 100) << 16;
+    let tens = ((pairs * 103) >> 10) & 0x000f_000f;
+    tens | (pairs - tens * 10) << 8
+}
+
+/// `{:e}`'s text of a block of floats of either width from its parts:
+/// per lane the sign, then the `named` text, or else the first digit, the
+/// point, the fraction up to its last non-zero digit, `e`, the exponent's
+/// sign and one to `EXP_DIGITS` digits.
+///
+/// Two loops over the lanes. The first works in 32-bit lanes: each
+/// eight-digit group becomes two SWAR words of four digits, whose high
+/// zero bytes are the fraction's trailing zeros, and only the shown
+/// digits are made ASCII, so the bytes after them stay zero; it lays out
+/// the head (sign, first digit, point) and the exponent's text, and the
+/// offsets of the fraction and the exponent. The second works in 64-bit
+/// lanes: it ORs each piece into the lane's text words at its offset and
+/// puts a name in place of the first word where there is one. Every
+/// choice is a select.
+#[inline(always)]
+fn lay_out_block<const GROUPS: usize, const EXP_DIGITS: u32>(parts: &Parts<GROUPS>) -> ExpBlock {
+    // Sign, first digit, point, fraction, `e-`, exponent.
+    let text_words = (3 + 8 * GROUPS + 2 + EXP_DIGITS as usize).div_ceil(8);
+    // bounds: every `[l]` below is `l in 0..EXP_BLOCK` into
+    // `[_; EXP_BLOCK]` arrays; the word indices are below `text_words`,
+    // which is at most EXP_WORDS (the const assert on MAX_EXP_LEN).
+    let mut fraction = [[[0u32; EXP_BLOCK]; 2]; GROUPS];
+    let mut head = [0u32; EXP_BLOCK];
+    let mut fraction_at = [0u32; EXP_BLOCK];
+    let mut exp_text = [0u32; EXP_BLOCK];
+    let mut exp_at = [0u32; EXP_BLOCK];
+    let mut len = [0u32; EXP_BLOCK];
+    for l in 0..EXP_BLOCK {
+        let mut halves = [[0u32; 2]; GROUPS];
+        for (group, half) in halves.iter_mut().enumerate() {
+            let digits = parts.groups[group][l];
+            let high = digits / 10_000;
+            *half = [four_digits(high), four_digits(digits - high * 10_000)];
+        }
+        // Zero bytes at the top of the last non-zero word, and every
+        // word after it.
+        let (mut zeros, mut tail) = (0, true);
+        for half in halves.iter().rev() {
+            for &word in half.iter().rev() {
+                zeros += (word.leading_zeros() / 8) * u32::from(tail);
+                tail &= word == 0;
+            }
+        }
+        let shown = 8 * GROUPS as u32 - zeros;
+        for (group, half) in halves.iter().enumerate() {
+            for (i, &word) in half.iter().enumerate() {
+                let ascii = low_bytes(shown.saturating_sub(8 * group as u32 + 4 * i as u32));
+                fraction[group][i][l] = word | (ASCII_ZEROS & ascii);
+            }
+        }
+        let sign = parts.negative[l];
+        let point = if shown > 0 { u32::from(b'.') } else { 0 };
+        let lead = (u32::from(b'0') + parts.lead[l]) | point << 8;
+        head[l] = if sign != 0 {
+            u32::from(b'-') | lead << 8
+        } else {
+            lead
+        };
+        fraction_at[l] = 2 + sign;
+        exp_at[l] = 1 + sign + u32::from(shown > 0) + shown;
+        // One to three digits: the three right-aligned in a word and
+        // shifted down past the leading zeros.
+        let e = parts.exponent[l].unsigned_abs();
+        let count = 1 + u32::from(e >= 10) + u32::from(e >= 100);
+        let hundreds = if EXP_DIGITS == 3 { e / 100 } else { 0 };
+        let three = (u32::from(b'0') + hundreds)
+            | (u32::from(b'0') + e / 10 % 10) << 8
+            | (u32::from(b'0') + e % 10) << 16;
+        let digits = three >> (8 * (3 - count));
+        let below = parts.exponent[l] < 0;
+        exp_text[l] = if below {
+            u32::from(b'-') | digits << 8
+        } else {
+            digits
+        };
+        len[l] = exp_at[l] + 1 + u32::from(below) + count;
     }
-    // A non-negative value writes its first character over the sign.
-    out[0] = b'-';
-    let at = usize::from(negative);
-    let (digits, k) = match class {
-        FpCategory::Zero => return at + name(b"0e0", &mut out[at..]),
-        FpCategory::Infinite => return at + name(b"inf", &mut out[at..]),
-        _ => digits(),
-    };
-    let count = digit_count(digits);
-    // bounds: `digits` has 1..=DIGITS digits.
-    let full = digits * POW10_U64[(DIGITS - count) as usize];
-    let unit = POW10_U64[DIGITS as usize - 1];
-    let lead = full / unit;
-    let mut fraction = full - lead * unit;
-    out[at] = b'0' + lead as u8;
-    out[at + 1] = b'.';
-    // Eight fraction digits a word, from the last; trailing zero digits
-    // are counted while every word after this one is zero.
-    let words = (DIGITS as usize - 1) / 8;
-    let (mut zeros, mut tail) = (0, true);
-    for word in (0..words).rev() {
-        let digits = eight_digits(fraction % 100_000_000);
-        fraction /= 100_000_000;
-        zeros += (digits.leading_zeros() as usize / 8) * usize::from(tail);
-        tail &= digits == 0;
-        let from = at + 2 + 8 * word;
-        out[from..from + 8].copy_from_slice(&(digits | ASCII_ZEROS).to_le_bytes());
+
+    let mut block = ExpBlock::default();
+    for l in 0..EXP_BLOCK {
+        let mut words = [0u64; EXP_WORDS];
+        words[0] = u64::from(head[l]);
+        // A group lands two or three bytes into its word: what does not
+        // fit spills into the next.
+        let at = 8 * fraction_at[l];
+        for (group, half) in fraction.iter().enumerate() {
+            let digits = u64::from(half[0][l]) | u64::from(half[1][l]) << 32;
+            words[group] |= digits << at;
+            words[group + 1] |= digits >> (64 - at);
+        }
+        // `e` and the exponent land anywhere: each word takes the part of
+        // them that falls in it.
+        let tail = u64::from(b'e') | u64::from(exp_text[l]) << 8;
+        let at = 8 * exp_at[l] as i32;
+        for (w, word) in words.iter_mut().enumerate().take(text_words) {
+            let ahead = at - 64 * w as i32;
+            let left = tail.checked_shl(ahead as u32).unwrap_or(0);
+            let right = tail.checked_shr(ahead.wrapping_neg() as u32).unwrap_or(0);
+            *word |= if ahead >= 0 { left } else { right };
+        }
+        // A named value's text replaces the first word; the rest is
+        // scratch.
+        let named = parts.named[l] != 0;
+        let signed = (parts.negative[l] != 0) & (parts.named[l] != NAN_TEXT);
+        let text = u64::from(parts.named[l]);
+        let text = if signed {
+            u64::from(b'-') | text << 8
+        } else {
+            text
+        };
+        words[0] = if named { text } else { words[0] };
+        for (to, &word) in block.words.iter_mut().zip(&words).take(text_words) {
+            to[l] = word;
+        }
+        block.len[l] = if named {
+            3 + u8::from(signed)
+        } else {
+            len[l] as u8
+        };
     }
-    // `d.ddd`, or `d` alone when the fraction is all zeros.
-    let shown = 8 * words - zeros;
-    let mut end = at + 1 + if shown > 0 { shown + 1 } else { 0 };
-    out[end] = b'e';
-    out[end + 1] = b'-';
-    let exponent = k + count as i32 - 1;
-    end += 1 + usize::from(exponent < 0);
-    // The exponent's digits right-aligned in three bytes of a word,
-    // shifted down past its leading zeros.
-    let e = exponent.unsigned_abs() as usize;
-    let pair = 2 * (e % 100);
-    let word = u32::from(b'0' + (e / 100) as u8)
-        | u32::from(PAIRS[pair]) << 8
-        | u32::from(PAIRS[pair + 1]) << 16;
-    let length = 1 + usize::from(e >= 10) + usize::from(e >= 100);
-    let word = (word >> (8 * (3 - length))).to_le_bytes();
-    out[end..end + EXP_DIGITS].copy_from_slice(&word[..EXP_DIGITS]);
-    end + length
+    block
 }
 
 #[cfg(test)]
@@ -545,7 +798,7 @@ mod tests {
         let k_of = |q: i32, narrow: i32| (q * 1_262_611 - narrow) >> 22;
         assert_eq!(-k_of(-1074, 524_031), MAX_POW10);
         assert_eq!(-k_of(971, 0), MIN_POW10);
-        // `shortest_f32`'s range, whose entries it rounds up at 64 bits.
+        // `exp_block_f32`'s range, whose entries `G32` rounds up at 64 bits.
         assert_eq!(-k_of(-149, 524_031), 45);
         assert_eq!(-k_of(104, 0), -31);
         for k in -31..=45 {

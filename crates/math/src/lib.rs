@@ -8,8 +8,9 @@
 //!   single and double precision (paper §3).
 //! * [`Vec3`] — a 3-component vector (the paper's `FP3`).
 //! * [`constants`] — Gaussian (CGS) physical constants used by Hi-Chi.
-//! * [`decimal`] — shortest round-trip float text without `core::fmt`, the
-//!   digits of every particle dump (`{:e}` is its test oracle).
+//! * [`decimal`] — shortest round-trip float text without `core::fmt`,
+//!   sixteen values at a time as lane code: the text of every particle
+//!   dump (`{:e}` is its test oracle).
 //! * [`special`] — the dipole-wave radial functions f₁, f₂, f₃ of Eq. (15),
 //!   with series expansions that stay accurate near the focus.
 //! * [`splitmix`] — the SplitMix64 mix behind counter-keyed draws.

@@ -85,21 +85,15 @@ pub trait Real:
     /// 8192 in `f32`, 2²⁰ in `f64` — the reach of its three-constant
     /// argument reduction.
     const SIN_COS_POLY_MAX: Self;
-    /// Most bytes [`write_exp`](Self::write_exp) writes, the scratch
-    /// bytes after a shorter text included, and the longest text: 15 for
-    /// `f32`, 24 for `f64`.
+    /// Longest text [`exp_block`](Self::exp_block) lays out for one
+    /// value: 15 bytes for `f32`, 24 for `f64`.
     const MAX_EXP_LEN: usize;
 
-    /// Writes the value at the start of `out` as `format!("{:e}")` prints
-    /// it at this precision — the shortest digits that read back as this
-    /// value at this width ([`crate::decimal`]) — and returns the byte
-    /// count. The bytes of `out` after the count, up to
-    /// [`MAX_EXP_LEN`](Self::MAX_EXP_LEN), may be overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is shorter than [`MAX_EXP_LEN`](Self::MAX_EXP_LEN).
-    fn write_exp(self, out: &mut [u8]) -> usize;
+    /// The text of each of a block of values as `format!("{:e}")` prints
+    /// it at this precision — the shortest digits that read back as the
+    /// value at this width ([`crate::decimal`]) — computed as lane code,
+    /// one value a lane.
+    fn exp_block(values: &[Self; decimal::EXP_BLOCK]) -> decimal::ExpBlock;
 
     /// Lossy conversion from `f64` (used for literals and constants).
     fn from_f64(x: f64) -> Self;
@@ -245,7 +239,7 @@ const TRIG_F64: TrigPoly<f64, 6> = TrigPoly {
 };
 
 macro_rules! impl_real {
-    ($t:ty, $name:expr, $bytes:expr, $pi:expr, $trig:expr, $exp_len:expr, $write_exp:path) => {
+    ($t:ty, $name:expr, $bytes:expr, $pi:expr, $trig:expr, $exp_len:expr, $exp_block:path) => {
         impl Real for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -260,8 +254,8 @@ macro_rules! impl_real {
             const MAX_EXP_LEN: usize = $exp_len;
 
             #[inline(always)]
-            fn write_exp(self, out: &mut [u8]) -> usize {
-                $write_exp(self, out)
+            fn exp_block(values: &[Self; decimal::EXP_BLOCK]) -> decimal::ExpBlock {
+                $exp_block(values)
             }
             #[inline(always)]
             fn from_f64(x: f64) -> Self {
@@ -386,7 +380,7 @@ impl_real!(
     std::f32::consts::PI,
     TRIG_F32,
     decimal::MAX_EXP_LEN_F32,
-    decimal::write_exp_f32
+    decimal::exp_block_f32
 );
 impl_real!(
     f64,
@@ -395,7 +389,7 @@ impl_real!(
     std::f64::consts::PI,
     TRIG_F64,
     decimal::MAX_EXP_LEN,
-    decimal::write_exp
+    decimal::exp_block
 );
 
 #[cfg(test)]

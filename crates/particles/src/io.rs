@@ -15,17 +15,25 @@
 //! precision too; an `f32` dump parsed as `f64` and then narrowed can land
 //! one step off (see [`pic_math::decimal`]).
 //!
+//! Text is rendered the way the kernel pushes: a block of
+//! [`EXP_BLOCK`] rows at a time, from one block of each column. Each
+//! column block's texts are computed as lane code
+//! ([`Real::exp_block`], [`uint_block`]), and the row pass only copies
+//! finished texts into a line buffer for the block. `write_rows` is the
+//! one row writer; [`write_ensemble`] renders through a captured
+//! [`ColumnSegment`].
+//!
 //! The column list is [`crate::columns`]' and appears here only as text:
 //! [`HEADER`] (held equal to the schema's name table by a test) and
-//! `write_row`'s field order. `row_of`/`particle_of` are the schema's
-//! particle ↔ row mapping at a given width; the text writer, the text
+//! `write_rows`' field order. `row_of`/`particle_of` are the schema's
+//! particle ↔ row mapping at a given width; the segment capture, the text
 //! reader and every `ColumnSegment` operation go through those.
 
 use crate::columns::{ParticleColumns, Row, REAL_COLUMNS};
 use crate::particle::Particle;
 use crate::species::SpeciesId;
 use crate::view::{ParticleAccess, ParticleStore};
-use pic_math::decimal::write_uint;
+use pic_math::decimal::{uint_block, ExpBlock, EXP_BLOCK};
 use pic_math::Real;
 use std::io::{self, BufRead, Write};
 
@@ -63,13 +71,16 @@ where
     W: Write,
 {
     writeln!(out, "{HEADER}")?;
-    let mut line = [0u8; LINE_LEN];
-    for i in 0..store.len() {
-        let len = write_row(&mut line, &row_of::<R, R>(&store.get(i)), RowEnd::Newline);
-        out.write_all(&line[..len])?;
+    for offset in (0..store.len()).step_by(CAPTURE_ROWS) {
+        let len = (store.len() - offset).min(CAPTURE_ROWS);
+        ColumnSegment::from_store(store, offset, len).write_text(out, RowEnd::Newline)?;
     }
     Ok(())
 }
+
+/// Rows [`write_ensemble`] captures into one segment at a time: whole
+/// blocks, so only a store's last block is short, and a bounded copy.
+const CAPTURE_ROWS: usize = 256 * EXP_BLOCK;
 
 /// How each text row ends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,38 +133,10 @@ const fn row_len<R: Real>(end: RowEnd) -> usize {
 /// Longest particle line of either precision (an `f64` one).
 pub const MAX_ROW_LEN: usize = row_len::<f64>(RowEnd::Newline);
 
-/// The line buffer [`write_row`] fills: the longest line with either end.
-const LINE_LEN: usize = row_len::<f64>(RowEnd::Escaped);
-
-// Each real is handed the rest of the line, which must hold the most a
-// real may write: its longest text, the bytes after a shorter text that
-// `write_exp` may overwrite included. The last real's share is the
-// tightest.
-const _: () =
-    assert!((REAL_COLUMNS - 1) * (f64::MAX_EXP_LEN + 1) + f64::MAX_EXP_LEN <= MAX_ROW_LEN);
-
-/// Lays one particle line out at the start of `line` and returns its
-/// length — the only place the text row is formatted: the reals as `{:e}`
-/// prints them at their own precision (by [`pic_math::decimal`], which is
-/// held to those bytes), the species in decimal, then `end`. Bytes after
-/// the length are scratch.
-#[inline(always)]
-fn write_row<R: Real>(
-    line: &mut [u8; LINE_LEN],
-    (reals, species): &Row<R, u16>,
-    end: RowEnd,
-) -> usize {
-    let mut at = 0;
-    for &value in reals {
-        at += value.write_exp(&mut line[at..]);
-        line[at] = b' ';
-        at += 1;
-    }
-    at += write_uint(u64::from(*species), &mut line[at..]);
-    let end = end.bytes();
-    line[at..at + end.len()].copy_from_slice(end);
-    at + end.len()
-}
+/// The line buffer `write_rows` lays a block out in: a block of the
+/// longest lines with either end, and room for the whole words the last
+/// text of a block writes past its end.
+const LINE_LEN: usize = EXP_BLOCK * row_len::<f64>(RowEnd::Escaped) + ExpBlock::PUT_LEN;
 
 /// Reads an ensemble written by [`write_ensemble`], each real parsed at
 /// precision `R` (correctly rounded). Lines starting with `#` and blank
@@ -323,15 +306,46 @@ fn extend<W: Copy>(cols: &mut Columns<W>, more: &Columns<W>, room: usize) {
     cols.species.extend_from_slice(&more.species);
 }
 
-/// `cols`' rows as text, each laid out in one line buffer kept for the
-/// whole segment and handed to `out` in one piece.
+/// `cols`' rows as text, each ending in `end`: the one row writer. Rows
+/// go [`EXP_BLOCK`] at a time; a block of each column is rendered by lane
+/// code ([`Real::exp_block`], [`uint_block`]), then the rows are laid out
+/// in one line buffer by copying the finished texts, and the buffer is
+/// handed to `out` in one piece. A last block of fewer rows is padded
+/// with zeros, of which no row is laid out.
 fn write_rows<W: Real, O: Write>(cols: &Columns<W>, out: &mut O, end: RowEnd) -> io::Result<()> {
+    let end = end.bytes();
     let mut line = [0u8; LINE_LEN];
-    for i in 0..cols.len() {
-        let len = write_row(&mut line, &cols.row_at(i), end);
-        out.write_all(&line[..len])?;
+    let mut texts: [ExpBlock; REAL_COLUMNS] = Default::default();
+    for start in (0..cols.len()).step_by(EXP_BLOCK) {
+        let rows = (cols.len() - start).min(EXP_BLOCK);
+        for (text, col) in texts.iter_mut().zip(&cols.reals) {
+            *text = W::exp_block(&block_of(col, start, W::ZERO));
+        }
+        let species = uint_block(&block_of(&cols.species, start, 0));
+        let mut at = 0;
+        for row in 0..rows {
+            for text in &texts {
+                at += text.put(row, &mut line[at..]);
+                line[at] = b' ';
+                at += 1;
+            }
+            at += species.put(row, &mut line[at..]);
+            line[at..at + end.len()].copy_from_slice(end);
+            at += end.len();
+        }
+        out.write_all(&line[..at])?;
     }
     Ok(())
+}
+
+/// The block of `col` from `start`: its next [`EXP_BLOCK`] values, the
+/// last block padded with `pad`.
+#[inline(always)]
+fn block_of<T: Copy>(col: &[T], start: usize, pad: T) -> [T; EXP_BLOCK] {
+    let rest = &col[start..col.len().min(start + EXP_BLOCK)];
+    let mut block = [pad; EXP_BLOCK];
+    block[..rest.len()].copy_from_slice(rest);
+    block
 }
 
 /// The real columns little-endian, one after another, then the species.
@@ -672,6 +686,16 @@ mod tests {
             "{}",
             dump.len()
         );
+        // A whole block of them, escaped, fits the block's line buffer
+        // with room for the words the last text writes past its end.
+        let block = AosEnsemble::<f64>::from_particles([worst; EXP_BLOCK + 1]);
+        let mut text = Vec::new();
+        ColumnSegment::from_store(&block, 0, EXP_BLOCK + 1)
+            .write_text(&mut text, RowEnd::Escaped)
+            .unwrap();
+        let row = &dump[HEADER.len() + 1..dump.len() - 1];
+        assert_eq!(text.len(), (EXP_BLOCK + 1) * (row.len() + 2));
+        assert!(EXP_BLOCK * (row.len() + 2) + ExpBlock::PUT_LEN <= LINE_LEN);
         // Every f32 real at 15 bytes (`-1.00000075e-36`): exactly an f32
         // segment's bound.
         let x = -f32::from_bits(0x03aa_242d);

@@ -1,7 +1,8 @@
-//! Property tests for the ensemble text format: round-trips are exact
-//! for arbitrary finite particles in both layouts and both precisions,
-//! and truncated/corrupted inputs fail loudly with `InvalidData` rather
-//! than silently yielding a short ensemble.
+//! Property tests for the ensemble text format: a segment's text is the
+//! rows `{:e}` prints, whatever the row count and the mix of values;
+//! round-trips are exact for arbitrary finite particles in both layouts
+//! and both precisions; and truncated/corrupted inputs fail loudly with
+//! `InvalidData` rather than silently yielding a short ensemble.
 
 use pic_math::{Real, Vec3};
 use pic_particles::io::{read_ensemble, write_ensemble, RowEnd, HEADER};
@@ -9,6 +10,7 @@ use pic_particles::{
     AosEnsemble, ColumnSegment, Particle, ParticleAccess, ParticleStore, SoaEnsemble, SpeciesId,
 };
 use proptest::prelude::*;
+use std::fmt::LowerExp;
 use std::io::ErrorKind;
 
 /// Finite, sign-mixed magnitudes spanning the scales the benchmark
@@ -98,7 +100,85 @@ fn segment_round_trips<R: Real, S: ParticleStore<R>>(
     Ok(())
 }
 
+/// One real from a random word: most of the time a value of a class
+/// the text spells out or lays out at an edge — ±0, a subnormal, NaN,
+/// ±inf, ±MAX — otherwise any bit pattern of the width. `bits` reads a
+/// pattern of the width; `sign` is its sign bit and `inf` the pattern of
+/// +inf, whose fraction bits are those below its lowest set bit.
+fn special<R>(word: u64, bits: fn(u64) -> R, sign: u64, inf: u64) -> R {
+    let sign = if word & 1 << 7 != 0 { sign } else { 0 };
+    let fraction = (inf & inf.wrapping_neg()) - 1;
+    let random = word >> 8;
+    bits(match word % 12 {
+        0 => sign,
+        1 => sign | random & fraction,
+        2 => sign | inf | random & fraction | 1,
+        3 => sign | inf,
+        4 => sign | (inf - 1),
+        _ => random,
+    })
+}
+
+fn special_f32(word: u64) -> f32 {
+    special(word, |b| f32::from_bits(b as u32), 1 << 31, 0x7f80_0000)
+}
+
+fn special_f64(word: u64) -> f64 {
+    special(word, f64::from_bits, 1 << 63, 0x7ff0_0000_0000_0000)
+}
+
+/// The first `rows` particles of `words` (nine words a particle: eight
+/// reals through `real`, a species) in layout `S`: a captured segment's
+/// text with `end` is every row as `format!` prints it with `{:e}`,
+/// joined.
+fn text_is_the_fmt_join<R, S>(
+    words: &[u64],
+    rows: usize,
+    end: RowEnd,
+    real: fn(u64) -> R,
+) -> Result<(), proptest::TestCaseError>
+where
+    R: Real + LowerExp,
+    S: ParticleStore<R>,
+{
+    let store = S::from_particles(words.chunks_exact(9).take(rows).map(|w| {
+        let reals = [w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]].map(real);
+        Particle::from_row((reals, SpeciesId(w[8] as u16)))
+    }));
+    let mut expect = String::new();
+    for i in 0..store.len() {
+        let (r, species) = store.get(i).to_row();
+        expect += &format!(
+            "{:e} {:e} {:e} {:e} {:e} {:e} {:e} {:e} {}",
+            r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], species.0
+        );
+        expect += std::str::from_utf8(end.bytes()).expect("ASCII");
+    }
+    let mut text = Vec::new();
+    ColumnSegment::from_store(&store, 0, store.len())
+        .write_text(&mut text, end)
+        .expect("write to Vec cannot fail");
+    prop_assert_eq!(String::from_utf8(text).expect("ASCII"), expect);
+    Ok(())
+}
+
 proptest! {
+    // Every row count from none through three blocks and a part one,
+    // both row ends, both widths, both layouts; the columns mix every
+    // class of value the text names or lays out at an edge.
+    #[test]
+    fn segment_text_is_the_rows_fmt_prints(
+        words in proptest::collection::vec(proptest::any::<u64>(), 9 * 53..9 * 53 + 1),
+        rows in 0usize..54,
+        escaped in 0u8..2,
+    ) {
+        let end = if escaped == 1 { RowEnd::Escaped } else { RowEnd::Newline };
+        text_is_the_fmt_join::<f32, SoaEnsemble<f32>>(&words, rows, end, special_f32)?;
+        text_is_the_fmt_join::<f32, AosEnsemble<f32>>(&words, rows, end, special_f32)?;
+        text_is_the_fmt_join::<f64, SoaEnsemble<f64>>(&words, rows, end, special_f64)?;
+        text_is_the_fmt_join::<f64, AosEnsemble<f64>>(&words, rows, end, special_f64)?;
+    }
+
     #[test]
     fn segments_round_trip_in_store_order(ps in particles()) {
         segment_round_trips::<f64, AosEnsemble<f64>>(&ps)?;

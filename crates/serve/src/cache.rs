@@ -154,10 +154,7 @@ impl CachedResult {
     /// returned itself.
     pub(crate) fn render(&self) -> Vec<Arc<String>> {
         let segments: Vec<&ColumnSegment> = self.columns.iter().map(|s| &**s).collect();
-        render_rows(&segments, true, RowEnd::Escaped)
-            .map(Arc::new)
-            .into_iter()
-            .collect()
+        vec![Arc::new(render_rows(&segments, true, RowEnd::Escaped))]
     }
 
     /// Builds the report a cache hit hands to `requester`: the

@@ -286,7 +286,7 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
                 let render_start = shared.clock.now_ns();
                 let piece = render_rows(&[&columns], ctx.shard_id == 0, RowEnd::Escaped);
                 let render_ns = shared.clock.now_ns().saturating_sub(render_start);
-                (piece.map(Arc::new).into_iter().collect(), render_ns)
+                (vec![Arc::new(piece)], render_ns)
             } else {
                 (Vec::new(), 0)
             };

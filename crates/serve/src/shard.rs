@@ -100,12 +100,12 @@ pub fn shard_kill_key(seed: u64, shard_id: usize) -> u64 {
 /// monolithic run would have produced: the `pic_particles::io` header
 /// once, then every segment's rows in shard order — typed columns
 /// straight to text, with no per-shard re-parsing. Returns `None` for an
-/// empty segment set or a formatting failure.
+/// empty segment set.
 pub fn merge_segments(segments: &[&ColumnSegment]) -> Option<String> {
     if segments.is_empty() {
         return None;
     }
-    render_rows(segments, true, RowEnd::Newline)
+    Some(render_rows(segments, true, RowEnd::Newline))
 }
 
 /// `segments`' rows as text, in order, each ending in `end`, led by the
@@ -113,13 +113,9 @@ pub fn merge_segments(segments: &[&ColumnSegment]) -> Option<String> {
 /// one shard's piece of it (shard 0's with the header). With
 /// [`RowEnd::Escaped`] the text is the body of a JSON string, as the
 /// wire writes it: the only producer of
-/// [`JobReport::dump`](crate::job::JobReport::dump) pieces. `None` on a
-/// formatting failure.
-pub(crate) fn render_rows(
-    segments: &[&ColumnSegment],
-    header: bool,
-    end: RowEnd,
-) -> Option<String> {
+/// [`JobReport::dump`](crate::job::JobReport::dump) pieces. Rendering
+/// into memory cannot fail, so every segment's rows are always there.
+pub(crate) fn render_rows(segments: &[&ColumnSegment], header: bool, end: RowEnd) -> String {
     // Room for the longest rows at each segment's width, so the text is
     // never moved while it grows; what the rows did not need is handed
     // back.
@@ -133,10 +129,13 @@ pub(crate) fn render_rows(
         out.extend_from_slice(end.bytes());
     }
     for seg in segments {
-        seg.write_text(&mut out, end).ok()?;
+        // lint: allow(unwrap-in-lib): writing to a `Vec` cannot fail.
+        seg.write_text(&mut out, end)
+            .expect("a Vec takes every write");
     }
     out.shrink_to_fit();
-    String::from_utf8(out).ok()
+    // lint: allow(unwrap-in-lib): the header and the rows are ASCII.
+    String::from_utf8(out).expect("a dump is ASCII")
 }
 
 /// Execution context attached to one shard sub-job.
@@ -444,13 +443,13 @@ mod tests {
         let refs: Vec<&ColumnSegment> = segs.iter().collect();
         assert!(expect.is_some());
         assert_eq!(merge_segments(&refs), expect, "bitwise the monolithic dump");
-        let pieces: Option<String> = segs
+        let pieces: String = segs
             .iter()
             .enumerate()
             .map(|(i, seg)| render_rows(&[seg], i == 0, RowEnd::Escaped))
             .collect();
         assert_eq!(
-            pieces,
+            Some(pieces),
             expect.as_deref().map(str_body),
             "the shards' pieces, in plan order, as the body of a JSON string"
         );
@@ -534,7 +533,7 @@ mod tests {
         let pieces: Vec<Arc<String>> = segments
             .iter()
             .enumerate()
-            .map(|(i, seg)| Arc::new(render_rows(&[seg], i == 0, RowEnd::Escaped).expect("rows")))
+            .map(|(i, seg)| Arc::new(render_rows(&[seg], i == 0, RowEnd::Escaped)))
             .collect();
         let body = str_body(&text);
         prop_assert_eq!(
@@ -542,7 +541,7 @@ mod tests {
             body.clone()
         );
         let refs: Vec<&ColumnSegment> = segments.iter().collect();
-        prop_assert_eq!(render_rows(&refs, true, RowEnd::Escaped), Some(body));
+        prop_assert_eq!(render_rows(&refs, true, RowEnd::Escaped), body);
         let mut report = JobReport {
             dump: pieces,
             ..JobReport::default()
