@@ -26,11 +26,12 @@
 
 use pic_bench::{
     bench_record, device_record, fmt_cell, measure_device_nsps, measure_nsps_variant, print_banner,
-    BenchConfig, KernelVariant, Table,
+    BenchConfig, Table,
 };
 use pic_particles::Layout;
 use pic_perfmodel::{CpuModel, CpuSpec, GpuModel, GpuSpec, Parallelization, Precision, Scenario};
 use pic_runtime::{ExecTarget, Schedule, Topology};
+use pic_sim::KernelVariant;
 use pic_telemetry::BenchRecord;
 use std::process::ExitCode;
 
@@ -212,10 +213,7 @@ fn warmup() {
 /// NSPS, then the load balance of a host sweep or the device's name.
 fn print_record(r: &BenchRecord) {
     let tail = if r.device.is_empty() {
-        format!(
-            "imbalance {:.3}  order {:.2}",
-            r.imbalance, r.order_fraction
-        )
+        format!("imbalance {:.3}", r.imbalance)
     } else {
         format!("device {}", r.device)
     };

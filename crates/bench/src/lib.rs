@@ -15,25 +15,29 @@
 //! functional Rust kernels on this host, as records. The model
 //! regenerates the paper's *shape*; the measurements ground the
 //! functional code. See DESIGN.md §2.
+//!
+//! The harness only times runs: the runner it times, the seeded
+//! ensembles and a record's identity are `pic-sim`'s, shared with the
+//! job service.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod device_run;
+pub mod config;
+pub mod device_measure;
 pub mod emit;
 pub mod measure;
-pub mod run;
-pub mod scenario;
 pub mod table;
 
-pub use device_run::{
-    device_record, gpu_model_of, measure_device_nsps, precision_of, run_device_steps,
-    DeviceMeasuredRun, DeviceRun,
-};
-pub use emit::{bench_record, parallelization_of, RecordSubject};
+pub use config::BenchConfig;
+pub use device_measure::{device_record, measure_device_nsps, DeviceMeasuredRun};
+pub use emit::bench_record;
 pub use measure::{bench_grid, measure_nsps, measure_nsps_variant, MeasuredRun};
-pub use run::{merge_thread_stats, run_mdipole_steps, KernelVariant, MdipoleRun, MdipoleScenario};
-pub use scenario::{
-    append_ensemble_range, bench_dt, build_ensemble, build_ensemble_range, dipole_wave, BenchConfig,
+// The runner's names as `benchmark/` imports them from this crate. The
+// line goes with ROADMAP item 5's benchmark PR, which points those
+// imports at `pic_sim` (as `ServeConfig::pinned` waits for it).
+pub use pic_sim::{
+    build_ensemble, build_ensemble_range, dipole_wave, run_device_steps, run_mdipole_steps,
+    KernelVariant, MdipoleScenario,
 };
 pub use table::{fmt_cell, print_banner, Table};

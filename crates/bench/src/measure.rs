@@ -5,15 +5,17 @@
 //! benchmark ensemble under a chosen schedule, repeating the paper's
 //! 10-iteration protocol and reporting the paper's NSPS metric.
 
-use crate::run::{merge_thread_stats, run_mdipole_steps, KernelVariant, MdipoleScenario};
-use crate::scenario::{build_ensemble, BenchConfig};
+use crate::config::BenchConfig;
 use pic_math::constants::BENCH_WAVELENGTH;
 use pic_math::stats::Summary;
 use pic_math::{Real, Vec3};
-use pic_particles::sort::{cell_order_fraction, sort_by_morton, CellGrid};
+use pic_particles::sort::CellGrid;
 use pic_particles::{AosEnsemble, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Scenario;
 use pic_runtime::{imbalance_of, Schedule, Topology};
+use pic_sim::{
+    build_ensemble, merge_thread_stats, run_mdipole_steps, KernelVariant, MdipoleScenario,
+};
 use pic_telemetry::ThreadStat;
 use std::time::Instant;
 
@@ -28,9 +30,6 @@ pub struct MeasuredRun {
     /// by thread id (busy time is 0 when `pic-runtime` is built without
     /// its `telemetry` feature).
     pub thread_stats: Vec<ThreadStat>,
-    /// Fraction of adjacent particle pairs in nondecreasing cell order at
-    /// the start of the measured region (after any locality sort).
-    pub order_fraction: f64,
 }
 
 impl MeasuredRun {
@@ -118,9 +117,9 @@ pub fn measure_nsps_variant<R: Real>(
     }
 }
 
-/// The locality-sorting grid of the bench harness: 32³ cells over the
-/// bounding cube of the initial 0.6λ sphere. Public so the serve layer
-/// can apply the same per-shard Morton pre-sort the harness uses.
+/// A locality-sorting grid: 32³ cells over the bounding cube of the
+/// initial 0.6λ sphere. Nothing in the harness sorts; `benchmark/`'s
+/// layer replay still times a Morton sort over it (ROADMAP item 4).
 pub fn bench_grid() -> CellGrid {
     let r = 0.6 * BENCH_WAVELENGTH;
     CellGrid::new(Vec3::splat(-r), Vec3::splat(r), [32, 32, 32])
@@ -134,17 +133,6 @@ fn measure_store<R: Real, A: ParticleStore<R>>(
     schedule: Schedule,
     variant: KernelVariant,
 ) -> MeasuredRun {
-    let grid = bench_grid();
-    // The fast path reads precalculated fields as contiguous slices, so
-    // memory order *is* access order: Morton-sort once up front (before
-    // the fields are sampled — re-sorting later would desynchronize the
-    // per-index field array) to turn the random sphere fill into
-    // streaming reads. The scalar baseline is left unsorted on purpose:
-    // it measures the current layout as-is.
-    if variant == KernelVariant::SoaFast && scenario == Scenario::Precalculated {
-        sort_by_morton(store, &grid);
-    }
-    let order_fraction = cell_order_fraction(store, &grid);
     // Field context (including the Precalculated sampling pass) is built
     // once, before the first Instant::now().
     let ctx = MdipoleScenario::prepare(scenario, store);
@@ -171,7 +159,6 @@ fn measure_store<R: Real, A: ParticleStore<R>>(
         iteration_ns,
         work: cfg.work_per_iteration(),
         thread_stats,
-        order_fraction,
     }
 }
 
@@ -207,37 +194,6 @@ mod tests {
         );
         assert!(run.nsps() > 0.0);
         assert_eq!(run.work, cfg.work_per_iteration());
-    }
-
-    #[test]
-    fn fast_path_precalculated_run_is_morton_sorted() {
-        let cfg = BenchConfig::quick();
-        let topo = Topology::single(1);
-        let fast = measure_nsps_variant::<f32>(
-            Layout::Soa,
-            Scenario::Precalculated,
-            &cfg,
-            &topo,
-            Schedule::StaticChunks,
-            KernelVariant::SoaFast,
-        );
-        let scalar = measure_nsps_variant::<f32>(
-            Layout::Soa,
-            Scenario::Precalculated,
-            &cfg,
-            &topo,
-            Schedule::StaticChunks,
-            KernelVariant::Scalar,
-        );
-        for run in [&fast, &scalar] {
-            assert!((0.0..=1.0).contains(&run.order_fraction), "{run:?}");
-        }
-        // The fast-path run starts from a Morton-sorted ensemble; the
-        // scalar baseline keeps the random sphere fill. Morton order is
-        // not monotone in the *linear* cell index, so the sorted fraction
-        // lands well above random (~0.5) but below a full cell sort.
-        assert!(fast.order_fraction > scalar.order_fraction + 0.1);
-        assert!(fast.order_fraction > 0.6, "{}", fast.order_fraction);
     }
 
     #[test]

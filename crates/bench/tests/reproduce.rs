@@ -2,11 +2,12 @@
 //! modeled cell is on its stdout, in the row it belongs to, and
 //! `--emit-metrics` measures every configuration at both precisions.
 
-use pic_bench::{fmt_cell, KernelVariant};
+use pic_bench::fmt_cell;
 use pic_particles::Layout;
 use pic_perfmodel::report::{PAPER_TABLE2, PAPER_TABLE3};
 use pic_perfmodel::{CpuModel, CpuSpec, GpuModel, GpuSpec, Parallelization, Precision, Scenario};
 use pic_runtime::Schedule;
+use pic_sim::KernelVariant;
 use pic_telemetry::read_records;
 use std::process::Command;
 

@@ -113,6 +113,13 @@ fn instant_stays_in_the_measuring_layers() {
     assert!(rules("crates/telemetry/src/demo.rs", bad).is_empty());
     assert!(rules("crates/bench/src/demo.rs", bad).is_empty());
     assert!(rules("crates/runtime/src/sweep.rs", bad).is_empty());
+    // The runner every served job steps through is not a measuring
+    // layer: pic-bench times it from outside.
+    assert_eq!(
+        rules("crates/sim/src/run.rs", bad),
+        vec!["instant-outside-telemetry"],
+        "pic-sim has no clock"
+    );
 
     // The job service gets exactly one clock module; the rest of the
     // crate must route wall-time reads through it.

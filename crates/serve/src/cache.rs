@@ -256,7 +256,7 @@ mod tests {
 
     /// A real three-particle segment, as a monolithic run captures it.
     fn segment() -> Arc<ColumnSegment> {
-        let store: SoaEnsemble<f64> = pic_bench::build_ensemble(3, 7);
+        let store: SoaEnsemble<f64> = pic_sim::build_ensemble(3, 7);
         Arc::new(ColumnSegment::from_store(&store, 0, 3))
     }
 

@@ -9,7 +9,7 @@
 //! (EXPERIMENTS.md E14 has the measurements). [`run_job`] therefore does
 //! one thing: claim the job, seed its ensemble, prepare its fields,
 //! splice its checkpoint if it is resuming, integrate its segments
-//! through [`pic_bench::run_mdipole_steps`], capture one segment.
+//! through [`pic_sim::run_mdipole_steps`], capture one segment.
 //! Cancellation and timeouts are observed at step boundaries via the
 //! runner's `on_step` hook; a step, once started, sweeps every particle
 //! in one `apply_chunk` per thread, the path the sweep workloads of
@@ -25,8 +25,8 @@
 //! integrated in segments of steps; between them the store is captured
 //! into the scheduler's [`CheckpointStore`]. A job whose worker died
 //! resumes here from that capture: the simulation clock is
-//! reconstructed by the same repeated `t += dt` accumulation the
-//! uninterrupted run used, and the field context was prepared from the
+//! [`pic_sim::time_after`] the checkpoint's step, the runners' own
+//! accumulation, and the field context was prepared from the
 //! seeded ensemble as in the original run, so the per-particle field
 //! samples match it exactly. Both together make a resumed trajectory
 //! bitwise-identical to an uninterrupted one
@@ -35,7 +35,7 @@
 //! [`CheckpointStore`]: crate::checkpoint::CheckpointStore
 //!
 //! **Device jobs.** A spec whose `device` names a modeled GPU runs each
-//! segment through [`pic_bench::run_device_steps`] instead of the host
+//! segment through [`pic_sim::run_device_steps`] instead of the host
 //! sweep — the same kernel over staged columns, so trajectories (and
 //! therefore checkpoints, resumes, and cached columns) stay bitwise
 //! identical to a host run; only the reported NSPS differs, coming from
@@ -47,16 +47,16 @@ use crate::scheduler::Shared;
 use crate::shard::{render_rows, shard_kill_key};
 use crate::state::JobState;
 use crate::stats::Counter;
-use pic_bench::{
-    append_ensemble_range, bench_dt, merge_thread_stats, run_device_steps, run_mdipole_steps,
-    KernelVariant, MdipoleScenario,
-};
 use pic_math::Real;
 use pic_particles::io::RowEnd;
 use pic_particles::{AosEnsemble, ColumnSegment, Layout, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Precision;
 use pic_runtime::sync::lock;
 use pic_runtime::{imbalance_of, ExecTarget, Schedule};
+use pic_sim::{
+    append_ensemble_range, merge_thread_stats, run_device_steps, run_mdipole_steps, time_after,
+    KernelVariant, MdipoleScenario,
+};
 use pic_telemetry::ThreadStat;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -153,15 +153,7 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
         Some(ctx) => shard_kill_key(job.spec.seed, ctx.shard_id),
         None => job.spec.seed,
     };
-    // Reconstruct the simulation clock by repeated accumulation — the
-    // exact op sequence the runner itself uses (`*time += dt` per step);
-    // one multiplication would differ in the last ulp and break the
-    // bitwise resume guarantee.
-    let dt = R::from_f64(bench_dt());
-    let mut time = R::ZERO;
-    for _ in 0..start_step {
-        time += dt;
-    }
+    let mut time = time_after::<R>(start_step);
     let total = job.spec.steps;
     let interval = shared.cfg.checkpoint_interval;
     let mut abs = start_step;

@@ -2,9 +2,12 @@
 //!
 //! The paper's observation — pusher throughput is governed by how work
 //! is laid out and scheduled across workers — extends directly to a
-//! serving layer. This crate turns the one-shot benchmark harness into
-//! a multi-tenant service, std-only and offline-safe; a worker executes
-//! one job at a time, over one store, in the job's own particle order:
+//! serving layer. This crate runs the benchmark physics as a
+//! multi-tenant service, std-only and offline-safe; a worker executes
+//! one job at a time, over one store, in the job's own particle order,
+//! through `pic-sim`'s runner ([`pic_sim::run_mdipole_steps`],
+//! [`pic_sim::run_device_steps`]) — the one the paper harness times,
+//! which the service does not link:
 //!
 //! * [`job`] — the typed job API: a [`JobSpec`](job::JobSpec) names a
 //!   benchmark scenario, layout, precision, particle count, step count,

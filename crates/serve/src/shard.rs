@@ -434,7 +434,7 @@ mod tests {
 
         // The monolithic exit renders a single whole-store segment; the
         // shards render a piece each, the first with the header.
-        let whole: SoaEnsemble<f64> = pic_bench::build_ensemble(25, 7);
+        let whole: SoaEnsemble<f64> = pic_sim::build_ensemble(25, 7);
         let expect = merge_segments(&[&ColumnSegment::from_store(&whole, 0, 25)]);
         let segs: Vec<ColumnSegment> = [(0usize, 10usize), (10, 9), (19, 6)]
             .iter()

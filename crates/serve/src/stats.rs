@@ -10,9 +10,9 @@
 
 use crate::job::{JobSpec, Outcome};
 use crate::scheduler::Shared;
-use pic_bench::{KernelVariant, RecordSubject};
 use pic_runtime::sync::lock;
 use pic_runtime::{ExecTarget, Schedule};
+use pic_sim::{KernelVariant, RecordSubject};
 use pic_telemetry::BenchRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -175,7 +175,8 @@ impl Shared {
             schedule: Schedule::dynamic(),
             // Jobs run through the SoA fast path in their seeded
             // particle order (exec.rs): nothing sorts, so nothing
-            // measures `order_fraction` and it stays 0.
+            // measures `order_fraction` and it stays 0, as in every
+            // record.
             variant: KernelVariant::SoaFast,
             topology: &self.cfg.topology,
             // Picks the model; a name validation refused predicts as

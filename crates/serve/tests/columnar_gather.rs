@@ -12,12 +12,12 @@
 //! must round-trip exactly and refuse truncated or corrupted streams
 //! with `InvalidData` rather than fabricating particles.
 
-use pic_bench::{build_ensemble, build_ensemble_range};
 use pic_math::Real;
 use pic_particles::io::{read_ensemble, write_ensemble};
 use pic_particles::{AosEnsemble, ColumnSegment, ParticleAccess, ParticleStore, SoaEnsemble};
 use pic_serve::frontend::serve_lines;
 use pic_serve::{merge_segments, ServeConfig, Server, ShardPlan};
+use pic_sim::{build_ensemble, build_ensemble_range};
 use pic_telemetry::json::{parse, Value};
 use std::io::{Cursor, ErrorKind};
 

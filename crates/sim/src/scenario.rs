@@ -1,73 +1,18 @@
-//! Benchmark workload builders matching the paper's setup (§5.2).
+//! Workload builders matching the paper's setup (§5.2).
 //!
 //! "Initially electrons are at rest and distributed uniformly within the
 //! sphere with radius r = 0.6λ. In each experiment 10⁷ particles were
 //! simulated, the equations of motion were integrated over 10³ time steps
 //! ('iteration'), 10 successive iterations were measured."
 //!
-//! The defaults below scale the particle count and step count down so the
-//! harness completes on a laptop-class host; `PIC_BENCH_PARTICLES`,
-//! `PIC_BENCH_STEPS` and `PIC_BENCH_ITERS` restore any scale up to the
-//! paper's 10⁷ × 10³ × 10.
+//! The field, the time step and the seeded ensemble live here once; the
+//! harness and the job service both build their runs from them.
 
 use pic_fields::DipoleStandingWave;
 use pic_math::constants::{BENCH_OMEGA, BENCH_POWER, BENCH_WAVELENGTH};
 use pic_math::{Real, Vec3};
 use pic_particles::init::{fill_sphere_at_rest_range, SphereDist};
 use pic_particles::{ParticleStore, SpeciesTable};
-
-/// Workload sizing for one harness run.
-#[derive(Clone, Copy, Debug, Eq, PartialEq)]
-pub struct BenchConfig {
-    /// Number of macroparticles (paper: 10⁷).
-    pub particles: usize,
-    /// Pusher steps per measured iteration (paper: 10³).
-    pub steps_per_iteration: usize,
-    /// Measured iterations (paper: 10).
-    pub iterations: usize,
-}
-
-impl BenchConfig {
-    /// Default harness scale: 10⁵ particles × 50 steps × 5 iterations.
-    pub fn default_scale() -> BenchConfig {
-        BenchConfig {
-            particles: 100_000,
-            steps_per_iteration: 50,
-            iterations: 5,
-        }
-    }
-
-    /// Tiny scale for unit tests.
-    pub fn quick() -> BenchConfig {
-        BenchConfig {
-            particles: 2_000,
-            steps_per_iteration: 5,
-            iterations: 3,
-        }
-    }
-
-    /// Reads the scale from `PIC_BENCH_PARTICLES` / `PIC_BENCH_STEPS` /
-    /// `PIC_BENCH_ITERS`, falling back to [`default_scale`](Self::default_scale).
-    pub fn from_env() -> BenchConfig {
-        let read = |key: &str, dflt: usize| -> usize {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(dflt)
-        };
-        let d = BenchConfig::default_scale();
-        BenchConfig {
-            particles: read("PIC_BENCH_PARTICLES", d.particles),
-            steps_per_iteration: read("PIC_BENCH_STEPS", d.steps_per_iteration),
-            iterations: read("PIC_BENCH_ITERS", d.iterations),
-        }
-    }
-
-    /// Total particle-steps of one measured iteration.
-    pub fn work_per_iteration(&self) -> usize {
-        self.particles * self.steps_per_iteration
-    }
-}
 
 /// The benchmark field: the 0.1 PW standing m-dipole wave (paper Eq. 14).
 pub fn dipole_wave<R: Real>() -> DipoleStandingWave<R> {
@@ -78,6 +23,19 @@ pub fn dipole_wave<R: Real>() -> DipoleStandingWave<R> {
 /// sub-cell motion and accurate gyration at the benchmark intensity).
 pub fn bench_dt() -> f64 {
     2.0 * std::f64::consts::PI / BENCH_OMEGA / 100.0
+}
+
+/// The simulation time after `steps` steps from t = 0, by the runners'
+/// own op sequence: one `+= dt` per step. One multiplication would
+/// differ in the last ulp, and a resumed run would not continue the
+/// uninterrupted trajectory bit for bit.
+pub fn time_after<R: Real>(steps: usize) -> R {
+    let dt = R::from_f64(bench_dt());
+    let mut time = R::ZERO;
+    for _ in 0..steps {
+        time += dt;
+    }
+    time
 }
 
 /// Builds the paper's initial ensemble: `n` electrons at rest, uniform in
@@ -131,22 +89,6 @@ pub fn append_ensemble_range<R: Real, S: ParticleStore<R>>(
 mod tests {
     use super::*;
     use pic_particles::{AosEnsemble, ParticleAccess, SoaEnsemble};
-
-    #[test]
-    fn config_scales() {
-        let q = BenchConfig::quick();
-        assert_eq!(q.work_per_iteration(), 10_000);
-    }
-
-    #[test]
-    fn env_overrides() {
-        std::env::set_var("PIC_BENCH_PARTICLES", "1234");
-        let c = BenchConfig::from_env();
-        assert_eq!(c.particles, 1234);
-        std::env::remove_var("PIC_BENCH_PARTICLES");
-        let d = BenchConfig::from_env();
-        assert_eq!(d.particles, BenchConfig::default_scale().particles);
-    }
 
     #[test]
     fn ensembles_are_deterministic_and_layout_agnostic() {

@@ -9,13 +9,13 @@
 //! records, and a `device` job's checkpoints and cached dumps interop
 //! with host runs bit for bit.
 
-use pic_bench::{
-    build_ensemble, run_device_steps, run_mdipole_steps, KernelVariant, MdipoleScenario,
-};
 use pic_math::Real;
 use pic_particles::{AosEnsemble, Layout, ParticleAccess, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Scenario;
 use pic_runtime::{ExecTarget, Schedule, Topology};
+use pic_sim::{
+    build_ensemble, run_device_steps, run_mdipole_steps, KernelVariant, MdipoleScenario,
+};
 
 const PARTICLES: usize = 120;
 const STEPS: usize = 5;

@@ -13,14 +13,14 @@
 //! bitwise identical to the host fast path — the portability claim the
 //! paper demonstrates with DPC++, made checkable.
 
-use pic_bench::{
-    build_ensemble, measure_device_nsps, run_device_steps, run_mdipole_steps, BenchConfig,
-    KernelVariant, MdipoleScenario,
-};
+use pic_bench::{measure_device_nsps, BenchConfig};
 use pic_particles::{Layout, ParticleAccess, SoaEnsemble};
 use pic_perfmodel::report::PAPER_TABLE3;
 use pic_perfmodel::Scenario;
 use pic_runtime::{ExecTarget, Schedule, Topology};
+use pic_sim::{
+    build_ensemble, run_device_steps, run_mdipole_steps, KernelVariant, MdipoleScenario,
+};
 
 /// Paper Table 3 cell (NSPS, float) for one scenario × layout × device
 /// column (1 = P630, 2 = Iris Xe Max).

@@ -9,12 +9,12 @@
 //! bitwise identical (the proxy abstraction guarantees the same
 //! arithmetic regardless of storage).
 
-use pic_bench::{bench_dt, build_ensemble, dipole_wave};
 use pic_bench::{measure_nsps, BenchConfig};
 use pic_boris::{AnalyticalSource, BorisPusher, PushKernel};
 use pic_particles::{AosEnsemble, Layout, ParticleAccess, SoaEnsemble, SpeciesTable};
 use pic_perfmodel::Scenario;
 use pic_runtime::{Schedule, Topology};
+use pic_sim::{bench_dt, build_ensemble, dipole_wave};
 
 fn main() {
     let cfg = BenchConfig {

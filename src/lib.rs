@@ -11,6 +11,7 @@
 //! * [`pic_runtime`] — static/dynamic/NUMA-domain parallel sweeps.
 //! * [`pic_perfmodel`] — performance models of the paper's platforms.
 //! * [`pic_device`] — the SYCL-like device/executor/USM layer.
+//! * [`pic_sim`] — the m-dipole job runner: seeded ensembles, host and device step runners.
 //! * [`pic_bench`] — the NSPS benchmark harness.
 
 #![forbid(unsafe_code)]
@@ -22,3 +23,4 @@ pub use pic_math;
 pub use pic_particles;
 pub use pic_perfmodel;
 pub use pic_runtime;
+pub use pic_sim;

@@ -4,11 +4,11 @@
 //! snapshot mid-run, reload it (in either layout), continue, and land on
 //! exactly the same state as the uninterrupted run.
 
-use pic_bench::{bench_dt, build_ensemble, dipole_wave};
 use pic_boris::{AnalyticalSource, BorisPusher, PushKernel};
 use pic_math::Real;
 use pic_particles::io::{read_ensemble, write_ensemble};
 use pic_particles::{AosEnsemble, ParticleAccess, SoaEnsemble, SpeciesTable};
+use pic_sim::{bench_dt, build_ensemble, dipole_wave};
 
 fn push_steps<R: Real, S: ParticleAccess<R>>(ens: &mut S, steps: usize, start_step: usize) {
     let table = SpeciesTable::<R>::with_standard_species();

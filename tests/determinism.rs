@@ -5,8 +5,8 @@
 //! no `thread_rng`), so reproducibility is enforced at the API level;
 //! these tests pin the observable behavior.
 
-use pic_bench::build_ensemble;
 use pic_particles::{AosEnsemble, ParticleAccess, SoaEnsemble};
+use pic_sim::build_ensemble;
 
 #[test]
 fn benchmark_ensemble_builds_are_bitwise_identical() {

@@ -1,12 +1,12 @@
 //! Integration: physical behaviour of the full stack — the m-dipole
 //! benchmark dynamics (paper §5.2).
 
-use pic_bench::{bench_dt, build_ensemble, dipole_wave};
 use pic_boris::diag::{fraction_inside_sphere, mean_gamma};
 use pic_boris::{AnalyticalSource, BorisPusher, PushKernel};
 use pic_math::constants::{BENCH_OMEGA, BENCH_WAVELENGTH, ELECTRON_MASS, LIGHT_VELOCITY};
 use pic_math::Vec3;
 use pic_particles::{AosEnsemble, ParticleAccess, SpeciesTable};
+use pic_sim::{bench_dt, build_ensemble, dipole_wave};
 
 #[test]
 fn electrons_escape_the_focal_region() {

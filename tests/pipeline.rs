@@ -1,12 +1,13 @@
 //! Cross-crate integration: ensembles × field sources × pushers × runtime
 //! schedules, exercised together through the public API.
 
-use pic_bench::{bench_dt, build_ensemble, dipole_wave, BenchConfig};
+use pic_bench::BenchConfig;
 use pic_boris::{AnalyticalSource, BorisPusher, SharedPushKernel};
 use pic_fields::PrecalculatedFields;
 use pic_particles::{AosEnsemble, Layout, ParticleAccess, SoaEnsemble, SpeciesTable};
 use pic_perfmodel::Scenario;
 use pic_runtime::{parallel_sweep, Schedule, Topology};
+use pic_sim::{bench_dt, build_ensemble, dipole_wave};
 
 fn run_steps<S: ParticleAccess<f64>>(
     store: &mut S,

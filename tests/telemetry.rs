@@ -1,10 +1,11 @@
 //! Integration tests of the observability layer: sweep accounting under
 //! every schedule, BenchRecord persistence, and the regression gate.
 
-use pic_bench::{bench_record, measure_nsps, BenchConfig, KernelVariant};
+use pic_bench::{bench_record, measure_nsps, BenchConfig};
 use pic_particles::{AosEnsemble, DynKernel, Layout, ParticleStore, ParticleView};
 use pic_perfmodel::{Precision, Scenario};
 use pic_runtime::{parallel_sweep, Schedule, Topology};
+use pic_sim::KernelVariant;
 use pic_telemetry::{compare, read_records, write_records, BenchRecord, Registry, SCHEMA_VERSION};
 use std::path::PathBuf;
 
