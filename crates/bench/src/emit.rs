@@ -2,7 +2,7 @@
 //!
 //! This is where the three telemetry sources meet: the wall-clock
 //! iteration series from [`crate::measure`], the per-thread sweep totals
-//! from the runtime's registry, and the static kernel tallies/roofline
+//! from each sweep's `SweepReport`, and the static kernel tallies/roofline
 //! prediction from `pic-boris`/`pic-perfmodel`. The `reproduce
 //! --emit-metrics` flag and the regression-gate tests both build records
 //! through here so artifacts stay schema-consistent.

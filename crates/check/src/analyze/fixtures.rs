@@ -5,7 +5,7 @@
 //! file stays invisible to the real workspace run) that violates
 //! exactly one rule. `pic_analyze --seeded` analyzes every fixture and
 //! exits `0` only when some expected rule *fails* to fire — CI inverts
-//! the exit code, mirroring `seeded_race.rs`: a passing CI step proves
+//! the exit code: a passing CI step proves
 //! the analyzer still catches every seeded bug.
 
 /// One seeded violation: `(name, expected rule, files)`.

@@ -18,7 +18,7 @@
 //! Rule ids are stable (see EXPERIMENTS.md) and every diagnostic
 //! carries a fix hint. [`fixtures`] holds the seeded-violation corpus
 //! that proves each rule actually fires — CI runs it under an inverted
-//! exit code, mirroring `seeded_race.rs`.
+//! exit code.
 
 pub mod atomics;
 pub mod fixtures;

@@ -11,10 +11,10 @@
 //! `1` findings, `2` setup error.
 //!
 //! `--seeded` ignores the workspace and runs the seeded-violation
-//! corpus instead, with *inverted* semantics mirroring `seeded-race`:
-//! it exits `0` only when the analyzer is blind to some fixture (so CI
-//! wraps it in `if …; then echo broken; exit 1; fi`), and `1` when
-//! every seeded bug was caught.
+//! corpus instead, with *inverted* semantics: it exits `0` only when
+//! the analyzer is blind to some fixture (so CI wraps it in
+//! `if …; then echo broken; exit 1; fi`), and `1` when every seeded bug
+//! was caught.
 
 use std::path::Path;
 use std::process::ExitCode;

@@ -13,7 +13,7 @@
 //!    | `ordering-justification` | every `Ordering::SeqCst`/`Ordering::Relaxed` carries an adjacent `// ordering:` comment arguing why it is sound |
 //!    | `unsafe-outside-allowlist` | no `unsafe` anywhere in the workspace, `vendor/` included; there is no allowlist, the id is kept stable |
 //!    | `forbid-unsafe-attr` | every crate, `vendor/` included, keeps `#![forbid(unsafe_code)]` in its `lib.rs` |
-//!    | `instant-outside-telemetry` | wall-clock reads (`std::time::Instant`) stay inside the measuring layers (`pic-telemetry`, and `pic-bench`, which times `pic-sim`'s runner from outside) plus three audited call sites; the runner itself reads no clock |
+//!    | `instant-outside-telemetry` | wall-clock reads (`std::time::Instant`) stay inside the measuring layer (`pic-bench`, which times `pic-sim`'s runner from outside) plus three audited call sites; the runner itself reads no clock; the id is kept stable |
 //!    | `unwrap-in-lib` | no `.unwrap()` / `.expect("…")` in library code outside tests |
 //!    | `column-list` | the particle columns `x y z px py pz …` are declared once, in `crates/particles/src/columns.rs`: no other `struct` body or `fn` signature lists them as fields/parameters |
 //!    | `sleep-in-service` | no `thread::sleep` in the job service or the sweep runtime outside tests: a thread with nothing to do blocks on what it waits for, it does not poll on a timer |
@@ -27,10 +27,11 @@
 //!
 //! 2. **The interleave suites** (`tests/interleave_*.rs`, built with
 //!    `RUSTFLAGS="--cfg interleave"`): exhaustive model checking of the
-//!    telemetry `Registry` drain-after-join protocol and of the job
-//!    service's admission, cache and shard protocols, including a seeded
-//!    drain-*before*-join bug that the checker must catch (see
-//!    `src/bin/seeded_race.rs` and the CI self-check).
+//!    job service's admission, cache and shard protocols. Two
+//!    `#[should_panic]` twins run a broken variant of the shipped
+//!    types and prove the checker catches it
+//!    (`interleave_serve.rs::checking_the_flag_before_claiming_the_slot_is_caught`,
+//!    `interleave_shard.rs::finishing_with_a_load_then_a_store_is_caught`).
 
 #![forbid(unsafe_code)]
 
@@ -46,13 +47,13 @@ use std::path::{Path, PathBuf};
 const ADJACENT_LINES: usize = 3;
 
 /// Files allowed to use `std::time::Instant` besides the measuring
-/// crates (`crates/telemetry`, `crates/bench`), each with the reason.
+/// crate (`crates/bench`), each with the reason.
 /// The job runner (`crates/sim`) has no entry: what it runs is timed by
 /// its callers.
 const INSTANT_ALLOW: &[(&str, &str)] = &[
     (
         "crates/runtime/src/sweep.rs",
-        "per-chunk kernel timing, compiled only under the `telemetry` feature",
+        "per-chunk kernel timing behind each thread's `busy_ns`",
     ),
     (
         "crates/device/src/clock.rs",
@@ -453,7 +454,6 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Diagnostic> {
 
     // instant-outside-telemetry.
     let instant_scope = (path.starts_with("crates/") || path.starts_with("src/"))
-        && !path.starts_with("crates/telemetry/")
         && !path.starts_with("crates/bench/")
         && !allowlisted(INSTANT_ALLOW, path);
     if instant_scope {
@@ -464,9 +464,9 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Diagnostic> {
                 out.push(diag(
                     i,
                     "instant-outside-telemetry",
-                    "wall-clock timing belongs to pic-telemetry / pic-bench (or an \
-                     INSTANT_ALLOW entry in crates/check/src/lib.rs); scattered timers \
-                     skew the NSPS measurements the paper tables depend on"
+                    "wall-clock timing belongs to pic-bench (or an INSTANT_ALLOW \
+                     entry in crates/check/src/lib.rs); scattered timers skew the \
+                     NSPS measurements the paper tables depend on"
                         .to_string(),
                 ));
             }

@@ -20,7 +20,6 @@ pub struct ThreadReport {
     /// Particles this thread processed.
     pub particles: usize,
     /// Wall time this thread spent inside kernel work, nanoseconds.
-    /// Always 0 unless the `telemetry` feature is enabled.
     pub busy_ns: u64,
 }
 
@@ -67,13 +66,13 @@ impl SweepReport {
         imbalance_of(self.threads.iter().map(|t| t.particles as u64))
     }
 
-    /// Total kernel busy time across all threads, nanoseconds (0 unless
-    /// the `telemetry` feature is enabled).
+    /// Total kernel busy time across all threads, nanoseconds.
     pub fn total_busy_ns(&self) -> u64 {
         self.threads.iter().map(|t| t.busy_ns).sum()
     }
 
-    /// Busy-time load imbalance ([`imbalance_of`]; 0.0 when untimed).
+    /// Busy-time load imbalance ([`imbalance_of`]; 0.0 when no busy time
+    /// was recorded).
     pub fn time_imbalance(&self) -> f64 {
         imbalance_of(self.threads.iter().map(|t| t.busy_ns))
     }
@@ -98,34 +97,15 @@ impl SweepReport {
         let weighted: f64 = shards.iter().map(|&(n, imb)| imb * n as f64).sum();
         weighted / total as f64
     }
-
-    /// Drains this report into a telemetry registry, accumulating each
-    /// thread's totals into its slot. The registry must have at least as
-    /// many slots as the report has threads.
-    #[cfg(feature = "telemetry")]
-    pub fn record_into(&self, registry: &pic_telemetry::Registry) {
-        for t in &self.threads {
-            registry
-                .handle(t.thread)
-                .add(t.chunks as u64, t.particles as u64, t.busy_ns);
-        }
-    }
 }
 
 /// Times `f`, returning its wall time in nanoseconds alongside its
-/// output. Compiles to a bare call when telemetry is disabled.
-#[cfg(feature = "telemetry")]
+/// output.
 #[inline]
 fn timed<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let start = std::time::Instant::now();
     let out = f();
     (start.elapsed().as_nanos() as u64, out)
-}
-
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-fn timed<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    (0, f())
 }
 
 /// Applies a kernel to every particle under the given schedule.
@@ -541,7 +521,7 @@ mod tests {
 
     #[test]
     fn time_imbalance_metric() {
-        // Untimed (or telemetry-off) reports have no defined imbalance.
+        // An empty report has no defined imbalance.
         assert_eq!(SweepReport::default().time_imbalance(), 0.0);
         let report = SweepReport {
             threads: vec![
@@ -589,7 +569,6 @@ mod tests {
         assert_eq!(merged.to_bits(), awkward.to_bits());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sweep_times_kernel_work() {
         let mut ens: AosEnsemble<f64> = ensemble(50_000);
@@ -606,24 +585,6 @@ mod tests {
             });
             assert!(report.total_busy_ns() > 0, "{schedule:?}: {report:?}");
         }
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn report_drains_into_registry() {
-        let registry = pic_telemetry::Registry::new(4);
-        let mut ens: AosEnsemble<f64> = ensemble(1000);
-        let topo = Topology::single(4);
-        let r1 = parallel_sweep(&mut ens, &topo, Schedule::StaticChunks, increment_kernel);
-        r1.record_into(&registry);
-        let r2 = parallel_sweep(&mut ens, &topo, Schedule::StaticChunks, increment_kernel);
-        r2.record_into(&registry);
-        let grand = registry.grand_totals();
-        assert_eq!(grand.particles, 2000);
-        assert_eq!(grand.chunks, (r1.total_chunks() + r2.total_chunks()) as u64);
-        assert_eq!(grand.busy_ns, r1.total_busy_ns() + r2.total_busy_ns());
-        // Per-thread attribution is preserved, not pooled.
-        assert_eq!(registry.totals()[2].particles, 500);
     }
 
     #[test]

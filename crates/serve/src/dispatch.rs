@@ -92,6 +92,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::KillPlan;
     use crate::job::{JobSpec, Priority, RejectReason};
     use crate::lifecycle::State;
     use crate::scheduler::{quick_cfg, JobTicket, Notifier, ServeConfig, Server};
@@ -175,9 +176,14 @@ mod tests {
 
     #[test]
     fn worker_panic_rejects_the_job_and_the_pool_recovers() {
+        // The bomb's worker dies after its first step, and a job with
+        // no resumes left is rejected like a poison job.
+        let plan = KillPlan::new();
+        plan.arm(0xdead, 1);
         let cfg = ServeConfig {
             workers: 1,
-            fault_inject_seed: Some(0xdead),
+            max_resumes: 0,
+            kill_plan: Some(plan),
             ..ServeConfig::default()
         };
         let server = Server::start(cfg, "panic-test");

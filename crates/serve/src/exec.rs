@@ -93,11 +93,6 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
         return; // cancelled (or otherwise finished) while queued
     }
     let claimed_ns = shared.clock.now_ns();
-    if let Some(seed) = shared.cfg.fault_inject_seed {
-        if job.spec.seed == seed {
-            panic!("fault injection: job {} seed {seed}", job.id);
-        }
-    }
     if job.cancel_pending() {
         shared.finish(job, Outcome::Cancelled);
         return;

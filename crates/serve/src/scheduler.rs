@@ -58,9 +58,6 @@ pub struct ServeConfig {
     pub max_steps: usize,
     /// Thread topology of each job's sweep.
     pub topology: Topology,
-    /// Test hook: a job whose seed matches panics inside its worker,
-    /// exercising panic isolation and respawn. `None` in production.
-    pub fault_inject_seed: Option<u64>,
     /// Completed results kept in the deterministic cache (LRU-evicted).
     /// `0` disables caching, follower coalescing and claim-time hits.
     pub cache_capacity: usize,
@@ -94,7 +91,6 @@ impl Default for ServeConfig {
             max_particles: 1_000_000,
             max_steps: 10_000,
             topology: Topology::single(1),
-            fault_inject_seed: None,
             cache_capacity: 128,
             checkpoint_interval: 0,
             max_resumes: 3,

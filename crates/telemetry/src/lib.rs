@@ -6,11 +6,6 @@
 //! number *with provenance*, so a perf claim in a PR can point at an
 //! artifact instead of a console scroll-back:
 //!
-//! * [`registry`] — a lock-free per-thread counter/timer registry. Worker
-//!   threads of the particle sweep record chunks, particles and busy time
-//!   into cache-line-padded atomic slots; the measuring layer drains them
-//!   after the run. `pic-runtime` feeds it behind its `telemetry` feature
-//!   so the push hot path stays zero-cost when disabled.
 //! * [`record`] — the versioned [`BenchRecord`](record::BenchRecord)
 //!   schema: one JSON object per measured configuration (per-iteration
 //!   NSPS series with the warmup/steady split, per-thread totals,
@@ -28,9 +23,7 @@
 
 pub mod json;
 pub mod record;
-pub mod registry;
 pub mod regress;
 
 pub use record::{read_records, write_records, BenchRecord, ThreadStat, SCHEMA_VERSION};
-pub use registry::{Handle, Registry, ThreadTotals};
 pub use regress::{compare, Comparison, RegressReport};
