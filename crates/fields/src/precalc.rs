@@ -9,7 +9,7 @@
 //! `[Vec<R>; FIELD_COLUMNS]` in the order [`crate::sampler`] declares; no
 //! component is named in this file.
 
-use crate::sampler::{map_components, BatchSampler, EbSlices, FieldSampler, EB, FIELD_COLUMNS};
+use crate::sampler::{map_components, EbSlices, FieldSampler, EB, FIELD_COLUMNS};
 use pic_math::{Real, Vec3};
 
 /// Precomputed (**E**, **B**) values, one entry per particle.
@@ -59,33 +59,27 @@ impl<R: Real> PrecalculatedFields<R> {
         out
     }
 
-    /// Overwrites the values of particles `start..start + xs.len()` with
-    /// `sampler`'s field at `(xs[i], ys[i], zs[i], time)`, through
-    /// [`BatchSampler::sample_into`] — element for element what
-    /// [`FieldSampler::sample`] returns, evaluated a block at a time.
+    /// The table's rows as destinations of
+    /// [`BatchSampler::sample_into`](crate::BatchSampler::sample_into),
+    /// in runs of at most `chunk_len` rows in order: run `i` holds rows
+    /// `i·chunk_len ..`. The parts of a fill that samples disjoint ranges,
+    /// one block or one thread at a time.
     ///
     /// # Panics
     ///
-    /// Panics if the range runs past [`len`](Self::len) or the position
-    /// slices differ in length.
-    pub fn fill_from<S: BatchSampler<R>>(
-        &mut self,
-        sampler: &S,
-        start: usize,
-        xs: &[R],
-        ys: &[R],
-        zs: &[R],
-        time: R,
-    ) {
-        assert!(
-            ys.len() == xs.len() && zs.len() == xs.len(),
-            "fill_from: position slices must have equal length"
-        );
-        let range = start..start + xs.len();
-        let mut out = EbSlices::from_columns(map_components(self.cols.each_mut(), |c| {
-            &mut c[range.clone()]
-        }));
-        sampler.sample_into(xs, ys, zs, time, &mut out);
+    /// Panics if `chunk_len == 0`.
+    pub fn chunks_mut(&mut self, chunk_len: usize) -> impl Iterator<Item = EbSlices<'_, R>> {
+        assert!(chunk_len > 0, "chunks_mut: chunk_len must be positive");
+        let n = self.len();
+        let mut rest = map_components(self.cols.each_mut(), Vec::as_mut_slice);
+        (0..n).step_by(chunk_len).map(move |at| {
+            let take = chunk_len.min(n - at);
+            EbSlices::from_columns(map_components(rest.each_mut(), |col| {
+                let (head, tail) = std::mem::take(col).split_at_mut(take);
+                *col = tail;
+                head
+            }))
+        })
     }
 
     /// Appends one field value.
@@ -180,6 +174,32 @@ mod tests {
         for (i, &pos) in positions.iter().enumerate() {
             assert_eq!(pre.get(i), wave.sample(pos, t), "particle {i}");
         }
+    }
+
+    /// Chunks cover the rows in order, the last one short, and a sample
+    /// written through them lands in its own rows.
+    #[test]
+    fn chunks_cover_the_rows_in_order() {
+        let mut pre = PrecalculatedFields::<f64>::zeros(10);
+        let chunks: Vec<_> = pre.chunks_mut(4).collect();
+        assert_eq!(
+            chunks.iter().map(|c| c.ex.len()).collect::<Vec<_>>(),
+            [4, 4, 2]
+        );
+        for (i, mut chunk) in chunks.into_iter().enumerate() {
+            let len = chunk.ex.len();
+            assert!(chunk.as_columns_mut().iter().all(|col| col.len() == len));
+            let f = EB::new(Vec3::splat(i as f64), Vec3::splat(-(i as f64)));
+            chunk.write_lane(1, f);
+        }
+        for (row, i) in [(1, 0), (5, 1), (9, 2)] {
+            assert_eq!(
+                pre.get(row),
+                EB::new(Vec3::splat(i as f64), Vec3::splat(-(i as f64)))
+            );
+        }
+        assert_eq!(pre.get(0), EB::zero());
+        assert_eq!(PrecalculatedFields::<f32>::new().chunks_mut(3).count(), 0);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! drawn directly, and a uniform box for tests that need positions spread
 //! over a grid.
 
+use crate::particle::Particle;
 use crate::species::SpeciesId;
-use crate::view::{ParticleStore, ParticleView};
+use crate::view::{ParticleAccess, ParticleStore};
 use pic_math::splitmix::{mix64, GOLDEN_GAMMA};
 use pic_math::{Real, Vec3};
 use rand::Rng;
@@ -90,6 +91,8 @@ pub fn fill_sphere_at_rest<R: Real, S: ParticleStore<R>>(
 /// `seed`ed sphere fill. Particle `i` is the same bits whatever range
 /// draws it, in either layout — the shard invariance the serving layer's
 /// domain decomposition rests on — and the same point in either precision.
+/// The serial fill: [`ParticleStore::grow_chunks`] in one chunk, written
+/// by [`fill_sphere_at_rest_chunk`].
 pub fn fill_sphere_at_rest_range<R: Real, S: ParticleStore<R>>(
     store: &mut S,
     start: usize,
@@ -100,19 +103,42 @@ pub fn fill_sphere_at_rest_range<R: Real, S: ParticleStore<R>>(
     seed: u64,
 ) {
     let len = end.saturating_sub(start);
-    let base = store.len();
-    store.extend_at_rest(len, R::from_f64(weight), species);
+    for mut chunk in store.grow_chunks(len, len.max(1)) {
+        fill_sphere_at_rest_chunk(&mut chunk, start, sphere, weight, species, seed);
+    }
+}
+
+/// Writes particles `first .. first + chunk.len()` of the `seed`ed
+/// sphere fill at rest over the rows of `chunk`, every column of each:
+/// what one thread of a parallel fill runs over its own range of rows
+/// that [`ParticleStore::grow_chunks`] appended.
+pub fn fill_sphere_at_rest_chunk<R: Real, A: ParticleAccess<R>>(
+    chunk: &mut A,
+    first: usize,
+    sphere: &SphereDist,
+    weight: f64,
+    species: SpeciesId,
+    seed: u64,
+) {
+    let len = chunk.len();
+    let weight = R::from_f64(weight);
     let key = mix64(seed.wrapping_add(GOLDEN_GAMMA));
-    let block = |j: usize| sphere_block(key, (start + j) as u64, sphere);
-    // Whole blocks go straight into SoA position columns; an AoS store and
-    // a SoA tail take the same block values through their views.
+    let block = |j: usize| sphere_block(key, (first + j) as u64, sphere);
+    // Whole blocks go straight into SoA columns; an AoS chunk and a SoA
+    // tail take the same block values a row at a time.
     let mut done = 0;
-    if let Some(cols) = store.columns_mut() {
-        // The position columns lead the schema (`X`, `Y`, `Z` = 0, 1, 2).
-        let [xs, ys, zs, ..] = cols.reals;
-        let blocks = (xs[base..].as_chunks_mut::<BLOCK>().0.iter_mut())
-            .zip(ys[base..].as_chunks_mut::<BLOCK>().0)
-            .zip(zs[base..].as_chunks_mut::<BLOCK>().0);
+    if let Some(cols) = chunk.columns_mut() {
+        // The position columns lead the schema (`X`, `Y`, `Z` = 0, 1, 2);
+        // the rest take the at-rest row's values.
+        let (row, id) = Particle::at_rest(Vec3::zero(), weight, species).to_row();
+        let [xs, ys, zs, rest @ ..] = cols.reals;
+        for (col, v) in rest.into_iter().zip(&row[3..]) {
+            col.fill(*v);
+        }
+        cols.species.fill(id);
+        let blocks = (xs.as_chunks_mut::<BLOCK>().0.iter_mut())
+            .zip(ys.as_chunks_mut::<BLOCK>().0)
+            .zip(zs.as_chunks_mut::<BLOCK>().0);
         for ((x, y), z) in blocks {
             [*x, *y, *z] = block(done);
             done += BLOCK;
@@ -121,9 +147,8 @@ pub fn fill_sphere_at_rest_range<R: Real, S: ParticleStore<R>>(
     for j in (done..len).step_by(BLOCK) {
         let [bx, by, bz] = block(j);
         for lane in 0..BLOCK.min(len - j) {
-            store
-                .view_mut(base + j + lane)
-                .set_position(Vec3::new(bx[lane], by[lane], bz[lane]));
+            let position = Vec3::new(bx[lane], by[lane], bz[lane]);
+            chunk.set(j + lane, &Particle::at_rest(position, weight, species));
         }
     }
 }
@@ -132,10 +157,8 @@ pub fn fill_sphere_at_rest_range<R: Real, S: ParticleStore<R>>(
 mod tests {
     use super::*;
     use crate::aos::AosEnsemble;
-    use crate::particle::Particle;
     use crate::soa::SoaEnsemble;
     use crate::species::SpeciesTable;
-    use crate::view::ParticleAccess;
 
     const EL: SpeciesId = SpeciesTable::<f64>::ELECTRON;
     /// Large enough for the statistical bounds below to be tight.
@@ -285,6 +308,39 @@ mod tests {
             let mut empty = S::default();
             fill_sphere_at_rest_range(&mut empty, 9, 5, &d, 1.0, EL, 11);
             assert_eq!(empty.len(), 0);
+        }
+        check::<f32, SoaEnsemble<f32>>();
+        check::<f64, SoaEnsemble<f64>>();
+        check::<f32, AosEnsemble<f32>>();
+        check::<f64, AosEnsemble<f64>>();
+    }
+
+    /// The rows `grow_chunks` appends, filled chunk by chunk at any
+    /// chunk length, are the serial fill's — after a particle already in
+    /// the store, which is kept — and the chunks cover the new rows in
+    /// order.
+    #[test]
+    fn chunked_fill_matches_the_serial_fill() {
+        fn check<R: Real, S: ParticleStore<R> + PartialEq + std::fmt::Debug>() {
+            const LEN: usize = 61;
+            let d = unit_sphere();
+            let lead = Particle::at_rest(Vec3::zero(), R::ONE, SpeciesId(3));
+            let mut serial = S::default();
+            serial.push(lead);
+            fill_sphere_at_rest_range(&mut serial, 4, 4 + LEN, &d, 1.0, EL, 13);
+            for chunk_len in [1, 7, 8, 9, 60, 61, 100] {
+                let mut chunked = S::default();
+                chunked.push(lead);
+                let chunks = chunked.grow_chunks(LEN, chunk_len);
+                assert_eq!(chunks.len(), LEN.div_ceil(chunk_len));
+                for (i, mut chunk) in chunks.into_iter().enumerate() {
+                    assert_eq!(chunk.base_index(), 1 + i * chunk_len);
+                    let first = 4 + i * chunk_len;
+                    fill_sphere_at_rest_chunk(&mut chunk, first, &d, 1.0, EL, 13);
+                }
+                assert_eq!(chunked, serial, "chunks of {chunk_len}");
+            }
+            assert!(S::default().grow_chunks(0, 8).is_empty());
         }
         check::<f32, SoaEnsemble<f32>>();
         check::<f64, SoaEnsemble<f64>>();

@@ -19,7 +19,10 @@
 //! [`EXP_BLOCK`] rows at a time, from one block of each column. Each
 //! column block's texts are computed as lane code
 //! ([`Real::exp_block`], [`uint_block`]), and the row pass only copies
-//! finished texts into a line buffer for the block. `write_rows` is the
+//! finished texts into a line buffer for the block. A column block with
+//! the bits of that column's previous block reuses its text, so columns
+//! that never change (weight, species, a field component that is zero at
+//! t = 0) are rendered once. `write_rows` is the
 //! one row writer; [`write_ensemble`] renders through a captured
 //! [`ColumnSegment`].
 //!
@@ -311,31 +314,67 @@ fn extend<W: Copy>(cols: &mut Columns<W>, more: &Columns<W>, room: usize) {
 /// code ([`Real::exp_block`], [`uint_block`]), then the rows are laid out
 /// in one line buffer by copying the finished texts, and the buffer is
 /// handed to `out` in one piece. A last block of fewer rows is padded
-/// with zeros, of which no row is laid out.
-fn write_rows<W: Real, O: Write>(cols: &Columns<W>, out: &mut O, end: RowEnd) -> io::Result<()> {
+/// with zeros, of which no row is laid out. A column block whose values
+/// have the bits (`bits`) of that column's previous block reuses its text
+/// ([`Memo`]): a dump's constant columns render once.
+fn write_rows<W, K, O>(
+    cols: &Columns<W>,
+    out: &mut O,
+    end: RowEnd,
+    bits: fn(W) -> K,
+) -> io::Result<()>
+where
+    W: Real,
+    K: Copy + Default + PartialEq,
+    O: Write,
+{
     let end = end.bytes();
     let mut line = [0u8; LINE_LEN];
-    let mut texts: [ExpBlock; REAL_COLUMNS] = Default::default();
+    let mut texts: [Memo<K>; REAL_COLUMNS] = Default::default();
+    let mut species = Memo::<u16>::default();
     for start in (0..cols.len()).step_by(EXP_BLOCK) {
         let rows = (cols.len() - start).min(EXP_BLOCK);
         for (text, col) in texts.iter_mut().zip(&cols.reals) {
-            *text = W::exp_block(&block_of(col, start, W::ZERO));
+            let block = block_of(col, start, W::ZERO);
+            text.render(block.map(bits), || W::exp_block(&block));
         }
-        let species = uint_block(&block_of(&cols.species, start, 0));
+        let ids = block_of(&cols.species, start, 0);
+        species.render(ids, || uint_block(&ids));
         let mut at = 0;
         for row in 0..rows {
             for text in &texts {
-                at += text.put(row, &mut line[at..]);
+                at += text.text.put(row, &mut line[at..]);
                 line[at] = b' ';
                 at += 1;
             }
-            at += species.put(row, &mut line[at..]);
+            at += species.text.put(row, &mut line[at..]);
             line[at..at + end.len()].copy_from_slice(end);
             at += end.len();
         }
         out.write_all(&line[..at])?;
     }
     Ok(())
+}
+
+/// One column's last rendered block: the exact bits it was rendered
+/// from, padding included, and its text. Keyed on bits, so `-0` and `+0`
+/// and NaNs of different payloads never share a text.
+#[derive(Default)]
+struct Memo<K> {
+    bits: Option<[K; EXP_BLOCK]>,
+    text: ExpBlock,
+}
+
+impl<K: Copy + PartialEq> Memo<K> {
+    /// Makes `text` the text of the block with these `bits`, calling
+    /// `text_of` only when they differ from the last block's.
+    #[inline(always)]
+    fn render(&mut self, bits: [K; EXP_BLOCK], text_of: impl FnOnce() -> ExpBlock) {
+        if self.bits != Some(bits) {
+            self.text = text_of();
+            self.bits = Some(bits);
+        }
+    }
 }
 
 /// The block of `col` from `start`: its next [`EXP_BLOCK`] values, the
@@ -510,8 +549,8 @@ impl ColumnSegment {
     /// Propagates any I/O error from `out`.
     pub fn write_text<O: Write>(&self, out: &mut O, end: RowEnd) -> io::Result<()> {
         match &self.cols {
-            Width::F32(cols) => write_rows(cols, out, end),
-            Width::F64(cols) => write_rows(cols, out, end),
+            Width::F32(cols) => write_rows(cols, out, end, f32::to_bits),
+            Width::F64(cols) => write_rows(cols, out, end, f64::to_bits),
         }
     }
 

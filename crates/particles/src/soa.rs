@@ -10,7 +10,7 @@ use crate::columns::{ColumnsMut, ColumnsRef, ParticleColumns, SoaRefMut, X, Y, Z
 use crate::particle::Particle;
 use crate::species::SpeciesId;
 use crate::view::{Layout, ParticleAccess, ParticleStore};
-use pic_math::{Real, Vec3};
+use pic_math::Real;
 use std::ops::DerefMut;
 
 /// A column store: [`ParticleColumns`] over containers `C`/`S`, plus the
@@ -198,13 +198,20 @@ impl<R: Real> ParticleStore<R> for SoaEnsemble<R> {
         self.cols.reserve_rows(additional);
     }
 
-    fn extend_at_rest(&mut self, n: usize, weight: R, species: SpeciesId) {
-        let (reals, species) = Particle::at_rest(Vec3::zero(), weight, species).to_row();
+    /// Zero rows. An empty column becomes `vec![0; n]`, which the
+    /// allocator maps as zero pages without writing them; a column with
+    /// rows is resized. The species column is a newtype, which `vec!`
+    /// cannot map zeroed, so it is written here.
+    fn grow(&mut self, n: usize) {
         let len = self.cols.len() + n;
-        for (col, v) in self.cols.reals.iter_mut().zip(reals) {
-            col.resize(len, v);
+        for col in &mut self.cols.reals {
+            if col.is_empty() {
+                *col = vec![R::ZERO; len];
+            } else {
+                col.resize(len, R::ZERO);
+            }
         }
-        self.cols.species.resize(len, species);
+        self.cols.species.resize(len, SpeciesId(0));
     }
 
     fn swap_remove(&mut self, i: usize) -> Particle<R> {
@@ -215,8 +222,9 @@ impl<R: Real> ParticleStore<R> for SoaEnsemble<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columns::{GAMMA, PX, PY, PZ, WEIGHT};
+    use crate::columns::{GAMMA, PX, PY, PZ, REAL_COLUMNS, WEIGHT};
     use crate::view::ParticleView;
+    use pic_math::Vec3;
 
     fn sample(n: usize) -> SoaEnsemble<f64> {
         (0..n)
@@ -299,6 +307,24 @@ mod tests {
         assert_eq!(sub.len(), 3);
         assert_eq!(sub[2].base_index(), 6);
         assert_eq!(sub[2].len(), 2);
+    }
+
+    #[test]
+    fn grow_appends_zero_rows() {
+        let mut empty = SoaEnsemble::<f32>::new();
+        empty.grow(5);
+        assert_eq!(empty.len(), 5);
+        assert!(empty.columns().is_some_and(|c| c.len() == 5));
+        let zero = Particle::from_row(([0.0; REAL_COLUMNS], SpeciesId(0)));
+        assert!((0..5).all(|i| empty.get(i) == zero));
+        let mut ens = sample(3);
+        ens.grow(2);
+        assert_eq!(ens.len(), 5);
+        assert_eq!(ens.get(2), sample(3).get(2), "existing rows are kept");
+        assert_eq!(
+            ens.get(4),
+            Particle::from_row(([0.0; REAL_COLUMNS], SpeciesId(0)))
+        );
     }
 
     #[test]

@@ -335,14 +335,38 @@ pub trait ParticleStore<R: Real>: ParticleAccess<R> + Default {
     /// Reserves capacity for `additional` more particles.
     fn reserve(&mut self, additional: usize);
 
-    /// Appends `n` particles of `species` at rest at the origin — the
-    /// one way an initial distribution grows a store, before it writes
-    /// the positions.
-    fn extend_at_rest(&mut self, n: usize, weight: R, species: SpeciesId) {
+    /// Appends `n` rows for an initial distribution to write — the one
+    /// way a distribution grows a store. Their values are unspecified
+    /// until a fill writes every column of them
+    /// ([`crate::init::fill_sphere_at_rest_chunk`]). The default pushes
+    /// default particles; an empty SoA store takes lazily zeroed columns
+    /// instead, whose pages the fill touches first.
+    fn grow(&mut self, n: usize) {
         self.reserve(n);
         for _ in 0..n {
-            self.push(Particle::at_rest(Vec3::zero(), weight, species));
+            self.push(Particle::default());
         }
+    }
+
+    /// [`grow`](Self::grow)s the store by `n` rows and returns those rows
+    /// as chunks of at most `chunk_len` each, in order: the parts a fill
+    /// writes, one per thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_len == 0`.
+    fn grow_chunks(&mut self, n: usize, chunk_len: usize) -> Vec<Self::ChunkMut<'_>> {
+        assert!(chunk_len > 0, "grow_chunks: chunk_len must be positive");
+        let base = self.len();
+        self.grow(n);
+        let mut sizes = vec![base];
+        sizes.extend((0..n).step_by(chunk_len).map(|at| chunk_len.min(n - at)));
+        let mut chunks = self.split_sizes_mut(&sizes);
+        // `split_sizes_mut` skips the zero-sized lead of an empty store.
+        if base > 0 {
+            chunks.remove(0);
+        }
+        chunks
     }
 
     /// Removes particle `i` in O(1) by swapping the last particle into its

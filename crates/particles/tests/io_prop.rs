@@ -1,5 +1,6 @@
 //! Property tests for the ensemble text format: a segment's text is the
-//! rows `{:e}` prints, whatever the row count and the mix of values;
+//! rows `{:e}` prints, whatever the row count, the mix of values and the
+//! runs of repeated column blocks;
 //! round-trips are exact for arbitrary finite particles in both layouts
 //! and both precisions; and truncated/corrupted inputs fail loudly with
 //! `InvalidData` rather than silently yielding a short ensemble.
@@ -162,6 +163,43 @@ where
     Ok(())
 }
 
+/// Rows in a block of the text writer (`pic_math::decimal::EXP_BLOCK`).
+const BLOCK_ROWS: usize = 16;
+/// Words a block of rows takes: nine a row.
+const BLOCK_WORDS: usize = 9 * BLOCK_ROWS;
+
+/// Bit patterns of one block of rows per op, nine words a row, each
+/// block made from the one before by its op, so that the columns hold
+/// runs of equal blocks and blocks one lane apart: `0..=2` copies it,
+/// `3` copies it and redraws one lane, `4` copies it and flips the sign
+/// of one column (±0, ±NaN), `5` copies it and makes one lane a NaN of
+/// another payload, and anything else (and the first block) draws a
+/// fresh block. Draws go through `special` (`sign` and `inf` are the
+/// width's); block `b` draws from `words[b·BLOCK_WORDS ..]`.
+fn block_runs(words: &[u64], ops: &[u8], sign: u64, inf: u64) -> Vec<u64> {
+    let fraction = (inf & inf.wrapping_neg()) - 1;
+    let mut out: Vec<u64> = Vec::new();
+    for (b, (&op, draw)) in ops.iter().zip(words.chunks_exact(BLOCK_WORDS)).enumerate() {
+        let (column, lane) = (draw[0] as usize % 9, (draw[0] >> 8) as usize % BLOCK_ROWS);
+        let mut block: Vec<u64> = match b {
+            0 => Vec::new(),
+            _ => out[out.len() - BLOCK_WORDS..].to_vec(),
+        };
+        let at = 9 * lane + column;
+        match (op, block.is_empty()) {
+            (0..=2, false) => {}
+            (3, false) => block[at] = special(draw[1], |w| w, sign, inf),
+            (4, false) => (column..BLOCK_WORDS)
+                .step_by(9)
+                .for_each(|i| block[i] ^= sign),
+            (5, false) => block[at] = (block[at] & sign) | inf | ((block[at] & fraction) ^ 2) | 1,
+            _ => block = draw.iter().map(|&w| special(w, |w| w, sign, inf)).collect(),
+        }
+        out.extend(block);
+    }
+    out
+}
+
 proptest! {
     // Every row count from none through three blocks and a part one,
     // both row ends, both widths, both layouts; the columns mix every
@@ -177,6 +215,28 @@ proptest! {
         text_is_the_fmt_join::<f32, AosEnsemble<f32>>(&words, rows, end, special_f32)?;
         text_is_the_fmt_join::<f64, SoaEnsemble<f64>>(&words, rows, end, special_f64)?;
         text_is_the_fmt_join::<f64, AosEnsemble<f64>>(&words, rows, end, special_f64)?;
+    }
+
+    // Columns made of runs of equal blocks, blocks equal but for one
+    // lane, a sign (±0) or a NaN's payload, and a last block that may be
+    // partial and equal to its predecessor's prefix: a block that
+    // reuses the text of the one before still prints what `{:e}` prints.
+    #[test]
+    fn repeated_blocks_render_as_the_rows_fmt_prints(
+        words in proptest::collection::vec(proptest::any::<u64>(), 6 * BLOCK_WORDS..6 * BLOCK_WORDS + 1),
+        ops in proptest::collection::vec(0u8..7, 6..7),
+        cut in 0usize..BLOCK_ROWS,
+        escaped in 0u8..2,
+    ) {
+        let end = if escaped == 1 { RowEnd::Escaped } else { RowEnd::Newline };
+        let rows = ops.len() * BLOCK_ROWS - cut;
+        let narrow = block_runs(&words, &ops, 1 << 31, 0x7f80_0000);
+        let wide = block_runs(&words, &ops, 1 << 63, 0x7ff0_0000_0000_0000);
+        let f32_of = |w: u64| f32::from_bits(w as u32);
+        text_is_the_fmt_join::<f32, SoaEnsemble<f32>>(&narrow, rows, end, f32_of)?;
+        text_is_the_fmt_join::<f32, AosEnsemble<f32>>(&narrow, rows, end, f32_of)?;
+        text_is_the_fmt_join::<f64, SoaEnsemble<f64>>(&wide, rows, end, f64::from_bits)?;
+        text_is_the_fmt_join::<f64, AosEnsemble<f64>>(&wide, rows, end, f64::from_bits)?;
     }
 
     #[test]

@@ -31,6 +31,8 @@ pub mod topology;
 
 pub use cancel::CancelToken;
 pub use schedule::Schedule;
-pub use sweep::{imbalance_of, parallel_sweep, SweepReport, ThreadReport};
+pub use sweep::{
+    imbalance_of, on_static_split, parallel_sweep, static_chunk_len, SweepReport, ThreadReport,
+};
 pub use target::ExecTarget;
 pub use topology::Topology;

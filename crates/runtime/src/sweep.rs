@@ -172,47 +172,27 @@ where
 
     match schedule {
         Schedule::StaticChunks => {
-            let chunk_size = n.div_ceil(threads).max(1);
-            let chunks = store.split_mut(chunk_size);
-            // Chunk i goes to thread i — OpenMP static.
-            let reports: Vec<ThreadReport> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(tid, mut chunk)| {
-                        let factory = &kernel_factory;
-                        scope.spawn(move || {
-                            let mut kernel = factory(tid);
-                            let (busy_ns, ()) = timed(|| kernel.apply_chunk(&mut chunk));
-                            ThreadReport {
-                                thread: tid,
-                                domain: topology.domain_of(tid),
-                                chunks: 1,
-                                particles: chunk.len(),
-                                busy_ns,
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| join_or_propagate(h.join()))
-                    .collect()
-            });
-            let mut threads_vec = reports;
-            // Threads beyond the chunk count did no work but still appear.
-            for tid in threads_vec.len()..threads {
-                threads_vec.push(ThreadReport {
+            let chunks = store.split_mut(static_chunk_len(n, topology));
+            let mut reports = on_static_split(chunks, |tid, mut chunk| {
+                let mut kernel = kernel_factory(tid);
+                let (busy_ns, ()) = timed(|| kernel.apply_chunk(&mut chunk));
+                ThreadReport {
                     thread: tid,
                     domain: topology.domain_of(tid),
-                    chunks: 0,
-                    particles: 0,
-                    busy_ns: 0,
+                    chunks: 1,
+                    particles: chunk.len(),
+                    busy_ns,
+                }
+            });
+            // Threads beyond the chunk count did no work but still appear.
+            for tid in reports.len()..threads {
+                reports.push(ThreadReport {
+                    thread: tid,
+                    domain: topology.domain_of(tid),
+                    ..ThreadReport::default()
                 });
             }
-            SweepReport {
-                threads: threads_vec,
-            }
+            SweepReport { threads: reports }
         }
 
         Schedule::Dynamic { grain } | Schedule::NumaDomains { grain } => {
@@ -237,6 +217,40 @@ where
             })
         }
     }
+}
+
+/// Length of the runs of the static split of `n` items over `topology`'s
+/// threads: contiguous runs in order, run `i` for thread `i` (the last
+/// may be shorter), as [`Schedule::StaticChunks`] sweeps them — OpenMP
+/// static. Never 0.
+pub fn static_chunk_len(n: usize, topology: &Topology) -> usize {
+    n.div_ceil(topology.total_threads()).max(1)
+}
+
+/// Runs `f(i, part)` for each part of a static split on scoped threads,
+/// part `i` on thread `i`, and returns the results in part order. Part 0
+/// runs on the calling thread, so a split of one part starts no thread.
+/// The sweep's [`Schedule::StaticChunks`] arm runs through it, and so
+/// does the harness's set-up: a set-up that writes the runs of
+/// [`static_chunk_len`] through it first-touches each page on the thread
+/// that sweeps it. A panic in any part is re-raised here.
+pub fn on_static_split<T, U, F>(parts: Vec<T>, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, T) -> U + Sync,
+{
+    let f = &f;
+    std::thread::scope(|scope| {
+        let mut parts = parts.into_iter().enumerate();
+        let first = parts.next();
+        let handles: Vec<_> = parts
+            .map(|(i, part)| scope.spawn(move || f(i, part)))
+            .collect();
+        let mut out: Vec<U> = first.map(|(i, part)| f(i, part)).into_iter().collect();
+        out.extend(handles.into_iter().map(|h| join_or_propagate(h.join())));
+        out
+    })
 }
 
 /// Spawns one worker per topology thread; each claims grains from the
@@ -603,6 +617,46 @@ mod tests {
             );
             assert_eq!(report.total_particles(), 0, "{schedule:?}");
         }
+    }
+
+    /// The static split covers `0..n` in contiguous runs, one a thread
+    /// at most, in thread order, every run but the last of the same
+    /// length.
+    #[test]
+    fn static_split_covers_the_range_in_thread_order() {
+        for threads in 1..=5 {
+            let topo = Topology::single(threads);
+            for n in [0, 1, 4, 5, 7, 8, 9, 1000, (1 << 17) + 3] {
+                let len = static_chunk_len(n, &topo);
+                let mut items: Vec<usize> = (0..n).collect();
+                let parts: Vec<&mut [usize]> = items.chunks_mut(len).collect();
+                assert!(parts.len() <= threads, "{n} over {threads}");
+                let runs = on_static_split(parts, |i, part| (i, part[0], part.len()));
+                let mut next = 0;
+                for (tid, &(i, first, len_i)) in runs.iter().enumerate() {
+                    assert_eq!((i, first), (tid, next), "{n} over {threads}");
+                    assert!(len_i == len || tid + 1 == runs.len());
+                    next += len_i;
+                }
+                assert_eq!(next, n);
+            }
+        }
+    }
+
+    #[test]
+    fn static_split_runs_part_zero_on_the_caller_and_the_rest_apart() {
+        let caller = std::thread::current().id();
+        let ran_on = on_static_split(vec![(); 3], |_, ()| std::thread::current().id());
+        assert_eq!(ran_on[0], caller, "a one-part split starts no thread");
+        assert!(ran_on[1..].iter().all(|&id| id != caller));
+        assert_ne!(ran_on[1], ran_on[2]);
+        assert!(on_static_split(Vec::<()>::new(), |_, ()| ()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "part 2 fails")]
+    fn static_split_propagates_a_panic() {
+        on_static_split(vec![0, 1, 2], |i, _| assert_ne!(i, 2, "part 2 fails"));
     }
 
     #[test]

@@ -122,6 +122,9 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
         Some(ctx) => (ctx.parent_particles, ctx.offset),
         None => (job.spec.particles, 0),
     };
+    // The set-up runs on the job's own topology, as its sweeps do: on a
+    // one-thread topology (the default) it stays on this worker.
+    let topology = &shared.cfg.topology;
     let mut store = S::default();
     append_ensemble_range(
         &mut store,
@@ -129,10 +132,11 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
         job.spec.seed,
         offset,
         job.spec.particles,
+        topology,
     );
     // Field preparation (the Precalculated sampling pass) reads the
     // seeded t=0 state, so it comes before the checkpoint splice.
-    let ctx = MdipoleScenario::<R>::prepare(job.spec.scenario, &store);
+    let ctx = MdipoleScenario::<R>::prepare_on(job.spec.scenario, &store, topology);
     if let Some(snap) = &snapshot {
         snap.segment.splice_into(&mut store, 0);
         // ordering: Relaxed — diagnostic, read after terminality.
@@ -186,16 +190,18 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
             true
         };
         // Served jobs always take the fast path: zero-gather on SoA
-        // stores, scalar arithmetic (bitwise-identical trajectories) on
-        // AoS. Device jobs run the same kernel through the device
-        // backend's staged columns — same trajectories, modeled timing.
+        // stores; on AoS stores the same block arithmetic over lanes
+        // gathered through the particle views (`run_gathered`), with
+        // bitwise-identical trajectories. Device jobs run the same kernel
+        // through the device backend's staged columns — same
+        // trajectories, modeled timing.
         let (steps_done, interrupted) = if target.is_host() {
             let run = run_mdipole_steps(
                 &mut store,
                 &ctx,
                 seg,
                 &mut time,
-                &shared.cfg.topology,
+                topology,
                 Schedule::dynamic(),
                 KernelVariant::SoaFast,
                 None,

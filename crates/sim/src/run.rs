@@ -18,12 +18,14 @@ use pic_boris::{
     AnalyticalSource, BorisPusher, FieldSource, PrecalculatedSource, SharedPushKernel,
     SoaBorisKernel,
 };
-use pic_fields::{DipoleStandingWave, PrecalculatedFields};
+use pic_fields::{BatchSampler, DipoleStandingWave, PrecalculatedFields};
 use pic_math::Real;
 use pic_particles::columns::{X, Y, Z};
 use pic_particles::{ParticleAccess, SpeciesTable};
 use pic_perfmodel::Scenario;
-use pic_runtime::{parallel_sweep, CancelToken, Schedule, SweepReport, Topology};
+use pic_runtime::{
+    on_static_split, parallel_sweep, static_chunk_len, CancelToken, Schedule, SweepReport, Topology,
+};
 use pic_telemetry::ThreadStat;
 
 /// Which pusher kernel implementation drives the sweep.
@@ -72,10 +74,25 @@ pub enum MdipoleScenario<R: Real> {
 }
 
 impl<R: Real> MdipoleScenario<R> {
+    /// [`prepare_on`](Self::prepare_on) over the host's threads
+    /// (`Topology::default()`).
+    pub fn prepare<A: ParticleAccess<R>>(scenario: Scenario, store: &A) -> MdipoleScenario<R> {
+        MdipoleScenario::prepare_on(scenario, store, &Topology::default())
+    }
+
     /// Builds the field context for `scenario` from `store`'s *current*
     /// positions. For [`Scenario::Precalculated`] this is the expensive
-    /// sampling pass; call it before entering any timed region.
-    pub fn prepare<A: ParticleAccess<R>>(scenario: Scenario, store: &A) -> MdipoleScenario<R> {
+    /// sampling pass; call it before entering any timed region. A store
+    /// with columns is sampled one contiguous range per thread of
+    /// `topology`, in the static split's order, so each thread writes
+    /// the rows of the table it sweeps under [`Schedule::StaticChunks`].
+    /// A store without columns (AoS) is sampled serially. The table is
+    /// the same bits at every thread count.
+    pub fn prepare_on<A: ParticleAccess<R>>(
+        scenario: Scenario,
+        store: &A,
+        topology: &Topology,
+    ) -> MdipoleScenario<R> {
         let wave = dipole_wave::<R>();
         match scenario {
             Scenario::Analytical => MdipoleScenario::Analytical(AnalyticalSource::new(wave)),
@@ -84,23 +101,29 @@ impl<R: Real> MdipoleScenario<R> {
                 let mut pre = PrecalculatedFields::zeros(n);
                 match store.columns() {
                     Some(cols) => {
-                        // bounds: constant indices into `[_; REAL_COLUMNS]`.
+                        // bounds: constant indices into `[_; REAL_COLUMNS]`;
+                        // the runs of the split cover `0..n`.
                         let [xs, ys, zs] = [X, Y, Z].map(|c| cols.reals[c]);
-                        pre.fill_from(&wave, 0, xs, ys, zs, R::ZERO)
+                        let chunk = static_chunk_len(n, topology);
+                        on_static_split(pre.chunks_mut(chunk).collect(), |i, mut out| {
+                            let rows = i * chunk..i * chunk + out.ex.len();
+                            let (xs, ys) = (&xs[rows.clone()], &ys[rows.clone()]);
+                            wave.sample_into(xs, ys, &zs[rows], R::ZERO, &mut out);
+                        });
                     }
                     // No columns (AoS): gather a block of positions at a
                     // time, as the kernel's gathered arm does.
                     None => {
-                        let mut xs = [R::ZERO; LANES];
-                        let (mut ys, mut zs) = (xs, xs);
-                        for start in (0..n).step_by(LANES) {
-                            let len = LANES.min(n - start);
+                        for (i, mut out) in pre.chunks_mut(LANES).enumerate() {
+                            let mut xs = [R::ZERO; LANES];
+                            let (mut ys, mut zs) = (xs, xs);
+                            let len = out.ex.len();
                             for l in 0..len {
-                                let pos = store.get(start + l).position;
+                                let pos = store.get(i * LANES + l).position;
                                 (xs[l], ys[l], zs[l]) = (pos.x, pos.y, pos.z);
                             }
                             let (xs, ys, zs) = (&xs[..len], &ys[..len], &zs[..len]);
-                            pre.fill_from(&wave, start, xs, ys, zs, R::ZERO);
+                            wave.sample_into(xs, ys, zs, R::ZERO, &mut out);
                         }
                     }
                 }

@@ -11,8 +11,9 @@
 use pic_fields::DipoleStandingWave;
 use pic_math::constants::{BENCH_OMEGA, BENCH_POWER, BENCH_WAVELENGTH};
 use pic_math::{Real, Vec3};
-use pic_particles::init::{fill_sphere_at_rest_range, SphereDist};
-use pic_particles::{ParticleStore, SpeciesTable};
+use pic_particles::init::{fill_sphere_at_rest_chunk, SphereDist};
+use pic_particles::{ParticleAccess, ParticleStore, SpeciesTable};
+use pic_runtime::{on_static_split, static_chunk_len, Topology};
 
 /// The benchmark field: the 0.1 PW standing m-dipole wave (paper Eq. 14).
 pub fn dipole_wave<R: Real>() -> DipoleStandingWave<R> {
@@ -48,7 +49,7 @@ pub fn build_ensemble<R: Real, S: ParticleStore<R>>(n: usize, seed: u64) -> S {
 /// seeded ensemble [`build_ensemble`] produces — bitwise-identical to
 /// the corresponding slice of the full fill, and drawn at the cost of
 /// its own particles only (the serving layer's domain decomposition
-/// depends on both).
+/// depends on both). Filled on the host's threads (`Topology::default()`).
 pub fn build_ensemble_range<R: Real, S: ParticleStore<R>>(
     n_total: usize,
     seed: u64,
@@ -56,33 +57,41 @@ pub fn build_ensemble_range<R: Real, S: ParticleStore<R>>(
     len: usize,
 ) -> S {
     let mut store = S::default();
-    append_ensemble_range(&mut store, n_total, seed, offset, len);
+    append_ensemble_range(&mut store, n_total, seed, offset, len, &Topology::default());
     store
 }
 
 /// Appends the particles [`build_ensemble_range`] would build to
 /// `store`, so a batch of jobs is seeded straight into the one store
 /// that runs them (`offset = 0, len = n_total` is [`build_ensemble`]).
-/// A range reaching past `n_total` is cut there.
+/// A range reaching past `n_total` is cut there. The new rows are filled
+/// one contiguous range per thread of `topology`, in the static split's
+/// order, so each thread first-touches the rows it sweeps under
+/// `Schedule::StaticChunks`; the particles are the same bits at every
+/// thread count.
 pub fn append_ensemble_range<R: Real, S: ParticleStore<R>>(
     store: &mut S,
     n_total: usize,
     seed: u64,
     offset: usize,
     len: usize,
+    topology: &Topology,
 ) {
-    fill_sphere_at_rest_range(
-        store,
-        offset,
-        offset.saturating_add(len).min(n_total),
-        &SphereDist {
-            center: Vec3::zero(),
-            radius: 0.6 * BENCH_WAVELENGTH,
-        },
-        1.0,
-        SpeciesTable::<R>::ELECTRON,
-        seed,
-    );
+    let sphere = SphereDist {
+        center: Vec3::zero(),
+        radius: 0.6 * BENCH_WAVELENGTH,
+    };
+    let count = offset
+        .saturating_add(len)
+        .min(n_total)
+        .saturating_sub(offset);
+    let base = store.len();
+    let chunks = store.grow_chunks(count, static_chunk_len(count, topology));
+    on_static_split(chunks, |_, mut chunk| {
+        let first = offset + chunk.base_index() - base;
+        let species = SpeciesTable::<R>::ELECTRON;
+        fill_sphere_at_rest_chunk(&mut chunk, first, &sphere, 1.0, species, seed);
+    });
 }
 
 #[cfg(test)]
