@@ -12,7 +12,7 @@
 //!   parallel runtime.
 //! * [`kernel::FieldSource`] — per-particle field lookup: analytical
 //!   sampling (scenario 2) or precalculated arrays (scenario 1).
-//! * [`soa_boris`] — the production kernel: an explicitly blocked (8-wide)
+//! * [`soa_boris`] — the production kernel: an explicitly blocked (16-wide)
 //!   Boris update mirroring the AVX-512 vectorization of the paper's C++
 //!   loop, run directly over SoA component slices or, on AoS stores, over
 //!   blocks transposed into block-local columns. [`PushKernel`] with

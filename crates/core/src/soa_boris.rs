@@ -5,11 +5,12 @@
 //! [`SoaBorisKernel`] mirrors that structure explicitly. Particles are
 //! processed a block of [`LANES`] at a time by one straight-line per-lane
 //! body (`lane_block`, driven by [`SoaBorisKernel::run_lanes`]) that is
-//! vector code from its first load to its last store — on the AVX2/FMA
-//! targets the workspace builds for, one 256-bit register per `f32`
-//! variable and two per `f64` one, with no scalar division, square root
-//! or store in it. The store's layout only decides which columns that
-//! body runs over:
+//! vector code from its first load to its last store — on an AVX-512
+//! host (`target-cpu=native` with `-prefer-256-bit`, `.cargo/config.toml`)
+//! one 512-bit register per `f32` variable and two per `f64` one (two and
+//! four 256-bit ones without AVX-512), with no scalar division, square
+//! root or store in it. The store's layout only decides which columns
+//! that body runs over:
 //!
 //! * **SoA** ([`ParticleAccess::columns_mut`] is `Some`) — the store's
 //!   own component columns: unit-stride loads and stores, no gather, no
@@ -42,13 +43,14 @@ use pic_math::Real;
 use pic_particles::columns::{ColumnsMut, ParticleColumns, REAL_COLUMNS};
 use pic_particles::{ParticleAccess, ParticleKernel, ParticleView, SpeciesId, SpeciesTable};
 
-/// Particles per block of the blocked kernel: one 256-bit register of
-/// `f32` lanes, two of `f64`.
-pub const LANES: usize = 8;
+/// Particles per block of the blocked kernel: one 512-bit register of
+/// `f32` lanes, two of `f64` — the m-dipole sampler's block, defined once
+/// in `pic-fields`.
+pub use pic_fields::LANES;
 
 /// Blocks whose fields one [`FieldSource::field_block`] call samples
-/// ahead of their update, into a stack-resident table (3 KiB in `f32`,
-/// 6 KiB in `f64`: L1). A source's per-call work — the m-dipole's
+/// ahead of their update, into a stack-resident table (6 KiB in `f32`,
+/// 12 KiB in `f64`: L1). A source's per-call work — the m-dipole's
 /// `sin_cos(ω₀t)` — is paid once per this many blocks, not once per block.
 const FIELD_BLOCKS: usize = 16;
 
@@ -426,28 +428,37 @@ mod tests {
     /// Species by particle index, one assignment per way a block can
     /// meet the species constants: the block-uniform arm every seeded,
     /// single-species ensemble runs (either species), the mixed arm on
-    /// every block, one odd lane in otherwise uniform blocks (lane 3 of
-    /// block 0, lane 6 of block 1, none in block 2, …), and runs of one
-    /// species that change between and inside blocks, so that a uniform
-    /// block follows one of the other species.
+    /// every block, one odd lane in otherwise uniform blocks (every
+    /// `2·LANES − 5`th particle from 3: lane 3 of block 0, lane
+    /// `LANES − 2` of block 1, none in block 2, …), and runs of
+    /// `1.5·LANES` of one species, which change between and inside
+    /// blocks, so that a uniform block follows one of the other species
+    /// (block 2 after block 0).
     const MIXES: [fn(usize) -> u8; 5] = [
         |_| 0,
         |_| 1,
         |i| (i % 2) as u8,
-        |i| u8::from(i % 11 == 3),
-        |i| (i / 12 % 2) as u8,
+        |i| u8::from(i % (2 * LANES - 5) == 3),
+        |i| (i / (3 * LANES / 2) % 2) as u8,
     ];
+
+    /// Two blocks and a tail: the chunk length of the chunked parity
+    /// runs, whose chunks start at block-unaligned `base_index`.
+    const CHUNK: usize = 2 * LANES + 3;
+
+    /// Particles per sampled field table.
+    const TABLE: usize = FIELD_BLOCKS * LANES;
 
     /// Both arms of the kernel — direct slices (SoA) and gathered (AoS) —
     /// over `raw` as given and under every assignment of [`MIXES`], whole
-    /// and in 19-particle chunks (two blocks and a tail each, at non-zero
-    /// and block-unaligned `base_index`).
+    /// and in [`CHUNK`]-particle chunks (two blocks and a tail each, at
+    /// non-zero and block-unaligned `base_index`).
     fn assert_parity_both_layouts<R: Real>(raw: &[Raw], steps: usize) {
         let mixes = MIXES
             .iter()
             .map(|species_of| with_species(raw, *species_of));
         for raw in std::iter::once(raw.to_vec()).chain(mixes) {
-            for chunk_size in [raw.len().max(1), 19] {
+            for chunk_size in [raw.len().max(1), CHUNK] {
                 assert_parity::<R, SoaEnsemble<R>>(&raw, steps, chunk_size);
                 assert_parity::<R, AosEnsemble<R>>(&raw, steps, chunk_size);
             }
@@ -464,7 +475,7 @@ mod tests {
             raw in prop::collection::vec(
                 (-0.9f64..0.9, -0.9f64..0.9, -0.9f64..0.9,
                  -5.0f64..5.0, -5.0f64..5.0, -5.0f64..5.0, 0u8..2),
-                1..40),
+                1..3 * LANES),
         ) {
             assert_parity_both_layouts::<f64>(&raw, 4);
         }
@@ -475,7 +486,7 @@ mod tests {
             raw in prop::collection::vec(
                 (-0.9f64..0.9, -0.9f64..0.9, -0.9f64..0.9,
                  -5.0f64..5.0, -5.0f64..5.0, -5.0f64..5.0, 0u8..2),
-                1..40),
+                1..3 * LANES),
         ) {
             assert_parity_both_layouts::<f32>(&raw, 4);
         }
@@ -484,13 +495,21 @@ mod tests {
     #[test]
     fn remainder_tail_lengths_are_exact() {
         // Deterministic spot-check of the empty store, tail-only stores,
-        // every tail length around one block, and lengths around one and
-        // two field tables (`FIELD_BLOCKS` blocks each), where the second
-        // `field_block` call starts and where the last one is short.
-        const TABLE: usize = FIELD_BLOCKS * LANES;
-        let around_tables = [TABLE - 1, TABLE, TABLE + 1, TABLE + 9, 2 * TABLE + 13];
-        for n in [0, 1, 3, 7, 8, 9, 15, 16, 17]
+        // every tail length around one and two blocks, and lengths around
+        // one and two field tables (`FIELD_BLOCKS` blocks each), where the
+        // second `field_block` call starts and where the last one is short.
+        let around_blocks = [0, 1, 3, LANES - 1, LANES, LANES + 1];
+        let around_two = [2 * LANES - 1, 2 * LANES, 2 * LANES + 1];
+        let around_tables = [
+            TABLE - 1,
+            TABLE,
+            TABLE + 1,
+            TABLE + LANES + 1,
+            2 * TABLE + LANES + 5,
+        ];
+        for n in around_blocks
             .into_iter()
+            .chain(around_two)
             .chain(around_tables)
         {
             // Steps of 0.05 as far as 17 particles; a longer ramp is
@@ -527,14 +546,19 @@ mod tests {
         // The contiguous-slice field_block override must agree with the
         // per-index path bit for bit — over the whole store, and over
         // chunks whose non-zero `base_index` must keep the per-particle
-        // field table aligned (11 = one block + a tail per chunk) — on a
-        // store shorter than one sampled field table and on one that
-        // takes three (chunks of 150: a full table, two blocks of the
-        // next and a tail, from bases no block or table is aligned to).
-        let long = 2 * FIELD_BLOCKS * LANES + 13;
+        // field table aligned (`LANES + 3` = one block + a tail per
+        // chunk) — on a store shorter than one sampled field table (two
+        // blocks and a tail) and on one that takes three (chunks of a
+        // full table, two blocks of the next and a tail, from bases no
+        // block or table is aligned to).
+        let short = 2 * LANES + 5;
+        let long = 2 * TABLE + LANES + 5;
         for (raw, chunk_sizes) in [
-            (ramp(21, 0.04), [21, 11]),
-            (ramp(long, 0.84 / long as f64), [long, 150]),
+            (ramp(short, 0.84 / short as f64), [short, LANES + 3]),
+            (
+                ramp(long, 0.84 / long as f64),
+                [long, TABLE + 2 * LANES + 6],
+            ),
         ] {
             for raw in [raw.clone(), with_species(&raw, |_| 0)] {
                 for chunk_size in chunk_sizes {
@@ -552,13 +576,16 @@ mod tests {
         let wave = DipoleStandingWave::<f64>::new(BENCH_POWER, BENCH_OMEGA);
         let source = AnalyticalSource::new(&wave);
         let dt = 0.005 * 2.0 * std::f64::consts::PI / BENCH_OMEGA;
-        let raw = ramp(53, 0.015);
+        // Two chunks of two blocks and a tail, and a last one of one
+        // block and a tail.
+        let n = 2 * CHUNK + LANES + 7;
+        let raw = ramp(n, 0.8 / n as f64);
         let mut whole = S::from_particles(raw.iter().map(particle::<f64>));
         let mut chunked = S::from_particles(raw.iter().map(particle::<f64>));
 
         let mut k = SoaBorisKernel::new(&source, &table, dt, 0.0);
         k.apply_chunk(&mut whole);
-        for chunk in &mut chunked.split_mut(19) {
+        for chunk in &mut chunked.split_mut(CHUNK) {
             let mut kc = SoaBorisKernel::new(&source, &table, dt, 0.0);
             kc.apply_chunk(chunk);
         }
@@ -578,7 +605,7 @@ mod tests {
         let field = pic_fields::UniformFields::<f64>::magnetic(Vec3::new(0.0, 0.0, 1e4));
         let source = AnalyticalSource::new(field);
         let mass = pic_particles::Species::<f64>::electron().mass;
-        let mut ens = S::from_particles((0..19).map(|i| {
+        let mut ens = S::from_particles((0..CHUNK).map(|i| {
             let mut p = Particle::at_rest(Vec3::zero(), 1.0, SpeciesTable::<f64>::ELECTRON);
             p.momentum = Vec3::new(1e-18 * (i + 1) as f64, 0.0, 2e-19);
             p.refresh_gamma(mass);

@@ -424,8 +424,8 @@ mod tests {
 
     #[test]
     fn staging_round_trips_both_layouts_bitwise() {
-        // 37 = four blocks of LANES and a tail; every column distinct,
-        // with the values `==` would blur (-0.0) or refuse (NaN).
+        // 37 = two blocks of the kernel's 16 lanes and a tail; every column
+        // distinct, with the values `==` would blur (-0.0) or refuse (NaN).
         fn distinct<S: ParticleStore<f32>>() -> S {
             let mut s: S = ensemble(37);
             for i in 0..37 {

@@ -29,7 +29,7 @@
 //! select), so the per-point sampler and the blocked one are the same
 //! operations per lane and the blocked one is vertical SIMD.
 
-use crate::sampler::{BatchSampler, EbSlices, FieldSampler, EB};
+use crate::sampler::{BatchSampler, EbSlices, FieldSampler, EB, LANES};
 use pic_math::constants::LIGHT_VELOCITY;
 use pic_math::special::{radial, radial_lanes};
 use pic_math::{Real, Vec3};
@@ -105,11 +105,6 @@ impl<R: Real> DipoleStandingWave<R> {
     }
 }
 
-/// Lanes `sample_into` evaluates together: one 256-bit register of `f32`,
-/// two of `f64` — the Boris kernel's block, of which it hands over a
-/// whole number per call.
-const LANES: usize = 8;
-
 impl<R: Real> DipoleStandingWave<R> {
     /// The factors that depend on time only: `(2A₀·cos ω₀t, 2A₀·sin ω₀t)`.
     /// The one libm call of a sample — once per call on the batch path.
@@ -158,7 +153,8 @@ impl<R: Real> FieldSampler<R> for DipoleStandingWave<R> {
 }
 
 impl<R: Real> BatchSampler<R> for DipoleStandingWave<R> {
-    /// [`FieldSampler::sample`] a block of [`LANES`] at a time: the same
+    /// [`FieldSampler::sample`] a block of [`LANES`] at a time (one
+    /// `zmm` register of `f32` lanes, two of `f64`): the same
     /// `k_r` → radial triple → `assemble` per lane, so every element is
     /// bitwise what `sample` returns, with the time factors hoisted and
     /// the triple taken through [`radial_lanes`], whose per-lane body has

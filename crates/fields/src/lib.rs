@@ -20,5 +20,5 @@ pub mod uniform;
 
 pub use dipole::DipoleStandingWave;
 pub use precalc::PrecalculatedFields;
-pub use sampler::{map_components, BatchSampler, EbSlices, FieldSampler, EB, FIELD_COLUMNS};
+pub use sampler::{map_components, BatchSampler, EbSlices, FieldSampler, EB, FIELD_COLUMNS, LANES};
 pub use uniform::UniformFields;

@@ -141,6 +141,14 @@ impl<'a, R: Real> EbSlices<'a, R> {
     }
 }
 
+/// Particles per lane block: one 512-bit register of `f32` lanes, two of
+/// `f64` (on a host without AVX-512, two and four 256-bit ones). The
+/// m-dipole's [`BatchSampler::sample_into`] evaluates this many points
+/// together, and `pic_boris::soa_boris` advances this many particles per
+/// block and hands the sampler a whole number of blocks per call — the
+/// one definition of the width both loops are written for.
+pub const LANES: usize = 16;
+
 /// Extension of [`FieldSampler`] that fills a whole lane-block of field
 /// values per call, so the hot sweep loop can evaluate fields as
 /// vectorizable component loops instead of one [`EB`] at a time.

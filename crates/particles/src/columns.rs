@@ -10,8 +10,8 @@
 //! |---|---|
 //! | `Vec<R>` | the SoA ensemble ([`crate::SoaEnsemble`]) and, at its store's width, the [`crate::ColumnSegment`] |
 //! | `&mut [R]` / `&[R]` | a chunk or whole-store view ([`ColumnsMut`], [`ColumnsRef`], [`crate::SoaChunkMut`]) |
-//! | `&mut [[R; LANES]]`, `&mut [R; LANES]` | the blocked kernel's view of a chunk as whole blocks, and of one block |
-//! | `[R; FIELD_BLOCKS * LANES]` | the block-local columns of the kernel's gathered (AoS) arm |
+//! | `&mut [[R; LANES]]`, `&mut [R; LANES]` | the blocked kernel's view of a chunk as whole blocks of `pic_fields::LANES` (16 rows: one 512-bit register of `f32`), and of one block |
+//! | `[R; FIELD_BLOCKS * LANES]` | the block-local columns of the kernel's gathered (AoS) arm (256 rows) |
 //! | `&mut R` | the single-particle proxy ([`SoaRefMut`]) |
 //! | `UsmBuffer<R>` | the device backend's staged ensemble |
 //!

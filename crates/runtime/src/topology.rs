@@ -1,5 +1,7 @@
 //! Machine topology description (sockets/NUMA domains).
 
+use std::sync::OnceLock;
+
 /// A NUMA topology: how many worker threads belong to each domain.
 ///
 /// The paper's platform is 2× Xeon 8260L — two domains of 24 cores
@@ -118,9 +120,14 @@ impl Topology {
 }
 
 impl Default for Topology {
-    /// One domain with as many threads as the host exposes.
+    /// One domain with as many threads as the host exposes. The count is
+    /// read once per process: `available_parallelism` re-reads the cgroup
+    /// CPU quota on every call (≈ 16 µs), and every ensemble build and
+    /// field preparation asks for this topology.
     fn default() -> Topology {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+        let threads = *HOST_THREADS
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Topology::single(threads)
     }
 }
@@ -181,6 +188,11 @@ mod tests {
         let t = Topology::default();
         assert_eq!(t.domains(), 1);
         assert!(t.total_threads() >= 1);
+    }
+
+    #[test]
+    fn default_is_the_same_on_every_call() {
+        assert_eq!(Topology::default(), Topology::default());
     }
 
     #[test]
