@@ -12,7 +12,8 @@
 //!   it demands a justification instead).
 //! * **justification** (`atomics-missing-justification`): every
 //!   `Relaxed` or `SeqCst` use site binds to an adjacent
-//!   `// ordering: …` comment (same adjacency walk as `pic-lint`).
+//!   `// ordering: …` comment (the adjacency walk of
+//!   `Scanned::comment_near`, which `pic-lint`'s suppressions use).
 //! * **comment grammar** (`atomics-malformed-justification`): a bound
 //!   comment must follow `// ordering: <Ordering>[ / <Ordering>] — <reason>`;
 //!   only variant names *before* the em-dash are binding, so prose may

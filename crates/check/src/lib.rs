@@ -10,7 +10,6 @@
 //!    | rule | protects |
 //!    |------|----------|
 //!    | `precision-pollution` | no `f64`/`f32` tokens, casts, or literal suffixes inside `Real`-generic code — an `f64` literal in a generic kernel silently turns the float rows of Table 2 into double precision |
-//!    | `ordering-justification` | every `Ordering::SeqCst`/`Ordering::Relaxed` carries an adjacent `// ordering:` comment arguing why it is sound |
 //!    | `unsafe-outside-allowlist` | no `unsafe` anywhere in the workspace, `vendor/` included; there is no allowlist, the id is kept stable |
 //!    | `forbid-unsafe-attr` | every crate, `vendor/` included, keeps `#![forbid(unsafe_code)]` in its `lib.rs` |
 //!    | `instant-outside-telemetry` | wall-clock reads (`std::time::Instant`) stay inside the measuring layer (`pic-bench`, which times `pic-sim`'s runner from outside) plus three audited call sites; the runner itself reads no clock; the id is kept stable |
@@ -27,7 +26,7 @@
 //!
 //! 2. **The interleave suites** (`tests/interleave_*.rs`, built with
 //!    `RUSTFLAGS="--cfg interleave"`): exhaustive model checking of the
-//!    job service's admission, cache and shard protocols. Two
+//!    job service's admission and shard protocols. Two
 //!    `#[should_panic]` twins run a broken variant of the shipped
 //!    types and prove the checker catches it
 //!    (`interleave_serve.rs::checking_the_flag_before_claiming_the_slot_is_caught`,
@@ -369,30 +368,6 @@ pub fn lint_source(path: &str, text: &str) -> Vec<Diagnostic> {
                 "forbid-unsafe-attr",
                 format!("crate `{krate}` has no `#![forbid(unsafe_code)]`; add it"),
             ));
-        }
-    }
-
-    // ordering-justification — production code only.
-    if !is_test_path(path) {
-        for (i, line) in s.code.iter().enumerate() {
-            if in_regions(&tests, i) {
-                continue;
-            }
-            for variant in ["Ordering::Relaxed", "Ordering::SeqCst"] {
-                if line.contains(variant)
-                    && !s.comment_near(i, ADJACENT_LINES, "ordering:")
-                    && !justified(&s, i, "ordering-justification")
-                {
-                    out.push(diag(
-                        i,
-                        "ordering-justification",
-                        format!(
-                            "{variant} without an adjacent `// ordering:` comment arguing \
-                             why this ordering is sound"
-                        ),
-                    ));
-                }
-            }
         }
     }
 

@@ -115,8 +115,8 @@ fn ordering_inventory_covers_every_use_site() {
         analysis.ordering_sites.len(),
         expected
     );
-    // Sanity: the workspace genuinely uses atomics (95 sites).
-    assert!(expected > 80, "implausibly low site count: {expected}");
+    // Sanity: the workspace genuinely uses atomics (62 sites).
+    assert!(expected > 50, "implausibly low site count: {expected}");
 }
 
 /// Structured output carries path, rule, and hint for both tools.

@@ -50,33 +50,6 @@ fn precision_pollution_spares_boundary_conversions_and_non_kernel_code() {
 }
 
 #[test]
-fn ordering_justification_requires_adjacent_comment() {
-    let bad = "fn f(a: &AtomicUsize) -> usize {\n    a.load(Ordering::Relaxed)\n}\n";
-    assert_eq!(rules(LIB, bad), vec!["ordering-justification"]);
-
-    let good = "fn f(a: &AtomicUsize) -> usize {\n    \
-        // ordering: single-writer slot, drained after join\n    a.load(Ordering::Relaxed)\n}\n";
-    assert!(rules(LIB, good).is_empty());
-
-    // A tall comment block still counts as adjacent: comment lines do
-    // not consume the lookback budget.
-    let tall = "fn f(a: &AtomicUsize) -> usize {\n    \
-        // ordering: the justification starts here and then\n    \
-        // keeps going for several\n    // more\n    // lines\n    // of prose\n    \
-        a.load(Ordering::SeqCst)\n}\n";
-    assert!(rules(LIB, tall).is_empty());
-
-    // Mentions inside strings are not real uses.
-    let in_string = "fn f() -> &'static str { \"Ordering::SeqCst\" }\n";
-    assert!(rules(LIB, in_string).is_empty());
-
-    // Test code is exempt.
-    let in_test =
-        "#[cfg(test)]\nmod tests {\n    fn f(a: &AtomicUsize) {\n        a.store(1, Ordering::SeqCst);\n    }\n}\n";
-    assert!(rules(LIB, in_test).is_empty());
-}
-
-#[test]
 fn unsafe_is_refused_everywhere() {
     let bad = "fn f() { unsafe { std::hint::unreachable_unchecked() } }\n";
     assert_eq!(rules(LIB, bad), vec!["unsafe-outside-allowlist"]);

@@ -1,6 +1,6 @@
 //! Admission: the way into the service — `submit` (validation, the
-//! submit-time cache hit, the depth slot, follower coalescing, shard
-//! fan-out), the explicit shed, and `cancel`.
+//! submit-time cache hit, the depth slot, shard fan-out), the explicit
+//! shed, and `cancel`.
 
 use crate::cache::{CacheKey, CachedResult};
 use crate::job::{JobSpec, Outcome, RejectReason};
@@ -55,10 +55,11 @@ impl Server {
         }
         // Result cache first: a hit terminates on the spot — no depth
         // slot, no queue, `queue_wait_ns = 0`. A draining server skips
-        // the cache so shutdown semantics stay uniform.
-        let key = CacheKey::of(&spec);
+        // the cache so shutdown semantics stay uniform. A miss whose twin
+        // is still running is queued like any job: it is a hit at claim
+        // if the twin completed meanwhile, else it runs to the same bits.
         if shared.cfg.cache_capacity > 0 && !shared.admission.is_draining() {
-            let hit = lock(&shared.cache).lookup(key);
+            let hit = lock(&shared.cache).lookup(CacheKey::of(&spec));
             if let Some(result) = hit {
                 return Ok(self.complete_cached(id, spec, submitted_ns, notifier, result));
             }
@@ -74,17 +75,12 @@ impl Server {
             None,
             notifier,
         ));
-        // Coalesce duplicates: a job whose key is already in flight
-        // waits on that run instead of entering the queue.
-        let follower = shared.cfg.cache_capacity > 0 && shared.follow_or_lead(key, &job);
         lock(&shared.index).insert(id, job.clone());
-        if !follower {
-            let k = shard_count(&shared.cfg, &job.spec);
-            if k >= 2 {
-                fan_out(shared, &job, k);
-            } else {
-                shared.enqueue(job.clone());
-            }
+        let k = shard_count(&shared.cfg, &job.spec);
+        if k >= 2 {
+            fan_out(shared, &job, k);
+        } else {
+            shared.enqueue(job.clone());
         }
         Ok(JobTicket { state: job })
     }

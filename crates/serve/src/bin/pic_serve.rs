@@ -119,12 +119,11 @@ fn finish(report: &ShutdownReport, telemetry: Option<&PathBuf>) -> io::Result<()
     }
     let s = &report.stats;
     eprintln!(
-        "pic-serve: {} submitted, {} completed ({} cache hits, {} coalesced), \
+        "pic-serve: {} submitted, {} completed ({} cache hits), \
          {} rejected, {} cancelled, {} timed out, {} resumed, {} sharded",
         s.submitted,
         s.completed,
         s.cache_hits,
-        s.coalesced,
         s.rejected,
         s.cancelled,
         s.timed_out,

@@ -1,19 +1,17 @@
 //! Completion: what the one winner of a job's `→ Done` transition does,
-//! and the cache/coalesce/resume bookkeeping that hangs off it.
+//! the cache fill of a completed run, and the requeue of a job whose
+//! worker died.
 //!
-//! **Cache/coalesce/resume protocol.** Admission consults the
-//! deterministic result cache first: a hit completes the job on the
-//! spot (`queue_wait_ns = 0`, no depth slot). A miss whose [`CacheKey`]
-//! is already in flight registers as a *follower* of the running
-//! primary — it holds a depth slot and is cancellable, but never enters
-//! the queue; when the primary completes it fills the cache and its
-//! followers are served from it (`coalesced`). A primary that dies
-//! (panic, kill-point) is requeued up to `max_resumes` times and
-//! resumes from its last `CheckpointStore` snapshot; if it fails
-//! terminally, the oldest live follower is promoted into the queue so
-//! the key always makes progress. The protocol is model-checked in
-//! `crates/check/tests/interleave_cache.rs` and fault-injected
-//! end-to-end in `crates/serve/tests/fault_injection.rs`.
+//! **Cache/resume protocol.** A seeded run is a pure function of its
+//! spec, so the deterministic result cache is a memo, consulted twice:
+//! at admission, where a hit completes the job on the spot
+//! (`queue_wait_ns = 0`, no depth slot), and when a worker claims a
+//! queued job, which catches a duplicate whose twin completed while it
+//! waited. A duplicate claimed while its twin still runs just runs, to
+//! the same bits; the second fill of the entry is harmless. A job whose
+//! worker dies (panic, kill-point) is requeued up to `max_resumes` times
+//! and resumes from its last `CheckpointStore` snapshot; this is
+//! fault-injected end-to-end in `crates/serve/tests/fault_injection.rs`.
 
 use crate::cache::{CacheKey, CachedResult};
 use crate::job::{JobReport, JobSpec, Outcome, RejectReason};
@@ -25,13 +23,6 @@ use pic_particles::ColumnSegment;
 use pic_runtime::sync::lock;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// One in-flight cache key: the job currently responsible for producing
-/// the result, and the identical submissions waiting on it.
-pub(crate) struct Inflight {
-    primary: u64,
-    followers: Vec<Arc<JobState>>,
-}
 
 impl Shared {
     /// Publishes `outcome` as the job's terminal state — exactly once.
@@ -61,9 +52,8 @@ impl Shared {
     /// What the one winner of the `→ Done` transition does, in this
     /// order (DESIGN.md §3.2 gives the reason for each step's
     /// place): outcome stored (shared, not copied) → waiters woken →
-    /// index entry dropped →
-    /// record + counters → depth released → cache/follower bookkeeping
-    /// → notifier.
+    /// index entry dropped → record + counters → depth released →
+    /// checkpoint dropped → notifier.
     fn publish(&self, job: &Arc<JobState>, outcome: Outcome) {
         // ordering: Relaxed — diagnostic; the phase is already `Done`.
         // Each resume legitimately re-claims the job once, so the
@@ -93,117 +83,9 @@ impl Shared {
             // waiting for another one can go.
             self.queue.wake_all();
         }
-        self.after_finish(job, &outcome);
+        self.checkpoints.remove(job.id);
         if let Some(notify) = notifier {
             notify(job.id, &outcome);
-        }
-    }
-
-    /// Post-terminality bookkeeping for the cache/resume protocol:
-    /// drops the job's checkpoint and resolves its in-flight cache
-    /// entry. A completed primary's followers are served from the
-    /// result it just cached; a failed primary's oldest live follower
-    /// is promoted into the queue so the key keeps making progress.
-    fn after_finish(&self, job: &Arc<JobState>, outcome: &Outcome) {
-        self.checkpoints.remove(job.id);
-        // Shard sub-jobs stay out of the cache/inflight protocol
-        // entirely: their spec (same seed, the shard's particle count)
-        // would alias the [`CacheKey`] of a genuine small job, so they
-        // must neither resolve nor populate that key. Only the parent's
-        // merged result is cached, under the parent's unchanged key.
-        if job.shard.is_some() {
-            return;
-        }
-        if self.cfg.cache_capacity == 0 {
-            return;
-        }
-        let key = CacheKey::of(&job.spec);
-        let mut to_serve: Vec<Arc<JobState>> = Vec::new();
-        let mut to_promote: Option<Arc<JobState>> = None;
-        {
-            let mut inflight = lock(&self.inflight);
-            let Some(mut entry) = inflight.remove(&key.hash()) else {
-                return;
-            };
-            if entry.primary != job.id {
-                // A follower terminated on its own (cancelled while
-                // waiting): just forget it, the entry stays.
-                entry.followers.retain(|f| f.id != job.id);
-                inflight.insert(key.hash(), entry);
-                return;
-            }
-            match outcome {
-                Outcome::Completed(_) => to_serve = entry.followers,
-                _ => {
-                    entry.followers.retain(|f| !f.is_terminal());
-                    if !entry.followers.is_empty() {
-                        let next = entry.followers.remove(0);
-                        to_promote = Some(next.clone());
-                        inflight.insert(
-                            key.hash(),
-                            Inflight {
-                                primary: next.id,
-                                followers: entry.followers,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        // Outside the inflight lock: `finish` recurses into
-        // `after_finish`, which must be able to retake it.
-        for follower in to_serve {
-            self.serve_follower(&follower, key);
-        }
-        if let Some(promoted) = to_promote {
-            self.enqueue(promoted);
-        }
-    }
-
-    /// Terminates a follower from its completed primary's cached
-    /// result (or, in the never-expected case that the result did not
-    /// reach the cache, queues it to run itself).
-    fn serve_follower(&self, follower: &Arc<JobState>, key: CacheKey) {
-        if follower.is_terminal() {
-            return;
-        }
-        if follower.timed_out_at(self.clock.now_ns()) {
-            self.finish(follower, Outcome::TimedOut);
-            return;
-        }
-        let hit = lock(&self.cache).lookup(key);
-        match hit {
-            Some(result) => {
-                let outcome = Outcome::Completed(result.to_report(&follower.spec));
-                if self.finish(follower, outcome) {
-                    self.counters.bump(Counter::Coalesced);
-                }
-            }
-            None => self.enqueue(follower.clone()),
-        }
-    }
-
-    /// Joins the in-flight entry of `key`: true when the key is already
-    /// being produced and `job` now waits on it as a follower — admitted
-    /// (depth slot, cancellable via the index) but kept out of the
-    /// queue; false when `job` is the key's new primary.
-    pub(crate) fn follow_or_lead(&self, key: CacheKey, job: &Arc<JobState>) -> bool {
-        let mut inflight = lock(&self.inflight);
-        match inflight.get_mut(&key.hash()) {
-            Some(entry) => {
-                entry.followers.push(job.clone());
-                true
-            }
-            None => {
-                inflight.insert(
-                    key.hash(),
-                    Inflight {
-                        primary: job.id,
-                        followers: Vec::new(),
-                    },
-                );
-                false
-            }
         }
     }
 
@@ -272,8 +154,9 @@ impl Shared {
         if job.spec.return_particles && report.dump.is_empty() {
             report.dump = result.render();
         }
-        // Fill the cache before finishing: `after_finish` serves the
-        // job's coalesced followers straight from this entry.
+        // Fill the cache before finishing: once a requester hears
+        // `completed`, an identical resubmission, or a duplicate still
+        // queued, is a hit.
         if self.cfg.cache_capacity > 0 {
             lock(&self.cache).insert(CacheKey::of(&job.spec), result);
         }

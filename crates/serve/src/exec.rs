@@ -76,11 +76,15 @@ pub(crate) fn run_job(shared: &Shared, job: &Arc<JobState>) {
 
 fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>) {
     // Claim-time cache check: the key may have been filled after this
-    // job was admitted (it lost the admission race against an identical
-    // job, or was requeued past a completed duplicate). Shard sub-jobs
+    // job was admitted (an identical job completed while it was queued).
+    // A job whose budget ran out in the queue is not served: it goes on
+    // to the claim and times out, as an uncached one does. Shard sub-jobs
     // skip it — their spec's key aliases a genuine small job's, and the
     // gather needs their real execution.
-    if shared.cfg.cache_capacity > 0 && job.shard.is_none() {
+    if shared.cfg.cache_capacity > 0
+        && job.shard.is_none()
+        && !job.timed_out_at(shared.clock.now_ns())
+    {
         let hit = lock(&shared.cache).lookup(CacheKey::of(&job.spec));
         if let Some(result) = hit {
             if shared.finish(job, Outcome::Completed(result.to_report(&job.spec))) {

@@ -349,8 +349,8 @@ mod tests {
     }
 
     /// The bytes a connection streams are `outcome_line`'s: for a
-    /// monolithic job, K ∈ {2, 3, 8} shards over an uneven plan, a cache
-    /// hit and coalesced followers, each tagged and untagged.
+    /// monolithic job, K ∈ {2, 3, 8} shards over an uneven plan, a
+    /// submit-time and a claim-time cache hit, each tagged and untagged.
     #[test]
     fn the_wire_writes_outcome_line_of_every_tickets_outcome() {
         use crate::job::JobSpec;
@@ -395,8 +395,9 @@ mod tests {
             .wait();
         let (stats, with_dump) = check_lines_against_tickets(server, &submit(&spec(30, true)));
         assert_eq!((stats.cache_hits, with_dump), (2, 2));
-        // Coalesced followers: the one worker is busy with a long job, so
-        // the producer waits in the queue while its duplicates arrive.
+        // Claim-time hits: the one worker is busy with a long job, so the
+        // producer waits in the queue while its duplicates arrive behind
+        // it; the worker takes them after the producer filled the cache.
         let cfg = ServeConfig {
             workers: 1,
             ..ServeConfig::default()
@@ -410,7 +411,7 @@ mod tests {
         let [_, producer] = submit(&spec(41, false));
         let lines = [vec![long, producer], submit(&spec(41, true)).to_vec()].concat();
         let (stats, with_dump) = check_lines_against_tickets(Server::start(cfg, "wire-f"), &lines);
-        assert_eq!((stats.coalesced, with_dump), (2, 2));
+        assert_eq!((stats.cache_hits, with_dump), (2, 2));
     }
 
     #[test]

@@ -356,7 +356,7 @@ pub struct JobReport {
     /// the pieces one after another verbatim (`proto::write_outcome`).
     pub dump: Vec<Arc<String>>,
     /// True when the result was served from the deterministic result
-    /// cache (or coalesced onto a duplicate in flight) instead of a
+    /// cache, at submit or when a worker claimed the job, instead of a
     /// fresh sweep. Cache hits always report `queue_wait_ns = 0`.
     pub cache_hit: bool,
     /// Times the job was requeued after a worker death and picked up

@@ -20,10 +20,11 @@
 //!   ordered effect list of a completion):
 //!   `admission` (`submit`, the submit-time cache hit, the explicit
 //!   shed, `cancel`), `completion` (what the one winner of a job's
-//!   `→ Done` transition does: outcome, record, depth release, cache
-//!   fill, followers, promotion, requeue), `queue` (the one ordered,
-//!   blocking queue between `submit` and a worker: a free worker takes
-//!   the first waiting job in (priority, deadline, id) order), `dispatch`
+//!   `→ Done` transition does: outcome, record, depth release; the cache
+//!   fill of a completed run; the requeue of a dead worker's job),
+//!   `queue` (the one ordered, blocking queue between `submit` and a
+//!   worker: a free worker takes the first waiting job in (priority,
+//!   deadline, id) order), `dispatch`
 //!   (the worker pool with panic isolation, and the supervisor that
 //!   replaces a dead worker),
 //!   `stats` (the counter table behind `stats`, the per-submission
@@ -39,7 +40,8 @@
 //!   memoized under a canonical content hash of their physics identity
 //!   (seeded runs are pure functions of their spec), so repeat
 //!   submissions cost a lookup (`queue_wait_ns = 0`) instead of a
-//!   sweep, and concurrent duplicates coalesce onto one run. An entry
+//!   sweep, at submit or, for a duplicate queued behind its twin, when
+//!   a worker claims it. An entry
 //!   keeps the run's column segments, and a dump is rendered from them
 //!   only for a requester that asks.
 //! * [`checkpoint`] — in-memory checkpoints (typed column segments)

@@ -477,7 +477,6 @@ mod tests {
             submitted: 5,
             completed: 4,
             cache_hits: 2,
-            coalesced: 1,
             resumed: 3,
             sharded: 1,
             ..Default::default()
@@ -485,7 +484,6 @@ mod tests {
         let line = stats_line(&stats);
         let v = parse(&line).unwrap();
         assert_eq!(v.get("cache_hits").and_then(Value::as_u64), Some(2));
-        assert_eq!(v.get("coalesced").and_then(Value::as_u64), Some(1));
         assert_eq!(v.get("resumed").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("sharded").and_then(Value::as_u64), Some(1));
     }
@@ -502,15 +500,14 @@ mod tests {
             timed_out: 5,
             depth: 6,
             cache_hits: 7,
-            coalesced: 8,
-            resumed: 9,
-            exec_overruns: 10,
-            sharded: 11,
+            resumed: 8,
+            exec_overruns: 9,
+            sharded: 10,
         };
         let v = parse(&stats_line(&stats)).unwrap();
         // The field names and values come from the struct's derived
-        // `Debug`, not from the counter table the line is built from: a
-        // twelfth field that is not on the wire fails here.
+        // `Debug`, not from the counter table the line is built from: an
+        // eleventh field that is not on the wire fails here.
         let debug = format!("{stats:?}");
         let fields: Vec<(&str, u64)> = debug
             .trim_start_matches("ServeStats {")
@@ -519,7 +516,7 @@ mod tests {
             .filter_map(|field| field.split_once(':'))
             .map(|(name, value)| (name.trim(), value.trim().parse().unwrap()))
             .collect();
-        assert_eq!(fields.len(), 11, "{debug}");
+        assert_eq!(fields.len(), 10, "{debug}");
         for (name, value) in fields {
             assert!(value > 0, "{name} must be set non-zero above");
             assert_eq!(

@@ -11,8 +11,8 @@
 //! * `admission` — `Server::submit` / `cancel_job`: validation, the
 //!   submit-time cache hit, the depth slot, the explicit shed.
 //! * `completion` — what the one winner of a `→ Done` transition does:
-//!   outcome, record, depth release, cache fill, followers, promotion,
-//!   requeue.
+//!   outcome, record, depth release, checkpoint drop; the cache fill of a
+//!   completed run; the requeue of a dead worker's job.
 //! * `shard` — fan-out of an over-threshold job and the gather that
 //!   merges its shards back into one completion.
 //! * `queue` — [`JobQueue`]: the one structure an admitted job waits
@@ -25,7 +25,6 @@
 use crate::cache::ResultCache;
 use crate::checkpoint::{CheckpointStore, KillPlan};
 use crate::clock::Clock;
-use crate::completion::Inflight;
 use crate::dispatch::supervisor_loop;
 use crate::lifecycle::Admission;
 use crate::queue::JobQueue;
@@ -59,7 +58,7 @@ pub struct ServeConfig {
     /// Thread topology of each job's sweep.
     pub topology: Topology,
     /// Completed results kept in the deterministic cache (LRU-evicted).
-    /// `0` disables caching, follower coalescing and claim-time hits.
+    /// `0` disables caching: no submit-time and no claim-time hits.
     pub cache_capacity: usize,
     /// Steps between particle-store checkpoints inside a running job.
     /// `0` disables checkpointing: a killed job restarts from step 0.
@@ -113,9 +112,6 @@ pub(crate) struct Shared {
     pub admission: Admission,
     /// The deterministic result cache (None-equivalent at capacity 0).
     pub cache: Mutex<ResultCache>,
-    /// In-flight cache keys: the running primary plus the followers
-    /// waiting to be served from its result.
-    pub inflight: Mutex<HashMap<u64, Inflight>>,
     /// Per-job resume snapshots, written at segment boundaries.
     pub checkpoints: CheckpointStore,
     pub counters: Counters,
@@ -154,7 +150,6 @@ impl Server {
             queue: JobQueue::new(),
             admission: Admission::default(),
             cache: Mutex::new(cache),
-            inflight: Mutex::new(HashMap::new()),
             checkpoints: CheckpointStore::new(),
             counters: Counters::default(),
             index: Mutex::new(HashMap::new()),
@@ -199,7 +194,7 @@ pub(crate) fn quick_cfg() -> ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Outcome;
+    use crate::job::{JobSpec, Outcome};
     use crate::state::test_spec as spec;
 
     #[test]
@@ -248,5 +243,35 @@ mod tests {
         let out = server.shutdown();
         assert_eq!(out.stats.timed_out, 1);
         assert_eq!(out.records[0].outcome, "timed-out");
+    }
+
+    /// A duplicate whose budget runs out while it waits behind its twin
+    /// is not served from the twin's cached result at claim: it times
+    /// out, as an uncached job does.
+    #[test]
+    fn a_queued_duplicate_past_its_timeout_times_out() {
+        let server = Server::start(quick_cfg(), "dup-timeout-test");
+        let submit = |s| {
+            server
+                .submit(s, None)
+                .unwrap_or_else(|r| panic!("admission refused: {r:?}"))
+        };
+        // The one worker is busy with the blocker while the producer and
+        // its duplicate queue up behind it.
+        let blocker = submit(JobSpec {
+            steps: 20,
+            ..spec(50_000)
+        });
+        let producer = submit(spec(300));
+        let duplicate = submit(JobSpec {
+            timeout_ms: Some(1),
+            ..spec(300)
+        });
+        assert!(matches!(blocker.wait(), Outcome::Completed(_)));
+        assert!(matches!(producer.wait(), Outcome::Completed(_)));
+        assert_eq!(duplicate.wait(), Outcome::TimedOut);
+        let out = server.shutdown();
+        assert_eq!(out.stats.cache_hits, 0);
+        assert_eq!(out.stats.timed_out, 1);
     }
 }

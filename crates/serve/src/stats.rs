@@ -27,8 +27,6 @@ pub(crate) enum Counter {
     TimedOut,
     /// Jobs served from the result cache (at submit or claim time).
     CacheHits,
-    /// Followers served from their primary's freshly cached result.
-    Coalesced,
     /// Requeues after a worker death (checkpoint resumes).
     Resumed,
     /// Jobs observed with more executions than `1 + resumes` allows
@@ -77,7 +75,6 @@ impl Counters {
             timed_out: at(Counter::TimedOut),
             depth,
             cache_hits: at(Counter::CacheHits),
-            coalesced: at(Counter::Coalesced),
             resumed: at(Counter::Resumed),
             exec_overruns: at(Counter::ExecOverruns),
             sharded: at(Counter::Sharded),
@@ -102,8 +99,6 @@ pub struct ServeStats {
     pub depth: usize,
     /// Jobs served from the deterministic result cache.
     pub cache_hits: u64,
-    /// Duplicate submissions served from their primary's fresh result.
-    pub coalesced: u64,
     /// Checkpoint resumes after worker deaths.
     pub resumed: u64,
     /// Jobs observed executing more often than their resume budget
@@ -116,7 +111,7 @@ pub struct ServeStats {
 impl ServeStats {
     /// The snapshot as the wire sees it: every field under its own
     /// name, in declaration order.
-    pub fn members(&self) -> [(&'static str, u64); 11] {
+    pub fn members(&self) -> [(&'static str, u64); 10] {
         [
             ("submitted", self.submitted),
             ("completed", self.completed),
@@ -125,7 +120,6 @@ impl ServeStats {
             ("timed_out", self.timed_out),
             ("depth", self.depth as u64),
             ("cache_hits", self.cache_hits),
-            ("coalesced", self.coalesced),
             ("resumed", self.resumed),
             ("exec_overruns", self.exec_overruns),
             ("sharded", self.sharded),
@@ -249,7 +243,6 @@ mod tests {
             Counter::Cancelled,
             Counter::TimedOut,
             Counter::CacheHits,
-            Counter::Coalesced,
             Counter::Resumed,
             Counter::ExecOverruns,
             Counter::Sharded,
@@ -262,8 +255,8 @@ mod tests {
         }
         let stats = counters.snapshot(77);
         let values = stats.members().map(|(_, value)| value);
-        assert_eq!(values, [1, 2, 3, 4, 5, 77, 6, 7, 8, 9, 10]);
-        assert_eq!((stats.submitted, stats.sharded, stats.depth), (1, 10, 77));
+        assert_eq!(values, [1, 2, 3, 4, 5, 77, 6, 7, 8, 9]);
+        assert_eq!((stats.submitted, stats.sharded, stats.depth), (1, 9, 77));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   matching, `exec_overruns == 0`, and at least one resume recorded.
 //!
 //! The quick variant runs a few schedules in the default suite; the
-//! 24-schedule sweep and the duplicate-coalescing soak are `#[ignore]`d
-//! stress tests CI runs in a dedicated `-- --ignored` step.
+//! 24-schedule sweep and the duplicate soak are `#[ignore]`d stress
+//! tests CI runs in a dedicated `-- --ignored` step.
 
 use pic_particles::Layout;
 use pic_perfmodel::{Precision, Scenario};
@@ -284,12 +284,11 @@ fn repeat_submission_hits_the_cache_with_zero_queue_wait() {
     server_records_reconcile(&report);
 }
 
-/// N identical concurrent submissions coalesce onto exactly one sweep;
-/// the other N−1 are served from the primary's result (as coalesced
-/// followers or cache hits, depending on who wins the admission race —
-/// both are deterministic-result paths).
+/// On one worker, N identical concurrent submissions run exactly one
+/// sweep: the other N−1 are cache hits, at submit when the sweep already
+/// completed, at claim when they were queued behind it.
 #[test]
-fn duplicate_submissions_coalesce_onto_one_sweep() {
+fn duplicate_submissions_on_one_worker_run_one_sweep() {
     const DUPES: usize = 6;
     let server = Arc::new(Server::start(
         ServeConfig {
@@ -337,22 +336,23 @@ fn duplicate_submissions_coalesce_onto_one_sweep() {
         .count();
     assert_eq!(real_runs, 1, "exactly one sweep ran");
     assert_eq!(
-        stats.cache_hits + stats.coalesced,
+        stats.cache_hits,
         DUPES as u64 - 1,
-        "the other submissions were served from the primary's result"
+        "the other submissions were served from the sweep's cached result"
     );
     server_records_reconcile(&report);
 }
 
 #[test]
-#[ignore = "seeded duplicate-coalescing soak; run via cargo test -p pic-serve -- --ignored"]
+#[ignore = "seeded duplicate soak; run via cargo test -p pic-serve -- --ignored"]
 fn duplicate_soak_reconciles_against_telemetry() {
     const SPECS: usize = 8;
     const CLIENTS: usize = 6;
     const ROUNDS: usize = 4;
+    const WORKERS: usize = 3;
     let server = Arc::new(Server::start(
         ServeConfig {
-            workers: 3,
+            workers: WORKERS,
             queue_capacity: 512,
             cache_capacity: 64, // >= SPECS: no eviction during the soak
             ..ServeConfig::default()
@@ -397,20 +397,26 @@ fn duplicate_soak_reconciles_against_telemetry() {
     assert_eq!(stats.submitted, total);
     assert_eq!(stats.completed, total);
     assert_eq!(stats.exec_overruns, 0);
-    // Exactly one real sweep per distinct spec; everything else was a
-    // submit-time hit, claim-time hit or coalesced follower.
+    // Every spec ran, and at most once per worker: a duplicate claimed
+    // while its twin still runs runs too, but every run of a spec began
+    // before the first of them filled the cache, so they overlap. The
+    // rest were submit-time or claim-time hits.
     let mut real_by_particles: HashMap<u64, u64> = HashMap::new();
     for rec in report.records.iter().filter(|r| !r.cache_hit) {
         *real_by_particles.entry(rec.particles).or_insert(0) += 1;
     }
-    assert_eq!(real_by_particles.len(), SPECS, "every spec ran once");
+    assert_eq!(real_by_particles.len(), SPECS, "every spec ran");
     for (particles, runs) in &real_by_particles {
-        assert_eq!(*runs, 1, "spec with {particles} particles ran {runs}x");
+        assert!(
+            (1..=WORKERS as u64).contains(runs),
+            "spec with {particles} particles ran {runs}x on {WORKERS} workers"
+        );
     }
+    let runs: u64 = real_by_particles.values().sum();
     assert_eq!(
-        stats.cache_hits + stats.coalesced,
-        total - SPECS as u64,
-        "every duplicate was served without a sweep"
+        stats.cache_hits + runs,
+        total,
+        "every submission was a hit or a run"
     );
     server_records_reconcile(&report);
 }

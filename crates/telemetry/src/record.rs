@@ -107,8 +107,8 @@ pub struct BenchRecord {
     /// when the measured run started: 1.0 = fully sorted, ~0.5 = random.
     /// 0 for records written before locality sorting was instrumented.
     pub order_fraction: f64,
-    /// True when the job was served from the result cache (or coalesced
-    /// onto an identical in-flight job) instead of running a sweep.
+    /// True when the job was served from the result cache, at submit or
+    /// when a worker claimed it, instead of running a sweep.
     /// False for bench-harness records and pre-cache service records.
     pub cache_hit: bool,
     /// Times the producing job was requeued after a worker death and
