@@ -20,7 +20,6 @@
 //! ensembles and a record's identity are `pic-sim`'s, shared with the
 //! job service.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -13,7 +13,7 @@
 //! * **justification** (`atomics-missing-justification`): every
 //!   `Relaxed` or `SeqCst` use site binds to an adjacent
 //!   `// ordering: …` comment (the adjacency walk of
-//!   `Scanned::comment_near`, which `pic-lint`'s suppressions use).
+//!   [`find_comment`], which `// analyze: allow` escapes use too).
 //! * **comment grammar** (`atomics-malformed-justification`): a bound
 //!   comment must follow `// ordering: <Ordering>[ / <Ordering>] — <reason>`;
 //!   only variant names *before* the em-dash are binding, so prose may
@@ -116,9 +116,11 @@ pub fn strip_comment(c: &str) -> &str {
     c.trim_start_matches(['/', '!', ' ', '\t'])
 }
 
-/// Walks upward from `line` exactly like `Scanned::comment_near`, but
-/// returns the 0-based line of the first comment whose stripped text
-/// starts with `prefix`.
+/// The 0-based line of the first comment at or above `line` whose
+/// stripped text starts with `prefix`. Walking upward, lines that are
+/// themselves comments don't consume the `above` budget, so a multi-line
+/// comment block counts as one step no matter how tall it is; a code
+/// line that starts with `}` ends the walk.
 pub fn find_comment(s: &Scanned, line: usize, above: usize, prefix: &str) -> Option<usize> {
     let hit = |l: usize| {
         s.comments
@@ -179,8 +181,9 @@ fn named_variants(comment: &str) -> Option<Vec<&'static str>> {
     }
 }
 
-fn allow(s: &Scanned, line: usize, rule: &str) -> bool {
-    s.comment_near(line, ADJACENT_LINES, &format!("analyze: allow({rule})"))
+/// Does an adjacent `// analyze: allow(<rule>): …` comment justify `line`?
+pub(super) fn allow(s: &Scanned, line: usize, rule: &str) -> bool {
+    find_comment(s, line, ADJACENT_LINES, &format!("analyze: allow({rule})")).is_some()
 }
 
 /// Runs the audit. Returns (diagnostics, full inventory).

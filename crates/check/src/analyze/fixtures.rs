@@ -311,6 +311,60 @@ impl TwoLocks {
 "#,
         )],
     ),
+    (
+        "f64-literal-in-real-generic-kernel",
+        "precision-pollution",
+        &[(
+            "crates/core/src/seeded_precision.rs",
+            r#"
+pub fn half_step<R: Real>(v: R) -> R {
+    v * R::from_f64(0.5f64)
+}
+"#,
+        )],
+    ),
+    (
+        "clock-read-in-the-runner",
+        "instant-outside-telemetry",
+        &[(
+            "crates/sim/src/seeded_clock.rs",
+            r#"
+pub fn timed_step() -> u128 {
+    let t0 = std::time::Instant::now();
+    t0.elapsed().as_nanos()
+}
+"#,
+        )],
+    ),
+    (
+        "column-list-restated-in-a-proxy",
+        "column-list",
+        &[(
+            "crates/core/src/seeded_columns.rs",
+            r#"
+pub struct Lanes<'a> {
+    pub x: &'a mut [f32],
+    pub y: &'a mut [f32],
+    pub z: &'a mut [f32],
+    pub px: &'a mut [f32],
+    pub py: &'a mut [f32],
+    pub pz: &'a mut [f32],
+}
+"#,
+        )],
+    ),
+    (
+        "polling-worker-in-the-service",
+        "sleep-in-service",
+        &[(
+            "crates/serve/src/seeded_poll.rs",
+            r#"
+pub fn idle() {
+    std::thread::sleep(std::time::Duration::from_micros(200));
+}
+"#,
+        )],
+    ),
 ];
 
 /// Runs the whole corpus; returns `(fixture name, expected rule,

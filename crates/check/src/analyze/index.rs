@@ -91,6 +91,8 @@ pub struct FieldDef {
 pub struct StructDef {
     pub name: String,
     pub file: usize,
+    /// 0-based line of the `struct` keyword.
+    pub line: usize,
     pub fields: Vec<FieldDef>,
 }
 
@@ -154,6 +156,43 @@ pub struct Index {
 pub fn is_test_path(path: &str) -> bool {
     path.split('/')
         .any(|seg| seg == "tests" || seg == "benches" || seg == "examples")
+}
+
+/// Line spans (0-based, inclusive) of `#[cfg(test)]` / `#[test]` items,
+/// found by brace matching on the blanked code channel.
+fn test_regions(s: &Scanned) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (i, line) in s.code.iter().enumerate() {
+        if line.contains("#[cfg(test)]") || line.contains("#[test]") {
+            if let Some(end) = closing_brace_line(s, i) {
+                out.push((i, end));
+            }
+        }
+    }
+    out
+}
+
+/// From line `start`, the line of the `}` that closes the first `{`;
+/// `None` when a `;` ends the item before a `{` opens (`use` lines,
+/// unit structs).
+fn closing_brace_line(s: &Scanned, start: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (li, line) in s.code.iter().enumerate().skip(start) {
+        for c in line.chars() {
+            match c {
+                ';' if depth == 0 => return None,
+                '{' => depth += 1,
+                '}' if depth > 0 => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(li);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    None
 }
 
 fn as_ident(n: &Node) -> Option<&str> {
@@ -374,7 +413,7 @@ impl Index {
         for (path, text) in sources {
             let scanned = scan(text);
             let tree = build(&tokenize(&scanned));
-            let test_regions = crate::test_item_regions(&scanned);
+            let test_regions = test_regions(&scanned);
             let file = idx.files.len();
             let info = FileInfo {
                 path: path.clone(),
@@ -697,6 +736,7 @@ impl Index {
         let Some(name) = nodes.get(i + 1).and_then(as_ident) else {
             return i + 1;
         };
+        let line = nodes[i].line();
         let mut j = i + 2;
         if as_punct(nodes.get(j).unwrap_or(&nodes[i])) == Some('<') {
             let (_, nj) = parse_angles(nodes, j);
@@ -722,6 +762,7 @@ impl Index {
         self.structs.push(StructDef {
             name: name.to_string(),
             file,
+            line,
             fields,
         });
         j + 1

@@ -1,7 +1,7 @@
 //! `pic-analyze` — workspace-wide static analysis on top of the
 //! offline-safe lexer.
 //!
-//! Three passes, one shared token-tree + symbol-index substrate:
+//! Four passes, one shared token-tree + symbol-index substrate:
 //!
 //! 1. [`atomics`] — atomics ordering audit: a complete inventory of
 //!    every `Ordering::…` use site, pairing rules (a `Release` store
@@ -14,6 +14,11 @@
 //!    lock, I/O, or panic-capable construct.
 //! 3. [`locks`] — lock-order check for `crates/serve`: nested
 //!    acquisitions form a digraph; cycles are potential deadlocks.
+//! 4. [`domain`] — the paper's own invariants: `precision-pollution`
+//!    (no concrete float width in `Real`-bounded kernel code),
+//!    `instant-outside-telemetry` (clock reads stay in the measuring
+//!    layers), `column-list` (the particle columns are declared once)
+//!    and `sleep-in-service` (service threads block, they do not poll).
 //!
 //! Rule ids are stable (see EXPERIMENTS.md) and every diagnostic
 //! carries a fix hint. [`fixtures`] holds the seeded-violation corpus
@@ -21,6 +26,7 @@
 //! exit code.
 
 pub mod atomics;
+pub mod domain;
 pub mod fixtures;
 pub mod index;
 pub mod locks;
@@ -52,6 +58,7 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
     diagnostics.extend(purity::check(&idx));
     let (lock_cycles, lock_nesting) = locks::check(&idx);
     diagnostics.extend(lock_cycles);
+    diagnostics.extend(domain::check(&idx));
     diagnostics.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Analysis {
         diagnostics,
@@ -62,7 +69,7 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
 }
 
 /// Analyzes every `.rs` file under `root` (skipping `target/` and
-/// dot-directories, like `lint_workspace`).
+/// dot-directories).
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
     let mut sources = Vec::new();
     for path in crate::workspace_sources(root)? {

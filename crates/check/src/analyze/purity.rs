@@ -27,14 +27,14 @@
 //! nothing to trip over.
 //!
 //! A `// bounds: …` comment justifies indexing either adjacently (≤ 3
-//! lines above, comment lines free as in `pic-lint`) or *block-scoped*:
+//! lines above, comment lines free, as for every analyzer escape) or *block-scoped*:
 //! a `// bounds:` comment covers every index site from the comment to
 //! the end of its innermost enclosing brace block — one proof per loop
 //! body instead of one per line. `debug_assert!` is deliberately not a
 //! needle (compiled out of release builds, which are what the paper
 //! measures).
 
-use super::atomics::find_comment;
+use super::atomics::{allow, find_comment};
 use super::index::{calls_in, CallSite, Index, Recv};
 use super::tree::{Delim, Group, Node, Tok};
 use crate::Diagnostic;
@@ -275,11 +275,7 @@ pub fn check(idx: &Index) -> Vec<Diagnostic> {
         // Needles in this body.
         for call in calls_in(&f.body) {
             if let Some((rule, what)) = needle(&call) {
-                if scanned.comment_near(
-                    call.line,
-                    ADJACENT_LINES,
-                    &format!("analyze: allow({rule})"),
-                ) {
+                if allow(scanned, call.line, rule) {
                     continue;
                 }
                 if reported.insert((f.file, call.line, rule)) {
@@ -305,7 +301,7 @@ pub fn check(idx: &Index) -> Vec<Diagnostic> {
                 if scope.covers(scanned, line) {
                     continue;
                 }
-                if scanned.comment_near(line, ADJACENT_LINES, "analyze: allow(purity-index)") {
+                if allow(scanned, line, "purity-index") {
                     continue;
                 }
                 if reported.insert((f.file, line, "purity-index")) {

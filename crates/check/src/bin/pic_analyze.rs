@@ -1,14 +1,13 @@
 //! Workspace static analyzer. Run from anywhere inside the repo:
 //!
 //! ```text
-//! cargo run -p pic-check --bin pic-analyze            # human-readable
-//! cargo run -p pic-check --bin pic-analyze -- --json  # machine-readable
+//! cargo run -p pic-check --bin pic-analyze
 //! cargo run -p pic-check --bin pic-analyze -- --seeded
 //! ```
 //!
-//! Three passes: atomics ordering audit, hot-kernel purity proof,
-//! lock-order check (see `pic_check::analyze`). Exit codes: `0` clean,
-//! `1` findings, `2` setup error.
+//! Four passes: atomics ordering audit, hot-kernel purity proof,
+//! lock-order check and the domain rules (see `pic_check::analyze`).
+//! Exit codes: `0` clean, `1` findings, `2` setup error.
 //!
 //! `--seeded` ignores the workspace and runs the seeded-violation
 //! corpus instead, with *inverted* semantics: it exits `0` only when
@@ -20,12 +19,10 @@ use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut seeded = false;
     let mut root_arg: Option<String> = None;
     for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--json" => json = true,
             "--seeded" => seeded = true,
             _ => root_arg = Some(a),
         }
@@ -76,18 +73,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if json {
-        println!(
-            "{}",
-            pic_check::diagnostics_json("pic-analyze", &analysis.diagnostics)
-        );
-        return if analysis.diagnostics.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
 
     if analysis.diagnostics.is_empty() {
         println!(

@@ -19,37 +19,6 @@ pub struct Scanned {
     pub comments: Vec<String>,
 }
 
-impl Scanned {
-    /// True when `needle` occurs in the comment text of line `line` or
-    /// nearby preceding lines — the adjacency rule for justification
-    /// comments like `// ordering: …`. Walking upward, lines that are
-    /// themselves comments don't consume the `above` budget, so a
-    /// multi-line comment block counts as one step no matter how tall
-    /// the block is.
-    pub fn comment_near(&self, line: usize, above: usize, needle: &str) -> bool {
-        let has = |l: usize| self.comments.get(l).is_some_and(|c| c.contains(needle));
-        if has(line) {
-            return true;
-        }
-        let mut budget = above;
-        let mut l = line;
-        while l > 0 {
-            l -= 1;
-            if has(l) {
-                return true;
-            }
-            let is_comment = self.comments.get(l).is_some_and(|c| !c.trim().is_empty());
-            if !is_comment {
-                if budget == 0 {
-                    return false;
-                }
-                budget -= 1;
-            }
-        }
-        false
-    }
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     Code,
@@ -231,36 +200,16 @@ fn closes_raw(after: &[char], fences: u32) -> bool {
     (0..fences as usize).all(|k| after.get(k) == Some(&'#'))
 }
 
-/// Word-boundary search: every index where `word` occurs in `hay` not
-/// surrounded by identifier characters. `suffix_ok` additionally
-/// accepts occurrences preceded by a digit or `.` (float suffixes like
-/// `1.0f64`, which *are* violations for the precision rule).
-pub fn word_hits(hay: &str, word: &str, suffix_ok: bool) -> Vec<usize> {
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut out = Vec::new();
-    let mut from = 0usize;
-    while let Some(pos) = hay[from..].find(word) {
-        let at = from + pos;
-        let before = hay[..at].chars().next_back();
-        let after = hay[at + word.len()..].chars().next();
-        let left_ok = match before {
-            None => true,
-            Some(c) if !ident(c) => true,
-            Some(c) if suffix_ok && (c.is_ascii_digit() || c == '.') => true,
-            _ => false,
-        };
-        let right_ok = !after.is_some_and(ident);
-        if left_ok && right_ok {
-            out.push(at);
-        }
-        from = at + word.len();
-    }
-    out
+/// True when `word` occurs in `hay` as a whole identifier, not inside
+/// a longer one (`sleep` is not in `sleeper`, `f64` not in `1.0f64`).
+pub fn has_word(hay: &str, word: &str) -> bool {
+    hay.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .any(|w| w == word)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{scan, word_hits};
+    use super::{has_word, scan};
 
     #[test]
     fn strips_comments_and_blanks_strings() {
@@ -298,10 +247,9 @@ mod tests {
 
     #[test]
     fn word_boundaries() {
-        assert_eq!(word_hits("as f64)", "f64", true).len(), 1);
-        assert_eq!(word_hits("my_f64x", "f64", true).len(), 0);
-        assert_eq!(word_hits("1.0f64", "f64", false).len(), 0);
-        assert_eq!(word_hits("1.0f64", "f64", true).len(), 1);
-        assert_eq!(word_hits("buff64", "f64", true).len(), 0);
+        assert!(has_word("as f64)", "f64"));
+        assert!(!has_word("my_f64x", "f64"));
+        assert!(!has_word("1.0f64", "f64"));
+        assert!(!has_word("buff64", "f64"));
     }
 }

@@ -70,9 +70,18 @@ fn every_seeded_fixture_is_caught() {
         missed.join(", ")
     );
     // Every rule family is represented (purity-alloc has two fixtures:
-    // the host kernel root and the device executor root).
-    assert_eq!(results.len(), 13);
-    for family in ["atomics-", "purity-", "lock-order-"] {
+    // the host kernel root and the device executor root), and each
+    // domain rule has one.
+    assert_eq!(results.len(), 17);
+    for family in [
+        "atomics-",
+        "purity-",
+        "lock-order-",
+        "precision-pollution",
+        "instant-outside-telemetry",
+        "column-list",
+        "sleep-in-service",
+    ] {
         assert!(
             results.iter().any(|(_, rule, _)| rule.starts_with(family)),
             "no fixture for rule family {family}"
@@ -117,22 +126,4 @@ fn ordering_inventory_covers_every_use_site() {
     );
     // Sanity: the workspace genuinely uses atomics (62 sites).
     assert!(expected > 50, "implausibly low site count: {expected}");
-}
-
-/// Structured output carries path, rule, and hint for both tools.
-#[test]
-fn diagnostics_render_to_json() {
-    let diag = pic_check::Diagnostic {
-        path: "crates/x/src/lib.rs".to_string(),
-        line: 7,
-        rule: "atomics-missing-justification",
-        message: "say \"why\"".to_string(),
-        hint: Some("add a comment".to_string()),
-    };
-    let json = pic_check::diagnostics_json("pic-analyze", &[diag]);
-    assert!(json.contains("\"tool\":\"pic-analyze\""));
-    assert!(json.contains("\"count\":1"));
-    assert!(json.contains("\"rule\":\"atomics-missing-justification\""));
-    assert!(json.contains("\"hint\":\"add a comment\""));
-    assert!(json.contains("say \\\"why\\\""));
 }

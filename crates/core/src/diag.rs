@@ -54,7 +54,7 @@ pub fn fraction_inside_sphere<R: Real, A: ParticleAccess<R>>(
     let inside = (0..store.len())
         .filter(|&i| (store.get(i).position.to_f64() - center).norm2() <= r2)
         .count();
-    // lint: allow(precision-pollution): integer-count ratio for a
+    // analyze: allow(precision-pollution): integer-count ratio for a
     // diagnostic, not part of the Real-typed push arithmetic.
     inside as f64 / store.len() as f64
 }
@@ -119,11 +119,13 @@ impl Histogram {
 
     /// Index of the heaviest bin (0 when empty).
     pub fn peak_bin(&self) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "counts are built from finite additions only, so partial_cmp cannot see NaN"
+        )]
         self.counts
             .iter()
             .enumerate()
-            // lint: allow(unwrap-in-lib): counts are built from finite
-            // additions only, so partial_cmp cannot see NaN.
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite counts"))
             .map_or(0, |(i, _)| i)
     }

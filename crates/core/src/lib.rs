@@ -36,7 +36,6 @@
 //! assert!(p.gamma > 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod boris;

@@ -3,8 +3,8 @@
 //! Every wall-time measurement in `pic-device` — the host-side timing of
 //! functional kernel execution that feeds the modeled-GPU event timeline
 //! — goes through [`Stopwatch`]. This is the only module in the crate
-//! allowed to name `std::time::Instant` (pic-lint's `INSTANT_ALLOW`
-//! carries exactly this file), mirroring the job service's `clock.rs`
+//! allowed to name `std::time::Instant` (pic-analyze's `INSTANT_ALLOW`,
+//! crates/check/src/analyze/domain.rs, carries exactly this file), mirroring the job service's `clock.rs`
 //! discipline: one audited clock, no ad-hoc timers scattered through the
 //! executor.
 

@@ -21,7 +21,6 @@
 //!   each shard through its own executor; its modeled time is the sum of
 //!   the shards' kernel times, as on the paper's one in-order queue.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -10,7 +10,6 @@
 //! * **Precalculated Fields** — loaded from a per-particle array
 //!   ([`precalc::PrecalculatedFields`]) computed once in advance.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dipole;

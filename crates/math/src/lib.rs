@@ -29,7 +29,6 @@
 //! assert!((g - 10.0f64.sqrt()).abs() < 1e-12);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod constants;

@@ -40,8 +40,10 @@ impl Summary {
             acc.push(x);
         }
         let mut sorted = sample.to_vec();
-        // lint: allow(unwrap-in-lib): the function rejects NaN input
-        // before this point, so the comparison is total.
+        #[expect(
+            clippy::expect_used,
+            reason = "the function rejects NaN input before this point, so the comparison is total"
+        )]
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN excluded above"));
         let n = sorted.len();
         let median = if n % 2 == 1 {

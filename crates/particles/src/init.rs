@@ -60,6 +60,8 @@ fn sphere_block<R: Real>(key: u64, first: u64, sphere: &SphereDist) -> [[R; BLOC
         let draw = first.wrapping_add(lane).wrapping_mul(DRAWS);
         let u = |k: u64| {
             let bits = mix64(key.wrapping_add(draw.wrapping_add(k).wrapping_mul(GOLDEN_GAMMA)));
+            // analyze: allow(precision-pollution): the draw is taken in f64
+            // at both precisions and narrowed once, so they hold the same points.
             (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
         };
         let cos_t = 2.0 * u(0) - 1.0;

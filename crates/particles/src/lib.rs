@@ -39,7 +39,6 @@
 //! assert!(ens.get(0).position.norm() <= 1.0e-4);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aos;

@@ -159,7 +159,7 @@ pub fn cell_order_fraction<R: Real, S: ParticleAccess<R>>(store: &S, grid: &Cell
         }
         prev = k;
     }
-    // lint: allow(precision-pollution): sortedness metric over integer
+    // analyze: allow(precision-pollution): sortedness metric over integer
     // counts, outside the Real-typed kernel math.
     ordered as f64 / (n - 1) as f64
 }

@@ -23,7 +23,6 @@
 //! within a ±35 % band plus all the qualitative orderings the paper's
 //! conclusions rest on.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

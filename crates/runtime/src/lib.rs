@@ -19,7 +19,6 @@
 //! *performance* shapes of the paper's 48-core platform are regenerated
 //! by the `pic-perfmodel` crate.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cancel;

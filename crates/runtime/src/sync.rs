@@ -13,7 +13,7 @@ pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Propagates a worker-thread panic to the caller instead of minting a
 /// new panic at the join site (which would lose the original payload).
 /// Used for every join result in this crate, keeping library code free
-/// of `unwrap`/`expect` (pic-lint's `unwrap-in-lib` rule).
+/// of `unwrap`/`expect` (clippy's `unwrap_used` / `expect_used`).
 pub(crate) fn join_or_propagate<T>(result: std::thread::Result<T>) -> T {
     match result {
         Ok(v) => v,

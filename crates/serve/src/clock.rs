@@ -2,7 +2,7 @@
 //!
 //! Queue-wait accounting, deadline checks and timeout enforcement all
 //! need monotonic wall time, but the workspace confines `Instant` to the
-//! measuring layers (`pic-lint`'s `instant-outside-telemetry` rule) so
+//! measuring layers (`pic-analyze`'s `instant-outside-telemetry` rule) so
 //! stray timers cannot skew NSPS numbers. This module is the one
 //! allowlisted exception inside `pic-serve`: every other module asks a
 //! [`Clock`] for nanoseconds-since-service-start and never touches

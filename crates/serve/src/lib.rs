@@ -61,7 +61,7 @@
 //!   the `pic-serve` binary wires it to stdin/stdout or a Unix-domain
 //!   socket.
 //! * [`clock`] — the service's single wall-clock read point (the
-//!   `pic-lint` `instant-outside-telemetry` allowlist names this module
+//!   `pic-analyze` `instant-outside-telemetry` allowlist names this module
 //!   and nothing else in the crate).
 //!
 //! Every job — including shed ones — emits a `pic-telemetry`
@@ -69,7 +69,6 @@
 //! outcome, so the `regress` gate can watch the service path the
 //! same way it watches the bench path.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod admission;

@@ -127,10 +127,12 @@ pub fn rejected_line(
 /// [`write_outcome`] writes.
 pub fn outcome_line(id: u64, tag: Option<&str>, outcome: &Outcome) -> String {
     let mut line = Vec::new();
-    // lint: allow(unwrap-in-lib): writing to a `Vec` cannot fail, and the
-    // line is made of `&str` pieces and ASCII, so it is UTF-8.
+    #[expect(clippy::expect_used, reason = "writing to a `Vec` cannot fail")]
     write_outcome(&mut line, id, tag, outcome).expect("a Vec takes every write");
-    // lint: allow(unwrap-in-lib): see above.
+    #[expect(
+        clippy::expect_used,
+        reason = "the line is made of `&str` pieces and ASCII, so it is UTF-8"
+    )]
     String::from_utf8(line).expect("JSON text is UTF-8")
 }
 

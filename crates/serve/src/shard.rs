@@ -129,12 +129,12 @@ pub(crate) fn render_rows(segments: &[&ColumnSegment], header: bool, end: RowEnd
         out.extend_from_slice(end.bytes());
     }
     for seg in segments {
-        // lint: allow(unwrap-in-lib): writing to a `Vec` cannot fail.
+        #[expect(clippy::expect_used, reason = "writing to a `Vec` cannot fail")]
         seg.write_text(&mut out, end)
             .expect("a Vec takes every write");
     }
     out.shrink_to_fit();
-    // lint: allow(unwrap-in-lib): the header and the rows are ASCII.
+    #[expect(clippy::expect_used, reason = "the header and the rows are ASCII")]
     String::from_utf8(out).expect("a dump is ASCII")
 }
 

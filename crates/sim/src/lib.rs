@@ -3,7 +3,7 @@
 //!
 //! `pic-bench` times these runs to print the paper's tables; `pic-serve`
 //! runs them as jobs. Neither owns the runner, so the service does not
-//! link the paper harness, and `pic-lint`'s one-clock rule covers the
+//! link the paper harness, and `pic-analyze`'s one-clock rule covers the
 //! code every served job runs.
 //!
 //! | Module        | Holds                                                          |
@@ -13,7 +13,6 @@
 //! | `device_run`  | the same steps through the modeled device backend               |
 //! | `subject`     | a run's record identity and the model half derived from it      |
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod device_run;

@@ -14,7 +14,6 @@
 //! * [`pic_sim`] — the m-dipole job runner: seeded ensembles, host and device step runners.
 //! * [`pic_bench`] — the NSPS benchmark harness.
 
-#![forbid(unsafe_code)]
 pub use pic_bench;
 pub use pic_boris;
 pub use pic_device;
