@@ -8,7 +8,8 @@
 //! * every `Pusher::push` impl (the scalar pushers),
 //! * every `BatchSampler::sample_into` (batched field sampling,
 //!   including the trait's default body),
-//! * every `FieldSource::field_block` (per-chunk field production),
+//! * every `FieldSource::field_block` and `FieldSource::field_columns`
+//!   (per-chunk field production, copied or lent),
 //!
 //! — the pass walks the resolved call graph and reports any reachable
 //!
@@ -91,7 +92,8 @@ pub fn roots(idx: &Index) -> Vec<usize> {
                 || (f.name == "execute_chunk" && f.impl_type.as_deref() == Some("DeviceExecutor"))
                 || (f.name == "push" && f.impl_trait.as_deref() == Some("Pusher"))
                 || (f.name == "sample_into" && f.impl_trait.as_deref() == Some("BatchSampler"))
-                || (f.name == "field_block" && f.impl_trait.as_deref() == Some("FieldSource"))
+                || (matches!(f.name.as_str(), "field_block" | "field_columns")
+                    && f.impl_trait.as_deref() == Some("FieldSource"))
         })
         .map(|(id, _)| id)
         .collect()

@@ -5,6 +5,12 @@
 //! [`AnalyticalSource`] evaluates closed formulas at every particle
 //! position ("Analytical Fields"); [`PrecalculatedSource`] streams a
 //! per-particle array computed in advance ("Precalculated Fields").
+//!
+//! The blocked kernel takes its field table through
+//! [`FieldSource::field_columns`]: a Precalculated source lends its own
+//! rows, every other source samples into the kernel's stack table. The
+//! reference wrapper (`impl FieldSource for &S`) forwards that method
+//! too; without it a borrowed Precalculated source would copy again.
 
 use crate::pusher::Pusher;
 use pic_fields::{map_components, BatchSampler, EbSlices, PrecalculatedFields, EB, FIELD_COLUMNS};
@@ -39,6 +45,30 @@ pub trait FieldSource<R: Real>: Send + Sync {
             let f = self.field(base + i, Vec3::new(xs[i], ys[i], zs[i]), time);
             out.write_lane(i, f);
         }
+    }
+
+    /// The six field columns, in [`EB::to_array`] order, of particles
+    /// `base..base + xs.len()` at `(xs[i], ys[i], zs[i])`: what the
+    /// blocked kernel reads a table of blocks from.
+    ///
+    /// `table` is room for the values, six slices of `xs.len()` each.
+    /// The default samples into it through
+    /// [`field_block`](Self::field_block) and lends it back; a source
+    /// that already holds the values as columns lends its own rows and
+    /// leaves `table` untouched.
+    #[inline(always)]
+    fn field_columns<'t>(
+        &'t self,
+        base: usize,
+        xs: &[R],
+        ys: &[R],
+        zs: &[R],
+        time: R,
+        table: [&'t mut [R]; FIELD_COLUMNS],
+    ) -> [&'t [R]; FIELD_COLUMNS] {
+        let mut out = EbSlices::from_columns(table);
+        self.field_block(base, xs, ys, zs, time, &mut out);
+        map_components(out.into_columns(), |c| &*c)
     }
 }
 
@@ -117,7 +147,9 @@ impl<R: Real> FieldSource<R> for PrecalculatedSource<'_, R> {
     }
 
     /// Contiguous slice copies instead of per-index [`EB`] assembly: six
-    /// streaming `memcpy`s straight out of the SoA field columns.
+    /// streaming `memcpy`s straight out of the SoA field columns. The
+    /// blocked kernel does not copy: it reads the rows in place through
+    /// [`field_columns`](FieldSource::field_columns).
     #[inline]
     fn field_block(
         &self,
@@ -135,6 +167,24 @@ impl<R: Real> FieldSource<R> for PrecalculatedSource<'_, R> {
         for (dst, src) in out.as_columns_mut().into_iter().zip(self.cols) {
             dst.copy_from_slice(&src[base..base + n]);
         }
+    }
+
+    /// The table's own rows `base..base + xs.len()`, lent in place: no
+    /// copy, and `table` is left as it is.
+    #[inline(always)]
+    fn field_columns<'t>(
+        &'t self,
+        base: usize,
+        xs: &[R],
+        _ys: &[R],
+        _zs: &[R],
+        _time: R,
+        _table: [&'t mut [R]; FIELD_COLUMNS],
+    ) -> [&'t [R]; FIELD_COLUMNS] {
+        let rows = base..base + xs.len();
+        // bounds: as in `field_block`, the rows of a chunk of the ensemble
+        // the table was built for.
+        map_components(self.cols, |c| &c[rows.clone()])
     }
 }
 
@@ -274,6 +324,19 @@ impl<R: Real, S: FieldSource<R> + ?Sized> FieldSource<R> for &S {
         out: &mut EbSlices<'_, R>,
     ) {
         (**self).field_block(base, xs, ys, zs, time, out)
+    }
+
+    #[inline(always)]
+    fn field_columns<'t>(
+        &'t self,
+        base: usize,
+        xs: &[R],
+        ys: &[R],
+        zs: &[R],
+        time: R,
+        table: [&'t mut [R]; FIELD_COLUMNS],
+    ) -> [&'t [R]; FIELD_COLUMNS] {
+        (**self).field_columns(base, xs, ys, zs, time, table)
     }
 }
 

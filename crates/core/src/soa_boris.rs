@@ -26,9 +26,12 @@
 //! once here, where `lane_block` destructures a block into the local
 //! arrays its straight-line body works on.
 //!
-//! Fields are sampled `FIELD_BLOCKS` blocks at a time through
-//! [`FieldSource::field_block`] on both arms, and the species constants
-//! are evaluated once per run of same-species blocks. The arithmetic per
+//! Fields come `FIELD_BLOCKS` blocks at a time through
+//! [`FieldSource::field_columns`] on both arms: a Precalculated table's
+//! own rows, lent in place, or a stack table the source samples into
+//! (the analytical m-dipole, and every source without columns of its
+//! own). The species constants are evaluated once per run of
+//! same-species blocks. The arithmetic per
 //! lane is exactly that of [`BorisPusher`], through the same helpers of
 //! [`crate::pusher`] (the hoisted species constants and time factors are
 //! loop-invariant pure computations), so both arms produce trajectories
@@ -38,7 +41,7 @@
 use crate::boris::BorisPusher;
 use crate::kernel::FieldSource;
 use crate::pusher::{self, drift_coef, half_kick_coef, Pusher};
-use pic_fields::{map_components, EbSlices, FIELD_COLUMNS};
+use pic_fields::{map_components, FIELD_COLUMNS};
 use pic_math::Real;
 use pic_particles::columns::{ColumnsMut, ParticleColumns, REAL_COLUMNS};
 use pic_particles::{ParticleAccess, ParticleKernel, ParticleView, SpeciesId, SpeciesTable};
@@ -48,10 +51,11 @@ use pic_particles::{ParticleAccess, ParticleKernel, ParticleView, SpeciesId, Spe
 /// in `pic-fields`.
 pub use pic_fields::LANES;
 
-/// Blocks whose fields one [`FieldSource::field_block`] call samples
-/// ahead of their update, into a stack-resident table (6 KiB in `f32`,
-/// 12 KiB in `f64`: L1). A source's per-call work — the m-dipole's
-/// `sin_cos(ω₀t)` — is paid once per this many blocks, not once per block.
+/// Blocks whose fields one [`FieldSource::field_columns`] call takes
+/// ahead of their update: lent rows, or a stack-resident table sampled
+/// into (6 KiB in `f32`, 12 KiB in `f64`: L1). A source's per-call work
+/// — the m-dipole's `sin_cos(ω₀t)` — is paid once per this many blocks,
+/// not once per block.
 const FIELD_BLOCKS: usize = 16;
 
 /// One block of every column: the view `lane_block` advances.
@@ -94,9 +98,11 @@ impl<'a, R: Real, F: FieldSource<R>> SoaBorisKernel<'a, R, F> {
     /// Advances every particle behind `lanes` by one step, operating
     /// directly on the component columns; row 0 is global particle
     /// `base`. Full blocks of [`LANES`] particles run the straight-line
-    /// vector body, their fields sampled [`FIELD_BLOCKS`] blocks at a
-    /// time; the `len % LANES` remainder runs the reference scalar path
-    /// through the single-particle proxy.
+    /// vector body, their fields taken [`FIELD_BLOCKS`] blocks at a
+    /// time through [`FieldSource::field_columns`] — lent by a source
+    /// that holds them as columns, sampled into a stack table by any
+    /// other — in one loop for both; the `len % LANES` remainder runs the
+    /// reference scalar path through the single-particle proxy.
     pub fn run_lanes(&self, base: usize, lanes: &mut ColumnsMut<'_, R>) {
         // Every column as whole blocks: `&mut [[_; LANES]]` makes the trip
         // count of each loop in `lane_block` a compile-time constant and
@@ -108,34 +114,31 @@ impl<'a, R: Real, F: FieldSource<R>> SoaBorisKernel<'a, R, F> {
         );
         let full = blocks.len();
         // bounds: `first + b < first + count <= full`, the columns' common
-        // block count; `count <= FIELD_BLOCKS`, the field table's; block 0
-        // exists where `full > 0`.
+        // block count; `count <= FIELD_BLOCKS`, the stack table's; `b <
+        // count`, the block count of the field columns, lent or sampled,
+        // which hold one row per particle; block 0 exists where `full > 0`.
         if full > 0 {
             let lead = blocks.species[0][0];
             let mut uniform = (lead, self.lane_consts(&[lead; LANES]));
             let mut eb = [[[R::ZERO; LANES]; FIELD_BLOCKS]; FIELD_COLUMNS];
             for first in (0..full).step_by(FIELD_BLOCKS) {
                 let count = (full - first).min(FIELD_BLOCKS);
-                {
-                    let [x, y, z, ..] = &blocks.reals;
-                    let span = first..first + count;
-                    let mut out = EbSlices::from_columns(map_components(eb.each_mut(), |c| {
-                        c[..count].as_flattened_mut()
-                    }));
-                    self.source.field_block(
-                        base + first * LANES,
-                        x[span.clone()].as_flattened(),
-                        y[span.clone()].as_flattened(),
-                        z[span].as_flattened(),
-                        self.time,
-                        &mut out,
-                    );
-                }
+                let [x, y, z, ..] = &blocks.reals;
+                let span = first..first + count;
+                let table = map_components(eb.each_mut(), |c| c[..count].as_flattened_mut());
+                let fields = self.source.field_columns(
+                    base + first * LANES,
+                    x[span.clone()].as_flattened(),
+                    y[span.clone()].as_flattened(),
+                    z[span].as_flattened(),
+                    self.time,
+                    table,
+                );
+                let fields = map_components(fields, |c| c.as_chunks::<LANES>().0);
                 for b in 0..count {
                     let block =
                         blocks.each_column_mut(|c| &mut c[first + b], |s| &mut s[first + b]);
-                    let fields = map_components(eb.each_ref(), |c| &c[b]);
-                    self.lane_block(block, fields, &mut uniform);
+                    self.lane_block(block, map_components(fields, |c| &c[b]), &mut uniform);
                 }
             }
         }
@@ -497,7 +500,7 @@ mod tests {
         // Deterministic spot-check of the empty store, tail-only stores,
         // every tail length around one and two blocks, and lengths around
         // one and two field tables (`FIELD_BLOCKS` blocks each), where the
-        // second `field_block` call starts and where the last one is short.
+        // second `field_columns` call starts and where the last one is short.
         let around_blocks = [0, 1, 3, LANES - 1, LANES, LANES + 1];
         let around_two = [2 * LANES - 1, 2 * LANES, 2 * LANES + 1];
         let around_tables = [
@@ -543,7 +546,7 @@ mod tests {
 
     #[test]
     fn precalculated_fast_path_matches_scalar() {
-        // The contiguous-slice field_block override must agree with the
+        // The lent columns of `field_columns` must agree with the
         // per-index path bit for bit — over the whole store, and over
         // chunks whose non-zero `base_index` must keep the per-particle
         // field table aligned (`LANES + 3` = one block + a tail per

@@ -63,7 +63,8 @@ impl<R: Real, S: FieldSampler<R> + ?Sized> FieldSampler<R> for &S {
 
 /// Number of field component columns: E then B, x y z each. This file
 /// is the one place the six are listed — [`EbSlices`]' fields,
-/// [`EbSlices::from_columns`]/[`as_columns_mut`](EbSlices::as_columns_mut) and
+/// [`EbSlices::from_columns`]/[`as_columns_mut`](EbSlices::as_columns_mut)/
+/// [`into_columns`](EbSlices::into_columns) and
 /// [`EB::to_array`]/[`EB::from_array`]; field tables, their staged copies
 /// and the block copies hold a `[_; FIELD_COLUMNS]` in that order.
 pub const FIELD_COLUMNS: usize = 6;
@@ -125,6 +126,13 @@ impl<'a, R: Real> EbSlices<'a, R> {
             &mut *self.by,
             &mut *self.bz,
         ]
+    }
+
+    /// The six slices in [`EB::to_array`] order, by value: the inverse of
+    /// [`from_columns`](Self::from_columns).
+    #[inline(always)]
+    pub fn into_columns(self) -> [&'a mut [R]; FIELD_COLUMNS] {
+        [self.ex, self.ey, self.ez, self.bx, self.by, self.bz]
     }
 
     /// Writes the field value of lane `i`.

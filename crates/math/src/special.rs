@@ -25,8 +25,12 @@
 //!   series `jₗ(x)/xˡ = Σₙ (−x²/2)ⁿ / (n!·(2l+2n+1)!!)` are summed instead,
 //!   to a fixed number of terms that reaches machine precision at `x = 1`.
 //!
-//! Both sides are evaluated for every argument and one is selected, so no
-//! lane ever branches.
+//! [`radial`] evaluates both sides for every argument and selects one, so
+//! no lane ever branches, and so does [`radial_lanes`] for a block with a
+//! lane below [`SERIES_THRESHOLD`]. A block with none — most blocks of an
+//! ensemble that reaches beyond `kR = 1` — evaluates the closed forms
+//! alone: the operations the select would keep for each of its lanes, so
+//! the bits are the same either way.
 
 use crate::real::Real;
 
@@ -79,22 +83,46 @@ fn horner_sum<R: Real>(z: R, coefficients: &[f64; SERIES_TERMS]) -> R {
     }
 }
 
-/// The radial triple from `x` and its sine and cosine.
+/// The closed forms of the radial triple from `x` and its sine and
+/// cosine: the side [`radial_from`] keeps at `|x| ≥ SERIES_THRESHOLD`.
 #[inline(always)]
-fn radial_from<R: Real>(x: R, (sin, cos): (R, R)) -> (R, R, R) {
+fn closed_forms<R: Real>(x: R, (sin, cos): (R, R)) -> (R, R, R) {
     let inv = x.recip();
     let inv2 = inv * inv;
     let j0 = sin * inv;
     let far1 = (j0 - cos) * inv2;
     let far2 = (R::from_f64(3.0) * far1 - j0) * inv2;
+    (far1, far2, j0 - far1)
+}
+
+/// The series side of the radial triple: the one [`radial_from`] keeps
+/// at `|x| < SERIES_THRESHOLD`.
+#[inline(always)]
+fn series<R: Real>(x: R) -> (R, R, R) {
     let z = x * x;
     let near0 = horner_sum(z, &J0);
     let near1 = horner_sum(z, &J1_OVER_X);
     let near2 = horner_sum(z, &J2_OVER_X2);
-    if x.abs() < R::from_f64(SERIES_THRESHOLD) {
-        (near1, near2, near0 - near1)
+    (near1, near2, near0 - near1)
+}
+
+/// Whether `x` takes the series side. False for NaN, which stays NaN on
+/// the closed-form side.
+#[inline(always)]
+fn near_focus<R: Real>(x: R) -> bool {
+    x.abs() < R::from_f64(SERIES_THRESHOLD)
+}
+
+/// The radial triple from `x` and its sine and cosine: both sides, then
+/// a select.
+#[inline(always)]
+fn radial_from<R: Real>(x: R, sin_cos: (R, R)) -> (R, R, R) {
+    let far = closed_forms(x, sin_cos);
+    let near = series(x);
+    if near_focus(x) {
+        near
     } else {
-        (far1, far2, j0 - far1)
+        far
     }
 }
 
@@ -146,23 +174,37 @@ fn radial_beyond_poly<R: Real>(x: R) -> (R, R, R) {
 /// [`radial`] of every lane, as three arrays — each lane bit for bit what
 /// [`radial`] returns for it.
 ///
-/// The range guard is taken once for the block: with every lane inside
+/// Two guards are taken once for the block. With every lane inside
 /// [`Real::SIN_COS_POLY_MAX`] (any physical `kR`) the loop body has no
 /// call and no branch, which is what lets it vectorise; one lane outside
-/// sends the block through [`radial`] lane by lane.
+/// sends the block through [`radial`] lane by lane. A block in range
+/// with no lane below [`SERIES_THRESHOLD`] runs the closed forms alone —
+/// the very operations the select keeps for those lanes — and skips the
+/// three series; a block with a lane below it computes both sides.
 #[inline]
 pub fn radial_lanes<R: Real, const N: usize>(x: &[R; N]) -> ([R; N], [R; N], [R; N]) {
-    let mut out = ([R::ZERO; N], [R::ZERO; N], [R::ZERO; N]);
-    // `&`, not `&&`: no early exit, so the guard is a vector compare too.
+    // `&` and `|`, not `&&` and `||`: no early exit, so each guard is a
+    // vector compare too.
     let all_in_range = x.iter().fold(true, |ok, &x| ok & in_poly_range(x));
+    let any_near = x.iter().fold(false, |near, &x| near | near_focus(x));
+    match (all_in_range, any_near) {
+        (true, false) => each_lane(x, |x| closed_forms(x, x.sin_cos_poly())),
+        (true, true) => each_lane(x, |x| radial_from(x, x.sin_cos_poly())),
+        (false, _) => each_lane(x, radial),
+    }
+}
+
+/// `lane` of every element of `x`, as three arrays: one loop per arm of
+/// [`radial_lanes`], each with a body of its own.
+#[inline(always)]
+fn each_lane<R: Real, const N: usize>(
+    x: &[R; N],
+    lane: impl Fn(R) -> (R, R, R),
+) -> ([R; N], [R; N], [R; N]) {
+    let mut out = ([R::ZERO; N], [R::ZERO; N], [R::ZERO; N]);
     // bounds: `l < N` indexes `[R; N]` arrays only.
     for (l, &x) in x.iter().enumerate() {
-        let lane = if all_in_range {
-            radial_from(x, x.sin_cos_poly())
-        } else {
-            radial(x)
-        };
-        (out.0[l], out.1[l], out.2[l]) = lane;
+        (out.0[l], out.1[l], out.2[l]) = lane(x);
     }
     out
 }
@@ -377,6 +419,102 @@ mod tests {
                 x[2] = R::SIN_COS_POLY_MAX * R::TWO;
                 x[5] = R::from_f64(f64::NAN);
                 x[6] = R::from_f64(f64::INFINITY);
+            }
+        }
+        check::<f64>();
+        check::<f32>();
+    }
+
+    /// Asserts every lane of `radial_lanes(x)` is bit for bit `radial`
+    /// of that lane.
+    fn assert_lanes_are_radial<R: Real, const N: usize>(x: [R; N], case: &str) {
+        let bits = |(a, b, c): (R, R, R)| [a, b, c].map(|v| v.to_f64().to_bits());
+        let (g1, g2, g3) = radial_lanes(&x);
+        for l in 0..N {
+            let want = bits(radial(x[l]));
+            assert_eq!(
+                bits((g1[l], g2[l], g3[l])),
+                want,
+                "{case}: lane {l}, x = {:e}",
+                x[l]
+            );
+        }
+    }
+
+    #[test]
+    fn radial_lanes_skip_the_series_and_keep_every_bit() {
+        fn check<R: Real>() {
+            let above_one = R::ONE + R::EPSILON;
+            let below_one = R::ONE - R::EPSILON * R::HALF;
+            let max = R::SIN_COS_POLY_MAX;
+            // No lane below the threshold: the closed forms alone,
+            // from exactly 1 and the next value above it to the edge of
+            // the polynomial range, both signs.
+            let far: [R; 16] = [
+                R::ONE,
+                above_one,
+                -R::ONE,
+                -above_one,
+                R::from_f64(1.001),
+                R::from_f64(1.5),
+                R::from_f64(2.0),
+                R::from_f64(3.25),
+                R::from_f64(7.25),
+                R::from_f64(12.5),
+                R::from_f64(-20.0),
+                R::from_f64(49.0),
+                R::from_f64(100.0),
+                max * R::HALF,
+                -max,
+                max,
+            ];
+            assert_lanes_are_radial(far, "all far");
+            // Every lane below the threshold, ±0 among them.
+            let near: [R; 16] = [
+                R::ZERO,
+                -R::ZERO,
+                R::from_f64(1e-30),
+                R::from_f64(1e-6),
+                R::from_f64(1e-3),
+                R::from_f64(0.1),
+                R::from_f64(0.25),
+                R::from_f64(-0.3),
+                R::from_f64(0.5),
+                R::from_f64(0.7),
+                R::from_f64(-0.8),
+                R::from_f64(0.9),
+                R::from_f64(0.99),
+                R::from_f64(0.999),
+                below_one,
+                -below_one,
+            ];
+            assert_lanes_are_radial(near, "all near");
+            // One near lane in each position of an otherwise far block,
+            // which then takes both sides and the select.
+            for p in 0..16 {
+                for lane in [R::from_f64(0.5), below_one, R::ZERO, -R::ZERO] {
+                    let mut x = far;
+                    x[p] = lane;
+                    assert_lanes_are_radial(x, &format!("near lane {p} = {lane:e}"));
+                }
+            }
+            // NaN and a lane beyond the polynomial range each send the
+            // block lane by lane; the rest stay far.
+            let odd = [
+                R::from_f64(f64::NAN),
+                max * R::TWO,
+                max * (R::ONE + R::EPSILON),
+                R::from_f64(f64::INFINITY),
+                R::from_f64(f64::NEG_INFINITY),
+            ];
+            for p in [0, 7, 15] {
+                for lane in odd {
+                    let mut x = far;
+                    x[p] = lane;
+                    assert_lanes_are_radial(x, &format!("odd lane {p} = {lane:e}"));
+                    x[(p + 1) % 16] = R::from_f64(0.5);
+                    assert_lanes_are_radial(x, &format!("odd lane {p} = {lane:e}, one near"));
+                }
             }
         }
         check::<f64>();

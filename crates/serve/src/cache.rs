@@ -25,7 +25,7 @@
 //! the cache lock.
 
 use crate::job::{scenario_wire, JobReport, JobSpec};
-use crate::shard::render_rows;
+use crate::shard::{render_rows, Piece};
 use pic_particles::io::RowEnd;
 use pic_particles::ColumnSegment;
 use std::collections::HashMap;
@@ -150,16 +150,16 @@ pub struct CachedResult {
 
 impl CachedResult {
     /// The producing run's particle dump, rendered from its columns as
-    /// one [`JobReport::dump`] piece — bitwise what it would have
-    /// returned itself.
-    pub(crate) fn render(&self) -> Vec<Arc<String>> {
+    /// [`JobReport::dump`] pieces — bitwise what it would have returned
+    /// itself.
+    pub(crate) fn render(&self) -> Vec<Arc<Piece>> {
         let segments: Vec<&ColumnSegment> = self.columns.iter().map(|s| &**s).collect();
-        vec![Arc::new(render_rows(&segments, true, RowEnd::Escaped))]
+        render_rows(&segments, true, RowEnd::Escaped)
     }
 
     /// Builds the report a cache hit hands to `requester`: the
     /// memoized measurements, `queue_wait_ns = 0`, and the particle
-    /// dump as one `dump` piece — rendered here, so call it outside the
+    /// dump as `dump` pieces — rendered here, so call it outside the
     /// cache lock — only when the requester asked for it.
     pub fn to_report(&self, requester: &JobSpec) -> JobReport {
         JobReport {
@@ -362,7 +362,7 @@ mod tests {
             ..JobSpec::default()
         };
         let mut report = hit.to_report(&wants);
-        assert_eq!(report.dump.len(), 1, "one piece");
+        assert!(!report.dump.is_empty(), "rendered");
         report.join_dump();
         let dump = report.particles;
         assert!(expect.is_some());

@@ -281,9 +281,9 @@ fn run_typed<R: Real, S: ParticleStore<R>>(shared: &Shared, job: &Arc<JobState>)
             let columns = capture();
             let (dump, render_ns) = if job.spec.return_particles {
                 let render_start = shared.clock.now_ns();
-                let piece = render_rows(&[&columns], ctx.shard_id == 0, RowEnd::Escaped);
+                let pieces = render_rows(&[&columns], ctx.shard_id == 0, RowEnd::Escaped);
                 let render_ns = shared.clock.now_ns().saturating_sub(render_start);
-                (vec![Arc::new(piece)], render_ns)
+                (pieces, render_ns)
             } else {
                 (Vec::new(), 0)
             };

@@ -10,6 +10,7 @@
 //! [`Outcome`]; jobs refused at admission get an explicit
 //! [`RejectReason`] — the service never drops work silently.
 
+use crate::shard::Piece;
 use pic_particles::{ColumnSegment, Layout};
 use pic_perfmodel::{Precision, Scenario};
 use pic_runtime::ExecTarget;
@@ -347,14 +348,15 @@ pub struct JobReport {
     /// escapes it into a JSON string body once (`proto::write_outcome`).
     pub particles: Option<String>,
     /// The same text inside the service, in the pieces it was rendered
-    /// in, shared and never joined: one for a monolithic run or a cache
-    /// hit; one per shard, in plan order, for a merged parent (shard 0's
-    /// leads with the header); none when the spec did not ask. Each piece
+    /// in, shared and never joined: a monolithic run's or a cache hit's;
+    /// for a merged parent, each shard's in plan order (shard 0's lead
+    /// with the header); none when the spec did not ask. A render comes
+    /// in [`Piece`]s of at most `shard::PIECE_BYTES` each. Each piece
     /// is already the body of a JSON string — the text with every newline
     /// written as `\n`, its only character JSON escapes — rendered so by
     /// the shard module's `render_rows`, the one producer; the wire writes
     /// the pieces one after another verbatim (`proto::write_outcome`).
-    pub dump: Vec<Arc<String>>,
+    pub dump: Vec<Arc<Piece>>,
     /// True when the result was served from the deterministic result
     /// cache, at submit or when a worker claimed the job, instead of a
     /// fresh sweep. Cache hits always report `queue_wait_ns = 0`.

@@ -92,4 +92,4 @@ pub use cache::{CacheKey, CachedResult, ResultCache, CACHE_SCHEMA};
 pub use checkpoint::{CheckpointStore, KillPlan, Snapshot};
 pub use job::{JobReport, JobSpec, Outcome, Priority, RejectReason};
 pub use scheduler::{CancelResult, JobTicket, ServeConfig, ServeStats, Server, ShutdownReport};
-pub use shard::{merge_segments, shard_kill_key, ShardPlan};
+pub use shard::{merge_segments, shard_kill_key, Piece, ShardPlan};

@@ -417,7 +417,7 @@ mod tests {
                         let cut = |at: usize| (at..).find(|&i| text.is_char_boundary(i)).unwrap();
                         let (a, b) = (cut(text.len() / 3), cut(2 * text.len() / 3));
                         [&text[..a], &text[a..b], &text[b..]]
-                            .map(|p| std::sync::Arc::new(str_body(p)))
+                            .map(|p| std::sync::Arc::new(str_body(p).into()))
                             .to_vec()
                     });
                     let in_pieces = crate::job::JobReport {

@@ -105,37 +105,129 @@ pub fn merge_segments(segments: &[&ColumnSegment]) -> Option<String> {
     if segments.is_empty() {
         return None;
     }
-    Some(render_rows(segments, true, RowEnd::Newline))
+    let pieces = render_rows(segments, true, RowEnd::Newline);
+    Some(pieces.iter().map(|piece| piece.as_str()).collect())
+}
+
+/// Room reserved for one piece of a render: under glibc's default
+/// 128 KiB mmap threshold, so a piece comes from the heap.
+pub const PIECE_BYTES: usize = 64 * 1024;
+
+/// Most piece buffers kept for the next render (32 MiB): a 125 000-row
+/// dump takes about 180.
+const SPARE_PIECES: usize = 512;
+
+/// Buffers of dropped [`Piece`]s, empty, for the next render to fill.
+///
+/// A shard's text reserved in one block (8.4 MB for 62 500 f32 rows)
+/// was mapped afresh on every render and faulted in page by page: the
+/// allocator's mmap threshold rises only to the size of a freed mapping,
+/// which the rows never filled. Pieces from the heap alone do not keep
+/// their pages either: freed together, they merge into the heap's top,
+/// which the allocator trims. A render that refills the buffers the
+/// last dump's pieces held touches pages already in place.
+static SPARE: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// One piece of a rendered dump: text that ends on a row boundary,
+/// with room for [`PIECE_BYTES`]. Dropping the last handle to it gives
+/// its buffer to the next render.
+#[derive(Debug, PartialEq)]
+pub struct Piece(String);
+
+impl Piece {
+    /// The text of the piece.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<String> for Piece {
+    fn from(text: String) -> Piece {
+        Piece(text)
+    }
+}
+
+impl Drop for Piece {
+    fn drop(&mut self) {
+        let mut buffer = std::mem::take(&mut self.0).into_bytes();
+        if buffer.capacity() == PIECE_BYTES {
+            buffer.clear();
+            let mut spare = lock(&SPARE);
+            if spare.len() < SPARE_PIECES {
+                spare.push(buffer);
+            }
+        }
+    }
 }
 
 /// `segments`' rows as text, in order, each ending in `end`, led by the
 /// `pic_particles::io` header when `header` is set: the whole dump, or
-/// one shard's piece of it (shard 0's with the header). With
+/// one shard's part of it (shard 0's with the header). With
 /// [`RowEnd::Escaped`] the text is the body of a JSON string, as the
 /// wire writes it: the only producer of
-/// [`JobReport::dump`](crate::job::JobReport::dump) pieces. Rendering
-/// into memory cannot fail, so every segment's rows are always there.
-pub(crate) fn render_rows(segments: &[&ColumnSegment], header: bool, end: RowEnd) -> String {
-    // Room for the longest rows at each segment's width, so the text is
-    // never moved while it grows; what the rows did not need is handed
-    // back.
-    let room: usize = segments
-        .iter()
-        .map(|seg| seg.len() * seg.max_row_len(end))
-        .sum();
-    let mut out: Vec<u8> = Vec::with_capacity(HEADER.len() + end.bytes().len() + room);
+/// [`JobReport::dump`](crate::job::JobReport::dump) pieces. The text
+/// comes in [`Piece`]s, to be read one after another. Rendering into
+/// memory cannot fail, so every segment's rows are always there.
+pub fn render_rows(segments: &[&ColumnSegment], header: bool, end: RowEnd) -> Vec<Arc<Piece>> {
+    let mut out = Pieces {
+        done: Vec::new(),
+        open: Vec::new(),
+    };
     if header {
-        out.extend_from_slice(HEADER.as_bytes());
-        out.extend_from_slice(end.bytes());
+        out.push_bytes(HEADER.as_bytes());
+        out.push_bytes(end.bytes());
     }
     for seg in segments {
-        #[expect(clippy::expect_used, reason = "writing to a `Vec` cannot fail")]
+        #[expect(clippy::expect_used, reason = "writing to memory cannot fail")]
         seg.write_text(&mut out, end)
-            .expect("a Vec takes every write");
+            .expect("the pieces take every write");
     }
-    out.shrink_to_fit();
-    #[expect(clippy::expect_used, reason = "the header and the rows are ASCII")]
-    String::from_utf8(out).expect("a dump is ASCII")
+    out.finish_piece();
+    out.done
+}
+
+/// The pieces of one render: the finished ones, and the one being
+/// filled. A write goes whole into one piece, so a piece ends where a
+/// write of the row writer does — on a row boundary.
+struct Pieces {
+    done: Vec<Arc<Piece>>,
+    open: Vec<u8>,
+}
+
+impl Pieces {
+    /// Appends `bytes` to the open piece, after closing it if they would
+    /// not fit; a new piece is a spare buffer or a fresh one.
+    fn push_bytes(&mut self, bytes: &[u8]) {
+        if self.open.len() + bytes.len() > PIECE_BYTES {
+            self.finish_piece();
+        }
+        if self.open.capacity() == 0 {
+            let spare = lock(&SPARE).pop();
+            self.open = spare.unwrap_or_else(|| Vec::with_capacity(PIECE_BYTES));
+        }
+        self.open.extend_from_slice(bytes);
+    }
+
+    /// Moves the open piece, unless it is empty, to the finished ones.
+    fn finish_piece(&mut self) {
+        if !self.open.is_empty() {
+            let piece = std::mem::take(&mut self.open);
+            #[expect(clippy::expect_used, reason = "the header and the rows are ASCII")]
+            let piece = String::from_utf8(piece).expect("a dump is ASCII");
+            self.done.push(Arc::new(Piece(piece)));
+        }
+    }
+}
+
+impl std::io::Write for Pieces {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.push_bytes(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Execution context attached to one shard sub-job.
@@ -318,7 +410,7 @@ impl Shared {
         let gather_start = self.clock.now_ns();
         let columns: Vec<Arc<ColumnSegment>> =
             reports.iter().filter_map(|r| r.columns.clone()).collect();
-        let dump: Vec<Arc<String>> = reports.iter().flat_map(|r| r.dump.clone()).collect();
+        let dump: Vec<Arc<Piece>> = reports.iter().flat_map(|r| r.dump.clone()).collect();
         let render_ns = reports.iter().map(|r| r.render_ns).max().unwrap_or(0);
         let gather_ns = self.clock.now_ns().saturating_sub(gather_start) + render_ns;
         let run_ns = reports.iter().map(|r| r.run_ns).max().unwrap_or(0);
@@ -446,7 +538,8 @@ mod tests {
         let pieces: String = segs
             .iter()
             .enumerate()
-            .map(|(i, seg)| render_rows(&[seg], i == 0, RowEnd::Escaped))
+            .flat_map(|(i, seg)| render_rows(&[seg], i == 0, RowEnd::Escaped))
+            .map(|piece| piece.as_str().to_string())
             .collect();
         assert_eq!(
             Some(pieces),
@@ -454,6 +547,31 @@ mod tests {
             "the shards' pieces, in plan order, as the body of a JSON string"
         );
         assert_eq!(merge_segments(&[]), None, "empty set is explicit");
+    }
+
+    #[test]
+    fn a_long_render_comes_in_pieces_of_whole_rows() {
+        use pic_particles::SoaEnsemble;
+
+        let store: SoaEnsemble<f64> = pic_sim::build_ensemble(3_000, 7);
+        let seg = ColumnSegment::from_store(&store, 0, 3_000);
+        let pieces = render_rows(&[&seg], true, RowEnd::Newline);
+        assert!(pieces.len() > 2, "{} pieces", pieces.len());
+        for piece in &pieces {
+            assert!(
+                piece.as_str().len() <= PIECE_BYTES,
+                "{} bytes",
+                piece.as_str().len()
+            );
+            assert!(
+                piece.as_str().ends_with('\n'),
+                "a piece ends with its last row"
+            );
+        }
+        let mut text = Vec::new();
+        pic_particles::io::write_ensemble(&store, &mut text).expect("a Vec takes every write");
+        let joined: String = pieces.iter().map(|p| p.as_str()).collect();
+        assert_eq!(joined.as_bytes(), text, "the pieces are the dump, in order");
     }
 
     #[test]
@@ -530,18 +648,16 @@ mod tests {
             .windows(2)
             .map(|w| ColumnSegment::from_store(&store, w[0], w[1] - w[0]))
             .collect();
-        let pieces: Vec<Arc<String>> = segments
+        let pieces: Vec<Arc<Piece>> = segments
             .iter()
             .enumerate()
-            .map(|(i, seg)| Arc::new(render_rows(&[seg], i == 0, RowEnd::Escaped)))
+            .flat_map(|(i, seg)| render_rows(&[seg], i == 0, RowEnd::Escaped))
             .collect();
         let body = str_body(&text);
-        prop_assert_eq!(
-            pieces.iter().map(|p| p.as_str()).collect::<String>(),
-            body.clone()
-        );
+        let joined = |pieces: &[Arc<Piece>]| pieces.iter().map(|p| p.as_str()).collect::<String>();
+        prop_assert_eq!(joined(&pieces), body.clone());
         let refs: Vec<&ColumnSegment> = segments.iter().collect();
-        prop_assert_eq!(render_rows(&refs, true, RowEnd::Escaped), body);
+        prop_assert_eq!(joined(&render_rows(&refs, true, RowEnd::Escaped)), body);
         let mut report = JobReport {
             dump: pieces,
             ..JobReport::default()

@@ -24,5 +24,6 @@ pub use device_run::{gpu_model_of, precision_of, run_device_steps, DeviceRun};
 pub use run::{merge_thread_stats, run_mdipole_steps, KernelVariant, MdipoleRun, MdipoleScenario};
 pub use scenario::{
     append_ensemble_range, bench_dt, build_ensemble, build_ensemble_range, dipole_wave, time_after,
+    SETUP_PART_ROWS,
 };
 pub use subject::{parallelization_of, RecordSubject};

@@ -12,7 +12,7 @@
 //! where scenario 1 "excludes all operations from measurements except
 //! for particle motion".
 
-use crate::scenario::{bench_dt, dipole_wave};
+use crate::scenario::{bench_dt, dipole_wave, setup_chunk_len};
 use pic_boris::soa_boris::LANES;
 use pic_boris::{
     AnalyticalSource, BorisPusher, FieldSource, PrecalculatedSource, SharedPushKernel,
@@ -23,9 +23,7 @@ use pic_math::Real;
 use pic_particles::columns::{X, Y, Z};
 use pic_particles::{ParticleAccess, SpeciesTable};
 use pic_perfmodel::Scenario;
-use pic_runtime::{
-    on_static_split, parallel_sweep, static_chunk_len, CancelToken, Schedule, SweepReport, Topology,
-};
+use pic_runtime::{on_static_split, parallel_sweep, CancelToken, Schedule, SweepReport, Topology};
 use pic_telemetry::ThreadStat;
 
 /// Which pusher kernel implementation drives the sweep.
@@ -85,7 +83,9 @@ impl<R: Real> MdipoleScenario<R> {
     /// sampling pass; call it before entering any timed region. A store
     /// with columns is sampled one contiguous range per thread of
     /// `topology`, in the static split's order, so each thread writes
-    /// the rows of the table it sweeps under [`Schedule::StaticChunks`].
+    /// the rows of the table it sweeps under [`Schedule::StaticChunks`];
+    /// no range is shorter than [`SETUP_PART_ROWS`](crate::SETUP_PART_ROWS), so a small table
+    /// starts fewer threads, or none.
     /// A store without columns (AoS) is sampled serially. The table is
     /// the same bits at every thread count.
     pub fn prepare_on<A: ParticleAccess<R>>(
@@ -104,7 +104,7 @@ impl<R: Real> MdipoleScenario<R> {
                         // bounds: constant indices into `[_; REAL_COLUMNS]`;
                         // the runs of the split cover `0..n`.
                         let [xs, ys, zs] = [X, Y, Z].map(|c| cols.reals[c]);
-                        let chunk = static_chunk_len(n, topology);
+                        let chunk = setup_chunk_len(n, topology);
                         on_static_split(pre.chunks_mut(chunk).collect(), |i, mut out| {
                             let rows = i * chunk..i * chunk + out.ex.len();
                             let (xs, ys) = (&xs[rows.clone()], &ys[rows.clone()]);

@@ -39,6 +39,22 @@ pub fn time_after<R: Real>(steps: usize) -> R {
     time
 }
 
+/// Fewest rows one part of a parallel set-up is given. A part beyond
+/// the first starts and joins a thread, ≈ 34 µs on the 2-thread host
+/// the benchmark was sized on, against 5–10 ns a row of seeding or field
+/// sampling: a part of this many rows pays for its thread several times
+/// over. Smaller set-ups take fewer parts — one, on the calling thread,
+/// below this many rows — and a paper-scale set-up (10⁷ rows) still
+/// takes one part per thread.
+pub const SETUP_PART_ROWS: usize = 16 * 1024;
+
+/// Rows per part of a set-up of `n` rows over `topology`: the runs of
+/// the sweep's static split ([`static_chunk_len`]), never fewer than
+/// [`SETUP_PART_ROWS`].
+pub(crate) fn setup_chunk_len(n: usize, topology: &Topology) -> usize {
+    static_chunk_len(n, topology).max(SETUP_PART_ROWS)
+}
+
 /// Builds the paper's initial ensemble: `n` electrons at rest, uniform in
 /// a sphere of radius 0.6λ, deterministic for a given `seed`.
 pub fn build_ensemble<R: Real, S: ParticleStore<R>>(n: usize, seed: u64) -> S {
@@ -67,8 +83,9 @@ pub fn build_ensemble_range<R: Real, S: ParticleStore<R>>(
 /// A range reaching past `n_total` is cut there. The new rows are filled
 /// one contiguous range per thread of `topology`, in the static split's
 /// order, so each thread first-touches the rows it sweeps under
-/// `Schedule::StaticChunks`; the particles are the same bits at every
-/// thread count.
+/// `Schedule::StaticChunks` — but no range is shorter than
+/// [`SETUP_PART_ROWS`], so a small range starts fewer threads, or none.
+/// The particles are the same bits at every thread count.
 pub fn append_ensemble_range<R: Real, S: ParticleStore<R>>(
     store: &mut S,
     n_total: usize,
@@ -86,7 +103,7 @@ pub fn append_ensemble_range<R: Real, S: ParticleStore<R>>(
         .min(n_total)
         .saturating_sub(offset);
     let base = store.len();
-    let chunks = store.grow_chunks(count, static_chunk_len(count, topology));
+    let chunks = store.grow_chunks(count, setup_chunk_len(count, topology));
     on_static_split(chunks, |_, mut chunk| {
         let first = offset + chunk.base_index() - base;
         let species = SpeciesTable::<R>::ELECTRON;

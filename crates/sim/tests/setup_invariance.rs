@@ -4,23 +4,39 @@
 //!
 //! `append_ensemble_range` and `MdipoleScenario::prepare_on` split their
 //! rows into one contiguous range per thread of the topology they are
-//! given, and `build_ensemble_range` / `prepare` take the host's. Each
-//! is held here against the one-thread result, bit for bit, at 1–5
-//! threads, in both layouts and both precisions, at sizes whose range
-//! edges fall off the fill's 8-particle blocks and the kernel's lanes;
-//! rows appended after particles already in the store are the range
-//! build's rows.
+//! given, no range shorter than `SETUP_PART_ROWS`, and
+//! `build_ensemble_range` / `prepare` take the host's. Each is held here
+//! against the one-thread result, bit for bit, at 1–5 threads, in both
+//! layouts and both precisions, at sizes whose range edges fall off the
+//! fill's 8-particle blocks and the kernel's lanes, and at sizes around
+//! that floor, where a split takes fewer ranges than threads; rows
+//! appended after particles already in the store are the range build's
+//! rows.
 
 use pic_math::Real;
 use pic_particles::{AosEnsemble, ColumnSegment, ParticleAccess, ParticleStore, SoaEnsemble};
 use pic_perfmodel::Scenario;
 use pic_runtime::Topology;
-use pic_sim::{append_ensemble_range, build_ensemble_range, MdipoleScenario};
+use pic_sim::{append_ensemble_range, build_ensemble_range, MdipoleScenario, SETUP_PART_ROWS};
 
 const SEED: u64 = 23;
 /// Particle counts: none, one, both sides of a fill block, a
-/// thousand, and a size whose static split lands off every block.
-const SIZES: [usize; 7] = [0, 1, 7, 8, 9, 1000, (1 << 17) + 3];
+/// thousand, both sides of the set-up floor (one range, then two), two
+/// floors and an odd tail (three ranges at three threads and more), and
+/// a size whose static split lands off every block.
+const SIZES: [usize; 11] = [
+    0,
+    1,
+    7,
+    8,
+    9,
+    1000,
+    SETUP_PART_ROWS - 1,
+    SETUP_PART_ROWS,
+    SETUP_PART_ROWS + 1,
+    2 * SETUP_PART_ROWS + 5,
+    (1 << 17) + 3,
+];
 
 /// The `[offset, offset + n)` range of a `offset + n`-particle ensemble,
 /// seeded on `threads` threads after `lead` particles already in the
